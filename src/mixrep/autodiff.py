@@ -190,6 +190,23 @@ def square(a) -> Node:
     return _result(va * va, "square", [(a, lambda g: 2.0 * va * g)])
 
 
+def sqrt(a) -> Node:
+    """Elementwise square root; exactly 0 at 0."""
+    a = _wrap(a)
+    va = a.value
+    if np.any(va < 0.0):
+        raise ShapeError("sqrt", (va.shape,), "negative input")
+    out = np.sqrt(va)
+
+    def vjp(g):
+        # as in log: a zero upstream gradient contributes zero at x = 0,
+        # where the derivative is infinite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(g == 0.0, 0.0, 0.5 * g / out)
+
+    return _result(out, "sqrt", [(a, vjp)])
+
+
 def _reduce_extreme(a, axis, op_name: str) -> Node:
     a = _wrap(a)
     va = a.value
@@ -243,53 +260,73 @@ def reduce_sum(a, axis: int | None = None) -> Node:
     return _result(out, "sum", [(a, vjp)])
 
 
-def pairwise_sq_dist(e, r, num_classes: int | None = None, modes_per_class: int | None = None) -> Node:
-    """Squared Euclidean distances from one vector to a set of target vectors.
+def reshape(a, shape) -> Node:
+    a = _wrap(a)
+    va = a.value
+    try:
+        out = va.reshape(shape)
+    except ValueError:
+        raise ShapeError("reshape", (va.shape, shape), "sizes differ") from None
+    return _result(out, "reshape", [(a, lambda g: np.reshape(g, va.shape))])
 
-    `e` must be 1-d. `r` may be a single vector (scalar output), an (M, dim)
-    matrix, an (N, K, dim) tensor, or a flat (1, N*K*dim) weight row when
-    `num_classes`/`modes_per_class` are given; the last two produce (N, K).
+
+def concat(parts: Sequence, axis: int = -1) -> Node:
+    """Join arrays along an existing axis."""
+    nodes = [_wrap(p) for p in parts]
+    shapes = [n.value.shape for n in nodes]
+    try:
+        out = np.concatenate([n.value for n in nodes], axis=axis)
+    except ValueError:
+        raise ShapeError("concat", shapes, "shapes do not line up") from None
+    bounds = np.cumsum([s[axis] for s in shapes])[:-1]
+
+    def vjp_of(i):
+        return lambda g: np.split(g, bounds, axis=axis)[i]
+
+    return _result(out, "concat", [(n, vjp_of(i)) for i, n in enumerate(nodes)])
+
+
+def take(a, index: tuple) -> Node:
+    """Entries `a[index]` for a tuple of integer index arrays: `(rows,)`
+    gathers rows, `(rows, cols)` picks one entry per row. The gradient is
+    scattered back, adding up where an entry is taken more than once."""
+    a = _wrap(a)
+    va = a.value
+    index = tuple(np.asarray(i, dtype=np.intp) for i in index)
+    try:
+        out = va[index]
+    except IndexError:
+        raise ShapeError("take", (va.shape,), "index out of range") from None
+
+    def vjp(g):
+        gi = np.zeros_like(va)
+        np.add.at(gi, index, g)
+        return gi
+
+    return _result(out, "take", [(a, vjp)])
+
+
+def pairwise_sq_dist(e, r) -> Node:
+    """Squared Euclidean distances from each query row to every target.
+
+    `e` is a (B, dim) batch of queries; `r` holds targets along its last
+    axis, (..., dim), e.g. an (N, K, dim) bank of mode centers. The result
+    is (B, ...). Differences are taken before squaring, so a query that
+    coincides with a target is at distance exactly 0.
     """
     e, r = _wrap(e), _wrap(r)
     ve, vr = e.value, r.value
-    if ve.ndim != 1:
-        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape), "query must be 1-d")
-    dim = ve.shape[0]
-    if vr.ndim == 1:
-        if vr.shape[0] != dim:
-            raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape))
-        targets = vr.reshape(1, dim)
-        out_shape: tuple = ()
-    elif vr.ndim == 3:
-        if vr.shape[2] != dim:
-            raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape))
-        targets = vr.reshape(-1, dim)
-        out_shape = vr.shape[:2]
-    elif vr.ndim == 2:
-        if num_classes is not None and modes_per_class is not None and vr.shape == (
-            1,
-            num_classes * modes_per_class * dim,
-        ):
-            targets = vr.reshape(-1, dim)
-            out_shape = (num_classes, modes_per_class)
-        elif vr.shape[1] == dim:
-            targets = vr
-            out_shape = (vr.shape[0],)
-        else:
-            raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape))
-    else:
-        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape))
-
-    diff = targets - ve
-    out = (diff * diff).sum(axis=1).reshape(out_shape)
+    if ve.ndim != 2 or vr.ndim < 1 or vr.shape[-1] != ve.shape[1]:
+        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape), "expected (B, dim) and (..., dim)")
+    batch, dim = ve.shape
+    diff = vr.reshape(1, -1, dim) - ve[:, None, :]  # (B, M, dim)
+    out = (diff * diff).sum(axis=2).reshape((batch,) + vr.shape[:-1])
 
     def vjp_e(g):
-        gf = as_array(g).reshape(-1, 1)
-        return (-2.0 * diff * gf).sum(axis=0)
+        return (-2.0 * diff * g.reshape(batch, -1, 1)).sum(axis=1)
 
     def vjp_r(g):
-        gf = as_array(g).reshape(-1, 1)
-        return (2.0 * diff * gf).reshape(vr.shape)
+        return (2.0 * diff * g.reshape(batch, -1, 1)).sum(axis=0).reshape(vr.shape)
 
     return _result(out, "pairwise_sq_dist", [(e, vjp_e), (r, vjp_r)])
 
@@ -388,61 +425,6 @@ def batch_norm(x, gamma, beta, state: BatchNormState, update_stats: bool = True)
             (beta, lambda g: g.sum(axis=0)),
         ],
     )
-
-
-_OP_KINDS = (
-    "matmul",
-    "add",
-    "scale",
-    "exp",
-    "log",
-    "negate",
-    "relu",
-    "square",
-    "reduce_max",
-    "reduce_min",
-    "sum",
-    "pairwise_sq_dist",
-    "l2_normalize",
-    "batch_norm",
-)
-
-
-def forward_op(kind: str, inputs: Sequence, attrs: dict | None = None) -> Node:
-    """Uniform dispatcher over the supported primitive kinds."""
-    attrs = dict(attrs or {})
-    if kind not in _OP_KINDS:
-        raise ValueError(f"unsupported op kind '{kind}'; expected one of {_OP_KINDS}")
-    ins = [_wrap(x) for x in inputs]
-    if kind == "matmul":
-        return matmul(*ins)
-    if kind == "add":
-        return add(*ins)
-    if kind == "scale":
-        return scale(ins[0], attrs["factor"])
-    if kind == "exp":
-        return exp(ins[0])
-    if kind == "log":
-        return log(ins[0])
-    if kind == "negate":
-        return negate(ins[0])
-    if kind == "relu":
-        return relu(ins[0])
-    if kind == "square":
-        return square(ins[0])
-    if kind == "reduce_max":
-        return reduce_max(ins[0], axis=attrs.get("axis"))
-    if kind == "reduce_min":
-        return reduce_min(ins[0], axis=attrs.get("axis"))
-    if kind == "sum":
-        return reduce_sum(ins[0], axis=attrs.get("axis"))
-    if kind == "pairwise_sq_dist":
-        return pairwise_sq_dist(
-            ins[0], ins[1], attrs.get("num_classes"), attrs.get("modes_per_class")
-        )
-    if kind == "l2_normalize":
-        return l2_normalize(ins[0], epsilon=attrs.get("epsilon", 1e-12))
-    return batch_norm(ins[0], ins[1], ins[2], attrs["state"], attrs.get("update_stats", True))
 
 
 # ---------------------------------------------------------------------------

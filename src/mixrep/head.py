@@ -7,9 +7,10 @@ combines a cross-entropy term on the posterior with a hinge that enforces a
 margin between the closest correct-class mode and the closest wrong-class
 mode.
 
-Everything differentiable is built from autodiff primitives; quantities the
-primitives do not provide directly (square root, division, row selection) are
-composed from exp/log and constant selector matmuls.
+Everything differentiable is built from autodiff primitives over the whole
+batch: one (B, N, K) distance table per step, per-class minima as row-wise
+minima under additive constant masks, and one label entry picked per row.
+Division is composed as exp(log a - log b).
 """
 
 from __future__ import annotations
@@ -175,9 +176,7 @@ class EmbeddingNet:
 
 
 class Representatives:
-    """N*K mode centers stored as the weight row of an affine map fed the
-    constant scalar 1, so materializing them is a forward pass that
-    reproduces the stored values exactly and trains like any other layer."""
+    """N*K mode centers, trained directly as one (N, K, dim) parameter."""
 
     def __init__(self, num_classes: int, modes_per_class: int, dim: int, values=None, seed: int = 0):
         self.num_classes = int(num_classes)
@@ -194,23 +193,17 @@ class Representatives:
             raise ShapeError("representatives", (values.shape,), f"expected {shape}")
         if not np.all(np.isfinite(values)):
             raise ConfigError("representatives must be finite")
-        self.weight = ad.parameter(values.reshape(1, -1).copy(), "representatives.weight")
-
-    def materialize(self) -> Node:
-        """Forward pass of the constant-1 affine layer: flat (1, N*K*dim)."""
-        return ad.matmul(ad.constant(np.ones((1, 1))), self.weight)
+        self.weight = ad.parameter(values.copy(), "representatives.weight")
 
     def values(self) -> np.ndarray:
-        return self.weight.value.reshape(
-            self.num_classes, self.modes_per_class, self.dim
-        ).copy()
+        return self.weight.value.copy()
 
     def set_values(self, values) -> None:
         values = np.asarray(values, dtype=np.float64)
         shape = (self.num_classes, self.modes_per_class, self.dim)
         if values.shape != shape:
             raise ShapeError("representatives", (values.shape,), f"expected {shape}")
-        self.weight.value = values.reshape(1, -1).copy()
+        self.weight.value = values.copy()
         self.weight.grad = None
 
 
@@ -222,33 +215,21 @@ def _wrap(x) -> Node:
     return x if isinstance(x, Node) else ad.constant(np.asarray(x, dtype=np.float64))
 
 
-def _sqrt(node: Node) -> Node:
-    # exp(0.5 log x); exactly 0 at x = 0
-    return ad.exp(ad.scale(ad.log(node), 0.5))
-
-
 def clamp_min(node: Node, floor: float) -> Node:
     return ad.add(ad.relu(ad.add(node, ad.constant(-float(floor)))), ad.constant(float(floor)))
 
 
-def distance_matrix(embedding, representatives) -> Node:
-    """Euclidean distances from one embedded point to every mode center.
+def distance_matrix(embeddings, representatives) -> Node:
+    """Euclidean distances from each embedded row to every mode center.
 
-    `representatives` may be a Representatives object, an (N, K, e) tensor,
-    or any target form pairwise_sq_dist accepts. Output entries are >= 0 and
-    exactly 0 where the embedding coincides with a center.
+    `embeddings` is (B, e); `representatives` may be a Representatives
+    object or any target array pairwise_sq_dist accepts, e.g. (N, K, e),
+    giving (B, N, K). Entries are >= 0 and exactly 0 where an embedding
+    coincides with a center.
     """
-    e = _wrap(embedding)
     if isinstance(representatives, Representatives):
-        d2 = ad.pairwise_sq_dist(
-            e,
-            representatives.materialize(),
-            representatives.num_classes,
-            representatives.modes_per_class,
-        )
-    else:
-        d2 = ad.pairwise_sq_dist(e, _wrap(representatives))
-    return _sqrt(d2)
+        representatives = representatives.weight
+    return ad.sqrt(ad.pairwise_sq_dist(_wrap(embeddings), _wrap(representatives)))
 
 
 def mode_probabilities(distances, sigma: float) -> Node:
@@ -261,90 +242,107 @@ def mode_probabilities(distances, sigma: float) -> Node:
     return ad.exp(ad.scale(ad.square(d), -1.0 / (2.0 * float(sigma) ** 2)))
 
 
+# The posteriors below read the last two axes of a probability table as
+# (N classes, K modes); any leading axes (one per batch row) are kept.
+
+
 def class_posterior_max(probs) -> Node:
-    """Per-class posterior as the best mode: row max of the (N, K) table."""
+    """Per-class posterior as the best mode: (..., N, K) -> (..., N)."""
     p = _wrap(probs)
-    if p.value.ndim != 2:
-        raise ShapeError("class_posterior_max", (p.value.shape,), "expected (N, K)")
-    return ad.reduce_max(p, axis=1)
+    if p.value.ndim < 2:
+        raise ShapeError("class_posterior_max", (p.value.shape,), "expected (..., N, K)")
+    return ad.reduce_max(p, axis=-1)
 
 
 def class_posterior_normalized(probs) -> Node:
-    """Softer posterior: per-class probability mass over total mass.
+    """Softer posterior: per-class probability mass over total mass,
+    (..., N, K) -> (..., N).
 
     Sums to 1 within 1e-9. Division is composed as exp(log a - log b), both
     arguments strictly positive away from total underflow.
     """
     p = _wrap(probs)
-    if p.value.ndim != 2:
-        raise ShapeError("class_posterior_normalized", (p.value.shape,), "expected (N, K)")
-    if np.all(p.value < 1e-300):
+    if p.value.ndim < 2:
+        raise ShapeError("class_posterior_normalized", (p.value.shape,), "expected (..., N, K)")
+    underflow = np.all(p.value < 1e-300, axis=(-2, -1))
+    if np.any(underflow):
         raise PosteriorUnderflowError(
-            f"all mode probabilities below 1e-300 (max {p.value.max():.3e})"
+            f"all mode probabilities below 1e-300 for {int(np.sum(underflow))} item(s)"
         )
-    row_mass = ad.matmul(p, ad.constant(np.ones(p.value.shape[1])))
-    total = ad.reduce_sum(p)
-    return ad.exp(ad.add(ad.log(row_mass), ad.negate(ad.log(total))))
+    mass = ad.reduce_sum(p, axis=-1)
+    total = ad.reduce_sum(mass, axis=-1)
+    total = ad.reshape(total, total.shape + (1,))
+    return ad.exp(ad.add(ad.log(mass), ad.negate(ad.log(total))))
 
 
 def background_posterior(probs) -> Node:
-    """Open-set lower bound: 1 minus the single best mode probability."""
+    """Open-set lower bound: 1 minus the single best mode probability,
+    (..., N, K) -> (...)."""
     p = _wrap(probs)
-    return ad.add(ad.constant(1.0), ad.negate(ad.reduce_max(p)))
+    flat = ad.reshape(p, p.shape[:-2] + (-1,))
+    return ad.add(ad.constant(1.0), ad.negate(ad.reduce_max(flat, axis=-1)))
 
 
-def margin_loss(distances, true_class: int, margin: float) -> Node:
-    """Hinge between the closest correct-class mode and the closest
-    wrong-class mode: relu(min_true - min_wrong + margin).
+def _check_labels(labels, n: int, background_ok: bool) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    ok = (labels >= 0) & (labels < n)
+    if background_ok:
+        ok |= labels == BACKGROUND
+    if not ok.all():
+        raise ValueError(f"labels {sorted(set(labels[~ok].tolist()))} out of range for {n} classes")
+    return labels
 
-    `distances` is the (N, K) matrix; `true_class` is a 0-based row index.
+
+def margin_loss(distances, labels, margin: float) -> Node:
+    """Per-row hinge between the closest correct-class mode and the closest
+    wrong-class mode: relu(min_true - min_wrong + margin), (B,) values.
+
+    `distances` is the (B, N, K) table; `labels` holds one 0-based class per
+    row. Each minimum is one row-min over the flattened N*K modes, with the
+    excluded modes pushed to +inf by a constant additive mask.
     """
     d = _wrap(distances)
-    if d.value.ndim != 2:
-        raise ShapeError("margin_loss", (d.value.shape,), "expected (N, K)")
-    n = d.value.shape[0]
-    if not 0 <= true_class < n:
-        raise ValueError(f"true_class {true_class} out of range for {n} classes")
+    if d.value.ndim != 3:
+        raise ShapeError("margin_loss", (d.value.shape,), "expected (B, N, K)")
+    batch, n, k = d.value.shape
     if n < 2:
         raise ValueError("margin_loss needs a competing class (N >= 2)")
-    pick = np.zeros(n)
-    pick[true_class] = 1.0
-    drop = np.delete(np.eye(n), true_class, axis=0)
-    d_true = ad.reduce_min(ad.matmul(ad.constant(pick), d))
-    d_wrong = ad.reduce_min(ad.matmul(ad.constant(drop), d))
+    labels = _check_labels(labels, n, background_ok=False)
+    if labels.shape[0] != batch:
+        raise ShapeError("margin_loss", (d.value.shape, labels.shape), "one label per row")
+    own = np.repeat(np.arange(n)[None, :] == labels[:, None], k, axis=1)  # (B, N*K)
+    flat = ad.reshape(d, (batch, n * k))
+    d_true = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=1)
+    d_wrong = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=1)
     return ad.relu(ad.add(ad.add(d_true, ad.negate(d_wrong)), ad.constant(float(margin))))
 
 
-def cross_entropy_loss(class_posterior, background_post, label: int) -> Node:
-    """Negative log probability of the true label.
+def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
+    """Per-row negative log probability of the true label, (B,) values.
 
-    With `background_post` None the posterior vector is taken as already
-    normalized and the label must be a foreground class. Otherwise the
-    (N+1)-way distribution is formed by renormalizing [class_posterior,
-    background_post] to sum 1 (argmax preserved), and `label` may be
-    BACKGROUND. Probabilities are floored at 1e-12 inside the log.
+    `class_posterior` is (B, N). With `background_post` None it is taken as
+    already normalized and every label must be a foreground class.
+    Otherwise each row's (N+1)-way distribution is formed by renormalizing
+    [class_posterior, background_post] to sum 1 (argmax preserved), and a
+    label may be BACKGROUND. Probabilities are floored at 1e-12 inside the
+    log.
     """
     post = _wrap(class_posterior)
-    if post.value.ndim != 1:
-        raise ShapeError("cross_entropy_loss", (post.value.shape,), "expected (N,)")
-    n = post.value.shape[0]
-
-    def pick_class(lbl):
-        if not 0 <= lbl < n:
-            raise ValueError(f"label {lbl} out of range for {n} classes")
-        sel = np.zeros(n)
-        sel[lbl] = 1.0
-        return ad.matmul(ad.constant(sel), post)
-
+    if post.value.ndim != 2:
+        raise ShapeError("cross_entropy_loss", (post.value.shape,), "expected (B, N)")
+    batch, n = post.value.shape
+    labels = _check_labels(labels, n, background_ok=background_post is not None)
+    if labels.shape[0] != batch:
+        raise ShapeError("cross_entropy_loss", (post.value.shape, labels.shape), "one label per row")
+    rows = np.arange(batch)
     if background_post is None:
-        if label == BACKGROUND:
-            raise ValueError("background label requires a background posterior")
-        picked = pick_class(label)
+        picked = ad.take(post, (rows, labels))
         return ad.negate(ad.log(clamp_min(picked, PROB_FLOOR)))
 
     bg = _wrap(background_post)
-    total = ad.add(ad.reduce_sum(post), bg)
-    picked = bg if label == BACKGROUND else pick_class(label)
+    total = ad.add(ad.reduce_sum(post, axis=1), bg)
+    table = ad.concat([post, ad.reshape(bg, (batch, 1))], axis=1)
+    picked = ad.take(table, (rows, np.where(labels == BACKGROUND, n, labels)))
     ratio = ad.exp(ad.add(ad.log(picked), ad.negate(ad.log(total))))
     return ad.negate(ad.log(clamp_min(ratio, PROB_FLOOR)))
 
@@ -420,59 +418,45 @@ class MixtureHead:
         )
         return {"decay": decay, "no_decay": no_decay}
 
-    def _squared_distances(self, emb_node: Node) -> Node:
-        reps = self.representatives
-        d2 = ad.pairwise_sq_dist(
-            emb_node, reps.materialize(), reps.num_classes, reps.modes_per_class
-        )
+    def _squared_distances(self, E: Node) -> Node:
+        """(B, e) embeddings -> (B, N, K) squared distances, masked."""
+        d2 = ad.pairwise_sq_dist(E, self.representatives.weight)
         if self.distance_mask is not None:
             d2 = ad.add(d2, ad.constant(self.distance_mask))
         return d2
 
     def total_loss(self, X, labels, update_stats: bool = True):
-        """Mean over the batch of (cross-entropy + margin hinge).
+        """Mean over the batch of (cross-entropy + margin hinge), built as
+        one graph over the whole batch.
 
         Background-labeled items (detection mode) contribute cross-entropy
         only. Returns (scalar Node, {"ce", "margin", "total"} floats).
         """
         X = np.asarray(X, dtype=np.float64)
-        labels = [int(l) for l in labels]
-        if X.ndim != 2 or X.shape[0] != len(labels) or not labels:
+        labels = np.array([int(l) for l in labels], dtype=np.intp)
+        if X.ndim != 2 or X.shape[0] != len(labels) or not len(labels):
             raise ShapeError("total_loss", (X.shape,), f"need one row per label ({len(labels)})")
-        n_classes = self.mixture.num_classes
+        if self.task_mode == "classification" and np.any(labels == BACKGROUND):
+            raise ValueError("background labels require detection mode")
         batch = len(labels)
-        E = self.embedding.forward(X, update_stats=update_stats)
-        inv_two_sigma_sq = -1.0 / (2.0 * self.mixture.sigma**2)
+        d2 = self._squared_distances(self.embedding.forward(X, update_stats=update_stats))
+        probs = ad.exp(ad.scale(d2, -1.0 / (2.0 * self.mixture.sigma**2)))
+        if self.task_mode == "classification":
+            ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
+        else:
+            ce = cross_entropy_loss(class_posterior_max(probs), background_posterior(probs), labels)
+        ce_total = ad.reduce_sum(ce)
+        loss, margin = ce_total, 0.0
 
-        ce_total: Node | None = None
-        margin_total: Node | None = None
-        for i, label in enumerate(labels):
-            sel = np.zeros(batch)
-            sel[i] = 1.0
-            emb = ad.matmul(ad.constant(sel), E)
-            d2 = self._squared_distances(emb)
-            probs = ad.exp(ad.scale(d2, inv_two_sigma_sq))
-            if self.task_mode == "classification":
-                if label == BACKGROUND:
-                    raise ValueError("background labels require detection mode")
-                ce = cross_entropy_loss(class_posterior_normalized(probs), None, label)
-            else:
-                ce = cross_entropy_loss(
-                    class_posterior_max(probs), background_posterior(probs), label
-                )
-            ce_total = ce if ce_total is None else ad.add(ce_total, ce)
-            if label != BACKGROUND and n_classes >= 2:
-                dist = _sqrt(clamp_min(d2, DIST_SQ_FLOOR))
-                hinge = margin_loss(dist, label, self.mixture.margin)
-                margin_total = hinge if margin_total is None else ad.add(margin_total, hinge)
+        fg = np.flatnonzero(labels != BACKGROUND)
+        if fg.size and self.mixture.num_classes >= 2:
+            dist = ad.sqrt(clamp_min(ad.take(d2, (fg,)), DIST_SQ_FLOOR))
+            margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], self.mixture.margin))
+            loss = ad.add(loss, margin_total)
+            margin = float(margin_total.value) / batch
 
-        loss = ce_total if margin_total is None else ad.add(ce_total, margin_total)
         loss = ad.scale(loss, 1.0 / batch)
-        parts = {
-            "ce": float(ce_total.value) / batch,
-            "margin": (float(margin_total.value) / batch) if margin_total is not None else 0.0,
-            "total": float(loss.value),
-        }
+        parts = {"ce": float(ce_total.value) / batch, "margin": margin, "total": float(loss.value)}
         return loss, parts
 
     # -- inference ---------------------------------------------------------
@@ -480,20 +464,19 @@ class MixtureHead:
     def score_embedding(self, embedding) -> HeadOutput:
         """Open-set scores for one already-embedded point."""
         emb = np.asarray(embedding, dtype=np.float64)
-        d2 = self._squared_distances(ad.constant(emb))
-        dist = _sqrt(d2)
+        dist = ad.sqrt(self._squared_distances(ad.constant(emb.reshape(1, -1))))
         probs = mode_probabilities(dist, self.mixture.sigma)
-        max_post = class_posterior_max(probs).value
-        bg = float(background_posterior(probs).value)
+        max_post = class_posterior_max(probs).value[0]
+        bg = float(background_posterior(probs).value[0])
         if self.mixture.posterior_mode == "normalized":
-            post = class_posterior_normalized(probs).value
+            post = class_posterior_normalized(probs).value[0]
         else:
             post = max_post
         pred = int(np.argmax(post))  # ties to the lowest index
         return HeadOutput(
             embedding=emb,
-            distances=dist.value,
-            mode_probs=probs.value,
+            distances=dist.value[0],
+            mode_probs=probs.value[0],
             class_posterior=post,
             background_posterior=bg,
             predicted_class=pred,
@@ -559,12 +542,29 @@ def save_checkpoint(head: MixtureHead, path) -> None:
 
 
 def load_checkpoint(path) -> MixtureHead:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "checkpoint":
+    """Rebuild a head from `save_checkpoint` output. Any malformed content
+    raises ConfigError. Files that store the representatives as one flat
+    (1, N*K*dim) row, as earlier releases did, load unchanged."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as e:  # malformed JSON or text that is not UTF-8
+        raise ConfigError(f"{path}: invalid checkpoint JSON ({e})") from None
+    if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise ConfigError(f"not a checkpoint file: {path}")
     if doc.get("schema_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('schema_version')}")
+    try:
+        return _head_from_doc(doc)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    except KeyError as e:
+        raise ConfigError(f"{path}: checkpoint is missing key {e}") from None
+    except (TypeError, ValueError, AttributeError) as e:
+        raise ConfigError(f"{path}: malformed checkpoint ({e})") from None
+
+
+def _head_from_doc(doc: dict) -> MixtureHead:
     head = MixtureHead(
         EmbeddingConfig(**doc["embedding"]),
         MixtureConfig(**doc["mixture"]),
@@ -575,10 +575,19 @@ def load_checkpoint(path) -> MixtureHead:
         raise ConfigError("checkpoint parameter names do not match the rebuilt head")
     for name, node in named.items():
         arr = _decode_array(doc["params"][name])
+        if name == "representatives.weight" and arr.shape == (1, node.value.size):
+            arr = arr.reshape(node.value.shape)
         if arr.shape != node.value.shape:
             raise ConfigError(f"checkpoint shape mismatch for {name}")
         node.value = arr
-    for st, stored in zip(head.embedding.bn_states, doc["bn_running"]):
-        st.running_mean = _decode_array(stored["mean"])
-        st.running_var = _decode_array(stored["var"])
+    states = head.embedding.bn_states
+    if len(doc["bn_running"]) != len(states):
+        raise ConfigError(
+            f"checkpoint has {len(doc['bn_running'])} batch-norm entries for {len(states)} hidden layers"
+        )
+    for st, stored in zip(states, doc["bn_running"]):
+        mean, var = _decode_array(stored["mean"]), _decode_array(stored["var"])
+        if mean.shape != st.running_mean.shape or var.shape != st.running_var.shape:
+            raise ConfigError("checkpoint batch-norm statistics have the wrong shape")
+        st.running_mean, st.running_var = mean, var
     return head

@@ -73,10 +73,21 @@ def _primitive_checks():
     checks.append(("reduce_max", lambda ps: ad.reduce_sum(ad.square(ad.reduce_max(ps[0], axis=1))), [m]))
     checks.append(("reduce_min", lambda ps: ad.reduce_sum(ad.square(ad.reduce_min(ps[0], axis=0))), [m]))
 
-    e = ad.parameter(rng.normal(size=6))
-    t = ad.parameter(rng.normal(size=(8, 6)))
+    e = ad.parameter(rng.normal(size=(3, 6)))
+    t = ad.parameter(rng.normal(size=(4, 2, 6)))
     checks.append(("pairwise_sq_dist",
                    lambda ps: ad.reduce_sum(ad.square(ad.pairwise_sq_dist(ps[0], ps[1]))), [e, t]))
+
+    q = ad.parameter(rng.uniform(0.5, 2.0, size=(2, 5)))
+    checks.append(("sqrt", lambda ps: ad.reduce_sum(ad.square(ad.sqrt(ps[0]))), [q]))
+    # reshape, concat and take only move entries; a row max or a square
+    # downstream makes a misplaced gradient entry show
+    checks.append(("reshape", lambda ps: ad.reduce_sum(ad.square(ad.reduce_max(
+        ad.reshape(ps[0], (5, 2)), axis=1))), [q]))
+    checks.append(("concat", lambda ps: ad.reduce_sum(ad.square(ad.reduce_max(
+        ad.concat([ps[0], ps[1]], axis=0), axis=1))), [m, q]))
+    rows, cols = np.array([0, 2, 2, 1]), np.array([4, 0, 0, 3])
+    checks.append(("take", lambda ps: ad.reduce_sum(ad.square(ad.take(ps[0], (rows, cols)))), [m]))
 
     u = ad.parameter(rng.normal(size=(4, 3)) + np.array([2.0, -2.0, 3.0]))
     checks.append(("l2_normalize",

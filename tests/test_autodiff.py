@@ -31,9 +31,14 @@ class TestFrozenValues:
         np.testing.assert_array_equal(out.value, [0.0, 0.0, 2.0])
 
     def test_unit_basis_sq_dist(self):
-        out = ad.pairwise_sq_dist(ad.constant([1.0, 0.0]), ad.constant([0.0, 1.0]))
-        assert out.value.shape == ()
-        assert out.value == pytest.approx(2.0, abs=1e-15)
+        out = ad.pairwise_sq_dist(ad.constant([[1.0, 0.0]]), ad.constant([0.0, 1.0]))
+        assert out.value.shape == (1,)
+        assert out.value[0] == pytest.approx(2.0, abs=1e-15)
+
+    def test_sqrt_exact_zero_and_values(self):
+        out = ad.sqrt(ad.constant([0.0, 4.0, 2.0]))
+        assert out.value[0] == 0.0 and out.value[1] == 2.0
+        assert out.value[2] == np.sqrt(2.0)
 
     def test_square_grad_at_3(self):
         x = ad.parameter(3.0)
@@ -72,17 +77,39 @@ class TestForwardShapes:
             ad.add(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
 
     def test_pairwise_sq_dist_forms(self):
-        e = ad.constant(np.zeros(4))
-        assert ad.pairwise_sq_dist(e, ad.constant(np.ones((5, 4)))).shape == (5,)
-        assert ad.pairwise_sq_dist(e, ad.constant(np.ones((3, 2, 4)))).shape == (3, 2)
-        flat = ad.constant(np.ones((1, 3 * 2 * 4)))
-        out = ad.pairwise_sq_dist(e, flat, num_classes=3, modes_per_class=2)
-        assert out.shape == (3, 2)
-        np.testing.assert_allclose(out.value, 4.0)
+        e = ad.constant(np.zeros((7, 4)))
+        assert ad.pairwise_sq_dist(e, ad.constant(np.ones(4))).shape == (7,)
+        assert ad.pairwise_sq_dist(e, ad.constant(np.ones((5, 4)))).shape == (7, 5)
+        out = ad.pairwise_sq_dist(e, ad.constant(np.ones((3, 2, 4))))
+        assert out.shape == (7, 3, 2)
+        np.testing.assert_array_equal(out.value, 4.0)
 
-    def test_pairwise_sq_dist_rejects_2d_query(self):
+    def test_pairwise_sq_dist_rows_match_single_queries(self):
+        rng = np.random.default_rng(4)
+        E, R = rng.normal(size=(6, 5)), rng.normal(size=(3, 2, 5))
+        batched = ad.pairwise_sq_dist(ad.constant(E), ad.constant(R)).value
+        for i in range(6):
+            alone = ad.pairwise_sq_dist(ad.constant(E[i:i + 1]), ad.constant(R)).value
+            np.testing.assert_array_equal(batched[i], alone[0])
+
+    def test_pairwise_sq_dist_rejects_1d_query(self):
         with pytest.raises(ShapeError):
-            ad.pairwise_sq_dist(ad.constant(np.ones((2, 4))), ad.constant(np.ones(4)))
+            ad.pairwise_sq_dist(ad.constant(np.ones(4)), ad.constant(np.ones((2, 4))))
+        with pytest.raises(ShapeError):
+            ad.pairwise_sq_dist(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))))
+
+    def test_shape_ops_forward(self):
+        a = np.arange(6.0).reshape(2, 3)
+        np.testing.assert_array_equal(ad.reshape(a, (3, 2)).value, a.reshape(3, 2))
+        np.testing.assert_array_equal(
+            ad.concat([a, np.ones((2, 1))], axis=1).value, np.hstack([a, np.ones((2, 1))])
+        )
+        np.testing.assert_array_equal(ad.take(a, ([1, 0],)).value, a[[1, 0]])
+        np.testing.assert_array_equal(ad.take(a, ([0, 1, 1], [2, 0, 2])).value, [2.0, 3.0, 5.0])
+        with pytest.raises(ShapeError):
+            ad.concat([a, np.ones((3, 1))], axis=1)
+        with pytest.raises(ShapeError):
+            ad.take(a, ([2],))
 
     def test_l2_normalize_rows(self):
         out = ad.l2_normalize(ad.constant([[3.0, 4.0], [0.0, 2.0]]))
@@ -152,6 +179,19 @@ class TestBackwardSemantics:
         ad.backward(loss)
         assert float(x.grad) == 0.0 and not math.isnan(float(x.grad))
 
+    def test_sqrt_zero_upstream_guard(self):
+        x = ad.parameter(0.0)
+        d = ad.sqrt(ad.square(x))  # infinite derivative at 0
+        loss = ad.relu(ad.add(d, ad.constant(-1.0)))
+        assert float(d.value) == 0.0 and float(loss.value) == 0.0
+        ad.backward(loss)
+        assert float(x.grad) == 0.0
+
+    def test_take_scatters_repeated_entries(self):
+        a = ad.parameter(np.zeros((2, 3)))
+        ad.backward(ad.reduce_sum(ad.take(a, ([0, 0, 1], [1, 1, 2]))))
+        np.testing.assert_array_equal(a.grad, [[0, 2, 0], [0, 0, 1]])
+
 
 class TestGradChecks:
     """Each primitive against central differences at random smooth points."""
@@ -194,19 +234,26 @@ class TestGradChecks:
         gradcheck(lambda ps: ad.square(ad.reduce_sum(ps[0])), [x])
 
     def test_pairwise_sq_dist_tensor_targets(self):
-        e = ad.parameter(self.rng.normal(size=5), "e")
+        e = ad.parameter(self.rng.normal(size=(4, 5)), "e")
         reps = ad.parameter(self.rng.normal(size=(3, 2, 5)), "reps")
-        gradcheck(lambda ps: ad.reduce_sum(ad.pairwise_sq_dist(ps[0], ps[1])), [e, reps])
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.pairwise_sq_dist(ps[0], ps[1]))), [e, reps])
 
-    def test_pairwise_sq_dist_weight_row(self):
-        e = ad.parameter(self.rng.normal(size=4), "e")
-        w = ad.parameter(self.rng.normal(size=(1, 2 * 3 * 4)), "w")
-        gradcheck(
-            lambda ps: ad.reduce_sum(
-                ad.pairwise_sq_dist(ps[0], ps[1], num_classes=2, modes_per_class=3)
-            ),
-            [e, w],
-        )
+    def test_sqrt(self):
+        x = ad.parameter(self.rng.uniform(0.3, 3.0, size=(3, 4)), "x")
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ad.sqrt(ps[0]), ad.constant(0.7)))), [x])
+
+    def test_shape_ops(self):
+        x = ad.parameter(self.rng.normal(size=(4, 3)), "x")
+        y = ad.parameter(self.rng.normal(size=(4, 2)), "y")
+        w = ad.constant(self.rng.normal(size=(5, 4)))
+
+        def f(ps):
+            joined = ad.concat([ps[0], ps[1]], axis=1)  # (4, 5)
+            flat = ad.reshape(ad.matmul(w, joined), (25,))
+            picked = ad.take(ad.reshape(flat, (5, 5)), ([0, 3, 3, 4], [1, 2, 2, 0]))
+            return ad.reduce_sum(ad.square(picked))
+
+        gradcheck(f, [x, y])
 
     def test_l2_normalize_matrix(self):
         x = ad.parameter(self.rng.normal(size=(4, 6)) + 0.5, "x")
@@ -249,14 +296,14 @@ class TestGradChecks:
     def test_composite_like_real_use(self):
         # linear -> relu -> normalize -> distances -> gaussian scores
         r = self.rng
-        w = ad.parameter(r.normal(size=(5, 8)), "w")
-        x = ad.parameter(r.normal(size=8), "x")
+        w = ad.parameter(r.normal(size=(8, 5)), "w")
+        x = ad.parameter(r.normal(size=(3, 8)), "x")
         reps = ad.parameter(r.normal(size=(4, 2, 5)), "reps")
 
         def f(ps):
             w, x, reps = ps
-            h = ad.relu(ad.matmul(w, x))
-            h = ad.add(h, ad.constant(np.full(5, 0.05)))  # keep norm positive
+            h = ad.relu(ad.matmul(x, w))
+            h = ad.add(h, ad.constant(np.full(5, 0.05)))  # keep norms positive
             n = ad.l2_normalize(h)
             d2 = ad.pairwise_sq_dist(n, reps)
             p = ad.exp(ad.scale(d2, -2.0))
@@ -308,35 +355,6 @@ class TestBatchNormStats:
             ad.batch_norm(
                 ad.constant(np.ones((1, 2))), ad.constant(np.ones(2)), ad.constant(np.zeros(2)), state
             )
-
-
-class TestForwardOpDispatch:
-    def test_all_kinds_reachable(self):
-        state = ad.BatchNormState.create(2)
-        x2 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cases = {
-            "matmul": ([x2, x2], {}),
-            "add": ([x2, x2], {}),
-            "scale": ([x2], {"factor": 2.0}),
-            "exp": ([x2], {}),
-            "log": ([x2], {}),
-            "negate": ([x2], {}),
-            "relu": ([x2], {}),
-            "square": ([x2], {}),
-            "reduce_max": ([x2], {"axis": 1}),
-            "reduce_min": ([x2], {}),
-            "sum": ([x2], {"axis": 0}),
-            "pairwise_sq_dist": ([np.ones(2), x2], {}),
-            "l2_normalize": ([x2], {}),
-            "batch_norm": ([x2, np.ones(2), np.zeros(2)], {"state": state}),
-        }
-        for kind, (inputs, attrs) in cases.items():
-            node = ad.forward_op(kind, inputs, attrs)
-            assert isinstance(node, ad.Node), kind
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ad.forward_op("softmax", [np.ones(2)])
 
 
 class TestFiniteDifferenceChecker:

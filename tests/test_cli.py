@@ -159,6 +159,26 @@ class TestEvalClassify:
         assert "--checkpoint" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("damage", ["truncate", "drop_task_mode", "empty_bn_running"])
+    def test_bad_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys, damage):
+        text = pipeline["checkpoint"].read_text(encoding="utf-8")
+        if damage == "truncate":
+            text = text[: len(text) // 2]
+        else:
+            doc = json.loads(text)
+            if damage == "drop_task_mode":
+                del doc["task_mode"]
+            else:
+                doc["bn_running"] = []
+            text = json.dumps(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert cli.main(["eval-classify", "--data", str(pipeline["data"]),
+                         "--checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestEvalEpisodes:
     def test_one_file_three_shot_counts(self, pipeline, tmp_path, capsys):
         out = tmp_path / "report"

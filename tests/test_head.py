@@ -1,7 +1,12 @@
 """Head: posteriors, losses, embedding contracts, checkpoint round trip."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixrep import autodiff as ad
 from mixrep import head as hd
@@ -90,10 +95,10 @@ class TestEmbedding:
 
 
 class TestRepresentatives:
-    def test_materialize_reproduces_values_bit_exactly(self):
+    def test_weight_holds_values_bit_exactly(self):
         reps = Representatives(3, 2, 4, seed=9)
-        got = reps.materialize().value.reshape(3, 2, 4)
-        np.testing.assert_array_equal(got, reps.values())
+        assert reps.weight.value.shape == (3, 2, 4)
+        np.testing.assert_array_equal(reps.weight.value, reps.values())
 
     def test_shape_enforced(self):
         with pytest.raises(ShapeError):
@@ -118,28 +123,29 @@ class TestRepresentatives:
 class TestDistanceMatrix:
     def test_coincidence_is_exact_zero(self):
         reps = Representatives(2, 1, 2, values=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-        d = distance_matrix(np.array([1.0, 0.0]), reps).value
+        d = distance_matrix(np.array([[1.0, 0.0]]), reps).value[0]
         assert d[0, 0] == 0.0
         assert d[1, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_orthonormal_pair(self):
-        d = distance_matrix(np.array([1.0, 0.0]), np.array([[0.0, 1.0]])).value
+        d = distance_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])).value[0]
         assert d[0] == pytest.approx(1.41421356237, abs=1e-9)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(7)
-        e = rng.normal(size=8)
+        E = rng.normal(size=(4, 8))
         reps = rng.normal(size=(3, 2, 8))
-        got = distance_matrix(e, reps).value
-        want = np.empty((3, 2))
-        for i in range(3):
-            for j in range(2):
-                want[i, j] = np.linalg.norm(e - reps[i, j])
+        got = distance_matrix(E, reps).value
+        want = np.empty((4, 3, 2))
+        for b in range(4):
+            for i in range(3):
+                for j in range(2):
+                    want[b, i, j] = np.linalg.norm(E[b] - reps[i, j])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
-        d = distance_matrix(rng.normal(size=4), rng.normal(size=(5, 3, 4))).value
+        d = distance_matrix(rng.normal(size=(2, 4)), rng.normal(size=(5, 3, 4))).value
         assert np.all(d >= 0)
 
 
@@ -238,77 +244,79 @@ class TestPosteriors:
 
 class TestMarginLoss:
     def test_zero_branch(self):
-        d = np.array([[0.3, 2.0], [1.0, 1.5]])
-        assert float(margin_loss(d, 0, 0.5).value) == 0.0
+        d = np.array([[[0.3, 2.0], [1.0, 1.5]]])
+        assert float(margin_loss(d, [0], 0.5).value[0]) == 0.0
 
     def test_active_branch_frozen(self):
-        d = np.array([[0.9, 2.0], [1.0, 1.5]])
-        assert float(margin_loss(d, 0, 0.5).value) == pytest.approx(0.4, abs=1e-12)
+        d = np.array([[[0.9, 2.0], [1.0, 1.5]]])
+        assert float(margin_loss(d, [0], 0.5).value[0]) == pytest.approx(0.4, abs=1e-12)
 
     def test_equal_distances_leave_margin(self):
-        d = np.array([[1.0, 2.0], [1.0, 1.5]])
-        assert float(margin_loss(d, 0, 0.5).value) == pytest.approx(0.5, abs=1e-15)
+        d = np.array([[[1.0, 2.0], [1.0, 1.5]]])
+        assert float(margin_loss(d, [0], 0.5).value[0]) == pytest.approx(0.5, abs=1e-15)
+
+    def test_rows_use_their_own_labels(self):
+        d = np.array([[[0.9, 2.0], [1.0, 1.5]], [[0.9, 2.0], [1.0, 1.5]]])
+        np.testing.assert_allclose(margin_loss(d, [0, 1], 0.5).value, [0.4, 0.6], atol=1e-12)
 
     def test_zero_iff_gap_at_least_margin(self):
         rng = np.random.default_rng(14)
-        for _ in range(200):
-            d = rng.uniform(0.0, 3.0, size=(4, 2))
-            c = int(rng.integers(0, 4))
-            loss = float(margin_loss(d, c, 0.5).value)
-            gap_ok = d[c].min() + 0.5 <= np.delete(d, c, axis=0).min()
-            assert (loss == 0.0) == gap_ok
+        d = rng.uniform(0.0, 3.0, size=(200, 4, 2))
+        labels = rng.integers(0, 4, size=200)
+        loss = margin_loss(d, labels, 0.5).value
+        for row, c, value in zip(d, labels, loss):
+            gap_ok = row[c].min() + 0.5 <= np.delete(row, c, axis=0).min()
+            assert (value == 0.0) == gap_ok
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            margin_loss(np.array([[1.0, 2.0]]), 0, 0.5)
+            margin_loss(np.array([[[1.0, 2.0]]]), [0], 0.5)
 
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
-            margin_loss(np.ones((2, 2)), 2, 0.5)
+            margin_loss(np.ones((1, 2, 2)), [2], 0.5)
+        with pytest.raises(ValueError):
+            margin_loss(np.ones((1, 2, 2)), [BACKGROUND], 0.5)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(15)
-        d2 = ad.parameter(rng.uniform(0.3, 3.0, size=(3, 2)), "d2")
+        d2 = ad.parameter(rng.uniform(0.3, 3.0, size=(2, 3, 2)), "d2")
 
         def f(ps):
-            d = hd._sqrt(ps[0])
-            return margin_loss(d, 1, 0.5)
+            return ad.reduce_sum(margin_loss(ad.sqrt(ps[0]), [1, 0], 0.5))
 
         assert ad.finite_difference_check(f, [d2]) < 1e-6
 
 
 class TestCrossEntropy:
     def test_uniform_five_classes(self):
-        ce = cross_entropy_loss(np.full(5, 0.2), None, 3)
-        assert float(ce.value) == pytest.approx(np.log(5.0), abs=1e-12)
+        ce = cross_entropy_loss(np.full((1, 5), 0.2), None, [3])
+        assert float(ce.value[0]) == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_perfect_prediction(self):
-        assert float(cross_entropy_loss(np.array([1.0, 1e-30]), None, 0).value) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        ce = cross_entropy_loss(np.array([[1.0, 1e-30]]), None, [0])
+        assert float(ce.value[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_detection_background_renormalized(self):
-        ce = cross_entropy_loss(np.array([0.3]), 0.7, BACKGROUND)
-        assert float(ce.value) == pytest.approx(0.35667494393873245, abs=1e-12)
+        ce = cross_entropy_loss(np.array([[0.3]]), np.array([0.7]), [BACKGROUND])
+        assert float(ce.value[0]) == pytest.approx(0.35667494393873245, abs=1e-12)
 
     def test_detection_renormalization_preserves_argmax(self):
-        post = np.array([0.6, 0.2])
-        ce_best = float(cross_entropy_loss(post, 0.3, 0).value)
-        ce_other = float(cross_entropy_loss(post, 0.3, 1).value)
-        ce_bg = float(cross_entropy_loss(post, 0.3, BACKGROUND).value)
+        post = np.array([[0.6, 0.2]] * 3)
+        ce_best, ce_other, ce_bg = cross_entropy_loss(post, np.full(3, 0.3), [0, 1, BACKGROUND]).value
         assert ce_best < ce_bg < ce_other
 
     def test_background_label_needs_background_posterior(self):
         with pytest.raises(ValueError):
-            cross_entropy_loss(np.array([0.5, 0.5]), None, BACKGROUND)
+            cross_entropy_loss(np.array([[0.5, 0.5]]), None, [BACKGROUND])
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy_loss(np.array([0.5, 0.5]), None, 2)
+            cross_entropy_loss(np.array([[0.5, 0.5]]), None, [2])
 
     def test_probability_floor_caps_loss(self):
-        ce = cross_entropy_loss(np.array([0.0, 1.0]), None, 0)
-        assert float(ce.value) == pytest.approx(-np.log(1e-12), rel=1e-9)
+        ce = cross_entropy_loss(np.array([[0.0, 1.0]]), None, [0])
+        assert float(ce.value[0]) == pytest.approx(-np.log(1e-12), rel=1e-9)
 
 
 class TestTotalLoss:
@@ -330,10 +338,10 @@ class TestTotalLoss:
         assert parts == {"ce": 0.0, "margin": 0.0, "total": 0.0}
 
     def test_component_sum_example(self):
-        ce = cross_entropy_loss(np.full(5, 0.2), None, 0)
-        hinge = margin_loss(np.array([[0.9, 2.0], [1.0, 1.5]]), 0, 0.5)
+        ce = cross_entropy_loss(np.full((1, 5), 0.2), None, [0])
+        hinge = margin_loss(np.array([[[0.9, 2.0], [1.0, 1.5]]]), [0], 0.5)
         total = ad.add(ce, hinge)
-        assert float(total.value) == pytest.approx(np.log(5.0) + 0.4, abs=1e-12)
+        assert float(total.value[0]) == pytest.approx(np.log(5.0) + 0.4, abs=1e-12)
 
     def test_background_items_skip_margin(self):
         headm = small_head(task_mode="detection")
@@ -390,6 +398,73 @@ class TestTotalLoss:
         for p in headm.parameters():
             if p.grad is not None:
                 assert np.all(np.isfinite(p.grad)), p.name
+
+
+    @pytest.mark.parametrize("task_mode", ["classification", "detection"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 9), masked=st.booleans())
+    def test_batch_parts_are_the_mean_of_single_rows(self, task_mode, seed, batch, masked):
+        headm = small_head(task_mode=task_mode, seed=seed % 1000)
+        headm.set_mode("eval")
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(batch, 6))
+        low = BACKGROUND if task_mode == "detection" else 0
+        labels = [int(v) for v in rng.integers(low, 4, size=batch)]
+        if masked:
+            mask = np.zeros((4, 2))
+            mask[rng.integers(0, 4, size=2), 1] = 1e8  # retire a mode of up to two classes
+            headm.distance_mask = mask
+        _, whole = headm.total_loss(X, labels, update_stats=False)
+        rows = [headm.total_loss(X[i:i + 1], labels[i:i + 1], update_stats=False)[1]
+                for i in range(batch)]
+        for key in ("ce", "margin", "total"):
+            mean = sum(r[key] for r in rows) / batch
+            assert math.isclose(whole[key], mean, rel_tol=1e-12, abs_tol=0.0), key
+
+    @pytest.mark.parametrize("task_mode", ["classification", "detection"])
+    def test_distance_mask_retires_modes_in_the_loss(self, task_mode):
+        # a 2-mode head whose second modes are retired scores the loss like
+        # a 1-mode head holding only the first modes
+        masked = small_head(task_mode=task_mode, seed=6)
+        masked.distance_mask = np.array([[0.0, 1e8]] * 4)
+        single = MixtureHead(
+            EmbeddingConfig(input_dim=6, layer_widths=(10, 8)),
+            MixtureConfig(num_classes=4, modes_per_class=1, sigma=0.5, margin=0.5),
+            task_mode=task_mode, seed=6,
+        )
+        single.representatives.set_values(masked.representatives.values()[:, :1])
+        for h in (masked, single):
+            h.set_mode("eval")
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(7, 6))
+        labels = [0, 1, 2, 3, 0, 1, BACKGROUND if task_mode == "detection" else 2]
+        _, got = masked.total_loss(X, labels, update_stats=False)
+        _, want = single.total_loss(X, labels, update_stats=False)
+        for key in ("ce", "margin", "total"):
+            assert math.isclose(got[key], want[key], rel_tol=1e-12, abs_tol=0.0), key
+
+    @pytest.mark.parametrize("task_mode", ["classification", "detection"])
+    def test_graph_size_does_not_grow_with_batch(self, task_mode):
+        def reachable(root):
+            seen, stack = {id(root)}, [root]
+            while stack:
+                for parent, _ in stack.pop()._vjps:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return len(seen)
+
+        headm = small_head(task_mode=task_mode)
+        headm.set_mode("train")
+        rng = np.random.default_rng(24)
+        pattern = [0, 1, 2, 3, BACKGROUND] if task_mode == "detection" else [0, 1, 2, 3, 0]
+        counts = []
+        for batch in (5, 30):
+            labels = (pattern * 6)[:batch]
+            loss, _ = headm.total_loss(rng.normal(size=(batch, 6)), labels, update_stats=False)
+            counts.append(reachable(loss))
+        assert counts[0] == counts[1]
+        assert counts[0] < 100
 
 
 class TestScoring:
@@ -473,6 +548,59 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             headm.embedding.embed_batch(X), loaded.embedding.embed_batch(X)
         )
+
+    def test_parent_format_loads_and_scores_bit_identically(self, tmp_path):
+        # earlier releases stored the representatives as one (1, N*K*dim) row
+        headm = small_head(task_mode="detection", seed=34)
+        headm.set_mode("train")
+        X = np.random.default_rng(25).normal(size=(8, 6))
+        headm.total_loss(X, [0, 1, 2, 3, 0, 1, 2, 3])
+        path = tmp_path / "ck.json"
+        save_checkpoint(headm, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["schema_version"] == hd.CHECKPOINT_VERSION == 1
+        flat = headm.representatives.values().reshape(1, -1)
+        doc["params"]["representatives.weight"] = hd._encode_array(flat)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(
+            loaded.representatives.values(), headm.representatives.values()
+        )
+        headm.set_mode("eval")
+        loaded.set_mode("eval")
+        for x in X:
+            a, b = headm.score(x), loaded.score(x)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            np.testing.assert_array_equal(a.class_posterior, b.class_posterior)
+            assert a.background_posterior == b.background_posterior
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "ck.json"
+        save_checkpoint(small_head(), path)
+        return path
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(ConfigError, match="invalid checkpoint JSON"):
+            load_checkpoint(path)
+
+    def test_missing_key_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["task_mode"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match="task_mode"):
+            load_checkpoint(path)
+
+    def test_bn_running_count_checked(self, tmp_path):
+        path = self._saved(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["bn_running"] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match="batch-norm"):
+            load_checkpoint(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
