@@ -21,6 +21,7 @@ from .episodes import (
     EpisodeSpec,
     episode_finetune,
     episode_ground_truth,
+    evaluate_episodes,
     generate_episodes,
     load_episodes,
     replace_representatives,
@@ -38,6 +39,7 @@ from .head import (
     MixtureConfig,
     MixtureHead,
     Representatives,
+    Scores,
     load_checkpoint,
     save_checkpoint,
 )
@@ -66,6 +68,7 @@ from .training import (
     SGD,
     TrainConfig,
     TrainResult,
+    batch_groups,
     class_index_map,
     fit,
     make_optimizer,

@@ -88,33 +88,21 @@ def _result(value, op: str, vjps, attrs: dict | None = None) -> Node:
 
 
 def matmul(a, b) -> Node:
+    """(B, d) @ (d, m) -> (B, m), row-invariant.
+
+    Each row is multiplied on its own, as a stack of (1, d) products, so a
+    row's result is bit-identical whatever other rows share the batch; one
+    gemm over the whole batch would let a row's last bits depend on the
+    batch size.
+    """
     a, b = _wrap(a), _wrap(b)
     va, vb = a.value, b.value
-    if va.ndim not in (1, 2) or vb.ndim not in (1, 2):
-        raise ShapeError("matmul", (va.shape, vb.shape), "operands must be 1-d or 2-d")
-    if va.shape[-1] != vb.shape[0]:
+    if va.ndim != 2 or vb.ndim != 2:
+        raise ShapeError("matmul", (va.shape, vb.shape), "operands must be 2-d")
+    if va.shape[1] != vb.shape[0]:
         raise ShapeError("matmul", (va.shape, vb.shape), "inner dimensions differ")
-    out = va @ vb
-
-    def vjp_a(g):
-        if va.ndim == 2 and vb.ndim == 2:
-            return g @ vb.T
-        if va.ndim == 1 and vb.ndim == 2:
-            return vb @ g
-        if va.ndim == 2 and vb.ndim == 1:
-            return np.outer(g, vb)
-        return g * vb
-
-    def vjp_b(g):
-        if va.ndim == 2 and vb.ndim == 2:
-            return va.T @ g
-        if va.ndim == 1 and vb.ndim == 2:
-            return np.outer(va, g)
-        if va.ndim == 2 and vb.ndim == 1:
-            return va.T @ g
-        return g * va
-
-    return _result(out, "matmul", [(a, vjp_a), (b, vjp_b)])
+    out = np.matmul(va[:, None, :], vb)[:, 0]
+    return _result(out, "matmul", [(a, lambda g: g @ vb.T), (b, lambda g: va.T @ g)])
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:

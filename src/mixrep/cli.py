@@ -19,7 +19,8 @@ import numpy as np
 from .autodiff import finite_difference_check
 from .config import RunConfig, load_run_config, write_resolved_config
 from .data import load_dataset, save_dataset, synth_dataset
-from .episodes import episode_ground_truth, generate_episodes, load_episodes, run_episode, save_episodes
+from .episodes import (episode_ground_truth, evaluate_episodes, generate_episodes, load_episodes,
+                       save_episodes)
 from .errors import ConfigError, MixrepError
 from .head import EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint, save_checkpoint
 from .metrics import classification_error, map_over_episodes, recall_at_k
@@ -210,34 +211,20 @@ def cmd_eval_episodes(args, out):
             episodes = generate_episodes(dataset, dataclasses.replace(spec, shots=shots))
         truth = [gt for ep in episodes for gt in episode_ground_truth(ep)]
         for steps in dict.fromkeys((0, config.finetune_steps)):
-            detections = []
-            fg_total = fg_correct = bg_total = bg_accepted = 0
-            for ep in episodes:
-                records = run_episode(head, ep, finetune_steps=steps,
-                                      finetune_lr=config.finetune_lr)
-                for query, record in zip(ep.queries, records):
-                    predicted_bg = record.class_id not in ep.class_ids
-                    if query.is_background:
-                        bg_total += 1
-                        bg_accepted += not predicted_bg
-                    else:
-                        fg_total += 1
-                        fg_correct += record.class_id == query.label
-                    if not predicted_bg:
-                        detections.append(record)
+            result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
             row = {
                 "shots": shots,
                 "finetune_steps": steps,
-                "map": map_over_episodes(detections, truth, config.match_iou),
-                "accuracy": fg_correct / fg_total,
-                "background_false_accept": bg_accepted / bg_total if bg_total else "",
+                "map": map_over_episodes(result.detections, truth, config.match_iou),
+                "accuracy": result.accuracy,
+                "background_false_accept": "" if result.false_accept is None else result.false_accept,
             }
             for k in config.recall_ks:
-                row[f"recall_at_{k}"] = recall_at_k(detections, truth, k, config.match_iou)
+                row[f"recall_at_{k}"] = recall_at_k(result.detections, truth, k, config.match_iou)
             rows.append(row)
             recalls = "  ".join(f"R@{k} {row[f'recall_at_{k}']:.3f}" for k in config.recall_ks)
-            bg_part = (f"  bg-accept {row['background_false_accept']:.3f}"
-                       if bg_total else "")
+            bg_part = (f"  bg-accept {result.false_accept:.3f}"
+                       if result.false_accept is not None else "")
             print(f"shots={shots} finetune={steps}: mAP {row['map']:.3f}  {recalls}"
                   f"  acc {row['accuracy']:.3f}{bg_part}")
 

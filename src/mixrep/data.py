@@ -176,6 +176,7 @@ class Dataset:
 
 def load_dataset(path) -> Dataset:
     records: list[FeatureRecord] = []
+    seen: set[str] = set()
     meta: dict = {}
     feature_dim: int | None = None
     with open(path, encoding="utf-8") as fh:
@@ -202,8 +203,9 @@ def load_dataset(path) -> Dataset:
                 continue
             rec = _record_from_obj(obj, line_no, feature_dim)
             feature_dim = rec.features.shape[0]
-            if rec.id in {r.id for r in records}:
+            if rec.id in seen:
                 raise DatasetError(f"duplicate record id {rec.id!r}", line_no)
+            seen.add(rec.id)
             records.append(rec)
     if not records:
         raise DatasetError(f"no records in {path}")

@@ -312,19 +312,18 @@ def episode_finetune(head: MixtureHead, episode: Episode, steps: int,
 def score_queries(head: MixtureHead, queries, episode_id: int, class_ids) -> list[DetectionRecord]:
     """One detection record per query: best-mode class posterior as the
     score, background label when the background posterior beats every class.
-    Queries are scored independently, so order never matters."""
+    The queries are scored as one batch whose rows do not depend on each
+    other, so order never matters."""
+    if not queries:
+        return []
     head.set_mode("eval")
+    scores = head.score_batch(np.stack([rec.features for rec in queries]), posterior_mode="max")
     records = []
-    for j, rec in enumerate(queries):
-        out = head.score(rec.features)
-        per_class = out.mode_probs.max(axis=1)
-        pred = int(np.argmax(per_class))
-        top = float(per_class[pred])
-        bg = 1.0 - float(per_class.max())
-        if bg > top:
-            class_id, score = BACKGROUND_LABEL, bg
+    for j, (rec, out) in enumerate(zip(queries, scores)):
+        if out.is_background:
+            class_id, score = BACKGROUND_LABEL, out.background_posterior
         else:
-            class_id, score = class_ids[pred], top
+            class_id, score = class_ids[out.predicted_class], float(out.class_posterior.max())
         records.append(DetectionRecord(
             episode_id=episode_id,
             image_id=rec.image_id if rec.image_id is not None else rec.id,
@@ -352,6 +351,46 @@ def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
         for p, v in zip(tuned, saved):
             p.value = v
         swap.restore()
+
+
+@dataclass
+class EpisodeEvaluation:
+    """Pooled outcome of one pass over a set of episodes."""
+
+    detections: list[DetectionRecord]  # every query not called background
+    foreground: int = 0
+    foreground_correct: int = 0
+    background: int = 0
+    background_accepted: int = 0
+
+    @property
+    def accuracy(self) -> float:
+        return self.foreground_correct / self.foreground
+
+    @property
+    def false_accept(self) -> float | None:
+        """Share of background queries given a class; None without any."""
+        return self.background_accepted / self.background if self.background else None
+
+
+def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
+                      lr: float = 0.01) -> EpisodeEvaluation:
+    """Run every episode (fine-tuning `steps` steps at `lr`) and pool its
+    detections with the query accuracy and background false-accept counts."""
+    result = EpisodeEvaluation([])
+    for ep in episodes:
+        records = run_episode(head, ep, finetune_steps=steps, finetune_lr=lr)
+        for query, record in zip(ep.queries, records):
+            predicted_bg = record.class_id not in ep.class_ids
+            if query.is_background:
+                result.background += 1
+                result.background_accepted += not predicted_bg
+            else:
+                result.foreground += 1
+                result.foreground_correct += record.class_id == query.label
+            if not predicted_bg:
+                result.detections.append(record)
+    return result
 
 
 def episode_ground_truth(episode: Episode) -> list[GroundTruthBox]:

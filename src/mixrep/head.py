@@ -11,6 +11,14 @@ Everything differentiable is built from autodiff primitives over the whole
 batch: one (B, N, K) distance table per step, per-class minima as row-wise
 minima under additive constant masks, and one label entry picked per row.
 Division is composed as exp(log a - log b).
+
+Inference is batched too: `MixtureHead.score_embeddings` turns (B, e)
+embeddings into a `Scores` table (distances, mode probabilities, class and
+background posteriors, prediction, background flag per row) with the same
+distance and posterior primitives, and `score_batch` embeds raw inputs first.
+Every step works on each row by itself, so a row's scores are bit-identical
+whatever else shares its batch; `score` and `EmbeddingNet.embed` are one-row
+views of the batched calls.
 """
 
 from __future__ import annotations
@@ -27,6 +35,12 @@ from .errors import ConfigError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
 BACKGROUND = -1  # label sentinel for clutter items (detection mode only)
+
+# rows per block of batched inference: bounds every temporary of embedding
+# and scoring, such as the (rows, N*K, e) difference inside pairwise_sq_dist,
+# so peak memory does not grow with the batch (rows are independent in eval
+# mode, so blocking changes no result bit)
+BLOCK_ROWS = 32
 
 PROB_FLOOR = 1e-12
 DIST_SQ_FLOOR = 1e-12  # squared-distance clamp inside the margin loss
@@ -151,16 +165,22 @@ class EmbeddingNet:
         return h
 
     def embed(self, x) -> Node:
-        """One input vector (input_dim,) -> embedding (e,)."""
+        """One input vector (input_dim,) -> embedding (e,): row 0 of
+        `embed_batch` on a one-row batch, as a constant node."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1:
             raise ShapeError("embed", (x.shape,), "expected a single vector")
-        row = self.forward(x.reshape(1, -1), update_stats=False)
-        return ad.reduce_sum(row, axis=0)
+        return ad.constant(self.embed_batch(x[None])[0])
 
     def embed_batch(self, X) -> np.ndarray:
-        """Plain-array convenience: (B, input_dim) -> (B, e) values."""
-        return self.forward(X, update_stats=False).value
+        """(B, input_dim) -> (B, e) values, no graph kept. In eval mode each
+        row is bit-identical to embedding it alone, and rows are embedded in
+        blocks; train-mode batch statistics need the whole batch at once."""
+        X = np.asarray(X, dtype=np.float64)
+        if self.mode == "train":
+            return self.forward(X, update_stats=False).value
+        return np.concatenate([self.forward(X[i:i + BLOCK_ROWS], update_stats=False).value
+                               for i in range(0, max(len(X), 1), BLOCK_ROWS)])
 
     def parameters(self) -> list[Node]:
         params: list[Node] = []
@@ -364,6 +384,37 @@ class HeadOutput:
     is_background: bool
 
 
+@dataclass
+class Scores:
+    """Everything the head says about a batch of inputs, one row per input;
+    `scores[i]` is row i as a HeadOutput."""
+
+    embeddings: np.ndarray  # (B, e)
+    distances: np.ndarray  # (B, N, K)
+    mode_probs: np.ndarray  # (B, N, K)
+    class_posterior: np.ndarray  # (B, N)
+    background_posterior: np.ndarray  # (B,)
+    predicted_class: np.ndarray  # (B,) class indices
+    is_background: np.ndarray  # (B,) flags
+
+    def __len__(self) -> int:
+        return len(self.predicted_class)
+
+    def __getitem__(self, i: int) -> HeadOutput:
+        return HeadOutput(
+            embedding=self.embeddings[i],
+            distances=self.distances[i],
+            mode_probs=self.mode_probs[i],
+            class_posterior=self.class_posterior[i],
+            background_posterior=float(self.background_posterior[i]),
+            predicted_class=int(self.predicted_class[i]),
+            is_background=bool(self.is_background[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 class MixtureHead:
     """Embedding network joined with trainable mixture representatives.
 
@@ -461,37 +512,61 @@ class MixtureHead:
 
     # -- inference ---------------------------------------------------------
 
-    def score_embedding(self, embedding) -> HeadOutput:
-        """Open-set scores for one already-embedded point."""
-        emb = np.asarray(embedding, dtype=np.float64)
-        dist = ad.sqrt(self._squared_distances(ad.constant(emb.reshape(1, -1))))
+    def score_embeddings(self, E, posterior_mode: str | None = None) -> Scores:
+        """Open-set scores for a batch of already-embedded points, (B, e).
+
+        `posterior_mode` overrides the configured class-posterior rule: 'max'
+        scores each class by its best mode, 'normalized' by its share of the
+        total mode mass. The predicted class is the argmax of that class score
+        before normalization (best mode or mode mass), ties to the lowest
+        index. A row is background when its background posterior beats every
+        best-mode class posterior. Every step works on each row by itself, so
+        a row scores bit-identically alone or in any batch.
+        """
+        mode = posterior_mode or self.mixture.posterior_mode
+        if mode not in ("max", "normalized"):
+            raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {mode!r}")
+        E = np.asarray(E, dtype=np.float64)
+        if E.ndim != 2 or not len(E) or E.shape[1] != self.representatives.dim:
+            raise ShapeError("score", (E.shape,), f"expected (B >= 1, {self.representatives.dim})")
+        blocks = [vars(self._score_block(E[i:i + BLOCK_ROWS], mode))
+                  for i in range(0, len(E), BLOCK_ROWS)]
+        return Scores(**{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
+
+    def _score_block(self, E: np.ndarray, mode: str) -> Scores:
+        dist = ad.sqrt(self._squared_distances(ad.constant(E)))
         probs = mode_probabilities(dist, self.mixture.sigma)
-        max_post = class_posterior_max(probs).value[0]
-        bg = float(background_posterior(probs).value[0])
-        if self.mixture.posterior_mode == "normalized":
-            post = class_posterior_normalized(probs).value[0]
+        best = class_posterior_max(probs).value
+        bg = background_posterior(probs).value
+        if mode == "max":
+            post = rank = best
         else:
-            post = max_post
-        pred = int(np.argmax(post))  # ties to the lowest index
-        return HeadOutput(
-            embedding=emb,
-            distances=dist.value[0],
-            mode_probs=probs.value[0],
+            post = class_posterior_normalized(probs).value
+            rank = probs.value.sum(axis=-1)
+        return Scores(
+            embeddings=E,
+            distances=dist.value,
+            mode_probs=probs.value,
             class_posterior=post,
             background_posterior=bg,
-            predicted_class=pred,
-            is_background=bool(bg > max_post.max()),
+            predicted_class=np.argmax(rank, axis=1),
+            is_background=bg > best.max(axis=1),
         )
 
-    def score(self, x) -> HeadOutput:
-        """Embed one raw input (eval-style forward) and score it."""
-        return self.score_embedding(self.embedding.embed(x).value)
+    def score_batch(self, X, posterior_mode: str | None = None) -> Scores:
+        """Embed raw inputs (eval-style forward) and score them, (B, input_dim)."""
+        return self.score_embeddings(self.embedding.embed_batch(X), posterior_mode)
 
-    def score_batch(self, X) -> list[HeadOutput]:
-        # items are scored one by one: scores must not depend on which other
-        # queries share the batch, down to the last bit
-        X = np.asarray(X, dtype=np.float64)
-        return [self.score(x) for x in X]
+    def score_embedding(self, embedding) -> HeadOutput:
+        """One row of `score_embeddings`."""
+        return self.score_embeddings(np.asarray(embedding, dtype=np.float64).reshape(1, -1))[0]
+
+    def score(self, x) -> HeadOutput:
+        """One row of `score_batch`."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise ShapeError("score", (x.shape,), "expected a single vector")
+        return self.score_batch(x[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -229,25 +229,19 @@ def classification_error(head, records, label_to_index: dict[str, int],
 
     posterior_mode overrides the head's configured rule ('max' scores each
     class by its best mode, 'normalized' by its share of total mass); the
-    argmax ties to the lowest class index either way.
+    argmax ties to the lowest class index either way. All records are
+    scored in one batch.
     """
-    if posterior_mode is None:
-        posterior_mode = head.mixture.posterior_mode
-    if posterior_mode not in ("max", "normalized"):
-        raise ConfigError(f"unknown posterior_mode {posterior_mode!r}")
     if not records:
         raise DatasetError("classification error over an empty set")
-    wrong = 0
+    targets = []
     for rec in records:
         try:
-            target = label_to_index[rec.label]
+            targets.append(label_to_index[rec.label])
         except KeyError:
             raise DatasetError(f"record {rec.id} has label {rec.label!r} outside the class map") from None
-        probs = head.score(rec.features).mode_probs
-        per_class = probs.max(axis=1) if posterior_mode == "max" else probs.sum(axis=1)
-        if int(np.argmax(per_class)) != target:
-            wrong += 1
-    return wrong / len(records)
+    scores = head.score_batch(np.stack([rec.features for rec in records]), posterior_mode)
+    return int(np.count_nonzero(scores.predicted_class != np.array(targets))) / len(records)
 
 
 # ---------------------------------------------------------------------------

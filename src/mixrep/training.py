@@ -139,35 +139,44 @@ def training_pool(dataset: Dataset, include_background: bool) -> list[FeatureRec
     return pool
 
 
-def sample_batch(records: list[FeatureRecord], spec: BatchSpec, rng) -> list[FeatureRecord]:
+def batch_groups(records: list[FeatureRecord], spec: BatchSpec) -> list[list[FeatureRecord]]:
+    """The groups batches are drawn from, in sorted key order: each
+    foreground class's records (class_balanced) or each image's ROIs
+    (image_group). Build once and pass to every `sample_batch` call."""
+    groups: dict[str, list[FeatureRecord]] = {}
+    if spec.strategy == "image_group":
+        for rec in records:
+            if rec.image_id is None:
+                raise DatasetError(f"record {rec.id} has no image_id (needed for image_group batches)")
+            groups.setdefault(rec.image_id, []).append(rec)
+    else:
+        for rec in records:
+            if not rec.is_background:
+                groups.setdefault(rec.label, []).append(rec)
+        if len(groups) < spec.classes_per_batch:
+            raise DatasetError(
+                f"dataset has {len(groups)} classes, batch needs {spec.classes_per_batch}"
+            )
+    return [groups[key] for key in sorted(groups)]
+
+
+def sample_batch(records: list[FeatureRecord], spec: BatchSpec, rng,
+                 groups: list[list[FeatureRecord]] | None = None) -> list[FeatureRecord]:
     """One training batch, deterministic under the rng state.
 
     class_balanced: M distinct classes, D instances each (with replacement
     when a class is short). image_group: every ROI of one sampled image.
+    `groups` is `batch_groups(records, spec)`, built here when not given.
     """
+    if groups is None:
+        groups = batch_groups(records, spec)
     if spec.strategy == "image_group":
-        images: dict[str, list[FeatureRecord]] = {}
-        for rec in records:
-            if rec.image_id is None:
-                raise DatasetError(f"record {rec.id} has no image_id (needed for image_group batches)")
-            images.setdefault(rec.image_id, []).append(rec)
-        image_ids = sorted(images)
-        picked = image_ids[int(rng.integers(0, len(image_ids)))]
-        return list(images[picked])
+        return list(groups[int(rng.integers(0, len(groups)))])
 
-    by_class: dict[str, list[FeatureRecord]] = {}
-    for rec in records:
-        if not rec.is_background:
-            by_class.setdefault(rec.label, []).append(rec)
-    class_ids = sorted(by_class)
-    if len(class_ids) < spec.classes_per_batch:
-        raise DatasetError(
-            f"dataset has {len(class_ids)} classes, batch needs {spec.classes_per_batch}"
-        )
-    chosen = rng.choice(len(class_ids), size=spec.classes_per_batch, replace=False)
+    chosen = rng.choice(len(groups), size=spec.classes_per_batch, replace=False)
     batch: list[FeatureRecord] = []
     for ci in chosen:
-        members = by_class[class_ids[int(ci)]]
+        members = groups[int(ci)]
         replace = len(members) < spec.instances_per_class
         idx = rng.choice(len(members), size=spec.instances_per_class, replace=replace)
         batch.extend(members[int(i)] for i in idx)
@@ -234,11 +243,12 @@ def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpe
             f"head expects {head.mixture.num_classes} classes, dataset provides {len(label_map)}"
         )
     optimizer = make_optimizer(head, config)
+    groups = batch_groups(pool, spec)
     rng = substream(config.seed, "sampler")
     head.set_mode("train")
     result = TrainResult(head=head)
     for it in range(config.iterations):
-        batch = sample_batch(pool, spec, rng)
+        batch = sample_batch(pool, spec, rng, groups)
         parts = train_step(head, batch, label_map, optimizer, iteration=it)
         parts["iteration"] = it
         result.trace.append(parts)

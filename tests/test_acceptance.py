@@ -12,7 +12,7 @@ import pytest
 from mixrep import autodiff as ad
 from mixrep import cli
 from mixrep.data import SynthConfig, nearest_center_mode, synth_dataset
-from mixrep.episodes import EpisodeSpec, generate_episodes, run_episode
+from mixrep.episodes import EpisodeSpec, evaluate_episodes, generate_episodes
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
 from mixrep.metrics import (
     DetectionRecord,
@@ -220,24 +220,11 @@ def test_criterion_4_episodic_open_set(announce):
         shots=1, ways=5, queries_per_class=10, episode_count=100, seed=77,
         class_pool="unseen", background_queries=10))
 
-    stats = {}
-    for steps in (0, 50):
-        fg = fg_hit = bg = bg_accept = 0
-        for ep in episodes:
-            records = run_episode(head, ep, finetune_steps=steps)
-            for query, record in zip(ep.queries, records):
-                predicted_bg = record.class_id not in ep.class_ids
-                if query.is_background:
-                    bg += 1
-                    bg_accept += not predicted_bg
-                else:
-                    fg += 1
-                    fg_hit += (not predicted_bg) and record.class_id == query.label
-        stats[steps] = {"accuracy": fg_hit / fg, "false_accept": bg_accept / bg}
+    stats = {steps: evaluate_episodes(head, episodes, steps) for steps in (0, 50)}
     elapsed = time.perf_counter() - t0
 
-    acc, fa = stats[0]["accuracy"], stats[0]["false_accept"]
-    acc_ft = stats[50]["accuracy"]
+    acc, fa = stats[0].accuracy, stats[0].false_accept
+    acc_ft = stats[50].accuracy
     ok = (acc >= 0.95 and fa <= 0.05 and acc_ft >= acc - 0.01 - 1e-12
           and elapsed < 120.0)
     announce(
@@ -367,17 +354,13 @@ def test_criterion_6_posterior_invariants(announce):
         h.set_mode("eval")
     E = heads[0].embedding.embed_batch(X)
 
-    max_sum_gap = 0.0
-    background_exact = True
-    argmax_stable = True
-    for e in E:
-        outs = [h.score_embedding(e) for h in heads]
-        for out in outs:
-            background_exact &= out.background_posterior == 1.0 - out.mode_probs.max()
-        argmax_stable &= len({out.predicted_class for out in outs}) == 1
-        norm_out = normalized.score_embedding(e)
-        background_exact &= norm_out.background_posterior == 1.0 - norm_out.mode_probs.max()
-        max_sum_gap = max(max_sum_gap, abs(norm_out.class_posterior.sum() - 1.0))
+    outs = [h.score_embeddings(E) for h in heads + [normalized]]
+    background_exact = all(
+        np.array_equal(out.background_posterior, 1.0 - out.mode_probs.max(axis=(1, 2)))
+        for out in outs)
+    argmax_stable = all(np.array_equal(out.predicted_class, outs[0].predicted_class)
+                        for out in outs[:len(heads)])
+    max_sum_gap = float(np.abs(outs[-1].class_posterior.sum(axis=1) - 1.0).max())
 
     ok = max_sum_gap <= 1e-9 and background_exact and argmax_stable
     announce(

@@ -62,11 +62,23 @@ class TestFrozenValues:
 class TestForwardShapes:
     def test_matmul_variants(self):
         A = np.arange(6.0).reshape(2, 3)
-        v = np.array([1.0, 2.0, 3.0])
-        assert ad.matmul(ad.constant(A), ad.constant(v)).shape == (2,)
-        assert ad.matmul(ad.constant(v), ad.constant(A.T)).shape == (2,)
+        v = np.array([[1.0, 2.0, 3.0]])
+        assert ad.matmul(ad.constant(A), ad.constant(v.T)).shape == (2, 1)
+        assert ad.matmul(ad.constant(v), ad.constant(A.T)).shape == (1, 2)
         assert ad.matmul(ad.constant(A), ad.constant(A.T)).shape == (2, 2)
-        assert ad.matmul(ad.constant(v), ad.constant(v)).shape == ()
+        assert ad.matmul(ad.constant(v), ad.constant(v.T)).shape == (1, 1)
+        np.testing.assert_array_equal(ad.matmul(ad.constant(A), ad.constant(A.T)).value, A @ A.T)
+        for bad in ((A, v[0]), (v[0], A.T), (v[0], v[0])):
+            with pytest.raises(ShapeError):
+                ad.matmul(ad.constant(bad[0]), ad.constant(bad[1]))
+
+    def test_matmul_rows_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(5)
+        X, W = rng.normal(size=(40, 20)), rng.normal(size=(20, 64))
+        whole = ad.matmul(ad.constant(X), ad.constant(W)).value
+        for i in range(len(X)):
+            assert np.array_equal(ad.matmul(ad.constant(X[i:i + 1]), ad.constant(W)).value[0],
+                                  whole[i])
 
     def test_matmul_inner_mismatch(self):
         with pytest.raises(ShapeError):
@@ -201,13 +213,12 @@ class TestGradChecks:
 
     def test_matmul_all_variants(self):
         r = self.rng
-        for sa, sb in [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,))]:
+        for sa, sb in [((3, 4), (4, 2)), ((1, 4), (4, 2)), ((3, 4), (4, 1)), ((1, 4), (4, 1))]:
             a = ad.parameter(r.normal(size=sa), "a")
             b = ad.parameter(r.normal(size=sb), "b")
 
             def f(ps):
-                y = ad.matmul(ps[0], ps[1])
-                return y if y.value.shape == () else ad.reduce_sum(ad.square(y))
+                return ad.reduce_sum(ad.square(ad.matmul(ps[0], ps[1])))
 
             gradcheck(f, [a, b])
 

@@ -3,10 +3,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mixrep import cli
+from mixrep.data import load_dataset
 from mixrep.errors import DatasetError
+from mixrep.head import load_checkpoint
 
 RUN = {
     "task_mode": "detection",
@@ -234,6 +237,26 @@ class TestExportEmbeddings:
         assert rows[0][2:] == [f"e{i}" for i in range(16)]
         values = [float(v) for v in rows[1][2:]]
         assert abs(sum(v * v for v in values) - 1.0) < 1e-9
+
+    def test_rows_are_the_embeddings_scoring_uses(self, pipeline, tmp_path):
+        out = tmp_path / "emb"
+        assert cli.main(["export-embeddings", "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--out", str(out)]) == 0
+        with open(out / "embeddings.csv", newline="", encoding="utf-8") as fh:
+            exported = {row[0]: np.array([float(v) for v in row[2:]])
+                        for row in list(csv.reader(fh))[1:]}
+        head = load_checkpoint(pipeline["checkpoint"])
+        head.set_mode("eval")
+        records = load_dataset(pipeline["data"]).records
+        # scoring embeds whatever subset it is given: a stride of the
+        # records as one batch, and single records on their own
+        subset = records[::3]
+        scored = head.score_batch(np.stack([r.features for r in subset])).embeddings
+        for rec, emb in zip(subset, scored):
+            assert np.array_equal(exported[rec.id], emb), rec.id
+        for rec in records[1::7]:
+            assert np.array_equal(exported[rec.id], head.score(rec.features).embedding), rec.id
 
 
 class TestGradCheck:

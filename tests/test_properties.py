@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mixrep import head as hd
 from mixrep.head import (
+    EmbeddingConfig,
+    MixtureConfig,
+    MixtureHead,
     background_posterior,
     class_posterior_normalized,
     mode_probabilities,
@@ -54,6 +58,49 @@ def test_normalized_posterior_sums_to_one(d):
 def test_background_is_exact_complement_of_best_mode(d):
     probs = mode_probabilities(d, 0.5)
     assert background_posterior(probs).value == 1.0 - probs.value.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 40),
+       posterior_mode=st.sampled_from(["max", "normalized"]), masked=st.booleans(),
+       block=st.sampled_from([1, 3, 7, hd.BLOCK_ROWS]), data=st.data())
+def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mode, masked,
+                                                       block, data):
+    """Permuting or splitting a batch changes no output bit, and a row
+    scores alone exactly as it does in a batch."""
+    rng = np.random.default_rng(seed)
+    head = MixtureHead(EmbeddingConfig(6, (10, 8)),
+                       MixtureConfig(4, 2, 0.5, 0.5, posterior_mode=posterior_mode),
+                       seed=seed % 1000)
+    for bn in head.embedding.bn_states:  # stored statistics away from the identity
+        bn.running_mean = rng.normal(size=bn.running_mean.shape)
+        bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+    if masked:
+        mask = np.zeros((4, 2))
+        mask[rng.integers(0, 4, size=2), 1] = 1e8
+        head.distance_mask = mask
+    head.set_mode("eval")
+    X = rng.normal(0.0, rng.uniform(0.1, 10.0), size=(batch, 6))
+
+    saved, hd.BLOCK_ROWS = hd.BLOCK_ROWS, block
+    try:
+        whole = head.score_batch(X)
+        perm = rng.permutation(batch)
+        permuted = head.score_batch(X[perm])
+        cut = data.draw(st.integers(1, batch))
+        parts = [head.score_batch(X[:cut])] + ([head.score_batch(X[cut:])] if cut < batch else [])
+    finally:
+        hd.BLOCK_ROWS = saved
+    assert np.array_equal(head.embedding.embed_batch(X[perm]), whole.embeddings[perm])
+    for name, want in vars(whole).items():
+        assert np.array_equal(getattr(permuted, name), want[perm]), name
+        assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]), want), name
+
+    for i in data.draw(st.lists(st.integers(0, batch - 1), min_size=1, max_size=3)):
+        alone, in_batch = head.score(X[i]), whole[i]
+        assert np.array_equal(head.embedding.embed(X[i]).value, in_batch.embedding)
+        for name, value in vars(alone).items():
+            assert np.array_equal(value, getattr(in_batch, name)), name
 
 
 labeled_runs = st.lists(

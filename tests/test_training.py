@@ -16,6 +16,7 @@ from mixrep.training import (
     SGD,
     TrainConfig,
     batch_arrays,
+    batch_groups,
     class_index_map,
     fit,
     make_optimizer,
@@ -139,6 +140,44 @@ class TestSampleBatch:
         recs = hand_records({"a": 3, "b": 3})
         with pytest.raises(DatasetError):
             sample_batch(recs, BatchSpec(strategy="image_group"), substream(0, "t"))
+
+
+    @staticmethod
+    def per_call_reference(records, spec, rng):
+        """The sampler as it was before the groups were prebuilt: the index
+        is rebuilt from the records on every call."""
+        if spec.strategy == "image_group":
+            images = {}
+            for rec in records:
+                images.setdefault(rec.image_id, []).append(rec)
+            image_ids = sorted(images)
+            return list(images[image_ids[int(rng.integers(0, len(image_ids)))]])
+        by_class = {}
+        for rec in records:
+            if not rec.is_background:
+                by_class.setdefault(rec.label, []).append(rec)
+        class_ids = sorted(by_class)
+        batch = []
+        for ci in rng.choice(len(class_ids), size=spec.classes_per_batch, replace=False):
+            members = by_class[class_ids[int(ci)]]
+            replace = len(members) < spec.instances_per_class
+            idx = rng.choice(len(members), size=spec.instances_per_class, replace=replace)
+            batch.extend(members[int(i)] for i in idx)
+        return batch
+
+    @pytest.mark.parametrize("strategy", ["class_balanced", "image_group"])
+    def test_prebuilt_groups_give_the_per_call_batches(self, strategy):
+        cfg = SynthConfig(num_classes=8, modes_per_class=2, samples_per_mode=3,
+                          input_dim=4, test_fraction=0.0, with_boxes=True,
+                          rois_per_image=5, background_fraction=0.2)
+        pool = list(synth_dataset(cfg, seed=4))
+        spec = BatchSpec(5, 8, strategy=strategy)  # 6 records per class: drawn with replacement
+        groups = batch_groups(pool, spec)
+        rngs = [substream(9, "t") for _ in range(3)]
+        for _ in range(40):
+            want = [r.id for r in self.per_call_reference(pool, spec, rngs[0])]
+            assert [r.id for r in sample_batch(pool, spec, rngs[1], groups)] == want
+            assert [r.id for r in sample_batch(pool, spec, rngs[2])] == want
 
 
 class TestBatchArrays:
