@@ -28,7 +28,6 @@ from .episodes import (
     run_episode,
     save_episodes,
     score_queries,
-    select_support_rois,
 )
 from .errors import ConfigError, DatasetError, MixrepError, ShapeError, TrainingDiverged
 from .head import (

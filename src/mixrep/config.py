@@ -2,7 +2,9 @@
 evaluation. Defaults follow the reference setup: sigma 0.5, 3 modes per class
 for classification heads and 5 for detection, 12x4 class-balanced batches,
 wide classification widths (2048, 1024) vs detection (1024, 1024, 256), 500
-episodes of 10 queries per class, IoU 0.7 support selection."""
+episodes of 10 queries per class. Every record of a dataset is already a
+labelled ROI, so the reference setup's IoU-0.7 selection of support ROIs
+around ground-truth boxes has no counterpart here."""
 
 import dataclasses
 import json
@@ -56,7 +58,6 @@ class RunConfig:
     finetune_lr: float = 0.01
 
     # evaluation
-    support_iou: float = 0.7
     match_iou: float = 0.5
     recall_ks: tuple = (10, 100)
 
@@ -73,10 +74,8 @@ class RunConfig:
         self.recall_ks = tuple(int(k) for k in self.recall_ks)
         if any(k < 1 for k in self.recall_ks):
             raise ConfigError(f"recall_ks must be >= 1, got {self.recall_ks}")
-        for name in ("support_iou", "match_iou"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1], got {v}")
+        if not 0.0 < self.match_iou <= 1.0:
+            raise ConfigError(f"match_iou must be in (0, 1], got {self.match_iou}")
         if self.finetune_steps < 0:
             raise ConfigError("finetune_steps must be >= 0")
 
@@ -184,6 +183,8 @@ def load_run_config(path) -> RunConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e.msg}, line {e.lineno})") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     return RunConfig.from_dict(doc)
 
 

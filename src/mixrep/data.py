@@ -10,7 +10,7 @@ group tags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class FeatureRecord:
     @property
     def is_background(self) -> bool:
         return self.label == BACKGROUND_LABEL
-
-    def relabeled(self, label: str) -> "FeatureRecord":
-        return replace(self, label=label)
 
 
 def _validate_box(box, line: int) -> tuple:
@@ -110,7 +107,7 @@ def _record_from_obj(obj: dict, line: int, feature_dim: int | None) -> FeatureRe
 
 
 class Dataset:
-    """Validated record collection with class/split/image indexes.
+    """Validated record collection, indexed by record id.
 
     Iteration order is file order. Class ids are reported sorted so that any
     label-to-index mapping derived from a dataset is stable regardless of
@@ -124,20 +121,12 @@ class Dataset:
         self.meta = dict(meta) if meta else {}
         self.feature_dim = self.records[0].features.shape[0]
         self.by_id: dict[str, FeatureRecord] = {}
-        self.by_class: dict[str, list[int]] = {}
-        self.by_split: dict[str, list[int]] = {}
-        self.by_image: dict[str, list[int]] = {}
-        for i, rec in enumerate(self.records):
+        for rec in self.records:
             if rec.features.shape[0] != self.feature_dim:
                 raise DatasetError(f"record {rec.id}: inconsistent feature length")
             if rec.id in self.by_id:
                 raise DatasetError(f"duplicate record id {rec.id!r}")
             self.by_id[rec.id] = rec
-            self.by_class.setdefault(rec.label, []).append(i)
-            if rec.split:
-                self.by_split.setdefault(rec.split, []).append(i)
-            if rec.image_id:
-                self.by_image.setdefault(rec.image_id, []).append(i)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -170,8 +159,26 @@ class Dataset:
             out.append(rec)
         return out
 
-    def features_of(self, ids: list[str]) -> np.ndarray:
-        return np.stack([self.by_id[i].features for i in ids])
+
+def read_json_lines(path):
+    """Yield (line number, object) for every non-blank line of a JSON Lines
+    file. Text that is not UTF-8, a line that is not valid JSON and a line
+    that is not a JSON object raise DatasetError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as e:
+                    raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
+                if not isinstance(obj, dict):
+                    raise DatasetError("each line must be a JSON object", line_no)
+                yield line_no, obj
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def load_dataset(path) -> Dataset:
@@ -179,34 +186,26 @@ def load_dataset(path) -> Dataset:
     seen: set[str] = set()
     meta: dict = {}
     feature_dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
-            if not isinstance(obj, dict):
-                raise DatasetError("each line must be a JSON object", line_no)
-            if "kind" in obj and "id" not in obj:
-                if line_no != 1 and records:
-                    raise DatasetError("header line must come first", line_no)
-                if obj.get("kind") != "dataset":
-                    raise DatasetError(f"expected kind 'dataset', got {obj.get('kind')!r}", line_no)
-                if obj.get("schema_version") != 1:
-                    raise DatasetError(
-                        f"unsupported schema_version {obj.get('schema_version')!r}", line_no
-                    )
-                meta = obj.get("meta", {}) or {}
-                continue
-            rec = _record_from_obj(obj, line_no, feature_dim)
-            feature_dim = rec.features.shape[0]
-            if rec.id in seen:
-                raise DatasetError(f"duplicate record id {rec.id!r}", line_no)
-            seen.add(rec.id)
-            records.append(rec)
+    for line_no, obj in read_json_lines(path):
+        if "kind" in obj and "id" not in obj:
+            if line_no != 1 and records:
+                raise DatasetError("header line must come first", line_no)
+            if obj.get("kind") != "dataset":
+                raise DatasetError(f"expected kind 'dataset', got {obj.get('kind')!r}", line_no)
+            if obj.get("schema_version") != 1:
+                raise DatasetError(
+                    f"unsupported schema_version {obj.get('schema_version')!r}", line_no
+                )
+            meta = obj.get("meta", {}) or {}
+            if not isinstance(meta, dict):
+                raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
+            continue
+        rec = _record_from_obj(obj, line_no, feature_dim)
+        feature_dim = rec.features.shape[0]
+        if rec.id in seen:
+            raise DatasetError(f"duplicate record id {rec.id!r}", line_no)
+        seen.add(rec.id)
+        records.append(rec)
     if not records:
         raise DatasetError(f"no records in {path}")
     return Dataset(records, meta=meta)

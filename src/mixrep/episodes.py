@@ -1,5 +1,6 @@
-"""Episodic few-shot evaluation: build episodes from held-out classes, swap
-class representatives for support embeddings, optionally fine-tune, score.
+"""Episodic few-shot evaluation: build episodes from held-out classes, run
+each on an episode head whose representatives are the support embeddings,
+optionally fine-tune it, score.
 
 Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
@@ -8,25 +9,23 @@ substream keyed by it. Running 1-, 5-, and 10-shot against the same seed
 therefore scores identical query sets.
 """
 
+import copy
+import dataclasses
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import BACKGROUND_LABEL, Dataset, FeatureRecord
+from .data import BACKGROUND_LABEL, Dataset, FeatureRecord, read_json_lines
 from .errors import ConfigError, DatasetError
-from .head import MixtureConfig, MixtureHead, Representatives
-from .metrics import DetectionRecord, GroundTruthBox, iou
+from .head import MixtureHead, Representatives
+from .metrics import DetectionRecord, GroundTruthBox
 from .rng import substream
 from .training import SGD
 
 SCHEMA_VERSION = 1
-
-# additive squared-distance penalty that retires a padding mode: exp(-1e8)
-# underflows to exactly 0, so padded slots never win or leak mass
-PAD_PENALTY = 1e8
 
 
 @dataclass
@@ -153,107 +152,45 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
     return episodes
 
 
-def select_support_rois(candidates, gt_boxes, iou_threshold: float = 0.7):
-    """Pick support ROIs for each annotated object.
-
-    Every candidate whose best overlap reaches the threshold is kept (several
-    may pass for one object), labeled with that object's class. An object no
-    candidate reaches falls back to its single best-overlap candidate, so
-    each object contributes at least one ROI.
-    """
-    candidates = list(candidates)
-    gt_boxes = list(gt_boxes)
-    if not candidates:
-        raise DatasetError("no candidate rois")
-    if not gt_boxes:
-        raise DatasetError("no ground-truth boxes")
-    for rec in candidates:
-        if rec.box is None:
-            raise DatasetError(f"candidate {rec.id} has no box")
-
-    overlaps = np.array([[iou(rec.box, gt.box) for gt in gt_boxes] for rec in candidates])
-    selected: list[FeatureRecord] = []
-    covered = [False] * len(gt_boxes)
-    for ci, rec in enumerate(candidates):
-        gi = int(np.argmax(overlaps[ci]))
-        if overlaps[ci, gi] >= iou_threshold:
-            selected.append(rec.relabeled(gt_boxes[gi].class_id))
-            covered[gi] = True
-    for gi, got in enumerate(covered):
-        if not got:
-            ci = int(np.argmax(overlaps[:, gi]))
-            selected.append(candidates[ci].relabeled(gt_boxes[gi].class_id))
-    return selected
-
-
 # ---------------------------------------------------------------------------
-# representative replacement
+# episode heads
 
 
-@dataclass
-class RepresentativeSwap:
-    """Undo token: restores the trained mixture bit-exactly."""
-
-    head: MixtureHead
-    saved_representatives: Representatives
-    saved_mixture: MixtureConfig
-    saved_mask: np.ndarray | None
-    restored: bool = field(default=False)
-
-    def restore(self) -> None:
-        if self.restored:
-            return
-        self.head.representatives = self.saved_representatives
-        self.head.mixture = self.saved_mixture
-        self.head.distance_mask = self.saved_mask
-        self.restored = True
-
-
-def replace_representatives(head: MixtureHead, embeddings_per_class) -> RepresentativeSwap:
-    """Install support embeddings as the mixture, one mode per embedding.
-
-    embeddings_per_class: one (k_c, dim) array per episode class, ragged k_c
-    allowed (several ROIs may represent one object). Shorter classes are
-    padded with retired modes. Returns a swap token whose restore() brings
-    back the trained representatives.
-    """
-    arrays = [np.asarray(a, dtype=np.float64) for a in embeddings_per_class]
-    if not arrays:
-        raise ConfigError("no episode classes")
-    dim = head.embedding.config.output_dim
-    for c, a in enumerate(arrays):
-        if a.ndim != 2 or a.shape[1] != dim or a.shape[0] == 0:
-            raise ConfigError(
-                f"class {c}: support embeddings must be (k, {dim}) with k >= 1, got {a.shape}"
-            )
-    modes = max(a.shape[0] for a in arrays)
-    values = np.zeros((len(arrays), modes, dim))
-    mask = np.zeros((len(arrays), modes))
-    for c, a in enumerate(arrays):
-        values[c, : a.shape[0]] = a
-        mask[c, a.shape[0]:] = PAD_PENALTY
-
-    swap = RepresentativeSwap(head, head.representatives, head.mixture, head.distance_mask)
-    mix = head.mixture
-    head.mixture = MixtureConfig(
-        num_classes=len(arrays),
-        modes_per_class=modes,
-        sigma=mix.sigma,
-        margin=mix.margin,
-        posterior_mode=mix.posterior_mode,
-    )
-    head.representatives = Representatives(len(arrays), modes, dim, values=values)
-    head.distance_mask = mask if np.any(mask) else None
-    return swap
-
-
-def support_embeddings(head: MixtureHead, episode: Episode) -> list[np.ndarray]:
-    """Embed each class's support set with the current net (eval mode)."""
+def support_embeddings(head: MixtureHead, episode: Episode) -> np.ndarray:
+    """Embed the whole support set in one batch (eval mode): a (ways, shots,
+    dim) array, classes in `episode.class_ids` order."""
     head.set_mode("eval")
-    return [
-        head.embedding.embed_batch(np.stack([r.features for r in episode.support[label]]))
-        for label in episode.class_ids
-    ]
+    X = np.stack([r.features for label in episode.class_ids for r in episode.support[label]])
+    E = head.embedding.embed_batch(X)
+    return E.reshape(len(episode.class_ids), -1, E.shape[1])
+
+
+def replace_representatives(head: MixtureHead, support) -> MixtureHead:
+    """An episode head whose mixture is the support set, one mode per
+    support embedding; `head` itself is left unchanged.
+
+    support: (ways, shots, dim) embeddings. The episode head shares every
+    frozen parameter and the batch-norm statistics with `head`, owns a copy
+    of the last embedding layer, and holds the support embeddings as its
+    representatives, so fine-tuning it never reaches `head`.
+    """
+    try:
+        values = np.asarray(support, dtype=np.float64)
+    except ValueError:
+        raise ConfigError("support must hold the same number of embeddings per class") from None
+    dim = head.embedding.config.output_dim
+    if values.ndim != 3 or values.shape[2] != dim or 0 in values.shape:
+        raise ConfigError(
+            f"support embeddings must be (ways, shots, {dim}) with ways, shots >= 1, "
+            f"got {values.shape}"
+        )
+    ways, shots, _ = values.shape
+    episode_head = copy.copy(head)
+    episode_head.embedding = head.embedding.with_own_last_layer()
+    episode_head.mixture = dataclasses.replace(head.mixture, num_classes=ways,
+                                               modes_per_class=shots)
+    episode_head.representatives = Representatives(ways, shots, dim, values=values)
+    return episode_head
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +205,11 @@ class FinetuneResult:
 
 def episode_finetune(head: MixtureHead, episode: Episode, steps: int,
                      lr: float = 0.01) -> FinetuneResult:
-    """Adapt the last embedding layer and the installed representatives to
-    the support set; every other parameter is untouched and batch-norm stays
-    in eval mode. Keeps the best-loss iterate, so the final support loss
-    never exceeds the initial one.
+    """Adapt the last embedding layer and the representatives of `head`, an
+    episode head from `replace_representatives`, to the support set; every
+    other parameter is untouched and batch-norm stays in eval mode. Keeps
+    the best-loss iterate, so the final support loss never exceeds the
+    initial one.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
@@ -337,20 +275,13 @@ def score_queries(head: MixtureHead, queries, episode_id: int, class_ids) -> lis
 
 def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
                 finetune_lr: float = 0.01) -> list[DetectionRecord]:
-    """Full episode pass against a base model, leaving it bit-exactly intact:
-    swap in support representatives, optionally fine-tune, score queries,
-    restore everything."""
-    swap = replace_representatives(head, support_embeddings(head, episode))
-    tuned = head.embedding.last_layer_parameters()
-    saved = [p.value.copy() for p in tuned]
-    try:
-        if finetune_steps:
-            episode_finetune(head, episode, finetune_steps, finetune_lr)
-        return score_queries(head, episode.queries, episode.episode_id, episode.class_ids)
-    finally:
-        for p, v in zip(tuned, saved):
-            p.value = v
-        swap.restore()
+    """Full episode pass on an episode head built from `head`, which stays
+    unchanged: install the support representatives, optionally fine-tune,
+    score the queries."""
+    episode_head = replace_representatives(head, support_embeddings(head, episode))
+    if finetune_steps:
+        episode_finetune(episode_head, episode, finetune_steps, finetune_lr)
+    return score_queries(episode_head, episode.queries, episode.episode_id, episode.class_ids)
 
 
 @dataclass
@@ -441,46 +372,42 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
     """Rebuild episodes from ids against the dataset they were drawn from."""
     spec = None
     episodes = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
+    for line_no, obj in read_json_lines(path):
+        if "kind" in obj:
+            if episodes or line_no != 1:
+                raise DatasetError("header line must come first", line_no)
+            if obj.get("kind") != "episodes":
+                raise DatasetError(f"expected kind 'episodes', got {obj.get('kind')!r}", line_no)
+            if obj.get("schema_version") != SCHEMA_VERSION:
+                raise DatasetError(
+                    f"unsupported schema_version {obj.get('schema_version')!r}", line_no
+                )
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
-            if "kind" in obj:
-                if episodes or line_no != 1:
-                    raise DatasetError("header line must come first", line_no)
-                if obj.get("kind") != "episodes":
-                    raise DatasetError(f"expected kind 'episodes', got {obj.get('kind')!r}", line_no)
-                if obj.get("schema_version") != SCHEMA_VERSION:
-                    raise DatasetError(
-                        f"unsupported schema_version {obj.get('schema_version')!r}", line_no
-                    )
-                try:
-                    spec = EpisodeSpec(**obj["spec"])
-                except (KeyError, TypeError) as e:
-                    raise DatasetError(f"bad episode spec: {e}", line_no) from None
-                continue
-            if spec is None:
-                raise DatasetError("missing header line", line_no)
-            try:
-                support_recs = [dataset.by_id[i] for i in obj["support_item_ids"]]
-                queries = [dataset.by_id[i] for i in obj["query_item_ids"]]
-                class_ids = list(obj["class_ids"])
-                episode_id = int(obj["episode_id"])
-            except KeyError as e:
-                raise DatasetError(f"unknown id or missing key {e.args[0]!r}", line_no) from None
+                spec = EpisodeSpec(**obj["spec"])
+            except (KeyError, TypeError) as e:
+                raise DatasetError(f"bad episode spec: {e}", line_no) from None
+            continue
+        if spec is None:
+            raise DatasetError("missing header line", line_no)
+        try:
+            support_recs = [dataset.by_id[i] for i in obj["support_item_ids"]]
+            queries = [dataset.by_id[i] for i in obj["query_item_ids"]]
+            class_ids = list(obj["class_ids"])
             support: dict[str, list[FeatureRecord]] = {c: [] for c in class_ids}
-            for rec in support_recs:
-                if rec.label not in support:
-                    raise DatasetError(
-                        f"support item {rec.id} has label {rec.label!r} outside the episode", line_no
-                    )
-                support[rec.label].append(rec)
-            episodes.append(Episode(episode_id, class_ids, support, queries))
+            episode_id = obj["episode_id"]
+        except KeyError as e:
+            raise DatasetError(f"unknown id or missing key {e.args[0]!r}", line_no) from None
+        except TypeError as e:
+            raise DatasetError(f"malformed episode ({e})", line_no) from None
+        if type(episode_id) is not int:
+            raise DatasetError(f"episode_id must be an integer, got {episode_id!r}", line_no)
+        for rec in support_recs:
+            if rec.label not in support:
+                raise DatasetError(
+                    f"support item {rec.id} has label {rec.label!r} outside the episode", line_no
+                )
+            support[rec.label].append(rec)
+        episodes.append(Episode(episode_id, class_ids, support, queries))
     if spec is None:
         raise DatasetError("missing header line")
     return episodes, spec

@@ -24,6 +24,7 @@ views of the batched calls.
 from __future__ import annotations
 
 import base64
+import copy
 import json
 from dataclasses import dataclass
 
@@ -193,6 +194,16 @@ class EmbeddingNet:
 
     def last_layer_parameters(self) -> list[Node]:
         return [self.weights[-1], self.last_bias]
+
+    def with_own_last_layer(self) -> EmbeddingNet:
+        """A shallow copy that shares every hidden layer and the batch-norm
+        statistics with this net but owns a copy of the last layer, so
+        tuning the copy's `last_layer_parameters` leaves this net intact."""
+        net = copy.copy(self)
+        *hidden, last = self.weights
+        net.weights = hidden + [ad.parameter(last.value.copy(), last.name)]
+        net.last_bias = ad.parameter(self.last_bias.value.copy(), self.last_bias.name)
+        return net
 
 
 class Representatives:
@@ -441,9 +452,6 @@ class MixtureHead:
             seed=seed,
         )
         self.task_mode = task_mode
-        # optional (N, K) additive squared-distance offsets; large entries
-        # retire padding modes without changing live ones
-        self.distance_mask: np.ndarray | None = None
 
     @property
     def mode(self) -> str:
@@ -469,13 +477,6 @@ class MixtureHead:
         )
         return {"decay": decay, "no_decay": no_decay}
 
-    def _squared_distances(self, E: Node) -> Node:
-        """(B, e) embeddings -> (B, N, K) squared distances, masked."""
-        d2 = ad.pairwise_sq_dist(E, self.representatives.weight)
-        if self.distance_mask is not None:
-            d2 = ad.add(d2, ad.constant(self.distance_mask))
-        return d2
-
     def total_loss(self, X, labels, update_stats: bool = True):
         """Mean over the batch of (cross-entropy + margin hinge), built as
         one graph over the whole batch.
@@ -490,7 +491,8 @@ class MixtureHead:
         if self.task_mode == "classification" and np.any(labels == BACKGROUND):
             raise ValueError("background labels require detection mode")
         batch = len(labels)
-        d2 = self._squared_distances(self.embedding.forward(X, update_stats=update_stats))
+        E = self.embedding.forward(X, update_stats=update_stats)
+        d2 = ad.pairwise_sq_dist(E, self.representatives.weight)
         probs = ad.exp(ad.scale(d2, -1.0 / (2.0 * self.mixture.sigma**2)))
         if self.task_mode == "classification":
             ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
@@ -534,7 +536,7 @@ class MixtureHead:
         return Scores(**{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
 
     def _score_block(self, E: np.ndarray, mode: str) -> Scores:
-        dist = ad.sqrt(self._squared_distances(ad.constant(E)))
+        dist = distance_matrix(E, self.representatives)
         probs = mode_probabilities(dist, self.mixture.sigma)
         best = class_posterior_max(probs).value
         bg = background_posterior(probs).value

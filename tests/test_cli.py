@@ -1,7 +1,11 @@
 import csv
+import importlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,25 @@ from mixrep import cli
 from mixrep.data import load_dataset
 from mixrep.errors import DatasetError
 from mixrep.head import load_checkpoint
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    """The benchmark's span tracer, loaded read-only (no bytecode is cached
+    next to it)."""
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+TRACED = _load_tracer().TARGETS
 
 RUN = {
     "task_mode": "detection",
@@ -182,6 +205,24 @@ class TestEvalClassify:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _edit_first_episode(edit):
+    """Damage that rewrites the first episode line of an episode file."""
+    def damage(raw: bytes) -> bytes:
+        lines = raw.decode("utf-8").splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    return damage
+
+
+def _not_utf8(raw: bytes) -> bytes:
+    return raw + b"\xff\n"
+
+
+def _header_meta_not_an_object(raw: bytes) -> bytes:
+    header, rest = raw.split(b"\n", 1)
+    return json.dumps({**json.loads(header), "meta": 5}).encode("utf-8") + b"\n" + rest
+
+
 class TestEvalEpisodes:
     def test_one_file_three_shot_counts(self, pipeline, tmp_path, capsys):
         out = tmp_path / "report"
@@ -213,6 +254,29 @@ class TestEvalEpisodes:
         with open(out / "episode_report.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["shots"] for r in rows] == ["1", "1"]
+
+    @pytest.mark.parametrize("target, damage", [
+        ("episodes", _edit_first_episode(lambda obj: [1, 2])),
+        ("episodes", _edit_first_episode(lambda obj: {**obj, "episode_id": "abc"})),
+        ("episodes", _edit_first_episode(lambda obj: {**obj, "support_item_ids": 5})),
+        ("episodes", _not_utf8),
+        ("data", _not_utf8),
+        ("data", _header_meta_not_an_object),
+        ("config", _not_utf8),
+    ], ids=["episode_not_an_object", "episode_id_not_an_integer", "support_ids_not_a_list",
+            "episodes_not_utf8", "data_not_utf8", "data_meta_not_an_object", "config_not_utf8"])
+    def test_bad_input_is_one_error_line(self, pipeline, tmp_path, capsys, target, damage):
+        paths = dict(pipeline)
+        paths[target] = tmp_path / pipeline[target].name
+        paths[target].write_bytes(damage(pipeline[target].read_bytes()))
+        out = tmp_path / "report"
+        assert cli.main(["eval-episodes", "--config", str(paths["config"]),
+                         "--data", str(paths["data"]),
+                         "--checkpoint", str(paths["checkpoint"]),
+                         "--episodes", str(paths["episodes"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_shots_list(self, pipeline, tmp_path, capsys):
         assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
@@ -302,3 +366,43 @@ def test_module_entry_point(tmp_path):
     )
     assert run.returncode == 0
     assert "OK" in run.stdout
+
+
+class TestBenchmarkTracer:
+    """The benchmark tracer finds what it traces by name and reads some
+    arguments by position; a rename must fail here, not in a traced run."""
+
+    @pytest.mark.parametrize("span, module_name, attr", TRACED,
+                             ids=[f"{m}:{a}" for _, m, a in TRACED])
+    def test_target_resolves(self, span, module_name, attr):
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), span
+
+    def test_traced_eval_episodes_counts_its_work(self, pipeline, tmp_path):
+        spans_path = tmp_path / "spans.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-B", str(TRACER_PATH), str(spans_path), "t", "eval-episodes",
+             "--config", str(pipeline["config"]), "--data", str(pipeline["data"]),
+             "--checkpoint", str(pipeline["checkpoint"]),
+             "--episodes", str(pipeline["episodes"]), "--out", str(tmp_path / "report")],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+        spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+        by_name: dict = {}
+        for span in spans:
+            by_name.setdefault(span["name"], []).append(span)
+        # 3 episodes, each without and with RUN's 5 fine-tune steps
+        assert len(by_name["episodes.run_episode"]) == 6
+        assert len(by_name["episodes.replace_representatives"]) == 6
+        assert len(by_name["episodes.support_embeddings"]) == 6
+        assert [s["counts"]["steps"] for s in by_name["episodes.episode_finetune"]] == [5] * 3
+        queries = RUN["ways"] * RUN["queries_per_class"] + RUN["background_queries"]
+        assert [s["counts"]["queries"] for s in by_name["episodes.score_queries"]] == [queries] * 6
+        assert all(s["counts"]["rows"] >= 1 for s in by_name["head.embed_batch"])
+        assert all(s["counts"]["nodes"] > 0 for s in by_name["head.total_loss"])

@@ -28,7 +28,6 @@ class TestDefaults:
         assert c.instances_per_class == 4
         assert c.episode_count == 500
         assert c.queries_per_class == 10
-        assert c.support_iou == 0.7
         assert c.recall_ks == (10, 100)
 
     def test_widths_resolve_per_task(self):
@@ -47,7 +46,7 @@ class TestDefaults:
 
     def test_bad_iou(self):
         with pytest.raises(ConfigError):
-            RunConfig(support_iou=0.0)
+            RunConfig(match_iou=0.0)
         with pytest.raises(ConfigError):
             RunConfig(match_iou=1.5)
 
@@ -111,6 +110,9 @@ class TestWireForm:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys.*learning_rate"):
             RunConfig.from_dict({"learning_rate": 0.1})
+        # the support-ROI IoU knob was removed: every record is already a ROI
+        with pytest.raises(ConfigError, match="unknown config keys.*support_iou"):
+            RunConfig.from_dict({"support_iou": 0.7})
 
     def test_unknown_synth_key_rejected(self):
         with pytest.raises(ConfigError, match="synth"):

@@ -155,10 +155,11 @@ class TestRoundTrip:
         )
         ds = load_dataset(path)
         assert ds.classes() == ["a", "b"]  # sorted, background excluded
-        assert [ds.records[i].id for i in ds.by_class["a"]] == ["r2", "r3"]
+        assert [r.id for r in ds.records if r.label == "a"] == ["r2", "r3"]
         assert [r.id for r in ds.select(label="a", split="train")] == ["r3"]
         np.testing.assert_array_equal(
-            ds.features_of(["r2", "r1"]), np.array([[1.0, 2.0], [1.0, 2.0]])
+            np.stack([ds.by_id[i].features for i in ["r2", "r1"]]),
+            np.array([[1.0, 2.0], [1.0, 2.0]]),
         )
 
 
@@ -238,9 +239,11 @@ class TestSynth:
         )
         ds = synth_dataset(cfg, seed=13)
         assert all(r.image_id is not None and r.box is not None for r in ds)
-        for ids in ds.by_image.values():
-            assert len(ids) <= 4
-            boxes = [ds.records[i].box for i in ids]
+        by_image: dict = {}
+        for r in ds.records:
+            by_image.setdefault(r.image_id, []).append(r.box)
+        for boxes in by_image.values():
+            assert len(boxes) <= 4
             assert len(set(boxes)) == len(boxes)  # disjoint slots within an image
 
     def test_config_validation(self):

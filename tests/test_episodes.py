@@ -1,6 +1,8 @@
-"""Episode generation, representative swapping, fine-tuning, and scoring."""
+"""Episode generation, episode heads, fine-tuning, and scoring."""
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,11 +20,9 @@ from mixrep.episodes import (
     run_episode,
     save_episodes,
     score_queries,
-    select_support_rois,
     support_embeddings,
 )
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
-from mixrep.metrics import GroundTruthBox
 from mixrep.training import BatchSpec, TrainConfig, fit
 
 
@@ -164,6 +164,26 @@ class TestEpisodeFiles:
         with pytest.raises(DatasetError):
             load_episodes(path, episode_dataset())
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: [1, 2],
+        lambda obj: {**obj, "episode_id": "abc"},
+        lambda obj: {**obj, "episode_id": 1.5},
+        lambda obj: {**obj, "support_item_ids": 5},
+        lambda obj: {**obj, "class_ids": [["c000"]]},
+    ], ids=["not_an_object", "episode_id_text", "episode_id_fraction", "support_ids_not_a_list",
+            "class_id_not_hashable"])
+    def test_malformed_episode_line_reports_line(self, tmp_path, edit):
+        ds = episode_dataset()
+        spec = spec_for(ds, episode_count=2)
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_episodes(ds, spec), spec, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(edit(json.loads(lines[2])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as exc:
+            load_episodes(path, ds)
+        assert exc.value.line == 3
+
     def test_unknown_item_id_rejected(self, tmp_path):
         ds = episode_dataset()
         spec = spec_for(ds, episode_count=1)
@@ -176,146 +196,89 @@ class TestEpisodeFiles:
             load_episodes(path, ds)
 
 
-class TestSelectSupportRois:
-    def cand(self, i, box):
-        return FeatureRecord(f"roi{i}", "proposal", np.full(4, float(i)), box=box,
-                             image_id="img0")
-
-    def gt(self, box, cls):
-        return GroundTruthBox(0, "img0", box, cls)
-
-    def test_identical_box_selected(self):
-        out = select_support_rois([self.cand(0, (0, 0, 4, 4))],
-                                  [self.gt((0, 0, 4, 4), "dog")])
-        assert len(out) == 1
-        assert out[0].label == "dog"
-        assert out[0].id == "roi0"
-
-    def test_low_overlap_rejected_when_another_passes(self):
-        cands = [self.cand(0, (0, 0, 2, 2)), self.cand(1, (1, 1, 3, 3))]
-        out = select_support_rois(cands, [self.gt((1, 1, 3, 3), "cat")])
-        assert [r.id for r in out] == ["roi1"]
-
-    def test_two_passing_candidates_both_kept(self):
-        # both boxes overlap the gt at IoU 0.75 and 10/13
-        cands = [self.cand(0, (0, 0, 4, 3)), self.cand(1, (0, 1, 4, 4.25))]
-        out = select_support_rois(cands, [self.gt((0, 0, 4, 4), "cat")], iou_threshold=0.7)
-        assert {r.id for r in out} == {"roi0", "roi1"}
-        assert all(r.label == "cat" for r in out)
-
-    def test_fallback_takes_best_available(self):
-        cands = [self.cand(0, (0, 0, 2, 2)), self.cand(1, (6, 6, 8, 8))]
-        out = select_support_rois(cands, [self.gt((1, 1, 3, 3), "cat")])
-        assert [r.id for r in out] == ["roi0"]
-        assert out[0].label == "cat"
-
-    def test_multiple_objects_each_covered(self):
-        cands = [self.cand(0, (0, 0, 4, 4)), self.cand(1, (10, 10, 14, 14)),
-                 self.cand(2, (20, 0, 22, 2))]
-        gts = [self.gt((0, 0, 4, 4), "cat"), self.gt((10, 10, 14, 14), "dog"),
-               self.gt((30, 30, 34, 34), "fox")]
-        out = select_support_rois(cands, gts)
-        labels: dict = {}
-        for r in out:
-            labels.setdefault(r.id, set()).add(r.label)
-        assert "cat" in labels["roi0"] and "dog" in labels["roi1"]
-        # the fox overlaps no candidate at all: the fallback still supplies
-        # exactly one roi for it (a candidate may serve two objects)
-        assert sum(r.label == "fox" for r in out) == 1
-
-    def test_originals_not_mutated(self):
-        cands = [self.cand(0, (0, 0, 4, 4))]
-        select_support_rois(cands, [self.gt((0, 0, 4, 4), "dog")])
-        assert cands[0].label == "proposal"
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(DatasetError):
-            select_support_rois([], [self.gt((0, 0, 1, 1), "cat")])
-        with pytest.raises(DatasetError):
-            select_support_rois([self.cand(0, (0, 0, 1, 1))], [])
-
-    def test_candidate_without_box_rejected(self):
-        bad = FeatureRecord("roi9", "proposal", np.zeros(4))
-        with pytest.raises(DatasetError):
-            select_support_rois([bad], [self.gt((0, 0, 1, 1), "cat")])
-
-
 class TestReplaceRepresentatives:
     def test_shape_five_way_one_shot(self):
         head = small_head()
         e = head.embedding.config.output_dim
-        swap = replace_representatives(head, [np.ones((1, e)) * i for i in range(5)])
-        assert head.representatives.values().shape == (5, 1, e)
-        assert head.mixture.num_classes == 5
-        assert head.mixture.modes_per_class == 1
-        swap.restore()
+        episode_head = replace_representatives(head, [np.ones((1, e)) * i for i in range(5)])
+        assert episode_head.representatives.values().shape == (5, 1, e)
+        assert episode_head.mixture.num_classes == 5
+        assert episode_head.mixture.modes_per_class == 1
+        assert head.mixture.num_classes == 4 and head.mixture.modes_per_class == 2
+
+    def test_support_embeddings_are_ways_by_shots(self):
+        ds = episode_dataset()
+        head = small_head()
+        ep = generate_episodes(ds, spec_for(ds, shots=3, episode_count=1))[0]
+        support = support_embeddings(head, ep)
+        assert support.shape == (3, 3, head.embedding.config.output_dim)
+        for c, label in enumerate(ep.class_ids):
+            for s, rec in enumerate(ep.support[label]):
+                assert np.array_equal(support[c, s], head.embedding.embed(rec.features).value)
 
     def test_query_on_support_point_wins_with_zero_background(self):
         ds = episode_dataset()
         head = small_head()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        swap = replace_representatives(head, support_embeddings(head, ep))
+        episode_head = replace_representatives(head, support_embeddings(head, ep))
         sup = ep.support[ep.class_ids[2]][0]
-        out = head.score(sup.features)
+        out = episode_head.score(sup.features)
         assert out.mode_probs.max() == pytest.approx(1.0, abs=1e-12)
         assert int(np.argmax(out.mode_probs.max(axis=1))) == 2
         assert out.background_posterior == pytest.approx(0.0, abs=1e-12)
-        swap.restore()
 
     def test_restore_is_bit_exact(self):
+        # the trained head is never changed, so nothing needs restoring
         ds = episode_dataset()
         head = small_head()
         probe = ds.records[0].features
         before = head.score(probe)
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        swap = replace_representatives(head, support_embeddings(head, ep))
-        mid = head.score(probe)
+        episode_head = replace_representatives(head, support_embeddings(head, ep))
+        mid = episode_head.score(probe)
         assert mid.class_posterior.shape != before.class_posterior.shape or \
             not np.array_equal(mid.class_posterior, before.class_posterior)
-        swap.restore()
         after = head.score(probe)
         assert np.array_equal(before.class_posterior, after.class_posterior)
         assert np.array_equal(before.mode_probs, after.mode_probs)
         assert before.background_posterior == after.background_posterior
+
+    def test_episode_head_shares_frozen_layers_and_owns_the_last(self):
+        head = small_head()
+        e = head.embedding.config.output_dim
+        episode_head = replace_representatives(head, np.ones((2, 1, e)))
+        net, episode_net = head.embedding, episode_head.embedding
+        assert all(a is b for a, b in zip(net.weights[:-1], episode_net.weights[:-1]))
+        assert all(a is b for a, b in zip(net.gammas + net.betas,
+                                          episode_net.gammas + episode_net.betas))
+        assert all(a is b for a, b in zip(net.bn_states, episode_net.bn_states))
+        for own, trained in zip(episode_net.last_layer_parameters(), net.last_layer_parameters()):
+            assert own is not trained and own.value is not trained.value
+            assert own.name == trained.name and np.array_equal(own.value, trained.value)
+        assert episode_head.representatives is not head.representatives
 
     def test_predictions_ignore_discarded_representatives(self):
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         ha, hb = small_head(seed=31), small_head(seed=31)
         hb.representatives.weight.value += 0.37  # perturb only the trained mixture
-        replace_representatives(ha, support_embeddings(ha, ep))
-        replace_representatives(hb, support_embeddings(hb, ep))
+        ea = replace_representatives(ha, support_embeddings(ha, ep))
+        eb = replace_representatives(hb, support_embeddings(hb, ep))
         q = ep.queries[0].features
-        assert np.array_equal(ha.score(q).class_posterior, hb.score(q).class_posterior)
+        assert np.array_equal(ea.score(q).class_posterior, eb.score(q).class_posterior)
 
     def test_zero_support_class_rejected(self):
         head = small_head()
         e = head.embedding.config.output_dim
         with pytest.raises(ConfigError):
             replace_representatives(head, [np.ones((1, e)), np.empty((0, e))])
+        with pytest.raises(ConfigError):
+            replace_representatives(head, np.empty((2, 0, e)))
 
     def test_dimension_mismatch_rejected(self):
         head = small_head()
         with pytest.raises(ConfigError):
             replace_representatives(head, [np.ones((1, 3))])
-
-    def test_ragged_support_pads_with_retired_modes(self):
-        head = small_head()
-        e = head.embedding.config.output_dim
-        z = np.zeros(e)
-        z[0] = 1.0
-        far = np.zeros(e)
-        far[1] = 1.0
-        swap = replace_representatives(head, [np.stack([z, z, z]), far[None, :]])
-        assert head.representatives.values().shape == (2, 3, e)
-        out = head.score_embedding(z)
-        # padded modes of class 1 must contribute nothing: its posterior is
-        # exactly the single real mode's kernel value
-        d2 = float(np.sum((z - far) ** 2))
-        want = np.exp(-d2 / (2 * 0.5**2))
-        assert out.mode_probs[1].max() == pytest.approx(want, rel=1e-12)
-        assert out.mode_probs[0].max() == pytest.approx(1.0, abs=1e-12)
-        swap.restore()
 
 
 class TestEpisodeFinetune:
@@ -326,7 +289,7 @@ class TestEpisodeFinetune:
                            task_mode="detection", seed=31)
         fit(head, ds, TrainConfig(iterations=60, lr=0.01, seed=131), BatchSpec(4, 4))
         ep = generate_episodes(ds, spec_for(ds, shots=5, episode_count=1))[0]
-        return head, ep
+        return replace_representatives(head, support_embeddings(head, ep)), ep
 
     def param_hash(self, head, names):
         digest = hashlib.sha256()
@@ -340,7 +303,6 @@ class TestEpisodeFinetune:
 
     def test_zero_steps_is_identity(self):
         head, ep = self.trained_head_and_episode()
-        replace_representatives(head, support_embeddings(head, ep))
         before = {n: p.value.copy() for n, p in head.named_parameters().items()}
         result = episode_finetune(head, ep, steps=0)
         assert result.losses == [] and result.kept_step == 0
@@ -349,7 +311,6 @@ class TestEpisodeFinetune:
 
     def test_only_last_layer_and_mixture_move(self):
         head, ep = self.trained_head_and_episode()
-        replace_representatives(head, support_embeddings(head, ep))
         tuned = {"representatives.weight"}
         tuned |= {n for n, p in head.named_parameters().items()
                   if any(p is q for q in head.embedding.last_layer_parameters())}
@@ -363,7 +324,6 @@ class TestEpisodeFinetune:
 
     def test_support_loss_never_ends_higher(self):
         head, ep = self.trained_head_and_episode()
-        replace_representatives(head, support_embeddings(head, ep))
         # deliberately unstable step size: the kept-best rule must still hold
         result = episode_finetune(head, ep, steps=30, lr=2.0)
         assert result.losses[-1] >= min(result.losses)
@@ -378,7 +338,6 @@ class TestEpisodeFinetune:
 
     def test_fifty_steps_reduce_support_loss(self):
         head, ep = self.trained_head_and_episode()
-        replace_representatives(head, support_embeddings(head, ep))
         result = episode_finetune(head, ep, steps=50, lr=0.01)
         assert result.losses[-1] < result.losses[0]
 
@@ -393,8 +352,7 @@ class TestScoreQueries:
         ds = episode_dataset()
         head = small_head()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        replace_representatives(head, support_embeddings(head, ep))
-        return head, ep
+        return replace_representatives(head, support_embeddings(head, ep)), ep
 
     def test_support_point_scores_one(self):
         head, ep = self.installed()
@@ -407,11 +365,11 @@ class TestScoreQueries:
         head = small_head()
         e = head.embedding.config.output_dim
         supports = [np.eye(e)[i : i + 1] * 5.0 for i in range(3)]
-        replace_representatives(head, supports)
+        episode_head = replace_representatives(head, supports)
         query = FeatureRecord("q0", "c000", np.zeros(10))
-        emb = head.embedding.embed(query.features).value
+        emb = episode_head.embedding.embed(query.features).value
         assert all(np.linalg.norm(emb - s[0]) >= 3.0 for s in supports)
-        rec = score_queries(head, [query], 0, ["a", "b", "c"])[0]
+        rec = score_queries(episode_head, [query], 0, ["a", "b", "c"])[0]
         assert rec.class_id == BACKGROUND_LABEL
         assert rec.score > 0.9999
 
@@ -427,9 +385,9 @@ class TestScoreQueries:
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, ways=1, episode_count=1,
                                             background_queries=0))[0]
-        replace_representatives(head, support_embeddings(head, ep))
+        episode_head = replace_representatives(head, support_embeddings(head, ep))
         sup = ep.support[ep.class_ids[0]][0]
-        rec = score_queries(head, [sup], 0, ep.class_ids)[0]
+        rec = score_queries(episode_head, [sup], 0, ep.class_ids)[0]
         assert rec.class_id == ep.class_ids[0]
 
     def test_fallback_box_and_image(self):
@@ -442,11 +400,24 @@ class TestScoreQueries:
 
 
 class TestRunEpisode:
+    def state(self, head):
+        """The bytes of everything an episode could change on a trained head."""
+        return {
+            "params": {n: p.value.tobytes() for n, p in head.named_parameters().items()},
+            "bn": [(st.running_mean.tobytes(), st.running_var.tobytes())
+                   for st in head.embedding.bn_states],
+            "mixture": dataclasses.replace(head.mixture),
+            "representatives": head.representatives.values().tobytes(),
+        }
+
     def test_scores_all_queries_and_restores(self):
+        # the episode runs on its own episode head: the trained head keeps
+        # every bit it had before
         ds = episode_dataset()
         head = small_head()
         probe = ds.records[5].features
         before = head.score(probe)
+        state = self.state(head)
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         for steps in (0, 10):
             records = run_episode(head, ep, finetune_steps=steps, finetune_lr=0.05)
@@ -455,6 +426,7 @@ class TestRunEpisode:
             after = head.score(probe)
             assert np.array_equal(before.class_posterior, after.class_posterior)
             assert before.background_posterior == after.background_posterior
+            assert self.state(head) == state
 
     def test_ground_truth_covers_foreground_queries(self):
         ds = episode_dataset()

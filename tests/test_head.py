@@ -402,46 +402,20 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("task_mode", ["classification", "detection"])
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 9), masked=st.booleans())
-    def test_batch_parts_are_the_mean_of_single_rows(self, task_mode, seed, batch, masked):
+    @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 9))
+    def test_batch_parts_are_the_mean_of_single_rows(self, task_mode, seed, batch):
         headm = small_head(task_mode=task_mode, seed=seed % 1000)
         headm.set_mode("eval")
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(batch, 6))
         low = BACKGROUND if task_mode == "detection" else 0
         labels = [int(v) for v in rng.integers(low, 4, size=batch)]
-        if masked:
-            mask = np.zeros((4, 2))
-            mask[rng.integers(0, 4, size=2), 1] = 1e8  # retire a mode of up to two classes
-            headm.distance_mask = mask
         _, whole = headm.total_loss(X, labels, update_stats=False)
         rows = [headm.total_loss(X[i:i + 1], labels[i:i + 1], update_stats=False)[1]
                 for i in range(batch)]
         for key in ("ce", "margin", "total"):
             mean = sum(r[key] for r in rows) / batch
             assert math.isclose(whole[key], mean, rel_tol=1e-12, abs_tol=0.0), key
-
-    @pytest.mark.parametrize("task_mode", ["classification", "detection"])
-    def test_distance_mask_retires_modes_in_the_loss(self, task_mode):
-        # a 2-mode head whose second modes are retired scores the loss like
-        # a 1-mode head holding only the first modes
-        masked = small_head(task_mode=task_mode, seed=6)
-        masked.distance_mask = np.array([[0.0, 1e8]] * 4)
-        single = MixtureHead(
-            EmbeddingConfig(input_dim=6, layer_widths=(10, 8)),
-            MixtureConfig(num_classes=4, modes_per_class=1, sigma=0.5, margin=0.5),
-            task_mode=task_mode, seed=6,
-        )
-        single.representatives.set_values(masked.representatives.values()[:, :1])
-        for h in (masked, single):
-            h.set_mode("eval")
-        rng = np.random.default_rng(26)
-        X = rng.normal(size=(7, 6))
-        labels = [0, 1, 2, 3, 0, 1, BACKGROUND if task_mode == "detection" else 2]
-        _, got = masked.total_loss(X, labels, update_stats=False)
-        _, want = single.total_loss(X, labels, update_stats=False)
-        for key in ("ce", "margin", "total"):
-            assert math.isclose(got[key], want[key], rel_tol=1e-12, abs_tol=0.0), key
 
     @pytest.mark.parametrize("task_mode", ["classification", "detection"])
     def test_graph_size_does_not_grow_with_batch(self, task_mode):
@@ -513,19 +487,6 @@ class TestScoring:
         headm.representatives.set_values(vals)  # all classes equidistant
         out = headm.score(np.random.default_rng(21).normal(size=6))
         assert out.predicted_class == 0
-
-    def test_distance_mask_retires_padding_modes(self):
-        headm = small_head(posterior_mode="max")
-        headm.set_mode("eval")
-        x = np.random.default_rng(22).normal(size=6)
-        base = headm.score(x)
-        # masking a non-winning mode per class must not change posteriors
-        mask = np.zeros((4, 2))
-        loser = 1 - np.argmin(headm.score(x).distances, axis=1)
-        mask[np.arange(4), loser] = 1e8
-        headm.distance_mask = mask
-        masked = headm.score(x)
-        np.testing.assert_allclose(masked.class_posterior, base.class_posterior, atol=1e-12)
 
 
 class TestCheckpoint:

@@ -62,10 +62,9 @@ def test_background_is_exact_complement_of_best_mode(d):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 40),
-       posterior_mode=st.sampled_from(["max", "normalized"]), masked=st.booleans(),
+       posterior_mode=st.sampled_from(["max", "normalized"]),
        block=st.sampled_from([1, 3, 7, hd.BLOCK_ROWS]), data=st.data())
-def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mode, masked,
-                                                       block, data):
+def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mode, block, data):
     """Permuting or splitting a batch changes no output bit, and a row
     scores alone exactly as it does in a batch."""
     rng = np.random.default_rng(seed)
@@ -75,10 +74,6 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mo
     for bn in head.embedding.bn_states:  # stored statistics away from the identity
         bn.running_mean = rng.normal(size=bn.running_mean.shape)
         bn.running_var = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
-    if masked:
-        mask = np.zeros((4, 2))
-        mask[rng.integers(0, 4, size=2), 1] = 1e8
-        head.distance_mask = mask
     head.set_mode("eval")
     X = rng.normal(0.0, rng.uniform(0.1, 10.0), size=(batch, 6))
 
