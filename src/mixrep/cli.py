@@ -31,28 +31,37 @@ GRAD_CHECK_TOLERANCE = 1e-4
 
 
 class _OutDir:
-    """Tracks files written by one command so a failed run leaves nothing."""
+    """The files one command writes. Each is written under a temporary name
+    in the output directory and moved into place by `commit` after the
+    command returns, so a failed run changes no earlier output."""
 
     def __init__(self, path):
         self.dir = Path(path)
-        self.created: list[Path] = []
+        self.made = False  # whether this run created the directory
+        self.pending: list[tuple[Path, Path]] = []
 
     def file(self, name) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        p = self.dir / name
-        self.created.append(p)
-        return p
+        if not self.dir.is_dir():
+            self.dir.mkdir(parents=True)
+            self.made = True
+        temp = self.dir / f".{name}.{os.getpid()}.tmp"
+        self.pending.append((temp, self.dir / name))
+        return temp
 
-    def cleanup(self) -> None:
-        for p in self.created:
+    def commit(self) -> None:
+        for temp, final in self.pending:
+            os.replace(temp, final)
+
+    def discard(self) -> None:
+        """Remove this run's temporary files, and the directory if this run
+        created it and it is empty."""
+        for temp, _ in self.pending:
+            temp.unlink(missing_ok=True)
+        if self.made:
             try:
-                p.unlink()
-            except FileNotFoundError:
+                self.dir.rmdir()
+            except OSError:
                 pass
-        try:
-            self.dir.rmdir()
-        except OSError:
-            pass
 
 
 def _resolve_out(raw: str | None) -> Path | None:
@@ -285,16 +294,15 @@ def cmd_export_embeddings(args, out):
     dataset = _load_data(args)
     head.set_mode("eval")
     _log_config(config, out)
-    path = out.file("embeddings.csv")
     dim = head.embedding.config.output_dim
     X = np.stack([rec.features for rec in dataset])
     emb = head.embedding.embed_batch(X)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(out.file("embeddings.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + [f"e{i}" for i in range(dim)])
         for rec, row in zip(dataset, emb):
             writer.writerow([rec.id, rec.label] + [repr(float(v)) for v in row])
-    print(f"wrote {len(dataset.records)} embedding rows to {path}")
+    print(f"wrote {len(dataset.records)} embedding rows to {out.dir / 'embeddings.csv'}")
     return 0
 
 
@@ -344,17 +352,17 @@ def main(argv=None) -> int:
     out_path = _resolve_out(args.out)
     out = _OutDir(out_path) if out_path is not None else None
     try:
-        return args.func(args, out)
-    except MixrepError as e:
+        code = args.func(args, out)
         if out is not None:
-            out.cleanup()
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+            out.commit()
+    except BaseException as e:
         if out is not None:
-            out.cleanup()
+            out.discard()
+        if not isinstance(e, (MixrepError, OSError)):
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, MixrepError) else 1
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .errors import ConfigError, DatasetError
 from .rng import substream
 
 BACKGROUND_LABEL = "background"
+SCHEMA_VERSION = 1  # of every JSON Lines file: datasets, episodes, detections
 
 _ALLOWED_KEYS = {"id", "label", "features", "box", "image_id", "attributes", "split", "group"}
 _SPLITS = ("train", "val", "test")
@@ -160,10 +161,12 @@ class Dataset:
         return out
 
 
-def read_json_lines(path):
+def read_json_lines(path, kind: str):
     """Yield (line number, object) for every non-blank line of a JSON Lines
-    file. Text that is not UTF-8, a line that is not valid JSON and a line
-    that is not a JSON object raise DatasetError."""
+    file. A line with a "kind" key is the header: it must be line 1 and name
+    `kind` and SCHEMA_VERSION. Text that is not UTF-8, a line that is not
+    valid JSON, a line that is not a JSON object and a bad header raise
+    DatasetError."""
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
@@ -176,6 +179,15 @@ def read_json_lines(path):
                     raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
                 if not isinstance(obj, dict):
                     raise DatasetError("each line must be a JSON object", line_no)
+                if "kind" in obj:
+                    if line_no != 1:
+                        raise DatasetError("header line must come first", line_no)
+                    if obj["kind"] != kind:
+                        raise DatasetError(f"expected kind {kind!r}, got {obj['kind']!r}", line_no)
+                    if obj.get("schema_version") != SCHEMA_VERSION:
+                        raise DatasetError(
+                            f"unsupported schema_version {obj.get('schema_version')!r}", line_no
+                        )
                 yield line_no, obj
         except UnicodeDecodeError as e:
             raise DatasetError(f"{path}: not UTF-8 text ({e.reason})") from None
@@ -186,16 +198,8 @@ def load_dataset(path) -> Dataset:
     seen: set[str] = set()
     meta: dict = {}
     feature_dim: int | None = None
-    for line_no, obj in read_json_lines(path):
-        if "kind" in obj and "id" not in obj:
-            if line_no != 1 and records:
-                raise DatasetError("header line must come first", line_no)
-            if obj.get("kind") != "dataset":
-                raise DatasetError(f"expected kind 'dataset', got {obj.get('kind')!r}", line_no)
-            if obj.get("schema_version") != 1:
-                raise DatasetError(
-                    f"unsupported schema_version {obj.get('schema_version')!r}", line_no
-                )
+    for line_no, obj in read_json_lines(path, "dataset"):
+        if "kind" in obj:
             meta = obj.get("meta", {}) or {}
             if not isinstance(meta, dict):
                 raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
@@ -213,7 +217,7 @@ def load_dataset(path) -> Dataset:
 
 def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"schema_version": 1, "kind": "dataset", "meta": dataset.meta}
+        header = {"schema_version": SCHEMA_VERSION, "kind": "dataset", "meta": dataset.meta}
         fh.write(json.dumps(header) + "\n")
         for rec in dataset.records:
             obj: dict = {

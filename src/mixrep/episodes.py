@@ -2,6 +2,11 @@
 each on an episode head whose representatives are the support embeddings,
 optionally fine-tune it, score.
 
+The trained head's hidden layers are frozen for an episode, so they run
+once per episode row: the episode head is a one-layer head of its own over
+the penultimate features, and fine-tuning and query scoring run only that
+last layer and the representatives.
+
 Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
 never look at the number of shots, and the support draw gets its own
@@ -9,7 +14,6 @@ substream keyed by it. Running 1-, 5-, and 10-shot against the same seed
 therefore scores identical query sets.
 """
 
-import copy
 import dataclasses
 import json
 import warnings
@@ -18,15 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import BACKGROUND_LABEL, Dataset, FeatureRecord, read_json_lines
+from .data import BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, FeatureRecord, read_json_lines
 from .errors import ConfigError, DatasetError
-from .head import MixtureHead, Representatives
+from .head import MixtureHead
 from .metrics import DetectionRecord, GroundTruthBox
 from .rng import substream
 from .training import SGD
-
-SCHEMA_VERSION = 1
-
 
 @dataclass
 class EpisodeSpec:
@@ -156,23 +157,24 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
 # episode heads
 
 
-def support_embeddings(head: MixtureHead, episode: Episode) -> np.ndarray:
-    """Embed the whole support set in one batch (eval mode): a (ways, shots,
-    dim) array, classes in `episode.class_ids` order."""
-    head.set_mode("eval")
-    X = np.stack([r.features for label in episode.class_ids for r in episode.support[label]])
-    E = head.embedding.embed_batch(X)
-    return E.reshape(len(episode.class_ids), -1, E.shape[1])
+def support_embeddings(head: MixtureHead, support) -> np.ndarray:
+    """The support set's embeddings under `head`: its (ways, shots, width)
+    penultimate features through the last layer, a (ways, shots, dim) array."""
+    ways, shots, width = support.shape
+    E = head.embedding.last_layer(support.reshape(ways * shots, width)).value
+    return E.reshape(ways, shots, -1)
 
 
 def replace_representatives(head: MixtureHead, support) -> MixtureHead:
     """An episode head whose mixture is the support set, one mode per
     support embedding; `head` itself is left unchanged.
 
-    support: (ways, shots, dim) embeddings. The episode head shares every
-    frozen parameter and the batch-norm statistics with `head`, owns a copy
-    of the last embedding layer, and holds the support embeddings as its
-    representatives, so fine-tuning it never reaches `head`.
+    support: (ways, shots, dim) embeddings. The episode head is a head of
+    its own over the penultimate features of `head` (see
+    `EmbeddingNet.hidden_features`): a one-layer net that starts from copies
+    of the last weight and bias of `head`, and the support embeddings as its
+    representatives. It shares no parameter, array or batch-norm state with
+    `head`, so tuning it never reaches `head`.
     """
     try:
         values = np.asarray(support, dtype=np.float64)
@@ -185,11 +187,17 @@ def replace_representatives(head: MixtureHead, support) -> MixtureHead:
             f"got {values.shape}"
         )
     ways, shots, _ = values.shape
-    episode_head = copy.copy(head)
-    episode_head.embedding = head.embedding.with_own_last_layer()
-    episode_head.mixture = dataclasses.replace(head.mixture, num_classes=ways,
-                                               modes_per_class=shots)
-    episode_head.representatives = Representatives(ways, shots, dim, values=values)
+    last = head.embedding.weights[-1].value
+    episode_head = MixtureHead(
+        dataclasses.replace(head.embedding.config, input_dim=last.shape[0], layer_widths=(dim,)),
+        dataclasses.replace(head.mixture, num_classes=ways, modes_per_class=shots),
+        task_mode=head.task_mode,
+    )
+    net = episode_head.embedding
+    net.weights[0].value = last.copy()
+    net.last_bias.value = head.embedding.last_bias.value.copy()
+    episode_head.representatives.set_values(values)
+    episode_head.set_mode("eval")
     return episode_head
 
 
@@ -203,22 +211,23 @@ class FinetuneResult:
     kept_step: int
 
 
-def episode_finetune(head: MixtureHead, episode: Episode, steps: int,
+def episode_finetune(head: MixtureHead, support, steps: int,
                      lr: float = 0.01) -> FinetuneResult:
-    """Adapt the last embedding layer and the representatives of `head`, an
-    episode head from `replace_representatives`, to the support set; every
-    other parameter is untouched and batch-norm stays in eval mode. Keeps
-    the best-loss iterate, so the final support loss never exceeds the
-    initial one.
+    """Adapt `head`, an episode head from `replace_representatives`, to its
+    support set: every parameter of it, that is the last embedding layer and
+    the representatives, is tuned on the (ways, shots, width) penultimate
+    features of the support, class i being row i. The frozen layers of the
+    trained head are not run. Keeps the best-loss iterate, so the final
+    support loss never exceeds the initial one.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if steps == 0:
         return FinetuneResult([], 0)
-    X = np.stack([r.features for label in episode.class_ids for r in episode.support[label]])
-    labels = [i for i, label in enumerate(episode.class_ids) for _ in episode.support[label]]
-    head.set_mode("eval")
-    tuned = head.embedding.last_layer_parameters() + [head.representatives.weight]
+    ways, shots, width = support.shape
+    X = support.reshape(ways * shots, width)
+    labels = np.repeat(np.arange(ways), shots)
+    tuned = head.parameters()
     optimizer = SGD({"no_decay": tuned}, lr=lr, momentum=0.0)
 
     losses = []
@@ -231,7 +240,7 @@ def episode_finetune(head: MixtureHead, episode: Episode, steps: int,
             best = (value, step, [p.value.copy() for p in tuned])
         if step == steps:
             break
-        ad.zero_grads(head.parameters())
+        ad.zero_grads(tuned)
         ad.backward(loss)
         optimizer.step()
     if losses[-1] > best[0]:
@@ -247,15 +256,16 @@ def episode_finetune(head: MixtureHead, episode: Episode, steps: int,
 # scoring
 
 
-def score_queries(head: MixtureHead, queries, episode_id: int, class_ids) -> list[DetectionRecord]:
-    """One detection record per query: best-mode class posterior as the
-    score, background label when the background posterior beats every class.
-    The queries are scored as one batch whose rows do not depend on each
-    other, so order never matters."""
+def score_queries(head: MixtureHead, queries, features, episode_id: int,
+                  class_ids) -> list[DetectionRecord]:
+    """One detection record per query, scored by the episode head `head`
+    from `features`, the queries' penultimate features, one row per query:
+    best-mode class posterior as the score, background label when the
+    background posterior beats every class. The queries are scored as one
+    batch whose rows do not depend on each other, so order never matters."""
     if not queries:
         return []
-    head.set_mode("eval")
-    scores = head.score_batch(np.stack([rec.features for rec in queries]), posterior_mode="max")
+    scores = head.score_batch(features, posterior_mode="max")
     records = []
     for j, (rec, out) in enumerate(zip(queries, scores)):
         if out.is_background:
@@ -276,12 +286,19 @@ def score_queries(head: MixtureHead, queries, episode_id: int, class_ids) -> lis
 def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
                 finetune_lr: float = 0.01) -> list[DetectionRecord]:
     """Full episode pass on an episode head built from `head`, which stays
-    unchanged: install the support representatives, optionally fine-tune,
-    score the queries."""
-    episode_head = replace_representatives(head, support_embeddings(head, episode))
+    unchanged: put the support and the queries through the frozen layers
+    once, install the support representatives, optionally fine-tune, score
+    the queries."""
+    support = [r for label in episode.class_ids for r in episode.support[label]]
+    features = head.embedding.hidden_features(
+        np.stack([r.features for r in support + list(episode.queries)]))
+    support_features = features[:len(support)].reshape(len(episode.class_ids), -1,
+                                                        features.shape[1])
+    episode_head = replace_representatives(head, support_embeddings(head, support_features))
     if finetune_steps:
-        episode_finetune(episode_head, episode, finetune_steps, finetune_lr)
-    return score_queries(episode_head, episode.queries, episode.episode_id, episode.class_ids)
+        episode_finetune(episode_head, support_features, finetune_steps, finetune_lr)
+    return score_queries(episode_head, episode.queries, features[len(support):],
+                         episode.episode_id, episode.class_ids)
 
 
 @dataclass
@@ -372,16 +389,8 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
     """Rebuild episodes from ids against the dataset they were drawn from."""
     spec = None
     episodes = []
-    for line_no, obj in read_json_lines(path):
+    for line_no, obj in read_json_lines(path, "episodes"):
         if "kind" in obj:
-            if episodes or line_no != 1:
-                raise DatasetError("header line must come first", line_no)
-            if obj.get("kind") != "episodes":
-                raise DatasetError(f"expected kind 'episodes', got {obj.get('kind')!r}", line_no)
-            if obj.get("schema_version") != SCHEMA_VERSION:
-                raise DatasetError(
-                    f"unsupported schema_version {obj.get('schema_version')!r}", line_no
-                )
             try:
                 spec = EpisodeSpec(**obj["spec"])
             except (KeyError, TypeError) as e:

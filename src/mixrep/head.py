@@ -24,7 +24,6 @@ views of the batched calls.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 from dataclasses import dataclass
 
@@ -139,7 +138,11 @@ class EmbeddingNet:
             st.mode = mode
 
     def forward(self, X, update_stats: bool = True) -> Node:
-        """Batch forward: (B, input_dim) -> (B, e), rows unit-norm."""
+        """Batch forward: (B, input_dim) -> (B, e), rows unit-norm: the
+        hidden stack, then `last_layer`."""
+        return self.last_layer(self._hidden(X, update_stats))
+
+    def _hidden(self, X, update_stats: bool) -> Node:
         h = X if isinstance(X, Node) else ad.constant(np.asarray(X, dtype=np.float64))
         if h.value.ndim != 2 or h.value.shape[1] != self.config.input_dim:
             raise ShapeError(
@@ -147,23 +150,18 @@ class EmbeddingNet:
             )
         if not np.all(np.isfinite(h.value)):
             raise ValueError("embed: non-finite input")
-        last = len(self.weights) - 1
-        for i, w in enumerate(self.weights):
-            h = ad.matmul(h, w)
-            if i == last:
-                h = ad.add(h, self.last_bias)
-            else:
-                h = ad.batch_norm(
-                    h,
-                    self.gammas[i],
-                    self.betas[i],
-                    self.bn_states[i],
-                    update_stats=update_stats and self.mode == "train",
-                )
-                h = ad.relu(h)
-        if self.config.final_l2_normalize:
-            h = ad.l2_normalize(h)
+        for w, gamma, beta, st in zip(self.weights, self.gammas, self.betas, self.bn_states):
+            h = ad.batch_norm(ad.matmul(h, w), gamma, beta, st,
+                              update_stats=update_stats and self.mode == "train")
+            h = ad.relu(h)
         return h
+
+    def last_layer(self, h) -> Node:
+        """Penultimate features (B, width) -> embeddings (B, e): the last
+        affine layer, then the projection to the unit sphere unless
+        `final_l2_normalize` is off."""
+        h = ad.add(ad.matmul(h, self.weights[-1]), self.last_bias)
+        return ad.l2_normalize(h) if self.config.final_l2_normalize else h
 
     def embed(self, x) -> Node:
         """One input vector (input_dim,) -> embedding (e,): row 0 of
@@ -180,8 +178,17 @@ class EmbeddingNet:
         X = np.asarray(X, dtype=np.float64)
         if self.mode == "train":
             return self.forward(X, update_stats=False).value
-        return np.concatenate([self.forward(X[i:i + BLOCK_ROWS], update_stats=False).value
-                               for i in range(0, max(len(X), 1), BLOCK_ROWS)])
+        return _in_blocks(lambda block: self.forward(block, update_stats=False), X)
+
+    def hidden_features(self, X) -> np.ndarray:
+        """(B, input_dim) -> (B, width) values of the hidden stack in eval
+        mode, which this switches the net to: the penultimate features that
+        `last_layer` reads, the inputs themselves for a one-layer net. Like
+        `embed_batch`, rows go in blocks and each is bit-identical to
+        computing it alone."""
+        self.set_mode("eval")
+        return _in_blocks(lambda block: self._hidden(block, False),
+                          np.asarray(X, dtype=np.float64))
 
     def parameters(self) -> list[Node]:
         params: list[Node] = []
@@ -192,18 +199,11 @@ class EmbeddingNet:
         params.append(self.last_bias)
         return params
 
-    def last_layer_parameters(self) -> list[Node]:
-        return [self.weights[-1], self.last_bias]
 
-    def with_own_last_layer(self) -> EmbeddingNet:
-        """A shallow copy that shares every hidden layer and the batch-norm
-        statistics with this net but owns a copy of the last layer, so
-        tuning the copy's `last_layer_parameters` leaves this net intact."""
-        net = copy.copy(self)
-        *hidden, last = self.weights
-        net.weights = hidden + [ad.parameter(last.value.copy(), last.name)]
-        net.last_bias = ad.parameter(self.last_bias.value.copy(), self.last_bias.name)
-        return net
+def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
+    """Values of `fn` over X, BLOCK_ROWS rows at a time."""
+    return np.concatenate([fn(X[i:i + BLOCK_ROWS]).value
+                           for i in range(0, max(len(X), 1), BLOCK_ROWS)])
 
 
 class Representatives:
@@ -558,10 +558,6 @@ class MixtureHead:
     def score_batch(self, X, posterior_mode: str | None = None) -> Scores:
         """Embed raw inputs (eval-style forward) and score them, (B, input_dim)."""
         return self.score_embeddings(self.embedding.embed_batch(X), posterior_mode)
-
-    def score_embedding(self, embedding) -> HeadOutput:
-        """One row of `score_embeddings`."""
-        return self.score_embeddings(np.asarray(embedding, dtype=np.float64).reshape(1, -1))[0]
 
     def score(self, x) -> HeadOutput:
         """One row of `score_batch`."""

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import SCHEMA_VERSION, read_json_lines
 from .errors import ConfigError, DatasetError
-
-SCHEMA_VERSION = 1
 
 
 def _check_box(box, context: str):
@@ -251,33 +250,6 @@ _DETECTION_KEYS = {"record_id", "episode_id", "image_id", "box", "class_id", "sc
 _GT_KEYS = {"episode_id", "image_id", "box", "class_id"}
 
 
-def _read_jsonl(path, kind: str):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
-            if not isinstance(obj, dict):
-                raise DatasetError("each line must be a JSON object", line_no)
-            if "kind" in obj:
-                if rows or line_no != 1:
-                    raise DatasetError("header line must come first", line_no)
-                if obj.get("kind") != kind:
-                    raise DatasetError(f"expected kind {kind!r}, got {obj.get('kind')!r}", line_no)
-                if obj.get("schema_version") != SCHEMA_VERSION:
-                    raise DatasetError(
-                        f"unsupported schema_version {obj.get('schema_version')!r}", line_no
-                    )
-                continue
-            rows.append((line_no, obj))
-    return rows
-
-
 def save_detections(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "detections"}) + "\n")
@@ -294,7 +266,9 @@ def save_detections(records, path) -> None:
 
 def load_detections(path) -> list[DetectionRecord]:
     records = []
-    for line_no, obj in _read_jsonl(path, "detections"):
+    for line_no, obj in read_json_lines(path, "detections"):
+        if "kind" in obj:
+            continue
         unknown = set(obj) - _DETECTION_KEYS
         if unknown:
             raise DatasetError(f"unknown keys {sorted(unknown)}", line_no)
@@ -328,7 +302,9 @@ def save_ground_truth(boxes, path) -> None:
 
 def load_ground_truth(path) -> list[GroundTruthBox]:
     boxes = []
-    for line_no, obj in _read_jsonl(path, "ground_truth"):
+    for line_no, obj in read_json_lines(path, "ground_truth"):
+        if "kind" in obj:
+            continue
         unknown = set(obj) - _GT_KEYS
         if unknown:
             raise DatasetError(f"unknown keys {sorted(unknown)}", line_no)

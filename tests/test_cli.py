@@ -163,6 +163,27 @@ class TestGenEpisodes:
         assert "disk full" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("error", [DatasetError("disk full, probably"), KeyboardInterrupt()],
+                             ids=["mixrep-error", "interrupt"])
+    def test_failed_rerun_keeps_earlier_outputs(self, pipeline, tmp_path, monkeypatch, error):
+        out = tmp_path / "eps"
+        args = ["gen-episodes", "--config", str(pipeline["config"]),
+                "--data", str(pipeline["data"]), "--out", str(out)]
+        assert cli.main(args) == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def boom(episodes, spec, path):
+            path.write_text("partial", encoding="utf-8")
+            raise error
+
+        monkeypatch.setattr(cli, "save_episodes", boom)
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(args)
+        else:
+            assert cli.main(args) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
 
 class TestEvalClassify:
     def test_reports_train_and_test_error(self, pipeline, tmp_path, capsys):
@@ -405,4 +426,6 @@ class TestBenchmarkTracer:
         queries = RUN["ways"] * RUN["queries_per_class"] + RUN["background_queries"]
         assert [s["counts"]["queries"] for s in by_name["episodes.score_queries"]] == [queries] * 6
         assert all(s["counts"]["rows"] >= 1 for s in by_name["head.embed_batch"])
-        assert all(s["counts"]["nodes"] > 0 for s in by_name["head.total_loss"])
+        # the fine-tune graph holds the last layer, the representatives and
+        # the loss; the frozen layers are not in it
+        assert [s["counts"]["nodes"] for s in by_name["head.total_loss"]] == [56] * 18

@@ -107,6 +107,14 @@ class TestLoadValidation:
         with pytest.raises(DatasetError) as exc:
             load_dataset(bad)
         assert exc.value.line == 1
+        second = write_lines(
+            tmp_path,
+            ['{"schema_version": 1, "kind": "dataset"}'] * 2 + [rec_line("r1")],
+            "second.jsonl",
+        )
+        with pytest.raises(DatasetError, match="header line must come first") as exc:
+            load_dataset(second)
+        assert exc.value.line == 2
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -196,6 +196,22 @@ class TestEpisodeFiles:
             load_episodes(path, ds)
 
 
+def support_features(head, ep):
+    """Penultimate features of an episode's support set under `head`,
+    (ways, shots, width)."""
+    F = features(head, [r for c in ep.class_ids for r in ep.support[c]])
+    return F.reshape(len(ep.class_ids), -1, F.shape[1])
+
+
+def features(head, records):
+    """Penultimate features of `records` under `head`, one row each."""
+    return head.embedding.hidden_features(np.stack([r.features for r in records]))
+
+
+def installed(head, ep):
+    return replace_representatives(head, support_embeddings(head, support_features(head, ep)))
+
+
 class TestReplaceRepresentatives:
     def test_shape_five_way_one_shot(self):
         head = small_head()
@@ -210,7 +226,7 @@ class TestReplaceRepresentatives:
         ds = episode_dataset()
         head = small_head()
         ep = generate_episodes(ds, spec_for(ds, shots=3, episode_count=1))[0]
-        support = support_embeddings(head, ep)
+        support = support_embeddings(head, support_features(head, ep))
         assert support.shape == (3, 3, head.embedding.config.output_dim)
         for c, label in enumerate(ep.class_ids):
             for s, rec in enumerate(ep.support[label]):
@@ -220,9 +236,9 @@ class TestReplaceRepresentatives:
         ds = episode_dataset()
         head = small_head()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        episode_head = replace_representatives(head, support_embeddings(head, ep))
+        episode_head = installed(head, ep)
         sup = ep.support[ep.class_ids[2]][0]
-        out = episode_head.score(sup.features)
+        out = episode_head.score(features(head, [sup])[0])
         assert out.mode_probs.max() == pytest.approx(1.0, abs=1e-12)
         assert int(np.argmax(out.mode_probs.max(axis=1))) == 2
         assert out.background_posterior == pytest.approx(0.0, abs=1e-12)
@@ -231,40 +247,48 @@ class TestReplaceRepresentatives:
         # the trained head is never changed, so nothing needs restoring
         ds = episode_dataset()
         head = small_head()
-        probe = ds.records[0].features
-        before = head.score(probe)
+        probe = ds.records[0]
+        before = head.score(probe.features)
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        episode_head = replace_representatives(head, support_embeddings(head, ep))
-        mid = episode_head.score(probe)
+        episode_head = installed(head, ep)
+        mid = episode_head.score(features(head, [probe])[0])
         assert mid.class_posterior.shape != before.class_posterior.shape or \
             not np.array_equal(mid.class_posterior, before.class_posterior)
-        after = head.score(probe)
+        after = head.score(probe.features)
         assert np.array_equal(before.class_posterior, after.class_posterior)
         assert np.array_equal(before.mode_probs, after.mode_probs)
         assert before.background_posterior == after.background_posterior
 
-    def test_episode_head_shares_frozen_layers_and_owns_the_last(self):
+    def test_episode_head_shares_nothing(self):
         head = small_head()
         e = head.embedding.config.output_dim
         episode_head = replace_representatives(head, np.ones((2, 1, e)))
         net, episode_net = head.embedding, episode_head.embedding
-        assert all(a is b for a, b in zip(net.weights[:-1], episode_net.weights[:-1]))
-        assert all(a is b for a, b in zip(net.gammas + net.betas,
-                                          episode_net.gammas + episode_net.betas))
-        assert all(a is b for a, b in zip(net.bn_states, episode_net.bn_states))
-        for own, trained in zip(episode_net.last_layer_parameters(), net.last_layer_parameters()):
-            assert own is not trained and own.value is not trained.value
-            assert own.name == trained.name and np.array_equal(own.value, trained.value)
-        assert episode_head.representatives is not head.representatives
+        assert episode_net.config.input_dim == head.embedding.config.layer_widths[-2]
+        assert episode_net.config.layer_widths == (e,)
+        assert np.array_equal(episode_net.weights[0].value, net.weights[-1].value)
+        assert np.array_equal(episode_net.last_bias.value, net.last_bias.value)
+
+        def parts(h):
+            nodes = h.parameters()
+            states = h.embedding.bn_states
+            arrays = [n.value for n in nodes] + [a for st in states
+                                                 for a in (st.running_mean, st.running_var)]
+            return nodes, states, arrays
+
+        nodes, states, arrays = parts(head)
+        own_nodes, own_states, own_arrays = parts(episode_head)
+        assert not {id(n) for n in nodes} & {id(n) for n in own_nodes}
+        assert not {id(st) for st in states} & {id(st) for st in own_states}
+        assert not any(np.shares_memory(a, b) for a in arrays for b in own_arrays)
 
     def test_predictions_ignore_discarded_representatives(self):
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         ha, hb = small_head(seed=31), small_head(seed=31)
         hb.representatives.weight.value += 0.37  # perturb only the trained mixture
-        ea = replace_representatives(ha, support_embeddings(ha, ep))
-        eb = replace_representatives(hb, support_embeddings(hb, ep))
-        q = ep.queries[0].features
+        ea, eb = installed(ha, ep), installed(hb, ep)
+        q = features(ha, ep.queries[:1])[0]
         assert np.array_equal(ea.score(q).class_posterior, eb.score(q).class_posterior)
 
     def test_zero_support_class_rejected(self):
@@ -283,18 +307,20 @@ class TestReplaceRepresentatives:
 
 class TestEpisodeFinetune:
     def trained_head_and_episode(self):
+        """The trained head, an episode head built from it, and the support
+        features that episode head is tuned on."""
         ds = episode_dataset()
         seen = len({r.label for r in ds if not r.is_background and r.group != "unseen"})
         head = MixtureHead(EmbeddingConfig(10, (16, 8)), MixtureConfig(seen, 2, 0.5, 0.5),
                            task_mode="detection", seed=31)
         fit(head, ds, TrainConfig(iterations=60, lr=0.01, seed=131), BatchSpec(4, 4))
         ep = generate_episodes(ds, spec_for(ds, shots=5, episode_count=1))[0]
-        return replace_representatives(head, support_embeddings(head, ep)), ep
+        return head, installed(head, ep), support_features(head, ep)
 
-    def param_hash(self, head, names):
+    def param_hash(self, head):
         digest = hashlib.sha256()
         params = head.named_parameters()
-        for name in sorted(names):
+        for name in sorted(params):
             digest.update(params[name].value.tobytes())
         for st in head.embedding.bn_states:
             digest.update(st.running_mean.tobytes())
@@ -302,62 +328,58 @@ class TestEpisodeFinetune:
         return digest.hexdigest()
 
     def test_zero_steps_is_identity(self):
-        head, ep = self.trained_head_and_episode()
+        _, head, support = self.trained_head_and_episode()
         before = {n: p.value.copy() for n, p in head.named_parameters().items()}
-        result = episode_finetune(head, ep, steps=0)
+        result = episode_finetune(head, support, steps=0)
         assert result.losses == [] and result.kept_step == 0
         for n, p in head.named_parameters().items():
             assert np.array_equal(before[n], p.value), n
 
     def test_only_last_layer_and_mixture_move(self):
-        head, ep = self.trained_head_and_episode()
-        tuned = {"representatives.weight"}
-        tuned |= {n for n, p in head.named_parameters().items()
-                  if any(p is q for q in head.embedding.last_layer_parameters())}
-        frozen = set(head.named_parameters()) - tuned
-        frozen_before = self.param_hash(head, frozen)
-        tuned_before = self.param_hash(head, tuned)
-        result = episode_finetune(head, ep, steps=25, lr=0.05)
-        assert self.param_hash(head, frozen) == frozen_before
-        assert self.param_hash(head, tuned) != tuned_before
+        trained, head, support = self.trained_head_and_episode()
+        frozen_before = self.param_hash(trained)
+        tuned_before = self.param_hash(head)
+        result = episode_finetune(head, support, steps=25, lr=0.05)
+        assert self.param_hash(trained) == frozen_before
+        assert self.param_hash(head) != tuned_before
         assert len(result.losses) == 26
 
     def test_support_loss_never_ends_higher(self):
-        head, ep = self.trained_head_and_episode()
+        _, head, support = self.trained_head_and_episode()
         # deliberately unstable step size: the kept-best rule must still hold
-        result = episode_finetune(head, ep, steps=30, lr=2.0)
+        result = episode_finetune(head, support, steps=30, lr=2.0)
         assert result.losses[-1] >= min(result.losses)
-        final = episode_finetune(head, ep, steps=0)
+        final = episode_finetune(head, support, steps=0)
         assert final.losses == []
-        _, parts = head.total_loss(
-            np.stack([r.features for c in ep.class_ids for r in ep.support[c]]),
-            [i for i, c in enumerate(ep.class_ids) for _ in ep.support[c]],
-            update_stats=False,
-        )
+        ways, shots, width = support.shape
+        _, parts = head.total_loss(support.reshape(-1, width), np.repeat(np.arange(ways), shots),
+                                   update_stats=False)
         assert parts["total"] <= result.losses[0] + 1e-12
 
     def test_fifty_steps_reduce_support_loss(self):
-        head, ep = self.trained_head_and_episode()
-        result = episode_finetune(head, ep, steps=50, lr=0.01)
+        _, head, support = self.trained_head_and_episode()
+        result = episode_finetune(head, support, steps=50, lr=0.01)
         assert result.losses[-1] < result.losses[0]
 
     def test_negative_steps_rejected(self):
-        head, ep = self.trained_head_and_episode()
+        _, head, support = self.trained_head_and_episode()
         with pytest.raises(ConfigError):
-            episode_finetune(head, ep, steps=-1)
+            episode_finetune(head, support, steps=-1)
 
 
 class TestScoreQueries:
-    def installed(self):
+    def heads_and_episode(self):
+        """The trained head, an episode head built from it, and the episode."""
         ds = episode_dataset()
         head = small_head()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        return replace_representatives(head, support_embeddings(head, ep)), ep
+        return head, installed(head, ep), ep
 
     def test_support_point_scores_one(self):
-        head, ep = self.installed()
+        trained, head, ep = self.heads_and_episode()
         sup = ep.support[ep.class_ids[0]][0]
-        rec = score_queries(head, [sup], ep.episode_id, ep.class_ids)[0]
+        rec = score_queries(head, [sup], features(trained, [sup]), ep.episode_id,
+                            ep.class_ids)[0]
         assert rec.class_id == ep.class_ids[0]
         assert rec.score == pytest.approx(1.0, abs=1e-12)
 
@@ -367,16 +389,18 @@ class TestScoreQueries:
         supports = [np.eye(e)[i : i + 1] * 5.0 for i in range(3)]
         episode_head = replace_representatives(head, supports)
         query = FeatureRecord("q0", "c000", np.zeros(10))
-        emb = episode_head.embedding.embed(query.features).value
+        feats = features(head, [query])
+        emb = episode_head.embedding.embed(feats[0]).value
         assert all(np.linalg.norm(emb - s[0]) >= 3.0 for s in supports)
-        rec = score_queries(episode_head, [query], 0, ["a", "b", "c"])[0]
+        rec = score_queries(episode_head, [query], feats, 0, ["a", "b", "c"])[0]
         assert rec.class_id == BACKGROUND_LABEL
         assert rec.score > 0.9999
 
     def test_scores_invariant_to_query_order(self):
-        head, ep = self.installed()
-        fwd = score_queries(head, ep.queries, ep.episode_id, ep.class_ids)
-        rev = score_queries(head, ep.queries[::-1], ep.episode_id, ep.class_ids)
+        trained, head, ep = self.heads_and_episode()
+        feats = features(trained, ep.queries)
+        fwd = score_queries(head, ep.queries, feats, ep.episode_id, ep.class_ids)
+        rev = score_queries(head, ep.queries[::-1], feats[::-1], ep.episode_id, ep.class_ids)
         by_item = lambda recs, qs: {q.id: (r.class_id, r.score) for q, r in zip(qs, recs)}
         assert by_item(fwd, ep.queries) == by_item(rev, ep.queries[::-1])
 
@@ -385,15 +409,15 @@ class TestScoreQueries:
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, ways=1, episode_count=1,
                                             background_queries=0))[0]
-        episode_head = replace_representatives(head, support_embeddings(head, ep))
+        episode_head = installed(head, ep)
         sup = ep.support[ep.class_ids[0]][0]
-        rec = score_queries(episode_head, [sup], 0, ep.class_ids)[0]
+        rec = score_queries(episode_head, [sup], features(head, [sup]), 0, ep.class_ids)[0]
         assert rec.class_id == ep.class_ids[0]
 
     def test_fallback_box_and_image(self):
-        head, ep = self.installed()
+        trained, head, ep = self.heads_and_episode()
         q = FeatureRecord("lonely", "c000", np.zeros(10))
-        rec = score_queries(head, [q], 3, ep.class_ids)[0]
+        rec = score_queries(head, [q], features(trained, [q]), 3, ep.class_ids)[0]
         assert rec.box == (0.0, 0.0, 1.0, 1.0)
         assert rec.image_id == "lonely"
         assert rec.episode_id == 3
@@ -408,6 +432,8 @@ class TestRunEpisode:
                    for st in head.embedding.bn_states],
             "mixture": dataclasses.replace(head.mixture),
             "representatives": head.representatives.values().tobytes(),
+            "grads": {n: None if p.grad is None else p.grad.tobytes()
+                      for n, p in head.named_parameters().items()},
         }
 
     def test_scores_all_queries_and_restores(self):

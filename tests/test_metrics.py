@@ -481,3 +481,10 @@ class TestDetectionIO:
         path.write_text('{"schema_version": 99, "kind": "detections"}\n')
         with pytest.raises(DatasetError):
             load_detections(path)
+
+    @pytest.mark.parametrize("load", [load_detections, load_ground_truth])
+    def test_text_that_is_not_utf8_rejected(self, tmp_path, load):
+        path = tmp_path / "boxes.jsonl"
+        path.write_bytes(b'{"episode_id": 0, "image_id": "\xff"}\n')
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            load(path)

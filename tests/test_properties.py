@@ -2,11 +2,12 @@
 any input, not just the frozen examples."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mixrep import head as hd
+from mixrep.episodes import replace_representatives
 from mixrep.head import (
     EmbeddingConfig,
     MixtureConfig,
@@ -63,12 +64,20 @@ def test_background_is_exact_complement_of_best_mode(d):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 40),
        posterior_mode=st.sampled_from(["max", "normalized"]),
-       block=st.sampled_from([1, 3, 7, hd.BLOCK_ROWS]), data=st.data())
-def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mode, block, data):
-    """Permuting or splitting a batch changes no output bit, and a row
-    scores alone exactly as it does in a batch."""
+       block=st.sampled_from([1, 3, 7, hd.BLOCK_ROWS]),
+       net=st.sampled_from([((10, 8), True), ((10, 8), False), ((8,), True)]),
+       data=st.data())
+def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mode, block, net,
+                                                        data):
+    """Permuting or splitting a batch changes no output bit, a row scores
+    alone exactly as it does in a batch, and an episode head's one-layer net
+    over the penultimate features gives the embeddings bit for bit."""
+    widths, l2 = net
+    # embeddings off the unit sphere can lie so far from every mode that the
+    # normalized posterior raises PosteriorUnderflowError, as it should
+    assume(l2 or posterior_mode == "max")
     rng = np.random.default_rng(seed)
-    head = MixtureHead(EmbeddingConfig(6, (10, 8)),
+    head = MixtureHead(EmbeddingConfig(6, widths, final_l2_normalize=l2),
                        MixtureConfig(4, 2, 0.5, 0.5, posterior_mode=posterior_mode),
                        seed=seed % 1000)
     for bn in head.embedding.bn_states:  # stored statistics away from the identity
@@ -84,8 +93,14 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mo
         permuted = head.score_batch(X[perm])
         cut = data.draw(st.integers(1, batch))
         parts = [head.score_batch(X[:cut])] + ([head.score_batch(X[cut:])] if cut < batch else [])
+        episode_net = replace_representatives(head, np.ones((2, 1, 8))).embedding
+        hidden = head.embedding.hidden_features(X)
+        episode_embeddings = episode_net.embed_batch(hidden)
     finally:
         hd.BLOCK_ROWS = saved
+    assert np.array_equal(episode_embeddings, whole.embeddings)
+    if len(widths) == 1:
+        assert np.array_equal(hidden, X)
     assert np.array_equal(head.embedding.embed_batch(X[perm]), whole.embeddings[perm])
     for name, want in vars(whole).items():
         assert np.array_equal(getattr(permuted, name), want[perm]), name
