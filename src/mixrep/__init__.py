@@ -43,22 +43,18 @@ from .head import (
     save_checkpoint,
 )
 from .metrics import (
-    DetectionRecord,
-    GroundTruthBox,
+    Detections,
+    GroundTruth,
     PRCurve,
     attribute_neighborhood_precision,
     average_precision,
     classification_error,
     iou,
-    load_detections,
-    load_ground_truth,
     map_over_episodes,
     match_detections,
     per_class_ap,
     pr_curve,
     recall_at_k,
-    save_detections,
-    save_ground_truth,
 )
 from .rng import substream
 from .training import (

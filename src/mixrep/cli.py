@@ -23,7 +23,7 @@ from .episodes import (episode_ground_truth, evaluate_episodes, generate_episode
                        save_episodes)
 from .errors import ConfigError, MixrepError
 from .head import EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint, save_checkpoint
-from .metrics import classification_error, map_over_episodes, recall_at_k
+from .metrics import GroundTruth, classification_error, map_over_episodes, recall_at_k
 from .rng import substream
 from .training import class_index_map, fit, write_loss_trace
 
@@ -218,7 +218,7 @@ def cmd_eval_episodes(args, out):
             # the episode file pins classes and queries for every shot count;
             # only the support draw depends on it
             episodes = generate_episodes(dataset, dataclasses.replace(spec, shots=shots))
-        truth = [gt for ep in episodes for gt in episode_ground_truth(ep)]
+        truth = GroundTruth.concat([episode_ground_truth(ep) for ep in episodes])
         for steps in dict.fromkeys((0, config.finetune_steps)):
             result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
             row = {

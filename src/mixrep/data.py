@@ -18,7 +18,7 @@ from .errors import ConfigError, DatasetError
 from .rng import substream
 
 BACKGROUND_LABEL = "background"
-SCHEMA_VERSION = 1  # of every JSON Lines file: datasets, episodes, detections
+SCHEMA_VERSION = 1  # of every JSON Lines file: datasets and episodes
 
 _ALLOWED_KEYS = {"id", "label", "features", "box", "image_id", "attributes", "split", "group"}
 _SPLITS = ("train", "val", "test")
@@ -48,6 +48,8 @@ def _validate_box(box, line: int) -> tuple:
         x1, y1, x2, y2 = (float(v) for v in box)
     except (TypeError, ValueError):
         raise DatasetError(f"box coordinates must be numbers, got {box!r}", line) from None
+    if not np.isfinite([x1, y1, x2, y2]).all():
+        raise DatasetError(f"box coordinates must be finite, got {box!r}", line)
     if not (x2 > x1 and y2 > y1):
         raise DatasetError(f"degenerate box {box!r} (need x2 > x1 and y2 > y1)", line)
     return (x1, y1, x2, y2)

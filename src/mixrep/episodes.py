@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .data import BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, FeatureRecord, read_json_lines
 from .errors import ConfigError, DatasetError
 from .head import MixtureHead
-from .metrics import DetectionRecord, GroundTruthBox
+from .metrics import Detections, GroundTruth
 from .rng import substream
 from .training import SGD
 
@@ -256,35 +256,39 @@ def episode_finetune(head: MixtureHead, support, steps: int,
 # scoring
 
 
+def _image_and_box(rec: FeatureRecord):
+    """Where a record sits: its image (the record itself when it has none)
+    and its box (the unit box when it has none)."""
+    return (rec.image_id if rec.image_id is not None else rec.id,
+            rec.box if rec.box is not None else (0.0, 0.0, 1.0, 1.0))
+
+
 def score_queries(head: MixtureHead, queries, features, episode_id: int,
-                  class_ids) -> list[DetectionRecord]:
-    """One detection record per query, scored by the episode head `head`
-    from `features`, the queries' penultimate features, one row per query:
+                  class_ids) -> Detections:
+    """One detection per query, scored by the episode head `head` from
+    `features`, the queries' penultimate features, one row per query:
     best-mode class posterior as the score, background label when the
     background posterior beats every class. The queries are scored as one
     batch whose rows do not depend on each other, so order never matters."""
     if not queries:
-        return []
+        return Detections.concat([])
     scores = head.score_batch(features, posterior_mode="max")
-    records = []
-    for j, (rec, out) in enumerate(zip(queries, scores)):
-        if out.is_background:
-            class_id, score = BACKGROUND_LABEL, out.background_posterior
-        else:
-            class_id, score = class_ids[out.predicted_class], float(out.class_posterior.max())
-        records.append(DetectionRecord(
-            episode_id=episode_id,
-            image_id=rec.image_id if rec.image_id is not None else rec.id,
-            box=rec.box if rec.box is not None else (0.0, 0.0, 1.0, 1.0),
-            class_id=class_id,
-            score=min(1.0, max(0.0, score)),
-            record_id=f"e{episode_id:05d}-q{j:04d}-{rec.id}",
-        ))
-    return records
+    background = scores.is_background
+    places = [_image_and_box(rec) for rec in queries]
+    return Detections(
+        episode_id=np.full(len(queries), episode_id),
+        image_id=[image for image, _ in places],
+        class_id=np.where(background, BACKGROUND_LABEL,
+                          np.asarray(class_ids)[scores.predicted_class]),
+        boxes=[box for _, box in places],
+        scores=np.clip(np.where(background, scores.background_posterior,
+                                scores.class_posterior.max(axis=1)), 0.0, 1.0),
+        record_id=[f"e{episode_id:05d}-q{j:04d}-{rec.id}" for j, rec in enumerate(queries)],
+    )
 
 
 def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
-                finetune_lr: float = 0.01) -> list[DetectionRecord]:
+                finetune_lr: float = 0.01) -> Detections:
     """Full episode pass on an episode head built from `head`, which stays
     unchanged: put the support and the queries through the frozen layers
     once, install the support representatives, optionally fine-tune, score
@@ -305,7 +309,7 @@ def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
 class EpisodeEvaluation:
     """Pooled outcome of one pass over a set of episodes."""
 
-    detections: list[DetectionRecord]  # every query not called background
+    detections: Detections  # every query not called background
     foreground: int = 0
     foreground_correct: int = 0
     background: int = 0
@@ -325,35 +329,31 @@ def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
                       lr: float = 0.01) -> EpisodeEvaluation:
     """Run every episode (fine-tuning `steps` steps at `lr`) and pool its
     detections with the query accuracy and background false-accept counts."""
-    result = EpisodeEvaluation([])
+    result, kept = EpisodeEvaluation(Detections.concat([])), []
     for ep in episodes:
-        records = run_episode(head, ep, finetune_steps=steps, finetune_lr=lr)
-        for query, record in zip(ep.queries, records):
-            predicted_bg = record.class_id not in ep.class_ids
-            if query.is_background:
-                result.background += 1
-                result.background_accepted += not predicted_bg
-            else:
-                result.foreground += 1
-                result.foreground_correct += record.class_id == query.label
-            if not predicted_bg:
-                result.detections.append(record)
+        detections = run_episode(head, ep, finetune_steps=steps, finetune_lr=lr)
+        accepted = np.isin(detections.class_id, ep.class_ids)
+        background = np.array([q.is_background for q in ep.queries], dtype=bool)
+        correct = detections.class_id == np.array([q.label for q in ep.queries])
+        result.foreground += int(np.count_nonzero(~background))
+        result.foreground_correct += int(np.count_nonzero(~background & correct))
+        result.background += int(np.count_nonzero(background))
+        result.background_accepted += int(np.count_nonzero(background & accepted))
+        kept.append(detections[accepted])
+    result.detections = Detections.concat(kept)
     return result
 
 
-def episode_ground_truth(episode: Episode) -> list[GroundTruthBox]:
+def episode_ground_truth(episode: Episode) -> GroundTruth:
     """Ground truth for the foreground queries of one episode."""
-    boxes = []
-    for rec in episode.queries:
-        if rec.is_background:
-            continue
-        boxes.append(GroundTruthBox(
-            episode_id=episode.episode_id,
-            image_id=rec.image_id if rec.image_id is not None else rec.id,
-            box=rec.box if rec.box is not None else (0.0, 0.0, 1.0, 1.0),
-            class_id=rec.label,
-        ))
-    return boxes
+    foreground = [rec for rec in episode.queries if not rec.is_background]
+    places = [_image_and_box(rec) for rec in foreground]
+    return GroundTruth(
+        episode_id=np.full(len(foreground), episode.episode_id),
+        image_id=[image for image, _ in places],
+        class_id=[rec.label for rec in foreground],
+        boxes=[box for _, box in places],
+    )
 
 
 # ---------------------------------------------------------------------------

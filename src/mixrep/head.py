@@ -571,6 +571,8 @@ class MixtureHead:
 # checkpoints: versioned JSON, float64 arrays as base64, bit-exact round trip
 
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_KEYS = {"schema_version", "kind", "task_mode", "embedding", "mixture", "params",
+                    "bn_running"}
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -627,6 +629,9 @@ def load_checkpoint(path) -> MixtureHead:
         raise ConfigError(f"not a checkpoint file: {path}")
     if doc.get("schema_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {doc.get('schema_version')}")
+    unknown = set(doc) - _CHECKPOINT_KEYS
+    if unknown:
+        raise ConfigError(f"{path}: unknown checkpoint keys {sorted(unknown)}")
     try:
         return _head_from_doc(doc)
     except ConfigError as e:
@@ -652,6 +657,8 @@ def _head_from_doc(doc: dict) -> MixtureHead:
             arr = arr.reshape(node.value.shape)
         if arr.shape != node.value.shape:
             raise ConfigError(f"checkpoint shape mismatch for {name}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"checkpoint {name} holds non-finite values")
         node.value = arr
     states = head.embedding.bn_states
     if len(doc["bn_running"]) != len(states):
@@ -662,5 +669,9 @@ def _head_from_doc(doc: dict) -> MixtureHead:
         mean, var = _decode_array(stored["mean"]), _decode_array(stored["var"])
         if mean.shape != st.running_mean.shape or var.shape != st.running_var.shape:
             raise ConfigError("checkpoint batch-norm statistics have the wrong shape")
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+            raise ConfigError("checkpoint batch-norm statistics hold non-finite values")
+        if not (var > 0.0).all():
+            raise ConfigError("checkpoint batch-norm running variances must be positive")
         st.running_mean, st.running_var = mean, var
     return head

@@ -1,59 +1,94 @@
 """Detection and retrieval metrics.
 
-Detections from every episode are pooled into one set and thresholded
+Detections and ground truth are tables of column arrays, one row per box.
+Detections from every episode are pooled into one table and thresholded
 jointly; mAP is the per-class average over that pooled set, never a mean
 of per-episode APs. All functions here are pure and deterministic: score
 ties fall back to record ids, neighbor ties to the lower index.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SCHEMA_VERSION, read_json_lines
 from .errors import ConfigError, DatasetError
 
 
-def _check_box(box, context: str):
-    if box is None or len(box) != 4:
-        raise DatasetError(f"{context}: box must be 4 numbers, got {box!r}")
-    x1, y1, x2, y2 = (float(v) for v in box)
-    if not all(np.isfinite(v) for v in (x1, y1, x2, y2)):
+def _check_boxes(boxes, context: str) -> np.ndarray:
+    """`boxes` as a float64 (..., 4) array of finite boxes (x1, y1, x2, y2)
+    with positive area."""
+    try:
+        b = np.asarray(boxes, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{context}: boxes must be numbers, got {boxes!r}") from None
+    if b.shape[-1:] != (4,):
+        raise DatasetError(f"{context}: a box must be 4 numbers, got shape {b.shape}")
+    if not np.isfinite(b).all():
         raise DatasetError(f"{context}: box coordinates must be finite")
-    if x2 <= x1 or y2 <= y1:
-        raise DatasetError(f"{context}: box must have positive area, got {box!r}")
-    return (x1, y1, x2, y2)
+    flat = (b[..., 2] <= b[..., 0]) | (b[..., 3] <= b[..., 1])
+    if flat.any():
+        raise DatasetError(f"{context}: box must have positive area, got {b[flat][0].tolist()}")
+    return b
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One scored box from one episode."""
+class _Table:
+    """Columns of equal length, one row per box. `table[rows]` is the table
+    of the rows a mask or index array picks, in that order."""
 
-    episode_id: int
-    image_id: str
-    box: tuple
-    class_id: str
-    score: float
-    record_id: str | None = None
+    _inputs = ("episode_id", "image_id", "class_id", "boxes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box, "detection"))
-        s = float(self.score)
-        if not np.isfinite(s) or not 0.0 <= s <= 1.0:
-            raise DatasetError(f"detection score must be in [0, 1], got {self.score!r}")
-        object.__setattr__(self, "score", s)
+    def _set_columns(self, context, episode_id, image_id, class_id, boxes):
+        self.boxes = _check_boxes(boxes if len(boxes) else np.empty((0, 4)), context)
+        if self.boxes.ndim != 2:
+            raise DatasetError(f"{context}: boxes must be an (n, 4) array, got {self.boxes.shape}")
+        self.episode_id = self._column(context, episode_id, np.int64)
+        self.image_id = self._column(context, image_id, str)
+        self.class_id = self._column(context, class_id, str)
+
+    def _column(self, context, values, dtype) -> np.ndarray:
+        col = np.asarray(values, dtype=dtype)
+        if col.shape != (len(self),):
+            raise DatasetError(f"{context}: a column of shape {col.shape} for {len(self)} boxes")
+        return col
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, rows):
+        part = object.__new__(type(self))
+        part.__dict__.update((name, col[rows]) for name, col in vars(self).items())
+        return part
+
+    @classmethod
+    def concat(cls, tables):
+        """One table of the rows of `tables`, in order."""
+        return cls(*(np.concatenate([getattr(t, name) for t in tables]) if tables else []
+                     for name in cls._inputs))
 
 
-@dataclass(frozen=True)
-class GroundTruthBox:
-    episode_id: int
-    image_id: str
-    box: tuple
-    class_id: str
+class GroundTruth(_Table):
+    """Ground-truth boxes: episode id, image id, class id and box per row."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box, "ground truth"))
+    def __init__(self, episode_id, image_id, class_id, boxes):
+        self._set_columns("ground truth", episode_id, image_id, class_id, boxes)
+
+
+class Detections(_Table):
+    """Scored boxes from episodes: the ground-truth columns plus a score in
+    [0, 1] and a record id per row. `rank` is each row's place in the
+    ranking every metric walks: score descending, then record id, then
+    input position. A subset `detections[rows]` keeps those places."""
+
+    _inputs = _Table._inputs + ("scores", "record_id")
+
+    def __init__(self, episode_id, image_id, class_id, boxes, scores, record_id):
+        self._set_columns("detections", episode_id, image_id, class_id, boxes)
+        self.scores = self._column("detections", scores, np.float64)
+        if not ((0.0 <= self.scores) & (self.scores <= 1.0)).all():
+            raise DatasetError("detection scores must be in [0, 1]")
+        self.record_id = self._column("detections", record_id, str)
+        self.rank = np.empty(len(self), dtype=np.int64)
+        self.rank[np.lexsort((self.record_id, -self.scores))] = np.arange(len(self))
 
 
 @dataclass
@@ -66,16 +101,18 @@ class PRCurve:
     ap: float
 
 
-def iou(box_a, box_b) -> float:
-    ax1, ay1, ax2, ay2 = _check_box(box_a, "iou")
-    bx1, by1, bx2, by2 = _check_box(box_b, "iou")
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def iou(box_a, box_b):
+    """Intersection over union of (x1, y1, x2, y2) boxes, broadcast over
+    (..., 4) arrays; a float for a single pair."""
+    a, b = _check_boxes(box_a, "iou"), _check_boxes(box_b, "iou")
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    overlap = (iw > 0.0) & (ih > 0.0)
+    v = np.divide(inter, union, out=np.zeros(overlap.shape), where=overlap)
+    return float(v) if v.ndim == 0 else v
 
 
 def _check_iou_threshold(t):
@@ -85,53 +122,77 @@ def _check_iou_threshold(t):
     return t
 
 
-def _rank_key(indexed_record):
-    i, rec = indexed_record
-    return (-rec.score, rec.record_id if rec.record_id is not None else "", i)
+def _group_ids(*columns) -> np.ndarray:
+    """One integer per row, equal for two rows exactly when every column is."""
+    ids = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        values, inverse = np.unique(col, return_inverse=True)
+        ids = np.unique(ids * len(values) + inverse, return_inverse=True)[1]
+    return ids
 
 
-def match_detections(records, ground_truth, iou_threshold: float = 0.5) -> list[bool]:
-    """Greedy TP/FP labeling aligned with the input order.
+def _places(group, rank) -> np.ndarray:
+    """Each row's 0-based place within its group, the groups walked in
+    rank order."""
+    order = np.lexsort((rank, group))
+    ordered = group[order]
+    places = np.empty(len(group), dtype=np.int64)
+    places[order] = np.arange(len(group)) - np.searchsorted(ordered, ordered)
+    return places
+
+
+def match_detections(detections: Detections, truth: GroundTruth,
+                     iou_threshold: float = 0.5) -> np.ndarray:
+    """Greedy TP/FP labels, one bool per detection in input order.
 
     Matching never crosses an (episode_id, image_id, class_id) group. Within
-    a group, detections are visited by descending score (record id breaks
-    ties) and each claims its best unmatched box at or above the threshold.
+    a group, detections are visited in rank order and each claims its best
+    unmatched box at or above the threshold; of equal overlaps, the box
+    that comes first in `truth` wins.
     """
     iou_threshold = _check_iou_threshold(iou_threshold)
-    gt_groups: dict[tuple, list[GroundTruthBox]] = {}
-    for gt in ground_truth:
-        gt_groups.setdefault((gt.episode_id, gt.image_id, gt.class_id), []).append(gt)
-    det_groups: dict[tuple, list[tuple[int, DetectionRecord]]] = {}
-    for i, rec in enumerate(records):
-        det_groups.setdefault((rec.episode_id, rec.image_id, rec.class_id), []).append((i, rec))
-
-    flags = [False] * len(records)
-    for key, dets in det_groups.items():
-        gts = gt_groups.get(key, [])
-        taken = [False] * len(gts)
-        for i, rec in sorted(dets, key=_rank_key):
-            best_j, best_iou = -1, 0.0
-            for j, gt in enumerate(gts):
-                if taken[j]:
-                    continue
-                v = iou(rec.box, gt.box)
-                if v >= iou_threshold and v > best_iou:
-                    best_j, best_iou = j, v
-            if best_j >= 0:
-                taken[best_j] = True
-                flags[i] = True
+    n = len(detections)
+    group = _group_ids(*(np.concatenate([getattr(detections, name), getattr(truth, name)])
+                         for name in ("episode_id", "image_id", "class_id")))
+    det_group, gt_group = group[:n], group[n:]
+    # every (detection, box) pair of a group, that is each group's IoU
+    # matrix, flattened row by row
+    gt_order = np.argsort(gt_group, kind="stable")
+    first = np.searchsorted(gt_group[gt_order], det_group)
+    count = np.searchsorted(gt_group[gt_order], det_group, side="right") - first
+    det = np.repeat(np.arange(n), count)
+    kth = np.arange(len(det)) - np.repeat(np.cumsum(count) - count, count)
+    gt = gt_order[first[det] + kth]
+    overlap = iou(detections.boxes[det], truth.boxes[gt])
+    eligible = overlap >= iou_threshold
+    det, gt, overlap = det[eligible], gt[eligible], overlap[eligible]
+    # Groups never share a box, so the r-th detections of all groups claim
+    # in one round; each takes its best eligible box still free.
+    turn = _places(det_group, detections.rank)[det]
+    order = np.lexsort((gt, -overlap, det, turn))
+    det, gt, turn = det[order], gt[order], turn[order]
+    taken = np.zeros(len(truth), dtype=bool)
+    flags = np.zeros(n, dtype=bool)
+    rounds = np.flatnonzero(np.diff(turn)) + 1
+    for d, g in zip(np.split(det, rounds), np.split(gt, rounds)):
+        free = ~taken[g]
+        d, g = d[free], g[free]
+        best = np.unique(d, return_index=True)[1]
+        taken[g[best]] = True
+        flags[d[best]] = True
     return flags
 
 
-def pr_curve(labeled, num_gt: int) -> PRCurve:
-    """labeled: (record, is_tp) pairs; num_gt: positives in the ground truth."""
+def pr_curve(detections: Detections, tp, num_gt: int) -> PRCurve:
+    """Precision and recall walked down the ranking of `detections`; `tp`
+    holds each row's TP flag and num_gt the positives in the ground truth."""
     if num_gt < 1:
         raise ConfigError(f"num_gt must be >= 1, got {num_gt}")
-    ordered = sorted(enumerate(labeled), key=lambda e: _rank_key((e[0], e[1][0])))
-    if not ordered:
+    if not len(detections):
         return PRCurve(np.array([]), np.array([]), np.array([]), 0.0)
-    flags = np.array([tp for _, (_, tp) in ordered], dtype=bool)
-    scores = np.array([rec.score for _, (rec, _) in ordered])
+    order = np.argsort(detections.rank)
+    flags = np.asarray(tp, dtype=bool)[order]
+    scores = detections.scores[order]
     tp = np.cumsum(flags)
     fp = np.cumsum(~flags)
     precision = tp / (tp + fp)
@@ -144,31 +205,32 @@ def pr_curve(labeled, num_gt: int) -> PRCurve:
     return PRCurve(scores, precision, recall, ap)
 
 
-def average_precision(labeled, num_gt: int) -> float:
-    return pr_curve(labeled, num_gt).ap
+def average_precision(detections: Detections, tp, num_gt: int) -> float:
+    return pr_curve(detections, tp, num_gt).ap
 
 
-def per_class_ap(records, ground_truth, iou_threshold: float = 0.5) -> dict[str, float]:
-    """AP per class over the pooled record set, for classes with ground truth."""
-    flags = match_detections(records, ground_truth, iou_threshold)
-    gt_count: dict[str, int] = {}
-    for gt in ground_truth:
-        gt_count[gt.class_id] = gt_count.get(gt.class_id, 0) + 1
+def per_class_ap(detections: Detections, truth: GroundTruth,
+                 iou_threshold: float = 0.5) -> dict[str, float]:
+    """AP per class over the pooled detections, for classes with ground truth."""
+    flags = match_detections(detections, truth, iou_threshold)
+    classes, counts = np.unique(truth.class_id, return_counts=True)
     out = {}
-    for class_id in sorted(gt_count):
-        labeled = [(rec, tp) for rec, tp in zip(records, flags) if rec.class_id == class_id]
-        out[class_id] = average_precision(labeled, gt_count[class_id])
+    for class_id, count in zip(classes.tolist(), counts.tolist()):
+        rows = detections.class_id == class_id
+        out[class_id] = average_precision(detections[rows], flags[rows], count)
     return out
 
 
-def map_over_episodes(records, ground_truth, iou_threshold: float = 0.5) -> float:
-    aps = per_class_ap(records, ground_truth, iou_threshold)
+def map_over_episodes(detections: Detections, truth: GroundTruth,
+                      iou_threshold: float = 0.5) -> float:
+    aps = per_class_ap(detections, truth, iou_threshold)
     if not aps:
         raise ConfigError("mAP needs at least one ground-truth box")
     return float(np.mean(list(aps.values())))
 
 
-def recall_at_k(records, ground_truth, k: int, iou_threshold: float = 0.5) -> float:
+def recall_at_k(detections: Detections, truth: GroundTruth, k: int,
+                iou_threshold: float = 0.5) -> float:
     """Fraction of ground truth recovered by each image's k best detections.
 
     The top-k cut ranks all classes together within an image; matching then
@@ -176,17 +238,12 @@ def recall_at_k(records, ground_truth, k: int, iou_threshold: float = 0.5) -> fl
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not ground_truth:
+    if not len(truth):
         raise ConfigError("recall needs at least one ground-truth box")
-    by_image: dict[tuple, list[tuple[int, DetectionRecord]]] = {}
-    for i, rec in enumerate(records):
-        by_image.setdefault((rec.episode_id, rec.image_id), []).append((i, rec))
-    kept: list[DetectionRecord] = []
-    for key in sorted(by_image):
-        ranked = sorted(by_image[key], key=_rank_key)
-        kept.extend(rec for _, rec in ranked[:k])
-    flags = match_detections(kept, ground_truth, iou_threshold)
-    return sum(flags) / len(ground_truth)
+    image = _group_ids(detections.episode_id, detections.image_id)
+    kept = _places(image, detections.rank) < k
+    flags = match_detections(detections[kept], truth, iou_threshold)
+    return int(np.count_nonzero(flags)) / len(truth)
 
 
 def attribute_neighborhood_precision(embeddings, attributes, sizes) -> dict[int, float]:
@@ -241,82 +298,3 @@ def classification_error(head, records, label_to_index: dict[str, int],
             raise DatasetError(f"record {rec.id} has label {rec.label!r} outside the class map") from None
     scores = head.score_batch(np.stack([rec.features for rec in records]), posterior_mode)
     return int(np.count_nonzero(scores.predicted_class != np.array(targets))) / len(records)
-
-
-# ---------------------------------------------------------------------------
-# JSON Lines I/O for detections and ground truth
-
-_DETECTION_KEYS = {"record_id", "episode_id", "image_id", "box", "class_id", "score"}
-_GT_KEYS = {"episode_id", "image_id", "box", "class_id"}
-
-
-def save_detections(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "detections"}) + "\n")
-        for rec in records:
-            fh.write(json.dumps({
-                "record_id": rec.record_id,
-                "episode_id": rec.episode_id,
-                "image_id": rec.image_id,
-                "box": list(rec.box),
-                "class_id": rec.class_id,
-                "score": rec.score,
-            }) + "\n")
-
-
-def load_detections(path) -> list[DetectionRecord]:
-    records = []
-    for line_no, obj in read_json_lines(path, "detections"):
-        if "kind" in obj:
-            continue
-        unknown = set(obj) - _DETECTION_KEYS
-        if unknown:
-            raise DatasetError(f"unknown keys {sorted(unknown)}", line_no)
-        try:
-            records.append(DetectionRecord(
-                episode_id=int(obj["episode_id"]),
-                image_id=str(obj["image_id"]),
-                box=tuple(obj["box"]),
-                class_id=str(obj["class_id"]),
-                score=obj["score"],
-                record_id=obj.get("record_id"),
-            ))
-        except KeyError as e:
-            raise DatasetError(f"missing key {e.args[0]!r}", line_no) from None
-        except DatasetError as e:
-            raise DatasetError(str(e), line_no) from None
-    return records
-
-
-def save_ground_truth(boxes, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "ground_truth"}) + "\n")
-        for gt in boxes:
-            fh.write(json.dumps({
-                "episode_id": gt.episode_id,
-                "image_id": gt.image_id,
-                "box": list(gt.box),
-                "class_id": gt.class_id,
-            }) + "\n")
-
-
-def load_ground_truth(path) -> list[GroundTruthBox]:
-    boxes = []
-    for line_no, obj in read_json_lines(path, "ground_truth"):
-        if "kind" in obj:
-            continue
-        unknown = set(obj) - _GT_KEYS
-        if unknown:
-            raise DatasetError(f"unknown keys {sorted(unknown)}", line_no)
-        try:
-            boxes.append(GroundTruthBox(
-                episode_id=int(obj["episode_id"]),
-                image_id=str(obj["image_id"]),
-                box=tuple(obj["box"]),
-                class_id=str(obj["class_id"]),
-            ))
-        except KeyError as e:
-            raise DatasetError(f"missing key {e.args[0]!r}", line_no) from None
-        except DatasetError as e:
-            raise DatasetError(str(e), line_no) from None
-    return boxes

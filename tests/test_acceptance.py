@@ -5,6 +5,7 @@ data with frozen seeds; nothing depends on network or GPU."""
 import itertools
 import json
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from mixrep.data import SynthConfig, nearest_center_mode, synth_dataset
 from mixrep.episodes import EpisodeSpec, evaluate_episodes, generate_episodes
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
 from mixrep.metrics import (
-    DetectionRecord,
-    GroundTruthBox,
+    Detections,
+    GroundTruth,
     attribute_neighborhood_precision,
     average_precision,
     classification_error,
@@ -239,12 +240,24 @@ def test_criterion_4_episodic_open_set(announce):
 # 5. mAP machinery vs oracles
 
 
-def _det(score, box=(0, 0, 10, 10), episode=0, rid=None):
-    return DetectionRecord(episode, "img0", box, "cat", score, record_id=rid)
+_Det = namedtuple("_Det", "episode_id image_id class_id box score record_id")
+_Gt = namedtuple("_Gt", "episode_id image_id class_id box")
+
+
+def _det(score, box=(0, 0, 10, 10), episode=0, rid=""):
+    return _Det(episode, "img0", "cat", box, score, rid)
 
 
 def _gt(box=(0, 0, 10, 10), episode=0):
-    return GroundTruthBox(episode, "img0", box, "cat")
+    return _Gt(episode, "img0", "cat", box)
+
+
+def _dets(rows):
+    return Detections(*zip(*rows))
+
+
+def _gts(rows):
+    return GroundTruth(*(zip(*rows) if rows else [()] * 4))
 
 
 def _oracle_match(records, truth, iou_threshold):
@@ -289,7 +302,7 @@ def _oracle_match(records, truth, iou_threshold):
 
 def test_criterion_5_map_machinery(announce):
     records = [_det(0.9, rid="a"), _det(0.8, rid="b"), _det(0.7, rid="c")]
-    ap = average_precision(list(zip(records, [True, False, True])), 2)
+    ap = average_precision(_dets(records), [True, False, True], 2)
     ap_ok = abs(ap - 5.0 / 6.0) <= 1e-9
 
     rng = substream(5, "acceptance", "oracle")
@@ -308,17 +321,17 @@ def test_criterion_5_map_machinery(announce):
             x1, y1 = rng.integers(0, 6, size=2)
             w, h = rng.integers(1, 6, size=2)
             truth.append(_gt(box=(float(x1), float(y1), float(x1 + w), float(y1 + h))))
-        agreements += match_detections(dets, truth, iou_threshold=0.3) == \
+        agreements += match_detections(_dets(dets), _gts(truth), iou_threshold=0.3).tolist() == \
             _oracle_match(dets, truth, 0.3)
 
     pooled_records = [_det(0.9, episode=0, rid="a"),
                       _det(0.95, episode=1, box=(30, 0, 40, 10), rid="b"),
                       _det(0.5, episode=1, rid="c")]
     pooled_truth = [_gt(episode=0), _gt(episode=1)]
-    pooled = map_over_episodes(pooled_records, pooled_truth)
+    pooled = map_over_episodes(_dets(pooled_records), _gts(pooled_truth))
     averaged = float(np.mean([
-        map_over_episodes([r for r in pooled_records if r.episode_id == e],
-                          [g for g in pooled_truth if g.episode_id == e])
+        map_over_episodes(_dets([r for r in pooled_records if r.episode_id == e]),
+                          _gts([g for g in pooled_truth if g.episode_id == e]))
         for e in (0, 1)]))
     pool_ok = (abs(pooled - 2.0 / 3.0) < 1e-12 and abs(averaged - 0.75) < 1e-12
                and abs(pooled - averaged) > 0.05)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import importlib
 import importlib.util
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from mixrep import cli
+from mixrep.config import load_run_config
 from mixrep.data import load_dataset
+from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import DatasetError
 from mixrep.head import load_checkpoint
 
@@ -206,7 +209,9 @@ class TestEvalClassify:
         assert "--checkpoint" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("damage", ["truncate", "drop_task_mode", "empty_bn_running"])
+    @pytest.mark.parametrize("damage", ["truncate", "drop_task_mode", "empty_bn_running",
+                                        "nan_representative", "negative_variance",
+                                        "unknown_key"])
     def test_bad_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys, damage):
         text = pipeline["checkpoint"].read_text(encoding="utf-8")
         if damage == "truncate":
@@ -215,8 +220,14 @@ class TestEvalClassify:
             doc = json.loads(text)
             if damage == "drop_task_mode":
                 del doc["task_mode"]
-            else:
+            elif damage == "empty_bn_running":
                 doc["bn_running"] = []
+            elif damage == "nan_representative":
+                _set_first_value(doc["params"]["representatives.weight"], np.nan)
+            elif damage == "negative_variance":
+                _set_first_value(doc["bn_running"][0]["var"], -1.0)
+            else:
+                doc["comment"] = "not a checkpoint key"
             text = json.dumps(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
@@ -224,6 +235,13 @@ class TestEvalClassify:
                          "--checkpoint", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _set_first_value(encoded, value):
+    """Overwrite the first element of a base64 float64 array in a checkpoint."""
+    values = np.frombuffer(base64.b64decode(encoded["data"]), dtype="<f8").copy()
+    values[0] = value
+    encoded["data"] = base64.b64encode(values.tobytes()).decode("ascii")
 
 
 def _edit_first_episode(edit):
@@ -429,3 +447,12 @@ class TestBenchmarkTracer:
         # the fine-tune graph holds the last layer, the representatives and
         # the loss; the frozen layers are not in it
         assert [s["counts"]["nodes"] for s in by_name["head.total_loss"]] == [56] * 18
+        # map_over_episodes counts the non-background detections of its pass
+        config = load_run_config(pipeline["config"])
+        head = load_checkpoint(pipeline["checkpoint"])
+        episodes, _ = load_episodes(pipeline["episodes"], load_dataset(pipeline["data"]))
+        pooled = [len(evaluate_episodes(head, episodes, steps, config.finetune_lr).detections)
+                  for steps in (0, RUN["finetune_steps"])]
+        # some queries are called background, so this is not the query count
+        assert 0 < min(pooled) and max(pooled) < len(episodes) * queries
+        assert [s["counts"]["detections"] for s in by_name["metrics.map_over_episodes"]] == pooled

@@ -50,6 +50,15 @@ class TestLoadValidation:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    def test_infinite_box_reports_line(self, tmp_path):
+        # JSON Lines written by Python may carry Infinity; such a box has no
+        # finite area and its IoU with anything is NaN
+        path = write_lines(tmp_path, [rec_line("r1"),
+                                      rec_line("r2", box=[float("-inf"), 0, float("inf"), 1])])
+        with pytest.raises(DatasetError, match="finite") as exc:
+            load_dataset(path)
+        assert exc.value.line == 2
+
     def test_ragged_features_report_line(self, tmp_path):
         path = write_lines(tmp_path, [rec_line("r1"), rec_line("r2", features=[1, 2, 3])])
         with pytest.raises(DatasetError) as exc:

@@ -378,10 +378,10 @@ class TestScoreQueries:
     def test_support_point_scores_one(self):
         trained, head, ep = self.heads_and_episode()
         sup = ep.support[ep.class_ids[0]][0]
-        rec = score_queries(head, [sup], features(trained, [sup]), ep.episode_id,
-                            ep.class_ids)[0]
-        assert rec.class_id == ep.class_ids[0]
-        assert rec.score == pytest.approx(1.0, abs=1e-12)
+        dets = score_queries(head, [sup], features(trained, [sup]), ep.episode_id,
+                             ep.class_ids)
+        assert dets.class_id.tolist() == [ep.class_ids[0]]
+        assert dets.scores[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_far_query_goes_background(self):
         head = small_head()
@@ -392,16 +392,17 @@ class TestScoreQueries:
         feats = features(head, [query])
         emb = episode_head.embedding.embed(feats[0]).value
         assert all(np.linalg.norm(emb - s[0]) >= 3.0 for s in supports)
-        rec = score_queries(episode_head, [query], feats, 0, ["a", "b", "c"])[0]
-        assert rec.class_id == BACKGROUND_LABEL
-        assert rec.score > 0.9999
+        dets = score_queries(episode_head, [query], feats, 0, ["a", "b", "c"])
+        assert dets.class_id.tolist() == [BACKGROUND_LABEL]
+        assert dets.scores[0] > 0.9999
 
     def test_scores_invariant_to_query_order(self):
         trained, head, ep = self.heads_and_episode()
         feats = features(trained, ep.queries)
         fwd = score_queries(head, ep.queries, feats, ep.episode_id, ep.class_ids)
         rev = score_queries(head, ep.queries[::-1], feats[::-1], ep.episode_id, ep.class_ids)
-        by_item = lambda recs, qs: {q.id: (r.class_id, r.score) for q, r in zip(qs, recs)}
+        by_item = lambda dets, qs: {q.id: pair for q, pair in
+                                    zip(qs, zip(dets.class_id.tolist(), dets.scores.tolist()))}
         assert by_item(fwd, ep.queries) == by_item(rev, ep.queries[::-1])
 
     def test_single_class_background_rule(self):
@@ -411,16 +412,16 @@ class TestScoreQueries:
                                             background_queries=0))[0]
         episode_head = installed(head, ep)
         sup = ep.support[ep.class_ids[0]][0]
-        rec = score_queries(episode_head, [sup], features(head, [sup]), 0, ep.class_ids)[0]
-        assert rec.class_id == ep.class_ids[0]
+        dets = score_queries(episode_head, [sup], features(head, [sup]), 0, ep.class_ids)
+        assert dets.class_id.tolist() == [ep.class_ids[0]]
 
     def test_fallback_box_and_image(self):
         trained, head, ep = self.heads_and_episode()
         q = FeatureRecord("lonely", "c000", np.zeros(10))
-        rec = score_queries(head, [q], features(trained, [q]), 3, ep.class_ids)[0]
-        assert rec.box == (0.0, 0.0, 1.0, 1.0)
-        assert rec.image_id == "lonely"
-        assert rec.episode_id == 3
+        dets = score_queries(head, [q], features(trained, [q]), 3, ep.class_ids)
+        assert dets.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+        assert dets.image_id.tolist() == ["lonely"]
+        assert dets.episode_id.tolist() == [3]
 
 
 class TestRunEpisode:
@@ -446,9 +447,9 @@ class TestRunEpisode:
         state = self.state(head)
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         for steps in (0, 10):
-            records = run_episode(head, ep, finetune_steps=steps, finetune_lr=0.05)
-            assert len(records) == len(ep.queries)
-            assert all(r.episode_id == ep.episode_id for r in records)
+            detections = run_episode(head, ep, finetune_steps=steps, finetune_lr=0.05)
+            assert len(detections) == len(ep.queries)
+            assert (detections.episode_id == ep.episode_id).all()
             after = head.score(probe)
             assert np.array_equal(before.class_posterior, after.class_posterior)
             assert before.background_posterior == after.background_posterior
@@ -460,4 +461,4 @@ class TestRunEpisode:
         gts = episode_ground_truth(ep)
         fg = [q for q in ep.queries if not q.is_background]
         assert len(gts) == len(fg)
-        assert {g.class_id for g in gts} == set(ep.class_ids)
+        assert set(gts.class_id.tolist()) == set(ep.class_ids)

@@ -1,40 +1,64 @@
 """Detection matching, PR/AP, recall, and retrieval metrics."""
 
+import csv
 import itertools
+import json
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mixrep.data import SynthConfig, synth_dataset
+from mixrep import cli
+from mixrep.data import SynthConfig, load_dataset, synth_dataset
+from mixrep.episodes import episode_ground_truth, evaluate_episodes, load_episodes
 from mixrep.errors import ConfigError, DatasetError
-from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
+from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint
 from mixrep.metrics import (
-    DetectionRecord,
-    GroundTruthBox,
+    Detections,
+    GroundTruth,
     attribute_neighborhood_precision,
     average_precision,
     classification_error,
     iou,
-    load_detections,
-    load_ground_truth,
     map_over_episodes,
     match_detections,
     per_class_ap,
     pr_curve,
     recall_at_k,
-    save_detections,
-    save_ground_truth,
 )
 from mixrep.rng import substream
 from mixrep.training import BatchSpec, TrainConfig, class_index_map, fit
 
+# One row of each table, its fields in the order of the table's columns.
+Det = namedtuple("Det", "episode_id image_id class_id box score record_id")
+Gt = namedtuple("Gt", "episode_id image_id class_id box")
 
-def det(score, box=(0, 0, 10, 10), episode=0, image="img0", cls="cat", rid=None):
-    return DetectionRecord(episode, image, box, cls, score, record_id=rid)
+
+def det(score, box=(0, 0, 10, 10), episode=0, image="img0", cls="cat", rid=""):
+    return Det(episode, image, cls, box, score, rid)
 
 
 def gt(box=(0, 0, 10, 10), episode=0, image="img0", cls="cat"):
-    return GroundTruthBox(episode, image, box, cls)
+    return Gt(episode, image, cls, box)
+
+
+def dets(rows):
+    return Detections(*(zip(*rows) if rows else [()] * 6))
+
+
+def gts(rows):
+    return GroundTruth(*(zip(*rows) if rows else [()] * 4))
+
+
+def match(records, truth, **kw):
+    return match_detections(dets(records), gts(truth), **kw).tolist()
+
+
+def ap(labeled, num_gt):
+    """AP of (Det, is_tp) pairs."""
+    return average_precision(dets([r for r, _ in labeled]), [tp for _, tp in labeled], num_gt)
 
 
 class TestIou:
@@ -63,47 +87,83 @@ class TestIou:
         with pytest.raises(DatasetError):
             iou((0, 0, 1, 1), (2, 2, 2, 2))
 
+    def test_broadcast_matches_each_pair(self):
+        a = np.array([[0, 0, 2, 2], [0, 0, 4, 4], [0, 0, 1, 1]], dtype=float)
+        b = np.array([[1, 1, 3, 3], [1, 1, 2, 2], [1, 0, 2, 1]], dtype=float)
+        matrix = iou(a[:, None], b[None, :])
+        assert matrix.shape == (3, 3)
+        assert all(matrix[i, j] == iou(tuple(a[i]), tuple(b[j]))
+                   for i in range(3) for j in range(3))
+        assert isinstance(iou(tuple(a[0]), tuple(b[0])), float)
+
 
 class TestRecordValidation:
     def test_score_range_enforced(self):
-        with pytest.raises(DatasetError):
-            det(1.5)
-        with pytest.raises(DatasetError):
-            det(-0.1)
+        for score in (1.5, -0.1, float("nan"), float("inf")):
+            with pytest.raises(DatasetError):
+                dets([det(score)])
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(DatasetError):
-            det(0.5, box=(3, 3, 3, 5))
+            dets([det(0.5, box=(3, 3, 3, 5))])
+        with pytest.raises(DatasetError):
+            gts([gt(box=(0, 0, float("inf"), 1))])
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(DatasetError):
+            GroundTruth([0, 0], ["i", "i"], ["c"], [(0, 0, 1, 1), (0, 0, 1, 1)])
+        with pytest.raises(DatasetError):
+            GroundTruth([0], ["i"], ["c"], [(0, 0, 1)])
+
+    def test_rank_orders_score_then_record_id_then_position(self):
+        rows = [det(0.5, rid="b"), det(0.9, rid="z"), det(0.5, rid="a"), det(0.5, rid="a")]
+        assert dets(rows).rank.tolist() == [3, 0, 1, 2]
+        # a subset keeps the order of its rows
+        assert np.argsort(dets(rows)[[0, 3]].rank).tolist() == [1, 0]
+
+    def test_concat_ranks_the_pooled_rows(self):
+        first, second = dets([det(0.5, rid="b")]), dets([det(0.5, rid="a")])
+        pooled = Detections.concat([first, second])
+        assert pooled.rank.tolist() == [1, 0]
+        assert len(Detections.concat([])) == 0 and len(GroundTruth.concat([])) == 0
 
 
 class TestMatchDetections:
     def test_single_hit(self):
-        assert match_detections([det(0.9)], [gt()]) == [True]
+        assert match([det(0.9)], [gt()]) == [True]
 
     def test_second_detection_on_same_gt_is_fp(self):
         records = [det(0.6, rid="b"), det(0.9, rid="a")]
-        assert match_detections(records, [gt()]) == [False, True]
+        assert match(records, [gt()]) == [False, True]
 
     def test_score_tie_goes_to_lower_record_id(self):
         records = [det(0.7, rid="z"), det(0.7, rid="a")]
-        assert match_detections(records, [gt()]) == [False, True]
+        assert match(records, [gt()]) == [False, True]
 
     def test_iou_exactly_at_threshold_counts(self):
         # boxes overlap with IoU exactly 1/3
         records = [det(0.9, box=(0, 0, 2, 1))]
         truth = [gt(box=(1, 0, 3, 1))]
-        assert match_detections(records, truth, iou_threshold=1.0 / 3.0) == [True]
-        assert match_detections(records, truth, iou_threshold=0.34) == [False]
+        assert match(records, truth, iou_threshold=1.0 / 3.0) == [True]
+        assert match(records, truth, iou_threshold=0.34) == [False]
 
     def test_detection_takes_best_overlap(self):
         records = [det(0.9, box=(0, 0, 10, 10))]
         truth = [gt(box=(4, 4, 14, 14)), gt(box=(1, 1, 11, 11))]
-        flags = match_detections(records, truth)
+        flags = match(records, truth)
         assert flags == [True]
         # the better-overlapped gt is consumed: an equal box on the other gt
         # still matches it
         records2 = records + [det(0.5, box=(4, 4, 14, 14))]
-        assert match_detections(records2, truth) == [True, True]
+        assert match(records2, truth) == [True, True]
+
+    def test_equal_overlaps_go_to_the_first_box(self):
+        # the first detection overlaps both boxes by 1/2 and takes the first,
+        # which is the only box the second detection could have matched
+        records = [det(0.9, box=(0, 0, 2, 1)), det(0.5, box=(0, 0, 1, 1))]
+        truth = [gt(box=(0, 0, 1, 1)), gt(box=(1, 0, 2, 1))]
+        assert match(records, truth) == [True, False]
+        assert match(records, truth[::-1]) == [True, True]
 
     def test_matching_confined_to_group(self):
         # same geometry in another image, episode, or class never interacts
@@ -113,16 +173,109 @@ class TestMatchDetections:
             det(0.7, cls="dog"),
             det(0.6),
         ]
-        assert match_detections(records, [gt()]) == [False, False, False, True]
+        assert match(records, [gt()]) == [False, False, False, True]
 
     def test_input_order_preserved(self):
         records = [det(0.2, rid="a"), det(0.9, rid="b")]
         truth = [gt()]
-        assert match_detections(records, truth) == [False, True]
+        assert match(records, truth) == [False, True]
+
+    def test_empty_tables(self):
+        assert match([], [gt()]) == []
+        assert match([det(0.9)], []) == [False]
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):
-            match_detections([det(0.5)], [gt()], iou_threshold=0.0)
+            match([det(0.5)], [gt()], iou_threshold=0.0)
+
+
+def reference_match(records, truth, iou_threshold):
+    """The per-record greedy matcher: detections and boxes grouped in
+    dicts, each group's detections visited in sorted rank-key order, one
+    scalar IoU per pair, the first of equal best overlaps claimed."""
+    boxes: dict[tuple, list] = {}
+    for g in truth:
+        boxes.setdefault((g.episode_id, g.image_id, g.class_id), []).append(g.box)
+    groups: dict[tuple, list] = {}
+    for i, r in enumerate(records):
+        groups.setdefault((r.episode_id, r.image_id, r.class_id), []).append(i)
+    flags = [False] * len(records)
+    for key, members in groups.items():
+        candidates = boxes.get(key, [])
+        taken = [False] * len(candidates)
+        for i in sorted(members, key=lambda i: (-records[i].score, records[i].record_id, i)):
+            best_j, best_iou = -1, 0.0
+            for j, box in enumerate(candidates):
+                if taken[j]:
+                    continue
+                v = iou(records[i].box, box)
+                if v >= iou_threshold and v > best_iou:
+                    best_j, best_iou = j, v
+            if best_j >= 0:
+                taken[best_j] = flags[i] = True
+    return flags
+
+
+def reference_map(records, truth, iou_threshold):
+    """mAP from the reference labels: each class's detections sorted by the
+    rank key, then the cumulative precision/recall and its envelope."""
+    flags = reference_match(records, truth, iou_threshold)
+    aps = []
+    for class_id, num_gt in sorted(Counter(g.class_id for g in truth).items()):
+        rows = sorted((i for i, r in enumerate(records) if r.class_id == class_id),
+                      key=lambda i: (-records[i].score, records[i].record_id, i))
+        if not rows:
+            aps.append(0.0)
+            continue
+        hits = np.array([flags[i] for i in rows], dtype=bool)
+        tp, fp = np.cumsum(hits), np.cumsum(~hits)
+        precision, recall = tp / (tp + fp), tp / num_gt
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        prev = np.concatenate([[0.0], recall[:-1]])
+        aps.append(float(np.sum((recall - prev) * envelope)))
+    return float(np.mean(aps))
+
+
+def reference_recall(records, truth, k, iou_threshold):
+    """Recall@k from the reference labels of each image's k best detections."""
+    images: dict[tuple, list] = {}
+    for i, r in enumerate(records):
+        images.setdefault((r.episode_id, r.image_id), []).append(i)
+    kept = []
+    for key in sorted(images):
+        ranked = sorted(images[key], key=lambda i: (-records[i].score, records[i].record_id, i))
+        kept.extend(records[i] for i in ranked[:k])
+    return sum(reference_match(kept, truth, iou_threshold)) / len(truth)
+
+
+# Small grids make ties, duplicate boxes and IoUs exactly at the threshold
+# common; two episodes, images and classes give several groups, some of
+# them with detections and no ground truth or the other way round.
+grid_boxes = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2),
+                       st.integers(1, 2)).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+places = st.tuples(st.integers(0, 1), st.sampled_from(["i0", "i1"]),
+                   st.sampled_from(["cat", "dog"]))
+det_rows = st.lists(st.builds(lambda p, box, score, rid: Det(*p, box, score, rid), places,
+                              grid_boxes, st.sampled_from([0.2, 0.5, 0.9, 1.0]),
+                              st.sampled_from(["", "a", "b"])), max_size=14)
+gt_rows = st.lists(st.builds(lambda p, box: Gt(*p, box), places, grid_boxes), max_size=8)
+thresholds = st.sampled_from([1.0 / 3.0, 0.5, 0.25, 1.0 / 7.0, 2.0 / 3.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=det_rows, truth=gt_rows, iou_threshold=thresholds)
+@example(records=[det(0.9, box=(0, 0, 2, 1)), det(0.5, box=(0, 0, 1, 1))],
+         truth=[gt(box=(0, 0, 1, 1)), gt(box=(1, 0, 2, 1))], iou_threshold=0.5)
+def test_array_matcher_agrees_with_reference(records, truth, iou_threshold):
+    assert match(records, truth, iou_threshold=iou_threshold) == \
+        reference_match(records, truth, iou_threshold)
+    if truth:
+        detections, boxes = dets(records), gts(truth)
+        assert map_over_episodes(detections, boxes, iou_threshold) == \
+            reference_map(records, truth, iou_threshold)
+        for k in (1, 2, 3):
+            assert recall_at_k(detections, boxes, k, iou_threshold) == \
+                reference_recall(records, truth, k, iou_threshold)
 
 
 def oracle_match(records, truth, iou_threshold):
@@ -133,7 +286,6 @@ def oracle_match(records, truth, iou_threshold):
         range(len(records)),
         key=lambda i: (-records[i].score, records[i].record_id or "", i),
     )
-
     def compatible(i, j):
         r, g = records[i], truth[j]
         if (r.episode_id, r.image_id, r.class_id) != (g.episode_id, g.image_id, g.class_id):
@@ -191,7 +343,7 @@ class TestMatchOracle:
                 x1, y1 = rng.integers(0, 6, size=2)
                 w, h = rng.integers(1, 6, size=2)
                 truth.append(gt(box=(float(x1), float(y1), float(x1 + w), float(y1 + h))))
-            got = match_detections(records, truth, iou_threshold=0.3)
+            got = match(records, truth, iou_threshold=0.3)
             want = oracle_match(records, truth, 0.3)
             assert got == want, (trial, records, truth)
 
@@ -202,22 +354,22 @@ class TestAveragePrecision:
         return list(zip(records, [True, False, True]))
 
     def test_frozen_hand_value(self):
-        assert average_precision(self.frozen_example(), 2) == pytest.approx(5.0 / 6.0, abs=1e-9)
+        assert ap(self.frozen_example(), 2) == pytest.approx(5.0 / 6.0, abs=1e-9)
 
     def test_all_tp_is_one(self):
         labeled = [(det(0.9, rid="a"), True), (det(0.5, rid="b"), True)]
-        assert average_precision(labeled, 2) == 1.0
+        assert ap(labeled, 2) == 1.0
 
     def test_no_tp_is_zero(self):
         labeled = [(det(0.9), False)]
-        assert average_precision(labeled, 1) == 0.0
+        assert ap(labeled, 1) == 0.0
 
     def test_empty_detections_zero(self):
-        assert average_precision([], 3) == 0.0
+        assert ap([], 3) == 0.0
 
     def test_num_gt_validated(self):
         with pytest.raises(ConfigError):
-            average_precision([], 0)
+            ap([], 0)
 
     def test_monotone_score_transform_invariance(self):
         rng = substream(12, "ap", "mono")
@@ -230,8 +382,7 @@ class TestAveragePrecision:
                     for i, (s, f) in enumerate(zip(scores, flags))]
             moved = [(det(float(np.tanh(2.0 * s)), rid=f"r{i}"), bool(f))
                      for i, (s, f) in enumerate(zip(scores, flags))]
-            assert average_precision(base, num_gt) == pytest.approx(
-                average_precision(moved, num_gt), abs=1e-12)
+            assert ap(base, num_gt) == pytest.approx(ap(moved, num_gt), abs=1e-12)
 
     def test_curve_invariants(self):
         rng = substream(13, "ap", "curve")
@@ -239,7 +390,8 @@ class TestAveragePrecision:
             n = int(rng.integers(1, 15))
             labeled = [(det(float(rng.random()), rid=f"r{i}"), bool(rng.random() < 0.4))
                        for i in range(n)]
-            curve = pr_curve(labeled, max(1, sum(f for _, f in labeled)))
+            curve = pr_curve(dets([r for r, _ in labeled]), [f for _, f in labeled],
+                             max(1, sum(f for _, f in labeled)))
             assert np.all(np.diff(curve.recall) >= 0)
             assert np.all((curve.precision >= 0) & (curve.precision <= 1))
             assert np.all(np.diff(curve.thresholds) <= 0)
@@ -251,9 +403,9 @@ class TestMapOverEpisodes:
         records = [det(0.9, rid="a"), det(0.8, box=(20, 20, 30, 30), rid="b"),
                    det(0.7, box=(0, 0, 10, 10), rid="c")]
         truth = [gt(), gt(box=(50, 50, 60, 60))]
-        flags = match_detections(records, truth)
-        want = average_precision(list(zip(records, flags)), 2)
-        assert map_over_episodes(records, truth) == pytest.approx(want, abs=1e-12)
+        flags = match(records, truth)
+        want = ap(list(zip(records, flags)), 2)
+        assert map_over_episodes(dets(records), gts(truth)) == pytest.approx(want, abs=1e-12)
 
     def test_duplicated_episode_invariance(self):
         base = [det(0.9, rid="a"), det(0.6, box=(30, 0, 40, 10), rid="b")]
@@ -261,8 +413,8 @@ class TestMapOverEpisodes:
         doubled = base + [det(r.score, box=r.box, episode=1, rid=r.record_id + "x")
                           for r in base]
         truth2 = truth + [gt(episode=1)]
-        assert map_over_episodes(base, truth) == pytest.approx(
-            map_over_episodes(doubled, truth2), abs=1e-12)
+        assert map_over_episodes(dets(base), gts(truth)) == pytest.approx(
+            map_over_episodes(dets(doubled), gts(truth2)), abs=1e-12)
 
     def test_pooled_differs_from_episode_average(self):
         # episode 0: one perfect detection. episode 1: a high-scoring miss
@@ -273,10 +425,10 @@ class TestMapOverEpisodes:
             det(0.5, episode=1, rid="c"),
         ]
         truth = [gt(episode=0), gt(episode=1)]
-        pooled = map_over_episodes(records, truth)
+        pooled = map_over_episodes(dets(records), gts(truth))
         per_episode = [
-            map_over_episodes([r for r in records if r.episode_id == e],
-                              [g for g in truth if g.episode_id == e])
+            map_over_episodes(dets([r for r in records if r.episode_id == e]),
+                              gts([g for g in truth if g.episode_id == e]))
             for e in (0, 1)
         ]
         averaged = float(np.mean(per_episode))
@@ -287,13 +439,13 @@ class TestMapOverEpisodes:
     def test_class_without_gt_excluded(self):
         records = [det(0.9, rid="a"), det(0.8, cls="dog", rid="b")]
         truth = [gt()]
-        aps = per_class_ap(records, truth)
+        aps = per_class_ap(dets(records), gts(truth))
         assert set(aps) == {"cat"}
-        assert map_over_episodes(records, truth) == aps["cat"]
+        assert map_over_episodes(dets(records), gts(truth)) == aps["cat"]
 
     def test_no_gt_rejected(self):
         with pytest.raises(ConfigError):
-            map_over_episodes([det(0.9)], [])
+            map_over_episodes(dets([det(0.9)]), gts([]))
 
 
 class TestRecallAtK:
@@ -310,13 +462,13 @@ class TestRecallAtK:
 
     def test_hand_counted_example(self):
         records, truth = self.three_image_instance()
-        assert recall_at_k(records, truth, k=1) == pytest.approx(1.0 / 3.0)
-        assert recall_at_k(records, truth, k=2) == pytest.approx(2.0 / 3.0)
+        assert recall_at_k(dets(records), gts(truth), k=1) == pytest.approx(1.0 / 3.0)
+        assert recall_at_k(dets(records), gts(truth), k=2) == pytest.approx(2.0 / 3.0)
 
     def test_k_past_detection_count_saturates(self):
         records, truth = self.three_image_instance()
-        full = match_detections(records, truth)
-        assert recall_at_k(records, truth, k=50) == sum(full) / len(truth)
+        full = match(records, truth)
+        assert recall_at_k(dets(records), gts(truth), k=50) == sum(full) / len(truth)
 
     def test_non_decreasing_in_k(self):
         rng = substream(3, "recall")
@@ -330,19 +482,19 @@ class TestRecallAtK:
                     x = float(rng.integers(0, 30))
                     records.append(det(float(rng.random()), episode=e, image=img,
                                        box=(x, 0.0, x + 8.0, 8.0), rid=f"e{e}i{i}d{d}"))
-        values = [recall_at_k(records, truth, k) for k in range(1, 9)]
+        values = [recall_at_k(dets(records), gts(truth), k) for k in range(1, 9)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_top_k_pools_classes(self):
         # k=1 keeps only the dog detection, so the cat gt cannot match
         records = [det(0.9, cls="dog", rid="a"), det(0.8, rid="b")]
         truth = [gt()]
-        assert recall_at_k(records, truth, k=1) == 0.0
-        assert recall_at_k(records, truth, k=2) == 1.0
+        assert recall_at_k(dets(records), gts(truth), k=1) == 0.0
+        assert recall_at_k(dets(records), gts(truth), k=2) == 1.0
 
     def test_k_validated(self):
         with pytest.raises(ConfigError):
-            recall_at_k([det(0.9)], [gt()], k=0)
+            recall_at_k(dets([det(0.9)]), gts([gt()]), k=0)
 
 
 class TestAttributePrecision:
@@ -437,54 +589,55 @@ class TestClassificationError:
             classification_error(head, [], class_index_map(ds))
 
 
-class TestDetectionIO:
-    def test_round_trip(self, tmp_path):
-        records = [det(0.9, rid="a"), det(0.25, box=(1, 2, 3, 4), episode=3,
-                                          image="i7", cls="dog", rid="b")]
-        path = tmp_path / "dets.jsonl"
-        save_detections(records, path)
-        assert load_detections(path) == records
+# A detection workflow whose report is not saturated: three modes per class
+# spread wide, several boxed queries per image, and recall cut at 1 and 3.
+DIAGNOSTIC = {
+    "task_mode": "detection", "seed": 11, "layer_widths": [64, 32], "iterations": 150,
+    "classes_per_batch": 5, "instances_per_class": 6, "ways": 5, "queries_per_class": 10,
+    "episode_count": 12, "background_queries": 10, "finetune_steps": 5,
+    "recall_ks": [1, 3, 10],
+    "synth": {"num_classes": 15, "modes_per_class": 3, "samples_per_mode": 24,
+              "input_dim": 20, "spread": 0.6, "unseen_classes": 10,
+              "background_fraction": 0.15, "test_fraction": 0.0, "with_boxes": True},
+}
 
-    def test_ground_truth_round_trip(self, tmp_path):
-        boxes = [gt(), gt(box=(5, 5, 9, 9), episode=2, image="i1", cls="dog")]
-        path = tmp_path / "gt.jsonl"
-        save_ground_truth(boxes, path)
-        assert load_ground_truth(path) == boxes
 
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "gt.jsonl"
-        save_ground_truth([gt()], path)
-        with pytest.raises(DatasetError) as exc:
-            load_detections(path)
-        assert exc.value.line == 1
+def rows_of(detections):
+    return [Det(*row) for row in zip(
+        detections.episode_id.tolist(), detections.image_id.tolist(),
+        detections.class_id.tolist(), map(tuple, detections.boxes.tolist()),
+        detections.scores.tolist(), detections.record_id.tolist())]
 
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "dets.jsonl"
-        path.write_text('{"schema_version": 1, "kind": "detections"}\n'
-                        '{"episode_id": 0, "image_id": "i", "box": [0, 0, 1, 1], '
-                        '"class_id": "c", "score": 0.5, "extra": 1}\n')
-        with pytest.raises(DatasetError) as exc:
-            load_detections(path)
-        assert exc.value.line == 2
 
-    def test_bad_score_carries_line_number(self, tmp_path):
-        path = tmp_path / "dets.jsonl"
-        path.write_text('{"schema_version": 1, "kind": "detections"}\n'
-                        '{"episode_id": 0, "image_id": "i", "box": [0, 0, 1, 1], '
-                        '"class_id": "c", "score": 2.0}\n')
-        with pytest.raises(DatasetError) as exc:
-            load_detections(path)
-        assert exc.value.line == 2
+def test_diagnostic_pipeline_is_not_saturated(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(DIAGNOSTIC), encoding="utf-8")
+    data, model, eps = tmp_path / "data", tmp_path / "model", tmp_path / "eps"
+    common = ["--config", str(config)]
+    assert cli.main(["synth-data", *common, "--out", str(data)]) == 0
+    common += ["--data", str(data / "dataset.jsonl")]
+    assert cli.main(["train", *common, "--out", str(model)]) == 0
+    assert cli.main(["gen-episodes", *common, "--out", str(eps)]) == 0
+    assert cli.main(["eval-episodes", *common, "--checkpoint", str(model / "checkpoint.json"),
+                     "--episodes", str(eps / "episodes.jsonl"), "--shots", "1,5",
+                     "--out", str(tmp_path / "report")]) == 0
+    with open(tmp_path / "report" / "episode_report.csv", newline="", encoding="utf-8") as fh:
+        report = list(csv.DictReader(fh))
+    assert len(report) == 4
+    for row in report:
+        assert 0.0 < float(row["map"]) < 1.0, row
+        assert float(row["recall_at_1"]) < float(row["recall_at_3"]), row
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "dets.jsonl"
-        path.write_text('{"schema_version": 99, "kind": "detections"}\n')
-        with pytest.raises(DatasetError):
-            load_detections(path)
-
-    @pytest.mark.parametrize("load", [load_detections, load_ground_truth])
-    def test_text_that_is_not_utf8_rejected(self, tmp_path, load):
-        path = tmp_path / "boxes.jsonl"
-        path.write_bytes(b'{"episode_id": 0, "image_id": "\xff"}\n')
-        with pytest.raises(DatasetError, match="not UTF-8"):
-            load(path)
+    # the matcher labels this run's real detections as the reference does
+    dataset = load_dataset(data / "dataset.jsonl")
+    episodes, _ = load_episodes(eps / "episodes.jsonl", dataset)
+    detections = evaluate_episodes(load_checkpoint(model / "checkpoint.json"), episodes).detections
+    truth = GroundTruth.concat([episode_ground_truth(ep) for ep in episodes])
+    truth_rows = [Gt(*row) for row in zip(truth.episode_id.tolist(), truth.image_id.tolist(),
+                                           truth.class_id.tolist(),
+                                           map(tuple, truth.boxes.tolist()))]
+    flags = match_detections(detections, truth)
+    assert 0 < flags.sum() < len(flags)
+    assert flags.tolist() == reference_match(rows_of(detections), truth_rows, 0.5)
+    assert map_over_episodes(detections, truth) == reference_map(rows_of(detections), truth_rows, 0.5)
+    assert recall_at_k(detections, truth, 1) == reference_recall(rows_of(detections), truth_rows, 1, 0.5)
