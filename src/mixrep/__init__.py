@@ -37,7 +37,6 @@ from .head import (
     HeadOutput,
     MixtureConfig,
     MixtureHead,
-    Representatives,
     Scores,
     load_checkpoint,
     save_checkpoint,

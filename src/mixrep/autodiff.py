@@ -195,7 +195,7 @@ def sqrt(a) -> Node:
     return _result(out, "sqrt", [(a, vjp)])
 
 
-def _reduce_extreme(a, axis, op_name: str) -> Node:
+def _reduce_extreme(a, axis: int, op_name: str) -> Node:
     a = _wrap(a)
     va = a.value
     if va.size == 0:
@@ -206,32 +206,26 @@ def _reduce_extreme(a, axis, op_name: str) -> Node:
     else:
         out = va.min(axis=axis)
         arg = va.argmin(axis=axis)
-    if axis is None:
-        tie = int((va == out).sum()) > 1
-    else:
-        tie = bool(((va == np.expand_dims(out, axis)).sum(axis=axis) > 1).any())
+    tie = bool(((va == np.expand_dims(out, axis)).sum(axis=axis) > 1).any())
 
     def vjp(g):
         gi = np.zeros_like(va)
-        if axis is None:
-            gi.flat[arg] = g
-        else:
-            np.put_along_axis(gi, np.expand_dims(arg, axis), np.expand_dims(as_array(g), axis), axis)
+        np.put_along_axis(gi, np.expand_dims(arg, axis), np.expand_dims(as_array(g), axis), axis)
         return gi
 
     return _result(out, op_name, [(a, vjp)], attrs={"arg_index": arg, "tie": tie})
 
 
-def reduce_max(a, axis: int | None = None) -> Node:
-    """Maximum over all entries (axis=None) or along one axis.
+def reduce_max(a, axis: int) -> Node:
+    """Maximum along one axis.
 
-    The winning index is exposed in `attrs["arg_index"]`; gradient is routed
-    only to the winner, with ties broken to the lowest index.
+    The winning indices are exposed in `attrs["arg_index"]`; gradient is
+    routed only to the winner, with ties broken to the lowest index.
     """
     return _reduce_extreme(a, axis, "reduce_max")
 
 
-def reduce_min(a, axis: int | None = None) -> Node:
+def reduce_min(a, axis: int) -> Node:
     return _reduce_extreme(a, axis, "reduce_min")
 
 
@@ -320,11 +314,11 @@ def pairwise_sq_dist(e, r) -> Node:
 
 
 def l2_normalize(a, epsilon: float = 1e-12) -> Node:
-    """Scale a vector (or each row of a matrix) to unit Euclidean norm."""
+    """Scale each row of a matrix to unit Euclidean norm."""
     a = _wrap(a)
     va = a.value
-    if va.ndim not in (1, 2):
-        raise ShapeError("l2_normalize", (va.shape,), "expected 1-d or 2-d input")
+    if va.ndim != 2:
+        raise ShapeError("l2_normalize", (va.shape,), "expected 2-d input")
     norms = np.sqrt((va * va).sum(axis=-1, keepdims=True))
     if np.any(norms < epsilon):
         raise DegenerateVectorError(
@@ -341,30 +335,20 @@ def l2_normalize(a, epsilon: float = 1e-12) -> Node:
 
 @dataclass
 class BatchNormState:
-    """Running statistics and mode for one batch-norm layer."""
+    """Running statistics for one batch-norm layer."""
 
     running_mean: Array
     running_var: Array
     momentum: float = 0.9
     epsilon: float = 1e-5
-    mode: str = "train"  # "train" | "eval"
-
-    @classmethod
-    def create(cls, num_features: int, momentum: float = 0.9, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(
-            running_mean=np.zeros(num_features),
-            running_var=np.ones(num_features),
-            momentum=float(momentum),
-            epsilon=float(epsilon),
-        )
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, update_stats: bool = True) -> Node:
+def batch_norm(x, gamma, beta, state: BatchNormState, train: bool = False) -> Node:
     """Batch normalization over axis 0 with learnable per-feature affine.
 
-    Train mode normalizes with batch statistics (batch size >= 2) and, when
-    `update_stats`, advances the running estimates. Eval mode uses only the
-    stored statistics, independent of batch content.
+    With `train`, normalizes with batch statistics (batch size >= 2) and
+    advances the running estimates. Otherwise uses only the stored
+    statistics, so each row is independent of the rest of the batch.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     vx, vg, vb = x.value, gamma.value, beta.value
@@ -374,18 +358,17 @@ def batch_norm(x, gamma, beta, state: BatchNormState, update_stats: bool = True)
     if vg.shape != (nfeat,) or vb.shape != (nfeat,):
         raise ShapeError("batch_norm", (vx.shape, vg.shape, vb.shape), "affine shape mismatch")
 
-    if state.mode == "train":
+    if train:
         batch = vx.shape[0]
         if batch < 2:
-            raise ShapeError("batch_norm", (vx.shape,), "train mode needs batch size >= 2")
+            raise ShapeError("batch_norm", (vx.shape,), "batch statistics need batch size >= 2")
         mean = vx.mean(axis=0)
         var = vx.var(axis=0)
         inv = 1.0 / np.sqrt(var + state.epsilon)
         xhat = (vx - mean) * inv
-        if update_stats:
-            m = state.momentum
-            state.running_mean = m * state.running_mean + (1.0 - m) * mean
-            state.running_var = m * state.running_var + (1.0 - m) * var
+        m = state.momentum
+        state.running_mean = m * state.running_mean + (1.0 - m) * mean
+        state.running_var = m * state.running_var + (1.0 - m) * var
 
         def vjp_x(g):
             dxhat = g * vg
@@ -393,15 +376,12 @@ def batch_norm(x, gamma, beta, state: BatchNormState, update_stats: bool = True)
                 batch * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
             )
 
-    elif state.mode == "eval":
+    else:
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
         xhat = (vx - state.running_mean) * inv
 
         def vjp_x(g):
             return g * vg * inv
-
-    else:
-        raise ValueError(f"batch_norm: unknown mode '{state.mode}'")
 
     out = vg * xhat + vb
     return _result(
@@ -497,7 +477,8 @@ def finite_difference_check(
     Returns the maximum over all coordinates of
     |analytic - numeric| / max(1, |analytic|, |numeric|).
 
-    `f` must rebuild its graph on every call and be side-effect free.
+    `f` must rebuild its graph on every call, and its value must not depend
+    on earlier calls.
     Raises NonSmoothPointError when the nominal evaluation hits an exact tie
     in a max/min reduction, and GradientCheckError when any evaluation or
     analytic gradient is NaN.

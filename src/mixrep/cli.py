@@ -150,7 +150,6 @@ def cmd_eval_classify(args, out):
     if not args.checkpoint:
         raise ConfigError("missing --checkpoint")
     head = load_checkpoint(args.checkpoint)
-    head.set_mode("eval")
     dataset = _load_data(args)
     cmap = class_index_map(dataset)
     if len(cmap) != head.mixture.num_classes:
@@ -272,7 +271,7 @@ def cmd_grad_check(args, out):
     labels = [0, 1, 2, 3, 0, 1, 2, -1 if config.task_mode == "detection" else 3]
     params = head.parameters()
     max_err = float(finite_difference_check(
-        lambda _params: head.total_loss(X, labels, update_stats=False)[0], params
+        lambda _params: head.total_loss(X, labels, train=True)[0], params
     ))
     passed = max_err <= GRAD_CHECK_TOLERANCE
     print(f"max relative gradient error: {max_err:.3e} "
@@ -292,7 +291,6 @@ def cmd_export_embeddings(args, out):
         raise ConfigError("missing --checkpoint")
     head = load_checkpoint(args.checkpoint)
     dataset = _load_data(args)
-    head.set_mode("eval")
     _log_config(config, out)
     dim = head.embedding.config.output_dim
     X = np.stack([rec.features for rec in dataset])

@@ -5,7 +5,9 @@ optionally fine-tune it, score.
 The trained head's hidden layers are frozen for an episode, so they run
 once per episode row: the episode head is a one-layer head of its own over
 the penultimate features, and fine-tuning and query scoring run only that
-last layer and the representatives.
+last layer and the representatives. It is built from three arrays (the last
+weight and bias of the trained head and the support embeddings), so no
+initial values are drawn for it.
 
 Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
@@ -171,10 +173,11 @@ def replace_representatives(head: MixtureHead, support) -> MixtureHead:
 
     support: (ways, shots, dim) embeddings. The episode head is a head of
     its own over the penultimate features of `head` (see
-    `EmbeddingNet.hidden_features`): a one-layer net that starts from copies
-    of the last weight and bias of `head`, and the support embeddings as its
-    representatives. It shares no parameter, array or batch-norm state with
-    `head`, so tuning it never reaches `head`.
+    `EmbeddingNet.hidden_features`), built from three arrays with
+    `MixtureHead.from_arrays`, so no initial values are drawn: a one-layer
+    net starting from copies of the last weight and bias of `head`, and the
+    support embeddings as its representatives. It shares no parameter or
+    array with `head`, so tuning it never reaches `head`.
     """
     try:
         values = np.asarray(support, dtype=np.float64)
@@ -188,17 +191,13 @@ def replace_representatives(head: MixtureHead, support) -> MixtureHead:
         )
     ways, shots, _ = values.shape
     last = head.embedding.weights[-1].value
-    episode_head = MixtureHead(
+    return MixtureHead.from_arrays(
         dataclasses.replace(head.embedding.config, input_dim=last.shape[0], layer_widths=(dim,)),
         dataclasses.replace(head.mixture, num_classes=ways, modes_per_class=shots),
-        task_mode=head.task_mode,
+        head.task_mode,
+        {"layers.0.weight": last, "layers.0.bias": head.embedding.last_bias.value,
+         "representatives.weight": values},
     )
-    net = episode_head.embedding
-    net.weights[0].value = last.copy()
-    net.last_bias.value = head.embedding.last_bias.value.copy()
-    episode_head.representatives.set_values(values)
-    episode_head.set_mode("eval")
-    return episode_head
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,7 @@ def episode_finetune(head: MixtureHead, support, steps: int,
     losses = []
     best = (np.inf, 0, None)
     for step in range(steps + 1):
-        loss, parts = head.total_loss(X, labels, update_stats=False)
+        loss, parts = head.total_loss(X, labels)
         value = parts["total"]
         losses.append(value)
         if value < best[0]:

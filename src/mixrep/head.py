@@ -12,13 +12,20 @@ batch: one (B, N, K) distance table per step, per-class minima as row-wise
 minima under additive constant masks, and one label entry picked per row.
 Division is composed as exp(log a - log b).
 
+A head is its parameter arrays and batch-norm running statistics, nothing
+else: `parameter_layout` names them and gives their shapes, and
+`MixtureHead.from_arrays` is the one place that checks them and builds a
+head. Seeded heads, loaded checkpoints and episode heads all go through it.
+There is no stored train/eval mode: only a training step asks for batch
+statistics (`train=True`); every other forward reads the running ones.
+
 Inference is batched too: `MixtureHead.score_embeddings` turns (B, e)
 embeddings into a `Scores` table (distances, mode probabilities, class and
 background posteriors, prediction, background flag per row) with the same
 distance and posterior primitives, and `score_batch` embeds raw inputs first.
 Every step works on each row by itself, so a row's scores are bit-identical
-whatever else shares its batch; `score` and `EmbeddingNet.embed` are one-row
-views of the batched calls.
+whatever else shares its batch, on any head; `score` is a one-row view of
+`score_batch`.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ BACKGROUND = -1  # label sentinel for clutter items (detection mode only)
 
 # rows per block of batched inference: bounds every temporary of embedding
 # and scoring, such as the (rows, N*K, e) difference inside pairwise_sq_dist,
-# so peak memory does not grow with the batch (rows are independent in eval
-# mode, so blocking changes no result bit)
+# so peak memory does not grow with the batch (rows are independent outside
+# training, so blocking changes no result bit)
 BLOCK_ROWS = 32
 
 PROB_FLOOR = 1e-12
@@ -101,48 +108,29 @@ class EmbeddingNet:
 
     Hidden layers carry no bias (the BN shift plays that role); the last
     layer has one so a dead-ReLU input still embeds to a usable direction.
+    Built by `MixtureHead` from checked parameter nodes, keyed by the names
+    of `parameter_layout`.
     """
 
-    def __init__(self, config: EmbeddingConfig, seed: int = 0):
+    def __init__(self, config: EmbeddingConfig, params: dict[str, Node],
+                 bn_states: list[BatchNormState]):
         self.config = config
-        self.weights: list[Node] = []
-        self.gammas: list[Node] = []
-        self.betas: list[Node] = []
-        self.bn_states: list[BatchNormState] = []
-        self.mode = "train"
-
-        widths = [config.input_dim, *config.layer_widths]
         last = len(config.layer_widths) - 1
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            rng = substream(seed, "init", "layer", i)
-            std = np.sqrt(2.0 / fan_in) if i < last else np.sqrt(1.0 / fan_in)
-            self.weights.append(
-                ad.parameter(rng.normal(0.0, std, size=(fan_in, fan_out)), f"layers.{i}.weight")
-            )
-            if i < last:
-                self.gammas.append(ad.parameter(np.ones(fan_out), f"layers.{i}.gamma"))
-                self.betas.append(ad.parameter(np.zeros(fan_out), f"layers.{i}.beta"))
-                self.bn_states.append(
-                    BatchNormState.create(fan_out, config.bn_momentum, config.bn_epsilon)
-                )
-        rng = substream(seed, "init", "layer", last, "bias")
-        self.last_bias = ad.parameter(
-            rng.normal(0.0, 0.01, size=config.output_dim), f"layers.{last}.bias"
-        )
+        self.weights = [params[f"layers.{i}.weight"] for i in range(last + 1)]
+        self.gammas = [params[f"layers.{i}.gamma"] for i in range(last)]
+        self.betas = [params[f"layers.{i}.beta"] for i in range(last)]
+        self.last_bias = params[f"layers.{last}.bias"]
+        self.bn_states = bn_states
 
-    def set_mode(self, mode: str) -> None:
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        self.mode = mode
-        for st in self.bn_states:
-            st.mode = mode
-
-    def forward(self, X, update_stats: bool = True) -> Node:
+    def forward(self, X, train: bool = False) -> Node:
         """Batch forward: (B, input_dim) -> (B, e), rows unit-norm: the
-        hidden stack, then `last_layer`."""
-        return self.last_layer(self._hidden(X, update_stats))
+        hidden stack, then `last_layer`. `train` normalizes with batch
+        statistics and advances the running ones (batch size >= 2);
+        otherwise the running statistics are read and every row is
+        independent of the rest of the batch."""
+        return self.last_layer(self._hidden(X, train))
 
-    def _hidden(self, X, update_stats: bool) -> Node:
+    def _hidden(self, X, train: bool = False) -> Node:
         h = X if isinstance(X, Node) else ad.constant(np.asarray(X, dtype=np.float64))
         if h.value.ndim != 2 or h.value.shape[1] != self.config.input_dim:
             raise ShapeError(
@@ -151,9 +139,7 @@ class EmbeddingNet:
         if not np.all(np.isfinite(h.value)):
             raise ValueError("embed: non-finite input")
         for w, gamma, beta, st in zip(self.weights, self.gammas, self.betas, self.bn_states):
-            h = ad.batch_norm(ad.matmul(h, w), gamma, beta, st,
-                              update_stats=update_stats and self.mode == "train")
-            h = ad.relu(h)
+            h = ad.relu(ad.batch_norm(ad.matmul(h, w), gamma, beta, st, train))
         return h
 
     def last_layer(self, h) -> Node:
@@ -163,41 +149,17 @@ class EmbeddingNet:
         h = ad.add(ad.matmul(h, self.weights[-1]), self.last_bias)
         return ad.l2_normalize(h) if self.config.final_l2_normalize else h
 
-    def embed(self, x) -> Node:
-        """One input vector (input_dim,) -> embedding (e,): row 0 of
-        `embed_batch` on a one-row batch, as a constant node."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeError("embed", (x.shape,), "expected a single vector")
-        return ad.constant(self.embed_batch(x[None])[0])
-
     def embed_batch(self, X) -> np.ndarray:
-        """(B, input_dim) -> (B, e) values, no graph kept. In eval mode each
-        row is bit-identical to embedding it alone, and rows are embedded in
-        blocks; train-mode batch statistics need the whole batch at once."""
-        X = np.asarray(X, dtype=np.float64)
-        if self.mode == "train":
-            return self.forward(X, update_stats=False).value
-        return _in_blocks(lambda block: self.forward(block, update_stats=False), X)
+        """(B, input_dim) -> (B, e) values, no graph kept. Rows go in blocks,
+        and each is bit-identical to embedding it alone."""
+        return _in_blocks(self.forward, np.asarray(X, dtype=np.float64))
 
     def hidden_features(self, X) -> np.ndarray:
-        """(B, input_dim) -> (B, width) values of the hidden stack in eval
-        mode, which this switches the net to: the penultimate features that
-        `last_layer` reads, the inputs themselves for a one-layer net. Like
-        `embed_batch`, rows go in blocks and each is bit-identical to
-        computing it alone."""
-        self.set_mode("eval")
-        return _in_blocks(lambda block: self._hidden(block, False),
-                          np.asarray(X, dtype=np.float64))
-
-    def parameters(self) -> list[Node]:
-        params: list[Node] = []
-        for i, w in enumerate(self.weights):
-            params.append(w)
-            if i < len(self.gammas):
-                params.extend([self.gammas[i], self.betas[i]])
-        params.append(self.last_bias)
-        return params
+        """(B, input_dim) -> (B, width) values of the hidden stack: the
+        penultimate features that `last_layer` reads, the inputs themselves
+        for a one-layer net. Like `embed_batch`, rows go in blocks and each
+        is bit-identical to computing it alone."""
+        return _in_blocks(self._hidden, np.asarray(X, dtype=np.float64))
 
 
 def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
@@ -206,36 +168,42 @@ def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
                            for i in range(0, max(len(X), 1), BLOCK_ROWS)])
 
 
-class Representatives:
-    """N*K mode centers, trained directly as one (N, K, dim) parameter."""
+def parameter_layout(embedding: EmbeddingConfig, mixture: MixtureConfig) -> dict[str, tuple]:
+    """Name -> shape of every parameter of a head, in parameter order: per
+    layer its weight, then gamma and beta on hidden layers; the last layer's
+    bias; the (N, K, e) representatives."""
+    widths = [embedding.input_dim, *embedding.layer_widths]
+    last = len(embedding.layer_widths) - 1
+    layout = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        layout[f"layers.{i}.weight"] = (fan_in, fan_out)
+        if i < last:
+            layout[f"layers.{i}.gamma"] = layout[f"layers.{i}.beta"] = (fan_out,)
+    layout[f"layers.{last}.bias"] = (embedding.output_dim,)
+    layout["representatives.weight"] = (mixture.num_classes, mixture.modes_per_class,
+                                        embedding.output_dim)
+    return layout
 
-    def __init__(self, num_classes: int, modes_per_class: int, dim: int, values=None, seed: int = 0):
-        self.num_classes = int(num_classes)
-        self.modes_per_class = int(modes_per_class)
-        self.dim = int(dim)
-        shape = (self.num_classes, self.modes_per_class, self.dim)
-        if values is None:
-            rng = substream(seed, "init", "representatives")
+
+def _seeded_arrays(embedding: EmbeddingConfig, mixture: MixtureConfig, seed: int) -> dict:
+    """Initial values of every parameter, each drawn from its own substream."""
+    last = len(embedding.layer_widths) - 1
+    arrays = {}
+    for name, shape in parameter_layout(embedding, mixture).items():
+        kind = name.rsplit(".", 1)[1]
+        if name == "representatives.weight":
             # std 0.01 keeps initial centers near the origin, so distances
             # from unit-norm embeddings start O(1)
-            values = rng.normal(0.0, 0.01, size=shape)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != shape:
-            raise ShapeError("representatives", (values.shape,), f"expected {shape}")
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("representatives must be finite")
-        self.weight = ad.parameter(values.copy(), "representatives.weight")
-
-    def values(self) -> np.ndarray:
-        return self.weight.value.copy()
-
-    def set_values(self, values) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        shape = (self.num_classes, self.modes_per_class, self.dim)
-        if values.shape != shape:
-            raise ShapeError("representatives", (values.shape,), f"expected {shape}")
-        self.weight.value = values.copy()
-        self.weight.grad = None
+            arrays[name] = substream(seed, "init", "representatives").normal(0.0, 0.01, size=shape)
+        elif kind in ("gamma", "beta"):
+            arrays[name] = np.ones(shape) if kind == "gamma" else np.zeros(shape)
+        elif kind == "bias":
+            arrays[name] = substream(seed, "init", "layer", last, "bias").normal(0.0, 0.01, size=shape)
+        else:
+            i = int(name.split(".")[1])
+            std = np.sqrt((2.0 if i < last else 1.0) / shape[0])
+            arrays[name] = substream(seed, "init", "layer", i).normal(0.0, std, size=shape)
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +221,10 @@ def clamp_min(node: Node, floor: float) -> Node:
 def distance_matrix(embeddings, representatives) -> Node:
     """Euclidean distances from each embedded row to every mode center.
 
-    `embeddings` is (B, e); `representatives` may be a Representatives
-    object or any target array pairwise_sq_dist accepts, e.g. (N, K, e),
-    giving (B, N, K). Entries are >= 0 and exactly 0 where an embedding
-    coincides with a center.
+    `embeddings` is (B, e); `representatives` is any target array
+    pairwise_sq_dist accepts, e.g. (N, K, e), giving (B, N, K). Entries are
+    >= 0 and exactly 0 where an embedding coincides with a center.
     """
-    if isinstance(representatives, Representatives):
-        representatives = representatives.weight
     return ad.sqrt(ad.pairwise_sq_dist(_wrap(embeddings), _wrap(representatives)))
 
 
@@ -432,6 +397,11 @@ class MixtureHead:
     `task_mode` selects the cross-entropy route: "classification" uses the
     normalized posterior (no background), "detection" renormalizes the
     max-mode posteriors together with the background term.
+
+    A head's state is its parameter arrays and batch-norm running
+    statistics, nothing else. `MixtureHead(...)` draws seeded initial
+    arrays; `from_arrays` builds a head from given ones, and the seeded
+    constructor goes through it too.
     """
 
     def __init__(
@@ -441,30 +411,64 @@ class MixtureHead:
         task_mode: str = "classification",
         seed: int = 0,
     ):
+        self._build(embedding_config, mixture_config, task_mode,
+                    _seeded_arrays(embedding_config, mixture_config, seed), None)
+
+    @classmethod
+    def from_arrays(cls, embedding: EmbeddingConfig, mixture: MixtureConfig, task_mode: str,
+                    arrays: dict, bn_running=None) -> "MixtureHead":
+        """A head holding copies of `arrays`, named as in `parameter_layout`,
+        with `bn_running` as the (mean, var) running statistics of each
+        hidden layer (zeros and ones when None). Draws no random values.
+        Names, shapes, finiteness and positive variances are checked; any
+        failure raises ConfigError."""
+        head = cls.__new__(cls)
+        head._build(embedding, mixture, task_mode, arrays, bn_running)
+        return head
+
+    def _build(self, embedding: EmbeddingConfig, mixture: MixtureConfig, task_mode: str,
+               arrays: dict, bn_running) -> None:
         if task_mode not in ("classification", "detection"):
             raise ConfigError(f"task_mode must be 'classification' or 'detection', got {task_mode!r}")
-        self.embedding = EmbeddingNet(embedding_config, seed=seed)
-        self.mixture = mixture_config
-        self.representatives = Representatives(
-            mixture_config.num_classes,
-            mixture_config.modes_per_class,
-            embedding_config.output_dim,
-            seed=seed,
-        )
+        layout = parameter_layout(embedding, mixture)
+        if set(arrays) != set(layout):
+            raise ConfigError(f"parameter names differ: missing {sorted(set(layout) - set(arrays))}, "
+                              f"unexpected {sorted(set(arrays) - set(layout))}")
+        params = {}
+        for name, shape in layout.items():
+            value = np.array(arrays[name], dtype=np.float64)
+            if value.shape != shape:
+                raise ConfigError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} holds non-finite values")
+            params[name] = ad.parameter(value, name)
+        widths = embedding.layer_widths[:-1]
+        if bn_running is None:
+            bn_running = [(np.zeros(w), np.ones(w)) for w in widths]
+        if len(bn_running) != len(widths):
+            raise ConfigError(
+                f"{len(bn_running)} batch-norm entries for {len(widths)} hidden layers")
+        states = []
+        for width, (mean, var) in zip(widths, bn_running):
+            mean, var = np.array(mean, dtype=np.float64), np.array(var, dtype=np.float64)
+            if mean.shape != (width,) or var.shape != (width,):
+                raise ConfigError("batch-norm statistics have the wrong shape")
+            if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+                raise ConfigError("batch-norm statistics hold non-finite values")
+            if not (var > 0.0).all():
+                raise ConfigError("batch-norm running variances must be positive")
+            states.append(BatchNormState(mean, var, embedding.bn_momentum, embedding.bn_epsilon))
+        self._params = params  # in layout order
+        self.embedding = EmbeddingNet(embedding, params, states)
+        self.mixture = mixture
+        self.representatives = params["representatives.weight"]
         self.task_mode = task_mode
 
-    @property
-    def mode(self) -> str:
-        return self.embedding.mode
-
-    def set_mode(self, mode: str) -> None:
-        self.embedding.set_mode(mode)
-
     def parameters(self) -> list[Node]:
-        return self.embedding.parameters() + [self.representatives.weight]
+        return list(self._params.values())
 
     def named_parameters(self) -> dict[str, Node]:
-        return {p.name: p for p in self.parameters()}
+        return dict(self._params)
 
     def parameter_groups(self) -> dict[str, list[Node]]:
         """Weight decay applies to affine weights/bias only, never to BN
@@ -473,13 +477,14 @@ class MixtureHead:
         no_decay = (
             list(self.embedding.gammas)
             + list(self.embedding.betas)
-            + [self.representatives.weight]
+            + [self.representatives]
         )
         return {"decay": decay, "no_decay": no_decay}
 
-    def total_loss(self, X, labels, update_stats: bool = True):
+    def total_loss(self, X, labels, train: bool = False):
         """Mean over the batch of (cross-entropy + margin hinge), built as
-        one graph over the whole batch.
+        one graph over the whole batch. `train` is passed on to
+        `EmbeddingNet.forward`.
 
         Background-labeled items (detection mode) contribute cross-entropy
         only. Returns (scalar Node, {"ce", "margin", "total"} floats).
@@ -491,8 +496,8 @@ class MixtureHead:
         if self.task_mode == "classification" and np.any(labels == BACKGROUND):
             raise ValueError("background labels require detection mode")
         batch = len(labels)
-        E = self.embedding.forward(X, update_stats=update_stats)
-        d2 = ad.pairwise_sq_dist(E, self.representatives.weight)
+        E = self.embedding.forward(X, train)
+        d2 = ad.pairwise_sq_dist(E, self.representatives)
         probs = ad.exp(ad.scale(d2, -1.0 / (2.0 * self.mixture.sigma**2)))
         if self.task_mode == "classification":
             ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
@@ -529,8 +534,9 @@ class MixtureHead:
         if mode not in ("max", "normalized"):
             raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {mode!r}")
         E = np.asarray(E, dtype=np.float64)
-        if E.ndim != 2 or not len(E) or E.shape[1] != self.representatives.dim:
-            raise ShapeError("score", (E.shape,), f"expected (B >= 1, {self.representatives.dim})")
+        dim = self.embedding.config.output_dim
+        if E.ndim != 2 or not len(E) or E.shape[1] != dim:
+            raise ShapeError("score", (E.shape,), f"expected (B >= 1, {dim})")
         blocks = [vars(self._score_block(E[i:i + BLOCK_ROWS], mode))
                   for i in range(0, len(E), BLOCK_ROWS)]
         return Scores(**{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
@@ -556,7 +562,7 @@ class MixtureHead:
         )
 
     def score_batch(self, X, posterior_mode: str | None = None) -> Scores:
-        """Embed raw inputs (eval-style forward) and score them, (B, input_dim)."""
+        """Embed raw inputs and score them, (B, input_dim)."""
         return self.score_embeddings(self.embedding.embed_batch(X), posterior_mode)
 
     def score(self, x) -> HeadOutput:
@@ -643,35 +649,12 @@ def load_checkpoint(path) -> MixtureHead:
 
 
 def _head_from_doc(doc: dict) -> MixtureHead:
-    head = MixtureHead(
-        EmbeddingConfig(**doc["embedding"]),
-        MixtureConfig(**doc["mixture"]),
-        task_mode=doc["task_mode"],
-    )
-    named = head.named_parameters()
-    if set(named) != set(doc["params"]):
-        raise ConfigError("checkpoint parameter names do not match the rebuilt head")
-    for name, node in named.items():
-        arr = _decode_array(doc["params"][name])
-        if name == "representatives.weight" and arr.shape == (1, node.value.size):
-            arr = arr.reshape(node.value.shape)
-        if arr.shape != node.value.shape:
-            raise ConfigError(f"checkpoint shape mismatch for {name}")
-        if not np.isfinite(arr).all():
-            raise ConfigError(f"checkpoint {name} holds non-finite values")
-        node.value = arr
-    states = head.embedding.bn_states
-    if len(doc["bn_running"]) != len(states):
-        raise ConfigError(
-            f"checkpoint has {len(doc['bn_running'])} batch-norm entries for {len(states)} hidden layers"
-        )
-    for st, stored in zip(states, doc["bn_running"]):
-        mean, var = _decode_array(stored["mean"]), _decode_array(stored["var"])
-        if mean.shape != st.running_mean.shape or var.shape != st.running_var.shape:
-            raise ConfigError("checkpoint batch-norm statistics have the wrong shape")
-        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
-            raise ConfigError("checkpoint batch-norm statistics hold non-finite values")
-        if not (var > 0.0).all():
-            raise ConfigError("checkpoint batch-norm running variances must be positive")
-        st.running_mean, st.running_var = mean, var
-    return head
+    embedding, mixture = EmbeddingConfig(**doc["embedding"]), MixtureConfig(**doc["mixture"])
+    arrays = {name: _decode_array(a) for name, a in doc["params"].items()}
+    reps = arrays.get("representatives.weight")
+    shape = parameter_layout(embedding, mixture)["representatives.weight"]
+    if reps is not None and reps.shape == (1, int(np.prod(shape))):
+        arrays["representatives.weight"] = reps.reshape(shape)
+    bn_running = [(_decode_array(st["mean"]), _decode_array(st["var"]))
+                  for st in doc["bn_running"]]
+    return MixtureHead.from_arrays(embedding, mixture, doc["task_mode"], arrays, bn_running)

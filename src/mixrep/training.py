@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, backward, zero_grads
-from .data import BACKGROUND_LABEL, Dataset, FeatureRecord
+from .autodiff import backward, zero_grads
+from .data import Dataset, FeatureRecord
 from .errors import ConfigError, DatasetError, TrainingDiverged
 from .head import BACKGROUND, MixtureHead
 from .rng import substream
@@ -205,7 +205,7 @@ def train_step(head: MixtureHead, batch: list[FeatureRecord], label_to_index: di
                optimizer, iteration: int = 0) -> dict:
     """One update. Returns the loss components; raises on divergence."""
     X, labels = batch_arrays(batch, label_to_index)
-    loss, parts = head.total_loss(X, labels, update_stats=True)
+    loss, parts = head.total_loss(X, labels, train=True)
     if not np.isfinite(parts["total"]):
         raise TrainingDiverged(
             f"non-finite loss {parts['total']}", iteration, [rec.id for rec in batch]
@@ -245,7 +245,6 @@ def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpe
     optimizer = make_optimizer(head, config)
     groups = batch_groups(pool, spec)
     rng = substream(config.seed, "sampler")
-    head.set_mode("train")
     result = TrainResult(head=head)
     for it in range(config.iterations):
         batch = sample_batch(pool, spec, rng, groups)
@@ -253,10 +252,7 @@ def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpe
         parts["iteration"] = it
         result.trace.append(parts)
         if hook is not None and config.eval_every > 0 and (it + 1) % config.eval_every == 0:
-            head.set_mode("eval")
             hook(it, head)
-            head.set_mode("train")
-    head.set_mode("eval")
     return result
 
 

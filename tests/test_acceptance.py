@@ -95,14 +95,14 @@ def _primitive_checks():
                    lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]),
                                                              ad.constant(0.3)))), [u]))
 
-    state = ad.BatchNormState.create(3)
+    state = ad.BatchNormState(np.zeros(3), np.ones(3))
     bx = ad.parameter(rng.normal(size=(6, 3)))
     bg = ad.parameter(rng.uniform(0.5, 1.5, size=3))
     bb = ad.parameter(rng.normal(size=3))
     shift = ad.constant(rng.normal(size=(6, 3)))
     checks.append(("batch_norm",
                    lambda ps: ad.reduce_sum(ad.square(ad.add(
-                       ad.batch_norm(ps[0], ps[1], ps[2], state, update_stats=False), shift))),
+                       ad.batch_norm(ps[0], ps[1], ps[2], state, train=True), shift))),
                    [bx, bg, bb]))
     return checks
 
@@ -117,7 +117,7 @@ def test_criterion_1_gradient_correctness(announce):
         head = MixtureHead(EmbeddingConfig(8, (12, 8)), MixtureConfig(4, 2, 0.5, 0.5),
                            task_mode=task_mode, seed=11)
         full[task_mode] = ad.finite_difference_check(
-            lambda _ps: head.total_loss(X, labels, update_stats=False)[0],
+            lambda _ps: head.total_loss(X, labels, train=True)[0],
             head.parameters(),
         )
     worst_primitive = ("", 0.0)
@@ -170,7 +170,6 @@ def test_criterion_2_multimodal_errors(announce, multimodal_run):
 
 def test_criterion_3_representative_fidelity(announce, multimodal_run):
     dataset, head = multimodal_run["dataset"], multimodal_run["head"]
-    head.set_mode("eval")
     labels = sorted({r.label for r in dataset if not r.is_background})
 
     cluster_means = {}
@@ -186,7 +185,7 @@ def test_criterion_3_representative_fidelity(announce, multimodal_run):
     gaps = [np.linalg.norm(a - b) for a, b in itertools.combinations(means, 2)]
     threshold = 0.25 * float(np.median(gaps))
 
-    reps = head.representatives.values()
+    reps = head.representatives.value
     cmap = class_index_map(dataset)
     worst = 0.0
     for (label, _mode), mean in cluster_means.items():
@@ -363,8 +362,6 @@ def test_criterion_6_posterior_invariants(announce):
     sigmas = (0.1, 0.5, 2.0)
     heads = [build(s, "max") for s in sigmas]
     normalized = build(0.5, "normalized")
-    for h in heads + [normalized]:
-        h.set_mode("eval")
     E = heads[0].embedding.embed_batch(X)
 
     outs = [h.score_embeddings(E) for h in heads + [normalized]]

@@ -350,7 +350,6 @@ class TestExportEmbeddings:
             exported = {row[0]: np.array([float(v) for v in row[2:]])
                         for row in list(csv.reader(fh))[1:]}
         head = load_checkpoint(pipeline["checkpoint"])
-        head.set_mode("eval")
         records = load_dataset(pipeline["data"]).records
         # scoring embeds whatever subset it is given: a stride of the
         # records as one batch, and single records on their own

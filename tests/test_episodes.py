@@ -37,7 +37,6 @@ def small_head(seed=31, num_classes=4, dim=10):
     head = MixtureHead(EmbeddingConfig(dim, (16, 8)),
                        MixtureConfig(num_classes, 2, 0.5, 0.5),
                        task_mode="detection", seed=seed)
-    head.set_mode("eval")
     return head
 
 
@@ -217,7 +216,7 @@ class TestReplaceRepresentatives:
         head = small_head()
         e = head.embedding.config.output_dim
         episode_head = replace_representatives(head, [np.ones((1, e)) * i for i in range(5)])
-        assert episode_head.representatives.values().shape == (5, 1, e)
+        assert episode_head.representatives.value.shape == (5, 1, e)
         assert episode_head.mixture.num_classes == 5
         assert episode_head.mixture.modes_per_class == 1
         assert head.mixture.num_classes == 4 and head.mixture.modes_per_class == 2
@@ -230,7 +229,7 @@ class TestReplaceRepresentatives:
         assert support.shape == (3, 3, head.embedding.config.output_dim)
         for c, label in enumerate(ep.class_ids):
             for s, rec in enumerate(ep.support[label]):
-                assert np.array_equal(support[c, s], head.embedding.embed(rec.features).value)
+                assert np.array_equal(support[c, s], head.embedding.embed_batch(rec.features[None])[0])
 
     def test_query_on_support_point_wins_with_zero_background(self):
         ds = episode_dataset()
@@ -286,7 +285,7 @@ class TestReplaceRepresentatives:
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         ha, hb = small_head(seed=31), small_head(seed=31)
-        hb.representatives.weight.value += 0.37  # perturb only the trained mixture
+        hb.representatives.value += 0.37  # perturb only the trained mixture
         ea, eb = installed(ha, ep), installed(hb, ep)
         q = features(ha, ep.queries[:1])[0]
         assert np.array_equal(ea.score(q).class_posterior, eb.score(q).class_posterior)
@@ -352,8 +351,7 @@ class TestEpisodeFinetune:
         final = episode_finetune(head, support, steps=0)
         assert final.losses == []
         ways, shots, width = support.shape
-        _, parts = head.total_loss(support.reshape(-1, width), np.repeat(np.arange(ways), shots),
-                                   update_stats=False)
+        _, parts = head.total_loss(support.reshape(-1, width), np.repeat(np.arange(ways), shots))
         assert parts["total"] <= result.losses[0] + 1e-12
 
     def test_fifty_steps_reduce_support_loss(self):
@@ -390,7 +388,7 @@ class TestScoreQueries:
         episode_head = replace_representatives(head, supports)
         query = FeatureRecord("q0", "c000", np.zeros(10))
         feats = features(head, [query])
-        emb = episode_head.embedding.embed(feats[0]).value
+        emb = episode_head.embedding.embed_batch(feats[:1])[0]
         assert all(np.linalg.norm(emb - s[0]) >= 3.0 for s in supports)
         dets = score_queries(episode_head, [query], feats, 0, ["a", "b", "c"])
         assert dets.class_id.tolist() == [BACKGROUND_LABEL]
@@ -432,7 +430,7 @@ class TestRunEpisode:
             "bn": [(st.running_mean.tobytes(), st.running_var.tobytes())
                    for st in head.embedding.bn_states],
             "mixture": dataclasses.replace(head.mixture),
-            "representatives": head.representatives.values().tobytes(),
+            "representatives": head.representatives.value.tobytes(),
             "grads": {n: None if p.grad is None else p.grad.tobytes()
                       for n, p in head.named_parameters().items()},
         }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mixrep import autodiff as ad
 from mixrep import head as hd
+from mixrep.episodes import replace_representatives
 from mixrep.errors import (
     ConfigError,
     DegenerateVectorError,
@@ -22,7 +23,6 @@ from mixrep.head import (
     EmbeddingNet,
     MixtureConfig,
     MixtureHead,
-    Representatives,
     background_posterior,
     class_posterior_max,
     class_posterior_normalized,
@@ -45,84 +45,96 @@ def small_head(task_mode="classification", seed=5, posterior_mode="normalized"):
     )
 
 
+def seeded_net(config, seed=0) -> EmbeddingNet:
+    return MixtureHead(config, MixtureConfig(num_classes=1), seed=seed).embedding
+
+
 class TestEmbedding:
     def test_output_unit_norm(self):
-        net = EmbeddingNet(EmbeddingConfig(input_dim=5, layer_widths=(7, 4)), seed=1)
-        net.set_mode("eval")
+        net = seeded_net(EmbeddingConfig(input_dim=5, layer_widths=(7, 4)), seed=1)
         E = net.embed_batch(np.random.default_rng(0).normal(size=(9, 5)))
         np.testing.assert_allclose(np.linalg.norm(E, axis=1), 1.0, atol=1e-9)
 
     def test_identity_layer_without_normalization(self):
-        net = EmbeddingNet(
+        net = seeded_net(
             EmbeddingConfig(input_dim=2, layer_widths=(2,), final_l2_normalize=False)
         )
         net.weights[0].value = np.eye(2)
         net.last_bias.value = np.zeros(2)
-        np.testing.assert_array_equal(net.embed([1.0, 2.0]).value, [1.0, 2.0])
+        np.testing.assert_array_equal(net.embed_batch(np.array([1.0, 2.0])[None])[0], [1.0, 2.0])
 
     def test_same_seed_reproduces_bit_exactly(self):
         X = np.random.default_rng(2).normal(size=(4, 5))
         outs = []
         for _ in range(2):
-            net = EmbeddingNet(EmbeddingConfig(input_dim=5, layer_widths=(6, 3)), seed=42)
-            net.set_mode("eval")
+            net = seeded_net(EmbeddingConfig(input_dim=5, layer_widths=(6, 3)), seed=42)
             outs.append(net.embed_batch(X))
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_degenerate_direction_rejected(self):
-        net = EmbeddingNet(EmbeddingConfig(input_dim=2, layer_widths=(2,)))
+        net = seeded_net(EmbeddingConfig(input_dim=2, layer_widths=(2,)))
         net.weights[0].value = np.zeros((2, 2))
         net.last_bias.value = np.zeros(2)
         with pytest.raises(DegenerateVectorError):
-            net.embed([1.0, 1.0])
+            net.embed_batch(np.array([1.0, 1.0])[None])
 
     def test_train_mode_needs_batch_of_two(self):
-        net = EmbeddingNet(EmbeddingConfig(input_dim=3, layer_widths=(4, 2)))
-        net.set_mode("train")
+        net = seeded_net(EmbeddingConfig(input_dim=3, layer_widths=(4, 2)))
         with pytest.raises(ShapeError):
-            net.forward(np.ones((1, 3)))
+            net.forward(np.ones((1, 3)), train=True)
 
     def test_input_dim_checked(self):
-        net = EmbeddingNet(EmbeddingConfig(input_dim=3, layer_widths=(4,)))
+        net = seeded_net(EmbeddingConfig(input_dim=3, layer_widths=(4,)))
         with pytest.raises(ShapeError):
             net.forward(np.ones((2, 5)))
 
     def test_hidden_layers_carry_bn_last_is_linear(self):
-        net = EmbeddingNet(EmbeddingConfig(input_dim=3, layer_widths=(4, 5, 2)))
+        net = seeded_net(EmbeddingConfig(input_dim=3, layer_widths=(4, 5, 2)))
         assert len(net.weights) == 3
         assert len(net.bn_states) == 2
         assert net.last_bias.value.shape == (2,)
 
 
+def head_with_representatives(values, seed=0) -> MixtureHead:
+    # a (N, K, 2) bank on a one-layer net of width 2, built from arrays
+    values = np.asarray(values, dtype=np.float64)
+    seeded = MixtureHead(EmbeddingConfig(input_dim=2, layer_widths=(2,)),
+                         MixtureConfig(values.shape[0], values.shape[1]), seed=seed)
+    arrays = {n: p.value for n, p in seeded.named_parameters().items()}
+    return MixtureHead.from_arrays(seeded.embedding.config, seeded.mixture, "classification",
+                                   {**arrays, "representatives.weight": values})
+
+
 class TestRepresentatives:
     def test_weight_holds_values_bit_exactly(self):
-        reps = Representatives(3, 2, 4, seed=9)
-        assert reps.weight.value.shape == (3, 2, 4)
-        np.testing.assert_array_equal(reps.weight.value, reps.values())
+        seeded = MixtureHead(EmbeddingConfig(input_dim=3, layer_widths=(4,)),
+                             MixtureConfig(3, 2), seed=9)
+        reps = seeded.representatives
+        assert reps.name == "representatives.weight"
+        assert reps.value.shape == (3, 2, 4)
+        assert seeded.parameters()[-1] is reps
 
     def test_shape_enforced(self):
-        with pytest.raises(ShapeError):
-            Representatives(2, 2, 3, values=np.zeros((2, 3, 3)))
-        reps = Representatives(2, 2, 3)
-        with pytest.raises(ShapeError):
-            reps.set_values(np.zeros((2, 2, 4)))
+        with pytest.raises(ConfigError, match="shape"):
+            head_with_representatives(np.zeros((2, 2, 3)))
 
     def test_finite_enforced(self):
         bad = np.zeros((1, 1, 2))
         bad[0, 0, 0] = np.nan
         with pytest.raises(ConfigError):
-            Representatives(1, 1, 2, values=bad)
+            head_with_representatives(bad)
 
     def test_set_values_round_trip(self):
-        reps = Representatives(2, 1, 2)
         vals = np.array([[[0.1, 0.2]], [[0.3, 0.4]]])
-        reps.set_values(vals)
-        np.testing.assert_array_equal(reps.values(), vals)
+        headm = head_with_representatives(vals)
+        np.testing.assert_array_equal(headm.representatives.value, vals)
+        vals[0, 0, 0] = 9.0  # the head holds a copy
+        assert headm.representatives.value[0, 0, 0] == 0.1
 
 
 class TestDistanceMatrix:
     def test_coincidence_is_exact_zero(self):
-        reps = Representatives(2, 1, 2, values=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
+        reps = head_with_representatives([[[1.0, 0.0]], [[0.0, 1.0]]]).representatives
         d = distance_matrix(np.array([[1.0, 0.0]]), reps).value[0]
         assert d[0, 0] == 0.0
         assert d[1, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -331,7 +343,7 @@ class TestTotalLoss:
         headm.embedding.weights[0].value = np.eye(2)
         headm.embedding.last_bias.value = np.zeros(2)
         big = 60.0
-        headm.representatives.set_values(np.array([[[big, 0.0]], [[0.0, big]]]))
+        headm.representatives.value = np.array([[[big, 0.0]], [[0.0, big]]])
         X = np.array([[big, 0.0], [0.0, big]])
         loss, parts = headm.total_loss(X, [0, 1])
         assert float(loss.value) == 0.0
@@ -345,19 +357,15 @@ class TestTotalLoss:
 
     def test_background_items_skip_margin(self):
         headm = small_head(task_mode="detection")
-        headm.set_mode("train")
         rng = np.random.default_rng(16)
         X = rng.normal(size=(4, 6))
-        _, parts_fg = headm.total_loss(X, [0, 1, 2, 3], update_stats=False)
-        _, parts_bg = headm.total_loss(
-            X, [BACKGROUND] * 4, update_stats=False
-        )
+        _, parts_fg = headm.total_loss(X, [0, 1, 2, 3], train=True)
+        _, parts_bg = headm.total_loss(X, [BACKGROUND] * 4, train=True)
         assert parts_fg["margin"] > 0.0
         assert parts_bg["margin"] == 0.0
 
     def test_background_label_rejected_in_classification(self):
         headm = small_head()
-        headm.set_mode("train")
         X = np.random.default_rng(17).normal(size=(2, 6))
         with pytest.raises(ValueError):
             headm.total_loss(X, [0, BACKGROUND])
@@ -365,7 +373,6 @@ class TestTotalLoss:
     @pytest.mark.parametrize("task_mode", ["classification", "detection"])
     def test_full_gradcheck(self, task_mode):
         headm = small_head(task_mode=task_mode)
-        headm.set_mode("train")
         rng = np.random.default_rng(18)
         X = rng.normal(size=(8, 6))
         labels = [0, 1, 2, 3, 0, 1, 2, 3]
@@ -373,7 +380,7 @@ class TestTotalLoss:
             labels = [0, 1, 2, 3, BACKGROUND, 1, BACKGROUND, 3]
 
         def f(ps):
-            loss, _ = headm.total_loss(X, labels, update_stats=False)
+            loss, _ = headm.total_loss(X, labels, train=True)
             return loss
 
         assert ad.finite_difference_check(f, headm.parameters()) < 1e-4
@@ -386,12 +393,11 @@ class TestTotalLoss:
             MixtureConfig(num_classes=2, modes_per_class=1, sigma=0.5, margin=0.5),
             seed=2,
         )
-        headm.set_mode("eval")
         x = np.array([1.0, 2.0, 2.0])
-        emb = headm.embedding.embed(x).value
+        emb = headm.embedding.embed_batch(x[None])[0]
         other = np.roll(emb, 1)
-        headm.representatives.set_values(np.stack([emb, other])[:, None, :])
-        loss, _ = headm.total_loss(x.reshape(1, 3), [0], update_stats=False)
+        headm.representatives.value = np.stack([emb, other])[:, None, :]
+        loss, _ = headm.total_loss(x.reshape(1, 3), [0])
         assert np.isfinite(float(loss.value))
         ad.zero_grads(headm.parameters())
         ad.backward(loss)
@@ -405,13 +411,12 @@ class TestTotalLoss:
     @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 9))
     def test_batch_parts_are_the_mean_of_single_rows(self, task_mode, seed, batch):
         headm = small_head(task_mode=task_mode, seed=seed % 1000)
-        headm.set_mode("eval")
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(batch, 6))
         low = BACKGROUND if task_mode == "detection" else 0
         labels = [int(v) for v in rng.integers(low, 4, size=batch)]
-        _, whole = headm.total_loss(X, labels, update_stats=False)
-        rows = [headm.total_loss(X[i:i + 1], labels[i:i + 1], update_stats=False)[1]
+        _, whole = headm.total_loss(X, labels)
+        rows = [headm.total_loss(X[i:i + 1], labels[i:i + 1])[1]
                 for i in range(batch)]
         for key in ("ce", "margin", "total"):
             mean = sum(r[key] for r in rows) / batch
@@ -429,13 +434,12 @@ class TestTotalLoss:
             return len(seen)
 
         headm = small_head(task_mode=task_mode)
-        headm.set_mode("train")
         rng = np.random.default_rng(24)
         pattern = [0, 1, 2, 3, BACKGROUND] if task_mode == "detection" else [0, 1, 2, 3, 0]
         counts = []
         for batch in (5, 30):
             labels = (pattern * 6)[:batch]
-            loss, _ = headm.total_loss(rng.normal(size=(batch, 6)), labels, update_stats=False)
+            loss, _ = headm.total_loss(rng.normal(size=(batch, 6)), labels, train=True)
             counts.append(reachable(loss))
         assert counts[0] == counts[1]
         assert counts[0] < 100
@@ -444,12 +448,9 @@ class TestTotalLoss:
 class TestScoring:
     def test_query_at_support_point(self):
         headm = small_head(posterior_mode="max")
-        headm.set_mode("eval")
         x = np.random.default_rng(19).normal(size=6)
-        emb = headm.embedding.embed(x).value
-        vals = headm.representatives.values()
-        vals[2, 0] = emb
-        headm.representatives.set_values(vals)
+        emb = headm.embedding.embed_batch(x[None])[0]
+        headm.representatives.value[2, 0] = emb
         out = headm.score(x)
         assert out.predicted_class == 2
         assert out.class_posterior[2] == pytest.approx(1.0, abs=1e-12)
@@ -464,15 +465,13 @@ class TestScoring:
         )
         headm.embedding.weights[0].value = np.eye(2)
         headm.embedding.last_bias.value = np.zeros(2)
-        headm.representatives.set_values(np.array([[[5.0, 0.0]], [[0.0, 5.0]]]))
-        headm.set_mode("eval")
+        headm.representatives.value = np.array([[[5.0, 0.0]], [[0.0, 5.0]]])
         out = headm.score(np.array([-3.0, -3.0]))  # every distance >= 3
         assert out.background_posterior > 0.9999
         assert out.is_background
 
     def test_scores_order_invariant(self):
         headm = small_head(posterior_mode="max")
-        headm.set_mode("eval")
         X = np.random.default_rng(20).normal(size=(6, 6))
         fwd = [o.class_posterior for o in headm.score_batch(X)]
         rev = [o.class_posterior for o in headm.score_batch(X[::-1])]
@@ -481,10 +480,7 @@ class TestScoring:
 
     def test_posterior_tie_breaks_low_index(self):
         headm = small_head(posterior_mode="max")
-        headm.set_mode("eval")
-        vals = headm.representatives.values()
-        vals[:] = 0.0
-        headm.representatives.set_values(vals)  # all classes equidistant
+        headm.representatives.value[:] = 0.0  # all classes equidistant
         out = headm.score(np.random.default_rng(21).normal(size=6))
         assert out.predicted_class == 0
 
@@ -492,9 +488,8 @@ class TestScoring:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         headm = small_head(task_mode="detection", seed=33)
-        headm.set_mode("train")
         X = np.random.default_rng(23).normal(size=(8, 6))
-        headm.total_loss(X, [0, 1, 2, 3, 0, 1, 2, 3])  # move BN running stats
+        headm.total_loss(X, [0, 1, 2, 3, 0, 1, 2, 3], train=True)  # move BN running stats
         path = tmp_path / "ck.json"
         save_checkpoint(headm, path)
         loaded = load_checkpoint(path)
@@ -504,8 +499,6 @@ class TestCheckpoint:
         for a, b in zip(headm.embedding.bn_states, loaded.embedding.bn_states):
             np.testing.assert_array_equal(a.running_mean, b.running_mean)
             np.testing.assert_array_equal(a.running_var, b.running_var)
-        headm.set_mode("eval")
-        loaded.set_mode("eval")
         np.testing.assert_array_equal(
             headm.embedding.embed_batch(X), loaded.embedding.embed_batch(X)
         )
@@ -513,27 +506,51 @@ class TestCheckpoint:
     def test_parent_format_loads_and_scores_bit_identically(self, tmp_path):
         # earlier releases stored the representatives as one (1, N*K*dim) row
         headm = small_head(task_mode="detection", seed=34)
-        headm.set_mode("train")
         X = np.random.default_rng(25).normal(size=(8, 6))
-        headm.total_loss(X, [0, 1, 2, 3, 0, 1, 2, 3])
+        headm.total_loss(X, [0, 1, 2, 3, 0, 1, 2, 3], train=True)
         path = tmp_path / "ck.json"
         save_checkpoint(headm, path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert doc["schema_version"] == hd.CHECKPOINT_VERSION == 1
-        flat = headm.representatives.values().reshape(1, -1)
+        flat = headm.representatives.value.reshape(1, -1)
         doc["params"]["representatives.weight"] = hd._encode_array(flat)
         path.write_text(json.dumps(doc), encoding="utf-8")
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(
-            loaded.representatives.values(), headm.representatives.values()
-        )
-        headm.set_mode("eval")
-        loaded.set_mode("eval")
+        np.testing.assert_array_equal(loaded.representatives.value, headm.representatives.value)
         for x in X:
             a, b = headm.score(x), loaded.score(x)
             np.testing.assert_array_equal(a.distances, b.distances)
             np.testing.assert_array_equal(a.class_posterior, b.class_posterior)
             assert a.background_posterior == b.background_posterior
+
+    @pytest.mark.parametrize("batch", [1, 5, 50])
+    def test_loaded_head_scores_rows_alone_as_in_a_batch(self, tmp_path, batch):
+        headm = small_head(task_mode="detection", seed=35)
+        X = np.random.default_rng(26).normal(size=(50, 6))
+        headm.total_loss(X[:8], [0, 1, 2, 3, 0, 1, 2, 3], train=True)  # move BN running stats
+        path = tmp_path / "ck.json"
+        save_checkpoint(headm, path)
+        loaded = load_checkpoint(path)
+        scores = loaded.score_batch(X[:batch])
+        for i in range(batch):
+            alone = loaded.score(X[i])
+            for name, value in vars(alone).items():
+                assert np.array_equal(value, getattr(scores[i], name)), (i, name)
+
+    def test_loaded_and_episode_heads_draw_nothing(self, tmp_path, monkeypatch):
+        headm = small_head(seed=36)
+        path = tmp_path / "ck.json"
+        save_checkpoint(headm, path)
+
+        def no_draws(*key):
+            raise AssertionError(f"random draw {key}")
+
+        monkeypatch.setattr(hd, "substream", no_draws)
+        loaded = load_checkpoint(path)
+        for name, p in headm.named_parameters().items():
+            assert np.array_equal(p.value, loaded.named_parameters()[name].value), name
+        episode_head = replace_representatives(loaded, np.ones((3, 2, 8)))
+        assert episode_head.representatives.value.shape == (3, 2, 8)
 
     def _saved(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -568,6 +585,26 @@ class TestCheckpoint:
         path.write_text('{"kind": "dataset", "schema_version": 1}')
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["wrong_name", "wrong_shape", "non_finite",
+                                        "zero_variance", "negative_variance"])
+    def test_from_arrays_checks_every_array(self, damage):
+        headm = small_head(seed=37)
+        arrays = {n: p.value.copy() for n, p in headm.named_parameters().items()}
+        bn = [(np.zeros(10), np.ones(10))]
+        MixtureHead.from_arrays(headm.embedding.config, headm.mixture, "classification",
+                                arrays, bn)  # the undamaged arrays build a head
+        if damage == "wrong_name":
+            arrays["layers.1.gamma"] = arrays.pop("layers.0.gamma")
+        elif damage == "wrong_shape":
+            arrays["layers.1.weight"] = arrays["layers.1.weight"][:, :-1]
+        elif damage == "non_finite":
+            arrays["layers.0.beta"][3] = np.inf
+        else:
+            bn[0][1][4] = 0.0 if damage == "zero_variance" else -1.0
+        with pytest.raises(ConfigError):
+            MixtureHead.from_arrays(headm.embedding.config, headm.mixture, "classification",
+                                    arrays, bn)
 
     def test_parameter_groups_exclude_bn_and_representatives(self):
         headm = small_head()

@@ -559,14 +559,13 @@ class TestClassificationError:
                           input_dim=6, spread=0.4, test_fraction=0.0)
         ds = synth_dataset(cfg, seed=14)
         head = MixtureHead(EmbeddingConfig(6, (12, 8)), MixtureConfig(4, 3, 0.5, 0.5), seed=15)
-        head.set_mode("eval")
         cmap = class_index_map(ds)
-        reps = head.representatives.values()
+        reps = head.representatives.value
         sigma = head.mixture.sigma
         for mode, reducer in (("normalized", np.sum), ("max", np.max)):
             wrong = 0
             for rec in ds:
-                z = head.embedding.embed(rec.features).value
+                z = head.embedding.embed_batch(rec.features[None])[0]
                 scores = np.zeros(4)
                 for c in range(4):
                     probs = [np.exp(-np.sum((z - reps[c, k]) ** 2) / (2 * sigma**2))

@@ -326,7 +326,7 @@ class TestTrainStep:
         train_step(ha, batch, cmap, opt)
 
         X, labels = batch_arrays(batch, cmap)
-        loss, _ = hb.total_loss(X, labels, update_stats=True)
+        loss, _ = hb.total_loss(X, labels, train=True)
         zero_grads(hb.parameters())
         backward(loss)
         for name, p in hb.named_parameters().items():
@@ -381,17 +381,17 @@ class TestFit:
             fit(toy_head(num_classes=3), toy_dataset(),
                 TrainConfig(iterations=1), BatchSpec(2, 4))
 
-    def test_ends_in_eval_mode(self):
-        head = toy_head()
-        fit(head, toy_dataset(), TrainConfig(iterations=2, lr=0.01, seed=5), BatchSpec(2, 4))
-        assert head.mode == "eval"
-
     def test_hook_runs_in_eval_mode_on_schedule(self):
+        # the hook's head reads the running statistics, so a row scores the
+        # same alone as in a batch
+        ds = toy_dataset()
+        X = np.stack([rec.features for rec in ds.records[:3]])
         calls = []
-        fit(toy_head(), toy_dataset(),
+        fit(toy_head(), ds,
             TrainConfig(iterations=15, lr=0.01, seed=5, eval_every=5), BatchSpec(2, 4),
-            hook=lambda it, h: calls.append((it, h.mode)))
-        assert calls == [(4, "eval"), (9, "eval"), (14, "eval")]
+            hook=lambda it, h: calls.append(
+                (it, np.array_equal(h.score(X[0]).embedding, h.score_batch(X).embeddings[0]))))
+        assert calls == [(4, True), (9, True), (14, True)]
 
     def test_representatives_track_cluster_means(self):
         # unimodal classes: after factoring out the one scale the losses leave
@@ -403,7 +403,7 @@ class TestFit:
                            MixtureConfig(3, 1, 0.5, 0.5), seed=6)
         fit(head, ds, TrainConfig(iterations=300, lr=0.01, seed=56), BatchSpec(3, 8))
         cmap = class_index_map(ds)
-        reps = head.representatives.values()[:, 0, :]
+        reps = head.representatives.value[:, 0, :]
         means = np.zeros_like(reps)
         for label, idx in cmap.items():
             X = np.stack([r.features for r in ds.select(label=label)])
