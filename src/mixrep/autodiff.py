@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Graphs are define-by-run: each operation returns a `Node` holding the forward
-value plus vector-Jacobian products against its inputs, and `backward` walks
-the graph once from a scalar root, accumulating gradients into every node
-that requires them. Graphs are rebuilt on every forward pass; parameters are
-the only state carried across passes.
+value and, when a parameter feeds it, vector-Jacobian products against its
+inputs; `backward` walks the graph once from a scalar root, accumulating
+gradients into every node that requires them. Operations on constants only
+keep no tape, so inference over fixed arrays leaves no graph behind. Graphs
+are rebuilt on every forward pass; parameters are the only state carried
+across passes.
 
 A central-difference checker (`finite_difference_check`) serves as the
 independent oracle for every gradient in the package.
@@ -38,18 +40,21 @@ class Node:
     `value` is always a float64 ndarray (scalars have shape ()). `grad`
     accumulates additively across backward passes until reset to None.
     Forward values never depend on whether gradients were requested.
+
+    Only a node that requires a gradient keeps a tape: its vjps and, for a
+    max/min reduction, `tie`, a callable telling whether it sat on a tie.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "attrs", "name", "_vjps")
+    __slots__ = ("value", "grad", "requires_grad", "op", "name", "_vjps", "tie")
 
     def __init__(self, value, requires_grad: bool = False, op: str = "leaf", name: str | None = None):
         self.value = as_array(value)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self.op = op
-        self.attrs: dict = {}
         self.name = name
         self._vjps: tuple = ()
+        self.tie: Callable[[], bool] | None = None
 
     @property
     def shape(self):
@@ -72,14 +77,11 @@ def _wrap(x) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
-def _result(value, op: str, vjps, attrs: dict | None = None) -> Node:
+def _result(value, op: str, vjps, tie: Callable[[], bool] | None = None) -> Node:
     node = Node(value, requires_grad=any(p.requires_grad for p, _ in vjps), op=op)
-    if node.requires_grad or vjps:
-        # Parent links are kept even for non-differentiable nodes that sit on
-        # a differentiable path, so graph walks (tie detection) see them.
+    if node.requires_grad:
         node._vjps = tuple(vjps)
-    if attrs:
-        node.attrs.update(attrs)
+        node.tie = tie
     return node
 
 
@@ -201,26 +203,28 @@ def _reduce_extreme(a, axis: int, op_name: str) -> Node:
     if va.size == 0:
         raise ShapeError(op_name, (va.shape,), "empty input")
     if op_name == "reduce_max":
-        out = va.max(axis=axis)
-        arg = va.argmax(axis=axis)  # numpy breaks ties to the lowest index
+        out, winner = va.max(axis=axis), np.argmax
     else:
-        out = va.min(axis=axis)
-        arg = va.argmin(axis=axis)
-    tie = bool(((va == np.expand_dims(out, axis)).sum(axis=axis) > 1).any())
+        out, winner = va.min(axis=axis), np.argmin
 
     def vjp(g):
+        arg = np.expand_dims(winner(va, axis=axis), axis)  # ties go to the lowest index
         gi = np.zeros_like(va)
-        np.put_along_axis(gi, np.expand_dims(arg, axis), np.expand_dims(as_array(g), axis), axis)
+        np.put_along_axis(gi, arg, np.expand_dims(as_array(g), axis), axis)
         return gi
 
-    return _result(out, op_name, [(a, vjp)], attrs={"arg_index": arg, "tie": tie})
+    def tie() -> bool:
+        return bool(((va == np.expand_dims(out, axis)).sum(axis=axis) > 1).any())
+
+    return _result(out, op_name, [(a, vjp)], tie)
 
 
 def reduce_max(a, axis: int) -> Node:
     """Maximum along one axis.
 
-    The winning indices are exposed in `attrs["arg_index"]`; gradient is
-    routed only to the winner, with ties broken to the lowest index.
+    The gradient is routed only to the winner, with ties broken to the
+    lowest index. Whether the maximum sat on a tie is checked only on
+    demand, by `graph_has_tie`.
     """
     return _reduce_extreme(a, axis, "reduce_max")
 
@@ -450,14 +454,16 @@ def zero_grads(params) -> None:
 
 
 def graph_has_tie(root: Node) -> bool:
-    """True when any reachable max/min reduction sat exactly on a tie."""
+    """True when any max/min reduction that the gradient of `root` flows
+    through sat exactly on a tie. A tie among constants cannot make the
+    objective non-smooth, and constant nodes keep no tape."""
     stack, seen = [root], set()
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node.attrs.get("tie"):
+        if node.tie is not None and node.tie():
             return True
         stack.extend(p for p, _ in node._vjps)
     return False

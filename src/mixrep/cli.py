@@ -22,7 +22,7 @@ from .data import load_dataset, save_dataset, synth_dataset
 from .episodes import (episode_ground_truth, evaluate_episodes, generate_episodes, load_episodes,
                        save_episodes)
 from .errors import ConfigError, MixrepError
-from .head import EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint, save_checkpoint
+from .head import MixtureHead, load_checkpoint, save_checkpoint
 from .metrics import GroundTruth, classification_error, map_over_episodes, recall_at_k
 from .rng import substream
 from .training import class_index_map, fit, write_loss_trace
@@ -254,15 +254,8 @@ def cmd_grad_check(args, out):
     config = _load_config(args)
     # fixed desk-scale shape: 4 classes x 2 modes, 8-dim embedding, batch 8
     head = MixtureHead(
-        EmbeddingConfig(
-            input_dim=8, layer_widths=(12, 8),
-            final_l2_normalize=config.final_l2_normalize,
-            bn_momentum=config.bn_momentum, bn_epsilon=config.bn_epsilon,
-        ),
-        MixtureConfig(
-            num_classes=4, modes_per_class=2, sigma=config.sigma,
-            margin=config.margin, posterior_mode=config.posterior_mode,
-        ),
+        dataclasses.replace(config.embedding_config(8), layer_widths=(12, 8)),
+        dataclasses.replace(config.mixture_config(4), modes_per_class=2),
         task_mode=config.task_mode,
         seed=config.seed,
     )

@@ -362,16 +362,7 @@ def save_episodes(episodes, spec: EpisodeSpec, path) -> None:
     header = {
         "schema_version": SCHEMA_VERSION,
         "kind": "episodes",
-        "spec": {
-            "shots": spec.shots,
-            "ways": spec.ways,
-            "queries_per_class": spec.queries_per_class,
-            "episode_count": spec.episode_count,
-            "seed": spec.seed,
-            "class_pool": spec.class_pool,
-            "background_queries": spec.background_queries,
-            "max_shots": spec.max_shots,
-        },
+        "spec": dataclasses.asdict(spec),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")

@@ -1,16 +1,22 @@
 """Embedding network plus per-class mixture representatives.
 
-The head embeds inputs onto the unit sphere, measures Euclidean distances to
-N*K learnable mode centers ("representatives"), turns distances into Gaussian
-mode probabilities, and derives open-set class/background posteriors. Training
-combines a cross-entropy term on the posterior with a hinge that enforces a
-margin between the closest correct-class mode and the closest wrong-class
-mode.
+The head embeds inputs onto the unit sphere, measures squared Euclidean
+distances to N*K learnable mode centers ("representatives"), turns them into
+Gaussian mode probabilities, and derives open-set class/background
+posteriors. Training combines a cross-entropy term on the posterior with a
+hinge that enforces a margin between the closest correct-class mode and the
+closest wrong-class mode.
+
+`mode_probabilities` is the one forward from embeddings to mode
+probabilities, shared by the loss and the scores: the loss passes the
+representatives' parameter node, scoring passes their values, so a score
+reads bit for bit the probabilities the loss trains on, and scoring keeps no
+autodiff tape.
 
 Everything differentiable is built from autodiff primitives over the whole
-batch: one (B, N, K) distance table per step, per-class minima as row-wise
-minima under additive constant masks, and one label entry picked per row.
-Division is composed as exp(log a - log b).
+batch: one (B, N, K) squared-distance table per step, per-class minima as
+row-wise minima under additive constant masks, and one label entry picked
+per row. Division is composed as exp(log a - log b).
 
 A head is its parameter arrays and batch-norm running statistics, nothing
 else: `parameter_layout` names them and gives their shapes, and
@@ -20,9 +26,10 @@ There is no stored train/eval mode: only a training step asks for batch
 statistics (`train=True`); every other forward reads the running ones.
 
 Inference is batched too: `MixtureHead.score_embeddings` turns (B, e)
-embeddings into a `Scores` table (distances, mode probabilities, class and
+embeddings into a `Scores` table (embeddings, mode probabilities, class and
 background posteriors, prediction, background flag per row) with the same
-distance and posterior primitives, and `score_batch` embeds raw inputs first.
+mode-probability and posterior functions, and `score_batch` embeds raw
+inputs first.
 Every step works on each row by itself, so a row's scores are bit-identical
 whatever else shares its batch, on any head; `score` is a one-row view of
 `score_batch`.
@@ -32,7 +39,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +59,10 @@ BLOCK_ROWS = 32
 
 PROB_FLOOR = 1e-12
 DIST_SQ_FLOOR = 1e-12  # squared-distance clamp inside the margin loss
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -76,6 +88,10 @@ class EmbeddingConfig:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
+        if not (_is_number(self.bn_epsilon) and 0 < self.bn_epsilon < math.inf):
+            raise ConfigError(f"bn_epsilon must be a finite number > 0, got {self.bn_epsilon!r}")
+        if not (_is_number(self.bn_momentum) and 0 <= self.bn_momentum <= 1):
+            raise ConfigError(f"bn_momentum must be a number in [0, 1], got {self.bn_momentum!r}")
 
     @property
     def output_dim(self) -> int:
@@ -218,24 +234,20 @@ def clamp_min(node: Node, floor: float) -> Node:
     return ad.add(ad.relu(ad.add(node, ad.constant(-float(floor)))), ad.constant(float(floor)))
 
 
-def distance_matrix(embeddings, representatives) -> Node:
-    """Euclidean distances from each embedded row to every mode center.
+def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node, Node]:
+    """Squared distances d^2 from each embedded row to every mode center, and
+    the isotropic-Gaussian mode likelihoods exp(-d^2 / (2 sigma^2)) in (0, 1].
 
     `embeddings` is (B, e); `representatives` is any target array
-    pairwise_sq_dist accepts, e.g. (N, K, e), giving (B, N, K). Entries are
-    >= 0 and exactly 0 where an embedding coincides with a center.
+    pairwise_sq_dist accepts, e.g. (N, K, e), giving (B, N, K) tables. d^2 is
+    exactly 0, and the likelihood exactly 1, where an embedding coincides
+    with a center. A parameter node builds a differentiable graph; plain
+    arrays build constants, which keep no tape.
     """
-    return ad.sqrt(ad.pairwise_sq_dist(_wrap(embeddings), _wrap(representatives)))
-
-
-def mode_probabilities(distances, sigma: float) -> Node:
-    """Isotropic-Gaussian mode likelihoods exp(-d^2 / (2 sigma^2)), in (0, 1]."""
     if not sigma > 0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
-    d = _wrap(distances)
-    if np.any(d.value < 0):
-        raise ValueError("distances must be nonnegative")
-    return ad.exp(ad.scale(ad.square(d), -1.0 / (2.0 * float(sigma) ** 2)))
+    d2 = ad.pairwise_sq_dist(_wrap(embeddings), _wrap(representatives))
+    return d2, ad.exp(ad.scale(d2, -1.0 / (2.0 * float(sigma) ** 2)))
 
 
 # The posteriors below read the last two axes of a probability table as
@@ -352,7 +364,6 @@ class HeadOutput:
     """Everything the head says about one input."""
 
     embedding: np.ndarray
-    distances: np.ndarray
     mode_probs: np.ndarray
     class_posterior: np.ndarray
     background_posterior: float
@@ -366,7 +377,6 @@ class Scores:
     `scores[i]` is row i as a HeadOutput."""
 
     embeddings: np.ndarray  # (B, e)
-    distances: np.ndarray  # (B, N, K)
     mode_probs: np.ndarray  # (B, N, K)
     class_posterior: np.ndarray  # (B, N)
     background_posterior: np.ndarray  # (B,)
@@ -379,7 +389,6 @@ class Scores:
     def __getitem__(self, i: int) -> HeadOutput:
         return HeadOutput(
             embedding=self.embeddings[i],
-            distances=self.distances[i],
             mode_probs=self.mode_probs[i],
             class_posterior=self.class_posterior[i],
             background_posterior=float(self.background_posterior[i]),
@@ -497,8 +506,7 @@ class MixtureHead:
             raise ValueError("background labels require detection mode")
         batch = len(labels)
         E = self.embedding.forward(X, train)
-        d2 = ad.pairwise_sq_dist(E, self.representatives)
-        probs = ad.exp(ad.scale(d2, -1.0 / (2.0 * self.mixture.sigma**2)))
+        d2, probs = mode_probabilities(E, self.representatives, self.mixture.sigma)
         if self.task_mode == "classification":
             ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
         else:
@@ -542,8 +550,7 @@ class MixtureHead:
         return Scores(**{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
 
     def _score_block(self, E: np.ndarray, mode: str) -> Scores:
-        dist = distance_matrix(E, self.representatives)
-        probs = mode_probabilities(dist, self.mixture.sigma)
+        _, probs = mode_probabilities(E, self.representatives.value, self.mixture.sigma)
         best = class_posterior_max(probs).value
         bg = background_posterior(probs).value
         if mode == "max":
@@ -553,7 +560,6 @@ class MixtureHead:
             rank = probs.value.sum(axis=-1)
         return Scores(
             embeddings=E,
-            distances=dist.value,
             mode_probs=probs.value,
             class_posterior=post,
             background_posterior=bg,
@@ -592,26 +598,12 @@ def _decode_array(d: dict) -> np.ndarray:
 
 
 def save_checkpoint(head: MixtureHead, path) -> None:
-    emb = head.embedding.config
-    mix = head.mixture
     doc = {
         "schema_version": CHECKPOINT_VERSION,
         "kind": "checkpoint",
         "task_mode": head.task_mode,
-        "embedding": {
-            "input_dim": emb.input_dim,
-            "layer_widths": list(emb.layer_widths),
-            "final_l2_normalize": emb.final_l2_normalize,
-            "bn_momentum": emb.bn_momentum,
-            "bn_epsilon": emb.bn_epsilon,
-        },
-        "mixture": {
-            "num_classes": mix.num_classes,
-            "modes_per_class": mix.modes_per_class,
-            "sigma": mix.sigma,
-            "margin": mix.margin,
-            "posterior_mode": mix.posterior_mode,
-        },
+        "embedding": asdict(head.embedding.config),
+        "mixture": asdict(head.mixture),
         "params": {name: _encode_array(p.value) for name, p in head.named_parameters().items()},
         "bn_running": [
             {"mean": _encode_array(st.running_mean), "var": _encode_array(st.running_var)}

@@ -211,7 +211,8 @@ class TestEvalClassify:
 
     @pytest.mark.parametrize("damage", ["truncate", "drop_task_mode", "empty_bn_running",
                                         "nan_representative", "negative_variance",
-                                        "unknown_key"])
+                                        "unknown_key", "negative_bn_epsilon",
+                                        "bn_momentum_not_a_number"])
     def test_bad_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys, damage):
         text = pipeline["checkpoint"].read_text(encoding="utf-8")
         if damage == "truncate":
@@ -226,6 +227,10 @@ class TestEvalClassify:
                 _set_first_value(doc["params"]["representatives.weight"], np.nan)
             elif damage == "negative_variance":
                 _set_first_value(doc["bn_running"][0]["var"], -1.0)
+            elif damage == "negative_bn_epsilon":
+                doc["embedding"]["bn_epsilon"] = -10.0
+            elif damage == "bn_momentum_not_a_number":
+                doc["embedding"]["bn_momentum"] = "fast"
             else:
                 doc["comment"] = "not a checkpoint key"
             text = json.dumps(doc)
@@ -373,6 +378,17 @@ class TestGradCheck:
     def test_no_out_needed(self, capsys):
         assert cli.main(["grad-check"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("bn_epsilon", -10.0), ("bn_epsilon", float("inf")),
+                                            ("bn_momentum", "fast"), ("bn_momentum", 1.5)])
+    def test_bad_batch_norm_setting_is_a_config_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "gc"
+        assert cli.main(["grad-check", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestOutDirEnvVar:

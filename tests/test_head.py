@@ -27,7 +27,6 @@ from mixrep.head import (
     class_posterior_max,
     class_posterior_normalized,
     cross_entropy_loss,
-    distance_matrix,
     load_checkpoint,
     margin_loss,
     mode_probabilities,
@@ -132,22 +131,28 @@ class TestRepresentatives:
         assert headm.representatives.value[0, 0, 0] == 0.1
 
 
+def distances(embeddings, representatives) -> np.ndarray:
+    """Euclidean distances read off the squared ones of `mode_probabilities`."""
+    d2, _ = mode_probabilities(embeddings, representatives, 0.5)
+    return np.sqrt(d2.value)
+
+
 class TestDistanceMatrix:
     def test_coincidence_is_exact_zero(self):
         reps = head_with_representatives([[[1.0, 0.0]], [[0.0, 1.0]]]).representatives
-        d = distance_matrix(np.array([[1.0, 0.0]]), reps).value[0]
-        assert d[0, 0] == 0.0
-        assert d[1, 0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        d2, probs = mode_probabilities(np.array([[1.0, 0.0]]), reps, 0.5)
+        assert d2.value[0, 0, 0] == 0.0 and probs.value[0, 0, 0] == 1.0
+        assert np.sqrt(d2.value[0, 1, 0]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_orthonormal_pair(self):
-        d = distance_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])).value[0]
+        d = distances(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))[0]
         assert d[0] == pytest.approx(1.41421356237, abs=1e-9)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(7)
         E = rng.normal(size=(4, 8))
         reps = rng.normal(size=(3, 2, 8))
-        got = distance_matrix(E, reps).value
+        got = distances(E, reps)
         want = np.empty((4, 3, 2))
         for b in range(4):
             for i in range(3):
@@ -157,22 +162,24 @@ class TestDistanceMatrix:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(8)
-        d = distance_matrix(rng.normal(size=(2, 4)), rng.normal(size=(5, 3, 4))).value
-        assert np.all(d >= 0)
+        d2, _ = mode_probabilities(rng.normal(size=(2, 4)), rng.normal(size=(5, 3, 4)), 0.5)
+        assert np.all(d2.value >= 0)
 
 
 class TestPosteriors:
     def test_mode_prob_peak(self):
-        assert mode_probabilities(np.array([[0.0]]), 0.5).value[0, 0] == 1.0
+        _, p = mode_probabilities(np.array([[0.3]]), np.array([[0.3]]), 0.5)
+        assert p.value[0, 0] == 1.0
 
     def test_mode_prob_frozen_points(self):
-        p = mode_probabilities(np.array([[np.sqrt(2.0), 1.0]]), 0.5).value
-        assert p[0, 0] == pytest.approx(0.018315639, abs=1e-9)  # exp(-4)
-        assert p[0, 1] == pytest.approx(0.1353352832366127, abs=1e-15)  # exp(-2)
+        # centers at distance sqrt(2) and 1 from the origin
+        _, p = mode_probabilities(np.zeros((1, 2)), np.array([[1.0, 1.0], [1.0, 0.0]]), 0.5)
+        assert p.value[0, 0] == pytest.approx(0.018315639, abs=1e-9)  # exp(-4)
+        assert p.value[0, 1] == pytest.approx(0.1353352832366127, abs=1e-15)  # exp(-2)
 
     def test_mode_prob_rejects_bad_sigma(self):
         with pytest.raises(ConfigError):
-            mode_probabilities(np.zeros((1, 1)), 0.0)
+            mode_probabilities(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
 
     def test_max_posterior_rows(self):
         out = class_posterior_max(np.array([[0.2, 0.9], [0.5, 0.1]])).value
@@ -183,17 +190,19 @@ class TestPosteriors:
         np.testing.assert_array_equal(out, [0.3, 0.7])
 
     def test_max_posterior_routes_gradient_to_winner(self):
-        d = ad.parameter(np.array([[1.0, 0.4, 2.0]]), "d")
+        # three one-dimensional modes of one class, at distances 1, 0.4, 2
+        reps = ad.parameter(np.array([[[1.0], [0.4], [2.0]]]), "reps")
 
         def f(ps):
-            p = mode_probabilities(ps[0], 0.5)
+            _, p = mode_probabilities(np.zeros((1, 1)), ps[0], 0.5)
             return ad.reduce_sum(class_posterior_max(p))
 
-        err = ad.finite_difference_check(f, [d])
+        err = ad.finite_difference_check(f, [reps])
         assert err < 1e-6
-        ad.zero_grads([d])
-        ad.backward(f([d]))
-        assert d.grad[0, 0] == 0.0 and d.grad[0, 2] == 0.0 and d.grad[0, 1] != 0.0
+        ad.zero_grads([reps])
+        ad.backward(f([reps]))
+        g = reps.grad[0, :, 0]
+        assert g[0] == 0.0 and g[2] == 0.0 and g[1] != 0.0
 
     def test_normalized_frozen_example(self):
         out = class_posterior_normalized(np.array([[0.2, 0.6], [0.1, 0.1]])).value
@@ -249,7 +258,9 @@ class TestPosteriors:
         d = rng.uniform(0.1, 2.5, size=(5, 3))
         preds = []
         for sigma in (0.1, 0.5, 2.0):
-            post = class_posterior_max(mode_probabilities(d, sigma).value).value
+            # one-dimensional modes at distances d from the origin
+            _, probs = mode_probabilities(np.zeros((1, 1)), d[..., None], sigma)
+            post = class_posterior_max(probs.value).value[0]
             preds.append(int(np.argmax(post)))
         assert preds[0] == preds[1] == preds[2]
 
@@ -457,6 +468,22 @@ class TestScoring:
         assert out.background_posterior == 0.0
         assert not out.is_background
 
+    @pytest.mark.parametrize("posterior_mode", ["max", "normalized"])
+    def test_scoring_keeps_no_tape(self, monkeypatch, posterior_mode):
+        headm = small_head(task_mode="detection", posterior_mode=posterior_mode)
+        E = headm.embedding.embed_batch(np.random.default_rng(27).normal(size=(40, 6)))
+        real, made = ad._result, []
+
+        def recording(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_result", recording)
+        headm.score_embeddings(E)
+        assert made  # scoring runs the engine's primitives
+        for node in made:
+            assert not node.requires_grad and node._vjps == () and node.tie is None, node
+
     def test_far_query_is_background(self):
         headm = MixtureHead(
             EmbeddingConfig(input_dim=2, layer_widths=(2,), final_l2_normalize=False),
@@ -519,7 +546,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.representatives.value, headm.representatives.value)
         for x in X:
             a, b = headm.score(x), loaded.score(x)
-            np.testing.assert_array_equal(a.distances, b.distances)
+            np.testing.assert_array_equal(a.mode_probs, b.mode_probs)
             np.testing.assert_array_equal(a.class_posterior, b.class_posterior)
             assert a.background_posterior == b.background_posterior
 

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mixrep import autodiff as ad
 from mixrep import head as hd
 from mixrep.episodes import replace_representatives
 from mixrep.head import (
@@ -45,10 +46,16 @@ distance_tables = arrays(
 )
 
 
+def probabilities_at(d):
+    """Mode probabilities of one embedding at the origin against
+    one-dimensional modes at distances d, (1, N, K)."""
+    return mode_probabilities(np.zeros((1, 1)), d[..., None], 0.5)[1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=distance_tables)
 def test_normalized_posterior_sums_to_one(d):
-    probs = mode_probabilities(d, 0.5)
+    probs = probabilities_at(d)
     post = class_posterior_normalized(probs).value
     assert abs(post.sum() - 1.0) <= 1e-9
     assert (post >= 0.0).all()
@@ -57,7 +64,7 @@ def test_normalized_posterior_sums_to_one(d):
 @settings(max_examples=60, deadline=None)
 @given(d=distance_tables)
 def test_background_is_exact_complement_of_best_mode(d):
-    probs = mode_probabilities(d, 0.5)
+    probs = probabilities_at(d)
     assert background_posterior(probs).value == 1.0 - probs.value.max()
 
 
@@ -110,6 +117,25 @@ def test_scores_do_not_depend_on_the_rest_of_the_batch(seed, batch, posterior_mo
         assert np.array_equal(head.embedding.embed_batch(X[i:i + 1])[0], in_batch.embedding)
         for name, value in vars(alone).items():
             assert np.array_equal(value, getattr(in_batch, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 40),
+       task_mode=st.sampled_from(["classification", "detection"]),
+       posterior_mode=st.sampled_from(["max", "normalized"]),
+       sigma=st.sampled_from([0.3, 0.5, 1.0]))
+def test_scores_read_the_mode_probabilities_the_loss_trains_on(seed, batch, task_mode,
+                                                                posterior_mode, sigma):
+    """Scoring and the loss share one forward: the scored mode probabilities
+    are exp(d^2 * -1/(2 sigma^2)) over the loss's squared distances, bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    head = MixtureHead(EmbeddingConfig(6, (10, 8)),
+                       MixtureConfig(4, 2, sigma, 0.5, posterior_mode=posterior_mode),
+                       task_mode=task_mode, seed=seed % 1000)
+    E = head.embedding.embed_batch(rng.normal(size=(batch, 6)))
+    want = np.exp(ad.pairwise_sq_dist(E, head.representatives).value * (-1 / (2 * sigma**2)))
+    assert np.array_equal(head.score_embeddings(E).mode_probs, want)
 
 
 labeled_runs = st.lists(

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module imports is used in it, and every
+private function or method is called from somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,23 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Private `_name` functions and methods defined in `sources` (module name
+    -> text) that no name or attribute anywhere in them reads. Dunder methods
+    are called by Python itself and are not counted."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((node.name, f"{module}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined if name not in read)
+
+
 def test_scan_finds_an_unused_import():
     source = "import json\nfrom os import path, sep\nfrom __future__ import annotations\nprint(sep)\n"
     assert unused_imports(source) == ["json (line 1)", "path (line 2)"]
@@ -32,3 +50,17 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unreferenced_private_function():
+    first = ("def _called():\n    pass\n\n\ndef _left_over():\n    pass\n\n\n"
+             "class A:\n    def __init__(self):\n        self._method()\n\n"
+             "    def _method(self):\n        pass\n\n    def _stale(self):\n        pass\n")
+    second = "from .first import _called\n\n_called()\n"
+    assert unreferenced_private_functions({"first": first, "second": second}) == [
+        "_left_over (first:5)", "_stale (first:16)"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
