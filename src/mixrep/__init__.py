@@ -22,6 +22,7 @@ from .episodes import (
     episode_finetune,
     episode_ground_truth,
     evaluate_episodes,
+    finetune_episodes,
     generate_episodes,
     load_episodes,
     replace_representatives,

@@ -29,6 +29,10 @@ from .errors import (
 
 Array = np.ndarray
 
+# differences formed at once inside pairwise_sq_dist on a stack (2**16
+# float64 entries: 512 KiB), so its temporaries do not grow with the stack
+DIFF_CHUNK = 2**16
+
 
 def as_array(x) -> Array:
     return np.asarray(x, dtype=np.float64)
@@ -37,8 +41,9 @@ def as_array(x) -> Array:
 class Node:
     """One value in a computation graph.
 
-    `value` is always a float64 ndarray (scalars have shape ()). `grad`
-    accumulates additively across backward passes until reset to None.
+    `value` is always a float64 ndarray (scalars have shape ()). On a
+    parameter, `grad` accumulates additively across backward passes until
+    reset to None; other nodes keep none.
     Forward values never depend on whether gradients were requested.
 
     Only a node that requires a gradient keeps a tape: its vjps and, for a
@@ -90,21 +95,25 @@ def _result(value, op: str, vjps, tie: Callable[[], bool] | None = None) -> Node
 
 
 def matmul(a, b) -> Node:
-    """(B, d) @ (d, m) -> (B, m), row-invariant.
+    """(B, d) @ (d, m) -> (B, m), or a stack of such products,
+    (E, B, d) @ (E, d, m) -> (E, B, m), row-invariant.
 
     Each row is multiplied on its own, as a stack of (1, d) products, so a
-    row's result is bit-identical whatever other rows share the batch; one
-    gemm over the whole batch would let a row's last bits depend on the
+    row's result is bit-identical whatever other rows share the batch, and
+    a stacked product is bit-identical to its E products taken one by one;
+    one gemm over the whole batch would let a row's last bits depend on the
     batch size.
     """
     a, b = _wrap(a), _wrap(b)
     va, vb = a.value, b.value
-    if va.ndim != 2 or vb.ndim != 2:
-        raise ShapeError("matmul", (va.shape, vb.shape), "operands must be 2-d")
-    if va.shape[1] != vb.shape[0]:
+    if va.ndim != vb.ndim or va.ndim not in (2, 3) or va.shape[:-2] != vb.shape[:-2]:
+        raise ShapeError("matmul", (va.shape, vb.shape),
+                         "operands must be 2-d, or 3-d stacks of one length")
+    if va.shape[-1] != vb.shape[-2]:
         raise ShapeError("matmul", (va.shape, vb.shape), "inner dimensions differ")
-    out = np.matmul(va[:, None, :], vb)[:, 0]
-    return _result(out, "matmul", [(a, lambda g: g @ vb.T), (b, lambda g: va.T @ g)])
+    out = np.matmul(va[..., None, :], vb[..., None, :, :])[..., 0, :]
+    return _result(out, "matmul", [(a, lambda g: g @ np.swapaxes(vb, -1, -2)),
+                                   (b, lambda g: np.swapaxes(va, -1, -2) @ g)])
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:
@@ -273,14 +282,18 @@ def concat(parts: Sequence, axis: int = -1) -> Node:
 
 
 def take(a, index: tuple) -> Node:
-    """Entries `a[index]` for a tuple of integer index arrays: `(rows,)`
-    gathers rows, `(rows, cols)` picks one entry per row. The gradient is
-    scattered back, adding up where an entry is taken more than once."""
+    """Entries `a[index]` for a tuple of integer index arrays, after any
+    whole-axis slices: `(rows,)` gathers rows, `(rows, cols)` picks one entry
+    per row, and `(slice(None), rows, cols)` does so in every matrix of a
+    stack. The gradient is scattered back, adding up where an entry is taken
+    more than once."""
     a = _wrap(a)
     va = a.value
-    index = tuple(np.asarray(i, dtype=np.intp) for i in index)
+    index = tuple(i if isinstance(i, slice) else np.asarray(i, dtype=np.intp) for i in index)
     try:
-        out = va[index]
+        # in C order: after a slice, indexing may return a transposed layout,
+        # and a reduction then adds in another order than on a single matrix
+        out = np.ascontiguousarray(va[index])
     except IndexError:
         raise ShapeError("take", (va.shape,), "index out of range") from None
 
@@ -297,32 +310,75 @@ def pairwise_sq_dist(e, r) -> Node:
 
     `e` is a (B, dim) batch of queries; `r` holds targets along its last
     axis, (..., dim), e.g. an (N, K, dim) bank of mode centers. The result
-    is (B, ...). Differences are taken before squaring, so a query that
-    coincides with a target is at distance exactly 0.
+    is (B, ...). A stack of such pairs, (E, B, dim) queries and
+    (E, ..., dim) targets, gives (E, B, ...): queries meet only the targets
+    of their own stack entry. Differences are taken before squaring, so a
+    query that coincides with a target is at distance exactly 0.
+
+    The (B, M, dim) differences are the largest arrays of a loss graph, so
+    none is kept: a stack is worked through in chunks of whole entries of
+    at most DIFF_CHUNK differences (one entry when it alone holds more),
+    and each pass forms a chunk's differences afresh, bit for bit the same.
     """
     e, r = _wrap(e), _wrap(r)
     ve, vr = e.value, r.value
-    if ve.ndim != 2 or vr.ndim < 1 or vr.shape[-1] != ve.shape[1]:
-        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape), "expected (B, dim) and (..., dim)")
-    batch, dim = ve.shape
-    diff = vr.reshape(1, -1, dim) - ve[:, None, :]  # (B, M, dim)
-    out = (diff * diff).sum(axis=2).reshape((batch,) + vr.shape[:-1])
+    stack = ve.shape[:-2]
+    if (ve.ndim not in (2, 3) or vr.ndim < ve.ndim - 1 or vr.shape[:len(stack)] != stack
+            or vr.shape[-1] != ve.shape[-1]):
+        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape),
+                         "expected (B, dim) and (..., dim), or (E, B, dim) and (E, ..., dim)")
+    lead = stack or (1,)  # a single pair is a stack of one
+    batch, dim = ve.shape[-2:]
+    targets = vr.reshape(lead + (1, -1, dim))
+    queries = ve.reshape(lead + (batch, 1, dim))
+    count = targets.shape[-2]
+    per = max(1, DIFF_CHUNK // max(batch * count * dim, 1))
+    starts = range(0, lead[0], per)
+    buf = np.empty((min(per, lead[0]), batch, count, dim))
 
-    def vjp_e(g):
-        return (-2.0 * diff * g.reshape(batch, -1, 1)).sum(axis=1)
+    def differences(i):
+        # targets copied out along the rows, less the queries: the bits of
+        # the broadcast subtraction, in half its time
+        d = buf[:len(targets[i:i + per])]
+        np.copyto(d, targets[i:i + per])
+        np.subtract(d, queries[i:i + per], out=d)
+        return d
 
-    def vjp_r(g):
-        return (2.0 * diff * g.reshape(batch, -1, 1)).sum(axis=0).reshape(vr.shape)
+    out = np.empty(lead + (batch, count))
+    for i in starts:
+        d = differences(i)
+        d *= d
+        d.sum(axis=-1, out=out[i:i + per])
+    out = out.reshape(stack + (batch,) + vr.shape[len(stack):-1])
 
-    return _result(out, "pairwise_sq_dist", [(e, vjp_e), (r, vjp_r)])
+    # Both gradients are sums of the products 2 * diff * g, up to sign
+    # (scaling by 2 and negation are exact), so both are formed on the
+    # first of the two calls made for one upstream g.
+    grads: dict = {}
+
+    def gradients(g):
+        if grads.get("g") is not g:
+            ge, gr = np.empty(lead + (batch, dim)), np.empty(lead + (count, dim))
+            g2 = (2.0 * g).reshape(lead + (batch, count, 1))
+            for i in starts:
+                d = differences(i)
+                d *= g2[i:i + per]
+                np.negative(d.sum(axis=-2), out=ge[i:i + per])
+                d.sum(axis=-3, out=gr[i:i + per])
+            grads.update(g=g, e=ge.reshape(ve.shape), r=gr.reshape(vr.shape))
+        return grads
+
+    return _result(out, "pairwise_sq_dist",
+                   [(e, lambda g: gradients(g)["e"]), (r, lambda g: gradients(g)["r"])])
 
 
 def l2_normalize(a, epsilon: float = 1e-12) -> Node:
-    """Scale each row of a matrix to unit Euclidean norm."""
+    """Scale each row of a matrix, or of a stack of matrices, to unit
+    Euclidean norm."""
     a = _wrap(a)
     va = a.value
-    if va.ndim != 2:
-        raise ShapeError("l2_normalize", (va.shape,), "expected 2-d input")
+    if va.ndim not in (2, 3):
+        raise ShapeError("l2_normalize", (va.shape,), "expected 2-d or 3-d input")
     norms = np.sqrt((va * va).sum(axis=-1, keepdims=True))
     if np.any(norms < epsilon):
         raise DegenerateVectorError(
@@ -423,7 +479,9 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(node) into `.grad` of every requires_grad node.
+    """Accumulate d(root)/d(p) into `.grad` of every parameter p (a leaf
+    that requires a gradient) the root depends on. An intermediate node's
+    gradient is dropped once it has been passed on to its inputs.
 
     Repeated calls without clearing gradients accumulate additively.
     """
@@ -435,7 +493,7 @@ def backward(root: Node) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if not node._vjps:
             node.grad = g.copy() if node.grad is None else node.grad + g
         for parent, vjp in node._vjps:
             if not parent.requires_grad:

@@ -9,6 +9,12 @@ last layer and the representatives. It is built from three arrays (the last
 weight and bias of the trained head and the support embeddings), so no
 initial values are drawn for it.
 
+A pass (`evaluate_episodes`) runs its episodes in blocks of one shape and
+fine-tunes each block as one stack: every step builds a single loss graph
+over all the block's episode heads (`finetune_episodes`), and each episode
+still takes, bit for bit, the steps it would take alone. `run_episode` and
+`episode_finetune` are the one-episode forms of the same pass.
+
 Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
 never look at the number of shots, and the support draw gets its own
@@ -26,10 +32,21 @@ import numpy as np
 from . import autodiff as ad
 from .data import BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, FeatureRecord, read_json_lines
 from .errors import ConfigError, DatasetError
-from .head import MixtureHead
+from .head import MixtureHead, parameter_layout
 from .metrics import Detections, GroundTruth
 from .rng import substream
 from .training import SGD
+
+# Entries per fine-tune graph. A pass fine-tunes its episodes in blocks, one
+# graph per step for each block. Per episode, a graph's arrays are about a
+# dozen (rows, modes) tables and a few copies of the episode head's
+# parameters, so a block holds as many episodes as keep one table plus the
+# parameters of each under this bound, and peak memory does not grow with
+# the episode count. At README scale (width 64, e = 32) that is 15 one-shot,
+# 10 five-shot or 5 ten-shot episodes a graph. Episodes are independent, so
+# blocking changes no result bit.
+BLOCK_ENTRIES = 36_000
+
 
 @dataclass
 class EpisodeSpec:
@@ -210,45 +227,68 @@ class FinetuneResult:
     kept_step: int
 
 
-def episode_finetune(head: MixtureHead, support, steps: int,
-                     lr: float = 0.01) -> FinetuneResult:
-    """Adapt `head`, an episode head from `replace_representatives`, to its
-    support set: every parameter of it, that is the last embedding layer and
-    the representatives, is tuned on the (ways, shots, width) penultimate
-    features of the support, class i being row i. The frozen layers of the
-    trained head are not run. Keeps the best-loss iterate, so the final
-    support loss never exceeds the initial one.
+def finetune_episodes(heads, support, steps: int, lr: float = 0.01) -> list[FinetuneResult]:
+    """Adapt each of `heads`, episode heads from `replace_representatives`,
+    to its support set: every parameter of it, that is the last embedding
+    layer and the representatives, is tuned on the penultimate features of
+    its support, `support` being an (E, ways, shots, width) stack with
+    class i as row i of each episode. The frozen layers of the trained head
+    are not run.
+
+    The episodes share one graph per step, built on a stack of the heads
+    (`MixtureHead.from_arrays` with `stack`). Its root sums the episodes'
+    losses and SGD is elementwise, so each episode takes bit for bit the
+    steps it would take alone. Each episode keeps its best-loss iterate, so
+    its final support loss never exceeds its initial one.
     """
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     if steps == 0:
-        return FinetuneResult([], 0)
-    ways, shots, width = support.shape
-    X = support.reshape(ways * shots, width)
+        return [FinetuneResult([], 0) for _ in heads]
+    count, ways, shots, width = support.shape
+    X = support.reshape(count, ways * shots, width)
     labels = np.repeat(np.arange(ways), shots)
-    tuned = head.parameters()
+    first = heads[0]
+    layout = parameter_layout(first.embedding.config, first.mixture, count)
+    stacked = MixtureHead.from_arrays(
+        first.embedding.config, first.mixture, first.task_mode,
+        {name: np.stack([h.named_parameters()[name].value for h in heads]).reshape(shape)
+         for name, shape in layout.items()}, stack=count)
+    tuned = stacked.parameters()
     optimizer = SGD({"no_decay": tuned}, lr=lr, momentum=0.0)
 
     losses = []
-    best = (np.inf, 0, None)
+    best_loss, best_step = np.full(count, np.inf), np.zeros(count, dtype=int)
+    best = [p.value.copy() for p in tuned]
     for step in range(steps + 1):
-        loss, parts = head.total_loss(X, labels)
+        loss, parts = stacked.total_loss(X, labels)
         value = parts["total"]
         losses.append(value)
-        if value < best[0]:
-            best = (value, step, [p.value.copy() for p in tuned])
+        better = value < best_loss
+        best_loss[better], best_step[better] = value[better], step
+        for kept, p in zip(best, tuned):
+            kept[better] = p.value[better]
         if step == steps:
             break
         ad.zero_grads(tuned)
         ad.backward(loss)
         optimizer.step()
-    if losses[-1] > best[0]:
-        for p, v in zip(tuned, best[2]):
-            p.value = v.copy()
-        kept = best[1]
-    else:
-        kept = steps
-    return FinetuneResult(losses, kept)
+        del loss  # free this step's graph before the next one is built
+    worse = losses[-1] > best_loss
+    for kept, p in zip(best, tuned):
+        p.value[worse] = kept[worse]
+    for i, head in enumerate(heads):
+        for p, q in zip(head.parameters(), tuned):
+            p.value = q.value[i].reshape(p.value.shape).copy()
+    kept_step = np.where(worse, best_step, steps)
+    return [FinetuneResult(trace.tolist(), int(k)) for trace, k in zip(np.array(losses).T, kept_step)]
+
+
+def episode_finetune(head: MixtureHead, support, steps: int,
+                     lr: float = 0.01) -> FinetuneResult:
+    """`finetune_episodes` for one episode head and its (ways, shots, width)
+    support features."""
+    return finetune_episodes([head], np.asarray(support)[None], steps, lr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +326,33 @@ def score_queries(head: MixtureHead, queries, features, episode_id: int,
     )
 
 
+def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detections]:
+    """Full pass over `episodes` on episode heads built from `head`, which
+    stays unchanged: put each episode's support and queries through the
+    frozen layers once, install its support representatives, optionally
+    fine-tune all the episodes together, score each one's queries."""
+    heads, supports, queries = [], [], []
+    for ep in episodes:
+        support = [r for label in ep.class_ids for r in ep.support[label]]
+        features = head.embedding.hidden_features(
+            np.stack([r.features for r in support + list(ep.queries)]))
+        supports.append(features[:len(support)].reshape(len(ep.class_ids), -1,
+                                                        features.shape[1]))
+        queries.append(features[len(support):])
+        heads.append(replace_representatives(head, support_embeddings(head, supports[-1])))
+    if steps:
+        finetune_episodes(heads, np.stack(supports), steps, lr)
+    return [score_queries(h, ep.queries, q, ep.episode_id, ep.class_ids)
+            for h, ep, q in zip(heads, episodes, queries)]
+
+
 def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
                 finetune_lr: float = 0.01) -> Detections:
     """Full episode pass on an episode head built from `head`, which stays
     unchanged: put the support and the queries through the frozen layers
     once, install the support representatives, optionally fine-tune, score
     the queries."""
-    support = [r for label in episode.class_ids for r in episode.support[label]]
-    features = head.embedding.hidden_features(
-        np.stack([r.features for r in support + list(episode.queries)]))
-    support_features = features[:len(support)].reshape(len(episode.class_ids), -1,
-                                                        features.shape[1])
-    episode_head = replace_representatives(head, support_embeddings(head, support_features))
-    if finetune_steps:
-        episode_finetune(episode_head, support_features, finetune_steps, finetune_lr)
-    return score_queries(episode_head, episode.queries, features[len(support):],
-                         episode.episode_id, episode.class_ids)
+    return _run_block(head, [episode], finetune_steps, finetune_lr)[0]
 
 
 @dataclass
@@ -327,18 +378,30 @@ class EpisodeEvaluation:
 def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
                       lr: float = 0.01) -> EpisodeEvaluation:
     """Run every episode (fine-tuning `steps` steps at `lr`) and pool its
-    detections with the query accuracy and background false-accept counts."""
+    detections with the query accuracy and background false-accept counts.
+
+    Episodes run in blocks that each fine-tune as one stacked graph per
+    step; a block holds as many episodes as `BLOCK_ENTRIES` allows. To be
+    fine-tuned, all episodes must have the same ways and shots."""
+    episodes = list(episodes)
+    shapes = {tuple(len(ep.support[label]) for label in ep.class_ids) for ep in episodes}
+    if steps and len(shapes) > 1:
+        raise ConfigError("episodes fine-tuned in one pass must have the same ways and shots")
+    rows = max((sum(shape) for shape in shapes), default=1)
+    width, dim = head.embedding.weights[-1].value.shape
+    per_block = max(1, BLOCK_ENTRIES // (rows * rows + (width + 1 + rows) * dim))
     result, kept = EpisodeEvaluation(Detections.concat([])), []
-    for ep in episodes:
-        detections = run_episode(head, ep, finetune_steps=steps, finetune_lr=lr)
-        accepted = np.isin(detections.class_id, ep.class_ids)
-        background = np.array([q.is_background for q in ep.queries], dtype=bool)
-        correct = detections.class_id == np.array([q.label for q in ep.queries])
-        result.foreground += int(np.count_nonzero(~background))
-        result.foreground_correct += int(np.count_nonzero(~background & correct))
-        result.background += int(np.count_nonzero(background))
-        result.background_accepted += int(np.count_nonzero(background & accepted))
-        kept.append(detections[accepted])
+    for start in range(0, len(episodes), per_block):
+        block = episodes[start:start + per_block]
+        for ep, detections in zip(block, _run_block(head, block, steps, lr)):
+            accepted = np.isin(detections.class_id, ep.class_ids)
+            background = np.array([q.is_background for q in ep.queries], dtype=bool)
+            correct = detections.class_id == np.array([q.label for q in ep.queries])
+            result.foreground += int(np.count_nonzero(~background))
+            result.foreground_correct += int(np.count_nonzero(~background & correct))
+            result.background += int(np.count_nonzero(background))
+            result.background_accepted += int(np.count_nonzero(background & accepted))
+            kept.append(detections[accepted])
     result.detections = Detections.concat(kept)
     return result
 
@@ -376,7 +439,10 @@ def save_episodes(episodes, spec: EpisodeSpec, path) -> None:
 
 
 def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
-    """Rebuild episodes from ids against the dataset they were drawn from."""
+    """Rebuild episodes from ids against the dataset they were drawn from.
+    Every episode must have the spec's shape, `ways` classes of `shots`
+    support items each, as the passes over the file fine-tune its episodes
+    together."""
     spec = None
     episodes = []
     for line_no, obj in read_json_lines(path, "episodes"):
@@ -406,6 +472,11 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
                     f"support item {rec.id} has label {rec.label!r} outside the episode", line_no
                 )
             support[rec.label].append(rec)
+        shots = sorted({len(recs) for recs in support.values()})
+        if len(class_ids) != spec.ways or shots != [spec.shots]:
+            raise DatasetError(
+                f"episode {episode_id} has {len(class_ids)} classes with {shots} support items "
+                f"each, the spec says {spec.ways}-way {spec.shots}-shot", line_no)
         episodes.append(Episode(episode_id, class_ids, support, queries))
     if spec is None:
         raise DatasetError("missing header line")

@@ -148,7 +148,7 @@ class EmbeddingNet:
 
     def _hidden(self, X, train: bool = False) -> Node:
         h = X if isinstance(X, Node) else ad.constant(np.asarray(X, dtype=np.float64))
-        if h.value.ndim != 2 or h.value.shape[1] != self.config.input_dim:
+        if h.value.ndim not in (2, 3) or h.value.shape[-1] != self.config.input_dim:
             raise ShapeError(
                 "embed", (h.value.shape,), f"expected (batch, {self.config.input_dim})"
             )
@@ -184,10 +184,15 @@ def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
                            for i in range(0, max(len(X), 1), BLOCK_ROWS)])
 
 
-def parameter_layout(embedding: EmbeddingConfig, mixture: MixtureConfig) -> dict[str, tuple]:
+def parameter_layout(embedding: EmbeddingConfig, mixture: MixtureConfig,
+                     stack: int | None = None) -> dict[str, tuple]:
     """Name -> shape of every parameter of a head, in parameter order: per
     layer its weight, then gamma and beta on hidden layers; the last layer's
-    bias; the (N, K, e) representatives."""
+    bias; the (N, K, e) representatives.
+
+    With `stack`, the layout of a stack of that many heads: every shape
+    gains a leading axis of that length, and the last bias is (stack, 1, e)
+    so that it broadcasts over the rows of each head's batch."""
     widths = [embedding.input_dim, *embedding.layer_widths]
     last = len(embedding.layer_widths) - 1
     layout = {}
@@ -198,6 +203,9 @@ def parameter_layout(embedding: EmbeddingConfig, mixture: MixtureConfig) -> dict
     layout[f"layers.{last}.bias"] = (embedding.output_dim,)
     layout["representatives.weight"] = (mixture.num_classes, mixture.modes_per_class,
                                         embedding.output_dim)
+    if stack is not None:
+        layout = {name: (stack,) + shape for name, shape in layout.items()}
+        layout[f"layers.{last}.bias"] = (stack, 1, embedding.output_dim)
     return layout
 
 
@@ -305,52 +313,55 @@ def margin_loss(distances, labels, margin: float) -> Node:
     """Per-row hinge between the closest correct-class mode and the closest
     wrong-class mode: relu(min_true - min_wrong + margin), (B,) values.
 
-    `distances` is the (B, N, K) table; `labels` holds one 0-based class per
-    row. Each minimum is one row-min over the flattened N*K modes, with the
-    excluded modes pushed to +inf by a constant additive mask.
+    `distances` is the (B, N, K) table, or an (E, B, N, K) stack of them
+    giving (E, B) values; `labels` holds one 0-based class per row, the same
+    in every table of a stack. Each minimum is one row-min over the
+    flattened N*K modes, with the excluded modes pushed to +inf by a
+    constant additive mask.
     """
     d = _wrap(distances)
-    if d.value.ndim != 3:
-        raise ShapeError("margin_loss", (d.value.shape,), "expected (B, N, K)")
-    batch, n, k = d.value.shape
+    if d.value.ndim not in (3, 4):
+        raise ShapeError("margin_loss", (d.value.shape,), "expected (B, N, K) or (E, B, N, K)")
+    batch, n, k = d.value.shape[-3:]
     if n < 2:
         raise ValueError("margin_loss needs a competing class (N >= 2)")
     labels = _check_labels(labels, n, background_ok=False)
     if labels.shape[0] != batch:
         raise ShapeError("margin_loss", (d.value.shape, labels.shape), "one label per row")
     own = np.repeat(np.arange(n)[None, :] == labels[:, None], k, axis=1)  # (B, N*K)
-    flat = ad.reshape(d, (batch, n * k))
-    d_true = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=1)
-    d_wrong = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=1)
+    flat = ad.reshape(d, d.shape[:-2] + (n * k,))
+    d_true = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=-1)
+    d_wrong = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=-1)
     return ad.relu(ad.add(ad.add(d_true, ad.negate(d_wrong)), ad.constant(float(margin))))
 
 
 def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
     """Per-row negative log probability of the true label, (B,) values.
 
-    `class_posterior` is (B, N). With `background_post` None it is taken as
-    already normalized and every label must be a foreground class.
-    Otherwise each row's (N+1)-way distribution is formed by renormalizing
-    [class_posterior, background_post] to sum 1 (argmax preserved), and a
-    label may be BACKGROUND. Probabilities are floored at 1e-12 inside the
-    log.
+    `class_posterior` is (B, N), or an (E, B, N) stack giving (E, B)
+    values, with the same labels in every table. With `background_post`
+    None it is taken as already normalized and every label must be a
+    foreground class. Otherwise each row's (N+1)-way distribution is formed
+    by renormalizing [class_posterior, background_post] to sum 1 (argmax
+    preserved), and a label may be BACKGROUND. Probabilities are floored at
+    1e-12 inside the log.
     """
     post = _wrap(class_posterior)
-    if post.value.ndim != 2:
-        raise ShapeError("cross_entropy_loss", (post.value.shape,), "expected (B, N)")
-    batch, n = post.value.shape
+    if post.value.ndim not in (2, 3):
+        raise ShapeError("cross_entropy_loss", (post.value.shape,), "expected (B, N) or (E, B, N)")
+    batch, n = post.value.shape[-2:]
     labels = _check_labels(labels, n, background_ok=background_post is not None)
     if labels.shape[0] != batch:
         raise ShapeError("cross_entropy_loss", (post.value.shape, labels.shape), "one label per row")
-    rows = np.arange(batch)
+    rows = (slice(None),) * (post.value.ndim - 2) + (np.arange(batch),)
     if background_post is None:
-        picked = ad.take(post, (rows, labels))
+        picked = ad.take(post, rows + (labels,))
         return ad.negate(ad.log(clamp_min(picked, PROB_FLOOR)))
 
     bg = _wrap(background_post)
-    total = ad.add(ad.reduce_sum(post, axis=1), bg)
-    table = ad.concat([post, ad.reshape(bg, (batch, 1))], axis=1)
-    picked = ad.take(table, (rows, np.where(labels == BACKGROUND, n, labels)))
+    total = ad.add(ad.reduce_sum(post, axis=-1), bg)
+    table = ad.concat([post, ad.reshape(bg, bg.shape + (1,))], axis=-1)
+    picked = ad.take(table, rows + (np.where(labels == BACKGROUND, n, labels),))
     ratio = ad.exp(ad.add(ad.log(picked), ad.negate(ad.log(total))))
     return ad.negate(ad.log(clamp_min(ratio, PROB_FLOOR)))
 
@@ -425,21 +436,28 @@ class MixtureHead:
 
     @classmethod
     def from_arrays(cls, embedding: EmbeddingConfig, mixture: MixtureConfig, task_mode: str,
-                    arrays: dict, bn_running=None) -> "MixtureHead":
+                    arrays: dict, bn_running=None, stack: int | None = None) -> "MixtureHead":
         """A head holding copies of `arrays`, named as in `parameter_layout`,
         with `bn_running` as the (mean, var) running statistics of each
         hidden layer (zeros and ones when None). Draws no random values.
         Names, shapes, finiteness and positive variances are checked; any
-        failure raises ConfigError."""
+        failure raises ConfigError.
+
+        With `stack`, the head is a stack of that many one-layer heads, its
+        arrays laid out as `parameter_layout(..., stack)` gives, whose loss
+        takes one batch per head (see `total_loss`); it is for training
+        only, as scoring takes single heads."""
         head = cls.__new__(cls)
-        head._build(embedding, mixture, task_mode, arrays, bn_running)
+        head._build(embedding, mixture, task_mode, arrays, bn_running, stack)
         return head
 
     def _build(self, embedding: EmbeddingConfig, mixture: MixtureConfig, task_mode: str,
-               arrays: dict, bn_running) -> None:
+               arrays: dict, bn_running, stack: int | None = None) -> None:
         if task_mode not in ("classification", "detection"):
             raise ConfigError(f"task_mode must be 'classification' or 'detection', got {task_mode!r}")
-        layout = parameter_layout(embedding, mixture)
+        if stack is not None and len(embedding.layer_widths) != 1:
+            raise ConfigError("a stack of heads must have one layer (batch norm does not stack)")
+        layout = parameter_layout(embedding, mixture, stack)
         if set(arrays) != set(layout):
             raise ConfigError(f"parameter names differ: missing {sorted(set(layout) - set(arrays))}, "
                               f"unexpected {sorted(set(arrays) - set(layout))}")
@@ -497,10 +515,16 @@ class MixtureHead:
 
         Background-labeled items (detection mode) contribute cross-entropy
         only. Returns (scalar Node, {"ce", "margin", "total"} floats).
+
+        On a stack of heads (see `from_arrays`), X is (E, B, input_dim), one
+        batch per head, all under the same B labels. The root is the sum over
+        the heads of each one's batch mean, so each head's gradient is bit
+        for bit the one its own loss would give, and each part is an (E,)
+        array of per-head values.
         """
         X = np.asarray(X, dtype=np.float64)
         labels = np.array([int(l) for l in labels], dtype=np.intp)
-        if X.ndim != 2 or X.shape[0] != len(labels) or not len(labels):
+        if X.ndim not in (2, 3) or X.shape[-2] != len(labels) or not len(labels):
             raise ShapeError("total_loss", (X.shape,), f"need one row per label ({len(labels)})")
         if self.task_mode == "classification" and np.any(labels == BACKGROUND):
             raise ValueError("background labels require detection mode")
@@ -511,19 +535,22 @@ class MixtureHead:
             ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
         else:
             ce = cross_entropy_loss(class_posterior_max(probs), background_posterior(probs), labels)
-        ce_total = ad.reduce_sum(ce)
-        loss, margin = ce_total, 0.0
+        ce_total = ad.reduce_sum(ce, axis=-1)
+        loss, margin = ce_total, np.zeros(ce_total.shape)
 
         fg = np.flatnonzero(labels != BACKGROUND)
         if fg.size and self.mixture.num_classes >= 2:
-            dist = ad.sqrt(clamp_min(ad.take(d2, (fg,)), DIST_SQ_FLOOR))
-            margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], self.mixture.margin))
+            rows = (slice(None),) * (X.ndim - 2) + (fg,)
+            dist = ad.sqrt(clamp_min(ad.take(d2, rows), DIST_SQ_FLOOR))
+            margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], self.mixture.margin), axis=-1)
             loss = ad.add(loss, margin_total)
-            margin = float(margin_total.value) / batch
+            margin = margin_total.value / batch
 
         loss = ad.scale(loss, 1.0 / batch)
-        parts = {"ce": float(ce_total.value) / batch, "margin": margin, "total": float(loss.value)}
-        return loss, parts
+        parts = {"ce": ce_total.value / batch, "margin": margin, "total": loss.value}
+        if X.ndim == 3:
+            return ad.reduce_sum(loss), parts
+        return loss, {name: float(value) for name, value in parts.items()}
 
     # -- inference ---------------------------------------------------------
 

@@ -95,6 +95,30 @@ def _primitive_checks():
                    lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]),
                                                              ad.constant(0.3)))), [u]))
 
+    # the primitives of a stacked fine-tune graph, with a leading stack axis
+    sa, sb = ad.parameter(rng.normal(size=(2, 3, 4))), ad.parameter(rng.normal(size=(2, 4, 2)))
+    checks.append(("matmul (stacked)",
+                   lambda ps: ad.reduce_sum(ad.square(ad.matmul(ps[0], ps[1]))), [sa, sb]))
+    sx, sy = ad.parameter(rng.normal(size=(2, 3, 4))), ad.parameter(rng.normal(size=(2, 1, 4)))
+    checks.append(("add (stacked)",
+                   lambda ps: ad.reduce_sum(ad.square(ad.add(ps[0], ps[1]))), [sx, sy]))
+    for name, reduce in (("reduce_sum", ad.reduce_sum), ("reduce_max", ad.reduce_max),
+                         ("reduce_min", ad.reduce_min)):
+        checks.append((f"{name} (stacked)", lambda ps, reduce=reduce: ad.reduce_sum(
+            ad.square(reduce(ps[0], axis=-1))), [sx]))
+    se, st = ad.parameter(rng.normal(size=(2, 3, 6))), ad.parameter(rng.normal(size=(2, 4, 2, 6)))
+    checks.append(("pairwise_sq_dist (stacked)",
+                   lambda ps: ad.reduce_sum(ad.square(ad.pairwise_sq_dist(ps[0], ps[1]))), [se, st]))
+    sq = ad.parameter(rng.uniform(0.5, 2.0, size=(2, 2, 5)))
+    checks.append(("sqrt (stacked)", lambda ps: ad.reduce_sum(ad.square(ad.sqrt(ps[0]))), [sq]))
+    stacked_index = (slice(None), rows, np.array([3, 0, 0, 2]))
+    checks.append(("take (stacked)",
+                   lambda ps: ad.reduce_sum(ad.square(ad.take(ps[0], stacked_index))), [sx]))
+    su = ad.parameter(rng.normal(size=(2, 4, 3)) + np.array([2.0, -2.0, 3.0]))
+    checks.append(("l2_normalize (stacked)",
+                   lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]),
+                                                             ad.constant(0.3)))), [su]))
+
     state = ad.BatchNormState(np.zeros(3), np.ones(3))
     bx = ad.parameter(rng.normal(size=(6, 3)))
     bg = ad.parameter(rng.uniform(0.5, 1.5, size=3))

@@ -110,6 +110,42 @@ class TestForwardShapes:
         with pytest.raises(ShapeError):
             ad.pairwise_sq_dist(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))))
 
+    @pytest.mark.parametrize("chunk", [1, 500, 2**16], ids=["entry_chunks", "small_chunks",
+                                                           "one_chunk"])
+    def test_stacked_primitives_match_each_entry(self, monkeypatch, chunk):
+        # a stack of E problems gives, bit for bit, the values and gradients
+        # of the E problems run one at a time, however pairwise_sq_dist
+        # splits the stack into chunks
+        monkeypatch.setattr(ad, "DIFF_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        X, W = rng.normal(size=(5, 7, 6)), rng.normal(size=(5, 6, 4))
+        b, R = rng.normal(size=(5, 1, 4)), rng.normal(size=(5, 3, 2, 4))
+
+        def graph(x, w, bias, reps):
+            params = [ad.parameter(v) for v in (w, bias, reps)]
+            e = ad.l2_normalize(ad.add(ad.matmul(ad.constant(x), params[0]), params[1]))
+            d2 = ad.pairwise_sq_dist(e, params[2])
+            p = ad.exp(ad.scale(d2, -0.7))
+            rows = ad.reduce_sum(ad.reshape(p, p.shape[:-2] + (-1,)), axis=-1)
+            ad.backward(ad.reduce_sum(ad.reduce_max(rows, axis=-1)))
+            return [d2.value] + [p.grad for p in params]
+
+        stacked = graph(X, W, b, R)
+        for i in range(5):
+            alone = graph(X[i], W[i], b[i, 0], R[i])
+            for whole, part in zip(stacked, alone):
+                assert whole[i].tobytes() == part.reshape(whole[i].shape).tobytes()
+
+    def test_stacked_shapes_must_agree(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 4, 5))))
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((4, 5))))
+        with pytest.raises(ShapeError):
+            ad.pairwise_sq_dist(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 5, 4))))
+        with pytest.raises(ShapeError):
+            ad.l2_normalize(ad.constant(np.ones((2, 2, 3, 4))))
+
     def test_shape_ops_forward(self):
         a = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(ad.reshape(a, (3, 2)).value, a.reshape(3, 2))
@@ -198,6 +234,13 @@ class TestBackwardSemantics:
         ad.backward(loss)
         assert float(x.grad) == 0.0
 
+    def test_only_parameters_keep_gradients(self):
+        x = ad.parameter([1.0, 2.0])
+        hidden = ad.square(x)
+        ad.backward(ad.reduce_sum(hidden))
+        assert hidden.grad is None
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_take_scatters_repeated_entries(self):
         a = ad.parameter(np.zeros((2, 3)))
         ad.backward(ad.reduce_sum(ad.take(a, ([0, 0, 1], [1, 1, 2]))))
@@ -274,6 +317,52 @@ class TestGradChecks:
             return ad.reduce_sum(ad.square(ad.add(y, c)))
 
         gradcheck(f, [x])
+
+    # each primitive a stacked (fine-tune) graph uses, with a leading stack axis
+
+    def test_matmul_stacked(self):
+        a = ad.parameter(self.rng.normal(size=(3, 4, 5)), "a")
+        b = ad.parameter(self.rng.normal(size=(3, 5, 2)), "b")
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.matmul(ps[0], ps[1]))), [a, b])
+
+    def test_add_stacked_bias(self):
+        x = ad.parameter(self.rng.normal(size=(3, 4, 2)), "x")
+        bias = ad.parameter(self.rng.normal(size=(3, 1, 2)), "bias")
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ps[0], ps[1]))), [x, bias])
+
+    def test_reductions_stacked(self):
+        x = ad.parameter(self.rng.normal(size=(3, 4, 5)), "x")
+        for reduce in (ad.reduce_max, ad.reduce_min, ad.reduce_sum):
+            gradcheck(lambda ps: ad.reduce_sum(ad.square(reduce(ps[0], axis=-1))), [x])
+
+    @pytest.mark.parametrize("chunk", [1, 2**16], ids=["entry_chunks", "one_chunk"])
+    def test_pairwise_sq_dist_stacked(self, monkeypatch, chunk):
+        monkeypatch.setattr(ad, "DIFF_CHUNK", chunk)
+        e = ad.parameter(self.rng.normal(size=(3, 4, 5)), "e")
+        reps = ad.parameter(self.rng.normal(size=(3, 2, 2, 5)), "reps")
+
+        def f(ps):
+            return ad.reduce_sum(ad.square(ad.pairwise_sq_dist(ps[0], ps[1])))
+
+        gradcheck(f, [e, reps])
+        # either side alone: the other gradient is formed but not asked for
+        gradcheck(lambda ps: f([ps[0], ad.constant(reps.value)]), [e])
+        gradcheck(lambda ps: f([ad.constant(e.value), ps[0]]), [reps])
+
+    def test_sqrt_stacked(self):
+        x = ad.parameter(self.rng.uniform(0.3, 3.0, size=(2, 3, 4)), "x")
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.sqrt(ps[0]))), [x])
+
+    def test_take_stacked(self):
+        x = ad.parameter(self.rng.normal(size=(2, 4, 3)), "x")
+        index = (slice(None), np.array([0, 3, 3, 1]), np.array([2, 0, 0, 1]))
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.take(ps[0], index))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.take(ps[0], index[:2]))), [x])
+
+    def test_l2_normalize_stacked(self):
+        x = ad.parameter(self.rng.normal(size=(2, 4, 6)) + 0.5, "x")
+        c = ad.constant(self.rng.normal(size=(2, 4, 6)))
+        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]), c))), [x])
 
     def test_batch_norm_train_mode(self):
         state = ad.BatchNormState(np.zeros(3), np.ones(3))

@@ -322,6 +322,37 @@ class TestEvalEpisodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("reshape", ["drop_a_class", "drop_a_support_item",
+                                         "add_a_support_item"])
+    def test_episode_of_another_shape_is_refused(self, pipeline, tmp_path, capsys, reshape):
+        # the passes fine-tune a file's episodes together, so every episode
+        # must have the spec's ways and shots
+        dataset = load_dataset(pipeline["data"])
+        lines = pipeline["episodes"].read_text(encoding="utf-8").splitlines()
+        episode = json.loads(lines[2])
+        if reshape == "drop_a_class":
+            dropped = episode["class_ids"].pop()
+            episode["support_item_ids"] = [i for i in episode["support_item_ids"]
+                                           if dataset.by_id[i].label != dropped]
+        elif reshape == "drop_a_support_item":
+            episode["support_item_ids"].pop()
+        else:
+            used = set(episode["support_item_ids"]) | set(episode["query_item_ids"])
+            label = dataset.by_id[episode["support_item_ids"][0]].label
+            episode["support_item_ids"].append(next(
+                r.id for r in dataset if r.label == label and r.id not in used))
+        lines[2] = json.dumps(episode)
+        episodes = tmp_path / "episodes.jsonl"
+        episodes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "report"
+        assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(episodes), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_shots_list(self, pipeline, tmp_path, capsys):
         assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
                          "--data", str(pipeline["data"]),
@@ -451,17 +482,24 @@ class TestBenchmarkTracer:
         by_name: dict = {}
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
-        # 3 episodes, each without and with RUN's 5 fine-tune steps
-        assert len(by_name["episodes.run_episode"]) == 6
+        # 3 episodes, each without and with RUN's 5 fine-tune steps; a pass
+        # runs its episodes as one block, not through the one-episode calls
+        assert "episodes.run_episode" not in by_name
+        assert "episodes.episode_finetune" not in by_name
         assert len(by_name["episodes.replace_representatives"]) == 6
         assert len(by_name["episodes.support_embeddings"]) == 6
-        assert [s["counts"]["steps"] for s in by_name["episodes.episode_finetune"]] == [5] * 3
         queries = RUN["ways"] * RUN["queries_per_class"] + RUN["background_queries"]
         assert [s["counts"]["queries"] for s in by_name["episodes.score_queries"]] == [queries] * 6
         assert all(s["counts"]["rows"] >= 1 for s in by_name["head.embed_batch"])
-        # the fine-tune graph holds the last layer, the representatives and
-        # the loss; the frozen layers are not in it
-        assert [s["counts"]["nodes"] for s in by_name["head.total_loss"]] == [56] * 18
+        # the fine-tuned pass builds one loss graph per step and one for the
+        # last iterate, each over all 3 episodes: the stacked last layer,
+        # representatives and loss, and the root summing the episodes' losses;
+        # the frozen layers are not in it. Rows count one episode's support.
+        steps = RUN["finetune_steps"]
+        assert [s["counts"]["nodes"] for s in by_name["head.total_loss"]] == [57] * (steps + 1)
+        assert [s["counts"]["rows"] for s in by_name["head.total_loss"]] == \
+            [RUN["ways"] * RUN["shots"]] * (steps + 1)
+        assert len(by_name["autodiff.backward"]) == steps
         # map_over_episodes counts the non-background detections of its pass
         config = load_run_config(pipeline["config"])
         head = load_checkpoint(pipeline["checkpoint"])

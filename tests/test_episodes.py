@@ -6,14 +6,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mixrep import autodiff as ad
+from mixrep import episodes as episodes_module
 from mixrep.data import BACKGROUND_LABEL, FeatureRecord, SynthConfig, synth_dataset
 from mixrep.errors import ConfigError, DatasetError
 from mixrep.episodes import (
     Episode,
     EpisodeSpec,
+    FinetuneResult,
     episode_finetune,
     episode_ground_truth,
+    evaluate_episodes,
+    finetune_episodes,
     generate_episodes,
     load_episodes,
     replace_representatives,
@@ -23,7 +30,7 @@ from mixrep.episodes import (
     support_embeddings,
 )
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
-from mixrep.training import BatchSpec, TrainConfig, fit
+from mixrep.training import SGD, BatchSpec, TrainConfig, fit
 
 
 def episode_dataset(seed=30, unseen=8, per_mode=24, background_fraction=0.15):
@@ -169,8 +176,11 @@ class TestEpisodeFiles:
         lambda obj: {**obj, "episode_id": 1.5},
         lambda obj: {**obj, "support_item_ids": 5},
         lambda obj: {**obj, "class_ids": [["c000"]]},
+        lambda obj: {**obj, "class_ids": obj["class_ids"][:-1],
+                     "support_item_ids": obj["support_item_ids"][:-1]},
+        lambda obj: {**obj, "support_item_ids": obj["support_item_ids"][:-1]},
     ], ids=["not_an_object", "episode_id_text", "episode_id_fraction", "support_ids_not_a_list",
-            "class_id_not_hashable"])
+            "class_id_not_hashable", "fewer_ways_than_the_spec", "fewer_shots_than_the_spec"])
     def test_malformed_episode_line_reports_line(self, tmp_path, edit):
         ds = episode_dataset()
         spec = spec_for(ds, episode_count=2)
@@ -422,19 +432,20 @@ class TestScoreQueries:
         assert dets.episode_id.tolist() == [3]
 
 
-class TestRunEpisode:
-    def state(self, head):
-        """The bytes of everything an episode could change on a trained head."""
-        return {
-            "params": {n: p.value.tobytes() for n, p in head.named_parameters().items()},
-            "bn": [(st.running_mean.tobytes(), st.running_var.tobytes())
-                   for st in head.embedding.bn_states],
-            "mixture": dataclasses.replace(head.mixture),
-            "representatives": head.representatives.value.tobytes(),
-            "grads": {n: None if p.grad is None else p.grad.tobytes()
-                      for n, p in head.named_parameters().items()},
-        }
+def head_state(head):
+    """The bytes of everything an episode could change on a trained head."""
+    return {
+        "params": {n: p.value.tobytes() for n, p in head.named_parameters().items()},
+        "bn": [(st.running_mean.tobytes(), st.running_var.tobytes())
+               for st in head.embedding.bn_states],
+        "mixture": dataclasses.replace(head.mixture),
+        "representatives": head.representatives.value.tobytes(),
+        "grads": {n: None if p.grad is None else p.grad.tobytes()
+                  for n, p in head.named_parameters().items()},
+    }
 
+
+class TestRunEpisode:
     def test_scores_all_queries_and_restores(self):
         # the episode runs on its own episode head: the trained head keeps
         # every bit it had before
@@ -442,7 +453,7 @@ class TestRunEpisode:
         head = small_head()
         probe = ds.records[5].features
         before = head.score(probe)
-        state = self.state(head)
+        state = head_state(head)
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         for steps in (0, 10):
             detections = run_episode(head, ep, finetune_steps=steps, finetune_lr=0.05)
@@ -451,7 +462,7 @@ class TestRunEpisode:
             after = head.score(probe)
             assert np.array_equal(before.class_posterior, after.class_posterior)
             assert before.background_posterior == after.background_posterior
-            assert self.state(head) == state
+            assert head_state(head) == state
 
     def test_ground_truth_covers_foreground_queries(self):
         ds = episode_dataset()
@@ -460,3 +471,119 @@ class TestRunEpisode:
         fg = [q for q in ep.queries if not q.is_background]
         assert len(gts) == len(fg)
         assert set(gts.class_id.tolist()) == set(ep.class_ids)
+
+
+def reference_finetune(head, support, steps, lr):
+    """The one-episode fine-tune loop that the stacked pass replaced, kept as
+    its reference: one loss graph per step for one episode head, and the
+    best-loss iterate kept."""
+    if steps == 0:
+        return FinetuneResult([], 0)
+    ways, shots, width = support.shape
+    X = support.reshape(ways * shots, width)
+    labels = np.repeat(np.arange(ways), shots)
+    tuned = head.parameters()
+    optimizer = SGD({"no_decay": tuned}, lr=lr, momentum=0.0)
+    losses = []
+    best = (np.inf, 0, None)
+    for step in range(steps + 1):
+        loss, parts = head.total_loss(X, labels)
+        value = parts["total"]
+        losses.append(value)
+        if value < best[0]:
+            best = (value, step, [p.value.copy() for p in tuned])
+        if step == steps:
+            break
+        ad.zero_grads(tuned)
+        ad.backward(loss)
+        optimizer.step()
+    if losses[-1] > best[0]:
+        for p, v in zip(tuned, best[2]):
+            p.value = v.copy()
+        return FinetuneResult(losses, best[1])
+    return FinetuneResult(losses, steps)
+
+
+PASS_DATA, PASS_HEAD = episode_dataset(), small_head()
+PASS_HEADS = {"detection": PASS_HEAD, "classification": MixtureHead(
+    EmbeddingConfig(10, (16, 8)), MixtureConfig(4, 2, 0.5, 0.5), "classification", seed=31)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(1, 5), ways=st.integers(2, 4), shots=st.integers(1, 3),
+       steps=st.integers(0, 6), lr=st.floats(1e-3, 0.5),
+       task_mode=st.sampled_from(sorted(PASS_HEADS)))
+# unstable step sizes: every episode reverts, and the kept steps differ
+@example(count=5, ways=3, shots=2, steps=12, lr=2.0, task_mode="detection")
+@example(count=5, ways=4, shots=3, steps=12, lr=1.0, task_mode="detection")
+def test_stacked_pass_matches_one_episode_at_a_time(count, ways, shots, steps, lr, task_mode):
+    trained = PASS_HEADS[task_mode]
+    episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, ways=ways, shots=shots,
+                                                     episode_count=count))
+    supports = [support_features(trained, ep) for ep in episodes]
+    stacked = [installed(trained, ep) for ep in episodes]
+    alone = [installed(trained, ep) for ep in episodes]
+    results = finetune_episodes(stacked, np.stack(supports), steps, lr)
+    for ep, support, head, reference, result in zip(episodes, supports, stacked, alone, results):
+        expected = reference_finetune(reference, support, steps, lr)
+        assert np.array(result.losses).tobytes() == np.array(expected.losses).tobytes()
+        assert result.kept_step == expected.kept_step
+        for name, p in reference.named_parameters().items():
+            assert head.named_parameters()[name].value.tobytes() == p.value.tobytes(), name
+        queries = features(trained, ep.queries)
+        got, want = (score_queries(h, ep.queries, queries, ep.episode_id, ep.class_ids)
+                     for h in (head, reference))
+        assert got.class_id.tolist() == want.class_id.tolist()
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+
+def test_unstable_steps_keep_a_different_iterate_per_episode():
+    # the second explicit example above is a witness only if its episodes,
+    # tuned in one stack, keep different steps, the last one among them
+    episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, ways=4, shots=3,
+                                                     episode_count=5))
+    heads = [installed(PASS_HEAD, ep) for ep in episodes]
+    support = np.stack([support_features(PASS_HEAD, ep) for ep in episodes])
+    kept = [r.kept_step for r in finetune_episodes(heads, support, 12, 1.0)]
+    assert 12 in kept and len(set(kept)) > 2
+
+
+class TestEvaluateEpisodes:
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_a_pass_runs_one_backward_per_step(self, monkeypatch, count):
+        # all episodes of a block share each step's graph; one block here
+        head = small_head()
+        episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, episode_count=count))
+        calls = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root: calls.append(root) or backward(root))
+        state = head_state(head)
+        evaluate_episodes(head, episodes, steps=4, lr=0.05)
+        assert len(calls) == 4
+        assert head_state(head) == state
+
+    def test_blocks_change_no_bit(self, monkeypatch):
+        head = small_head()
+        episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, episode_count=5))
+        whole = evaluate_episodes(head, episodes, steps=4, lr=0.05)
+        calls = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root: calls.append(root) or backward(root))
+        # two episodes a block: 3 rows, width 16 and e = 8 make 169 entries each
+        monkeypatch.setattr(episodes_module, "BLOCK_ENTRIES", 2 * 169)
+        blocked = evaluate_episodes(head, episodes, steps=4, lr=0.05)
+        assert len(calls) == 3 * 4
+        for name in ("foreground", "foreground_correct", "background", "background_accepted"):
+            assert getattr(blocked, name) == getattr(whole, name)
+        for column in ("class_id", "record_id", "image_id"):
+            assert getattr(blocked.detections, column).tolist() == \
+                getattr(whole.detections, column).tolist()
+        assert blocked.detections.scores.tobytes() == whole.detections.scores.tobytes()
+
+    def test_fine_tuned_episodes_must_share_a_shape(self):
+        head = small_head()
+        mixed = (generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=1, episode_count=1))
+                 + generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=2, episode_count=1)))
+        assert evaluate_episodes(head, mixed).foreground == 60
+        with pytest.raises(ConfigError):
+            evaluate_episodes(head, mixed, steps=2)

@@ -30,6 +30,7 @@ from mixrep.head import (
     load_checkpoint,
     margin_loss,
     mode_probabilities,
+    parameter_layout,
     save_checkpoint,
 )
 
@@ -395,6 +396,33 @@ class TestTotalLoss:
             return loss
 
         assert ad.finite_difference_check(f, headm.parameters()) < 1e-4
+
+    @pytest.mark.parametrize("task_mode", ["classification", "detection"])
+    def test_stacked_gradcheck(self, task_mode):
+        # a stack of two one-layer heads, each with a batch of its own; in
+        # detection mode two rows are background and skip the margin
+        rng = np.random.default_rng(19)
+        embedding = EmbeddingConfig(input_dim=6, layer_widths=(4,))
+        mixture = MixtureConfig(num_classes=3, modes_per_class=2, sigma=0.5, margin=0.5)
+        arrays = {name: rng.normal(size=shape)
+                  for name, shape in parameter_layout(embedding, mixture, 2).items()}
+        stacked = MixtureHead.from_arrays(embedding, mixture, task_mode, arrays, stack=2)
+        X = rng.normal(size=(2, 6, 6))
+        labels = [0, 1, 2, 0, 1, 2] if task_mode == "classification" else \
+            [0, 1, 2, BACKGROUND, 1, BACKGROUND]
+        loss, parts = stacked.total_loss(X, labels)
+        assert parts["total"].shape == (2,)
+        assert float(loss.value) == parts["total"][0] + parts["total"][1]
+        assert ad.finite_difference_check(lambda _ps: stacked.total_loss(X, labels)[0],
+                                          stacked.parameters()) < 1e-4
+
+    def test_a_stack_of_heads_has_one_layer(self):
+        embedding = EmbeddingConfig(input_dim=6, layer_widths=(5, 4))
+        mixture = MixtureConfig(num_classes=3, modes_per_class=2)
+        arrays = {name: np.ones(shape)
+                  for name, shape in parameter_layout(embedding, mixture, 2).items()}
+        with pytest.raises(ConfigError):
+            MixtureHead.from_arrays(embedding, mixture, "classification", arrays, stack=2)
 
     def test_loss_finite_at_support_coincidence(self):
         # a query identical to a representative (distance exactly 0) must
