@@ -10,7 +10,6 @@ from .config import RunConfig, load_run_config, write_resolved_config
 from .data import (
     BACKGROUND_LABEL,
     Dataset,
-    FeatureRecord,
     SynthConfig,
     load_dataset,
     save_dataset,

@@ -100,7 +100,7 @@ def _load_data(args):
 
 
 def _build_head(config: RunConfig, dataset) -> MixtureHead:
-    input_dim = config.input_dim or dataset.records[0].features.shape[0]
+    input_dim = config.input_dim or dataset.feature_dim
     num_classes = len(class_index_map(dataset))
     if num_classes < 1:
         raise ConfigError("dataset has no trainable classes")
@@ -124,9 +124,9 @@ def cmd_synth_data(args, out):
     dataset = synth_dataset(config.synth, seed=config.seed)
     _log_config(config, out)
     save_dataset(dataset, out.file("dataset.jsonl"))
-    n_bg = sum(r.is_background for r in dataset)
-    print(f"wrote {len(dataset.records)} records "
-          f"({len(dataset.classes())} classes, {n_bg} background) to {out.dir}")
+    background = dataset.is_background
+    print(f"wrote {len(dataset)} records ({len(np.unique(dataset.label[~background]))} classes, "
+          f"{np.count_nonzero(background)} background) to {out.dir}")
     return 0
 
 
@@ -156,9 +156,9 @@ def cmd_eval_classify(args, out):
         raise ConfigError(
             f"checkpoint expects {head.mixture.num_classes} classes, dataset has {len(cmap)}"
         )
-    seen = [r for r in dataset if not r.is_background and r.label in cmap]
-    splits = [("train", [r for r in seen if r.split in (None, "train")]),
-              ("test", [r for r in seen if r.split == "test"])]
+    seen = np.isin(dataset.label, list(cmap))
+    splits = [("train", dataset[seen & dataset.train_split]),
+              ("test", dataset[seen & (dataset.split == "test")])]
     # without an explicit config the checkpoint's own posterior rule applies
     posterior = config.posterior_mode if args.config else None
     rows = []
@@ -286,14 +286,13 @@ def cmd_export_embeddings(args, out):
     dataset = _load_data(args)
     _log_config(config, out)
     dim = head.embedding.config.output_dim
-    X = np.stack([rec.features for rec in dataset])
-    emb = head.embedding.embed_batch(X)
+    emb = head.embedding.embed_batch(dataset.features)
     with open(out.file("embeddings.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"] + [f"e{i}" for i in range(dim)])
-        for rec, row in zip(dataset, emb):
-            writer.writerow([rec.id, rec.label] + [repr(float(v)) for v in row])
-    print(f"wrote {len(dataset.records)} embedding rows to {out.dir / 'embeddings.csv'}")
+        for rid, label, row in zip(dataset.id, dataset.label, emb):
+            writer.writerow([rid, label] + [repr(float(v)) for v in row])
+    print(f"wrote {len(dataset)} embedding rows to {out.dir / 'embeddings.csv'}")
     return 0
 
 

@@ -5,6 +5,13 @@ header line carrying schema version and generator metadata. Records hold a
 precomputed feature vector plus a class label (or "background"), and may
 carry a bounding box, image id, binary attributes, split and seen/unseen
 group tags.
+
+In memory a dataset is a `Dataset`: a table of column arrays with one row
+per record, in file order, checked once when it is built. Code that works
+on some of the records holds their row positions (an integer array) and
+reads the columns at those rows; `dataset[rows]` is the sub-table. The
+loader parses one line at a time and streams each row's features into one
+growing (n, d) float64 array.
 """
 
 from __future__ import annotations
@@ -23,22 +30,7 @@ SCHEMA_VERSION = 1  # of every JSON Lines file: datasets and episodes
 _ALLOWED_KEYS = {"id", "label", "features", "box", "image_id", "attributes", "split", "group"}
 _SPLITS = ("train", "val", "test")
 _GROUPS = ("seen", "unseen")
-
-
-@dataclass
-class FeatureRecord:
-    id: str
-    label: str
-    features: np.ndarray
-    box: tuple | None = None
-    image_id: str | None = None
-    attributes: np.ndarray | None = None
-    split: str | None = None
-    group: str | None = None
-
-    @property
-    def is_background(self) -> bool:
-        return self.label == BACKGROUND_LABEL
+_NOT_FINITE = "features must be a flat array of finite numbers"
 
 
 def _validate_box(box, line: int) -> tuple:
@@ -46,7 +38,7 @@ def _validate_box(box, line: int) -> tuple:
         raise DatasetError(f"box must have 4 coordinates, got {box!r}", line)
     try:
         x1, y1, x2, y2 = (float(v) for v in box)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetError(f"box coordinates must be numbers, got {box!r}", line) from None
     if not np.isfinite([x1, y1, x2, y2]).all():
         raise DatasetError(f"box coordinates must be finite, got {box!r}", line)
@@ -55,112 +47,173 @@ def _validate_box(box, line: int) -> tuple:
     return (x1, y1, x2, y2)
 
 
-def _record_from_obj(obj: dict, line: int, feature_dim: int | None) -> FeatureRecord:
-    unknown = set(obj) - _ALLOWED_KEYS
-    if unknown:
-        raise DatasetError(f"unknown record keys {sorted(unknown)}", line)
+def _parse_record(obj: dict, line: int, feature_dim: int | None) -> tuple:
+    """The fields of one record line: (id, label, features, box, image_id,
+    attributes, split, group), features a float64 (d,) array and the box a
+    tuple or None. The checks run in a fixed order, so a line's first fault
+    is the one reported. Whether the features are finite is left to the
+    column check of the table (`_first_bad_row`), except on a line refused
+    for a later field, where it comes first."""
+    if not _ALLOWED_KEYS.issuperset(obj):
+        raise DatasetError(f"unknown record keys {sorted(set(obj) - _ALLOWED_KEYS)}", line)
     for key in ("id", "label", "features"):
         if key not in obj:
             raise DatasetError(f"record missing required key '{key}'", line)
-    rid, label = obj["id"], obj["label"]
+    rid, label, feats = obj["id"], obj["label"], obj["features"]
     if not isinstance(rid, str) or not rid:
         raise DatasetError(f"id must be a non-empty string, got {rid!r}", line)
     if not isinstance(label, str) or not label:
         raise DatasetError(f"label must be a non-empty string, got {label!r}", line)
-    feats = obj["features"]
     if not isinstance(feats, list) or not feats:
         raise DatasetError("features must be a non-empty array", line)
     try:
         features = np.asarray(feats, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int too large for a float
         raise DatasetError("features must be numbers", line) from None
-    if features.ndim != 1 or not np.all(np.isfinite(features)):
-        raise DatasetError("features must be a flat array of finite numbers", line)
-    if feature_dim is not None and features.shape[0] != feature_dim:
-        raise DatasetError(
-            f"feature length {features.shape[0]} differs from earlier records ({feature_dim})",
-            line,
-        )
-    box = _validate_box(obj["box"], line) if obj.get("box") is not None else None
-    attributes = None
-    if obj.get("attributes") is not None:
-        attrs = obj["attributes"]
-        if not isinstance(attrs, list) or any(a not in (0, 1) for a in attrs):
-            raise DatasetError("attributes must be an array of 0/1", line)
-        attributes = np.asarray(attrs, dtype=np.int64)
-    split = obj.get("split")
-    if split is not None and split not in _SPLITS:
-        raise DatasetError(f"split must be one of {_SPLITS}, got {split!r}", line)
-    group = obj.get("group")
-    if group is not None and group not in _GROUPS:
-        raise DatasetError(f"group must be one of {_GROUPS}, got {group!r}", line)
-    image_id = obj.get("image_id")
-    if image_id is not None and not isinstance(image_id, str):
-        raise DatasetError(f"image_id must be a string, got {image_id!r}", line)
-    return FeatureRecord(
-        id=rid,
-        label=label,
-        features=features,
-        box=box,
-        image_id=image_id,
-        attributes=attributes,
-        split=split,
-        group=group,
-    )
+    if features.ndim != 1:
+        raise DatasetError(_NOT_FINITE, line)
+    try:
+        if feature_dim is not None and features.shape[0] != feature_dim:
+            raise DatasetError(
+                f"feature length {features.shape[0]} differs from earlier records ({feature_dim})",
+                line,
+            )
+        box = _validate_box(obj["box"], line) if obj.get("box") is not None else None
+        attributes = obj.get("attributes")
+        if attributes is not None:
+            if not isinstance(attributes, list) or any(a not in (0, 1) for a in attributes):
+                raise DatasetError("attributes must be an array of 0/1", line)
+            attributes = np.asarray(attributes, dtype=np.int64)
+        split = obj.get("split")
+        if split is not None and split not in _SPLITS:
+            raise DatasetError(f"split must be one of {_SPLITS}, got {split!r}", line)
+        group = obj.get("group")
+        if group is not None and group not in _GROUPS:
+            raise DatasetError(f"group must be one of {_GROUPS}, got {group!r}", line)
+        image_id = obj.get("image_id")
+        if image_id is not None and not isinstance(image_id, str):
+            raise DatasetError(f"image_id must be a string, got {image_id!r}", line)
+    except DatasetError:
+        if not np.isfinite(features).all():
+            raise DatasetError(_NOT_FINITE, line) from None
+        raise
+    return rid, label, features, box, image_id, attributes, split, group
+
+
+def _first_bad_row(features: np.ndarray, ids) -> tuple[int, str] | None:
+    """(row, message) of the first row whose features are not all finite or
+    whose id an earlier row holds, the finiteness of a row coming first;
+    None when every row is sound."""
+    finite = np.isfinite(features).all(axis=1)
+    stop = len(ids) if finite.all() else int(np.argmin(finite))
+    if len(set(ids)) < len(ids):
+        seen: set = set()
+        for row, rid in enumerate(ids[:stop]):
+            if rid in seen:
+                return row, f"duplicate record id {rid!r}"
+            seen.add(rid)
+    return (stop, _NOT_FINITE) if stop < len(ids) else None
+
+
+def _object_column(values, n: int) -> np.ndarray:
+    """`values` as an (n,) object array, or n Nones when `values` is None."""
+    if values is None:
+        return np.full(n, None, dtype=object)
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 class Dataset:
-    """Validated record collection, indexed by record id.
+    """Records as a table of column arrays, one row per record in file order.
 
-    Iteration order is file order. Class ids are reported sorted so that any
-    label-to-index mapping derived from a dataset is stable regardless of
-    record order.
+    Columns:
+      - `id`, `label`: (n,) object arrays of strings; ids are unique.
+      - `features`: one C-contiguous (n, d) float64 array of finite values.
+      - `box`: (n, 4) float64 (x1, y1, x2, y2); a record without a box has a
+        row of NaN.
+      - `image_id`, `split`, `group`: (n,) object arrays, None where a record
+        carries no such tag.
+      - `attributes`: (n,) object array of int64 0/1 arrays, None where
+        absent (their lengths may differ between records).
+
+    Every column is checked once, when the table is built; `lines`, when
+    given, holds each row's line in the file and is named in a rejection.
+    `dataset[rows]` is the table of the rows an index array, mask or slice
+    picks, in that order, with the same `meta`. Class ids derived from a
+    dataset are sorted, so a label-to-index map does not depend on record
+    order.
     """
 
-    def __init__(self, records: list[FeatureRecord], meta: dict | None = None):
-        if not records:
+    _columns = ("id", "label", "features", "box", "image_id", "attributes", "split", "group")
+
+    def __init__(self, id, label, features, box=None, image_id=None, attributes=None,
+                 split=None, group=None, meta: dict | None = None, lines=None):
+        n = len(id)
+        if not n:
             raise DatasetError("dataset has no records")
-        self.records = list(records)
+        self.id = _object_column(id, n)
+        self.label = _object_column(label, n)
+        self.features = np.ascontiguousarray(features, dtype=np.float64)
+        if self.features.ndim != 2 or self.features.shape[1] == 0:
+            raise DatasetError(f"features must be an (n, d) array, got shape {self.features.shape}")
+        self.box = np.full((n, 4), np.nan) if box is None else np.asarray(box, dtype=np.float64)
+        if self.box.shape[1:] != (4,):
+            raise DatasetError(f"boxes must be an (n, 4) array, got shape {self.box.shape}")
+        self.image_id = _object_column(image_id, n)
+        self.attributes = _object_column(attributes, n)
+        self.split = _object_column(split, n)
+        self.group = _object_column(group, n)
+        lengths = {name: len(getattr(self, name)) for name in self._columns}
+        if set(lengths.values()) != {n}:
+            raise DatasetError(f"columns of unequal length {lengths}")
         self.meta = dict(meta) if meta else {}
-        self.feature_dim = self.records[0].features.shape[0]
-        self.by_id: dict[str, FeatureRecord] = {}
-        for rec in self.records:
-            if rec.features.shape[0] != self.feature_dim:
-                raise DatasetError(f"record {rec.id}: inconsistent feature length")
-            if rec.id in self.by_id:
-                raise DatasetError(f"duplicate record id {rec.id!r}")
-            self.by_id[rec.id] = rec
+        bad = _first_bad_row(self.features, self.id)
+        if bad is not None:
+            row, message = bad
+            raise DatasetError(message, None if lines is None else int(lines[row]))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.id)
 
-    def __iter__(self):
-        return iter(self.records)
+    def __getitem__(self, rows) -> Dataset:
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("index a Dataset with an array of rows, a mask or a slice")
+        part = object.__new__(Dataset)
+        part.__dict__.update((name, getattr(self, name)[rows]) for name in self._columns)
+        part.meta = self.meta
+        return part
 
-    def classes(self, group: str | None = None, split: str | None = None) -> list[str]:
-        """Sorted foreground class ids, optionally restricted by tag."""
-        out = set()
-        for rec in self.records:
-            if rec.is_background:
-                continue
-            if group is not None and rec.group != group:
-                continue
-            if split is not None and rec.split != split:
-                continue
-            out.add(rec.label)
-        return sorted(out)
+    @property
+    def records(self) -> Dataset:
+        """The table itself: `len(dataset.records)` counts its records."""
+        return self
 
-    def select(self, label: str | None = None, group: str | None = None, split: str | None = None) -> list[FeatureRecord]:
-        out = []
-        for rec in self.records:
-            if label is not None and rec.label != label:
-                continue
-            if group is not None and rec.group != group:
-                continue
-            if split is not None and rec.split != split:
-                continue
-            out.append(rec)
-        return out
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def is_background(self) -> np.ndarray:
+        return self.label == BACKGROUND_LABEL
+
+    @property
+    def train_split(self) -> np.ndarray:
+        """Rows tagged as the train split or not tagged with a split."""
+        return np.equal(self.split, None) | (self.split == "train")
+
+    def rows_of(self, ids) -> np.ndarray:
+        """The row of each of `ids`, in order; KeyError names an unknown id."""
+        if "_row_of" not in self.__dict__:
+            self._row_of = dict(zip(self.id.tolist(), range(len(self))))
+        return np.array([self._row_of[i] for i in ids], dtype=np.intp)
+
+
+def group_rows(rows, keys) -> dict:
+    """`rows` split by their `keys` (one per row, sortable), in sorted key
+    order; each group keeps the order of `rows`."""
+    names, inverse = np.unique(keys, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(np.bincount(inverse, minlength=len(names)))[:-1]
+    return dict(zip(names.tolist(), np.split(np.asarray(rows)[order], ends)))
 
 
 def read_json_lines(path, kind: str):
@@ -179,6 +232,9 @@ def read_json_lines(path, kind: str):
                     obj = json.loads(raw)
                 except json.JSONDecodeError as e:
                     raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
+                except (ValueError, RecursionError) as e:
+                    # an integer of over 4,300 digits; arrays nested too deep
+                    raise DatasetError(f"invalid JSON: {e}", line_no) from None
                 if not isinstance(obj, dict):
                     raise DatasetError("each line must be a JSON object", line_no)
                 if "kind" in obj:
@@ -196,47 +252,71 @@ def read_json_lines(path, kind: str):
 
 
 def load_dataset(path) -> Dataset:
-    records: list[FeatureRecord] = []
-    seen: set[str] = set()
+    """The dataset in a JSON Lines file. Lines are parsed one at a time and
+    each record's features go straight into one growing float64 array.
+    A fault raises DatasetError with the line it is on; of several, the
+    first line's is raised, as if every line were checked in full before
+    the next one is read."""
     meta: dict = {}
-    feature_dim: int | None = None
-    for line_no, obj in read_json_lines(path, "dataset"):
-        if "kind" in obj:
-            meta = obj.get("meta", {}) or {}
-            if not isinstance(meta, dict):
-                raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
-            continue
-        rec = _record_from_obj(obj, line_no, feature_dim)
-        feature_dim = rec.features.shape[0]
-        if rec.id in seen:
-            raise DatasetError(f"duplicate record id {rec.id!r}", line_no)
-        seen.add(rec.id)
-        records.append(rec)
-    if not records:
+    features, boxes = np.empty((0, 0)), np.empty((0, 4))  # grown by doubling
+    ids, labels, image_ids, attributes, splits, groups, lines = [], [], [], [], [], [], []
+    tags: dict = {}
+    try:
+        for line_no, obj in read_json_lines(path, "dataset"):
+            if "kind" in obj:
+                meta = obj.get("meta", {}) or {}
+                if not isinstance(meta, dict):
+                    raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
+                continue
+            rid, label, feats, box, image_id, attrs, split, group = _parse_record(
+                obj, line_no, features.shape[1] if ids else None)
+            n = len(ids)
+            if n == len(features):
+                features.resize((max(2 * n, 256), len(feats)), refcheck=False)
+                boxes.resize((len(features), 4), refcheck=False)
+                boxes[n:] = np.nan
+            features[n] = feats
+            if box is not None:
+                boxes[n] = box
+            ids.append(rid)
+            # one str object for each distinct tag, not one per record
+            labels.append(tags.setdefault(label, label))
+            image_ids.append(tags.setdefault(image_id, image_id))
+            attributes.append(attrs)
+            splits.append(tags.setdefault(split, split))
+            groups.append(tags.setdefault(group, group))
+            lines.append(line_no)
+    except DatasetError:
+        # a fault of an earlier row that the table checks would come first
+        bad = _first_bad_row(features[:len(ids)], ids)
+        if bad is not None:
+            raise DatasetError(bad[1], lines[bad[0]]) from None
+        raise
+    if not ids:
         raise DatasetError(f"no records in {path}")
-    return Dataset(records, meta=meta)
+    features.resize((len(ids), features.shape[1]), refcheck=False)
+    boxes.resize((len(ids), 4), refcheck=False)
+    return Dataset(ids, labels, features, box=boxes, image_id=image_ids, attributes=attributes,
+                   split=splits, group=groups, meta=meta, lines=lines)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         header = {"schema_version": SCHEMA_VERSION, "kind": "dataset", "meta": dataset.meta}
         fh.write(json.dumps(header) + "\n")
-        for rec in dataset.records:
+        has_box = ~np.isnan(dataset.box).any(axis=1)
+        for row in range(len(dataset)):
             obj: dict = {
-                "id": rec.id,
-                "label": rec.label,
-                "features": [float(v) for v in rec.features],
+                "id": dataset.id[row],
+                "label": dataset.label[row],
+                "features": dataset.features[row].tolist(),
             }
-            if rec.box is not None:
-                obj["box"] = [float(v) for v in rec.box]
-            if rec.image_id is not None:
-                obj["image_id"] = rec.image_id
-            if rec.attributes is not None:
-                obj["attributes"] = [int(v) for v in rec.attributes]
-            if rec.split is not None:
-                obj["split"] = rec.split
-            if rec.group is not None:
-                obj["group"] = rec.group
+            if has_box[row]:
+                obj["box"] = dataset.box[row].tolist()
+            for key in ("image_id", "attributes", "split", "group"):
+                value = getattr(dataset, key)[row]
+                if value is not None:
+                    obj[key] = value.tolist() if key == "attributes" else value
             fh.write(json.dumps(obj) + "\n")
 
 
@@ -319,53 +399,41 @@ def synth_dataset(config: SynthConfig, seed: int) -> Dataset:
     centers = _draw_separated_centers(center_rng, total_modes, cfg.input_dim, cfg.min_separation)
     centers = centers.reshape(cfg.num_classes, cfg.modes_per_class, cfg.input_dim)
 
-    records: list[FeatureRecord] = []
     n_test = int(round(cfg.test_fraction * cfg.samples_per_mode))
     seen_cut = cfg.num_classes - cfg.unseen_classes
+    blocks, labels, splits, groups = [], [], [], []
+    # unseen-class records are all test: they exist only for episodes
+    seen_splits = ["train"] * (cfg.samples_per_mode - n_test) + ["test"] * n_test
     for ci in range(cfg.num_classes):
-        label = class_name(ci)
         group = "seen" if ci < seen_cut else "unseen"
         for mi in range(cfg.modes_per_class):
             rng = substream(seed, "synth", "samples", ci, mi)
             noise = rng.normal(0.0, cfg.spread, size=(cfg.samples_per_mode, cfg.input_dim))
-            block = centers[ci, mi] + noise
-            for si in range(cfg.samples_per_mode):
-                # unseen-class records are all test: they exist only for episodes
-                if group == "unseen":
-                    split = "test"
-                else:
-                    split = "test" if si >= cfg.samples_per_mode - n_test else "train"
-                records.append(
-                    FeatureRecord(
-                        id=f"r{len(records):06d}",
-                        label=label,
-                        features=block[si],
-                        split=split,
-                        group=group,
-                    )
-                )
+            blocks.append(centers[ci, mi] + noise)
+        count = cfg.modes_per_class * cfg.samples_per_mode
+        labels += [class_name(ci)] * count
+        splits += (seen_splits if group == "seen" else ["test"] * cfg.samples_per_mode) \
+            * cfg.modes_per_class
+        groups += [group] * count
 
-    n_bg = int(round(cfg.background_fraction * len(records)))
+    n_bg = int(round(cfg.background_fraction * len(labels)))
     flat_centers = centers.reshape(total_modes, cfg.input_dim)
     bg_rng = substream(seed, "synth", "background")
-    for bi in range(n_bg):
-        feats = _draw_clutter(bg_rng, flat_centers, cfg.min_separation, cfg.input_dim)
-        split = "test" if bi % 5 == 0 else "train"
-        records.append(
-            FeatureRecord(
-                id=f"r{len(records):06d}",
-                label=BACKGROUND_LABEL,
-                features=feats,
-                split=split,
-            )
-        )
+    blocks += [_draw_clutter(bg_rng, flat_centers, cfg.min_separation, cfg.input_dim)[None]
+               for _ in range(n_bg)]
+    labels += [BACKGROUND_LABEL] * n_bg
+    splits += ["test" if bi % 5 == 0 else "train" for bi in range(n_bg)]
+    groups += [None] * n_bg
 
+    n = len(labels)
+    image_ids, boxes = None, None
     if cfg.with_boxes:
-        order = substream(seed, "synth", "images").permutation(len(records))
-        for slot, ri in enumerate(order):
-            img, pos = divmod(slot, cfg.rois_per_image)
-            records[ri].image_id = f"img{img:05d}"
-            records[ri].box = (12.0 * pos, 0.0, 12.0 * pos + 10.0, 10.0)
+        order = substream(seed, "synth", "images").permutation(n)
+        image, pos = np.divmod(np.arange(n), cfg.rois_per_image)
+        image_ids = np.empty(n, dtype=object)
+        image_ids[order] = [f"img{i:05d}" for i in image]
+        boxes = np.empty((n, 4))
+        boxes[order] = np.stack([12.0 * pos, np.zeros(n), 12.0 * pos + 10.0, np.full(n, 10.0)], 1)
 
     meta = {
         "generator": "synth",
@@ -377,7 +445,8 @@ def synth_dataset(config: SynthConfig, seed: int) -> Dataset:
         "min_separation": cfg.min_separation,
         "seed": seed,
     }
-    return Dataset(records, meta=meta)
+    return Dataset([f"r{i:06d}" for i in range(n)], labels, np.concatenate(blocks), box=boxes,
+                   image_id=image_ids, split=splits, group=groups, meta=meta)
 
 
 def true_centers(dataset: Dataset) -> dict[str, np.ndarray]:
@@ -388,7 +457,10 @@ def true_centers(dataset: Dataset) -> dict[str, np.ndarray]:
     return {label: np.asarray(rows, dtype=np.float64) for label, rows in stored.items()}
 
 
-def nearest_center_mode(dataset: Dataset, record: FeatureRecord) -> int:
-    """Which true mode of its class a record came from (nearest center)."""
-    centers = true_centers(dataset)[record.label]
-    return int(np.linalg.norm(centers - record.features, axis=1).argmin())
+def nearest_center_mode(dataset: Dataset, rows) -> np.ndarray:
+    """Which true mode of its class each of `rows` came from (nearest
+    center), one int per row."""
+    centers = true_centers(dataset)
+    return np.array([np.linalg.norm(centers[label] - x, axis=1).argmin()
+                     for label, x in zip(dataset.label[rows], dataset.features[rows])],
+                    dtype=np.int64)

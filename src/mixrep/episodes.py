@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, FeatureRecord, read_json_lines
+from .data import BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, read_json_lines
 from .errors import ConfigError, DatasetError
 from .head import MixtureHead, parameter_layout
 from .metrics import Detections, GroundTruth
@@ -81,40 +81,46 @@ class EpisodeSpec:
 
 @dataclass
 class Episode:
+    """One episode over the rows of `dataset`: `support` is a (ways, shots)
+    array whose row i holds the support rows of class `class_ids[i]`, and
+    `queries` the query rows, in order."""
+
     episode_id: int
     class_ids: list[str]
-    support: dict[str, list[FeatureRecord]]
-    queries: list[FeatureRecord]
+    support: np.ndarray
+    queries: np.ndarray
+    dataset: Dataset
 
     def __post_init__(self):
+        try:
+            self.support = np.asarray(self.support, dtype=np.intp)
+        except ValueError:
+            raise ConfigError("support must hold the same shot count per class") from None
+        self.queries = np.asarray(self.queries, dtype=np.intp).reshape(-1)
         if len(set(self.class_ids)) != len(self.class_ids):
             raise ConfigError("episode classes must be distinct")
-        if set(self.support) != set(self.class_ids):
-            raise ConfigError("support classes must match class_ids")
-        sizes = {len(v) for v in self.support.values()}
-        if len(sizes) != 1 or 0 in sizes:
-            raise ConfigError(f"support must hold the same shot count per class, got {sizes}")
-        overlap = self.support_ids() & {q.id for q in self.queries}
+        if self.support.ndim != 2 or len(self.support) != len(self.class_ids):
+            raise ConfigError(f"support must be a (ways, shots) array of rows for "
+                              f"{len(self.class_ids)} classes, got shape {self.support.shape}")
+        if not self.support.shape[1]:
+            raise ConfigError("support must hold at least one item per class")
+        overlap = self.support_ids() & set(self.query_ids())
         if overlap:
             raise ConfigError(f"support and query items overlap: {sorted(overlap)[:5]}")
 
     def support_ids(self) -> set:
-        return {r.id for recs in self.support.values() for r in recs}
+        return set(self.dataset.id[self.support.ravel()])
 
     def query_ids(self) -> list[str]:
-        return [q.id for q in self.queries]
+        return self.dataset.id[self.queries].tolist()
 
 
-def _pool_classes(dataset: Dataset, class_pool: str) -> dict[str, list[FeatureRecord]]:
-    by_class: dict[str, list[FeatureRecord]] = {}
-    for rec in dataset:
-        if rec.is_background:
-            continue
-        tagged_unseen = rec.group == "unseen"
-        if (class_pool == "unseen") != tagged_unseen:
-            continue
-        by_class.setdefault(rec.label, []).append(rec)
-    return {label: sorted(recs, key=lambda r: r.id) for label, recs in by_class.items()}
+def _pool_classes(dataset: Dataset, class_pool: str) -> dict[str, np.ndarray]:
+    """The rows of each foreground class of the pool, in id order."""
+    rows = np.flatnonzero(~dataset.is_background
+                          & ((dataset.group == "unseen") == (class_pool == "unseen")))
+    rows = rows[np.argsort(dataset.id[rows], kind="stable")]
+    return group_rows(rows, dataset.label[rows])
 
 
 def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
@@ -126,7 +132,7 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
     """
     by_class = _pool_classes(dataset, spec.class_pool)
     need = spec.queries_per_class + spec.max_shots
-    eligible = sorted(label for label, recs in by_class.items() if len(recs) >= need)
+    eligible = sorted(label for label, rows in by_class.items() if len(rows) >= need)
     skipped = sorted(set(by_class) - set(eligible))
     if skipped:
         warnings.warn(f"skipping classes with fewer than {need} items: {skipped}")
@@ -134,7 +140,8 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
         raise DatasetError(
             f"{spec.ways}-way episodes need {spec.ways} usable classes, have {len(eligible)}"
         )
-    bg_pool = sorted((r for r in dataset if r.is_background), key=lambda r: r.id)
+    bg_pool = np.flatnonzero(dataset.is_background)
+    bg_pool = bg_pool[np.argsort(dataset.id[bg_pool], kind="stable")]
     if spec.background_queries > len(bg_pool):
         raise DatasetError(
             f"episodes need {spec.background_queries} background queries, "
@@ -148,27 +155,20 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
         classes = [eligible[int(j)] for j in picked]
 
         rng = substream(spec.seed, "episode", i, "queries")
-        queries: list[FeatureRecord] = []
-        query_ids: dict[str, set] = {}
+        queries, rest = [], []
         for label in classes:
-            recs = by_class[label]
-            idx = rng.choice(len(recs), size=spec.queries_per_class, replace=False)
-            chosen = [recs[int(j)] for j in idx]
-            queries.extend(chosen)
-            query_ids[label] = {r.id for r in chosen}
+            rows = by_class[label]
+            idx = rng.choice(len(rows), size=spec.queries_per_class, replace=False)
+            queries.append(rows[idx])
+            rest.append(np.delete(rows, idx))
         if spec.background_queries:
             rng = substream(spec.seed, "episode", i, "background")
-            idx = rng.choice(len(bg_pool), size=spec.background_queries, replace=False)
-            queries.extend(bg_pool[int(j)] for j in idx)
+            queries.append(bg_pool[rng.choice(len(bg_pool), size=spec.background_queries,
+                                              replace=False)])
 
         rng = substream(spec.seed, "episode", i, "support", spec.shots)
-        support: dict[str, list[FeatureRecord]] = {}
-        for label in classes:
-            rest = [r for r in by_class[label] if r.id not in query_ids[label]]
-            idx = rng.choice(len(rest), size=spec.shots, replace=False)
-            support[label] = [rest[int(j)] for j in idx]
-
-        episodes.append(Episode(i, classes, support, queries))
+        support = [rows[rng.choice(len(rows), size=spec.shots, replace=False)] for rows in rest]
+        episodes.append(Episode(i, classes, np.stack(support), np.concatenate(queries), dataset))
     return episodes
 
 
@@ -295,54 +295,60 @@ def episode_finetune(head: MixtureHead, support, steps: int,
 # scoring
 
 
-def _image_and_box(rec: FeatureRecord):
-    """Where a record sits: its image (the record itself when it has none)
+def _places(records: Dataset):
+    """Where each row sits: its image (the record itself when it has none)
     and its box (the unit box when it has none)."""
-    return (rec.image_id if rec.image_id is not None else rec.id,
-            rec.box if rec.box is not None else (0.0, 0.0, 1.0, 1.0))
+    image = np.where(np.equal(records.image_id, None), records.id, records.image_id)
+    boxes = np.where(np.isnan(records.box), np.array([0.0, 0.0, 1.0, 1.0]), records.box)
+    return image, boxes
 
 
-def score_queries(head: MixtureHead, queries, features, episode_id: int,
+def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int,
                   class_ids) -> Detections:
-    """One detection per query, scored by the episode head `head` from
-    `features`, the queries' penultimate features, one row per query:
+    """One detection per row of `queries`, scored by the episode head `head`
+    from `features`, the queries' penultimate features, one row per query:
     best-mode class posterior as the score, background label when the
     background posterior beats every class. The queries are scored as one
     batch whose rows do not depend on each other, so order never matters."""
-    if not queries:
+    if not len(queries):
         return Detections.concat([])
     scores = head.score_batch(features, posterior_mode="max")
     background = scores.is_background
-    places = [_image_and_box(rec) for rec in queries]
+    image, boxes = _places(queries)
     return Detections(
         episode_id=np.full(len(queries), episode_id),
-        image_id=[image for image, _ in places],
+        image_id=image,
         class_id=np.where(background, BACKGROUND_LABEL,
                           np.asarray(class_ids)[scores.predicted_class]),
-        boxes=[box for _, box in places],
+        boxes=boxes,
         scores=np.clip(np.where(background, scores.background_posterior,
                                 scores.class_posterior.max(axis=1)), 0.0, 1.0),
-        record_id=[f"e{episode_id:05d}-q{j:04d}-{rec.id}" for j, rec in enumerate(queries)],
+        record_id=[f"e{episode_id:05d}-q{j:04d}-{rid}" for j, rid in enumerate(queries.id)],
     )
 
 
 def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detections]:
     """Full pass over `episodes` on episode heads built from `head`, which
-    stays unchanged: put each episode's support and queries through the
-    frozen layers once, install its support representatives, optionally
-    fine-tune all the episodes together, score each one's queries."""
+    stays unchanged: put the support and query rows of every episode through
+    the frozen layers in one call, install each episode's support
+    representatives, optionally fine-tune all the episodes together, score
+    each one's queries. The frozen layers are row-invariant, so each row's
+    features are the bits it would get alone."""
+    features = head.embedding.hidden_features(np.concatenate(
+        [ep.dataset.features[np.concatenate([ep.support.ravel(), ep.queries])]
+         for ep in episodes]))
     heads, supports, queries = [], [], []
+    start = 0
     for ep in episodes:
-        support = [r for label in ep.class_ids for r in ep.support[label]]
-        features = head.embedding.hidden_features(
-            np.stack([r.features for r in support + list(ep.queries)]))
-        supports.append(features[:len(support)].reshape(len(ep.class_ids), -1,
-                                                        features.shape[1]))
-        queries.append(features[len(support):])
+        ways, shots = ep.support.shape
+        stop = start + ways * shots + len(ep.queries)
+        supports.append(features[start:start + ways * shots].reshape(ways, shots, -1))
+        queries.append(features[start + ways * shots:stop])
         heads.append(replace_representatives(head, support_embeddings(head, supports[-1])))
+        start = stop
     if steps:
         finetune_episodes(heads, np.stack(supports), steps, lr)
-    return [score_queries(h, ep.queries, q, ep.episode_id, ep.class_ids)
+    return [score_queries(h, ep.dataset[ep.queries], q, ep.episode_id, ep.class_ids)
             for h, ep, q in zip(heads, episodes, queries)]
 
 
@@ -384,19 +390,20 @@ def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
     step; a block holds as many episodes as `BLOCK_ENTRIES` allows. To be
     fine-tuned, all episodes must have the same ways and shots."""
     episodes = list(episodes)
-    shapes = {tuple(len(ep.support[label]) for label in ep.class_ids) for ep in episodes}
+    shapes = {ep.support.shape for ep in episodes}
     if steps and len(shapes) > 1:
         raise ConfigError("episodes fine-tuned in one pass must have the same ways and shots")
-    rows = max((sum(shape) for shape in shapes), default=1)
+    rows = max((ways * shots for ways, shots in shapes), default=1)
     width, dim = head.embedding.weights[-1].value.shape
     per_block = max(1, BLOCK_ENTRIES // (rows * rows + (width + 1 + rows) * dim))
     result, kept = EpisodeEvaluation(Detections.concat([])), []
     for start in range(0, len(episodes), per_block):
         block = episodes[start:start + per_block]
         for ep, detections in zip(block, _run_block(head, block, steps, lr)):
+            labels = ep.dataset.label[ep.queries]
             accepted = np.isin(detections.class_id, ep.class_ids)
-            background = np.array([q.is_background for q in ep.queries], dtype=bool)
-            correct = detections.class_id == np.array([q.label for q in ep.queries])
+            background = labels == BACKGROUND_LABEL
+            correct = detections.class_id == labels.astype(str)
             result.foreground += int(np.count_nonzero(~background))
             result.foreground_correct += int(np.count_nonzero(~background & correct))
             result.background += int(np.count_nonzero(background))
@@ -408,13 +415,14 @@ def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
 
 def episode_ground_truth(episode: Episode) -> GroundTruth:
     """Ground truth for the foreground queries of one episode."""
-    foreground = [rec for rec in episode.queries if not rec.is_background]
-    places = [_image_and_box(rec) for rec in foreground]
+    queries = episode.dataset[episode.queries]
+    foreground = queries[~queries.is_background]
+    image, boxes = _places(foreground)
     return GroundTruth(
         episode_id=np.full(len(foreground), episode.episode_id),
-        image_id=[image for image, _ in places],
-        class_id=[rec.label for rec in foreground],
-        boxes=[box for _, box in places],
+        image_id=image,
+        class_id=foreground.label,
+        boxes=boxes,
     )
 
 
@@ -433,7 +441,7 @@ def save_episodes(episodes, spec: EpisodeSpec, path) -> None:
             fh.write(json.dumps({
                 "episode_id": ep.episode_id,
                 "class_ids": ep.class_ids,
-                "support_item_ids": [r.id for label in ep.class_ids for r in ep.support[label]],
+                "support_item_ids": ep.dataset.id[ep.support.ravel()].tolist(),
                 "query_item_ids": ep.query_ids(),
             }) + "\n")
 
@@ -455,10 +463,10 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
         if spec is None:
             raise DatasetError("missing header line", line_no)
         try:
-            support_recs = [dataset.by_id[i] for i in obj["support_item_ids"]]
-            queries = [dataset.by_id[i] for i in obj["query_item_ids"]]
+            support_rows = dataset.rows_of(obj["support_item_ids"])
+            queries = dataset.rows_of(obj["query_item_ids"])
             class_ids = list(obj["class_ids"])
-            support: dict[str, list[FeatureRecord]] = {c: [] for c in class_ids}
+            support: dict[str, list[int]] = {c: [] for c in class_ids}
             episode_id = obj["episode_id"]
         except KeyError as e:
             raise DatasetError(f"unknown id or missing key {e.args[0]!r}", line_no) from None
@@ -466,18 +474,19 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
             raise DatasetError(f"malformed episode ({e})", line_no) from None
         if type(episode_id) is not int:
             raise DatasetError(f"episode_id must be an integer, got {episode_id!r}", line_no)
-        for rec in support_recs:
-            if rec.label not in support:
+        for row, label in zip(support_rows, dataset.label[support_rows]):
+            if label not in support:
                 raise DatasetError(
-                    f"support item {rec.id} has label {rec.label!r} outside the episode", line_no
-                )
-            support[rec.label].append(rec)
-        shots = sorted({len(recs) for recs in support.values()})
+                    f"support item {dataset.id[row]} has label {label!r} outside the episode",
+                    line_no)
+            support[label].append(row)
+        shots = sorted({len(rows) for rows in support.values()})
         if len(class_ids) != spec.ways or shots != [spec.shots]:
             raise DatasetError(
                 f"episode {episode_id} has {len(class_ids)} classes with {shots} support items "
                 f"each, the spec says {spec.ways}-way {spec.shots}-shot", line_no)
-        episodes.append(Episode(episode_id, class_ids, support, queries))
+        episodes.append(Episode(episode_id, class_ids, [support[c] for c in class_ids], queries,
+                                dataset))
     if spec is None:
         raise DatasetError("missing header line")
     return episodes, spec

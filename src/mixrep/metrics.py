@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DatasetError
+from .head import BLOCK_ROWS
 
 
 def _check_boxes(boxes, context: str) -> np.ndarray:
@@ -281,20 +282,26 @@ def attribute_neighborhood_precision(embeddings, attributes, sizes) -> dict[int,
 
 def classification_error(head, records, label_to_index: dict[str, int],
                          posterior_mode: str | None = None) -> float:
-    """Fraction of records whose predicted class is wrong.
+    """Fraction of the rows of `records`, a `Dataset`, whose predicted
+    class is wrong.
 
     posterior_mode overrides the head's configured rule ('max' scores each
     class by its best mode, 'normalized' by its share of total mass); the
-    argmax ties to the lowest class index either way. All records are
-    scored in one batch.
+    argmax ties to the lowest class index either way. Rows are scored
+    BLOCK_ROWS at a time and only each block's predicted classes are kept;
+    a row's prediction does not depend on its block.
     """
-    if not records:
+    if not len(records):
         raise DatasetError("classification error over an empty set")
-    targets = []
-    for rec in records:
+    targets = np.empty(len(records), dtype=np.int64)
+    for row, label in enumerate(records.label):
         try:
-            targets.append(label_to_index[rec.label])
+            targets[row] = label_to_index[label]
         except KeyError:
-            raise DatasetError(f"record {rec.id} has label {rec.label!r} outside the class map") from None
-    scores = head.score_batch(np.stack([rec.features for rec in records]), posterior_mode)
-    return int(np.count_nonzero(scores.predicted_class != np.array(targets))) / len(records)
+            raise DatasetError(f"record {records.id[row]} has label {label!r} "
+                               f"outside the class map") from None
+    X = records.features
+    predicted = np.concatenate([
+        head.score_batch(X[i:i + BLOCK_ROWS], posterior_mode).predicted_class
+        for i in range(0, len(X), BLOCK_ROWS)])
+    return int(np.count_nonzero(predicted != targets)) / len(records)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import backward, zero_grads
-from .data import Dataset, FeatureRecord
+from .data import BACKGROUND_LABEL, Dataset, group_rows
 from .errors import ConfigError, DatasetError, TrainingDiverged
 from .head import BACKGROUND, MixtureHead
 from .rng import substream
@@ -122,93 +122,94 @@ def make_optimizer(head: MixtureHead, config: TrainConfig):
 # batch assembly
 
 
-def training_pool(dataset: Dataset, include_background: bool) -> list[FeatureRecord]:
-    """Records eligible for training: train split (or untagged), never the
+def training_pool(dataset: Dataset, include_background: bool) -> np.ndarray:
+    """Rows eligible for training: train split (or untagged), never the
     unseen group."""
-    pool = []
-    for rec in dataset:
-        if rec.group == "unseen":
-            continue
-        if rec.split not in (None, "train"):
-            continue
-        if rec.is_background and not include_background:
-            continue
-        pool.append(rec)
-    if not pool:
+    keep = (dataset.group != "unseen") & dataset.train_split
+    if not include_background:
+        keep &= ~dataset.is_background
+    if not keep.any():
         raise DatasetError("no training records after filtering")
-    return pool
+    return np.flatnonzero(keep)
 
 
-def batch_groups(records: list[FeatureRecord], spec: BatchSpec) -> list[list[FeatureRecord]]:
-    """The groups batches are drawn from, in sorted key order: each
-    foreground class's records (class_balanced) or each image's ROIs
-    (image_group). Build once and pass to every `sample_batch` call."""
-    groups: dict[str, list[FeatureRecord]] = {}
+def batch_groups(dataset: Dataset, rows, spec: BatchSpec) -> list[np.ndarray]:
+    """The groups batches are drawn from, in sorted key order: the rows of
+    `rows` of each foreground class (class_balanced) or each image's ROIs
+    (image_group), in the order of `rows`. Build once and pass to every
+    `sample_batch` call."""
+    rows = np.asarray(rows, dtype=np.intp)
     if spec.strategy == "image_group":
-        for rec in records:
-            if rec.image_id is None:
-                raise DatasetError(f"record {rec.id} has no image_id (needed for image_group batches)")
-            groups.setdefault(rec.image_id, []).append(rec)
+        keys = dataset.image_id[rows]
+        missing = np.equal(keys, None)
+        if missing.any():
+            raise DatasetError(f"record {dataset.id[rows[missing][0]]} has no image_id "
+                               f"(needed for image_group batches)")
     else:
-        for rec in records:
-            if not rec.is_background:
-                groups.setdefault(rec.label, []).append(rec)
-        if len(groups) < spec.classes_per_batch:
-            raise DatasetError(
-                f"dataset has {len(groups)} classes, batch needs {spec.classes_per_batch}"
-            )
-    return [groups[key] for key in sorted(groups)]
+        rows = rows[~dataset.is_background[rows]]
+        keys = dataset.label[rows]
+    groups = group_rows(rows, keys)
+    if spec.strategy != "image_group" and len(groups) < spec.classes_per_batch:
+        raise DatasetError(
+            f"dataset has {len(groups)} classes, batch needs {spec.classes_per_batch}"
+        )
+    return list(groups.values())
 
 
-def sample_batch(records: list[FeatureRecord], spec: BatchSpec, rng,
-                 groups: list[list[FeatureRecord]] | None = None) -> list[FeatureRecord]:
-    """One training batch, deterministic under the rng state.
+def sample_batch(dataset: Dataset, rows, spec: BatchSpec, rng,
+                 groups: list[np.ndarray] | None = None) -> np.ndarray:
+    """The rows of one training batch drawn from `rows`, deterministic under
+    the rng state.
 
     class_balanced: M distinct classes, D instances each (with replacement
     when a class is short). image_group: every ROI of one sampled image.
-    `groups` is `batch_groups(records, spec)`, built here when not given.
+    `groups` is `batch_groups(dataset, rows, spec)`, built here when not
+    given.
     """
     if groups is None:
-        groups = batch_groups(records, spec)
+        groups = batch_groups(dataset, rows, spec)
     if spec.strategy == "image_group":
-        return list(groups[int(rng.integers(0, len(groups)))])
+        return groups[int(rng.integers(0, len(groups)))].copy()
 
     chosen = rng.choice(len(groups), size=spec.classes_per_batch, replace=False)
-    batch: list[FeatureRecord] = []
+    batch = []
     for ci in chosen:
         members = groups[int(ci)]
         replace = len(members) < spec.instances_per_class
-        idx = rng.choice(len(members), size=spec.instances_per_class, replace=replace)
-        batch.extend(members[int(i)] for i in idx)
-    return batch
+        batch.append(members[rng.choice(len(members), size=spec.instances_per_class,
+                                        replace=replace)])
+    return np.concatenate(batch)
 
 
-def batch_arrays(batch: list[FeatureRecord], label_to_index: dict[str, int]):
-    X = np.stack([rec.features for rec in batch])
+def batch_arrays(dataset: Dataset, rows, label_to_index: dict[str, int]):
+    """The features of `rows` and their class indices (BACKGROUND for a
+    background record)."""
     labels = []
-    for rec in batch:
-        if rec.is_background:
+    for row, label in zip(rows, dataset.label[rows]):
+        if label == BACKGROUND_LABEL:
             labels.append(BACKGROUND)
         else:
             try:
-                labels.append(label_to_index[rec.label])
+                labels.append(label_to_index[label])
             except KeyError:
-                raise DatasetError(f"record {rec.id} has label {rec.label!r} outside the class map") from None
-    return X, labels
+                raise DatasetError(f"record {dataset.id[row]} has label {label!r} "
+                                   f"outside the class map") from None
+    return dataset.features[rows], labels
 
 
 # ---------------------------------------------------------------------------
 # steps and the fit loop
 
 
-def train_step(head: MixtureHead, batch: list[FeatureRecord], label_to_index: dict[str, int],
+def train_step(head: MixtureHead, dataset: Dataset, rows, label_to_index: dict[str, int],
                optimizer, iteration: int = 0) -> dict:
-    """One update. Returns the loss components; raises on divergence."""
-    X, labels = batch_arrays(batch, label_to_index)
+    """One update on the batch of `rows`. Returns the loss components;
+    raises on divergence."""
+    X, labels = batch_arrays(dataset, rows, label_to_index)
     loss, parts = head.total_loss(X, labels, train=True)
     if not np.isfinite(parts["total"]):
         raise TrainingDiverged(
-            f"non-finite loss {parts['total']}", iteration, [rec.id for rec in batch]
+            f"non-finite loss {parts['total']}", iteration, dataset.id[rows].tolist()
         )
     params = head.parameters()
     zero_grads(params)
@@ -228,8 +229,9 @@ class TrainResult:
 
 def class_index_map(dataset: Dataset) -> dict[str, int]:
     """Canonical label -> index map over trainable (seen) classes."""
-    classes = [c for c in dataset.classes() if not dataset.select(label=c, group="unseen")]
-    return {label: i for i, label in enumerate(classes)}
+    foreground = set(dataset.label[~dataset.is_background])
+    unseen = set(dataset.label[dataset.group == "unseen"])
+    return {label: i for i, label in enumerate(sorted(foreground - unseen))}
 
 
 def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpec,
@@ -243,12 +245,12 @@ def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpe
             f"head expects {head.mixture.num_classes} classes, dataset provides {len(label_map)}"
         )
     optimizer = make_optimizer(head, config)
-    groups = batch_groups(pool, spec)
+    groups = batch_groups(dataset, pool, spec)
     rng = substream(config.seed, "sampler")
     result = TrainResult(head=head)
     for it in range(config.iterations):
-        batch = sample_batch(pool, spec, rng, groups)
-        parts = train_step(head, batch, label_map, optimizer, iteration=it)
+        batch = sample_batch(dataset, pool, spec, rng, groups)
+        parts = train_step(head, dataset, batch, label_map, optimizer, iteration=it)
         parts["iteration"] = it
         result.trace.append(parts)
         if hook is not None and config.eval_every > 0 and (it + 1) % config.eval_every == 0:

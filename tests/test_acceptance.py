@@ -181,7 +181,7 @@ def test_criterion_2_multimodal_errors(announce, multimodal_run):
     cmap = class_index_map(dataset)
     errors = {}
     for split in ("train", "test"):
-        records = [r for r in dataset if r.split == split]
+        records = dataset[dataset.split == split]
         errors[split] = classification_error(head, records, cmap)
     elapsed = multimodal_run["elapsed"]
     ok = errors["train"] <= 0.02 and errors["test"] <= 0.05 and elapsed < 300.0
@@ -194,13 +194,14 @@ def test_criterion_2_multimodal_errors(announce, multimodal_run):
 
 def test_criterion_3_representative_fidelity(announce, multimodal_run):
     dataset, head = multimodal_run["dataset"], multimodal_run["head"]
-    labels = sorted({r.label for r in dataset if not r.is_background})
+    labels = sorted(set(dataset.label[~dataset.is_background]))
 
     cluster_means = {}
     for label in labels:
         members = {}
-        for r in dataset.select(label=label):
-            members.setdefault(nearest_center_mode(dataset, r), []).append(r.features)
+        rows = np.flatnonzero(dataset.label == label)
+        for row, mode in zip(rows, nearest_center_mode(dataset, rows)):
+            members.setdefault(mode, []).append(dataset.features[row])
         for mode, feats in members.items():
             emb = head.embedding.embed_batch(np.stack(feats))
             cluster_means[(label, mode)] = emb.mean(axis=0)

@@ -333,14 +333,14 @@ class TestEvalEpisodes:
         if reshape == "drop_a_class":
             dropped = episode["class_ids"].pop()
             episode["support_item_ids"] = [i for i in episode["support_item_ids"]
-                                           if dataset.by_id[i].label != dropped]
+                                           if dataset.label[dataset.rows_of([i])[0]] != dropped]
         elif reshape == "drop_a_support_item":
             episode["support_item_ids"].pop()
         else:
             used = set(episode["support_item_ids"]) | set(episode["query_item_ids"])
-            label = dataset.by_id[episode["support_item_ids"][0]].label
+            label = dataset.label[dataset.rows_of(episode["support_item_ids"][:1])[0]]
             episode["support_item_ids"].append(next(
-                r.id for r in dataset if r.label == label and r.id not in used))
+                rid for rid in dataset.id[dataset.label == label] if rid not in used))
         lines[2] = json.dumps(episode)
         episodes = tmp_path / "episodes.jsonl"
         episodes.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -390,11 +390,11 @@ class TestExportEmbeddings:
         # scoring embeds whatever subset it is given: a stride of the
         # records as one batch, and single records on their own
         subset = records[::3]
-        scored = head.score_batch(np.stack([r.features for r in subset])).embeddings
-        for rec, emb in zip(subset, scored):
-            assert np.array_equal(exported[rec.id], emb), rec.id
-        for rec in records[1::7]:
-            assert np.array_equal(exported[rec.id], head.score(rec.features).embedding), rec.id
+        scored = head.score_batch(subset.features).embeddings
+        for rid, emb in zip(subset.id, scored):
+            assert np.array_equal(exported[rid], emb), rid
+        for rid, x in zip(records.id[1::7], records.features[1::7]):
+            assert np.array_equal(exported[rid], head.score(x).embedding), rid
 
 
 class TestGradCheck:
@@ -465,16 +465,15 @@ class TestBenchmarkTracer:
             owner = getattr(owner, part)
         assert callable(owner), span
 
-    def test_traced_eval_episodes_counts_its_work(self, pipeline, tmp_path):
+    @staticmethod
+    def traced(tmp_path, *args) -> dict:
+        """The spans of one traced CLI command, by span name."""
         spans_path = tmp_path / "spans.json"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
         run = subprocess.run(
-            [sys.executable, "-B", str(TRACER_PATH), str(spans_path), "t", "eval-episodes",
-             "--config", str(pipeline["config"]), "--data", str(pipeline["data"]),
-             "--checkpoint", str(pipeline["checkpoint"]),
-             "--episodes", str(pipeline["episodes"]), "--out", str(tmp_path / "report")],
+            [sys.executable, "-B", str(TRACER_PATH), str(spans_path), "t", *args],
             capture_output=True, text=True, env=env,
         )
         assert run.returncode == 0, run.stderr
@@ -482,6 +481,26 @@ class TestBenchmarkTracer:
         by_name: dict = {}
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
+        return by_name
+
+    def test_traced_eval_classify_counts_the_records(self, pipeline, tmp_path):
+        by_name = self.traced(tmp_path, "eval-classify", "--config", str(pipeline["config"]),
+                              "--data", str(pipeline["data"]),
+                              "--checkpoint", str(pipeline["checkpoint"]),
+                              "--out", str(tmp_path / "cls"))
+        lines = pipeline["data"].read_text(encoding="utf-8").splitlines()
+        assert [s["counts"]["records"] for s in by_name["data.load_dataset"]] == [len(lines) - 1]
+        with open(tmp_path / "cls" / "classification.csv", newline="", encoding="utf-8") as fh:
+            splits = list(csv.DictReader(fh))
+        assert len(by_name["metrics.classification_error"]) == len(splits)
+        assert all(s["counts"]["rows"] >= 1 for s in by_name["head.embed_batch"])
+
+    def test_traced_eval_episodes_counts_its_work(self, pipeline, tmp_path):
+        by_name = self.traced(tmp_path, "eval-episodes",
+                              "--config", str(pipeline["config"]), "--data", str(pipeline["data"]),
+                              "--checkpoint", str(pipeline["checkpoint"]),
+                              "--episodes", str(pipeline["episodes"]),
+                              "--out", str(tmp_path / "report"))
         # 3 episodes, each without and with RUN's 5 fine-tune steps; a pass
         # runs its episodes as one block, not through the one-episode calls
         assert "episodes.run_episode" not in by_name

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mixrep import autodiff as ad
 from mixrep import episodes as episodes_module
-from mixrep.data import BACKGROUND_LABEL, FeatureRecord, SynthConfig, synth_dataset
+from mixrep.data import BACKGROUND_LABEL, Dataset, SynthConfig, synth_dataset
 from mixrep.errors import ConfigError, DatasetError
 from mixrep.episodes import (
     Episode,
@@ -29,7 +29,7 @@ from mixrep.episodes import (
     score_queries,
     support_embeddings,
 )
-from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
+from mixrep.head import EmbeddingConfig, EmbeddingNet, MixtureConfig, MixtureHead
 from mixrep.training import SGD, BatchSpec, TrainConfig, fit
 
 
@@ -76,9 +76,9 @@ class TestGenerateEpisodes:
         assert len(eps) == 4
         for ep in eps:
             assert len(ep.class_ids) == len(set(ep.class_ids)) == 5
-            assert all(len(ep.support[c]) == 1 for c in ep.class_ids)
-            fg = [q for q in ep.queries if not q.is_background]
-            bg = [q for q in ep.queries if q.is_background]
+            assert all(len(rows) == 1 for rows in ep.support)
+            fg = ep.queries[~ds.is_background[ep.queries]]
+            bg = ep.queries[ds.is_background[ep.queries]]
             assert len(fg) == 50 and len(bg) == 5
             assert not ep.support_ids() & set(ep.query_ids())
 
@@ -89,8 +89,8 @@ class TestGenerateEpisodes:
         for ea, eb in zip(a, b):
             assert ea.class_ids == eb.class_ids
             assert ea.query_ids() == eb.query_ids()
-            assert {c: [r.id for r in ea.support[c]] for c in ea.class_ids} == \
-                   {c: [r.id for r in eb.support[c]] for c in eb.class_ids}
+            assert {c: ds.id[rows].tolist() for c, rows in zip(ea.class_ids, ea.support)} == \
+                   {c: ds.id[rows].tolist() for c, rows in zip(eb.class_ids, eb.support)}
 
     def test_shot_count_never_moves_classes_or_queries(self):
         ds = episode_dataset()
@@ -101,28 +101,27 @@ class TestGenerateEpisodes:
                 ep = by_shots[n][i]
                 assert ep.class_ids == reference.class_ids
                 assert ep.query_ids() == reference.query_ids()
-                assert all(len(ep.support[c]) == n for c in ep.class_ids)
+                assert all(len(rows) == n for rows in ep.support)
 
     def test_unseen_pool_only_uses_unseen_classes(self):
         ds = episode_dataset()
-        unseen = {r.label for r in ds if r.group == "unseen"}
+        unseen = set(ds.label[ds.group == "unseen"])
         for ep in generate_episodes(ds, spec_for(ds)):
             assert set(ep.class_ids) <= unseen
 
     def test_seen_pool_excludes_unseen(self):
         ds = episode_dataset()
-        unseen = {r.label for r in ds if r.group == "unseen"}
+        unseen = set(ds.label[ds.group == "unseen"])
         for ep in generate_episodes(ds, spec_for(ds, class_pool="seen", background_queries=0)):
             assert not set(ep.class_ids) & unseen
 
     def test_small_class_skipped_with_warning(self):
         ds = episode_dataset()
         # shrink one unseen class below queries_per_class + max_shots
-        victim = sorted({r.label for r in ds if r.group == "unseen"})[0]
-        kept = [r for r in ds if r.label != victim] + \
-               [r for r in ds if r.label == victim][:12]
-        from mixrep.data import Dataset
-        ds2 = Dataset(kept)
+        victim = sorted(set(ds.label[ds.group == "unseen"]))[0]
+        kept = np.concatenate([np.flatnonzero(ds.label != victim),
+                               np.flatnonzero(ds.label == victim)[:12]])
+        ds2 = ds[kept]
         with pytest.warns(UserWarning, match=victim):
             eps = generate_episodes(ds2, spec_for(ds2, episode_count=6))
         assert all(victim not in ep.class_ids for ep in eps)
@@ -138,13 +137,13 @@ class TestGenerateEpisodes:
             generate_episodes(ds, spec_for(ds, background_queries=5))
 
     def test_episode_invariants_enforced(self):
-        rec = lambda i, lab: FeatureRecord(f"x{i}", lab, np.zeros(3))
+        ds = Dataset(["x0", "x1"], ["a", "a"], np.zeros((2, 3)))
         with pytest.raises(ConfigError):
-            Episode(0, ["a", "a"], {"a": [rec(0, "a")]}, [rec(1, "a")])
+            Episode(0, ["a", "a"], [[0]], [1], ds)
         with pytest.raises(ConfigError):
-            Episode(0, ["a"], {"a": [rec(0, "a")]}, [rec(0, "a")])
+            Episode(0, ["a"], [[0]], [0], ds)
         with pytest.raises(ConfigError):
-            Episode(0, ["a", "b"], {"a": [rec(0, "a")], "b": []}, [rec(1, "a")])
+            Episode(0, ["a", "b"], [[0], []], [1], ds)
 
 
 class TestEpisodeFiles:
@@ -160,8 +159,8 @@ class TestEpisodeFiles:
             assert ea.episode_id == eb.episode_id
             assert ea.class_ids == eb.class_ids
             assert ea.query_ids() == eb.query_ids()
-            for c in ea.class_ids:
-                assert [r.id for r in ea.support[c]] == [r.id for r in eb.support[c]]
+            for rows_a, rows_b in zip(ea.support, eb.support):
+                assert ds.id[rows_a].tolist() == ds.id[rows_b].tolist()
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "episodes.jsonl"
@@ -208,13 +207,13 @@ class TestEpisodeFiles:
 def support_features(head, ep):
     """Penultimate features of an episode's support set under `head`,
     (ways, shots, width)."""
-    F = features(head, [r for c in ep.class_ids for r in ep.support[c]])
+    F = features(head, ep.dataset[ep.support.ravel()])
     return F.reshape(len(ep.class_ids), -1, F.shape[1])
 
 
 def features(head, records):
-    """Penultimate features of `records` under `head`, one row each."""
-    return head.embedding.hidden_features(np.stack([r.features for r in records]))
+    """Penultimate features of `records`, a table, under `head`, one row each."""
+    return head.embedding.hidden_features(records.features)
 
 
 def installed(head, ep):
@@ -237,17 +236,18 @@ class TestReplaceRepresentatives:
         ep = generate_episodes(ds, spec_for(ds, shots=3, episode_count=1))[0]
         support = support_embeddings(head, support_features(head, ep))
         assert support.shape == (3, 3, head.embedding.config.output_dim)
-        for c, label in enumerate(ep.class_ids):
-            for s, rec in enumerate(ep.support[label]):
-                assert np.array_equal(support[c, s], head.embedding.embed_batch(rec.features[None])[0])
+        for c, rows in enumerate(ep.support):
+            for s, row in enumerate(rows):
+                assert np.array_equal(support[c, s],
+                                      head.embedding.embed_batch(ds.features[[row]])[0])
 
     def test_query_on_support_point_wins_with_zero_background(self):
         ds = episode_dataset()
         head = small_head()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         episode_head = installed(head, ep)
-        sup = ep.support[ep.class_ids[2]][0]
-        out = episode_head.score(features(head, [sup])[0])
+        sup = ds[ep.support[2, :1]]
+        out = episode_head.score(features(head, sup)[0])
         assert out.mode_probs.max() == pytest.approx(1.0, abs=1e-12)
         assert int(np.argmax(out.mode_probs.max(axis=1))) == 2
         assert out.background_posterior == pytest.approx(0.0, abs=1e-12)
@@ -256,14 +256,14 @@ class TestReplaceRepresentatives:
         # the trained head is never changed, so nothing needs restoring
         ds = episode_dataset()
         head = small_head()
-        probe = ds.records[0]
-        before = head.score(probe.features)
+        probe = ds.records[:1]
+        before = head.score(probe.features[0])
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         episode_head = installed(head, ep)
-        mid = episode_head.score(features(head, [probe])[0])
+        mid = episode_head.score(features(head, probe)[0])
         assert mid.class_posterior.shape != before.class_posterior.shape or \
             not np.array_equal(mid.class_posterior, before.class_posterior)
-        after = head.score(probe.features)
+        after = head.score(probe.features[0])
         assert np.array_equal(before.class_posterior, after.class_posterior)
         assert np.array_equal(before.mode_probs, after.mode_probs)
         assert before.background_posterior == after.background_posterior
@@ -297,7 +297,7 @@ class TestReplaceRepresentatives:
         ha, hb = small_head(seed=31), small_head(seed=31)
         hb.representatives.value += 0.37  # perturb only the trained mixture
         ea, eb = installed(ha, ep), installed(hb, ep)
-        q = features(ha, ep.queries[:1])[0]
+        q = features(ha, ds[ep.queries[:1]])[0]
         assert np.array_equal(ea.score(q).class_posterior, eb.score(q).class_posterior)
 
     def test_zero_support_class_rejected(self):
@@ -319,7 +319,7 @@ class TestEpisodeFinetune:
         """The trained head, an episode head built from it, and the support
         features that episode head is tuned on."""
         ds = episode_dataset()
-        seen = len({r.label for r in ds if not r.is_background and r.group != "unseen"})
+        seen = len(set(ds.label[~ds.is_background & (ds.group != "unseen")]))
         head = MixtureHead(EmbeddingConfig(10, (16, 8)), MixtureConfig(seen, 2, 0.5, 0.5),
                            task_mode="detection", seed=31)
         fit(head, ds, TrainConfig(iterations=60, lr=0.01, seed=131), BatchSpec(4, 4))
@@ -385,8 +385,8 @@ class TestScoreQueries:
 
     def test_support_point_scores_one(self):
         trained, head, ep = self.heads_and_episode()
-        sup = ep.support[ep.class_ids[0]][0]
-        dets = score_queries(head, [sup], features(trained, [sup]), ep.episode_id,
+        sup = ep.dataset[ep.support[0, :1]]
+        dets = score_queries(head, sup, features(trained, sup), ep.episode_id,
                              ep.class_ids)
         assert dets.class_id.tolist() == [ep.class_ids[0]]
         assert dets.scores[0] == pytest.approx(1.0, abs=1e-12)
@@ -396,22 +396,23 @@ class TestScoreQueries:
         e = head.embedding.config.output_dim
         supports = [np.eye(e)[i : i + 1] * 5.0 for i in range(3)]
         episode_head = replace_representatives(head, supports)
-        query = FeatureRecord("q0", "c000", np.zeros(10))
-        feats = features(head, [query])
+        query = Dataset(["q0"], ["c000"], np.zeros((1, 10)))
+        feats = features(head, query)
         emb = episode_head.embedding.embed_batch(feats[:1])[0]
         assert all(np.linalg.norm(emb - s[0]) >= 3.0 for s in supports)
-        dets = score_queries(episode_head, [query], feats, 0, ["a", "b", "c"])
+        dets = score_queries(episode_head, query, feats, 0, ["a", "b", "c"])
         assert dets.class_id.tolist() == [BACKGROUND_LABEL]
         assert dets.scores[0] > 0.9999
 
     def test_scores_invariant_to_query_order(self):
         trained, head, ep = self.heads_and_episode()
-        feats = features(trained, ep.queries)
-        fwd = score_queries(head, ep.queries, feats, ep.episode_id, ep.class_ids)
-        rev = score_queries(head, ep.queries[::-1], feats[::-1], ep.episode_id, ep.class_ids)
-        by_item = lambda dets, qs: {q.id: pair for q, pair in
-                                    zip(qs, zip(dets.class_id.tolist(), dets.scores.tolist()))}
-        assert by_item(fwd, ep.queries) == by_item(rev, ep.queries[::-1])
+        queries = ep.dataset[ep.queries]
+        feats = features(trained, queries)
+        fwd = score_queries(head, queries, feats, ep.episode_id, ep.class_ids)
+        rev = score_queries(head, queries[::-1], feats[::-1], ep.episode_id, ep.class_ids)
+        by_item = lambda dets, qs: {q: pair for q, pair in
+                                    zip(qs.id, zip(dets.class_id.tolist(), dets.scores.tolist()))}
+        assert by_item(fwd, queries) == by_item(rev, queries[::-1])
 
     def test_single_class_background_rule(self):
         head = small_head()
@@ -419,14 +420,14 @@ class TestScoreQueries:
         ep = generate_episodes(ds, spec_for(ds, ways=1, episode_count=1,
                                             background_queries=0))[0]
         episode_head = installed(head, ep)
-        sup = ep.support[ep.class_ids[0]][0]
-        dets = score_queries(episode_head, [sup], features(head, [sup]), 0, ep.class_ids)
+        sup = ds[ep.support[0, :1]]
+        dets = score_queries(episode_head, sup, features(head, sup), 0, ep.class_ids)
         assert dets.class_id.tolist() == [ep.class_ids[0]]
 
     def test_fallback_box_and_image(self):
         trained, head, ep = self.heads_and_episode()
-        q = FeatureRecord("lonely", "c000", np.zeros(10))
-        dets = score_queries(head, [q], features(trained, [q]), 3, ep.class_ids)
+        q = Dataset(["lonely"], ["c000"], np.zeros((1, 10)))
+        dets = score_queries(head, q, features(trained, q), 3, ep.class_ids)
         assert dets.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0]]
         assert dets.image_id.tolist() == ["lonely"]
         assert dets.episode_id.tolist() == [3]
@@ -451,7 +452,7 @@ class TestRunEpisode:
         # every bit it had before
         ds = episode_dataset()
         head = small_head()
-        probe = ds.records[5].features
+        probe = ds.records.features[5]
         before = head.score(probe)
         state = head_state(head)
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
@@ -468,7 +469,7 @@ class TestRunEpisode:
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
         gts = episode_ground_truth(ep)
-        fg = [q for q in ep.queries if not q.is_background]
+        fg = ep.queries[~ds.is_background[ep.queries]]
         assert len(gts) == len(fg)
         assert set(gts.class_id.tolist()) == set(ep.class_ids)
 
@@ -530,8 +531,8 @@ def test_stacked_pass_matches_one_episode_at_a_time(count, ways, shots, steps, l
         assert result.kept_step == expected.kept_step
         for name, p in reference.named_parameters().items():
             assert head.named_parameters()[name].value.tobytes() == p.value.tobytes(), name
-        queries = features(trained, ep.queries)
-        got, want = (score_queries(h, ep.queries, queries, ep.episode_id, ep.class_ids)
+        queries = features(trained, ep.dataset[ep.queries])
+        got, want = (score_queries(h, ep.dataset[ep.queries], queries, ep.episode_id, ep.class_ids)
                      for h in (head, reference))
         assert got.class_id.tolist() == want.class_id.tolist()
         assert got.scores.tobytes() == want.scores.tobytes()
@@ -561,6 +562,22 @@ class TestEvaluateEpisodes:
         evaluate_episodes(head, episodes, steps=4, lr=0.05)
         assert len(calls) == 4
         assert head_state(head) == state
+
+    @pytest.mark.parametrize("count, block, calls", [(1, 36_000, 1), (7, 36_000, 1),
+                                                     (7, 2 * 169, 4)])
+    def test_a_block_runs_the_frozen_layers_once(self, monkeypatch, count, block, calls):
+        # every support and query row of a block goes through the hidden
+        # layers in one call; 2 * 169 entries hold two episodes a block
+        head = small_head()
+        episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, episode_count=count))
+        seen = []
+        hidden = EmbeddingNet.hidden_features
+        monkeypatch.setattr(EmbeddingNet, "hidden_features",
+                            lambda net, X: seen.append(len(X)) or hidden(net, X))
+        monkeypatch.setattr(episodes_module, "BLOCK_ENTRIES", block)
+        evaluate_episodes(head, episodes)
+        assert len(seen) == calls
+        assert sum(seen) == sum(ep.support.size + len(ep.queries) for ep in episodes)
 
     def test_blocks_change_no_bit(self, monkeypatch):
         head = small_head()

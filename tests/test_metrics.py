@@ -550,7 +550,7 @@ class TestClassificationError:
 
     def test_memorized_set_zero_error(self):
         head, ds = self.trained()
-        err = classification_error(head, list(ds), class_index_map(ds))
+        err = classification_error(head, ds, class_index_map(ds))
         assert err == 0.0
 
     def test_matches_brute_force_posterior_loop(self):
@@ -564,23 +564,23 @@ class TestClassificationError:
         sigma = head.mixture.sigma
         for mode, reducer in (("normalized", np.sum), ("max", np.max)):
             wrong = 0
-            for rec in ds:
-                z = head.embedding.embed_batch(rec.features[None])[0]
+            for label, x in zip(ds.label, ds.features):
+                z = head.embedding.embed_batch(x[None])[0]
                 scores = np.zeros(4)
                 for c in range(4):
                     probs = [np.exp(-np.sum((z - reps[c, k]) ** 2) / (2 * sigma**2))
                              for k in range(3)]
                     scores[c] = reducer(probs)
                 pred = int(np.argmax(scores))
-                wrong += pred != cmap[rec.label]
-            want = wrong / len(list(ds))
-            got = classification_error(head, list(ds), cmap, posterior_mode=mode)
+                wrong += pred != cmap[label]
+            want = wrong / len(ds)
+            got = classification_error(head, ds, cmap, posterior_mode=mode)
             assert got == pytest.approx(want, abs=1e-12), mode
 
     def test_mode_validated(self):
         head, ds = self.trained()
         with pytest.raises(ConfigError):
-            classification_error(head, list(ds), class_index_map(ds), posterior_mode="soft")
+            classification_error(head, ds, class_index_map(ds), posterior_mode="soft")
 
     def test_empty_set_rejected(self):
         head, ds = self.trained()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mixrep.autodiff import parameter
-from mixrep.data import Dataset, FeatureRecord, SynthConfig, synth_dataset
+from mixrep.data import Dataset, SynthConfig, synth_dataset
 from mixrep.errors import ConfigError, DatasetError, TrainingDiverged
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
 from mixrep.rng import substream
@@ -38,14 +38,20 @@ def toy_head(seed=4, num_classes=2):
                        MixtureConfig(num_classes, 1, 0.5, 0.5), seed=seed)
 
 
-def hand_records(class_sizes: dict, dim=4):
-    recs = []
-    i = 0
-    for label, n in class_sizes.items():
-        for _ in range(n):
-            recs.append(FeatureRecord(f"h{i:04d}", label, np.full(dim, float(i))))
-            i += 1
-    return recs
+def hand_records(class_sizes: dict, dim=4, background=None):
+    """A dataset of `class_sizes` records per class, record i's features all
+    i; with `background`, one background record "bg01" of that value last."""
+    labels = [label for label, n in class_sizes.items() for _ in range(n)]
+    ids = [f"h{i:04d}" for i in range(len(labels))]
+    features = np.repeat(np.arange(len(labels), dtype=np.float64)[:, None], dim, axis=1)
+    if background is not None:
+        ids, labels = ids + ["bg01"], labels + ["background"]
+        features = np.vstack([features, np.full((1, dim), float(background))])
+    return Dataset(ids, labels, features)
+
+
+def every_row(ds):
+    return np.arange(len(ds))
 
 
 class TestSpecValidation:
@@ -82,80 +88,81 @@ class TestSampleBatch:
     def pool20(self):
         cfg = SynthConfig(num_classes=20, modes_per_class=1, samples_per_mode=6,
                           input_dim=8, test_fraction=0.0)
-        return list(synth_dataset(cfg, seed=11))
+        return synth_dataset(cfg, seed=11)
 
     def test_class_balanced_shape(self):
-        batch = sample_batch(self.pool20(), BatchSpec(12, 4), substream(0, "t"))
+        ds = self.pool20()
+        batch = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(0, "t"))
         assert len(batch) == 48
-        labels = [r.label for r in batch]
+        labels = ds.label[batch].tolist()
         assert len(set(labels)) == 12
         for lab in set(labels):
             assert labels.count(lab) == 4
 
     def test_deterministic_under_rng_state(self):
-        pool = self.pool20()
-        a = sample_batch(pool, BatchSpec(12, 4), substream(5, "t"))
-        b = sample_batch(pool, BatchSpec(12, 4), substream(5, "t"))
-        assert [r.id for r in a] == [r.id for r in b]
+        ds = self.pool20()
+        a = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(5, "t"))
+        b = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(5, "t"))
+        assert ds.id[a].tolist() == ds.id[b].tolist()
 
     def test_distinct_streams_differ(self):
-        pool = self.pool20()
-        a = sample_batch(pool, BatchSpec(12, 4), substream(5, "t"))
-        b = sample_batch(pool, BatchSpec(12, 4), substream(6, "t"))
-        assert [r.id for r in a] != [r.id for r in b]
+        ds = self.pool20()
+        a = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(5, "t"))
+        b = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(6, "t"))
+        assert ds.id[a].tolist() != ds.id[b].tolist()
 
     def test_short_class_sampled_with_replacement(self):
         recs = hand_records({"a": 2, "b": 5, "c": 5})
-        batch = sample_batch(recs, BatchSpec(3, 4), substream(1, "t"))
+        batch = sample_batch(recs, every_row(recs), BatchSpec(3, 4), substream(1, "t"))
         assert len(batch) == 12
-        a_ids = [r.id for r in batch if r.label == "a"]
+        a_ids = recs.id[batch][recs.label[batch] == "a"].tolist()
         assert len(a_ids) == 4
         assert len(set(a_ids)) <= 2
 
     def test_too_few_classes_raises(self):
         recs = hand_records({"a": 5, "b": 5, "c": 5})
         with pytest.raises(DatasetError):
-            sample_batch(recs, BatchSpec(5, 2), substream(1, "t"))
+            sample_batch(recs, every_row(recs), BatchSpec(5, 2), substream(1, "t"))
 
     def test_background_never_sampled_class_balanced(self):
-        recs = hand_records({"a": 5, "b": 5})
-        recs.append(FeatureRecord("bg01", "background", np.zeros(4)))
+        recs = hand_records({"a": 5, "b": 5}, background=0.0)
         for trial in range(20):
-            batch = sample_batch(recs, BatchSpec(2, 3), substream(trial, "t"))
-            assert all(not r.is_background for r in batch)
+            batch = sample_batch(recs, every_row(recs), BatchSpec(2, 3), substream(trial, "t"))
+            assert all(not bg for bg in recs.is_background[batch])
 
     def test_image_group_returns_whole_image(self):
         cfg = SynthConfig(num_classes=3, modes_per_class=1, samples_per_mode=8,
                           input_dim=4, test_fraction=0.0, with_boxes=True,
                           rois_per_image=6)
-        pool = list(synth_dataset(cfg, seed=2))
-        batch = sample_batch(pool, BatchSpec(strategy="image_group"), substream(3, "t"))
-        image_ids = {r.image_id for r in batch}
+        pool = synth_dataset(cfg, seed=2)
+        batch = sample_batch(pool, every_row(pool), BatchSpec(strategy="image_group"),
+                             substream(3, "t"))
+        image_ids = set(pool.image_id[batch])
         assert len(image_ids) == 1
         img = image_ids.pop()
-        assert sorted(r.id for r in batch) == sorted(
-            r.id for r in pool if r.image_id == img)
+        assert sorted(pool.id[batch]) == sorted(pool.id[pool.image_id == img])
 
     def test_image_group_requires_image_ids(self):
         recs = hand_records({"a": 3, "b": 3})
         with pytest.raises(DatasetError):
-            sample_batch(recs, BatchSpec(strategy="image_group"), substream(0, "t"))
+            sample_batch(recs, every_row(recs), BatchSpec(strategy="image_group"),
+                         substream(0, "t"))
 
 
     @staticmethod
-    def per_call_reference(records, spec, rng):
+    def per_call_reference(ds, rows, spec, rng):
         """The sampler as it was before the groups were prebuilt: the index
         is rebuilt from the records on every call."""
         if spec.strategy == "image_group":
             images = {}
-            for rec in records:
-                images.setdefault(rec.image_id, []).append(rec)
+            for row in rows:
+                images.setdefault(ds.image_id[row], []).append(row)
             image_ids = sorted(images)
             return list(images[image_ids[int(rng.integers(0, len(image_ids)))]])
         by_class = {}
-        for rec in records:
-            if not rec.is_background:
-                by_class.setdefault(rec.label, []).append(rec)
+        for row in rows:
+            if ds.label[row] != "background":
+                by_class.setdefault(ds.label[row], []).append(row)
         class_ids = sorted(by_class)
         batch = []
         for ci in rng.choice(len(class_ids), size=spec.classes_per_batch, replace=False):
@@ -170,28 +177,28 @@ class TestSampleBatch:
         cfg = SynthConfig(num_classes=8, modes_per_class=2, samples_per_mode=3,
                           input_dim=4, test_fraction=0.0, with_boxes=True,
                           rois_per_image=5, background_fraction=0.2)
-        pool = list(synth_dataset(cfg, seed=4))
+        ds = synth_dataset(cfg, seed=4)
+        pool = every_row(ds)
         spec = BatchSpec(5, 8, strategy=strategy)  # 6 records per class: drawn with replacement
-        groups = batch_groups(pool, spec)
+        groups = batch_groups(ds, pool, spec)
         rngs = [substream(9, "t") for _ in range(3)]
         for _ in range(40):
-            want = [r.id for r in self.per_call_reference(pool, spec, rngs[0])]
-            assert [r.id for r in sample_batch(pool, spec, rngs[1], groups)] == want
-            assert [r.id for r in sample_batch(pool, spec, rngs[2])] == want
+            want = ds.id[self.per_call_reference(ds, pool, spec, rngs[0])].tolist()
+            assert ds.id[sample_batch(ds, pool, spec, rngs[1], groups)].tolist() == want
+            assert ds.id[sample_batch(ds, pool, spec, rngs[2])].tolist() == want
 
 
 class TestBatchArrays:
     def test_labels_and_features(self):
-        recs = hand_records({"a": 2, "b": 1})
-        recs.append(FeatureRecord("bg01", "background", np.ones(4)))
-        X, labels = batch_arrays(recs, {"a": 0, "b": 1})
+        recs = hand_records({"a": 2, "b": 1}, background=1.0)
+        X, labels = batch_arrays(recs, every_row(recs), {"a": 0, "b": 1})
         assert X.shape == (4, 4)
         assert labels == [0, 0, 1, -1]
 
     def test_unknown_label_raises(self):
         recs = hand_records({"a": 1})
         with pytest.raises(DatasetError):
-            batch_arrays(recs, {"b": 0})
+            batch_arrays(recs, every_row(recs), {"b": 0})
 
 
 class TestTrainingPool:
@@ -204,17 +211,17 @@ class TestTrainingPool:
     def test_excludes_unseen_and_test(self):
         ds = self.full_dataset()
         pool = training_pool(ds, include_background=False)
-        assert all(r.group != "unseen" for r in pool)
-        assert all(r.split in (None, "train") for r in pool)
-        assert all(not r.is_background for r in pool)
+        assert all(group != "unseen" for group in ds.group[pool])
+        assert all(split in (None, "train") for split in ds.split[pool])
+        assert all(not bg for bg in ds.is_background[pool])
 
     def test_background_opt_in(self):
         ds = self.full_dataset()
         pool = training_pool(ds, include_background=True)
-        assert any(r.is_background for r in pool)
+        assert any(ds.is_background[pool])
 
     def test_empty_pool_raises(self):
-        ds = Dataset([FeatureRecord("x0", "a", np.zeros(3), split="test")])
+        ds = Dataset(["x0"], ["a"], np.zeros((1, 3)), split=["test"])
         with pytest.raises(DatasetError):
             training_pool(ds, include_background=False)
 
@@ -228,7 +235,7 @@ class TestClassIndexMap:
         assert len(cmap) == 4
         assert sorted(cmap.values()) == [0, 1, 2, 3]
         assert list(cmap) == sorted(cmap)
-        unseen = {r.label for r in ds if r.group == "unseen"}
+        unseen = set(ds.label[ds.group == "unseen"])
         assert not unseen & set(cmap)
 
 
@@ -319,13 +326,13 @@ class TestTrainStep:
         ds = toy_dataset()
         pool = training_pool(ds, include_background=False)
         cmap = class_index_map(ds)
-        batch = pool[:4] + pool[-4:]
+        batch = np.concatenate([pool[:4], pool[-4:]])
         ha, hb = toy_head(seed=4), toy_head(seed=4)
 
         opt = SGD(ha.parameter_groups(), lr=0.05, momentum=0.0)
-        train_step(ha, batch, cmap, opt)
+        train_step(ha, ds, batch, cmap, opt)
 
-        X, labels = batch_arrays(batch, cmap)
+        X, labels = batch_arrays(ds, batch, cmap)
         loss, _ = hb.total_loss(X, labels, train=True)
         zero_grads(hb.parameters())
         backward(loss)
@@ -342,9 +349,9 @@ class TestTrainStep:
         head.named_parameters()["layers.0.weight"].value[:] = np.nan
         opt = make_optimizer(head, TrainConfig(iterations=1))
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
-            train_step(head, pool[:4], cmap, opt, iteration=13)
+            train_step(head, ds, pool[:4], cmap, opt, iteration=13)
         assert exc.value.iteration == 13
-        assert exc.value.batch_ids == [r.id for r in pool[:4]]
+        assert exc.value.batch_ids == ds.id[pool[:4]].tolist()
 
 
 class TestFit:
@@ -385,7 +392,7 @@ class TestFit:
         # the hook's head reads the running statistics, so a row scores the
         # same alone as in a batch
         ds = toy_dataset()
-        X = np.stack([rec.features for rec in ds.records[:3]])
+        X = ds.records.features[:3]
         calls = []
         fit(toy_head(), ds,
             TrainConfig(iterations=15, lr=0.01, seed=5, eval_every=5), BatchSpec(2, 4),
@@ -406,7 +413,7 @@ class TestFit:
         reps = head.representatives.value[:, 0, :]
         means = np.zeros_like(reps)
         for label, idx in cmap.items():
-            X = np.stack([r.features for r in ds.select(label=label)])
+            X = ds.features[ds.label == label]
             means[idx] = head.embedding.embed_batch(X).mean(axis=0)
         scale = float(np.sum(reps * means) / np.sum(reps * reps))
         residuals = np.linalg.norm(scale * reps - means, axis=1)
