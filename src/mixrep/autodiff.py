@@ -2,11 +2,11 @@
 
 Graphs are define-by-run: each operation returns a `Node` holding the forward
 value and, when a parameter feeds it, vector-Jacobian products against its
-inputs; `backward` walks the graph once from a scalar root, accumulating
-gradients into every node that requires them. Operations on constants only
-keep no tape, so inference over fixed arrays leaves no graph behind. Graphs
-are rebuilt on every forward pass; parameters are the only state carried
-across passes.
+inputs. Nodes are numbered as they are made, after their inputs, and
+`backward` visits the nodes a scalar root's gradient reaches in decreasing
+creation order, each once. Operations on constants only keep no tape, so
+inference over fixed arrays leaves no graph behind. Graphs are rebuilt on
+every forward pass; parameters are the only state carried across passes.
 
 A central-difference checker (`finite_difference_check`) serves as the
 independent oracle for every gradient in the package.
@@ -14,8 +14,10 @@ independent oracle for every gradient in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,8 +35,13 @@ Array = np.ndarray
 # float64 entries: 512 KiB), so its temporaries do not grow with the stack
 DIFF_CHUNK = 2**16
 
+_FLOAT64 = np.dtype(np.float64)
+_creation = itertools.count()  # numbers every node in the order nodes are made
+
 
 def as_array(x) -> Array:
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
@@ -46,11 +53,12 @@ class Node:
     reset to None; other nodes keep none.
     Forward values never depend on whether gradients were requested.
 
-    Only a node that requires a gradient keeps a tape: its vjps and, for a
-    max/min reduction, `tie`, a callable telling whether it sat on a tie.
+    Only a node that requires a gradient keeps a tape: its (input, vjp)
+    pairs and, for a max/min reduction, `tie`, a callable telling whether it
+    sat on a tie. `_seq` numbers nodes in creation order.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "name", "_vjps", "tie")
+    __slots__ = ("value", "grad", "requires_grad", "op", "name", "_vjps", "tie", "_seq")
 
     def __init__(self, value, requires_grad: bool = False, op: str = "leaf", name: str | None = None):
         self.value = as_array(value)
@@ -58,8 +66,9 @@ class Node:
         self.requires_grad = bool(requires_grad)
         self.op = op
         self.name = name
-        self._vjps: tuple = ()
+        self._vjps: Sequence = ()
         self.tie: Callable[[], bool] | None = None
+        self._seq = next(_creation)
 
     @property
     def shape(self):
@@ -82,11 +91,10 @@ def _wrap(x) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
-def _result(value, op: str, vjps, tie: Callable[[], bool] | None = None) -> Node:
-    node = Node(value, requires_grad=any(p.requires_grad for p, _ in vjps), op=op)
-    if node.requires_grad:
-        node._vjps = tuple(vjps)
-        node.tie = tie
+def _result(value, op: str, vjps: list, tie: Callable[[], bool] | None = None) -> Node:
+    node = Node(value, op=op)
+    if [p for p, _ in vjps if p.requires_grad]:
+        node.requires_grad, node._vjps, node.tie = True, vjps, tie
     return node
 
 
@@ -112,8 +120,8 @@ def matmul(a, b) -> Node:
     if va.shape[-1] != vb.shape[-2]:
         raise ShapeError("matmul", (va.shape, vb.shape), "inner dimensions differ")
     out = np.matmul(va[..., None, :], vb[..., None, :, :])[..., 0, :]
-    return _result(out, "matmul", [(a, lambda g: g @ np.swapaxes(vb, -1, -2)),
-                                   (b, lambda g: np.swapaxes(va, -1, -2) @ g)])
+    return _result(out, "matmul", [(a, lambda g: g @ vb.swapaxes(-1, -2)),
+                                   (b, lambda g: va.swapaxes(-1, -2) @ g)])
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:
@@ -162,7 +170,7 @@ def exp(a) -> Node:
 def log(a) -> Node:
     a = _wrap(a)
     va = a.value
-    if np.any(va < 0.0):
+    if (va < 0.0).any():
         raise ShapeError("log", (va.shape,), "negative input")
     with np.errstate(divide="ignore"):
         out = np.log(va)
@@ -193,7 +201,7 @@ def sqrt(a) -> Node:
     """Elementwise square root; exactly 0 at 0."""
     a = _wrap(a)
     va = a.value
-    if np.any(va < 0.0):
+    if (va < 0.0).any():
         raise ShapeError("sqrt", (va.shape,), "negative input")
     out = np.sqrt(va)
 
@@ -212,20 +220,24 @@ def _reduce_extreme(a, axis: int, op_name: str) -> Node:
     if va.size == 0:
         raise ShapeError(op_name, (va.shape,), "empty input")
     if op_name == "reduce_max":
-        out, winner = va.max(axis=axis), np.argmax
+        kept, winner = va.max(axis=axis, keepdims=True), va.argmax
     else:
-        out, winner = va.min(axis=axis), np.argmin
+        kept, winner = va.min(axis=axis, keepdims=True), va.argmin
 
     def vjp(g):
-        arg = np.expand_dims(winner(va, axis=axis), axis)  # ties go to the lowest index
-        gi = np.zeros_like(va)
-        np.put_along_axis(gi, arg, np.expand_dims(as_array(g), axis), axis)
-        return gi
+        # g at the winner, ties going to the lowest index, and 0 elsewhere;
+        # va seen as (outer, n, inner) with the reduced axis in the middle
+        split = axis % va.ndim
+        outer, inner = math.prod(va.shape[:split]), math.prod(va.shape[split + 1:])
+        gi = np.zeros((outer, va.shape[split], inner))
+        gi[np.arange(outer)[:, None], winner(axis=axis).reshape(outer, inner),
+           np.arange(inner)] = g.reshape(outer, inner)
+        return gi.reshape(va.shape)
 
     def tie() -> bool:
-        return bool(((va == np.expand_dims(out, axis)).sum(axis=axis) > 1).any())
+        return bool(((va == kept).sum(axis=axis) > 1).any())
 
-    return _result(out, op_name, [(a, vjp)], tie)
+    return _result(kept.squeeze(axis), op_name, [(a, vjp)], tie)
 
 
 def reduce_max(a, axis: int) -> Node:
@@ -245,14 +257,14 @@ def reduce_min(a, axis: int) -> Node:
 def reduce_sum(a, axis: int | None = None) -> Node:
     a = _wrap(a)
     va = a.value
-    out = va.sum(axis=axis)
+    kept = va.sum(axis=axis, keepdims=True)
 
     def vjp(g):
-        if axis is None:
-            return np.full(va.shape, g)
-        return np.broadcast_to(np.expand_dims(g, axis), va.shape).copy()
+        gi = np.empty(va.shape)
+        gi[...] = g.reshape(kept.shape)
+        return gi
 
-    return _result(out, "sum", [(a, vjp)])
+    return _result(kept.squeeze(axis), "sum", [(a, vjp)])
 
 
 def reshape(a, shape) -> Node:
@@ -262,7 +274,7 @@ def reshape(a, shape) -> Node:
         out = va.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", (va.shape, shape), "sizes differ") from None
-    return _result(out, "reshape", [(a, lambda g: np.reshape(g, va.shape))])
+    return _result(out, "reshape", [(a, lambda g: g.reshape(va.shape))])
 
 
 def concat(parts: Sequence, axis: int = -1) -> Node:
@@ -273,12 +285,11 @@ def concat(parts: Sequence, axis: int = -1) -> Node:
         out = np.concatenate([n.value for n in nodes], axis=axis)
     except ValueError:
         raise ShapeError("concat", shapes, "shapes do not line up") from None
-    bounds = np.cumsum([s[axis] for s in shapes])[:-1]
-
-    def vjp_of(i):
-        return lambda g: np.split(g, bounds, axis=axis)[i]
-
-    return _result(out, "concat", [(n, vjp_of(i)) for i, n in enumerate(nodes)])
+    ends = np.cumsum([s[axis] for s in shapes]).tolist()
+    pieces = [(slice(None),) * (axis % out.ndim) + (slice(end - s[axis], end),)
+              for s, end in zip(shapes, ends)]
+    return _result(out, "concat", [(n, lambda g, piece=piece: g[piece])
+                                   for n, piece in zip(nodes, pieces)])
 
 
 def take(a, index: tuple) -> Node:
@@ -291,16 +302,16 @@ def take(a, index: tuple) -> Node:
     va = a.value
     index = tuple(i if isinstance(i, slice) else np.asarray(i, dtype=np.intp) for i in index)
     try:
-        # in C order: after a slice, indexing may return a transposed layout,
-        # and a reduction then adds in another order than on a single matrix
-        out = np.ascontiguousarray(va[index])
+        # each entry's flat position in `va`, in C order: after a slice, indexing
+        # may return a transposed layout, which a reduction adds up differently
+        flat = np.ascontiguousarray(np.arange(va.size).reshape(va.shape)[index])
     except IndexError:
         raise ShapeError("take", (va.shape,), "index out of range") from None
+    out = va.reshape(-1)[flat]
 
     def vjp(g):
-        gi = np.zeros_like(va)
-        np.add.at(gi, index, g)
-        return gi
+        # adds up in index order, as a sequential scatter-add would
+        return np.bincount(flat.reshape(-1), g.reshape(-1), va.size).reshape(va.shape)
 
     return _result(out, "take", [(a, vjp)])
 
@@ -380,7 +391,7 @@ def l2_normalize(a, epsilon: float = 1e-12) -> Node:
     if va.ndim not in (2, 3):
         raise ShapeError("l2_normalize", (va.shape,), "expected 2-d or 3-d input")
     norms = np.sqrt((va * va).sum(axis=-1, keepdims=True))
-    if np.any(norms < epsilon):
+    if (norms < epsilon).any():
         raise DegenerateVectorError(
             f"l2_normalize: norm {float(norms.min()):.3e} below epsilon {epsilon:.1e}"
         )
@@ -459,51 +470,35 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool = False) -> No
 # backward pass
 
 
-def _topo_order(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._vjps:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order  # parents precede consumers
-
-
 def backward(root: Node) -> None:
     """Accumulate d(root)/d(p) into `.grad` of every parameter p (a leaf
-    that requires a gradient) the root depends on. An intermediate node's
-    gradient is dropped once it has been passed on to its inputs.
+    that requires a gradient) the root depends on.
+
+    Nodes are visited in decreasing creation order, each once, and only
+    those the root's gradient reaches. A node is made after its inputs, so
+    all its consumers have passed it their gradients before its turn; it
+    then passes the sum on to its inputs and drops it. Where a node feeds
+    two consumers, a + b and b + a give the same bits.
 
     Repeated calls without clearing gradients accumulate additively.
     """
     if root.value.shape != ():
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
-    order = _topo_order(root)
-    grads: dict[int, Array] = {id(root): np.ones(())}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+    grads: dict[Node, Array] = {root: np.ones(())}
+    pending = [(-root._seq, root)]
+    while pending:
+        node = heappop(pending)[1]
+        g = grads.pop(node)
         if not node._vjps:
             node.grad = g.copy() if node.grad is None else node.grad + g
         for parent, vjp in node._vjps:
-            if not parent.requires_grad:
-                continue
-            contrib = as_array(vjp(g))
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
-            else:
-                grads[key] = contrib
+            if parent.requires_grad:
+                contrib = as_array(vjp(g))
+                if parent in grads:
+                    grads[parent] = grads[parent] + contrib
+                else:
+                    grads[parent] = contrib
+                    heappush(pending, (-parent._seq, parent))
 
 
 def zero_grads(params) -> None:
@@ -518,9 +513,9 @@ def graph_has_tie(root: Node) -> bool:
     stack, seen = [root], set()
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         if node.tie is not None and node.tie():
             return True
         stack.extend(p for p, _ in node._vjps)

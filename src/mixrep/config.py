@@ -181,10 +181,8 @@ def load_run_config(path) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e.msg}, line {e.lineno})") from None
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except (ValueError, RecursionError) as e:  # also not UTF-8, too long or too deep
+            raise ConfigError(f"{path}: invalid JSON ({e})") from None
     return RunConfig.from_dict(doc)
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Node
-from .errors import ConfigError, PosteriorUnderflowError, ShapeError
+from .errors import ConfigError, DatasetError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
 BACKGROUND = -1  # label sentinel for clutter items (detection mode only)
@@ -179,9 +179,16 @@ class EmbeddingNet:
 
 
 def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
-    """Values of `fn` over X, BLOCK_ROWS rows at a time."""
-    return np.concatenate([fn(X[i:i + BLOCK_ROWS]).value
-                           for i in range(0, max(len(X), 1), BLOCK_ROWS)])
+    """Values of `fn` over X, BLOCK_ROWS rows at a time. A row whose values
+    are not all finite, such as an input too large for the network, raises
+    DatasetError naming the first such row of X."""
+    out = np.concatenate([fn(X[i:i + BLOCK_ROWS]).value
+                          for i in range(0, max(len(X), 1), BLOCK_ROWS)])
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise DatasetError(f"row {bad[0]} of {len(X)} maps to non-finite features "
+                           f"(largest |input| {np.abs(X[bad[0]]).max():.3g})")
+    return out
 
 
 def parameter_layout(embedding: EmbeddingConfig, mixture: MixtureConfig,
@@ -648,7 +655,7 @@ def load_checkpoint(path) -> MixtureHead:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as e:  # malformed JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as e:  # malformed, not UTF-8, or nested too deep
         raise ConfigError(f"{path}: invalid checkpoint JSON ({e})") from None
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise ConfigError(f"not a checkpoint file: {path}")

@@ -1,10 +1,14 @@
-"""Differentiation core: frozen forward values, backward semantics, and
-finite-difference agreement for every primitive."""
+"""Differentiation core: frozen forward values, backward semantics,
+finite-difference agreement for every primitive, and the creation-ordered
+backward pass against a depth-first reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mixrep import autodiff as ad
 from mixrep.errors import (
@@ -13,6 +17,7 @@ from mixrep.errors import (
     NonSmoothPointError,
     ShapeError,
 )
+from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead, parameter_layout
 
 
 def gradcheck(f, params, tol=1e-6):
@@ -493,3 +498,241 @@ class TestFiniteDifferenceChecker:
             lambda ps: ad.reduce_sum(ad.square(ad.log(ps[0]))), [x]
         )
         assert err < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the backward pass against a depth-first reference
+
+
+def reference_topo_order(root):
+    """Every node the root depends on, inputs before consumers, by an
+    iterative depth-first search."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._vjps:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def reference_backward(root):
+    """The backward pass over a depth-first topological order, the way the
+    engine walked graphs before it visited nodes in creation order."""
+    assert root.value.shape == ()
+    grads = {id(root): np.ones(())}
+    for node in reversed(reference_topo_order(root)):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if not node._vjps:
+            node.grad = g.copy() if node.grad is None else node.grad + g
+        for parent, vjp in node._vjps:
+            if parent.requires_grad:
+                contrib = ad.as_array(vjp(g))
+                key = id(parent)
+                grads[key] = grads[key] + contrib if key in grads else contrib
+
+
+def fan_out(root) -> int:
+    """The most consumers any node has among the nodes the root's gradient
+    flows through."""
+    uses = {}
+    for node in reference_topo_order(root):
+        for parent, _ in node._vjps:
+            if parent.requires_grad:
+                uses[id(parent)] = uses.get(id(parent), 0) + 1
+    return max(uses.values(), default=0)
+
+
+def gradients_of(backward, root, params):
+    ad.zero_grads(params)
+    backward(root)
+    return [None if p.grad is None else p.grad.tobytes() for p in params]
+
+
+@settings(max_examples=60, deadline=None)
+@given(task_mode=st.sampled_from(["classification", "detection"]), layers=st.integers(1, 3),
+       train=st.booleans(), stack=st.sampled_from([None, 1, 3]), classes=st.integers(2, 4),
+       modes=st.integers(1, 3), batch=st.integers(2, 7), seed=st.integers(0, 2**31 - 1))
+def test_backward_matches_reference_on_loss_graphs(task_mode, layers, train, stack, classes,
+                                                    modes, batch, seed):
+    """On every loss graph the package builds (training and stacked episode
+    heads) no node has more than two consumers, so creation order gives the
+    reference's parameter gradients bit for bit."""
+    rng = np.random.default_rng(seed)
+    if stack is not None:
+        layers, train = 1, False  # a stack of heads is one layer, in no training step
+    embedding = EmbeddingConfig(5, tuple(rng.integers(3, 9, size=layers).tolist()))
+    mixture = MixtureConfig(classes, modes)
+    if stack is None:
+        head = MixtureHead(embedding, mixture, task_mode, seed=seed % 1000)
+        X = rng.normal(size=(batch, 5))
+    else:
+        layout = parameter_layout(embedding, mixture, stack)
+        head = MixtureHead.from_arrays(
+            embedding, mixture, task_mode,
+            {name: rng.normal(0.0, 0.5, size=shape) for name, shape in layout.items()},
+            stack=stack)
+        X = rng.normal(size=(stack, batch, 5))
+    lowest = -1 if task_mode == "detection" else 0  # -1 is the background label
+    loss, _ = head.total_loss(X, rng.integers(lowest, classes, size=batch), train)
+    assert fan_out(loss) <= 2
+    params = head.parameters()
+    assert gradients_of(ad.backward, loss, params) == gradients_of(reference_backward, loss, params)
+
+
+# Random graphs over two (3, 4) parameters: each step applies one op to
+# earlier nodes, and the root sums every node no op consumed. SMOOTH ops keep
+# values moderate and have no kinks, so central differences can check them.
+PICKED = (np.arange(3)[:, None], np.array([[0, 5, 5, 2]]))  # a repeated entry
+MIX = np.linspace(-0.5, 0.5, 16).reshape(4, 4)
+SMOOTH = {
+    "add": (2, lambda a, b: ad.add(a, b)),
+    "scale": (1, lambda a: ad.scale(a, 0.7)),
+    "negate": (1, ad.negate),
+    "exp": (1, lambda a: ad.exp(ad.scale(a, -0.3))),
+    "soft": (1, lambda a: ad.sqrt(ad.add(ad.square(a), ad.constant(1.0)))),
+    "mix": (1, lambda a: ad.matmul(a, ad.constant(MIX))),
+    "pick": (2, lambda a, b: ad.take(ad.concat([a, b], axis=1), PICKED)),
+    "rowsum": (2, lambda a, b: ad.add(a, ad.reshape(ad.reduce_sum(b, axis=1), (3, 1)))),
+}
+KINKED = {
+    "relu": (1, ad.relu),
+    "rowmax": (2, lambda a, b: ad.add(a, ad.reshape(ad.reduce_max(b, axis=1), (3, 1)))),
+    "colmin": (2, lambda a, b: ad.add(a, ad.reduce_min(b, axis=0))),
+    "norm": (1, ad.l2_normalize),
+}
+
+
+@st.composite
+def graph_plans(draw, ops, most_uses):
+    """A list of (op name, input node positions) over nodes 0 and 1 (the
+    parameters), where no node is used more than `most_uses` times."""
+    uses, plan = [0, 0], []
+    for _ in range(draw(st.integers(1, 10))):
+        name = draw(st.sampled_from(sorted(ops)))
+        inputs = []
+        for _ in range(ops[name][0]):
+            free = [i for i, n in enumerate(uses) if n < most_uses]
+            if not free:
+                break
+            inputs.append(draw(st.sampled_from(free)))
+            uses[inputs[-1]] += 1
+        if len(inputs) < ops[name][0]:
+            break
+        plan.append((name, tuple(inputs)))
+        uses.append(0)
+    return plan
+
+
+def build(plan, ops, params):
+    nodes = list(params)
+    for name, inputs in plan:
+        nodes.append(ops[name][1](*(nodes[i] for i in inputs)))
+    consumed = {i for _, inputs in plan for i in inputs}
+    sinks = [ad.reduce_sum(n) for i, n in enumerate(nodes) if i not in consumed]
+    root = sinks[0]
+    for sink in sinks[1:]:
+        root = ad.add(root, sink)
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=graph_plans({**SMOOTH, **KINKED}, most_uses=2), seed=st.integers(0, 2**31 - 1))
+def test_backward_matches_reference_bit_for_bit_at_fan_out_two(plan, seed):
+    rng = np.random.default_rng(seed)
+    params = [ad.parameter(rng.normal(size=(3, 4))) for _ in range(2)]
+    try:
+        root = build(plan, {**SMOOTH, **KINKED}, params)
+    except DegenerateVectorError:
+        assume(False)
+    assert fan_out(root) <= 2
+    assert gradients_of(ad.backward, root, params) == gradients_of(reference_backward, root, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=graph_plans(SMOOTH, most_uses=4), reused=st.integers(0, 1),
+       seed=st.integers(0, 2**31 - 1))
+def test_backward_and_reference_pass_the_gradient_check_at_wider_fan_out(plan, reused, seed):
+    """Where a node has three or more consumers, the two orders may add its
+    gradients up differently in the last bits; both must still agree with
+    central differences."""
+    # a parameter fed to three more consumers guarantees a fan-out of three
+    plan = plan + [("scale", (reused,)), ("exp", (reused,)), ("soft", (reused,))]
+    rng = np.random.default_rng(seed)
+    params = [ad.parameter(rng.normal(size=(3, 4)), f"p{i}") for i in range(2)]
+    assert fan_out(build(plan, SMOOTH, params)) >= 3
+    assert ad.finite_difference_check(lambda ps: build(plan, SMOOTH, ps), params) < 1e-6
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "backward", reference_backward)
+        assert ad.finite_difference_check(lambda ps: build(plan, SMOOTH, ps), params) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# vjps against the numpy helpers they replace
+
+signed_values = st.one_of(st.just(-0.0), st.just(0.0),
+                          st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), stacked=st.booleans(), rows=st.integers(1, 4), cols=st.integers(1, 4),
+       count=st.integers(1, 12))
+def test_take_scatter_matches_add_at(data, stacked, rows, cols, count):
+    """take's gradient, a bincount over flat positions, gives np.add.at's
+    bits, repeated entries and -0.0 included."""
+    shape = (data.draw(st.integers(1, 3)), rows, cols) if stacked else (rows, cols)
+    picks = [data.draw(arrays(np.intp, count, elements=st.integers(0, n - 1)))
+             for n in (rows, cols)]
+    index = tuple(picks[:data.draw(st.integers(1, 2))])
+    if stacked:
+        index = (slice(None),) + index
+    node = ad.take(ad.parameter(np.zeros(shape)), index)
+    g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
+    expected = np.zeros(shape)
+    np.add.at(expected, index, g)
+    got = node._vjps[0][1](g)
+    assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_reduction_and_concat_vjps_match_the_numpy_helpers(data, shape):
+    """The max/min, sum and concat gradients give, bit for bit, what
+    put_along_axis, broadcast_to and split give."""
+    shape = tuple(shape)
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    # few distinct values, so that ties are common
+    value = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 2.0])))
+    a = ad.parameter(value)
+
+    for reduce, winner in ((ad.reduce_max, np.argmax), (ad.reduce_min, np.argmin)):
+        node = reduce(a, axis)
+        g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
+        expected = np.zeros(shape)
+        np.put_along_axis(expected, np.expand_dims(winner(value, axis=axis), axis),
+                          np.expand_dims(g, axis), axis)
+        assert node._vjps[0][1](g).tobytes() == expected.tobytes()
+
+    for sum_axis in (axis, None):
+        node = ad.reduce_sum(a, sum_axis)
+        g = np.asarray(data.draw(arrays(np.float64, node.shape, elements=signed_values)))
+        expected = (np.full(shape, g) if sum_axis is None
+                    else np.broadcast_to(np.expand_dims(g, sum_axis), shape).copy())
+        assert node._vjps[0][1](g).tobytes() == expected.tobytes()
+
+    other = ad.parameter(np.ones(shape[:axis % len(shape)] + (2,) + shape[axis % len(shape) + 1:]))
+    node = ad.concat([a, other, a], axis=axis)
+    g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
+    bounds = np.cumsum([shape[axis], 2])
+    for (_, vjp), part in zip(node._vjps, np.split(g, bounds, axis=axis)):
+        got = vjp(g)
+        assert got.strides == part.strides and got.tobytes() == part.tobytes()

@@ -212,11 +212,13 @@ class TestEvalClassify:
     @pytest.mark.parametrize("damage", ["truncate", "drop_task_mode", "empty_bn_running",
                                         "nan_representative", "negative_variance",
                                         "unknown_key", "negative_bn_epsilon",
-                                        "bn_momentum_not_a_number"])
+                                        "bn_momentum_not_a_number", "nested_too_deep"])
     def test_bad_checkpoint_is_a_config_error(self, pipeline, tmp_path, capsys, damage):
         text = pipeline["checkpoint"].read_text(encoding="utf-8")
         if damage == "truncate":
             text = text[: len(text) // 2]
+        elif damage == "nested_too_deep":
+            text = '{"params": ' + "[" * 100_000 + "]" * 100_000 + "}"
         else:
             doc = json.loads(text)
             if damage == "drop_task_mode":
@@ -395,6 +397,26 @@ class TestExportEmbeddings:
             assert np.array_equal(exported[rid], emb), rid
         for rid, x in zip(records.id[1::7], records.features[1::7]):
             assert np.array_equal(exported[rid], head.score(x).embedding), rid
+
+
+@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
+def test_input_with_no_finite_embedding_is_a_dataset_error(pipeline, tmp_path, capsys, command):
+    # 1e308 passes the loader's finiteness check but overflows the network
+    lines = pipeline["data"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    record["features"] = [1e308] * len(record["features"])
+    lines[3] = json.dumps(record)
+    data = tmp_path / "huge.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main([command, "--data", str(data), "--checkpoint", str(pipeline["checkpoint"]),
+                         "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite" in err and "1e+308" in err
+    assert not out.exists()
 
 
 class TestGradCheck:

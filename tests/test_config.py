@@ -133,6 +133,15 @@ class TestWireForm:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_run_config(p)
 
+    @pytest.mark.parametrize("text", ['{"seed": ' + "1" * 5000 + "}",
+                                      '{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                             ids=["integer_of_5000_digits", "arrays_nested_too_deep"])
+    def test_load_rejects_json_the_decoder_cannot_hold(self, tmp_path, text):
+        p = tmp_path / "run.json"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_run_config(p)
+
     def test_load_round_trip(self, tmp_path):
         p = tmp_path / "run.json"
         p.write_text(json.dumps({"task_mode": "detection", "seed": 5}), encoding="utf-8")
