@@ -7,6 +7,7 @@ Outputs carry no timestamps, so a rerun from the same seed and config is
 byte-identical. MIXREP_OUT_DIR, when set, anchors relative --out paths."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,7 +22,7 @@ from .config import RunConfig, load_run_config, write_resolved_config
 from .data import load_dataset, save_dataset, synth_dataset
 from .episodes import (episode_ground_truth, evaluate_episodes, generate_episodes, load_episodes,
                        save_episodes)
-from .errors import ConfigError, MixrepError
+from .errors import ConfigError, MixrepError, NonFiniteRowError
 from .head import MixtureHead, load_checkpoint, save_checkpoint
 from .metrics import GroundTruth, classification_error, map_over_episodes, recall_at_k
 from .rng import substream
@@ -99,6 +100,24 @@ def _load_data(args):
     return load_dataset(args.data)
 
 
+class _Lines(list):
+    """A list that csv.writer writes to: each row becomes one string."""
+
+    write = list.append
+
+
+@contextlib.contextmanager
+def _naming_records(dataset, rows):
+    """Reword a NonFiniteRowError about row i of the features of
+    `dataset[rows]` to name that record's id and its row in `dataset`."""
+    try:
+        yield
+    except NonFiniteRowError as e:
+        row = int(rows[e.row])
+        raise NonFiniteRowError(row, e.largest, f"record {dataset.id[row]!r} "
+                                f"(row {row} of {len(dataset)})") from None
+
+
 def _build_head(config: RunConfig, dataset) -> MixtureHead:
     input_dim = config.input_dim or dataset.feature_dim
     num_classes = len(class_index_map(dataset))
@@ -157,17 +176,18 @@ def cmd_eval_classify(args, out):
             f"checkpoint expects {head.mixture.num_classes} classes, dataset has {len(cmap)}"
         )
     seen = np.isin(dataset.label, list(cmap))
-    splits = [("train", dataset[seen & dataset.train_split]),
-              ("test", dataset[seen & (dataset.split == "test")])]
+    splits = [("train", np.flatnonzero(seen & dataset.train_split)),
+              ("test", np.flatnonzero(seen & (dataset.split == "test")))]
     # without an explicit config the checkpoint's own posterior rule applies
     posterior = config.posterior_mode if args.config else None
     rows = []
-    for name, records in splits:
-        if not records:
+    for name, split_rows in splits:
+        if not len(split_rows):
             continue
-        err = classification_error(head, records, cmap, posterior_mode=posterior)
-        rows.append((name, len(records), err))
-        print(f"{name}: {err * 100:.2f}% error over {len(records)} records")
+        with _naming_records(dataset, split_rows):
+            err = classification_error(head, dataset[split_rows], cmap, posterior_mode=posterior)
+        rows.append((name, len(split_rows), err))
+        print(f"{name}: {err * 100:.2f}% error over {len(split_rows)} records")
     if out is not None:
         _log_config(config, out)
         with open(out.file("classification.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -286,12 +306,17 @@ def cmd_export_embeddings(args, out):
     dataset = _load_data(args)
     _log_config(config, out)
     dim = head.embedding.config.output_dim
-    emb = head.embedding.embed_batch(dataset.features)
+    with _naming_records(dataset, range(len(dataset))):
+        emb = head.embedding.embed_batch(dataset.features)
+    # the bytes of csv.writer with every float as its repr, written a row
+    # at a time: only id and label go through csv quoting
+    quoted = _Lines()
+    fields = csv.writer(quoted)
     with open(out.file("embeddings.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"e{i}" for i in range(dim)])
+        csv.writer(fh).writerow(["id", "label"] + [f"e{i}" for i in range(dim)])
         for rid, label, row in zip(dataset.id, dataset.label, emb):
-            writer.writerow([rid, label] + [repr(float(v)) for v in row])
+            fields.writerow((rid, label))
+            fh.write(f"{quoted.pop()[:-2]},{','.join(map(repr, row.tolist()))}\r\n")
     print(f"wrote {len(dataset)} embedding rows to {out.dir / 'embeddings.csv'}")
     return 0
 

@@ -10,8 +10,10 @@ In memory a dataset is a `Dataset`: a table of column arrays with one row
 per record, in file order, checked once when it is built. Code that works
 on some of the records holds their row positions (an integer array) and
 reads the columns at those rows; `dataset[rows]` is the sub-table. The
-loader parses one line at a time and streams each row's features into one
-growing (n, d) float64 array.
+loader decodes each stripped line with one `json.JSONDecoder.raw_decode`
+call; only a line that call refuses, or does not read to its end, goes
+through `json.loads`, which words the error. Each row's features stream into
+one growing (n, d) float64 array.
 """
 
 from __future__ import annotations
@@ -216,6 +218,9 @@ def group_rows(rows, keys) -> dict:
     return dict(zip(names.tolist(), np.split(np.asarray(rows)[order], ends)))
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_json_lines(path, kind: str):
     """Yield (line number, object) for every non-blank line of a JSON Lines
     file. A line with a "kind" key is the header: it must be line 1 and name
@@ -229,12 +234,17 @@ def read_json_lines(path, kind: str):
                 if not raw:
                     continue
                 try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as e:
-                    raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
-                except (ValueError, RecursionError) as e:
-                    # an integer of over 4,300 digits; arrays nested too deep
-                    raise DatasetError(f"invalid JSON: {e}", line_no) from None
+                    obj, end = _raw_decode(raw)
+                except (ValueError, RecursionError):
+                    end = None
+                if end != len(raw):  # refused or not read to the end: json.loads words why
+                    try:
+                        obj = json.loads(raw)
+                    except json.JSONDecodeError as e:
+                        raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
+                    except (ValueError, RecursionError) as e:
+                        # an integer of over 4,300 digits; arrays nested too deep
+                        raise DatasetError(f"invalid JSON: {e}", line_no) from None
                 if not isinstance(obj, dict):
                     raise DatasetError("each line must be a JSON object", line_no)
                 if "kind" in obj:

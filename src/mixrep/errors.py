@@ -47,6 +47,16 @@ class DatasetError(MixrepError, ValueError):
         super().__init__(message)
 
 
+class NonFiniteRowError(DatasetError):
+    """An input row that the network maps to non-finite values, such as one
+    too large for it. `row` is its index among the rows at hand, `largest`
+    its largest |input|; `name` says which row it is in the message."""
+
+    def __init__(self, row: int, largest: float, name: str):
+        self.row, self.largest = row, largest
+        super().__init__(f"{name} maps to non-finite features (largest |input| {largest:.3g})")
+
+
 class TrainingDiverged(MixrepError, RuntimeError):
     """A training step produced a non-finite loss."""
 

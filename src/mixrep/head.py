@@ -46,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Node
-from .errors import ConfigError, DatasetError, PosteriorUnderflowError, ShapeError
+from .errors import ConfigError, NonFiniteRowError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
 BACKGROUND = -1  # label sentinel for clutter items (detection mode only)
@@ -181,13 +181,15 @@ class EmbeddingNet:
 def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
     """Values of `fn` over X, BLOCK_ROWS rows at a time. A row whose values
     are not all finite, such as an input too large for the network, raises
-    DatasetError naming the first such row of X."""
-    out = np.concatenate([fn(X[i:i + BLOCK_ROWS]).value
-                          for i in range(0, max(len(X), 1), BLOCK_ROWS)])
+    NonFiniteRowError naming the first such row of X; the overflow on the
+    way there is that error, not a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.concatenate([fn(X[i:i + BLOCK_ROWS]).value
+                              for i in range(0, max(len(X), 1), BLOCK_ROWS)])
     bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        raise DatasetError(f"row {bad[0]} of {len(X)} maps to non-finite features "
-                           f"(largest |input| {np.abs(X[bad[0]]).max():.3g})")
+        row = int(bad[0])
+        raise NonFiniteRowError(row, np.abs(X[row]).max(), f"row {row} of {len(X)}")
     return out
 
 

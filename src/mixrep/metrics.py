@@ -287,9 +287,10 @@ def classification_error(head, records, label_to_index: dict[str, int],
 
     posterior_mode overrides the head's configured rule ('max' scores each
     class by its best mode, 'normalized' by its share of total mass); the
-    argmax ties to the lowest class index either way. Rows are scored
-    BLOCK_ROWS at a time and only each block's predicted classes are kept;
-    a row's prediction does not depend on its block.
+    argmax ties to the lowest class index either way. Rows are embedded in
+    one pass, so a NonFiniteRowError names a row of `records`, then scored
+    BLOCK_ROWS at a time, keeping only each block's predicted classes; a
+    row's prediction does not depend on its block.
     """
     if not len(records):
         raise DatasetError("classification error over an empty set")
@@ -300,8 +301,8 @@ def classification_error(head, records, label_to_index: dict[str, int],
         except KeyError:
             raise DatasetError(f"record {records.id[row]} has label {label!r} "
                                f"outside the class map") from None
-    X = records.features
+    E = head.embedding.embed_batch(records.features)
     predicted = np.concatenate([
-        head.score_batch(X[i:i + BLOCK_ROWS], posterior_mode).predicted_class
-        for i in range(0, len(X), BLOCK_ROWS)])
+        head.score_embeddings(E[i:i + BLOCK_ROWS], posterior_mode).predicted_class
+        for i in range(0, len(E), BLOCK_ROWS)])
     return int(np.count_nonzero(predicted != targets)) / len(records)

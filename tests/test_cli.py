@@ -2,18 +2,23 @@ import base64
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixrep import cli
 from mixrep.config import load_run_config
-from mixrep.data import load_dataset
+from mixrep.data import Dataset, load_dataset, save_dataset
 from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import DatasetError
 from mixrep.head import load_checkpoint
@@ -399,9 +404,55 @@ class TestExportEmbeddings:
             assert np.array_equal(exported[rid], head.score(x).embedding), rid
 
 
+def reference_embeddings_csv(ids, labels, emb) -> bytes:
+    """embeddings.csv as export-embeddings wrote it before it formatted a
+    row in one pass: every float through repr, every field through csv."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["id", "label"] + [f"e{i}" for i in range(emb.shape[1])])
+    for rid, label, row in zip(ids, labels, emb):
+        writer.writerow([rid, label] + [repr(float(v)) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+# text that csv has to quote, and text beyond ASCII
+csv_text = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "é", "日"]),
+                             st.characters(blacklist_categories=("Cs",))),
+                   min_size=1, max_size=6)
+
+
+@st.composite
+def export_inputs(draw):
+    """(ids, labels, features) of a dataset for the pipeline's 12-input head."""
+    ids = draw(st.lists(csv_text, min_size=1, max_size=5, unique=True))
+    labels = draw(st.lists(csv_text, min_size=len(ids), max_size=len(ids)))
+    rows = draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12),
+                         min_size=len(ids), max_size=len(ids)))
+    return ids, labels, np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(export_inputs())
+# every character csv quotes, in ids and in labels
+@example((['a,b', 'say "hi"', "two\nlines", "cr\r", "crlf\r\n"], ["ü", ",", '"', "x", "\n"],
+          np.linspace(-3.0, 3.0, 5 * 12).reshape(5, 12)))
+def test_export_bytes_match_the_per_float_writer(pipeline, inputs):
+    ids, labels, features = inputs
+    head = load_checkpoint(pipeline["checkpoint"])
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.jsonl"
+        save_dataset(Dataset(ids, labels, features), data)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["export-embeddings", "--data", str(data), "--checkpoint",
+                             str(pipeline["checkpoint"]), "--out", str(Path(tmp) / "emb")]) == 0
+        got = (Path(tmp) / "emb" / "embeddings.csv").read_bytes()
+    assert got == reference_embeddings_csv(ids, labels, head.embedding.embed_batch(features))
+
+
 @pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
 def test_input_with_no_finite_embedding_is_a_dataset_error(pipeline, tmp_path, capsys, command):
-    # 1e308 passes the loader's finiteness check but overflows the network
+    # 1e308 passes the loader's finiteness check but overflows the network,
+    # which warns nothing: a numpy RuntimeWarning fails the suite
     lines = pipeline["data"].read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[3])
     record["features"] = [1e308] * len(record["features"])
@@ -409,14 +460,60 @@ def test_input_with_no_finite_embedding_is_a_dataset_error(pipeline, tmp_path, c
     data = tmp_path / "huge.jsonl"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main([command, "--data", str(data), "--checkpoint", str(pipeline["checkpoint"]),
-                         "--out", str(out)])
+    code = cli.main([command, "--data", str(data), "--checkpoint", str(pipeline["checkpoint"]),
+                     "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "non-finite" in err and "1e+308" in err
+    assert err == (f"error: record {record['id']!r} (row 2 of {len(lines) - 1}) maps to "
+                   f"non-finite features (largest |input| 1e+308)\n")
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def score_pipeline(tmp_path_factory):
+    """A 5,060-record dataset (40 classes, 30 of them unseen, a fifth of
+    each class in the test split) and a briefly trained checkpoint."""
+    root = tmp_path_factory.mktemp("score")
+    config = root / "run.json"
+    config.write_text(json.dumps({
+        **RUN, "layer_widths": [64, 32], "modes_per_class": 1, "iterations": 5,
+        "synth": {"num_classes": 40, "modes_per_class": 1, "samples_per_mode": 110,
+                  "input_dim": 20, "spread": 0.05, "unseen_classes": 30,
+                  "background_fraction": 0.15, "test_fraction": 0.2}}), encoding="utf-8")
+    data = root / "data" / "dataset.jsonl"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth-data", "--config", str(config), "--out", str(data.parent)]) == 0
+        assert cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out", str(root / "model")]) == 0
+    return data, root / "model" / "checkpoint.json"
+
+
+@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
+def test_non_finite_embedding_names_the_record_and_its_dataset_row(score_pipeline, tmp_path,
+                                                                   command):
+    data, checkpoint = score_pipeline
+    dataset = load_dataset(data)
+    # a test-split record of a seen class: its row within the split is 11
+    assert dataset.id[99] == "r000099" and dataset.split[99] == "test"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[100])
+    assert record["id"] == "r000099"
+    record["features"] = [1e308] * len(record["features"])
+    lines[100] = json.dumps(record)
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # a process of its own, so stderr is all a user sees, warnings included
+    run = subprocess.run(
+        [sys.executable, "-m", "mixrep.cli", command, "--data", str(huge),
+         "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 2
+    assert run.stderr == ("error: record 'r000099' (row 99 of 5060) maps to non-finite "
+                          "features (largest |input| 1e+308)\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestGradCheck:

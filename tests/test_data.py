@@ -19,7 +19,6 @@ from mixrep.data import (
     SynthConfig,
     load_dataset,
     nearest_center_mode,
-    read_json_lines,
     save_dataset,
     synth_dataset,
     true_centers,
@@ -84,6 +83,18 @@ class TestLoadValidation:
         with pytest.raises(DatasetError) as exc:
             load_dataset(path)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("line, message", [
+        (rec_line("r2") + " x", "Extra data"),
+        (rec_line("r2") + rec_line("r3"), "Extra data"),
+        ("\ufeff" + rec_line("r2"), "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ])
+    def test_line_not_one_json_value_reports_json_message(self, tmp_path, line, message):
+        path = write_lines(tmp_path, [rec_line("r1"), line])
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 2
+        assert str(exc.value) == f"line 2: invalid JSON: {message}"
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_lines(tmp_path, [rec_line("r1", color="red")])
@@ -406,10 +417,40 @@ def reference_record(obj: dict, line: int, feature_dim: int | None) -> Reference
     return ReferenceRecord(rid, label, features, box, image_id, attributes, split, group)
 
 
+def reference_json_lines(path, kind: str):
+    """The line reader as it was, one `json.loads` call per line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as e:
+                    raise DatasetError(f"invalid JSON: {e.msg}", line_no) from None
+                except (ValueError, RecursionError) as e:
+                    raise DatasetError(f"invalid JSON: {e}", line_no) from None
+                if not isinstance(obj, dict):
+                    raise DatasetError("each line must be a JSON object", line_no)
+                if "kind" in obj:
+                    if line_no != 1:
+                        raise DatasetError("header line must come first", line_no)
+                    if obj["kind"] != kind:
+                        raise DatasetError(f"expected kind {kind!r}, got {obj['kind']!r}", line_no)
+                    if obj.get("schema_version") != 1:
+                        raise DatasetError(
+                            f"unsupported schema_version {obj.get('schema_version')!r}", line_no
+                        )
+                yield line_no, obj
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def reference_load(path) -> tuple[list[ReferenceRecord], dict]:
     """Every record checked in full, one line at a time, before the next."""
     records, seen, meta, feature_dim = [], set(), {}, None
-    for line_no, obj in read_json_lines(path, "dataset"):
+    for line_no, obj in reference_json_lines(path, "dataset"):
         if "kind" in obj:
             meta = obj.get("meta", {}) or {}
             if not isinstance(meta, dict):
@@ -529,6 +570,14 @@ def dataset_text(draw):
               b'{"id": "b", "label": "x", "features": [NaN, 2.0], "split": "dev"}\n')
 @example(data=b'{"id": "a", "label": "x", "features": [Infinity, 2.0]}\n\xff\n')
 @example(data=b'{"id": "a", "label": "x", "features": [1.0, 1' + b'0' * 320 + b']}\n')
+# lines that one raw_decode call does not read to the end, or refuses
+@example(data=b'{"id": "a", "label": "x", "features": [1.0, 2.0]}\n'
+              b'{"id": "b", "label": "x", "features": [1.0, 2.0]} x\n')
+@example(data=b'{"id": "a", "label": "x", "features": [1.0, 2.0]}'
+              b'{"id": "b", "label": "x", "features": [1.0, 2.0]}\n')
+@example(data=b'{"id": "a", "label": "x", "features": [1.0, 2.0]} \t {}\n')
+@example(data=b'\xef\xbb\xbf{"id": "a", "label": "x", "features": [1.0, 2.0]}\n')
+@example(data=b'\xe2\x80\x83{"id": "a", "label": "x", "features": [1.0, 2.0]}\xc2\xa0\n')
 def test_column_loader_matches_the_per_record_loader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
