@@ -19,7 +19,6 @@ from .episodes import (
     Episode,
     EpisodeSpec,
     episode_finetune,
-    episode_ground_truth,
     evaluate_episodes,
     finetune_episodes,
     generate_episodes,

@@ -7,7 +7,6 @@ Outputs carry no timestamps, so a rerun from the same seed and config is
 byte-identical. MIXREP_OUT_DIR, when set, anchors relative --out paths."""
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -19,12 +18,11 @@ import numpy as np
 
 from .autodiff import finite_difference_check
 from .config import RunConfig, load_run_config, write_resolved_config
-from .data import load_dataset, save_dataset, synth_dataset
-from .episodes import (episode_ground_truth, evaluate_episodes, generate_episodes, load_episodes,
-                       save_episodes)
-from .errors import ConfigError, MixrepError, NonFiniteRowError
+from .data import load_dataset, naming_records, save_dataset, synth_dataset
+from .episodes import evaluate_episodes, generate_episodes, load_episodes, save_episodes
+from .errors import ConfigError, MixrepError
 from .head import MixtureHead, load_checkpoint, save_checkpoint
-from .metrics import GroundTruth, classification_error, map_over_episodes, recall_at_k
+from .metrics import classification_error, map_over_episodes, recall_at_k
 from .rng import substream
 from .training import class_index_map, fit, write_loss_trace
 
@@ -106,18 +104,6 @@ class _Lines(list):
     write = list.append
 
 
-@contextlib.contextmanager
-def _naming_records(dataset, rows):
-    """Reword a NonFiniteRowError about row i of the features of
-    `dataset[rows]` to name that record's id and its row in `dataset`."""
-    try:
-        yield
-    except NonFiniteRowError as e:
-        row = int(rows[e.row])
-        raise NonFiniteRowError(row, e.largest, f"record {dataset.id[row]!r} "
-                                f"(row {row} of {len(dataset)})") from None
-
-
 def _build_head(config: RunConfig, dataset) -> MixtureHead:
     input_dim = config.input_dim or dataset.feature_dim
     num_classes = len(class_index_map(dataset))
@@ -184,7 +170,7 @@ def cmd_eval_classify(args, out):
     for name, split_rows in splits:
         if not len(split_rows):
             continue
-        with _naming_records(dataset, split_rows):
+        with naming_records(dataset, split_rows):
             err = classification_error(head, dataset[split_rows], cmap, posterior_mode=posterior)
         rows.append((name, len(split_rows), err))
         print(f"{name}: {err * 100:.2f}% error over {len(split_rows)} records")
@@ -237,24 +223,25 @@ def cmd_eval_episodes(args, out):
             # the episode file pins classes and queries for every shot count;
             # only the support draw depends on it
             episodes = generate_episodes(dataset, dataclasses.replace(spec, shots=shots))
-        truth = GroundTruth.concat([episode_ground_truth(ep) for ep in episodes])
         for steps in dict.fromkeys((0, config.finetune_steps)):
             result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
             row = {
                 "shots": shots,
                 "finetune_steps": steps,
-                "map": map_over_episodes(result.detections, truth, config.match_iou),
+                "map": map_over_episodes(result.detections, result.truth, config.match_iou),
                 "accuracy": result.accuracy,
                 "background_false_accept": "" if result.false_accept is None else result.false_accept,
             }
             for k in config.recall_ks:
-                row[f"recall_at_{k}"] = recall_at_k(result.detections, truth, k, config.match_iou)
+                row[f"recall_at_{k}"] = recall_at_k(result.detections, result.truth, k,
+                                                    config.match_iou)
             rows.append(row)
             recalls = "  ".join(f"R@{k} {row[f'recall_at_{k}']:.3f}" for k in config.recall_ks)
             bg_part = (f"  bg-accept {result.false_accept:.3f}"
                        if result.false_accept is not None else "")
             print(f"shots={shots} finetune={steps}: mAP {row['map']:.3f}  {recalls}"
                   f"  acc {row['accuracy']:.3f}{bg_part}")
+            del result  # free this pass's table before the next pass runs
 
     _log_config(config, out)
     columns = ["shots", "finetune_steps", "map"] + \
@@ -306,7 +293,7 @@ def cmd_export_embeddings(args, out):
     dataset = _load_data(args)
     _log_config(config, out)
     dim = head.embedding.config.output_dim
-    with _naming_records(dataset, range(len(dataset))):
+    with naming_records(dataset, range(len(dataset))):
         emb = head.embedding.embed_batch(dataset.features)
     # the bytes of csv.writer with every float as its repr, written a row
     # at a time: only id and label go through csv quoting

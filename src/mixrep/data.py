@@ -18,12 +18,13 @@ one growing (n, d) float64 array.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, NonFiniteRowError
 from .rng import substream
 
 BACKGROUND_LABEL = "background"
@@ -207,6 +208,18 @@ class Dataset:
         if "_row_of" not in self.__dict__:
             self._row_of = dict(zip(self.id.tolist(), range(len(self))))
         return np.array([self._row_of[i] for i in ids], dtype=np.intp)
+
+
+@contextlib.contextmanager
+def naming_records(dataset: Dataset, rows):
+    """Reword a NonFiniteRowError about row i of the features of
+    `dataset[rows]` to name that record's id and its row in `dataset`."""
+    try:
+        yield
+    except NonFiniteRowError as e:
+        row = int(rows[e.row])
+        raise NonFiniteRowError(row, e.largest, f"record {dataset.id[row]!r} "
+                                f"(row {row} of {len(dataset)})") from None
 
 
 def group_rows(rows, keys) -> dict:

@@ -12,8 +12,9 @@ initial values are drawn for it.
 A pass (`evaluate_episodes`) runs its episodes in blocks of one shape and
 fine-tunes each block as one stack: every step builds a single loss graph
 over all the block's episode heads (`finetune_episodes`), and each episode
-still takes, bit for bit, the steps it would take alone. `run_episode` and
-`episode_finetune` are the one-episode forms of the same pass.
+still takes, bit for bit, the steps it would take alone. It returns an
+`EpisodePass`, a table with a row per query that every figure is read from.
+`run_episode` and `episode_finetune` are the one-episode forms of the pass.
 
 Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
@@ -26,11 +27,13 @@ import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, read_json_lines
+from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, naming_records,
+                   read_json_lines)
 from .errors import ConfigError, DatasetError
 from .head import MixtureHead, parameter_layout
 from .metrics import Detections, GroundTruth
@@ -104,12 +107,13 @@ class Episode:
                               f"{len(self.class_ids)} classes, got shape {self.support.shape}")
         if not self.support.shape[1]:
             raise ConfigError("support must hold at least one item per class")
-        overlap = self.support_ids() & set(self.query_ids())
-        if overlap:
-            raise ConfigError(f"support and query items overlap: {sorted(overlap)[:5]}")
-
-    def support_ids(self) -> set:
-        return set(self.dataset.id[self.support.ravel()])
+        if BACKGROUND_LABEL in self.class_ids:
+            raise ConfigError(f"episode classes must not include {BACKGROUND_LABEL!r}")
+        rows, counts = np.unique(np.concatenate([self.support.ravel(), self.queries]),
+                                 return_counts=True)
+        if (counts > 1).any():
+            raise ConfigError(f"items listed more than once among the support and queries: "
+                              f"{self.dataset.id[rows[counts > 1][:5]].tolist()}")
 
     def query_ids(self) -> list[str]:
         return self.dataset.id[self.queries].tolist()
@@ -295,32 +299,25 @@ def episode_finetune(head: MixtureHead, support, steps: int,
 # scoring
 
 
-def _places(records: Dataset):
-    """Where each row sits: its image (the record itself when it has none)
-    and its box (the unit box when it has none)."""
-    image = np.where(np.equal(records.image_id, None), records.id, records.image_id)
-    boxes = np.where(np.isnan(records.box), np.array([0.0, 0.0, 1.0, 1.0]), records.box)
-    return image, boxes
-
-
 def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int,
                   class_ids) -> Detections:
     """One detection per row of `queries`, scored by the episode head `head`
     from `features`, the queries' penultimate features, one row per query:
     best-mode class posterior as the score, background label when the
-    background posterior beats every class. The queries are scored as one
-    batch whose rows do not depend on each other, so order never matters."""
+    background posterior beats every class. A query without an image is
+    its own image, and one without a box holds the unit box. The queries
+    are scored as one batch whose rows do not depend on each other, so
+    order never matters."""
     if not len(queries):
         return Detections.concat([])
     scores = head.score_batch(features, posterior_mode="max")
     background = scores.is_background
-    image, boxes = _places(queries)
     return Detections(
         episode_id=np.full(len(queries), episode_id),
-        image_id=image,
+        image_id=np.where(np.equal(queries.image_id, None), queries.id, queries.image_id),
         class_id=np.where(background, BACKGROUND_LABEL,
                           np.asarray(class_ids)[scores.predicted_class]),
-        boxes=boxes,
+        boxes=np.where(np.isnan(queries.box), np.array([0.0, 0.0, 1.0, 1.0]), queries.box),
         scores=np.clip(np.where(background, scores.background_posterior,
                                 scores.class_posterior.max(axis=1)), 0.0, 1.0),
         record_id=[f"e{episode_id:05d}-q{j:04d}-{rid}" for j, rid in enumerate(queries.id)],
@@ -328,15 +325,16 @@ def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int
 
 
 def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detections]:
-    """Full pass over `episodes` on episode heads built from `head`, which
-    stays unchanged: put the support and query rows of every episode through
-    the frozen layers in one call, install each episode's support
-    representatives, optionally fine-tune all the episodes together, score
-    each one's queries. The frozen layers are row-invariant, so each row's
-    features are the bits it would get alone."""
-    features = head.embedding.hidden_features(np.concatenate(
-        [ep.dataset.features[np.concatenate([ep.support.ravel(), ep.queries])]
-         for ep in episodes]))
+    """Full pass over `episodes`, drawn from one dataset, on episode heads
+    built from `head`, which stays unchanged: put the support and query rows
+    of every episode through the frozen layers in one call, install each
+    episode's support representatives, optionally fine-tune all the episodes
+    together, score each one's queries. The frozen layers are row-invariant,
+    so each row's features are the bits it would get alone."""
+    dataset = episodes[0].dataset
+    rows = np.concatenate([part for ep in episodes for part in (ep.support.ravel(), ep.queries)])
+    with naming_records(dataset, rows):
+        features = head.embedding.hidden_features(dataset.features[rows])
     heads, supports, queries = [], [], []
     start = 0
     for ep in episodes:
@@ -362,68 +360,64 @@ def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
 
 
 @dataclass
-class EpisodeEvaluation:
-    """Pooled outcome of one pass over a set of episodes."""
+class EpisodePass:
+    """One pass over a list of episodes as a table with a row per query, in
+    episode and query order: `queries`, each query's detection, whose class
+    id is BACKGROUND_LABEL where the episode head rejects the query, and
+    `label`, its true label. Every figure of the pass is read from these
+    two columns."""
 
-    detections: Detections  # every query not called background
-    foreground: int = 0
-    foreground_correct: int = 0
-    background: int = 0
-    background_accepted: int = 0
+    queries: Detections
+    label: np.ndarray
+
+    @cached_property
+    def detections(self) -> Detections:
+        """The accepted queries, which keep their places in the ranking."""
+        return self.queries[self.queries.class_id != BACKGROUND_LABEL]
+
+    @cached_property
+    def truth(self) -> GroundTruth:
+        """A ground-truth box for each foreground query, where it sits."""
+        fg = self.label != BACKGROUND_LABEL
+        q = self.queries
+        return GroundTruth(q.episode_id[fg], q.image_id[fg], self.label[fg], q.boxes[fg])
 
     @property
     def accuracy(self) -> float:
-        return self.foreground_correct / self.foreground
+        """Share of foreground queries given their true class."""
+        foreground = self.label != BACKGROUND_LABEL
+        correct = self.queries.class_id[foreground] == self.label[foreground].astype(str)
+        return int(np.count_nonzero(correct)) / len(correct)
 
     @property
     def false_accept(self) -> float | None:
         """Share of background queries given a class; None without any."""
-        return self.background_accepted / self.background if self.background else None
+        accepted = self.queries.class_id[self.label == BACKGROUND_LABEL] != BACKGROUND_LABEL
+        return int(np.count_nonzero(accepted)) / len(accepted) if len(accepted) else None
 
 
 def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
-                      lr: float = 0.01) -> EpisodeEvaluation:
-    """Run every episode (fine-tuning `steps` steps at `lr`) and pool its
-    detections with the query accuracy and background false-accept counts.
+                      lr: float = 0.01) -> EpisodePass:
+    """Run every episode (fine-tuning `steps` steps at `lr`) and gather the
+    detection and the true label of each of its queries.
 
     Episodes run in blocks that each fine-tune as one stacked graph per
-    step; a block holds as many episodes as `BLOCK_ENTRIES` allows. To be
-    fine-tuned, all episodes must have the same ways and shots."""
+    step; a block holds as many episodes as `BLOCK_ENTRIES` allows. All
+    episodes must be drawn from one dataset and, to be fine-tuned, have the
+    same ways and shots."""
     episodes = list(episodes)
+    if any(ep.dataset is not episodes[0].dataset for ep in episodes):
+        raise ConfigError("episodes of one pass must be drawn from one dataset")
     shapes = {ep.support.shape for ep in episodes}
     if steps and len(shapes) > 1:
         raise ConfigError("episodes fine-tuned in one pass must have the same ways and shots")
     rows = max((ways * shots for ways, shots in shapes), default=1)
     width, dim = head.embedding.weights[-1].value.shape
     per_block = max(1, BLOCK_ENTRIES // (rows * rows + (width + 1 + rows) * dim))
-    result, kept = EpisodeEvaluation(Detections.concat([])), []
-    for start in range(0, len(episodes), per_block):
-        block = episodes[start:start + per_block]
-        for ep, detections in zip(block, _run_block(head, block, steps, lr)):
-            labels = ep.dataset.label[ep.queries]
-            accepted = np.isin(detections.class_id, ep.class_ids)
-            background = labels == BACKGROUND_LABEL
-            correct = detections.class_id == labels.astype(str)
-            result.foreground += int(np.count_nonzero(~background))
-            result.foreground_correct += int(np.count_nonzero(~background & correct))
-            result.background += int(np.count_nonzero(background))
-            result.background_accepted += int(np.count_nonzero(background & accepted))
-            kept.append(detections[accepted])
-    result.detections = Detections.concat(kept)
-    return result
-
-
-def episode_ground_truth(episode: Episode) -> GroundTruth:
-    """Ground truth for the foreground queries of one episode."""
-    queries = episode.dataset[episode.queries]
-    foreground = queries[~queries.is_background]
-    image, boxes = _places(foreground)
-    return GroundTruth(
-        episode_id=np.full(len(foreground), episode.episode_id),
-        image_id=image,
-        class_id=foreground.label,
-        boxes=boxes,
-    )
+    queries = [detections for start in range(0, len(episodes), per_block)
+               for detections in _run_block(head, episodes[start:start + per_block], steps, lr)]
+    return EpisodePass(Detections.concat(queries), np.concatenate(
+        [np.empty(0, dtype=object)] + [ep.dataset.label[ep.queries] for ep in episodes]))
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +444,14 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
     """Rebuild episodes from ids against the dataset they were drawn from.
     Every episode must have the spec's shape, `ways` classes of `shots`
     support items each, as the passes over the file fine-tune its episodes
-    together."""
+    together, and an id of its own, as its detections are matched by it."""
     spec = None
-    episodes = []
+    episodes, episode_ids = [], set()
     for line_no, obj in read_json_lines(path, "episodes"):
         if "kind" in obj:
             try:
                 spec = EpisodeSpec(**obj["spec"])
-            except (KeyError, TypeError) as e:
+            except (KeyError, TypeError, ConfigError) as e:
                 raise DatasetError(f"bad episode spec: {e}", line_no) from None
             continue
         if spec is None:
@@ -472,8 +466,11 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
             raise DatasetError(f"unknown id or missing key {e.args[0]!r}", line_no) from None
         except TypeError as e:
             raise DatasetError(f"malformed episode ({e})", line_no) from None
-        if type(episode_id) is not int:
-            raise DatasetError(f"episode_id must be an integer, got {episode_id!r}", line_no)
+        if type(episode_id) is not int or not -2**63 <= episode_id < 2**63:
+            raise DatasetError(f"episode_id must be a 64-bit integer, got {episode_id!r}", line_no)
+        if episode_id in episode_ids:
+            raise DatasetError(f"episode_id {episode_id} is taken by an earlier episode", line_no)
+        episode_ids.add(episode_id)
         for row, label in zip(support_rows, dataset.label[support_rows]):
             if label not in support:
                 raise DatasetError(
@@ -485,8 +482,11 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
             raise DatasetError(
                 f"episode {episode_id} has {len(class_ids)} classes with {shots} support items "
                 f"each, the spec says {spec.ways}-way {spec.shots}-shot", line_no)
-        episodes.append(Episode(episode_id, class_ids, [support[c] for c in class_ids], queries,
-                                dataset))
+        try:
+            episodes.append(Episode(episode_id, class_ids, [support[c] for c in class_ids],
+                                    queries, dataset))
+        except ConfigError as e:
+            raise DatasetError(str(e), line_no) from None
     if spec is None:
         raise DatasetError("missing header line")
     return episodes, spec

@@ -469,6 +469,28 @@ def test_input_with_no_finite_embedding_is_a_dataset_error(pipeline, tmp_path, c
     assert not out.exists()
 
 
+def test_eval_episodes_names_the_record_with_no_finite_embedding(pipeline, tmp_path, capsys):
+    # an episode block goes through the network as one batch; the error
+    # names the record and its dataset row, not its place in that batch
+    query = json.loads(pipeline["episodes"].read_text(encoding="utf-8").splitlines()[2])[
+        "query_item_ids"][3]
+    lines = pipeline["data"].read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines) if json.loads(text).get("id") == query)
+    record = json.loads(lines[line])
+    record["features"] = [1e308] * len(record["features"])
+    lines[line] = json.dumps(record)
+    data = tmp_path / "huge.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert cli.main(["eval-episodes", "--config", str(pipeline["config"]), "--data", str(data),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--episodes", str(pipeline["episodes"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: record {query!r} (row {line - 1} of {len(lines) - 1}) maps to non-finite "
+        f"features (largest |input| 1e+308)\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def score_pipeline(tmp_path_factory):
     """A 5,060-record dataset (40 classes, 30 of them unseen, a fifth of

@@ -23,6 +23,7 @@ from mixrep.data import (
     synth_dataset,
     true_centers,
 )
+from mixrep.episodes import EpisodeSpec, generate_episodes, save_episodes
 from mixrep.errors import ConfigError, DatasetError
 
 
@@ -590,6 +591,19 @@ def test_column_loader_matches_the_per_record_loader(data):
         assert_same_table(got[1], *want[1])
 
 
+def assert_exits_cleanly(args):
+    """Run the CLI in-process: it exits 0 with nothing on stderr, or 2 with
+    one `error:` line."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = cli.main(args)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+
+
 @pytest.fixture(scope="module")
 def classify_checkpoint(tmp_path_factory):
     """A checkpoint for three classes a, b, c over 2 features."""
@@ -623,13 +637,114 @@ def test_eval_classify_on_a_mutated_file_fails_cleanly(classify_checkpoint, data
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
         path.write_bytes(data)
-        err = io.StringIO()
-        with redirect_stderr(err), redirect_stdout(io.StringIO()):
-            code = cli.main(["eval-classify", "--data", str(path), "--checkpoint",
-                             str(classify_checkpoint), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2), err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == ""
+        assert_exits_cleanly(["eval-classify", "--data", str(path), "--checkpoint",
+                              str(classify_checkpoint), "--out", str(Path(tmp) / "out")])
+
+
+EPISODE_DATA = synth_dataset(SynthConfig(num_classes=6, modes_per_class=1, samples_per_mode=6,
+                                         input_dim=3, spread=0.05, unseen_classes=3,
+                                         background_fraction=0.2, test_fraction=0.0), seed=8)
+
+
+def valid_episode_lines() -> list[dict]:
+    """The header and episodes of a 2-way 2-shot file over EPISODE_DATA."""
+    spec = EpisodeSpec(shots=2, ways=2, queries_per_class=2, episode_count=3, seed=5,
+                       background_queries=2, max_shots=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "episodes.jsonl"
+        save_episodes(generate_episodes(EPISODE_DATA, spec), spec, path)
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+EPISODE_LINES = valid_episode_lines()
+
+
+def episode_file(objs) -> bytes:
+    return ("\n".join(json.dumps(obj) for obj in objs) + "\n").encode("utf-8")
+
+
+def with_first_episode(**fields) -> bytes:
+    """The valid episode file with `fields` of its first episode replaced."""
+    return episode_file([EPISODE_LINES[0], {**EPISODE_LINES[1], **fields}, *EPISODE_LINES[2:]])
+
+
+@st.composite
+def episode_text(draw):
+    """The valid episode file, then truncated, byte-flipped or field-mutated."""
+    objs = [dict(obj) for obj in EPISODE_LINES]
+    mutation = draw(st.sampled_from(["none", "truncate", "flip", "field", "fields"]))
+    if mutation in ("field", "fields"):
+        for _ in range(1 if mutation == "field" else draw(st.integers(2, 4))):
+            i = draw(st.integers(0, len(objs) - 1))
+            obj, other = objs[i], objs[draw(st.integers(1, len(objs) - 1))]
+            if i == 0:
+                obj["spec"] = {**obj["spec"], draw(st.sampled_from(sorted(obj["spec"]))):
+                               draw(odd_values)}
+                continue
+            key = draw(st.sampled_from(["episode_id", "class_ids", "support_item_ids",
+                                        "query_item_ids"]))
+            action = draw(st.sampled_from(["set", "drop", "copy", "repeat"]))
+            if action == "set":
+                obj[key] = draw(odd_values)
+            elif action == "drop":
+                obj.pop(key, None)
+            elif action == "copy":  # from another episode, or this one
+                obj[key] = other.get(key)
+            elif isinstance(obj.get(key), list):
+                obj[key] = obj[key] + obj[key][:draw(st.integers(1, 2))]
+    data = episode_file(objs)
+    if mutation == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif mutation == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def episode_inputs(tmp_path_factory):
+    """EPISODE_DATA as a file, a checkpoint trained on it and a run config
+    with a short fine-tune."""
+    root = tmp_path_factory.mktemp("episode_fuzz")
+    save_dataset(EPISODE_DATA, root / "data.jsonl")
+    (root / "run.json").write_text(json.dumps({
+        "task_mode": "detection", "layer_widths": [8, 4], "iterations": 3,
+        "classes_per_batch": 2, "instances_per_class": 2, "finetune_steps": 2,
+        "recall_ks": [1]}))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", str(root / "run.json"), "--data",
+                         str(root / "data.jsonl"), "--out", str(root / "model")]) == 0
+    return root
+
+
+_first = EPISODE_LINES[1]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=episode_text())
+# inputs that once scored with exit 0: every episode under one id, a
+# background class with background support items, an item listed twice
+@example(data=episode_file([EPISODE_LINES[0]] + [{**obj, "episode_id": 0}
+                                                 for obj in EPISODE_LINES[1:]]))
+@example(data=with_first_episode(
+    class_ids=[*_first["class_ids"][:-1], BACKGROUND_LABEL],
+    support_item_ids=[*_first["support_item_ids"][:-2], *[
+        rid for rid in EPISODE_DATA.id[EPISODE_DATA.is_background]
+        if rid not in _first["query_item_ids"]][:2]]))
+@example(data=with_first_episode(query_item_ids=_first["query_item_ids"] * 2))
+@example(data=with_first_episode(support_item_ids=[*_first["support_item_ids"][:1] * 2,
+                                                   *_first["support_item_ids"][2:]]))
+# an episode id numpy cannot hold raised OverflowError
+@example(data=with_first_episode(episode_id=10**300))
+@example(data=with_first_episode(episode_id=2**63))
+def test_eval_episodes_on_a_mutated_file_fails_cleanly(episode_inputs, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "episodes.jsonl"
+        path.write_bytes(data)
+        assert_exits_cleanly(["eval-episodes", "--config", str(episode_inputs / "run.json"),
+                              "--data", str(episode_inputs / "data.jsonl"), "--checkpoint",
+                              str(episode_inputs / "model" / "checkpoint.json"),
+                              "--episodes", str(path), "--out", str(Path(tmp) / "out")])
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mixrep.episodes import (
     EpisodeSpec,
     FinetuneResult,
     episode_finetune,
-    episode_ground_truth,
     evaluate_episodes,
     finetune_episodes,
     generate_episodes,
@@ -30,13 +30,15 @@ from mixrep.episodes import (
     support_embeddings,
 )
 from mixrep.head import EmbeddingConfig, EmbeddingNet, MixtureConfig, MixtureHead
+from mixrep.metrics import Detections, GroundTruth
 from mixrep.training import SGD, BatchSpec, TrainConfig, fit
 
 
-def episode_dataset(seed=30, unseen=8, per_mode=24, background_fraction=0.15):
+def episode_dataset(seed=30, unseen=8, per_mode=24, background_fraction=0.15, with_boxes=False):
     cfg = SynthConfig(num_classes=unseen + 4, modes_per_class=1, samples_per_mode=per_mode,
                       input_dim=10, spread=0.05, unseen_classes=unseen,
-                      background_fraction=background_fraction, test_fraction=0.0)
+                      background_fraction=background_fraction, test_fraction=0.0,
+                      with_boxes=with_boxes)
     return synth_dataset(cfg, seed=seed)
 
 
@@ -80,7 +82,7 @@ class TestGenerateEpisodes:
             fg = ep.queries[~ds.is_background[ep.queries]]
             bg = ep.queries[ds.is_background[ep.queries]]
             assert len(fg) == 50 and len(bg) == 5
-            assert not ep.support_ids() & set(ep.query_ids())
+            assert not set(ds.id[ep.support.ravel()]) & set(ep.query_ids())
 
     def test_deterministic(self):
         ds = episode_dataset()
@@ -187,6 +189,35 @@ class TestEpisodeFiles:
         save_episodes(generate_episodes(ds, spec), spec, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = json.dumps(edit(json.loads(lines[2])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as exc:
+            load_episodes(path, ds)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("edit", ["episode_id_taken", "background_class", "query_twice",
+                                      "support_twice"])
+    def test_episode_that_would_be_counted_twice_is_refused(self, tmp_path, edit):
+        # each of these loaded and changed the scores: a shared episode id
+        # merges two episodes' detections, a background class accepts
+        # background queries, and a repeated item counts twice
+        ds = episode_dataset()
+        spec = spec_for(ds, shots=2, episode_count=2)
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_episodes(ds, spec), spec, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[2])
+        if edit == "episode_id_taken":
+            obj["episode_id"] = json.loads(lines[1])["episode_id"]
+        elif edit == "background_class":
+            # the last class's two support items are background ones
+            obj["class_ids"][-1] = BACKGROUND_LABEL
+            obj["support_item_ids"][-2:] = [rid for rid in ds.id[ds.is_background]
+                                            if rid not in obj["query_item_ids"]][:2]
+        elif edit == "query_twice":
+            obj["query_item_ids"].append(obj["query_item_ids"][0])
+        else:
+            obj["support_item_ids"][1] = obj["support_item_ids"][0]
+        lines[2] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError) as exc:
             load_episodes(path, ds)
@@ -468,7 +499,7 @@ class TestRunEpisode:
     def test_ground_truth_covers_foreground_queries(self):
         ds = episode_dataset()
         ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
-        gts = episode_ground_truth(ep)
+        gts = evaluate_episodes(small_head(), [ep]).truth
         fg = ep.queries[~ds.is_background[ep.queries]]
         assert len(gts) == len(fg)
         assert set(gts.class_id.tolist()) == set(ep.class_ids)
@@ -590,17 +621,92 @@ class TestEvaluateEpisodes:
         monkeypatch.setattr(episodes_module, "BLOCK_ENTRIES", 2 * 169)
         blocked = evaluate_episodes(head, episodes, steps=4, lr=0.05)
         assert len(calls) == 3 * 4
-        for name in ("foreground", "foreground_correct", "background", "background_accepted"):
+        for name in ("accuracy", "false_accept"):
             assert getattr(blocked, name) == getattr(whole, name)
-        for column in ("class_id", "record_id", "image_id"):
-            assert getattr(blocked.detections, column).tolist() == \
-                getattr(whole.detections, column).tolist()
-        assert blocked.detections.scores.tobytes() == whole.detections.scores.tobytes()
+        assert blocked.label.tolist() == whole.label.tolist()
+        for table in ("queries", "detections"):
+            got, want = getattr(blocked, table), getattr(whole, table)
+            for column in ("class_id", "record_id", "image_id"):
+                assert getattr(got, column).tolist() == getattr(want, column).tolist()
+            assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_fine_tuned_episodes_must_share_a_shape(self):
         head = small_head()
         mixed = (generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=1, episode_count=1))
                  + generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=2, episode_count=1)))
-        assert evaluate_episodes(head, mixed).foreground == 60
+        assert len(evaluate_episodes(head, mixed).truth) == 60
         with pytest.raises(ConfigError):
             evaluate_episodes(head, mixed, steps=2)
+
+    def test_episodes_must_share_a_dataset(self):
+        other = episode_dataset(seed=30)
+        mixed = (generate_episodes(PASS_DATA, spec_for(PASS_DATA, episode_count=1))
+                 + generate_episodes(other, spec_for(other, episode_count=1)))
+        with pytest.raises(ConfigError):
+            evaluate_episodes(small_head(), mixed)
+
+
+def reference_ground_truth(episode):
+    """Ground truth for the foreground queries of one episode, read from its
+    dataset: the builder a pass's table replaced, kept as its reference."""
+    queries = episode.dataset[episode.queries]
+    foreground = queries[~queries.is_background]
+    return GroundTruth(
+        episode_id=np.full(len(foreground), episode.episode_id),
+        image_id=np.where(np.equal(foreground.image_id, None), foreground.id,
+                          foreground.image_id),
+        class_id=foreground.label,
+        boxes=np.where(np.isnan(foreground.box), np.array([0.0, 0.0, 1.0, 1.0]), foreground.box),
+    )
+
+
+def reference_pass(head, episodes, steps, lr):
+    """The per-episode counters a pass's table replaced, kept as its
+    reference, with each episode run alone: (accuracy, false accepts,
+    pooled accepted detections, pooled ground truth)."""
+    foreground = foreground_correct = background = background_accepted = 0
+    kept = []
+    for ep in episodes:
+        detections = run_episode(head, ep, finetune_steps=steps, finetune_lr=lr)
+        labels = ep.dataset.label[ep.queries]
+        accepted = np.isin(detections.class_id, ep.class_ids)
+        is_background = labels == BACKGROUND_LABEL
+        correct = detections.class_id == labels.astype(str)
+        foreground += int(np.count_nonzero(~is_background))
+        foreground_correct += int(np.count_nonzero(~is_background & correct))
+        background += int(np.count_nonzero(is_background))
+        background_accepted += int(np.count_nonzero(is_background & accepted))
+        kept.append(detections[accepted])
+    return (foreground_correct / foreground,
+            background_accepted / background if background else None,
+            Detections.concat(kept),
+            GroundTruth.concat([reference_ground_truth(ep) for ep in episodes]))
+
+
+BOXED_DATA = episode_dataset(with_boxes=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(count=st.integers(1, 6), ways=st.integers(1, 4), shots=st.integers(1, 3),
+       steps=st.integers(0, 4), background=st.sampled_from([0, 5]), boxed=st.booleans(),
+       block_entries=st.integers(1, 3_000))
+def test_pass_table_matches_the_per_episode_counters(count, ways, shots, steps, background,
+                                                     boxed, block_entries):
+    data = BOXED_DATA if boxed else PASS_DATA
+    episodes = generate_episodes(data, spec_for(data, ways=ways, shots=shots, episode_count=count,
+                                                background_queries=background))
+    accuracy, false_accept, detections, truth = reference_pass(PASS_HEAD, episodes, steps, 0.05)
+    with mock.patch.object(episodes_module, "BLOCK_ENTRIES", block_entries):
+        result = evaluate_episodes(PASS_HEAD, episodes, steps, 0.05)
+    assert (result.accuracy, result.false_accept) == (accuracy, false_accept)
+    assert type(result.accuracy) is float
+    for got, want in ((result.detections, detections), (result.truth, truth)):
+        assert len(got) == len(want)
+        for name in type(want)._inputs:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype.kind == b.dtype.kind and a.tolist() == b.tolist(), name
+            if a.dtype.kind == "f":
+                assert a.tobytes() == b.tobytes(), name
+    # a subset keeps the ranking of the whole table: the same order as the
+    # ranking of the accepted rows alone
+    assert np.argsort(result.detections.rank).tolist() == np.argsort(detections.rank).tolist()

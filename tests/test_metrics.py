@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mixrep import cli
 from mixrep.data import SynthConfig, load_dataset, synth_dataset
-from mixrep.episodes import episode_ground_truth, evaluate_episodes, load_episodes
+from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import ConfigError, DatasetError
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint
 from mixrep.metrics import (
@@ -630,8 +630,8 @@ def test_diagnostic_pipeline_is_not_saturated(tmp_path):
     # the matcher labels this run's real detections as the reference does
     dataset = load_dataset(data / "dataset.jsonl")
     episodes, _ = load_episodes(eps / "episodes.jsonl", dataset)
-    detections = evaluate_episodes(load_checkpoint(model / "checkpoint.json"), episodes).detections
-    truth = GroundTruth.concat([episode_ground_truth(ep) for ep in episodes])
+    result = evaluate_episodes(load_checkpoint(model / "checkpoint.json"), episodes)
+    detections, truth = result.detections, result.truth
     truth_rows = [Gt(*row) for row in zip(truth.episode_id.tolist(), truth.image_id.tolist(),
                                            truth.class_id.tolist(),
                                            map(tuple, truth.boxes.tolist()))]
