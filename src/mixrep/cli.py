@@ -19,7 +19,8 @@ import numpy as np
 from .autodiff import finite_difference_check
 from .config import RunConfig, load_run_config, write_resolved_config
 from .data import load_dataset, naming_records, save_dataset, synth_dataset
-from .episodes import evaluate_episodes, generate_episodes, load_episodes, save_episodes
+from .episodes import (evaluate_episodes, generate_episodes, load_episodes, redraw_support,
+                       save_episodes)
 from .errors import ConfigError, MixrepError
 from .head import MixtureHead, load_checkpoint, save_checkpoint
 from .metrics import classification_error, map_over_episodes, recall_at_k
@@ -77,7 +78,7 @@ def _resolve_out(raw: str | None) -> Path | None:
 def _load_config(args) -> RunConfig:
     config = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=int(args.seed))
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -217,12 +218,9 @@ def cmd_eval_episodes(args, out):
 
     rows = []
     for shots in shot_counts:
-        if shots == spec.shots:
-            episodes = file_episodes
-        else:
-            # the episode file pins classes and queries for every shot count;
-            # only the support draw depends on it
-            episodes = generate_episodes(dataset, dataclasses.replace(spec, shots=shots))
+        # the episode file pins classes and queries for every shot count
+        episodes = file_episodes if shots == spec.shots else \
+            redraw_support(file_episodes, dataclasses.replace(spec, shots=shots))
         for steps in dict.fromkeys((0, config.finetune_steps)):
             result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
             row = {

@@ -10,7 +10,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .data import SynthConfig
+from .data import SynthConfig, from_json, read_json
 from .episodes import EpisodeSpec
 from .errors import ConfigError
 from .head import EmbeddingConfig, MixtureConfig
@@ -69,9 +69,11 @@ class RunConfig:
             raise ConfigError(
                 f"task_mode must be 'classification' or 'detection', got {self.task_mode!r}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.layer_widths is not None:
-            self.layer_widths = tuple(int(w) for w in self.layer_widths)
-        self.recall_ks = tuple(int(k) for k in self.recall_ks)
+            self.layer_widths = tuple(self.layer_widths)
+        self.recall_ks = tuple(self.recall_ks)
         if any(k < 1 for k in self.recall_ks):
             raise ConfigError(f"recall_ks must be >= 1, got {self.recall_ks}")
         if not 0.0 < self.match_iou <= 1.0:
@@ -88,7 +90,7 @@ class RunConfig:
 
     def resolved_modes(self) -> int:
         if self.modes_per_class is not None:
-            return int(self.modes_per_class)
+            return self.modes_per_class
         return 3 if self.task_mode == "classification" else 5
 
     def embedding_config(self, input_dim: int | None = None) -> EmbeddingConfig:
@@ -96,7 +98,7 @@ class RunConfig:
         if dim is None:
             raise ConfigError("input_dim is not set and no dataset provided it")
         return EmbeddingConfig(
-            input_dim=int(dim),
+            input_dim=dim,
             layer_widths=self.resolved_widths(),
             final_l2_normalize=self.final_l2_normalize,
             bn_momentum=self.bn_momentum,
@@ -131,7 +133,7 @@ class RunConfig:
 
     def episode_spec(self, shots: int | None = None) -> EpisodeSpec:
         return EpisodeSpec(
-            shots=self.shots if shots is None else int(shots),
+            shots=self.shots if shots is None else shots,
             ways=self.ways,
             queries_per_class=self.queries_per_class,
             episode_count=self.episode_count,
@@ -141,56 +143,15 @@ class RunConfig:
             max_shots=self.max_shots,
         )
 
-    # ---- wire form ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "synth":
-                value = None if value is None else dataclasses.asdict(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        doc = dict(doc)
-        synth = doc.pop("synth", None)
-        if synth is not None:
-            if not isinstance(synth, dict):
-                raise ConfigError("synth section must be an object")
-            try:
-                synth = SynthConfig(**synth)
-            except TypeError as e:
-                raise ConfigError(f"bad synth section: {e}") from None
-        try:
-            return cls(synth=synth, **doc)
-        except TypeError as e:
-            raise ConfigError(f"bad config value: {e}") from None
-
 
 def load_run_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as e:  # also not UTF-8, too long or too deep
-            raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    return RunConfig.from_dict(doc)
+    return from_json(RunConfig, read_json(path), "config")
 
 
 def write_resolved_config(config: RunConfig, path) -> None:
     """Log the fully resolved run config; feeding the file back reproduces
     the run bit-exactly."""
-    doc = config.to_dict()
-    doc["layer_widths"] = list(config.resolved_widths())
-    doc["modes_per_class"] = config.resolved_modes()
+    doc = {**dataclasses.asdict(config), "layer_widths": config.resolved_widths(),
+           "modes_per_class": config.resolved_modes()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -13,13 +13,17 @@ reads the columns at those rows; `dataset[rows]` is the sub-table. The
 loader decodes each stripped line with one `json.JSONDecoder.raw_decode`
 call; only a line that call refuses, or does not read to its end, goes
 through `json.loads`, which words the error. Each row's features stream into
-one growing (n, d) float64 array.
+one growing (n, d) float64 array. `from_json` makes every config object.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
+import reprlib
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +276,53 @@ def read_json_lines(path, kind: str):
                 yield line_no, obj
         except UnicodeDecodeError as e:
             raise DatasetError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def read_json(path):
+    """The JSON value of a whole file, a run config or a checkpoint. Text that
+    is not one JSON value the decoder can hold raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from None
+
+
+# the JSON values that fill a field of each annotation, and their name in errors
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: type(v) is str),
+    tuple: ("an array of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
+}
+
+
+def from_json(cls, doc, what: str):
+    """The dataclass `cls` made from `doc`, a decoded JSON object that `what`
+    names in errors: the one place a config object is made from JSON. An
+    unknown or missing key, or a value unlike its field's type (`_JSON_TYPES`;
+    null only where None is annotated), raises ConfigError naming the key."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
+    hints, values = typing.get_type_hints(cls), {}
+    if set(doc) - set(hints):
+        raise ConfigError(f"unknown {what} keys: {sorted(set(doc) - set(hints))}")
+    for f in dataclasses.fields(cls):
+        if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{what} is missing key {f.name!r}")
+    for key, value in doc.items():
+        kind, *none = typing.get_args(hints[key]) or (hints[key],)  # X | None: (X, NoneType)
+        if value is None and none:
+            values[key] = None
+        elif dataclasses.is_dataclass(kind):
+            values[key] = from_json(kind, value, key)
+        elif _JSON_TYPES[kind][1](value):
+            values[key] = tuple(value) if kind is tuple else value
+        else:
+            raise ConfigError(f"{what} key {key!r} must be {_JSON_TYPES[kind][0]}"
+                              f"{' or null' if none else ''}, got {reprlib.repr(value)}")
+    return cls(**values)
 
 
 def load_dataset(path) -> Dataset:

@@ -20,7 +20,8 @@ Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
 never look at the number of shots, and the support draw gets its own
 substream keyed by it. Running 1-, 5-, and 10-shot against the same seed
-therefore scores identical query sets.
+therefore scores identical query sets, and `redraw_support` gives a file's
+episodes the support that generation would draw at another shot count.
 """
 
 import dataclasses
@@ -32,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, naming_records,
-                   read_json_lines)
+from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, from_json, group_rows,
+                   naming_records, read_json_lines)
 from .errors import ConfigError, DatasetError
 from .head import MixtureHead, parameter_layout
 from .metrics import Detections, GroundTruth
@@ -80,6 +81,8 @@ class EpisodeSpec:
             raise ConfigError(f"class_pool must be 'seen' or 'unseen', got {self.class_pool!r}")
         if self.background_queries < 0:
             raise ConfigError("background_queries must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -114,6 +117,8 @@ class Episode:
         if (counts > 1).any():
             raise ConfigError(f"items listed more than once among the support and queries: "
                               f"{self.dataset.id[rows[counts > 1][:5]].tolist()}")
+        if self.dataset.is_background[self.queries].all():
+            raise ConfigError(f"episode {self.episode_id} has no foreground query")
 
     def query_ids(self) -> list[str]:
         return self.dataset.id[self.queries].tolist()
@@ -159,21 +164,52 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
         classes = [eligible[int(j)] for j in picked]
 
         rng = substream(spec.seed, "episode", i, "queries")
-        queries, rest = [], []
+        queries = []
         for label in classes:
             rows = by_class[label]
-            idx = rng.choice(len(rows), size=spec.queries_per_class, replace=False)
-            queries.append(rows[idx])
-            rest.append(np.delete(rows, idx))
+            queries.append(rows[rng.choice(len(rows), size=spec.queries_per_class, replace=False)])
         if spec.background_queries:
             rng = substream(spec.seed, "episode", i, "background")
             queries.append(bg_pool[rng.choice(len(bg_pool), size=spec.background_queries,
                                               replace=False)])
-
-        rng = substream(spec.seed, "episode", i, "support", spec.shots)
-        support = [rows[rng.choice(len(rows), size=spec.shots, replace=False)] for rows in rest]
-        episodes.append(Episode(i, classes, np.stack(support), np.concatenate(queries), dataset))
+        queries = np.concatenate(queries)
+        support = _draw_support(dataset, by_class, classes, queries, spec, i)
+        episodes.append(Episode(i, classes, support, queries, dataset))
     return episodes
+
+
+def _draw_support(dataset: Dataset, by_class: dict, class_ids, queries, spec: EpisodeSpec,
+                  episode_id: int) -> np.ndarray:
+    """The (ways, shots) support rows of an episode over `dataset`: spec.shots
+    rows of each class's pool rows (`by_class`, from `_pool_classes`) that are
+    not among its `queries`, drawn on the episode's support substream."""
+    rng = substream(spec.seed, "episode", episode_id, "support", spec.shots)
+    free = np.ones(len(dataset), dtype=bool)
+    free[queries] = False
+    support = []
+    for label in class_ids:
+        rows = by_class.get(label, np.empty(0, dtype=np.intp))
+        rows = rows[free[rows]]
+        if len(rows) < spec.shots:
+            raise DatasetError(f"episode {episode_id}: class {label!r} has {len(rows)} "
+                               f"{spec.class_pool}-pool items besides its queries, too few "
+                               f"for {spec.shots} shots")
+        support.append(rows[rng.choice(len(rows), size=spec.shots, replace=False)])
+    return np.stack(support)
+
+
+def redraw_support(episodes, spec: EpisodeSpec) -> list[Episode]:
+    """`episodes` with the support of each drawn anew for spec.shots from
+    its classes' pool rows outside its queries, as `generate_episodes` draws
+    it: classes and queries stay as they are, so a file of episodes serves
+    every shot count."""
+    by_class = _pool_classes(episodes[0].dataset, spec.class_pool) if episodes else {}
+    redrawn = []
+    for ep in episodes:
+        support = _draw_support(ep.dataset, by_class, ep.class_ids, ep.queries, spec,
+                                ep.episode_id)
+        redrawn.append(Episode(ep.episode_id, ep.class_ids, support, ep.queries, ep.dataset))
+    return redrawn
 
 
 # ---------------------------------------------------------------------------
@@ -444,49 +480,46 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
     """Rebuild episodes from ids against the dataset they were drawn from.
     Every episode must have the spec's shape, `ways` classes of `shots`
     support items each, as the passes over the file fine-tune its episodes
-    together, and an id of its own, as its detections are matched by it."""
+    together, an id of its own, as its detections are matched by it, and a
+    foreground query. A fault raises DatasetError naming its line."""
     spec = None
     episodes, episode_ids = [], set()
     for line_no, obj in read_json_lines(path, "episodes"):
-        if "kind" in obj:
+        try:
+            if "kind" in obj:
+                spec = from_json(EpisodeSpec, obj.get("spec"), "episode spec")
+                continue
+            if spec is None:
+                raise ConfigError("missing header line")
             try:
-                spec = EpisodeSpec(**obj["spec"])
-            except (KeyError, TypeError, ConfigError) as e:
-                raise DatasetError(f"bad episode spec: {e}", line_no) from None
-            continue
-        if spec is None:
-            raise DatasetError("missing header line", line_no)
-        try:
-            support_rows = dataset.rows_of(obj["support_item_ids"])
-            queries = dataset.rows_of(obj["query_item_ids"])
-            class_ids = list(obj["class_ids"])
-            support: dict[str, list[int]] = {c: [] for c in class_ids}
-            episode_id = obj["episode_id"]
-        except KeyError as e:
-            raise DatasetError(f"unknown id or missing key {e.args[0]!r}", line_no) from None
-        except TypeError as e:
-            raise DatasetError(f"malformed episode ({e})", line_no) from None
-        if type(episode_id) is not int or not -2**63 <= episode_id < 2**63:
-            raise DatasetError(f"episode_id must be a 64-bit integer, got {episode_id!r}", line_no)
-        if episode_id in episode_ids:
-            raise DatasetError(f"episode_id {episode_id} is taken by an earlier episode", line_no)
-        episode_ids.add(episode_id)
-        for row, label in zip(support_rows, dataset.label[support_rows]):
-            if label not in support:
-                raise DatasetError(
-                    f"support item {dataset.id[row]} has label {label!r} outside the episode",
-                    line_no)
-            support[label].append(row)
-        shots = sorted({len(rows) for rows in support.values()})
-        if len(class_ids) != spec.ways or shots != [spec.shots]:
-            raise DatasetError(
-                f"episode {episode_id} has {len(class_ids)} classes with {shots} support items "
-                f"each, the spec says {spec.ways}-way {spec.shots}-shot", line_no)
-        try:
+                support_rows = dataset.rows_of(obj["support_item_ids"])
+                queries = dataset.rows_of(obj["query_item_ids"])
+                class_ids = list(obj["class_ids"])
+                support: dict[str, list[int]] = {c: [] for c in class_ids}
+                episode_id = obj["episode_id"]
+            except KeyError as e:
+                raise ConfigError(f"unknown id or missing key {e.args[0]!r}") from None
+            except TypeError as e:
+                raise ConfigError(f"malformed episode ({e})") from None
+            if type(episode_id) is not int or not -2**63 <= episode_id < 2**63:
+                raise ConfigError(f"episode_id must be a 64-bit integer, got {episode_id!r}")
+            if episode_id in episode_ids:
+                raise ConfigError(f"episode_id {episode_id} is taken by an earlier episode")
+            episode_ids.add(episode_id)
+            for row, label in zip(support_rows, dataset.label[support_rows]):
+                if label not in support:
+                    raise ConfigError(
+                        f"support item {dataset.id[row]} has label {label!r} outside the episode")
+                support[label].append(row)
+            shots = sorted({len(rows) for rows in support.values()})
+            if len(class_ids) != spec.ways or shots != [spec.shots]:
+                raise ConfigError(
+                    f"episode {episode_id} has {len(class_ids)} classes with {shots} support "
+                    f"items each, the spec says {spec.ways}-way {spec.shots}-shot")
             episodes.append(Episode(episode_id, class_ids, [support[c] for c in class_ids],
                                     queries, dataset))
         except ConfigError as e:
             raise DatasetError(str(e), line_no) from None
-    if spec is None:
-        raise DatasetError("missing header line")
+    if not episodes:
+        raise DatasetError(f"no episodes in {path}")
     return episodes, spec

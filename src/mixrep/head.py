@@ -46,6 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Node
+from .data import from_json, read_json
 from .errors import ConfigError, NonFiniteRowError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
@@ -59,10 +60,6 @@ BLOCK_ROWS = 32
 
 PROB_FLOOR = 1e-12
 DIST_SQ_FLOOR = 1e-12  # squared-distance clamp inside the margin loss
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -82,15 +79,14 @@ class EmbeddingConfig:
     bn_epsilon: float = 1e-5
 
     def __post_init__(self):
-        self.layer_widths = tuple(int(w) for w in self.layer_widths)
-        self.input_dim = int(self.input_dim)
+        self.layer_widths = tuple(self.layer_widths)
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
-        if not (_is_number(self.bn_epsilon) and 0 < self.bn_epsilon < math.inf):
+        if not 0 < self.bn_epsilon < math.inf:
             raise ConfigError(f"bn_epsilon must be a finite number > 0, got {self.bn_epsilon!r}")
-        if not (_is_number(self.bn_momentum) and 0 <= self.bn_momentum <= 1):
+        if not 0 <= self.bn_momentum <= 1:
             raise ConfigError(f"bn_momentum must be a number in [0, 1], got {self.bn_momentum!r}")
 
     @property
@@ -654,11 +650,7 @@ def load_checkpoint(path) -> MixtureHead:
     """Rebuild a head from `save_checkpoint` output. Any malformed content
     raises ConfigError. Files that store the representatives as one flat
     (1, N*K*dim) row, as earlier releases did, load unchanged."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as e:  # malformed, not UTF-8, or nested too deep
-        raise ConfigError(f"{path}: invalid checkpoint JSON ({e})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise ConfigError(f"not a checkpoint file: {path}")
     if doc.get("schema_version") != CHECKPOINT_VERSION:
@@ -677,7 +669,8 @@ def load_checkpoint(path) -> MixtureHead:
 
 
 def _head_from_doc(doc: dict) -> MixtureHead:
-    embedding, mixture = EmbeddingConfig(**doc["embedding"]), MixtureConfig(**doc["mixture"])
+    embedding = from_json(EmbeddingConfig, doc["embedding"], "embedding")
+    mixture = from_json(MixtureConfig, doc["mixture"], "mixture")
     arrays = {name: _decode_array(a) for name, a in doc["params"].items()}
     reps = arrays.get("representatives.weight")
     shape = parameter_layout(embedding, mixture)["representatives.weight"]

@@ -147,6 +147,18 @@ class TestTrain:
         doc = json.loads((out / "resolved-config.json").read_text(encoding="utf-8"))
         assert doc["seed"] == 99
 
+    def test_layer_widths_as_text_is_refused(self, pipeline, tmp_path, capsys):
+        # "64" trained a (6, 4) network
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN, "layer_widths": "64"}), encoding="utf-8")
+        out = tmp_path / "model"
+        assert cli.main(["train", "--config", str(config), "--data", str(pipeline["data"]),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config key 'layer_widths' must be an array of integers or null, "
+                       "got '64'\n")
+        assert not out.exists()
+
 
 class TestGenEpisodes:
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
@@ -305,6 +317,33 @@ class TestEvalEpisodes:
         with open(out / "episode_report.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["shots"] for r in rows] == ["1", "1"]
+
+    def test_every_shot_count_reads_the_episode_file(self, pipeline, tmp_path, monkeypatch):
+        # the file cut to its first two episodes, the first with two queries
+        # dropped by hand; the 2-shot passes scored regenerated episodes
+        lines = pipeline["episodes"].read_text(encoding="utf-8").splitlines()[:3]
+        first = json.loads(lines[1])
+        first["query_item_ids"] = first["query_item_ids"][2:]
+        lines[1] = json.dumps(first)
+        episodes = tmp_path / "episodes.jsonl"
+        episodes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        in_file = [(obj["episode_id"], obj["query_item_ids"]) for obj in map(json.loads, lines[1:])]
+        passes = []
+
+        def spy(head, eps, steps, lr):
+            passes.append([(ep.episode_id, ep.query_ids(), ep.support.shape) for ep in eps])
+            assert not any(np.isin(ep.support, ep.queries).any() for ep in eps)
+            return evaluate_episodes(head, eps, steps, lr)
+
+        monkeypatch.setattr(cli, "evaluate_episodes", spy)
+        assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(episodes), "--shots", "1,2,5",
+                         "--out", str(tmp_path / "report")]) == 0
+        assert len(passes) == 6
+        for shots, seen in zip([1, 1, 2, 2, 5, 5], passes):
+            assert seen == [(eid, queries, (3, shots)) for eid, queries in in_file]
 
     @pytest.mark.parametrize("target, damage", [
         ("episodes", _edit_first_episode(lambda obj: [1, 2])),
@@ -561,6 +600,15 @@ class TestGradCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, source):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -1 if source == "config" else 0}),
+                          encoding="utf-8")
+        args = ["grad-check", "--config", str(config), "--out", str(tmp_path / "gc")]
+        assert cli.main(args + (["--seed", "-1"] if source == "flag" else [])) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 class TestOutDirEnvVar:

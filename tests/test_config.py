@@ -1,7 +1,13 @@
+import contextlib
+import copy
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixrep.config import (
     CLASSIFICATION_WIDTHS,
@@ -10,8 +16,11 @@ from mixrep.config import (
     load_run_config,
     write_resolved_config,
 )
-from mixrep.data import SynthConfig
+from mixrep.data import SynthConfig, from_json
+from mixrep.episodes import EpisodeSpec
 from mixrep.errors import ConfigError
+from mixrep.head import (EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint,
+                         save_checkpoint)
 
 
 class TestDefaults:
@@ -99,31 +108,35 @@ class TestFactories:
             RunConfig(shots=99).episode_spec()
 
 
+def config_from(doc):
+    return from_json(RunConfig, doc, "config")
+
+
 class TestWireForm:
     def test_round_trip(self):
         c = RunConfig(task_mode="detection", seed=3, layer_widths=(8, 4),
                       synth=SynthConfig(num_classes=4, modes_per_class=1,
                                         samples_per_mode=5, input_dim=6))
-        back = RunConfig.from_dict(c.to_dict())
+        back = from_json(RunConfig, json.loads(json.dumps(dataclasses.asdict(c))), "config")
         assert back == c
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys.*learning_rate"):
-            RunConfig.from_dict({"learning_rate": 0.1})
+            config_from({"learning_rate": 0.1})
         # the support-ROI IoU knob was removed: every record is already a ROI
         with pytest.raises(ConfigError, match="unknown config keys.*support_iou"):
-            RunConfig.from_dict({"support_iou": 0.7})
+            config_from({"support_iou": 0.7})
 
     def test_unknown_synth_key_rejected(self):
         with pytest.raises(ConfigError, match="synth"):
-            RunConfig.from_dict({"synth": {"num_classes": 3, "flavor": "mild"}})
+            config_from({"synth": {"num_classes": 3, "flavor": "mild"}})
 
     def test_synth_must_be_object(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"synth": [1, 2]})
+            config_from({"synth": [1, 2]})
 
     def test_lists_become_tuples(self):
-        c = RunConfig.from_dict({"layer_widths": [32, 16], "recall_ks": [5]})
+        c = config_from({"layer_widths": [32, 16], "recall_ks": [5]})
         assert c.layer_widths == (32, 16)
         assert c.recall_ks == (5,)
 
@@ -174,3 +187,164 @@ class TestResolvedLog:
         c = RunConfig()
         with pytest.raises(ConfigError):
             dataclasses.replace(c, task_mode="nope")
+
+
+class TestTypedReader:
+    """`from_json` takes a JSON value only where it fits the field's annotation."""
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"layer_widths": "64"}, "layer_widths"),  # trained a (6, 4) network
+        ({"seed": 1.5}, "seed"),  # ran seed 1
+        ({"iterations": True}, "iterations"),  # ran 1 iteration
+        ({"sigma": "x"}, "sigma"),
+        ({"lr": "0.1"}, "lr"),
+        ({"momentum": "x"}, "momentum"),
+        ({"lr": 10**400}, "lr"),  # OverflowError in the optimizer
+        ({"final_l2_normalize": 1}, "final_l2_normalize"),
+        ({"recall_ks": [10, 1.0]}, "recall_ks"),
+        ({"recall_ks": None}, "recall_ks"),
+        ({"task_mode": None}, "task_mode"),
+        ({"synth": {"num_classes": "3"}}, "num_classes"),
+        ({"synth": {"with_boxes": "yes"}}, "with_boxes"),
+    ])
+    def test_value_of_another_type_is_refused_naming_its_key(self, doc, key):
+        with pytest.raises(ConfigError, match=f"'{key}' must be"):
+            config_from(doc)
+
+    def test_numbers_and_nulls_fit_where_annotated(self):
+        c = config_from({"sigma": 1, "lr": 0.5, "input_dim": None, "layer_widths": None,
+                         "synth": {"spread": 0}})
+        assert (c.sigma, c.lr, c.input_dim, c.layer_widths, c.synth.spread) == (1, 0.5, None,
+                                                                                 None, 0)
+
+    def test_missing_and_unknown_keys_are_named(self):
+        with pytest.raises(ConfigError, match="episode spec is missing key 'ways'"):
+            from_json(EpisodeSpec, {"shots": 1}, "episode spec")
+        with pytest.raises(ConfigError, match=r"unknown mixture keys: \['colour'\]"):
+            from_json(MixtureConfig, {"num_classes": 2, "colour": 1}, "mixture")
+
+    @pytest.mark.parametrize("doc", [{"seed": -1}, {"seed": -(10**30)}])
+    def test_negative_seed_is_refused(self, doc):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config_from(doc)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            dataclasses.replace(RunConfig(), seed=doc["seed"])
+
+
+# ---------------------------------------------------------------------------
+# fuzz: run configs and checkpoints that are truncated, byte-flipped or hold a
+# value of another type either load or raise ConfigError
+
+README_RUN = {
+    "task_mode": "detection", "seed": 30, "layer_widths": [64, 32], "iterations": 150,
+    "classes_per_batch": 5, "instances_per_class": 6, "ways": 5, "queries_per_class": 10,
+    "episode_count": 100, "background_queries": 10, "recall_ks": [10, 100],
+    "synth": {"num_classes": 15, "modes_per_class": 1, "samples_per_mode": 24, "input_dim": 20,
+              "spread": 0.05, "unseen_classes": 10, "background_fraction": 0.15,
+              "test_fraction": 0.0},
+}
+# the same with every field written out, as resolved-config.json holds it
+RESOLVED_RUN = json.loads(json.dumps(dataclasses.asdict(config_from(README_RUN))))
+
+
+def saved_checkpoint() -> dict:
+    head = MixtureHead(EmbeddingConfig(6, (8, 4)), MixtureConfig(3, 2), task_mode="detection",
+                       seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(head, Path(tmp) / "checkpoint.json")
+        return json.loads((Path(tmp) / "checkpoint.json").read_text(encoding="utf-8"))
+
+
+CHECKPOINT = saved_checkpoint()
+
+# a string, a bool, a float, a negative number, null or a nested array
+OTHER_TYPES = st.sampled_from(["x", "", "0.1", True, False, 0.5, 1e308, float("nan"), -1, -20,
+                               None, [[1]], [1, [2, 3]]])
+
+
+def value_paths(value, prefix=()):
+    """The path to every value inside `value`, through objects and arrays."""
+    inner = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in inner:
+        yield prefix + (key,)
+        yield from value_paths(item, prefix + (key,))
+
+
+def with_values(doc: dict, **sections) -> bytes:
+    """`doc` as JSON text, each of its sections (or top-level keys) updated."""
+    doc = copy.deepcopy(doc)
+    for key, value in sections.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    return json.dumps(doc).encode("utf-8")
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` as JSON text: unchanged, truncated, byte-flipped, or with one to
+    three values swapped for one of another type."""
+    doc = copy.deepcopy(doc)
+    mutation = draw(st.sampled_from(["none", "truncate", "flip", "swap"]))
+    for _ in range(draw(st.integers(1, 3)) if mutation == "swap" else 0):
+        *parent, key = draw(st.sampled_from(list(value_paths(doc))))
+        target = doc
+        for step in parent:
+            target = target[step]
+        target[key] = copy.deepcopy(draw(OTHER_TYPES))  # the sampled object is shared
+    data = json.dumps(doc).encode("utf-8")
+    if mutation == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif mutation == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    return data
+
+
+def loads_or_refuses(load, data: bytes):
+    """`load` of a file holding `data` returns or raises ConfigError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.json"
+        path.write_bytes(data)
+        with contextlib.suppress(ConfigError):
+            load(path)
+
+
+def build_every_section(path):
+    config = load_run_config(path)
+    for build in (config.embedding_config, lambda: config.embedding_config(8),
+                  lambda: config.mixture_config(3), config.train_config, config.batch_spec,
+                  config.episode_spec):
+        with contextlib.suppress(ConfigError):
+            build()
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=mutated(RESOLVED_RUN))
+@example(data=with_values(RESOLVED_RUN, layer_widths="64"))
+@example(data=with_values(RESOLVED_RUN, seed=1.5))
+@example(data=with_values(RESOLVED_RUN, iterations=True))
+@example(data=with_values(RESOLVED_RUN, sigma="x"))
+@example(data=with_values(RESOLVED_RUN, lr="0.1"))
+@example(data=with_values(RESOLVED_RUN, momentum="x"))
+@example(data=with_values(RESOLVED_RUN, seed=-1))
+def test_mutated_run_config_loads_or_is_refused(data):
+    loads_or_refuses(build_every_section, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated(CHECKPOINT))
+@example(data=with_values(CHECKPOINT, embedding={"input_dim": "20"}))
+@example(data=with_values(CHECKPOINT, embedding={"final_l2_normalize": "no"}))
+def test_mutated_checkpoint_loads_or_is_refused(data):
+    loads_or_refuses(load_checkpoint, data)
+
+
+@pytest.mark.parametrize("section", [{"input_dim": "20"}, {"final_l2_normalize": "no"},
+                                     {"layer_widths": [8.0, 4]}, {"bn_momentum": True}])
+def test_checkpoint_section_of_another_type_is_refused(tmp_path, section):
+    # the first two loaded, as input_dim 20 and final_l2_normalize on
+    path = tmp_path / "checkpoint.json"
+    path.write_bytes(with_values(CHECKPOINT, embedding=section))
+    with pytest.raises(ConfigError, match=f"embedding key '{next(iter(section))}' must be"):
+        load_checkpoint(path)

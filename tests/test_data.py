@@ -739,6 +739,11 @@ _first = EPISODE_LINES[1]
 # an episode id numpy cannot hold raised OverflowError
 @example(data=with_first_episode(episode_id=10**300))
 @example(data=with_first_episode(episode_id=2**63))
+# a boolean spec value loaded as the integer 1; a file with no episode
+# failed with "mAP needs at least one ground-truth box"
+@example(data=episode_file([{**EPISODE_LINES[0], "spec": {**EPISODE_LINES[0]["spec"],
+                                                           "ways": True}}, *EPISODE_LINES[1:]]))
+@example(data=episode_file(EPISODE_LINES[:1]))
 def test_eval_episodes_on_a_mutated_file_fails_cleanly(episode_inputs, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "episodes.jsonl"
@@ -746,5 +751,6 @@ def test_eval_episodes_on_a_mutated_file_fails_cleanly(episode_inputs, data):
         assert_exits_cleanly(["eval-episodes", "--config", str(episode_inputs / "run.json"),
                               "--data", str(episode_inputs / "data.jsonl"), "--checkpoint",
                               str(episode_inputs / "model" / "checkpoint.json"),
-                              "--episodes", str(path), "--out", str(Path(tmp) / "out")])
+                              "--episodes", str(path), "--shots", "1,2",
+                              "--out", str(Path(tmp) / "out")])
 

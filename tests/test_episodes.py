@@ -23,6 +23,7 @@ from mixrep.episodes import (
     finetune_episodes,
     generate_episodes,
     load_episodes,
+    redraw_support,
     replace_representatives,
     run_episode,
     save_episodes,
@@ -138,6 +139,43 @@ class TestGenerateEpisodes:
         with pytest.raises(DatasetError):
             generate_episodes(ds, spec_for(ds, background_queries=5))
 
+    @pytest.mark.parametrize("shots", [1, 5, 10])
+    def test_redrawn_support_is_the_generated_support(self, shots):
+        ds = episode_dataset()
+        generated = generate_episodes(ds, spec_for(ds, shots=shots))
+        redrawn = redraw_support(generate_episodes(ds, spec_for(ds, shots=2)),
+                                 spec_for(ds, shots=shots))
+        for a, b in zip(generated, redrawn, strict=True):
+            assert (a.episode_id, a.class_ids) == (b.episode_id, b.class_ids)
+            np.testing.assert_array_equal(a.queries, b.queries)
+            np.testing.assert_array_equal(a.support, b.support)
+
+    def test_redraw_keeps_the_episode_queries(self):
+        # a query list edited by hand: one query swapped for an item that
+        # 5-shot generation puts in the support
+        ds = episode_dataset()
+        ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
+        five = generate_episodes(ds, spec_for(ds, shots=5, episode_count=1))[0]
+        queries = ep.queries.copy()
+        queries[0] = five.support[0, 0]
+        edited = Episode(ep.episode_id, ep.class_ids, ep.support, queries, ds)
+        (redrawn,) = redraw_support([edited], spec_for(ds, shots=5))
+        np.testing.assert_array_equal(redrawn.queries, queries)
+        assert not np.isin(redrawn.support, queries).any()
+        for label, rows in zip(redrawn.class_ids, redrawn.support):
+            assert (ds.label[rows] == label).all()
+
+    def test_redraw_refuses_a_class_its_queries_exhaust(self):
+        ds = episode_dataset()
+        ep = generate_episodes(ds, spec_for(ds, episode_count=1))[0]
+        label = ep.class_ids[0]
+        # every item of the class is a query but its support item and one other
+        queries = np.setdiff1d(np.flatnonzero(ds.label == label), ep.support[0])[1:]
+        edited = Episode(ep.episode_id, ep.class_ids, ep.support, queries, ds)
+        with pytest.raises(DatasetError, match=f"class '{label}' has 2 unseen-pool items "
+                                               f"besides its queries, too few for 5 shots"):
+            redraw_support([edited], spec_for(ds, shots=5))
+
     def test_episode_invariants_enforced(self):
         ds = Dataset(["x0", "x1"], ["a", "a"], np.zeros((2, 3)))
         with pytest.raises(ConfigError):
@@ -170,6 +208,50 @@ class TestEpisodeFiles:
                         '"query_item_ids": []}\n')
         with pytest.raises(DatasetError):
             load_episodes(path, episode_dataset())
+
+    def test_header_only_file_is_refused(self, tmp_path):
+        # failed with "mAP needs at least one ground-truth box"
+        ds = episode_dataset()
+        path = tmp_path / "episodes.jsonl"
+        save_episodes([], spec_for(ds), path)
+        with pytest.raises(DatasetError, match=f"^no episodes in {path}$"):
+            load_episodes(path, ds)
+
+    def test_episode_without_a_foreground_query_is_refused(self, tmp_path):
+        ds = episode_dataset()
+        spec = spec_for(ds, episode_count=2)
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_episodes(ds, spec), spec, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[2])
+        obj["query_item_ids"] = [rid for rid in obj["query_item_ids"]
+                                 if ds.label[ds.rows_of([rid])[0]] == BACKGROUND_LABEL]
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="^line 3: episode 1 has no foreground query$"):
+            load_episodes(path, ds)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ways", True, "episode spec key 'ways' must be an integer, got True"),
+        ("shots", 1.0, "episode spec key 'shots' must be an integer, got 1.0"),
+        ("class_pool", None, "episode spec key 'class_pool' must be a string, got None"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("max_shots", None, "episode spec key 'max_shots' must be an integer, got None"),
+    ], ids=["ways_true", "shots_float", "class_pool_null", "seed_negative", "max_shots_null"])
+    def test_header_spec_of_another_type_is_refused(self, tmp_path, field, value, message):
+        # "ways": true loaded as a 1-way spec
+        ds = episode_dataset()
+        spec = spec_for(ds, episode_count=1)
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(generate_episodes(ds, spec), spec, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["spec"][field] = value
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as exc:
+            load_episodes(path, ds)
+        assert str(exc.value) == f"line 1: {message}"
 
     @pytest.mark.parametrize("edit", [
         lambda obj: [1, 2],

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -616,7 +617,7 @@ class TestCheckpoint:
         path = self._saved(tmp_path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) // 2], encoding="utf-8")
-        with pytest.raises(ConfigError, match="invalid checkpoint JSON"):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid JSON (")):
             load_checkpoint(path)
 
     def test_missing_key_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in it, every
-private function or method is called from somewhere in the package, and the
-autodiff engine calls none of numpy's slow Python-level helpers."""
+private function or method is called from somewhere in the package, the
+autodiff engine calls none of numpy's slow Python-level helpers, and only
+`from_json` builds a config object from unpacked JSON."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,51 @@ def test_scan_finds_slow_numpy_helpers():
 def test_autodiff_avoids_slow_numpy_helpers():
     source = (PACKAGE / "autodiff.py").read_text(encoding="utf-8")
     assert dotted_references(source, SLOW_NUMPY) == []
+
+
+# the dataclasses read from JSON files; `data.from_json` checks each value
+# against its field's type, so a `**`-unpacked build elsewhere would skip that
+JSON_CONFIGS = {"RunConfig", "SynthConfig", "EpisodeSpec", "EmbeddingConfig", "MixtureConfig"}
+
+
+def unpacked_config_builds(source: str) -> list[str]:
+    """Calls outside a function named `from_json` that build one of
+    JSON_CONFIGS from `**`-unpacked keywords: by its name, as `cls` in one of
+    its own methods, or through `replace`."""
+    found = []
+
+    def visit(node, in_class, in_from_json):
+        if isinstance(node, ast.ClassDef):
+            in_class = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_from_json = node.name == "from_json"
+        elif (isinstance(node, ast.Call) and not in_from_json
+              and any(keyword.arg is None for keyword in node.keywords)):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in JSON_CONFIGS or name == "replace" or (
+                    name == "cls" and in_class in JSON_CONFIGS):
+                found.append(f"{name} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_class, in_from_json)
+
+    visit(ast.parse(source), None, False)
+    return found
+
+
+def test_scan_finds_an_unpacked_config_build():
+    source = ("def from_json(cls, doc):\n    return cls(**doc)\n\n\n"
+              "class RunConfig:\n    @classmethod\n    def from_dict(cls, doc):\n"
+              "        return cls(seed=1, **doc)\n\n\n"
+              "class Scores:\n    def copy(self):\n        return Scores(**vars(self))\n\n\n"
+              "spec = EpisodeSpec(**doc['spec'])\nhead = mixrep.EmbeddingConfig(**doc)\n"
+              "config = dataclasses.replace(config, **changes)\nplain = RunConfig(seed=2)\n"
+              "shown = print(**options)\n")
+    assert unpacked_config_builds(source) == [
+        "cls (line 8)", "EpisodeSpec (line 16)", "EmbeddingConfig (line 17)",
+        "replace (line 18)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_only_from_json_builds_a_config_from_unpacked_json(module):
+    assert unpacked_config_builds(module.read_text(encoding="utf-8")) == []
