@@ -57,10 +57,7 @@ from .metrics import (
 from .rng import substream
 from .training import (
     Adam,
-    BatchSpec,
     SGD,
-    TrainConfig,
-    TrainResult,
     batch_groups,
     class_index_map,
     fit,

@@ -131,7 +131,7 @@ def cmd_synth_data(args, out):
     _log_config(config, out)
     save_dataset(dataset, out.file("dataset.jsonl"))
     background = dataset.is_background
-    print(f"wrote {len(dataset)} records ({len(np.unique(dataset.label[~background]))} classes, "
+    print(f"wrote {len(dataset)} records ({len(set(dataset.label[~background].tolist()))} classes, "
           f"{np.count_nonzero(background)} background) to {out.dir}")
     return 0
 
@@ -141,11 +141,11 @@ def cmd_train(args, out):
     out = _require_out(out)
     dataset = _load_data(args)
     head = _build_head(config, dataset)
-    result = fit(head, dataset, config.train_config(), config.batch_spec())
+    trace = fit(head, dataset, config)
     _log_config(config, out)
     save_checkpoint(head, out.file("checkpoint.json"))
-    write_loss_trace(result.trace, out.file("loss_trace.csv"))
-    first, last = result.trace[0]["total"], result.trace[-1]["total"]
+    write_loss_trace(trace, out.file("loss_trace.csv"))
+    first, last = trace[0]["total"], trace[-1]["total"]
     print(f"trained {config.iterations} iterations: loss {first:.4f} -> {last:.4f}")
     print(f"checkpoint and loss trace in {out.dir}")
     return 0

@@ -14,7 +14,6 @@ from .data import SynthConfig, from_json, read_json
 from .episodes import EpisodeSpec
 from .errors import ConfigError
 from .head import EmbeddingConfig, MixtureConfig
-from .training import BatchSpec, TrainConfig
 
 CLASSIFICATION_WIDTHS = (2048, 1024)
 DETECTION_WIDTHS = (1024, 1024, 256)
@@ -80,6 +79,22 @@ class RunConfig:
             raise ConfigError(f"match_iou must be in (0, 1], got {self.match_iou}")
         if self.finetune_steps < 0:
             raise ConfigError("finetune_steps must be >= 0")
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not self.finetune_lr > 0:
+            raise ConfigError(f"finetune_lr must be positive, got {self.finetune_lr}")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be nonnegative")
+        if self.classes_per_batch < 2:
+            raise ConfigError(f"classes_per_batch must be >= 2, got {self.classes_per_batch}")
+        if self.instances_per_class < 1:
+            raise ConfigError(f"instances_per_class must be >= 1, got {self.instances_per_class}")
+        if self.batch_strategy not in ("class_balanced", "image_group"):
+            raise ConfigError(f"unknown batch strategy {self.batch_strategy!r}")
 
     # ---- resolved values -------------------------------------------------
 
@@ -112,23 +127,6 @@ class RunConfig:
             sigma=self.sigma,
             margin=self.margin,
             posterior_mode=self.posterior_mode,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            iterations=self.iterations,
-            optimizer=self.optimizer,
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            seed=self.seed,
-        )
-
-    def batch_spec(self) -> BatchSpec:
-        return BatchSpec(
-            classes_per_batch=self.classes_per_batch,
-            instances_per_class=self.instances_per_class,
-            strategy=self.batch_strategy,
         )
 
     def episode_spec(self, shots: int | None = None) -> EpisodeSpec:

@@ -288,11 +288,12 @@ def read_json(path):
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
-# the JSON values that fill a field of each annotation, and their name in errors
+# the JSON values that fill a field of each annotation, and their name in errors;
+# NaN and Infinity, which Python's json reads but JSON does not allow, fit no float
 _JSON_TYPES = {
     bool: ("true or false", lambda v: type(v) is bool),
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) is float or type(v) is int and abs(v) <= sys.float_info.max),
+    float: ("a finite number", lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max),
     str: ("a string", lambda v: type(v) is str),
     tuple: ("an array of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
 }

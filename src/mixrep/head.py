@@ -215,23 +215,27 @@ def parameter_layout(embedding: EmbeddingConfig, mixture: MixtureConfig,
 
 
 def _seeded_arrays(embedding: EmbeddingConfig, mixture: MixtureConfig, seed: int) -> dict:
-    """Initial values of every parameter, each drawn from its own substream."""
+    """Initial values of every parameter, each drawn from its own substream.
+    A parameter numpy cannot allocate raises ConfigError naming it."""
     last = len(embedding.layer_widths) - 1
     arrays = {}
-    for name, shape in parameter_layout(embedding, mixture).items():
-        kind = name.rsplit(".", 1)[1]
-        if name == "representatives.weight":
-            # std 0.01 keeps initial centers near the origin, so distances
-            # from unit-norm embeddings start O(1)
-            arrays[name] = substream(seed, "init", "representatives").normal(0.0, 0.01, size=shape)
-        elif kind in ("gamma", "beta"):
-            arrays[name] = np.ones(shape) if kind == "gamma" else np.zeros(shape)
-        elif kind == "bias":
-            arrays[name] = substream(seed, "init", "layer", last, "bias").normal(0.0, 0.01, size=shape)
-        else:
-            i = int(name.split(".")[1])
-            std = np.sqrt((2.0 if i < last else 1.0) / shape[0])
-            arrays[name] = substream(seed, "init", "layer", i).normal(0.0, std, size=shape)
+    try:
+        for name, shape in parameter_layout(embedding, mixture).items():
+            kind = name.rsplit(".", 1)[1]
+            if name == "representatives.weight":
+                # std 0.01 keeps initial centers near the origin, so distances
+                # from unit-norm embeddings start O(1)
+                arrays[name] = substream(seed, "init", "representatives").normal(0.0, 0.01, size=shape)
+            elif kind in ("gamma", "beta"):
+                arrays[name] = np.ones(shape) if kind == "gamma" else np.zeros(shape)
+            elif kind == "bias":
+                arrays[name] = substream(seed, "init", "layer", last, "bias").normal(0.0, 0.01, size=shape)
+            else:
+                i = int(name.split(".")[1])
+                std = np.sqrt((2.0 if i < last else 1.0) / shape[0])
+                arrays[name] = substream(seed, "init", "layer", i).normal(0.0, std, size=shape)
+    except (MemoryError, ValueError) as e:  # too many elements, or too many bytes
+        raise ConfigError(f"cannot allocate parameter {name} of shape {shape}: {e}") from None
     return arrays
 
 

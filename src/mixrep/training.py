@@ -9,7 +9,7 @@ order all flow from named substreams.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,43 +19,8 @@ from .errors import ConfigError, DatasetError, TrainingDiverged
 from .head import BACKGROUND, MixtureHead
 from .rng import substream
 
-
-@dataclass
-class BatchSpec:
-    classes_per_batch: int = 12
-    instances_per_class: int = 4
-    strategy: str = "class_balanced"  # "class_balanced" | "image_group"
-
-    def __post_init__(self):
-        if self.classes_per_batch < 2:
-            raise ConfigError(f"classes_per_batch must be >= 2, got {self.classes_per_batch}")
-        if self.instances_per_class < 1:
-            raise ConfigError(f"instances_per_class must be >= 1, got {self.instances_per_class}")
-        if self.strategy not in ("class_balanced", "image_group"):
-            raise ConfigError(f"unknown batch strategy {self.strategy!r}")
-
-
-@dataclass
-class TrainConfig:
-    iterations: int
-    optimizer: str = "sgd"
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    betas: tuple = (0.9, 0.999)
-    epsilon: float = 1e-8
-    seed: int = 0
-    eval_every: int = 0  # 0 disables the hook
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
+if TYPE_CHECKING:  # config imports episodes, which imports this module
+    from .config import RunConfig
 
 
 class SGD:
@@ -82,12 +47,12 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, groups: dict, lr: float, betas=(0.9, 0.999), epsilon: float = 1e-8,
-                 weight_decay: float = 0.0):
+    """Adam with its usual constants: beta1 0.9, beta2 0.999, eps 1e-8."""
+
+    def __init__(self, groups: dict, lr: float, weight_decay: float = 0.0):
         self.groups = {name: list(params) for name, params in groups.items()}
         self.lr = float(lr)
-        self.b1, self.b2 = float(betas[0]), float(betas[1])
-        self.epsilon = float(epsilon)
+        self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
         self.weight_decay = float(weight_decay)
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -108,14 +73,14 @@ class Adam:
                 m = self.b1 * m + (1.0 - self.b1) * g
                 v = self.b2 * v + (1.0 - self.b2) * g * g
                 self._m[id(p)], self._v[id(p)] = m, v
-                p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+                p.value = p.value - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def make_optimizer(head: MixtureHead, config: TrainConfig):
+def make_optimizer(head: MixtureHead, config: RunConfig):
     groups = head.parameter_groups()
     if config.optimizer == "sgd":
         return SGD(groups, config.lr, config.momentum, config.weight_decay)
-    return Adam(groups, config.lr, config.betas, config.epsilon, config.weight_decay)
+    return Adam(groups, config.lr, config.weight_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +98,13 @@ def training_pool(dataset: Dataset, include_background: bool) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def batch_groups(dataset: Dataset, rows, spec: BatchSpec) -> list[np.ndarray]:
+def batch_groups(dataset: Dataset, rows, config: RunConfig) -> list[np.ndarray]:
     """The groups batches are drawn from, in sorted key order: the rows of
     `rows` of each foreground class (class_balanced) or each image's ROIs
     (image_group), in the order of `rows`. Build once and pass to every
     `sample_batch` call."""
     rows = np.asarray(rows, dtype=np.intp)
-    if spec.strategy == "image_group":
+    if config.batch_strategy == "image_group":
         keys = dataset.image_id[rows]
         missing = np.equal(keys, None)
         if missing.any():
@@ -149,34 +114,34 @@ def batch_groups(dataset: Dataset, rows, spec: BatchSpec) -> list[np.ndarray]:
         rows = rows[~dataset.is_background[rows]]
         keys = dataset.label[rows]
     groups = group_rows(rows, keys)
-    if spec.strategy != "image_group" and len(groups) < spec.classes_per_batch:
+    if config.batch_strategy != "image_group" and len(groups) < config.classes_per_batch:
         raise DatasetError(
-            f"dataset has {len(groups)} classes, batch needs {spec.classes_per_batch}"
+            f"dataset has {len(groups)} classes, batch needs {config.classes_per_batch}"
         )
     return list(groups.values())
 
 
-def sample_batch(dataset: Dataset, rows, spec: BatchSpec, rng,
+def sample_batch(dataset: Dataset, rows, config: RunConfig, rng,
                  groups: list[np.ndarray] | None = None) -> np.ndarray:
     """The rows of one training batch drawn from `rows`, deterministic under
     the rng state.
 
     class_balanced: M distinct classes, D instances each (with replacement
     when a class is short). image_group: every ROI of one sampled image.
-    `groups` is `batch_groups(dataset, rows, spec)`, built here when not
+    `groups` is `batch_groups(dataset, rows, config)`, built here when not
     given.
     """
     if groups is None:
-        groups = batch_groups(dataset, rows, spec)
-    if spec.strategy == "image_group":
+        groups = batch_groups(dataset, rows, config)
+    if config.batch_strategy == "image_group":
         return groups[int(rng.integers(0, len(groups)))].copy()
 
-    chosen = rng.choice(len(groups), size=spec.classes_per_batch, replace=False)
+    chosen = rng.choice(len(groups), size=config.classes_per_batch, replace=False)
     batch = []
     for ci in chosen:
         members = groups[int(ci)]
-        replace = len(members) < spec.instances_per_class
-        batch.append(members[rng.choice(len(members), size=spec.instances_per_class,
+        replace = len(members) < config.instances_per_class
+        batch.append(members[rng.choice(len(members), size=config.instances_per_class,
                                         replace=replace)])
     return np.concatenate(batch)
 
@@ -218,15 +183,6 @@ def train_step(head: MixtureHead, dataset: Dataset, rows, label_to_index: dict[s
     return parts
 
 
-@dataclass
-class TrainResult:
-    head: MixtureHead
-    trace: list[dict] = field(default_factory=list)
-
-    def losses(self) -> np.ndarray:
-        return np.array([row["total"] for row in self.trace])
-
-
 def class_index_map(dataset: Dataset) -> dict[str, int]:
     """Canonical label -> index map over trainable (seen) classes."""
     foreground = set(dataset.label[~dataset.is_background])
@@ -234,9 +190,10 @@ def class_index_map(dataset: Dataset) -> dict[str, int]:
     return {label: i for i, label in enumerate(sorted(foreground - unseen))}
 
 
-def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpec,
-        hook=None) -> TrainResult:
-    """Run the optimization loop; reproducible bit-for-bit from the seed."""
+def fit(head: MixtureHead, dataset: Dataset, config: RunConfig) -> list[dict]:
+    """Train `head` in place for `config.iterations` steps and return the
+    loss trace, one dict of loss components per step; reproducible
+    bit-for-bit from the seed."""
     include_bg = head.task_mode == "detection"
     pool = training_pool(dataset, include_background=include_bg)
     label_map = class_index_map(dataset)
@@ -245,17 +202,15 @@ def fit(head: MixtureHead, dataset: Dataset, config: TrainConfig, spec: BatchSpe
             f"head expects {head.mixture.num_classes} classes, dataset provides {len(label_map)}"
         )
     optimizer = make_optimizer(head, config)
-    groups = batch_groups(dataset, pool, spec)
+    groups = batch_groups(dataset, pool, config)
     rng = substream(config.seed, "sampler")
-    result = TrainResult(head=head)
+    trace = []
     for it in range(config.iterations):
-        batch = sample_batch(dataset, pool, spec, rng, groups)
+        batch = sample_batch(dataset, pool, config, rng, groups)
         parts = train_step(head, dataset, batch, label_map, optimizer, iteration=it)
         parts["iteration"] = it
-        result.trace.append(parts)
-        if hook is not None and config.eval_every > 0 and (it + 1) % config.eval_every == 0:
-            hook(it, head)
-    return result
+        trace.append(parts)
+    return trace
 
 
 def write_loss_trace(trace: list[dict], path) -> None:

@@ -12,6 +12,7 @@ import pytest
 
 from mixrep import autodiff as ad
 from mixrep import cli
+from mixrep.config import RunConfig
 from mixrep.data import SynthConfig, nearest_center_mode, synth_dataset
 from mixrep.episodes import EpisodeSpec, evaluate_episodes, generate_episodes
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
@@ -26,7 +27,7 @@ from mixrep.metrics import (
     match_detections,
 )
 from mixrep.rng import substream
-from mixrep.training import BatchSpec, TrainConfig, class_index_map, fit
+from mixrep.training import class_index_map, fit
 
 
 @pytest.fixture
@@ -170,9 +171,9 @@ def multimodal_run():
         SynthConfig(num_classes=5, modes_per_class=3, samples_per_mode=40,
                     input_dim=20, spread=0.05), seed=20)
     head = MixtureHead(EmbeddingConfig(20, (128, 32)), MixtureConfig(5, 3, 0.5, 0.5), seed=21)
-    result = fit(head, dataset, TrainConfig(iterations=400, lr=0.01, seed=121),
-                 BatchSpec(classes_per_batch=5, instances_per_class=8))
-    return {"dataset": dataset, "head": result.head,
+    fit(head, dataset, RunConfig(iterations=400, lr=0.01, seed=121, classes_per_batch=5,
+                                 instances_per_class=8))
+    return {"dataset": dataset, "head": head,
             "elapsed": time.perf_counter() - t0}
 
 
@@ -237,8 +238,8 @@ def test_criterion_4_episodic_open_set(announce):
                     background_fraction=0.15, test_fraction=0.0), seed=30)
     head = MixtureHead(EmbeddingConfig(20, (64, 32)), MixtureConfig(5, 3, 0.5, 0.5),
                        task_mode="detection", seed=31)
-    fit(head, dataset, TrainConfig(iterations=150, lr=0.01, seed=131),
-        BatchSpec(classes_per_batch=5, instances_per_class=6))
+    fit(head, dataset, RunConfig(iterations=150, lr=0.01, seed=131, classes_per_batch=5,
+                                 instances_per_class=6))
 
     # 50 foreground queries per episode + 20% background clutter
     episodes = generate_episodes(dataset, EpisodeSpec(

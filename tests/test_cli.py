@@ -120,6 +120,22 @@ class TestSynthData:
         assert "warp_factor" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_class_count_does_not_import_numpy_ma(self, tmp_path):
+        # a plain np.unique imports numpy.ma, 11-19 ms of every synth-data run
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 30, "synth": {
+            "num_classes": 15, "modes_per_class": 1, "samples_per_mode": 4, "input_dim": 4,
+            "unseen_classes": 10, "background_fraction": 0.15}}), encoding="utf-8")
+        script = ("import sys\nfrom mixrep import cli\n"
+                  f"code = cli.main(['synth-data', '--config', {str(config)!r}, "
+                  f"'--out', {str(tmp_path / 'data')!r}])\n"
+                  "print(code, 'numpy.ma' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        summary, result = run.stdout.splitlines()
+        assert "(15 classes, " in summary
+        assert result == "0 False"
+
 
 class TestTrain:
     def test_outputs(self, pipeline):
@@ -157,6 +173,53 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == ("error: config key 'layer_widths' must be an array of integers or null, "
                        "got '64'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"layer_widths": [2**62, 4]},
+         "cannot allocate parameter layers.0.weight of shape (12, 4611686018427387904): "),
+        ({"input_dim": 10**20},
+         "cannot allocate parameter layers.0.weight of shape (100000000000000000000, 32): "),
+    ], ids=["width_too_big_for_an_array", "input_dim_beyond_numpy"])
+    def test_head_numpy_cannot_allocate_is_refused(self, pipeline, tmp_path, capsys, change,
+                                                   message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN, **change}), encoding="utf-8")
+        out = tmp_path / "model"
+        assert cli.main(["train", "--config", str(config), "--data", str(pipeline["data"]),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_infinite_sigma_is_refused(self, pipeline, tmp_path, capsys):
+        # it trained, wrote "sigma": Infinity to the checkpoint, and
+        # eval-classify reported 80% error with exit 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN, "sigma": float("inf")}), encoding="utf-8")
+        out = tmp_path / "model"
+        assert cli.main(["train", "--config", str(config), "--data", str(pipeline["data"]),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: config key 'sigma' must be a finite number, got inf\n"
+        assert not out.exists()
+
+    # the input files each command reads besides its config
+    INPUTS = {"train": ["data"], "eval-classify": ["data", "checkpoint"],
+              "gen-episodes": ["data"], "eval-episodes": ["data", "checkpoint", "episodes"],
+              "export-embeddings": ["data", "checkpoint"], "grad-check": []}
+
+    @pytest.mark.parametrize("command", INPUTS)
+    def test_bad_trainer_value_is_refused_by_every_command(self, pipeline, tmp_path, capsys,
+                                                          command):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN, "iterations": 0}), encoding="utf-8")
+        out = tmp_path / "out"
+        args = [command, "--config", str(config), "--out", str(out)]
+        for name in self.INPUTS[command]:
+            args += [f"--{name}", str(pipeline[name])]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: iterations must be >= 1, got 0\n"
         assert not out.exists()
 
 
@@ -397,6 +460,20 @@ class TestEvalEpisodes:
                          "--episodes", str(episodes), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    def test_finetune_lr_not_positive_is_refused(self, pipeline, tmp_path, capsys, lr):
+        # the best-iterate rule kept the untuned head, so a finetune=5 row
+        # reported a fine-tune that never happened
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN, "finetune_lr": lr}), encoding="utf-8")
+        out = tmp_path / "report"
+        assert cli.main(["eval-episodes", "--config", str(config),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(pipeline["episodes"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: finetune_lr must be positive, got {lr}\n"
         assert not out.exists()
 
     def test_bad_shots_list(self, pipeline, tmp_path, capsys):

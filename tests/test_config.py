@@ -68,6 +68,37 @@ class TestDefaults:
             RunConfig(finetune_steps=-1)
 
 
+class TestTrainerChecks:
+    """The trainer's values are checked once, when the run config is made,
+    so every command that loads a config refuses a bad one."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("classes_per_batch", 1, "classes_per_batch must be >= 2, got 1"),
+        ("instances_per_class", 0, "instances_per_class must be >= 1, got 0"),
+        ("batch_strategy", "round_robin", "unknown batch strategy 'round_robin'"),
+        ("lr", 0.0, "lr must be positive, got 0.0"),
+        ("iterations", 0, "iterations must be >= 1, got 0"),
+        ("optimizer", "lbfgs", "optimizer must be 'sgd' or 'adam', got 'lbfgs'"),
+        ("weight_decay", -0.1, "weight_decay must be nonnegative"),
+        ("finetune_lr", 0.0, "finetune_lr must be positive, got 0.0"),
+        ("finetune_lr", -1.0, "finetune_lr must be positive, got -1.0"),
+    ], ids=["one_class_per_batch", "no_instances_per_class", "unknown_batch_strategy",
+            "zero_lr", "zero_iterations", "unknown_optimizer", "negative_weight_decay",
+            "zero_finetune_lr", "negative_finetune_lr"])
+    def test_bad_trainer_value_is_refused(self, key, value, message):
+        for build in (lambda: RunConfig(**{key: value}), lambda: config_from({key: value}),
+                      lambda: dataclasses.replace(RunConfig(), **{key: value})):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_trainer_values_in_range_are_kept(self):
+        c = RunConfig(classes_per_batch=2, instances_per_class=1, batch_strategy="image_group",
+                      optimizer="adam", iterations=1, lr=1e-9, finetune_lr=1e-9)
+        assert (c.classes_per_batch, c.batch_strategy, c.optimizer, c.lr) == (
+            2, "image_group", "adam", 1e-9)
+
+
 class TestFactories:
     def test_embedding_config(self):
         c = RunConfig(layer_widths=(16, 8), bn_momentum=0.8)
@@ -85,14 +116,6 @@ class TestFactories:
         m = RunConfig(sigma=0.25, margin=0.1).mixture_config(4)
         assert (m.num_classes, m.modes_per_class) == (4, 3)
         assert (m.sigma, m.margin) == (0.25, 0.1)
-
-    def test_train_config_carries_seed(self):
-        t = RunConfig(seed=9, lr=0.5, iterations=3).train_config()
-        assert (t.seed, t.lr, t.iterations) == (9, 0.5, 3)
-
-    def test_batch_spec(self):
-        b = RunConfig(classes_per_batch=5, instances_per_class=2).batch_spec()
-        assert (b.classes_per_batch, b.instances_per_class) == (5, 2)
 
     def test_episode_spec_shot_override(self):
         c = RunConfig(shots=1, ways=3, episode_count=7, seed=4)
@@ -206,10 +229,30 @@ class TestTypedReader:
         ({"task_mode": None}, "task_mode"),
         ({"synth": {"num_classes": "3"}}, "num_classes"),
         ({"synth": {"with_boxes": "yes"}}, "with_boxes"),
+        # Python's json reads NaN and Infinity, which JSON does not allow:
+        # "sigma": Infinity trained and reported 80% error with exit 0
+        *[({key: value}, key) for key in ("sigma", "lr", "finetune_lr")
+          for value in (float("nan"), float("inf"), -float("inf"))],
     ])
     def test_value_of_another_type_is_refused_naming_its_key(self, doc, key):
         with pytest.raises(ConfigError, match=f"'{key}' must be"):
             config_from(doc)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_in_a_file_is_refused(self, tmp_path, token):
+        p = tmp_path / "run.json"
+        p.write_text('{"sigma": %s}' % token, encoding="utf-8")
+        with pytest.raises(ConfigError, match="config key 'sigma' must be a finite number"):
+            load_run_config(p)
+
+    def test_checkpoint_with_an_infinite_sigma_is_refused(self, tmp_path):
+        doc = saved_checkpoint()
+        doc["mixture"]["sigma"] = float("inf")
+        p = tmp_path / "checkpoint.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert '"sigma": Infinity' in p.read_text(encoding="utf-8")
+        with pytest.raises(ConfigError, match="mixture key 'sigma' must be a finite number"):
+            load_checkpoint(p)
 
     def test_numbers_and_nulls_fit_where_annotated(self):
         c = config_from({"sigma": 1, "lr": 0.5, "input_dim": None, "layer_widths": None,
@@ -313,8 +356,7 @@ def loads_or_refuses(load, data: bytes):
 def build_every_section(path):
     config = load_run_config(path)
     for build in (config.embedding_config, lambda: config.embedding_config(8),
-                  lambda: config.mixture_config(3), config.train_config, config.batch_spec,
-                  config.episode_spec):
+                  lambda: config.mixture_config(3), config.episode_spec):
         with contextlib.suppress(ConfigError):
             build()
 
@@ -328,6 +370,17 @@ def build_every_section(path):
 @example(data=with_values(RESOLVED_RUN, lr="0.1"))
 @example(data=with_values(RESOLVED_RUN, momentum="x"))
 @example(data=with_values(RESOLVED_RUN, seed=-1))
+@example(data=with_values(RESOLVED_RUN, sigma=float("nan")))
+@example(data=with_values(RESOLVED_RUN, sigma=float("inf")))
+@example(data=with_values(RESOLVED_RUN, sigma=-float("inf")))
+@example(data=with_values(RESOLVED_RUN, lr=float("nan")))
+@example(data=with_values(RESOLVED_RUN, lr=float("inf")))
+@example(data=with_values(RESOLVED_RUN, lr=-float("inf")))
+@example(data=with_values(RESOLVED_RUN, finetune_lr=float("nan")))
+@example(data=with_values(RESOLVED_RUN, finetune_lr=float("inf")))
+@example(data=with_values(RESOLVED_RUN, finetune_lr=-float("inf")))
+@example(data=with_values(RESOLVED_RUN, finetune_lr=0.0))
+@example(data=with_values(RESOLVED_RUN, iterations=0))
 def test_mutated_run_config_loads_or_is_refused(data):
     loads_or_refuses(build_every_section, data)
 

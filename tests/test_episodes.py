@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mixrep import autodiff as ad
 from mixrep import episodes as episodes_module
+from mixrep.config import RunConfig
 from mixrep.data import BACKGROUND_LABEL, Dataset, SynthConfig, synth_dataset
 from mixrep.errors import ConfigError, DatasetError
 from mixrep.episodes import (
@@ -32,7 +33,7 @@ from mixrep.episodes import (
 )
 from mixrep.head import EmbeddingConfig, EmbeddingNet, MixtureConfig, MixtureHead
 from mixrep.metrics import Detections, GroundTruth
-from mixrep.training import SGD, BatchSpec, TrainConfig, fit
+from mixrep.training import SGD, fit
 
 
 def episode_dataset(seed=30, unseen=8, per_mode=24, background_fraction=0.15, with_boxes=False):
@@ -435,7 +436,8 @@ class TestEpisodeFinetune:
         seen = len(set(ds.label[~ds.is_background & (ds.group != "unseen")]))
         head = MixtureHead(EmbeddingConfig(10, (16, 8)), MixtureConfig(seen, 2, 0.5, 0.5),
                            task_mode="detection", seed=31)
-        fit(head, ds, TrainConfig(iterations=60, lr=0.01, seed=131), BatchSpec(4, 4))
+        fit(head, ds, RunConfig(iterations=60, lr=0.01, seed=131, classes_per_batch=4,
+                                instances_per_class=4))
         ep = generate_episodes(ds, spec_for(ds, shots=5, episode_count=1))[0]
         return head, installed(head, ep), support_features(head, ep)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixrep import cli
+from mixrep.config import RunConfig
 from mixrep.data import SynthConfig, load_dataset, synth_dataset
 from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import ConfigError, DatasetError
@@ -29,7 +30,7 @@ from mixrep.metrics import (
     recall_at_k,
 )
 from mixrep.rng import substream
-from mixrep.training import BatchSpec, TrainConfig, class_index_map, fit
+from mixrep.training import class_index_map, fit
 
 # One row of each table, its fields in the order of the table's columns.
 Det = namedtuple("Det", "episode_id image_id class_id box score record_id")
@@ -545,7 +546,8 @@ class TestClassificationError:
                           input_dim=4, spread=0.05, test_fraction=0.0)
         ds = synth_dataset(cfg, seed=3)
         head = MixtureHead(EmbeddingConfig(4, (16, 8)), MixtureConfig(2, 1, 0.5, 0.5), seed=4)
-        fit(head, ds, TrainConfig(iterations=40, lr=0.05, seed=7), BatchSpec(2, 8))
+        fit(head, ds, RunConfig(iterations=40, lr=0.05, seed=7, classes_per_batch=2,
+                                instances_per_class=8))
         return head, ds
 
     def test_memorized_set_zero_error(self):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, every
 private function or method is called from somewhere in the package, the
-autodiff engine calls none of numpy's slow Python-level helpers, and only
-`from_json` builds a config object from unpacked JSON."""
+autodiff engine calls none of numpy's slow Python-level helpers, only
+`from_json` builds a config object from unpacked JSON, and every run-config
+key is read by the code it configures."""
 
 import ast
 from pathlib import Path
@@ -159,3 +160,44 @@ def test_scan_finds_an_unpacked_config_build():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_only_from_json_builds_a_config_from_unpacked_json(module):
     assert unpacked_config_builds(module.read_text(encoding="utf-8")) == []
+
+
+def unread_config_fields(sources: dict[str, str]) -> list[str]:
+    """Fields of the `RunConfig` class in `sources` (module name -> text)
+    that no attribute load anywhere in them reads, leaving out
+    `RunConfig.__post_init__`: a key that is only checked configures
+    nothing."""
+    fields, read = [], set()
+
+    def visit(node, skip):
+        if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+            fields.extend(item.target.id for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+            for item in node.body:
+                visit(item, isinstance(item, ast.FunctionDef) and item.name == "__post_init__")
+            return
+        if skip:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, False)
+
+    for source in sources.values():
+        visit(ast.parse(source), False)
+    return sorted(name for name in fields if name not in read)
+
+
+def test_scan_finds_an_unread_config_field():
+    first = ("class RunConfig:\n    seed: int = 0\n    lr: float = 0.1\n"
+             "    support_iou: float = 0.7\n    sigma: float = 0.5\n\n"
+             "    def __post_init__(self):\n        if not self.support_iou > 0:\n"
+             "            raise ValueError(self.lr)\n        self.sigma = float(self.sigma)\n\n"
+             "    def stream(self):\n        return self.seed\n")
+    second = "def fit(config):\n    config.sigma = 1.0\n    return config.lr\n"
+    assert unread_config_fields({"first": first, "second": second}) == ["sigma", "support_iou"]
+
+
+def test_every_run_config_field_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_config_fields(sources) == []

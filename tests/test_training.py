@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from mixrep.autodiff import parameter
+from mixrep.config import RunConfig
 from mixrep.data import Dataset, SynthConfig, synth_dataset
 from mixrep.errors import ConfigError, DatasetError, TrainingDiverged
 from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
 from mixrep.rng import substream
 from mixrep.training import (
     Adam,
-    BatchSpec,
     SGD,
-    TrainConfig,
     batch_arrays,
     batch_groups,
     class_index_map,
@@ -54,34 +53,11 @@ def every_row(ds):
     return np.arange(len(ds))
 
 
-class TestSpecValidation:
-    def test_batch_spec_needs_two_classes(self):
-        with pytest.raises(ConfigError):
-            BatchSpec(classes_per_batch=1, instances_per_class=4)
-
-    def test_batch_spec_needs_instances(self):
-        with pytest.raises(ConfigError):
-            BatchSpec(classes_per_batch=4, instances_per_class=0)
-
-    def test_batch_spec_strategy_checked(self):
-        with pytest.raises(ConfigError):
-            BatchSpec(strategy="round_robin")
-
-    def test_train_config_rejects_bad_lr(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(iterations=10, lr=0.0)
-
-    def test_train_config_rejects_zero_iterations(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(iterations=0)
-
-    def test_train_config_rejects_unknown_optimizer(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(iterations=10, optimizer="lbfgs")
-
-    def test_train_config_rejects_negative_decay(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(iterations=10, weight_decay=-0.1)
+def run_config(classes=12, instances=4, strategy="class_balanced", **settings):
+    """A run config with `settings`, whose batches are `classes` x `instances`
+    or, with strategy "image_group", one image's ROIs."""
+    return RunConfig(classes_per_batch=classes, instances_per_class=instances,
+                     batch_strategy=strategy, **settings)
 
 
 class TestSampleBatch:
@@ -92,7 +68,7 @@ class TestSampleBatch:
 
     def test_class_balanced_shape(self):
         ds = self.pool20()
-        batch = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(0, "t"))
+        batch = sample_batch(ds, every_row(ds), run_config(12, 4), substream(0, "t"))
         assert len(batch) == 48
         labels = ds.label[batch].tolist()
         assert len(set(labels)) == 12
@@ -101,19 +77,19 @@ class TestSampleBatch:
 
     def test_deterministic_under_rng_state(self):
         ds = self.pool20()
-        a = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(5, "t"))
-        b = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(5, "t"))
+        a = sample_batch(ds, every_row(ds), run_config(12, 4), substream(5, "t"))
+        b = sample_batch(ds, every_row(ds), run_config(12, 4), substream(5, "t"))
         assert ds.id[a].tolist() == ds.id[b].tolist()
 
     def test_distinct_streams_differ(self):
         ds = self.pool20()
-        a = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(5, "t"))
-        b = sample_batch(ds, every_row(ds), BatchSpec(12, 4), substream(6, "t"))
+        a = sample_batch(ds, every_row(ds), run_config(12, 4), substream(5, "t"))
+        b = sample_batch(ds, every_row(ds), run_config(12, 4), substream(6, "t"))
         assert ds.id[a].tolist() != ds.id[b].tolist()
 
     def test_short_class_sampled_with_replacement(self):
         recs = hand_records({"a": 2, "b": 5, "c": 5})
-        batch = sample_batch(recs, every_row(recs), BatchSpec(3, 4), substream(1, "t"))
+        batch = sample_batch(recs, every_row(recs), run_config(3, 4), substream(1, "t"))
         assert len(batch) == 12
         a_ids = recs.id[batch][recs.label[batch] == "a"].tolist()
         assert len(a_ids) == 4
@@ -122,12 +98,12 @@ class TestSampleBatch:
     def test_too_few_classes_raises(self):
         recs = hand_records({"a": 5, "b": 5, "c": 5})
         with pytest.raises(DatasetError):
-            sample_batch(recs, every_row(recs), BatchSpec(5, 2), substream(1, "t"))
+            sample_batch(recs, every_row(recs), run_config(5, 2), substream(1, "t"))
 
     def test_background_never_sampled_class_balanced(self):
         recs = hand_records({"a": 5, "b": 5}, background=0.0)
         for trial in range(20):
-            batch = sample_batch(recs, every_row(recs), BatchSpec(2, 3), substream(trial, "t"))
+            batch = sample_batch(recs, every_row(recs), run_config(2, 3), substream(trial, "t"))
             assert all(not bg for bg in recs.is_background[batch])
 
     def test_image_group_returns_whole_image(self):
@@ -135,7 +111,7 @@ class TestSampleBatch:
                           input_dim=4, test_fraction=0.0, with_boxes=True,
                           rois_per_image=6)
         pool = synth_dataset(cfg, seed=2)
-        batch = sample_batch(pool, every_row(pool), BatchSpec(strategy="image_group"),
+        batch = sample_batch(pool, every_row(pool), run_config(strategy="image_group"),
                              substream(3, "t"))
         image_ids = set(pool.image_id[batch])
         assert len(image_ids) == 1
@@ -145,15 +121,15 @@ class TestSampleBatch:
     def test_image_group_requires_image_ids(self):
         recs = hand_records({"a": 3, "b": 3})
         with pytest.raises(DatasetError):
-            sample_batch(recs, every_row(recs), BatchSpec(strategy="image_group"),
+            sample_batch(recs, every_row(recs), run_config(strategy="image_group"),
                          substream(0, "t"))
 
 
     @staticmethod
-    def per_call_reference(ds, rows, spec, rng):
+    def per_call_reference(ds, rows, config, rng):
         """The sampler as it was before the groups were prebuilt: the index
         is rebuilt from the records on every call."""
-        if spec.strategy == "image_group":
+        if config.batch_strategy == "image_group":
             images = {}
             for row in rows:
                 images.setdefault(ds.image_id[row], []).append(row)
@@ -165,10 +141,10 @@ class TestSampleBatch:
                 by_class.setdefault(ds.label[row], []).append(row)
         class_ids = sorted(by_class)
         batch = []
-        for ci in rng.choice(len(class_ids), size=spec.classes_per_batch, replace=False):
+        for ci in rng.choice(len(class_ids), size=config.classes_per_batch, replace=False):
             members = by_class[class_ids[int(ci)]]
-            replace = len(members) < spec.instances_per_class
-            idx = rng.choice(len(members), size=spec.instances_per_class, replace=replace)
+            replace = len(members) < config.instances_per_class
+            idx = rng.choice(len(members), size=config.instances_per_class, replace=replace)
             batch.extend(members[int(i)] for i in idx)
         return batch
 
@@ -179,13 +155,13 @@ class TestSampleBatch:
                           rois_per_image=5, background_fraction=0.2)
         ds = synth_dataset(cfg, seed=4)
         pool = every_row(ds)
-        spec = BatchSpec(5, 8, strategy=strategy)  # 6 records per class: drawn with replacement
-        groups = batch_groups(ds, pool, spec)
+        config = run_config(5, 8, strategy)  # 6 records per class: drawn with replacement
+        groups = batch_groups(ds, pool, config)
         rngs = [substream(9, "t") for _ in range(3)]
         for _ in range(40):
-            want = ds.id[self.per_call_reference(ds, pool, spec, rngs[0])].tolist()
-            assert ds.id[sample_batch(ds, pool, spec, rngs[1], groups)].tolist() == want
-            assert ds.id[sample_batch(ds, pool, spec, rngs[2])].tolist() == want
+            want = ds.id[self.per_call_reference(ds, pool, config, rngs[0])].tolist()
+            assert ds.id[sample_batch(ds, pool, config, rngs[1], groups)].tolist() == want
+            assert ds.id[sample_batch(ds, pool, config, rngs[2])].tolist() == want
 
 
 class TestBatchArrays:
@@ -290,9 +266,8 @@ class TestOptimizerStep:
 
     def test_make_optimizer_dispatch(self):
         head = toy_head()
-        assert isinstance(make_optimizer(head, TrainConfig(iterations=1)), SGD)
-        assert isinstance(
-            make_optimizer(head, TrainConfig(iterations=1, optimizer="adam")), Adam)
+        assert isinstance(make_optimizer(head, RunConfig()), SGD)
+        assert isinstance(make_optimizer(head, RunConfig(optimizer="adam")), Adam)
 
 
 class TestDecayBookkeeping:
@@ -304,8 +279,8 @@ class TestDecayBookkeeping:
         ha = toy_head(seed=4)
         hb = toy_head(seed=4)
         for h, wd in ((ha, 0.0), (hb, 0.5)):
-            fit(h, ds, TrainConfig(iterations=1, lr=0.01, momentum=0.0,
-                                   weight_decay=wd, seed=7), BatchSpec(2, 4))
+            fit(h, ds, run_config(2, 4, iterations=1, lr=0.01, momentum=0.0, weight_decay=wd,
+                                  seed=7))
         pa, pb = ha.named_parameters(), hb.named_parameters()
         assert pa.keys() == pb.keys()
         decayed = ha.parameter_groups()["decay"]
@@ -347,7 +322,7 @@ class TestTrainStep:
         cmap = class_index_map(ds)
         head = toy_head()
         head.named_parameters()["layers.0.weight"].value[:] = np.nan
-        opt = make_optimizer(head, TrainConfig(iterations=1))
+        opt = make_optimizer(head, RunConfig())
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
             train_step(head, ds, pool[:4], cmap, opt, iteration=13)
         assert exc.value.iteration == 13
@@ -356,9 +331,8 @@ class TestTrainStep:
 
 class TestFit:
     def test_loss_decreases_on_separable_toy(self):
-        res = fit(toy_head(), toy_dataset(), TrainConfig(iterations=40, lr=0.05, seed=7),
-                  BatchSpec(2, 8))
-        tot = res.losses()
+        trace = fit(toy_head(), toy_dataset(), run_config(2, 8, iterations=40, lr=0.05, seed=7))
+        tot = np.array([row["total"] for row in trace])
         assert np.all(np.isfinite(tot))
         assert tot[0] > 0.5
         assert tot[-1] < 1e-6
@@ -368,37 +342,33 @@ class TestFit:
     def test_bit_identical_reruns(self):
         runs = []
         for _ in range(2):
-            res = fit(toy_head(), toy_dataset(), TrainConfig(iterations=15, lr=0.02, seed=5),
-                      BatchSpec(2, 4))
-            runs.append(res)
-        assert runs[0].trace == runs[1].trace
-        pa, pb = runs[0].head.named_parameters(), runs[1].head.named_parameters()
+            head = toy_head()
+            runs.append((fit(head, toy_dataset(), run_config(2, 4, iterations=15, lr=0.02, seed=5)),
+                         head))
+        assert runs[0][0] == runs[1][0]
+        pa, pb = runs[0][1].named_parameters(), runs[1][1].named_parameters()
         for name in pa:
             assert np.array_equal(pa[name].value, pb[name].value), name
 
     def test_trace_rows_carry_components(self):
-        res = fit(toy_head(), toy_dataset(), TrainConfig(iterations=3, lr=0.01, seed=5),
-                  BatchSpec(2, 4))
-        assert [row["iteration"] for row in res.trace] == [0, 1, 2]
-        for row in res.trace:
+        trace = fit(toy_head(), toy_dataset(), run_config(2, 4, iterations=3, lr=0.01, seed=5))
+        assert [row["iteration"] for row in trace] == [0, 1, 2]
+        for row in trace:
             assert row["total"] == pytest.approx(row["ce"] + row["margin"], rel=1e-12)
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            fit(toy_head(num_classes=3), toy_dataset(),
-                TrainConfig(iterations=1), BatchSpec(2, 4))
+            fit(toy_head(num_classes=3), toy_dataset(), run_config(2, 4, iterations=1))
 
-    def test_hook_runs_in_eval_mode_on_schedule(self):
-        # the hook's head reads the running statistics, so a row scores the
-        # same alone as in a batch
+    @pytest.mark.parametrize("iterations", [5, 10, 15])
+    def test_trained_head_scores_a_row_alone_as_in_a_batch(self, iterations):
+        # scoring reads the running statistics, so a row scores the same
+        # alone as in a batch
         ds = toy_dataset()
-        X = ds.records.features[:3]
-        calls = []
-        fit(toy_head(), ds,
-            TrainConfig(iterations=15, lr=0.01, seed=5, eval_every=5), BatchSpec(2, 4),
-            hook=lambda it, h: calls.append(
-                (it, np.array_equal(h.score(X[0]).embedding, h.score_batch(X).embeddings[0]))))
-        assert calls == [(4, True), (9, True), (14, True)]
+        X = ds.features[:3]
+        head = toy_head()
+        fit(head, ds, run_config(2, 4, iterations=iterations, lr=0.01, seed=5))
+        assert np.array_equal(head.score(X[0]).embedding, head.score_batch(X).embeddings[0])
 
     def test_representatives_track_cluster_means(self):
         # unimodal classes: after factoring out the one scale the losses leave
@@ -408,7 +378,7 @@ class TestFit:
         ds = synth_dataset(cfg, seed=5)
         head = MixtureHead(EmbeddingConfig(6, (64, 16)),
                            MixtureConfig(3, 1, 0.5, 0.5), seed=6)
-        fit(head, ds, TrainConfig(iterations=300, lr=0.01, seed=56), BatchSpec(3, 8))
+        fit(head, ds, run_config(3, 8, iterations=300, lr=0.01, seed=56))
         cmap = class_index_map(ds)
         reps = head.representatives.value[:, 0, :]
         means = np.zeros_like(reps)
@@ -422,15 +392,14 @@ class TestFit:
 
 class TestLossTrace:
     def test_csv_round_trip_exact(self, tmp_path):
-        res = fit(toy_head(), toy_dataset(), TrainConfig(iterations=4, lr=0.01, seed=5),
-                  BatchSpec(2, 4))
+        trace = fit(toy_head(), toy_dataset(), run_config(2, 4, iterations=4, lr=0.01, seed=5))
         path = tmp_path / "trace.csv"
-        write_loss_trace(res.trace, path)
+        write_loss_trace(trace, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "ce", "margin", "total"]
         assert len(rows) == 5
-        for row, src in zip(rows[1:], res.trace):
+        for row, src in zip(rows[1:], trace):
             assert int(row[0]) == src["iteration"]
             assert float(row[1]) == src["ce"]
             assert float(row[2]) == src["margin"]
