@@ -385,7 +385,8 @@ def pairwise_sq_dist(e, r) -> Node:
 
 def l2_normalize(a, epsilon: float = 1e-12) -> Node:
     """Scale each row of a matrix, or of a stack of matrices, to unit
-    Euclidean norm."""
+    Euclidean norm. A row whose squared norm overflows becomes NaN, not the
+    zero vector that dividing by an infinite norm gives."""
     a = _wrap(a)
     va = a.value
     if va.ndim not in (2, 3):
@@ -396,6 +397,7 @@ def l2_normalize(a, epsilon: float = 1e-12) -> Node:
             f"l2_normalize: norm {float(norms.min()):.3e} below epsilon {epsilon:.1e}"
         )
     out = va / norms
+    out[np.isinf(norms[..., 0])] = np.nan
 
     def vjp(g):
         radial = (g * out).sum(axis=-1, keepdims=True)

@@ -2,7 +2,8 @@
 eval-episodes, grad-check, export-embeddings.
 
 Every command accepts --config/--seed/--out, writes a resolved-config.json
-alongside its outputs, and exits nonzero with a one-line cause on bad input.
+alongside its outputs, and exits nonzero with a one-line cause on bad input;
+`main` does this once for every command, as registered in COMMANDS.
 Outputs carry no timestamps, so a rerun from the same seed and config is
 byte-identical. MIXREP_OUT_DIR, when set, anchors relative --out paths."""
 
@@ -64,39 +65,12 @@ class _OutDir:
                 pass
 
 
-def _resolve_out(raw: str | None) -> Path | None:
-    if raw is None:
-        base = os.environ.get("MIXREP_OUT_DIR")
-        return Path(base) if base else None
-    p = Path(raw)
+def _out_dir(raw: str | None) -> _OutDir | None:
+    """--out, under MIXREP_OUT_DIR when that is set and --out is relative."""
     base = os.environ.get("MIXREP_OUT_DIR")
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return p
-
-
-def _load_config(args) -> RunConfig:
-    config = load_run_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
-def _require_out(out: _OutDir | None) -> _OutDir:
-    if out is None:
-        raise ConfigError("this command writes files: pass --out (or set MIXREP_OUT_DIR)")
-    return out
-
-
-def _log_config(config: RunConfig, out: _OutDir | None) -> None:
-    if out is not None:
-        write_resolved_config(config, out.file("resolved-config.json"))
-
-
-def _load_data(args):
-    if not getattr(args, "data", None):
-        raise ConfigError("missing --data (dataset JSONL path)")
-    return load_dataset(args.data)
+    if raw is None and not base:
+        return None
+    return _OutDir(Path(base or "") / (raw or ""))
 
 
 class _Lines(list):
@@ -122,13 +96,10 @@ def _build_head(config: RunConfig, dataset) -> MixtureHead:
 # commands
 
 
-def cmd_synth_data(args, out):
-    config = _load_config(args)
-    out = _require_out(out)
+def cmd_synth_data(args, config, out):
     if config.synth is None:
         raise ConfigError("synth-data needs a 'synth' section in the config")
     dataset = synth_dataset(config.synth, seed=config.seed)
-    _log_config(config, out)
     save_dataset(dataset, out.file("dataset.jsonl"))
     background = dataset.is_background
     print(f"wrote {len(dataset)} records ({len(set(dataset.label[~background].tolist()))} classes, "
@@ -136,13 +107,10 @@ def cmd_synth_data(args, out):
     return 0
 
 
-def cmd_train(args, out):
-    config = _load_config(args)
-    out = _require_out(out)
-    dataset = _load_data(args)
+def cmd_train(args, config, out):
+    dataset = load_dataset(args.data)
     head = _build_head(config, dataset)
     trace = fit(head, dataset, config)
-    _log_config(config, out)
     save_checkpoint(head, out.file("checkpoint.json"))
     write_loss_trace(trace, out.file("loss_trace.csv"))
     first, last = trace[0]["total"], trace[-1]["total"]
@@ -151,12 +119,9 @@ def cmd_train(args, out):
     return 0
 
 
-def cmd_eval_classify(args, out):
-    config = _load_config(args)
-    if not args.checkpoint:
-        raise ConfigError("missing --checkpoint")
+def cmd_eval_classify(args, config, out):
     head = load_checkpoint(args.checkpoint)
-    dataset = _load_data(args)
+    dataset = load_dataset(args.data)
     cmap = class_index_map(dataset)
     if len(cmap) != head.mixture.num_classes:
         raise ConfigError(
@@ -176,7 +141,6 @@ def cmd_eval_classify(args, out):
         rows.append((name, len(split_rows), err))
         print(f"{name}: {err * 100:.2f}% error over {len(split_rows)} records")
     if out is not None:
-        _log_config(config, out)
         with open(out.file("classification.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["split", "count", "error"])
@@ -185,28 +149,19 @@ def cmd_eval_classify(args, out):
     return 0
 
 
-def cmd_gen_episodes(args, out):
-    config = _load_config(args)
-    out = _require_out(out)
-    dataset = _load_data(args)
+def cmd_gen_episodes(args, config, out):
+    dataset = load_dataset(args.data)
     spec = config.episode_spec()
     episodes = generate_episodes(dataset, spec)
-    _log_config(config, out)
     save_episodes(episodes, spec, out.file("episodes.jsonl"))
     print(f"wrote {len(episodes)} episodes ({spec.ways}-way {spec.shots}-shot, "
           f"{spec.queries_per_class} queries/class) to {out.dir}")
     return 0
 
 
-def cmd_eval_episodes(args, out):
-    config = _load_config(args)
-    out = _require_out(out)
-    if not args.checkpoint:
-        raise ConfigError("missing --checkpoint")
-    if not args.episodes:
-        raise ConfigError("missing --episodes (episode JSONL path)")
+def cmd_eval_episodes(args, config, out):
     head = load_checkpoint(args.checkpoint)
-    dataset = _load_data(args)
+    dataset = load_dataset(args.data)
     file_episodes, spec = load_episodes(args.episodes, dataset)
     if args.shots:
         try:
@@ -241,7 +196,6 @@ def cmd_eval_episodes(args, out):
                   f"  acc {row['accuracy']:.3f}{bg_part}")
             del result  # free this pass's table before the next pass runs
 
-    _log_config(config, out)
     columns = ["shots", "finetune_steps", "map"] + \
               [f"recall_at_{k}" for k in config.recall_ks] + \
               ["accuracy", "background_false_accept"]
@@ -255,8 +209,7 @@ def cmd_eval_episodes(args, out):
     return 0
 
 
-def cmd_grad_check(args, out):
-    config = _load_config(args)
+def cmd_grad_check(args, config, out):
     # fixed desk-scale shape: 4 classes x 2 modes, 8-dim embedding, batch 8
     head = MixtureHead(
         dataclasses.replace(config.embedding_config(8), layer_widths=(12, 8)),
@@ -275,21 +228,15 @@ def cmd_grad_check(args, out):
     print(f"max relative gradient error: {max_err:.3e} "
           f"({'OK' if passed else 'FAIL'}, tolerance {GRAD_CHECK_TOLERANCE:.0e})")
     if out is not None:
-        _log_config(config, out)
         body = json.dumps({"max_rel_err": max_err, "tolerance": GRAD_CHECK_TOLERANCE,
                            "passed": passed}, sort_keys=True, indent=2)
         out.file("grad_check.json").write_text(body + "\n", encoding="utf-8")
     return 0 if passed else 1
 
 
-def cmd_export_embeddings(args, out):
-    config = _load_config(args)
-    out = _require_out(out)
-    if not args.checkpoint:
-        raise ConfigError("missing --checkpoint")
+def cmd_export_embeddings(args, config, out):
     head = load_checkpoint(args.checkpoint)
-    dataset = _load_data(args)
-    _log_config(config, out)
+    dataset = load_dataset(args.data)
     dim = head.embedding.config.output_dim
     with naming_records(dataset, range(len(dataset))):
         emb = head.embedding.embed_batch(dataset.features)
@@ -310,6 +257,26 @@ def cmd_export_embeddings(args, out):
 # parser
 
 
+# the input files a command may read, in the order they are checked, with
+# their help text
+INPUTS = {"checkpoint": "checkpoint JSON path", "episodes": "episode JSONL path",
+          "data": "dataset JSONL path"}
+
+# name: (function, help, inputs it reads, whether it must write)
+COMMANDS = {
+    "synth-data": (cmd_synth_data, "generate a synthetic dataset", (), True),
+    "train": (cmd_train, "train a head on a dataset", ("data",), True),
+    "eval-classify": (cmd_eval_classify, "closed-set error of a checkpoint",
+                      ("checkpoint", "data"), False),
+    "gen-episodes": (cmd_gen_episodes, "sample an episode benchmark file", ("data",), True),
+    "eval-episodes": (cmd_eval_episodes, "run the episodic benchmark",
+                      ("checkpoint", "episodes", "data"), True),
+    "grad-check": (cmd_grad_check, "finite-difference check of the loss gradient", (), False),
+    "export-embeddings": (cmd_export_embeddings, "embed a dataset to CSV",
+                          ("checkpoint", "data"), True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixrep",
@@ -317,43 +284,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "representatives: training, episodic evaluation, metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, data=False, checkpoint=False, episodes=False, shots=False):
+    for name, (func, help_text, inputs, writes) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="run config JSON path")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
-        if data:
-            p.add_argument("--data", help="dataset JSONL path")
-        if checkpoint:
-            p.add_argument("--checkpoint", help="checkpoint JSON path")
-        if episodes:
-            p.add_argument("--episodes", help="episode JSONL path")
-        if shots:
+        for flag in inputs:
+            p.add_argument(f"--{flag}", help=INPUTS[flag])
+        if name == "eval-episodes":
             p.add_argument("--shots", help="comma-separated shot counts, e.g. 1,5,10")
-        p.set_defaults(func=func)
-        return p
-
-    add("synth-data", cmd_synth_data, "generate a synthetic dataset")
-    add("train", cmd_train, "train a head on a dataset", data=True)
-    add("eval-classify", cmd_eval_classify, "closed-set error of a checkpoint",
-        data=True, checkpoint=True)
-    add("gen-episodes", cmd_gen_episodes, "sample an episode benchmark file", data=True)
-    add("eval-episodes", cmd_eval_episodes, "run the episodic benchmark",
-        data=True, checkpoint=True, episodes=True, shots=True)
-    add("grad-check", cmd_grad_check, "finite-difference check of the loss gradient")
-    add("export-embeddings", cmd_export_embeddings, "embed a dataset to CSV",
-        data=True, checkpoint=True)
+        p.set_defaults(func=func, inputs=inputs, writes=writes)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_path = _resolve_out(args.out)
-    out = _OutDir(out_path) if out_path is not None else None
+    out = _out_dir(args.out)
     try:
-        code = args.func(args, out)
+        config = load_run_config(args.config) if args.config else RunConfig()
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+        if args.writes and out is None:
+            raise ConfigError("this command writes files: pass --out (or set MIXREP_OUT_DIR)")
+        for flag in INPUTS:
+            if flag in args.inputs and not getattr(args, flag):
+                raise ConfigError(f"missing --{flag} ({INPUTS[flag]})")
+        code = args.func(args, config, out)
         if out is not None:
+            write_resolved_config(config, out.file("resolved-config.json"))
             out.commit()
     except BaseException as e:
         if out is not None:

@@ -1,19 +1,196 @@
-"""One declarative run configuration covering head, trainer, episodes, and
-evaluation. Defaults follow the reference setup: sigma 0.5, 3 modes per class
-for classification heads and 5 for detection, 12x4 class-balanced batches,
-wide classification widths (2048, 1024) vs detection (1024, 1024, 256), 500
-episodes of 10 queries per class. Every record of a dataset is already a
-labelled ROI, so the reference setup's IoU-0.7 selection of support ROIs
-around ground-truth boxes has no counterpart here."""
+"""Every config schema, and the JSON reader that builds them; no engine code.
+`RunConfig` is one declarative run configuration covering head, trainer,
+episodes, and evaluation. Defaults follow the reference setup: sigma 0.5, 3
+modes per class for classification heads and 5 for detection, 12x4
+class-balanced batches, wide classification widths (2048, 1024) vs detection
+(1024, 1024, 256), 500 episodes of 10 queries per class. Every record of a
+dataset is already a labelled ROI, so the reference setup's IoU-0.7
+selection of support ROIs around ground-truth boxes has no counterpart here."""
 
 import dataclasses
 import json
+import math
+import reprlib
+import sys
+import typing
 from dataclasses import dataclass
 
-from .data import SynthConfig, from_json, read_json
-from .episodes import EpisodeSpec
 from .errors import ConfigError
-from .head import EmbeddingConfig, MixtureConfig
+
+
+def read_json(path):
+    """The JSON value of a whole file, a run config or a checkpoint. Text that
+    is not one JSON value the decoder can hold raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from None
+
+
+# the JSON values that fill a field of each annotation, and their name in errors;
+# NaN and Infinity, which Python's json reads but JSON does not allow, fit no float
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: type(v) is str),
+    tuple: ("an array of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
+}
+
+
+def from_json(cls, doc, what: str):
+    """The dataclass `cls` made from `doc`, a decoded JSON object that `what`
+    names in errors: the one place a config object is made from JSON. An
+    unknown or missing key, or a value unlike its field's type (`_JSON_TYPES`;
+    null only where None is annotated), raises ConfigError naming the key."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
+    hints, values = typing.get_type_hints(cls), {}
+    if set(doc) - set(hints):
+        raise ConfigError(f"unknown {what} keys: {sorted(set(doc) - set(hints))}")
+    for f in dataclasses.fields(cls):
+        if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{what} is missing key {f.name!r}")
+    for key, value in doc.items():
+        kind, *none = typing.get_args(hints[key]) or (hints[key],)  # X | None: (X, NoneType)
+        if value is None and none:
+            values[key] = None
+        elif dataclasses.is_dataclass(kind):
+            values[key] = from_json(kind, value, key)
+        elif _JSON_TYPES[kind][1](value):
+            values[key] = tuple(value) if kind is tuple else value
+        else:
+            raise ConfigError(f"{what} key {key!r} must be {_JSON_TYPES[kind][0]}"
+                              f"{' or null' if none else ''}, got {reprlib.repr(value)}")
+    return cls(**values)
+
+
+@dataclass
+class EmbeddingConfig:
+    """Widths and switches of the embedding stack.
+
+    All layers are affine; every layer except the last is followed by batch
+    norm and ReLU, the last is linear, and the output is projected to the
+    unit sphere unless `final_l2_normalize` is off. The last width is the
+    embedding dimension.
+    """
+
+    input_dim: int
+    layer_widths: tuple
+    final_l2_normalize: bool = True
+    bn_momentum: float = 0.9
+    bn_epsilon: float = 1e-5
+
+    def __post_init__(self):
+        self.layer_widths = tuple(self.layer_widths)
+        if self.input_dim < 1:
+            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
+        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
+            raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
+        if not 0 < self.bn_epsilon < math.inf:
+            raise ConfigError(f"bn_epsilon must be a finite number > 0, got {self.bn_epsilon!r}")
+        if not 0 <= self.bn_momentum <= 1:
+            raise ConfigError(f"bn_momentum must be a number in [0, 1], got {self.bn_momentum!r}")
+
+    @property
+    def output_dim(self) -> int:
+        return self.layer_widths[-1]
+
+
+@dataclass
+class MixtureConfig:
+    num_classes: int
+    modes_per_class: int = 3
+    sigma: float = 0.5
+    margin: float = 0.5
+    posterior_mode: str = "normalized"  # "max" | "normalized"
+
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
+        if self.modes_per_class < 1:
+            raise ConfigError(f"modes_per_class must be >= 1, got {self.modes_per_class}")
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not self.margin > 0:
+            raise ConfigError(f"margin must be positive, got {self.margin}")
+        if self.posterior_mode not in ("max", "normalized"):
+            raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {self.posterior_mode!r}")
+
+
+@dataclass
+class EpisodeSpec:
+    """Benchmark shape. max_shots bounds the shot counts the episode file
+    must stay valid for; classes need queries_per_class + max_shots items."""
+
+    shots: int
+    ways: int
+    queries_per_class: int = 10
+    episode_count: int = 500
+    seed: int = 0
+    class_pool: str = "unseen"  # "seen" | "unseen"
+    background_queries: int = 0
+    max_shots: int = 10
+
+    def __post_init__(self):
+        if self.shots < 1:
+            raise ConfigError(f"shots must be >= 1, got {self.shots}")
+        if self.ways < 1:
+            raise ConfigError(f"ways must be >= 1, got {self.ways}")
+        if self.shots > self.max_shots:
+            raise ConfigError(f"shots {self.shots} exceeds max_shots {self.max_shots}")
+        if self.queries_per_class < 1:
+            raise ConfigError("queries_per_class must be >= 1")
+        if self.episode_count < 1:
+            raise ConfigError("episode_count must be >= 1")
+        if self.class_pool not in ("seen", "unseen"):
+            raise ConfigError(f"class_pool must be 'seen' or 'unseen', got {self.class_pool!r}")
+        if self.background_queries < 0:
+            raise ConfigError("background_queries must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass
+class SynthConfig:
+    """Generator knobs for the synthetic oracle dataset.
+
+    Classes are Gaussian mixtures: `modes_per_class` centers per class,
+    all centers (across classes) kept at least `min_separation` apart, with
+    isotropic per-mode noise of scale `spread`. Optional clutter records
+    labeled background are drawn at least `min_separation` from every
+    center. The true centers go into the dataset header for oracle checks.
+    """
+
+    num_classes: int = 5
+    modes_per_class: int = 3
+    input_dim: int = 20
+    samples_per_mode: int = 40
+    spread: float = 0.05
+    background_fraction: float = 0.0
+    unseen_classes: int = 0
+    test_fraction: float = 0.2
+    min_separation: float = 1.0
+    with_boxes: bool = False
+    rois_per_image: int = 8
+
+    def __post_init__(self):
+        if self.num_classes < 1 or self.modes_per_class < 1 or self.samples_per_mode < 1:
+            raise ConfigError("synth counts must be positive")
+        if self.input_dim < 1:
+            raise ConfigError("input_dim must be positive")
+        if self.spread < 0:
+            raise ConfigError("spread must be nonnegative")
+        if not 0 <= self.background_fraction <= 1:
+            raise ConfigError("background_fraction must lie in [0, 1]")
+        if not 0 <= self.unseen_classes <= self.num_classes:
+            raise ConfigError("unseen_classes must not exceed num_classes")
+        if not 0 <= self.test_fraction < 1:
+            raise ConfigError("test_fraction must lie in [0, 1)")
+        if self.rois_per_image < 2:
+            raise ConfigError("rois_per_image must be at least 2")
+
 
 CLASSIFICATION_WIDTHS = (2048, 1024)
 DETECTION_WIDTHS = (1024, 1024, 256)

@@ -13,21 +13,17 @@ reads the columns at those rows; `dataset[rows]` is the sub-table. The
 loader decodes each stripped line with one `json.JSONDecoder.raw_decode`
 call; only a line that call refuses, or does not read to its end, goes
 through `json.loads`, which words the error. Each row's features stream into
-one growing (n, d) float64 array. `from_json` makes every config object.
+one growing (n, d) float64 array.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
-import reprlib
-import sys
-import typing
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SynthConfig
 from .errors import ConfigError, DatasetError, NonFiniteRowError
 from .rng import substream
 
@@ -278,54 +274,6 @@ def read_json_lines(path, kind: str):
             raise DatasetError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
-def read_json(path):
-    """The JSON value of a whole file, a run config or a checkpoint. Text that
-    is not one JSON value the decoder can hold raises ConfigError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as e:
-        raise ConfigError(f"{path}: invalid JSON ({e})") from None
-
-
-# the JSON values that fill a field of each annotation, and their name in errors;
-# NaN and Infinity, which Python's json reads but JSON does not allow, fit no float
-_JSON_TYPES = {
-    bool: ("true or false", lambda v: type(v) is bool),
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max),
-    str: ("a string", lambda v: type(v) is str),
-    tuple: ("an array of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
-}
-
-
-def from_json(cls, doc, what: str):
-    """The dataclass `cls` made from `doc`, a decoded JSON object that `what`
-    names in errors: the one place a config object is made from JSON. An
-    unknown or missing key, or a value unlike its field's type (`_JSON_TYPES`;
-    null only where None is annotated), raises ConfigError naming the key."""
-    if type(doc) is not dict:
-        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
-    hints, values = typing.get_type_hints(cls), {}
-    if set(doc) - set(hints):
-        raise ConfigError(f"unknown {what} keys: {sorted(set(doc) - set(hints))}")
-    for f in dataclasses.fields(cls):
-        if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{what} is missing key {f.name!r}")
-    for key, value in doc.items():
-        kind, *none = typing.get_args(hints[key]) or (hints[key],)  # X | None: (X, NoneType)
-        if value is None and none:
-            values[key] = None
-        elif dataclasses.is_dataclass(kind):
-            values[key] = from_json(kind, value, key)
-        elif _JSON_TYPES[kind][1](value):
-            values[key] = tuple(value) if kind is tuple else value
-        else:
-            raise ConfigError(f"{what} key {key!r} must be {_JSON_TYPES[kind][0]}"
-                              f"{' or null' if none else ''}, got {reprlib.repr(value)}")
-    return cls(**values)
-
-
 def load_dataset(path) -> Dataset:
     """The dataset in a JSON Lines file. Lines are parsed one at a time and
     each record's features go straight into one growing float64 array.
@@ -397,46 +345,6 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 # ---------------------------------------------------------------------------
 # synthetic mixture-of-Gaussians data with known structure
-
-
-@dataclass
-class SynthConfig:
-    """Generator knobs for the synthetic oracle dataset.
-
-    Classes are Gaussian mixtures: `modes_per_class` centers per class,
-    all centers (across classes) kept at least `min_separation` apart, with
-    isotropic per-mode noise of scale `spread`. Optional clutter records
-    labeled background are drawn at least `min_separation` from every
-    center. The true centers go into the dataset header for oracle checks.
-    """
-
-    num_classes: int = 5
-    modes_per_class: int = 3
-    input_dim: int = 20
-    samples_per_mode: int = 40
-    spread: float = 0.05
-    background_fraction: float = 0.0
-    unseen_classes: int = 0
-    test_fraction: float = 0.2
-    min_separation: float = 1.0
-    with_boxes: bool = False
-    rois_per_image: int = 8
-
-    def __post_init__(self):
-        if self.num_classes < 1 or self.modes_per_class < 1 or self.samples_per_mode < 1:
-            raise ConfigError("synth counts must be positive")
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be positive")
-        if self.spread < 0:
-            raise ConfigError("spread must be nonnegative")
-        if not 0 <= self.background_fraction <= 1:
-            raise ConfigError("background_fraction must lie in [0, 1]")
-        if not 0 <= self.unseen_classes <= self.num_classes:
-            raise ConfigError("unseen_classes must not exceed num_classes")
-        if not 0 <= self.test_fraction < 1:
-            raise ConfigError("test_fraction must lie in [0, 1)")
-        if self.rois_per_image < 2:
-            raise ConfigError("rois_per_image must be at least 2")
 
 
 def _draw_separated_centers(rng, count: int, dim: int, min_sep: float) -> np.ndarray:

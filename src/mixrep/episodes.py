@@ -33,8 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, from_json, group_rows,
-                   naming_records, read_json_lines)
+from .config import EpisodeSpec, from_json
+from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, naming_records,
+                   read_json_lines)
 from .errors import ConfigError, DatasetError
 from .head import MixtureHead, parameter_layout
 from .metrics import Detections, GroundTruth
@@ -50,39 +51,6 @@ from .training import SGD
 # 10 five-shot or 5 ten-shot episodes a graph. Episodes are independent, so
 # blocking changes no result bit.
 BLOCK_ENTRIES = 36_000
-
-
-@dataclass
-class EpisodeSpec:
-    """Benchmark shape. max_shots bounds the shot counts the episode file
-    must stay valid for; classes need queries_per_class + max_shots items."""
-
-    shots: int
-    ways: int
-    queries_per_class: int = 10
-    episode_count: int = 500
-    seed: int = 0
-    class_pool: str = "unseen"  # "seen" | "unseen"
-    background_queries: int = 0
-    max_shots: int = 10
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.ways < 1:
-            raise ConfigError(f"ways must be >= 1, got {self.ways}")
-        if self.shots > self.max_shots:
-            raise ConfigError(f"shots {self.shots} exceeds max_shots {self.max_shots}")
-        if self.queries_per_class < 1:
-            raise ConfigError("queries_per_class must be >= 1")
-        if self.episode_count < 1:
-            raise ConfigError("episode_count must be >= 1")
-        if self.class_pool not in ("seen", "unseen"):
-            raise ConfigError(f"class_pool must be 'seen' or 'unseen', got {self.class_pool!r}")
-        if self.background_queries < 0:
-            raise ConfigError("background_queries must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Node
-from .data import from_json, read_json
+from .config import EmbeddingConfig, MixtureConfig, from_json, read_json
 from .errors import ConfigError, NonFiniteRowError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
@@ -60,59 +59,6 @@ BLOCK_ROWS = 32
 
 PROB_FLOOR = 1e-12
 DIST_SQ_FLOOR = 1e-12  # squared-distance clamp inside the margin loss
-
-
-@dataclass
-class EmbeddingConfig:
-    """Widths and switches of the embedding stack.
-
-    All layers are affine; every layer except the last is followed by batch
-    norm and ReLU, the last is linear, and the output is projected to the
-    unit sphere unless `final_l2_normalize` is off. The last width is the
-    embedding dimension.
-    """
-
-    input_dim: int
-    layer_widths: tuple
-    final_l2_normalize: bool = True
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
-
-    def __post_init__(self):
-        self.layer_widths = tuple(self.layer_widths)
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
-        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-            raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
-        if not 0 < self.bn_epsilon < math.inf:
-            raise ConfigError(f"bn_epsilon must be a finite number > 0, got {self.bn_epsilon!r}")
-        if not 0 <= self.bn_momentum <= 1:
-            raise ConfigError(f"bn_momentum must be a number in [0, 1], got {self.bn_momentum!r}")
-
-    @property
-    def output_dim(self) -> int:
-        return self.layer_widths[-1]
-
-
-@dataclass
-class MixtureConfig:
-    num_classes: int
-    modes_per_class: int = 3
-    sigma: float = 0.5
-    margin: float = 0.5
-    posterior_mode: str = "normalized"  # "max" | "normalized"
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.modes_per_class < 1:
-            raise ConfigError(f"modes_per_class must be >= 1, got {self.modes_per_class}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.posterior_mode not in ("max", "normalized"):
-            raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {self.posterior_mode!r}")
 
 
 class EmbeddingNet:
@@ -457,7 +403,9 @@ class MixtureHead:
         takes one batch per head (see `total_loss`); it is for training
         only, as scoring takes single heads."""
         head = cls.__new__(cls)
-        head._build(embedding, mixture, task_mode, arrays, bn_running, stack)
+        head._build(embedding, mixture, task_mode,
+                    {name: np.array(a, dtype=np.float64) for name, a in arrays.items()},
+                    bn_running, stack)
         return head
 
     def _build(self, embedding: EmbeddingConfig, mixture: MixtureConfig, task_mode: str,
@@ -472,7 +420,7 @@ class MixtureHead:
                               f"unexpected {sorted(set(arrays) - set(layout))}")
         params = {}
         for name, shape in layout.items():
-            value = np.array(arrays[name], dtype=np.float64)
+            value = np.asarray(arrays[name], dtype=np.float64)
             if value.shape != shape:
                 raise ConfigError(f"{name} has shape {value.shape}, expected {shape}")
             if not np.isfinite(value).all():

@@ -9,18 +9,15 @@ order all flow from named substreams.
 from __future__ import annotations
 
 import csv
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import backward, zero_grads
+from .config import RunConfig
 from .data import BACKGROUND_LABEL, Dataset, group_rows
 from .errors import ConfigError, DatasetError, TrainingDiverged
 from .head import BACKGROUND, MixtureHead
 from .rng import substream
-
-if TYPE_CHECKING:  # config imports episodes, which imports this module
-    from .config import RunConfig
 
 
 class SGD:

@@ -168,6 +168,15 @@ class TestForwardShapes:
         out = ad.l2_normalize(ad.constant([[3.0, 4.0], [0.0, 2.0]]))
         np.testing.assert_allclose(out.value, [[0.6, 0.8], [0.0, 1.0]], atol=1e-15)
 
+    def test_l2_normalize_overflowing_norm_is_nan(self):
+        # a row's squared norm overflows to inf; dividing by it would give 0
+        rows = [[[1e160, 1e160], [3.0, 4.0]], [[1e150, 1e150], [-1e160, 0.0]]]
+        with np.errstate(over="ignore"):
+            out = ad.l2_normalize(ad.constant(np.array(rows))).value
+        assert np.isnan(out[0, 0]).all() and np.isnan(out[1, 1]).all()
+        np.testing.assert_allclose(out[0, 1], [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(out[1, 0], [0.5 ** 0.5] * 2, atol=1e-15)
+
     def test_l2_normalize_degenerate(self):
         with pytest.raises(DegenerateVectorError):
             ad.l2_normalize(ad.constant([[0.0, 0.0]]))

@@ -286,7 +286,7 @@ class TestEvalClassify:
 
     def test_missing_checkpoint_flag(self, pipeline, capsys):
         assert cli.main(["eval-classify", "--data", str(pipeline["data"])]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: missing --checkpoint (checkpoint JSON path)\n"
 
 
     @pytest.mark.parametrize("damage", ["truncate", "drop_task_mode", "empty_bn_running",
@@ -626,9 +626,13 @@ def score_pipeline(tmp_path_factory):
     return data, root / "model" / "checkpoint.json"
 
 
-@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
+@pytest.mark.parametrize("command, scale", [
+    ("eval-classify", None), ("export-embeddings", None),
+    ("eval-classify", 1e160), ("export-embeddings", 1e160),
+], ids=["eval-classify", "export-embeddings", "eval-classify-norm-overflow",
+        "export-embeddings-norm-overflow"])
 def test_non_finite_embedding_names_the_record_and_its_dataset_row(score_pipeline, tmp_path,
-                                                                   command):
+                                                                   command, scale):
     data, checkpoint = score_pipeline
     dataset = load_dataset(data)
     # a test-split record of a seen class: its row within the split is 11
@@ -636,7 +640,11 @@ def test_non_finite_embedding_names_the_record_and_its_dataset_row(score_pipelin
     lines = data.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[100])
     assert record["id"] == "r000099"
-    record["features"] = [1e308] * len(record["features"])
+    if scale is None:  # the network overflows
+        record["features"] = [1e308] * len(record["features"])
+    else:  # finite embedding whose squared norm overflows: no all-zero "unit" vector
+        record["features"] = [v * scale for v in record["features"]]
+    largest = max(map(abs, record["features"]))
     lines[100] = json.dumps(record)
     huge = tmp_path / "huge.jsonl"
     huge.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -650,7 +658,22 @@ def test_non_finite_embedding_names_the_record_and_its_dataset_row(score_pipelin
     )
     assert run.returncode == 2
     assert run.stderr == ("error: record 'r000099' (row 99 of 5060) maps to non-finite "
-                          "features (largest |input| 1e+308)\n")
+                          f"features (largest |input| {largest:.3g})\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given, missing", [
+    ([], "--checkpoint (checkpoint JSON path)"),
+    (["--data", "d.jsonl"], "--checkpoint (checkpoint JSON path)"),
+    (["--checkpoint", "c.json"], "--episodes (episode JSONL path)"),
+    (["--checkpoint", "c.json", "--episodes", "e.jsonl"], "--data (dataset JSONL path)"),
+])
+def test_the_first_missing_input_is_named_before_any_file_is_read(tmp_path, capsys, given,
+                                                                   missing):
+    # none of the named files exists: reading one would exit 1, not 2
+    argv = ["eval-episodes", *(str(tmp_path / a) if "." in a else a for a in given)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: missing {missing}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -13,10 +13,11 @@ from mixrep.config import (
     CLASSIFICATION_WIDTHS,
     DETECTION_WIDTHS,
     RunConfig,
+    from_json,
     load_run_config,
     write_resolved_config,
 )
-from mixrep.data import SynthConfig, from_json
+from mixrep.data import SynthConfig
 from mixrep.episodes import EpisodeSpec
 from mixrep.errors import ConfigError
 from mixrep.head import (EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint,

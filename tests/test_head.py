@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -661,6 +662,30 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             MixtureHead.from_arrays(headm.embedding.config, headm.mixture, "classification",
                                     arrays, bn)
+
+    def test_from_arrays_shares_no_array_with_its_input(self):
+        headm = small_head(seed=37)
+        arrays = {n: p.value.copy() for n, p in headm.named_parameters().items()}
+        bn = [(np.zeros(10), np.ones(10))]
+        built = MixtureHead.from_arrays(headm.embedding.config, headm.mixture, "classification",
+                                        arrays, bn)
+        for name, param in built.named_parameters().items():
+            np.testing.assert_array_equal(param.value, arrays[name])
+            assert not np.shares_memory(param.value, arrays[name]), name
+        state = built.embedding.bn_states[0]
+        assert not np.shares_memory(state.running_mean, bn[0][0])
+        assert not np.shares_memory(state.running_var, bn[0][1])
+
+    def test_seeded_head_holds_its_parameters_once(self):
+        # the arrays drawn for a seeded head become its parameters as they are
+        tracemalloc.start()
+        try:
+            headm = MixtureHead(EmbeddingConfig(1000, (2000, 8)), MixtureConfig(5, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        params = sum(p.value.nbytes for p in headm.parameters())
+        assert peak < 1.2 * params, (peak, params)
 
     def test_parameter_groups_exclude_bn_and_representatives(self):
         headm = small_head()

@@ -1,10 +1,13 @@
 """Source hygiene: every name a module imports is used in it, every
 private function or method is called from somewhere in the package, the
 autodiff engine calls none of numpy's slow Python-level helpers, only
-`from_json` builds a config object from unpacked JSON, and every run-config
-key is read by the code it configures."""
+`from_json` builds a config object from unpacked JSON, every run-config
+key is read by the code it configures, `config` imports no module of the
+package but `errors`, no import cycle hides behind `TYPE_CHECKING`, and only
+`cli.main` loads and logs the run config."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,7 +117,7 @@ def test_autodiff_avoids_slow_numpy_helpers():
     assert dotted_references(source, SLOW_NUMPY) == []
 
 
-# the dataclasses read from JSON files; `data.from_json` checks each value
+# the dataclasses read from JSON files; `config.from_json` checks each value
 # against its field's type, so a `**`-unpacked build elsewhere would skip that
 JSON_CONFIGS = {"RunConfig", "SynthConfig", "EpisodeSpec", "EmbeddingConfig", "MixtureConfig"}
 
@@ -201,3 +204,88 @@ def test_scan_finds_an_unread_config_field():
 def test_every_run_config_field_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_config_fields(sources) == []
+
+
+def foreign_imports(source: str, allowed) -> list[str]:
+    """Modules `source` imports that are neither in the standard library nor
+    in `allowed` (relative ones written as in the source, like ".errors"),
+    with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names, relative = [alias.name for alias in node.names], False
+        elif isinstance(node, ast.ImportFrom):
+            names, relative = ["." * node.level + (node.module or "")], node.level > 0
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name not in allowed
+                  and (relative or name.split(".")[0] not in sys.stdlib_module_names)]
+    return found
+
+
+def test_scan_finds_a_foreign_import():
+    source = ("import json\nimport numpy as np\nimport os.path\nfrom typing import Any\n"
+              "from .errors import ConfigError\nfrom .head import MixtureHead\n"
+              "from . import data\nfrom numpy.linalg import norm\n")
+    assert foreign_imports(source, {".errors"}) == [
+        "numpy (line 2)", ".head (line 6)", ". (line 7)", "numpy.linalg (line 8)"]
+
+
+def test_config_is_a_leaf_module():
+    # every other module reads its schemas from config, so config reads none of them
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert foreign_imports(source, {".errors"}) == []
+
+
+def type_checking_references(source: str) -> list[str]:
+    """Lines of `source` that import or read `TYPE_CHECKING`."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "TYPE_CHECKING" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING"]
+
+
+def test_scan_finds_type_checking():
+    source = ("import typing\nfrom typing import TYPE_CHECKING, Any\n"
+              "if typing.TYPE_CHECKING:\n    pass\n")
+    assert type_checking_references(source) == ["line 2", "line 3"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_import_cycle_is_hidden_behind_type_checking(module):
+    assert type_checking_references(module.read_text(encoding="utf-8")) == []
+
+
+def callers(source: str, names) -> list[str]:
+    """"name in function" for each call in `source` of one of `names`, the
+    function being the innermost one around the call ("<module>" outside
+    every function)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append(f"{name} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_each_caller():
+    source = ("def main():\n    config = load_run_config(path)\n\n\n"
+              "def cmd_train(args):\n    def inner():\n        write_resolved_config(c, p)\n"
+              "    return config.load_run_config(args)\n\n\nload_run_config(None)\n")
+    assert callers(source, {"load_run_config", "write_resolved_config"}) == [
+        "load_run_config in main", "write_resolved_config in inner",
+        "load_run_config in cmd_train", "load_run_config in <module>"]
+
+
+def test_only_cli_main_loads_and_logs_the_config():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert callers(source, {"load_run_config", "write_resolved_config"}) == [
+        "load_run_config in main", "write_resolved_config in main"]
