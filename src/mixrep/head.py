@@ -375,8 +375,8 @@ class MixtureHead:
 
     A head's state is its parameter arrays and batch-norm running
     statistics, nothing else. `MixtureHead(...)` draws seeded initial
-    arrays; `from_arrays` builds a head from given ones, and the seeded
-    constructor goes through it too.
+    arrays and builds on them as they are; `from_arrays` builds a head from
+    copies of given ones. Both go through the same checks.
     """
 
     def __init__(

@@ -663,15 +663,15 @@ def test_non_finite_embedding_names_the_record_and_its_dataset_row(score_pipelin
 
 
 @pytest.mark.parametrize("given, missing", [
-    ([], "--checkpoint (checkpoint JSON path)"),
-    (["--data", "d.jsonl"], "--checkpoint (checkpoint JSON path)"),
-    (["--checkpoint", "c.json"], "--episodes (episode JSONL path)"),
-    (["--checkpoint", "c.json", "--episodes", "e.jsonl"], "--data (dataset JSONL path)"),
+    ((), "--checkpoint (checkpoint JSON path)"),
+    (("--data",), "--checkpoint (checkpoint JSON path)"),
+    (("--checkpoint",), "--episodes (episode JSONL path)"),
+    (("--checkpoint", "--episodes"), "--data (dataset JSONL path)"),
 ])
 def test_the_first_missing_input_is_named_before_any_file_is_read(tmp_path, capsys, given,
                                                                    missing):
-    # none of the named files exists: reading one would exit 1, not 2
-    argv = ["eval-episodes", *(str(tmp_path / a) if "." in a else a for a in given)]
+    # each given flag names a file that does not exist: reading one would exit 1, not 2
+    argv = ["eval-episodes"] + [arg for flag in given for arg in (flag, str(tmp_path / flag))]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: missing {missing}\n"
     assert not (tmp_path / "out").exists()
