@@ -17,11 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixrep import cli
-from mixrep.config import load_run_config
+from mixrep.config import EmbeddingConfig, MixtureConfig, load_run_config
 from mixrep.data import Dataset, load_dataset, save_dataset
 from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import DatasetError
-from mixrep.head import load_checkpoint
+from mixrep.head import MixtureHead, load_checkpoint, save_checkpoint
+from mixrep.metrics import classification_error
+from mixrep.training import class_index_map
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -283,6 +285,35 @@ class TestEvalClassify:
         assert all(0.0 <= float(r["error"]) <= 1.0 for r in rows)
         # the trained head should separate this desk-scale data cleanly
         assert float(rows[0]["error"]) <= 0.05
+
+    def test_posterior_rule_is_the_checkpoints_unless_a_config_is_given(self, tmp_path):
+        """Embedding is the identity on one feature. Class a has one mode on
+        0 and one far away; class b has two modes 0.3 from 0, each of
+        likelihood exp(-0.18) > 0.5. So near 0 the best mode says a and the
+        mode mass says b, while at 100 both say a and at -0.3 both say b."""
+        def head(rule):
+            return MixtureHead.from_arrays(
+                EmbeddingConfig(1, (1,), final_l2_normalize=False),
+                MixtureConfig(2, 2, sigma=0.5, posterior_mode=rule), "classification",
+                {"layers.0.weight": [[1.0]], "layers.0.bias": [0.0],
+                 "representatives.weight": [[[0.0], [100.0]], [[0.3], [-0.3]]]})
+
+        data = Dataset(["r0", "r1", "r2", "r3"], ["a", "a", "a", "b"],
+                       [[0.0], [0.05], [100.0], [-0.3]])
+        save_dataset(data, tmp_path / "data.jsonl")
+        save_checkpoint(head("max"), tmp_path / "checkpoint.json")
+        (tmp_path / "run.json").write_text(json.dumps({"posterior_mode": "normalized"}))
+        reported = {}
+        for rule, flags in (("max", []), ("normalized", ["--config", str(tmp_path / "run.json")])):
+            out = tmp_path / rule
+            assert cli.main(["eval-classify", *flags, "--data", str(tmp_path / "data.jsonl"),
+                             "--checkpoint", str(tmp_path / "checkpoint.json"),
+                             "--out", str(out)]) == 0
+            with open(out / "classification.csv", newline="", encoding="utf-8") as fh:
+                [row] = csv.DictReader(fh)
+            reported[rule] = float(row["error"])
+            assert reported[rule] == classification_error(head(rule), data, class_index_map(data))
+        assert reported == {"max": 0.0, "normalized": 0.5}
 
     def test_missing_checkpoint_flag(self, pipeline, capsys):
         assert cli.main(["eval-classify", "--data", str(pipeline["data"])]) == 2
