@@ -130,14 +130,14 @@ def cmd_eval_classify(args, config, out):
     seen = np.isin(dataset.label, list(cmap))
     splits = [("train", np.flatnonzero(seen & dataset.train_split)),
               ("test", np.flatnonzero(seen & (dataset.split == "test")))]
-    # without an explicit config the checkpoint's own posterior rule applies
-    posterior = config.posterior_mode if args.config else None
+    if args.config:  # without one, the checkpoint's own posterior rule applies
+        head.mixture = dataclasses.replace(head.mixture, posterior_mode=config.posterior_mode)
     rows = []
     for name, split_rows in splits:
         if not len(split_rows):
             continue
         with naming_records(dataset, split_rows):
-            err = classification_error(head, dataset[split_rows], cmap, posterior_mode=posterior)
+            err = classification_error(head, dataset[split_rows], cmap)
         rows.append((name, len(split_rows), err))
         print(f"{name}: {err * 100:.2f}% error over {len(split_rows)} records")
     if out is not None:

@@ -245,8 +245,6 @@ class RunConfig:
             raise ConfigError(
                 f"task_mode must be 'classification' or 'detection', got {self.task_mode!r}"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.layer_widths is not None:
             self.layer_widths = tuple(self.layer_widths)
         self.recall_ks = tuple(self.recall_ks)
@@ -272,6 +270,11 @@ class RunConfig:
             raise ConfigError(f"instances_per_class must be >= 1, got {self.instances_per_class}")
         if self.batch_strategy not in ("class_balanced", "image_group"):
             raise ConfigError(f"unknown batch strategy {self.batch_strategy!r}")
+        # head and episode values, the seed among them, are checked by the
+        # configs they build
+        self.embedding_config(1 if self.input_dim is None else self.input_dim)
+        self.mixture_config(1)
+        self.episode_spec()
 
     # ---- resolved values -------------------------------------------------
 
@@ -285,12 +288,9 @@ class RunConfig:
             return self.modes_per_class
         return 3 if self.task_mode == "classification" else 5
 
-    def embedding_config(self, input_dim: int | None = None) -> EmbeddingConfig:
-        dim = self.input_dim if input_dim is None else input_dim
-        if dim is None:
-            raise ConfigError("input_dim is not set and no dataset provided it")
+    def embedding_config(self, input_dim: int) -> EmbeddingConfig:
         return EmbeddingConfig(
-            input_dim=dim,
+            input_dim=input_dim,
             layer_widths=self.resolved_widths(),
             final_l2_normalize=self.final_l2_normalize,
             bn_momentum=self.bn_momentum,
@@ -306,9 +306,9 @@ class RunConfig:
             posterior_mode=self.posterior_mode,
         )
 
-    def episode_spec(self, shots: int | None = None) -> EpisodeSpec:
+    def episode_spec(self) -> EpisodeSpec:
         return EpisodeSpec(
-            shots=self.shots if shots is None else shots,
+            shots=self.shots,
             ways=self.ways,
             queries_per_class=self.queries_per_class,
             episode_count=self.episode_count,

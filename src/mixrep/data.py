@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 
 import numpy as np
 
@@ -34,14 +35,17 @@ _ALLOWED_KEYS = {"id", "label", "features", "box", "image_id", "attributes", "sp
 _SPLITS = ("train", "val", "test")
 _GROUPS = ("seen", "unseen")
 _NOT_FINITE = "features must be a flat array of finite numbers"
+_NUMBER_TYPES = frozenset((int, float))  # JSON numbers: not bool, an int subclass, nor str
 
 
 def _validate_box(box, line: int) -> tuple:
     if not isinstance(box, (list, tuple)) or len(box) != 4:
         raise DatasetError(f"box must have 4 coordinates, got {box!r}", line)
+    if not _NUMBER_TYPES.issuperset(map(type, box)):
+        raise DatasetError(f"box coordinates must be numbers, got {box!r}", line)
     try:
         x1, y1, x2, y2 = (float(v) for v in box)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an int too large for a float
         raise DatasetError(f"box coordinates must be numbers, got {box!r}", line) from None
     if not np.isfinite([x1, y1, x2, y2]).all():
         raise DatasetError(f"box coordinates must be finite, got {box!r}", line)
@@ -52,11 +56,9 @@ def _validate_box(box, line: int) -> tuple:
 
 def _parse_record(obj: dict, line: int, feature_dim: int | None) -> tuple:
     """The fields of one record line: (id, label, features, box, image_id,
-    attributes, split, group), features a float64 (d,) array and the box a
-    tuple or None. The checks run in a fixed order, so a line's first fault
-    is the one reported. Whether the features are finite is left to the
-    column check of the table (`_first_bad_row`), except on a line refused
-    for a later field, where it comes first."""
+    attributes, split, group), features a list of d finite numbers and the
+    box a tuple or None. The checks run in a fixed order, so a line's first
+    fault is the one reported."""
     if not _ALLOWED_KEYS.issuperset(obj):
         raise DatasetError(f"unknown record keys {sorted(set(obj) - _ALLOWED_KEYS)}", line)
     for key in ("id", "label", "features"):
@@ -69,53 +71,51 @@ def _parse_record(obj: dict, line: int, feature_dim: int | None) -> tuple:
         raise DatasetError(f"label must be a non-empty string, got {label!r}", line)
     if not isinstance(feats, list) or not feats:
         raise DatasetError("features must be a non-empty array", line)
+    if not _NUMBER_TYPES.issuperset(map(type, feats)):
+        raise DatasetError("features must be numbers", line)
     try:
-        features = np.asarray(feats, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # an int too large for a float
+        finite = all(map(math.isfinite, feats))
+    except OverflowError:  # an int too large for a float
         raise DatasetError("features must be numbers", line) from None
-    if features.ndim != 1:
+    if not finite:
         raise DatasetError(_NOT_FINITE, line)
-    try:
-        if feature_dim is not None and features.shape[0] != feature_dim:
-            raise DatasetError(
-                f"feature length {features.shape[0]} differs from earlier records ({feature_dim})",
-                line,
-            )
-        box = _validate_box(obj["box"], line) if obj.get("box") is not None else None
-        attributes = obj.get("attributes")
-        if attributes is not None:
-            if not isinstance(attributes, list) or any(a not in (0, 1) for a in attributes):
-                raise DatasetError("attributes must be an array of 0/1", line)
-            attributes = np.asarray(attributes, dtype=np.int64)
-        split = obj.get("split")
-        if split is not None and split not in _SPLITS:
-            raise DatasetError(f"split must be one of {_SPLITS}, got {split!r}", line)
-        group = obj.get("group")
-        if group is not None and group not in _GROUPS:
-            raise DatasetError(f"group must be one of {_GROUPS}, got {group!r}", line)
-        image_id = obj.get("image_id")
-        if image_id is not None and not isinstance(image_id, str):
-            raise DatasetError(f"image_id must be a string, got {image_id!r}", line)
-    except DatasetError:
-        if not np.isfinite(features).all():
-            raise DatasetError(_NOT_FINITE, line) from None
-        raise
-    return rid, label, features, box, image_id, attributes, split, group
+    if feature_dim is not None and len(feats) != feature_dim:
+        raise DatasetError(
+            f"feature length {len(feats)} differs from earlier records ({feature_dim})",
+            line,
+        )
+    box = _validate_box(obj["box"], line) if obj.get("box") is not None else None
+    attributes = obj.get("attributes")
+    if attributes is not None:
+        if not isinstance(attributes, list) or any(type(a) is not int or a not in (0, 1)
+                                                   for a in attributes):
+            raise DatasetError("attributes must be an array of 0/1", line)
+        attributes = np.asarray(attributes, dtype=np.int64)
+    split = obj.get("split")
+    if split is not None and split not in _SPLITS:
+        raise DatasetError(f"split must be one of {_SPLITS}, got {split!r}", line)
+    group = obj.get("group")
+    if group is not None and group not in _GROUPS:
+        raise DatasetError(f"group must be one of {_GROUPS}, got {group!r}", line)
+    image_id = obj.get("image_id")
+    if image_id is not None and not isinstance(image_id, str):
+        raise DatasetError(f"image_id must be a string, got {image_id!r}", line)
+    return rid, label, feats, box, image_id, attributes, split, group
 
 
-def _first_bad_row(features: np.ndarray, ids) -> tuple[int, str] | None:
-    """(row, message) of the first row whose features are not all finite or
-    whose id an earlier row holds, the finiteness of a row coming first;
-    None when every row is sound."""
+def _first_bad_row(features: np.ndarray, ids) -> str | None:
+    """The fault of the first row whose features are not all finite or whose
+    id an earlier row holds, the finiteness of a row coming first; None when
+    every row is sound."""
     finite = np.isfinite(features).all(axis=1)
     stop = len(ids) if finite.all() else int(np.argmin(finite))
     if len(set(ids)) < len(ids):
         seen: set = set()
-        for row, rid in enumerate(ids[:stop]):
+        for rid in ids[:stop]:
             if rid in seen:
-                return row, f"duplicate record id {rid!r}"
+                return f"duplicate record id {rid!r}"
             seen.add(rid)
-    return (stop, _NOT_FINITE) if stop < len(ids) else None
+    return _NOT_FINITE if stop < len(ids) else None
 
 
 def _object_column(values, n: int) -> np.ndarray:
@@ -138,8 +138,7 @@ class Dataset:
       - `attributes`: (n,) object array of int64 0/1 arrays, None where
         absent (their lengths may differ between records).
 
-    Every column is checked once, when the table is built; `lines`, when
-    given, holds each row's line in the file and is named in a rejection.
+    Every column is checked once, when the table is built.
     `dataset[rows]` is the table of the rows an index array, mask or slice
     picks, in that order, with the same `meta`. Class ids derived from a
     dataset are sorted, so a label-to-index map does not depend on record
@@ -149,7 +148,7 @@ class Dataset:
     _columns = ("id", "label", "features", "box", "image_id", "attributes", "split", "group")
 
     def __init__(self, id, label, features, box=None, image_id=None, attributes=None,
-                 split=None, group=None, meta: dict | None = None, lines=None):
+                 split=None, group=None, meta: dict | None = None):
         n = len(id)
         if not n:
             raise DatasetError("dataset has no records")
@@ -171,8 +170,7 @@ class Dataset:
         self.meta = dict(meta) if meta else {}
         bad = _first_bad_row(self.features, self.id)
         if bad is not None:
-            row, message = bad
-            raise DatasetError(message, None if lines is None else int(lines[row]))
+            raise DatasetError(bad)
 
     def __len__(self) -> int:
         return len(self.id)
@@ -275,52 +273,47 @@ def read_json_lines(path, kind: str):
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset in a JSON Lines file. Lines are parsed one at a time and
-    each record's features go straight into one growing float64 array.
-    A fault raises DatasetError with the line it is on; of several, the
-    first line's is raised, as if every line were checked in full before
-    the next one is read."""
+    """The dataset in a JSON Lines file. Lines are parsed one at a time, each
+    checked in full before the next is read, and each record's features go
+    straight into one growing float64 array. A fault raises DatasetError
+    with the line it is on."""
     meta: dict = {}
     features, boxes = np.empty((0, 0)), np.empty((0, 4))  # grown by doubling
-    ids, labels, image_ids, attributes, splits, groups, lines = [], [], [], [], [], [], []
+    ids, labels, image_ids, attributes, splits, groups = [], [], [], [], [], []
     tags: dict = {}
-    try:
-        for line_no, obj in read_json_lines(path, "dataset"):
-            if "kind" in obj:
-                meta = obj.get("meta", {}) or {}
-                if not isinstance(meta, dict):
-                    raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
-                continue
-            rid, label, feats, box, image_id, attrs, split, group = _parse_record(
-                obj, line_no, features.shape[1] if ids else None)
-            n = len(ids)
-            if n == len(features):
-                features.resize((max(2 * n, 256), len(feats)), refcheck=False)
-                boxes.resize((len(features), 4), refcheck=False)
-                boxes[n:] = np.nan
-            features[n] = feats
-            if box is not None:
-                boxes[n] = box
-            ids.append(rid)
-            # one str object for each distinct tag, not one per record
-            labels.append(tags.setdefault(label, label))
-            image_ids.append(tags.setdefault(image_id, image_id))
-            attributes.append(attrs)
-            splits.append(tags.setdefault(split, split))
-            groups.append(tags.setdefault(group, group))
-            lines.append(line_no)
-    except DatasetError:
-        # a fault of an earlier row that the table checks would come first
-        bad = _first_bad_row(features[:len(ids)], ids)
-        if bad is not None:
-            raise DatasetError(bad[1], lines[bad[0]]) from None
-        raise
+    seen: set = set()
+    for line_no, obj in read_json_lines(path, "dataset"):
+        if "kind" in obj:
+            meta = obj.get("meta", {}) or {}
+            if not isinstance(meta, dict):
+                raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
+            continue
+        rid, label, feats, box, image_id, attrs, split, group = _parse_record(
+            obj, line_no, features.shape[1] if ids else None)
+        if rid in seen:
+            raise DatasetError(f"duplicate record id {rid!r}", line_no)
+        seen.add(rid)
+        n = len(ids)
+        if n == len(features):
+            features.resize((max(2 * n, 256), len(feats)), refcheck=False)
+            boxes.resize((len(features), 4), refcheck=False)
+            boxes[n:] = np.nan
+        features[n] = feats
+        if box is not None:
+            boxes[n] = box
+        ids.append(rid)
+        # one str object for each distinct tag, not one per record
+        labels.append(tags.setdefault(label, label))
+        image_ids.append(tags.setdefault(image_id, image_id))
+        attributes.append(attrs)
+        splits.append(tags.setdefault(split, split))
+        groups.append(tags.setdefault(group, group))
     if not ids:
         raise DatasetError(f"no records in {path}")
     features.resize((len(ids), features.shape[1]), refcheck=False)
     boxes.resize((len(ids), 4), refcheck=False)
     return Dataset(ids, labels, features, box=boxes, image_id=image_ids, attributes=attributes,
-                   split=splits, group=groups, meta=meta, lines=lines)
+                   split=splits, group=groups, meta=meta)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

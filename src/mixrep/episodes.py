@@ -201,8 +201,10 @@ def replace_representatives(head: MixtureHead, support) -> MixtureHead:
     `EmbeddingNet.hidden_features`), built from three arrays with
     `MixtureHead.from_arrays`, so no initial values are drawn: a one-layer
     net starting from copies of the last weight and bias of `head`, and the
-    support embeddings as its representatives. It shares no parameter or
-    array with `head`, so tuning it never reaches `head`.
+    support embeddings as its representatives. Whatever the rule of `head`,
+    its posterior rule is 'max': queries score open-set by their best mode.
+    It shares no parameter or array with `head`, so tuning it never reaches
+    `head`.
     """
     try:
         values = np.asarray(support, dtype=np.float64)
@@ -218,7 +220,8 @@ def replace_representatives(head: MixtureHead, support) -> MixtureHead:
     last = head.embedding.weights[-1].value
     return MixtureHead.from_arrays(
         dataclasses.replace(head.embedding.config, input_dim=last.shape[0], layer_widths=(dim,)),
-        dataclasses.replace(head.mixture, num_classes=ways, modes_per_class=shots),
+        dataclasses.replace(head.mixture, num_classes=ways, modes_per_class=shots,
+                            posterior_mode="max"),
         head.task_mode,
         {"layers.0.weight": last, "layers.0.bias": head.embedding.last_bias.value,
          "representatives.weight": values},
@@ -307,14 +310,14 @@ def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int
                   class_ids) -> Detections:
     """One detection per row of `queries`, scored by the episode head `head`
     from `features`, the queries' penultimate features, one row per query:
-    best-mode class posterior as the score, background label when the
-    background posterior beats every class. A query without an image is
-    its own image, and one without a box holds the unit box. The queries
-    are scored as one batch whose rows do not depend on each other, so
-    order never matters."""
+    best-mode class posterior (the rule of every episode head) as the score,
+    background label when the background posterior beats every class. A
+    query without an image is its own image, and one without a box holds the
+    unit box. The queries are scored as one batch whose rows do not depend
+    on each other, so order never matters."""
     if not len(queries):
         return Detections.concat([])
-    scores = head.score_batch(features, posterior_mode="max")
+    scores = head.score_batch(features)
     background = scores.is_background
     return Detections(
         episode_id=np.full(len(queries), episode_id),

@@ -511,10 +511,10 @@ class MixtureHead:
 
     # -- inference ---------------------------------------------------------
 
-    def score_embeddings(self, E, posterior_mode: str | None = None) -> Scores:
+    def score_embeddings(self, E) -> Scores:
         """Open-set scores for a batch of already-embedded points, (B, e).
 
-        `posterior_mode` overrides the configured class-posterior rule: 'max'
+        The head's `mixture.posterior_mode` is the class-posterior rule: 'max'
         scores each class by its best mode, 'normalized' by its share of the
         total mode mass. The predicted class is the argmax of that class score
         before normalization (best mode or mode mass), ties to the lowest
@@ -522,22 +522,19 @@ class MixtureHead:
         best-mode class posterior. Every step works on each row by itself, so
         a row scores bit-identically alone or in any batch.
         """
-        mode = posterior_mode or self.mixture.posterior_mode
-        if mode not in ("max", "normalized"):
-            raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {mode!r}")
         E = np.asarray(E, dtype=np.float64)
         dim = self.embedding.config.output_dim
         if E.ndim != 2 or not len(E) or E.shape[1] != dim:
             raise ShapeError("score", (E.shape,), f"expected (B >= 1, {dim})")
-        blocks = [vars(self._score_block(E[i:i + BLOCK_ROWS], mode))
+        blocks = [vars(self._score_block(E[i:i + BLOCK_ROWS]))
                   for i in range(0, len(E), BLOCK_ROWS)]
         return Scores(**{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
 
-    def _score_block(self, E: np.ndarray, mode: str) -> Scores:
+    def _score_block(self, E: np.ndarray) -> Scores:
         _, probs = mode_probabilities(E, self.representatives.value, self.mixture.sigma)
         best = class_posterior_max(probs).value
         bg = background_posterior(probs).value
-        if mode == "max":
+        if self.mixture.posterior_mode == "max":
             post = rank = best
         else:
             post = class_posterior_normalized(probs).value
@@ -551,9 +548,9 @@ class MixtureHead:
             is_background=bg > best.max(axis=1),
         )
 
-    def score_batch(self, X, posterior_mode: str | None = None) -> Scores:
+    def score_batch(self, X) -> Scores:
         """Embed raw inputs and score them, (B, input_dim)."""
-        return self.score_embeddings(self.embedding.embed_batch(X), posterior_mode)
+        return self.score_embeddings(self.embedding.embed_batch(X))
 
     def score(self, x) -> HeadOutput:
         """One row of `score_batch`."""
@@ -600,8 +597,7 @@ def save_checkpoint(head: MixtureHead, path) -> None:
 
 def load_checkpoint(path) -> MixtureHead:
     """Rebuild a head from `save_checkpoint` output. Any malformed content
-    raises ConfigError. Files that store the representatives as one flat
-    (1, N*K*dim) row, as earlier releases did, load unchanged."""
+    raises ConfigError."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "checkpoint":
         raise ConfigError(f"not a checkpoint file: {path}")
@@ -624,10 +620,6 @@ def _head_from_doc(doc: dict) -> MixtureHead:
     embedding = from_json(EmbeddingConfig, doc["embedding"], "embedding")
     mixture = from_json(MixtureConfig, doc["mixture"], "mixture")
     arrays = {name: _decode_array(a) for name, a in doc["params"].items()}
-    reps = arrays.get("representatives.weight")
-    shape = parameter_layout(embedding, mixture)["representatives.weight"]
-    if reps is not None and reps.shape == (1, int(np.prod(shape))):
-        arrays["representatives.weight"] = reps.reshape(shape)
     bn_running = [(_decode_array(st["mean"]), _decode_array(st["var"]))
                   for st in doc["bn_running"]]
     return MixtureHead.from_arrays(embedding, mixture, doc["task_mode"], arrays, bn_running)

@@ -280,17 +280,14 @@ def attribute_neighborhood_precision(embeddings, attributes, sizes) -> dict[int,
     return out
 
 
-def classification_error(head, records, label_to_index: dict[str, int],
-                         posterior_mode: str | None = None) -> float:
+def classification_error(head, records, label_to_index: dict[str, int]) -> float:
     """Fraction of the rows of `records`, a `Dataset`, whose predicted
-    class is wrong.
+    class is wrong under the head's posterior rule, the argmax tying to the
+    lowest class index.
 
-    posterior_mode overrides the head's configured rule ('max' scores each
-    class by its best mode, 'normalized' by its share of total mass); the
-    argmax ties to the lowest class index either way. Rows are embedded in
-    one pass, so a NonFiniteRowError names a row of `records`, then scored
-    BLOCK_ROWS at a time, keeping only each block's predicted classes; a
-    row's prediction does not depend on its block.
+    Rows are embedded in one pass, so a NonFiniteRowError names a row of
+    `records`, then scored BLOCK_ROWS at a time, keeping only each block's
+    predicted classes; a row's prediction does not depend on its block.
     """
     if not len(records):
         raise DatasetError("classification error over an empty set")
@@ -303,6 +300,6 @@ def classification_error(head, records, label_to_index: dict[str, int],
                                f"outside the class map") from None
     E = head.embedding.embed_batch(records.features)
     predicted = np.concatenate([
-        head.score_embeddings(E[i:i + BLOCK_ROWS], posterior_mode).predicted_class
+        head.score_embeddings(E[i:i + BLOCK_ROWS]).predicted_class
         for i in range(0, len(E), BLOCK_ROWS)])
     return int(np.count_nonzero(predicted != targets)) / len(records)

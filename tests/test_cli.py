@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixrep import cli
-from mixrep.config import EmbeddingConfig, MixtureConfig, load_run_config
+from mixrep.config import EmbeddingConfig, MixtureConfig, RunConfig, load_run_config
 from mixrep.data import Dataset, load_dataset, save_dataset
 from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import DatasetError
@@ -122,6 +122,18 @@ class TestSynthData:
         assert "warp_factor" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("sigma", -1), ("shots", 20), ("layer_widths", [0]),
+                                            ("posterior_mode", "soft")])
+    def test_bad_head_or_episode_value_is_refused_at_load(self, tmp_path, capsys, key, value):
+        # synth-data builds no head and no episodes, yet refuses the config
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**RUN, key: value}), encoding="utf-8")
+        out = tmp_path / "never"
+        assert cli.main(["synth-data", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not out.exists()
+
     def test_class_count_does_not_import_numpy_ma(self, tmp_path):
         # a plain np.unique imports numpy.ma, 11-19 ms of every synth-data run
         config = tmp_path / "run.json"
@@ -164,6 +176,12 @@ class TestTrain:
                          "--data", str(pipeline["data"]), "--out", str(out)]) == 0
         doc = json.loads((out / "resolved-config.json").read_text(encoding="utf-8"))
         assert doc["seed"] == 99
+
+    def test_config_input_dim_wins_over_the_datasets(self):
+        data = Dataset(["r0", "r1"], ["a", "b"], np.zeros((2, 4)))
+        for input_dim, want in ((6, 6), (None, 4)):
+            head = cli._build_head(RunConfig(input_dim=input_dim, layer_widths=(3,)), data)
+            assert head.embedding.config.input_dim == want
 
     def test_layer_widths_as_text_is_refused(self, pipeline, tmp_path, capsys):
         # "64" trained a (6, 4) network

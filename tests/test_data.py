@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -358,8 +359,9 @@ class ReferenceRecord:
 
 
 def reference_record(obj: dict, line: int, feature_dim: int | None) -> ReferenceRecord:
-    # as it was, but for OverflowError: an int too large for a float used to
-    # escape as a traceback, and both loaders now refuse it
+    # as it was, but for two faults both loaders now refuse: an int too large
+    # for a float used to escape as a traceback, and a value that is not a
+    # JSON number (a numeric string, true or false) used to load as one
     unknown = set(obj) - {"id", "label", "features", "box", "image_id", "attributes", "split",
                           "group"}
     if unknown:
@@ -375,6 +377,8 @@ def reference_record(obj: dict, line: int, feature_dim: int | None) -> Reference
     feats = obj["features"]
     if not isinstance(feats, list) or not feats:
         raise DatasetError("features must be a non-empty array", line)
+    if any(type(v) not in (int, float) for v in feats):
+        raise DatasetError("features must be numbers", line)
     try:
         features = np.asarray(feats, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -391,6 +395,8 @@ def reference_record(obj: dict, line: int, feature_dim: int | None) -> Reference
         box = obj["box"]
         if not isinstance(box, (list, tuple)) or len(box) != 4:
             raise DatasetError(f"box must have 4 coordinates, got {box!r}", line)
+        if any(type(v) not in (int, float) for v in box):
+            raise DatasetError(f"box coordinates must be numbers, got {box!r}", line)
         try:
             x1, y1, x2, y2 = (float(v) for v in box)
         except (TypeError, ValueError, OverflowError):
@@ -403,7 +409,8 @@ def reference_record(obj: dict, line: int, feature_dim: int | None) -> Reference
     attributes = None
     if obj.get("attributes") is not None:
         attrs = obj["attributes"]
-        if not isinstance(attrs, list) or any(a not in (0, 1) for a in attrs):
+        if not isinstance(attrs, list) or any(type(a) is not int or a not in (0, 1)
+                                              for a in attrs):
             raise DatasetError("attributes must be an array of 0/1", line)
         attributes = np.asarray(attrs, dtype=np.int64)
     split = obj.get("split")
@@ -579,6 +586,11 @@ def dataset_text(draw):
 @example(data=b'{"id": "a", "label": "x", "features": [1.0, 2.0]} \t {}\n')
 @example(data=b'\xef\xbb\xbf{"id": "a", "label": "x", "features": [1.0, 2.0]}\n')
 @example(data=b'\xe2\x80\x83{"id": "a", "label": "x", "features": [1.0, 2.0]}\xc2\xa0\n')
+# values that numpy and float() take for numbers, but JSON does not
+@example(data=b'{"id": "a", "label": "x", "features": ["1.5", true]}\n')
+@example(data=b'{"id": "b", "label": "y", "features": [" 2 ", false], "box": ["0", "0", true, "1e0"]}\n')
+@example(data=b'{"id": "b", "label": "y", "features": [2, 0], "box": ["0", "0", true, "1e0"]}\n')
+@example(data=b'{"id": "a", "label": "x", "features": [1.0, 2.0], "attributes": [true, 1.0]}\n')
 def test_column_loader_matches_the_per_record_loader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
@@ -589,6 +601,23 @@ def test_column_loader_matches_the_per_record_loader(data):
         assert got[1] == want[1]
     else:
         assert_same_table(got[1], *want[1])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ('"features": ["1.5", 2.0]', "features must be numbers"),
+    ('"features": [1.5, true]', "features must be numbers"),
+    ('"features": [1.5, 2.0], "box": ["0", 0, 1, 1]', "box coordinates must be numbers"),
+    ('"features": [1.5, 2.0], "box": [0, 0, true, 1]', "box coordinates must be numbers"),
+    ('"features": [1.5, 2.0], "attributes": [true]', "attributes must be an array of 0/1"),
+    ('"features": [1.5, 2.0], "attributes": [1.0]', "attributes must be an array of 0/1"),
+])
+def test_values_must_be_json_numbers(tmp_path, fields, message):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"id": "a", "label": "x", "features": [1.0, 2.0]}\n'
+                    f'{{"id": "b", "label": "x", {fields}}}\n', encoding="utf-8")
+    with pytest.raises(DatasetError, match=re.escape(message)) as caught:
+        load_dataset(path)
+    assert caught.value.line == 2
 
 
 def assert_exits_cleanly(args):

@@ -343,6 +343,9 @@ class TestReplaceRepresentatives:
         assert episode_head.mixture.num_classes == 5
         assert episode_head.mixture.modes_per_class == 1
         assert head.mixture.num_classes == 4 and head.mixture.modes_per_class == 2
+        # episode queries score by their best mode, whatever the trained head's rule
+        assert (head.mixture.posterior_mode, episode_head.mixture.posterior_mode) == (
+            "normalized", "max")
 
     def test_support_embeddings_are_ways_by_shots(self):
         ds = episode_dataset()

@@ -560,8 +560,9 @@ class TestCheckpoint:
             headm.embedding.embed_batch(X), loaded.embedding.embed_batch(X)
         )
 
-    def test_parent_format_loads_and_scores_bit_identically(self, tmp_path):
-        # earlier releases stored the representatives as one (1, N*K*dim) row
+    def test_flat_representatives_layout_is_refused(self, tmp_path):
+        # a checkpoint stores the representatives as (N, K, e) only; a file
+        # holding them as one (1, N*K*e) row fails the layout's shape check
         headm = small_head(task_mode="detection", seed=34)
         X = np.random.default_rng(25).normal(size=(8, 6))
         headm.total_loss(X, [0, 1, 2, 3, 0, 1, 2, 3], train=True)
@@ -572,13 +573,10 @@ class TestCheckpoint:
         flat = headm.representatives.value.reshape(1, -1)
         doc["params"]["representatives.weight"] = hd._encode_array(flat)
         path.write_text(json.dumps(doc), encoding="utf-8")
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.representatives.value, headm.representatives.value)
-        for x in X:
-            a, b = headm.score(x), loaded.score(x)
-            np.testing.assert_array_equal(a.mode_probs, b.mode_probs)
-            np.testing.assert_array_equal(a.class_posterior, b.class_posterior)
-            assert a.background_posterior == b.background_posterior
+        want = (f"{path}: representatives.weight has shape {flat.shape}, "
+                f"expected {headm.representatives.value.shape}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("batch", [1, 5, 50])
     def test_loaded_head_scores_rows_alone_as_in_a_batch(self, tmp_path, batch):

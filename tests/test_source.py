@@ -3,8 +3,9 @@ private function or method is called from somewhere in the package, the
 autodiff engine calls none of numpy's slow Python-level helpers, only
 `from_json` builds a config object from unpacked JSON, every run-config
 key is read by the code it configures, `config` imports no module of the
-package but `errors`, no import cycle hides behind `TYPE_CHECKING`, and only
-`cli.main` loads and logs the run config."""
+package but `errors`, no import cycle hides behind `TYPE_CHECKING`, only
+`cli.main` loads and logs the run config, and no function takes the
+posterior rule as a parameter."""
 
 import ast
 import sys
@@ -289,3 +290,35 @@ def test_only_cli_main_loads_and_logs_the_config():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert callers(source, {"load_run_config", "write_resolved_config"}) == [
         "load_run_config in main", "write_resolved_config in main"]
+
+
+def functions_taking(source: str, parameter: str) -> list[str]:
+    """Functions, methods and lambdas in `source` with a parameter named
+    `parameter`, of any kind, with their line numbers, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                         *filter(None, (a.vararg, a.kwarg)))]
+            if parameter in names:
+                found.append((node.lineno, getattr(node, "name", "lambda")))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_finds_a_function_taking_the_parameter():
+    source = ("def score(E, posterior_mode=None):\n    pass\n\n\n"
+              "class Head:\n    def batch(self, X, *, posterior_mode):\n        pass\n\n"
+              "    def rule(self):\n        return self.mixture.posterior_mode\n\n\n"
+              "pick = lambda posterior_mode: posterior_mode\n"
+              "async def run(*posterior_mode):\n    pass\n"
+              "score(E, posterior_mode='max')\n")
+    assert functions_taking(source, "posterior_mode") == [
+        "score (line 1)", "batch (line 6)", "lambda (line 13)", "run (line 14)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_the_posterior_rule_is_set_on_the_head_only(module):
+    # the rule is `MixtureConfig.posterior_mode`; a per-call override would
+    # give every scorer two places to look
+    assert functions_taking(module.read_text(encoding="utf-8"), "posterior_mode") == []
