@@ -35,7 +35,7 @@ _ALLOWED_KEYS = {"id", "label", "features", "box", "image_id", "attributes", "sp
 _SPLITS = ("train", "val", "test")
 _GROUPS = ("seen", "unseen")
 _NOT_FINITE = "features must be a flat array of finite numbers"
-_NUMBER_TYPES = frozenset((int, float))  # JSON numbers: not bool, an int subclass, nor str
+_NUMBER_TYPES = frozenset((int, float))  # of JSON numbers; type() rules out bool, an int subclass
 
 
 def _validate_box(box, line: int) -> tuple:
