@@ -408,12 +408,12 @@ def l2_normalize(a, epsilon: float = 1e-12) -> Node:
 
 @dataclass
 class BatchNormState:
-    """Running statistics for one batch-norm layer."""
+    """Running statistics for one batch-norm layer, with its head's momentum and epsilon."""
 
     running_mean: Array
     running_var: Array
-    momentum: float = 0.9
-    epsilon: float = 1e-5
+    momentum: float
+    epsilon: float
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, train: bool = False) -> Node:

@@ -168,6 +168,9 @@ def cmd_eval_episodes(args, config, out):
             shot_counts = [int(s) for s in args.shots.split(",")]
         except ValueError:
             raise ConfigError(f"bad --shots list {args.shots!r}") from None
+        if len(set(shot_counts)) < len(shot_counts):
+            raise ConfigError(f"--shots count {max(shot_counts, key=shot_counts.count)} "
+                              f"is repeated in {args.shots!r}")
     else:
         shot_counts = [spec.shots]
 

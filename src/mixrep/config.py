@@ -66,7 +66,7 @@ def from_json(cls, doc, what: str):
     return cls(**values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingConfig:
     """Widths and switches of the embedding stack.
 
@@ -83,7 +83,7 @@ class EmbeddingConfig:
     bn_epsilon: float = 1e-5
 
     def __post_init__(self):
-        self.layer_widths = tuple(self.layer_widths)
+        object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
@@ -98,7 +98,7 @@ class EmbeddingConfig:
         return self.layer_widths[-1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixtureConfig:
     num_classes: int
     modes_per_class: int = 3
@@ -119,7 +119,7 @@ class MixtureConfig:
             raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {self.posterior_mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeSpec:
     """Benchmark shape. max_shots bounds the shot counts the episode file
     must stay valid for; classes need queries_per_class + max_shots items."""
@@ -152,7 +152,7 @@ class EpisodeSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Generator knobs for the synthetic oracle dataset.
 
@@ -196,21 +196,21 @@ CLASSIFICATION_WIDTHS = (2048, 1024)
 DETECTION_WIDTHS = (1024, 1024, 256)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     task_mode: str = "classification"
     seed: int = 0
 
-    # head; widths and modes fall back to the task-mode defaults above
+    # head; widths and modes fall back to the task-mode defaults above, the rest to the schemas'
     input_dim: int | None = None
     layer_widths: tuple | None = None
     modes_per_class: int | None = None
-    sigma: float = 0.5
-    margin: float = 0.5
-    posterior_mode: str = "normalized"
-    final_l2_normalize: bool = True
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
+    sigma: float = MixtureConfig.sigma
+    margin: float = MixtureConfig.margin
+    posterior_mode: str = MixtureConfig.posterior_mode
+    final_l2_normalize: bool = EmbeddingConfig.final_l2_normalize
+    bn_momentum: float = EmbeddingConfig.bn_momentum
+    bn_epsilon: float = EmbeddingConfig.bn_epsilon
 
     # trainer
     iterations: int = 500
@@ -222,14 +222,14 @@ class RunConfig:
     instances_per_class: int = 4
     batch_strategy: str = "class_balanced"
 
-    # episodes
+    # episodes; `seed` above is the root of every substream, not EpisodeSpec's
     shots: int = 1
     ways: int = 5
-    queries_per_class: int = 10
-    episode_count: int = 500
-    class_pool: str = "unseen"
-    background_queries: int = 0
-    max_shots: int = 10
+    queries_per_class: int = EpisodeSpec.queries_per_class
+    episode_count: int = EpisodeSpec.episode_count
+    class_pool: str = EpisodeSpec.class_pool
+    background_queries: int = EpisodeSpec.background_queries
+    max_shots: int = EpisodeSpec.max_shots
     finetune_steps: int = 50
     finetune_lr: float = 0.01
 
@@ -246,8 +246,8 @@ class RunConfig:
                 f"task_mode must be 'classification' or 'detection', got {self.task_mode!r}"
             )
         if self.layer_widths is not None:
-            self.layer_widths = tuple(self.layer_widths)
-        self.recall_ks = tuple(self.recall_ks)
+            object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
+        object.__setattr__(self, "recall_ks", tuple(self.recall_ks))
         if any(k < 1 for k in self.recall_ks):
             raise ConfigError(f"recall_ks must be >= 1, got {self.recall_ks}")
         if not 0.0 < self.match_iou <= 1.0:

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .config import EpisodeSpec, from_json
+from .config import EpisodeSpec, RunConfig, from_json
 from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, naming_records,
                    read_json_lines)
 from .errors import ConfigError, DatasetError
@@ -238,7 +238,8 @@ class FinetuneResult:
     kept_step: int
 
 
-def finetune_episodes(heads, support, steps: int, lr: float = 0.01) -> list[FinetuneResult]:
+def finetune_episodes(heads, support, steps: int,
+                      lr: float = RunConfig.finetune_lr) -> list[FinetuneResult]:
     """Adapt each of `heads`, episode heads from `replace_representatives`,
     to its support set: every parameter of it, that is the last embedding
     layer and the representatives, is tuned on the penultimate features of
@@ -296,7 +297,7 @@ def finetune_episodes(heads, support, steps: int, lr: float = 0.01) -> list[Fine
 
 
 def episode_finetune(head: MixtureHead, support, steps: int,
-                     lr: float = 0.01) -> FinetuneResult:
+                     lr: float = RunConfig.finetune_lr) -> FinetuneResult:
     """`finetune_episodes` for one episode head and its (ways, shots, width)
     support features."""
     return finetune_episodes([head], np.asarray(support)[None], steps, lr)[0]
@@ -358,7 +359,7 @@ def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detec
 
 
 def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
-                finetune_lr: float = 0.01) -> Detections:
+                finetune_lr: float = RunConfig.finetune_lr) -> Detections:
     """Full episode pass on an episode head built from `head`, which stays
     unchanged: put the support and the queries through the frozen layers
     once, install the support representatives, optionally fine-tune, score
@@ -404,7 +405,7 @@ class EpisodePass:
 
 
 def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
-                      lr: float = 0.01) -> EpisodePass:
+                      lr: float = RunConfig.finetune_lr) -> EpisodePass:
     """Run every episode (fine-tuning `steps` steps at `lr`) and gather the
     detection and the true label of each of its queries.
 

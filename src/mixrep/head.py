@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Node
-from .config import EmbeddingConfig, MixtureConfig, from_json, read_json
+from .config import EmbeddingConfig, MixtureConfig, RunConfig, from_json, read_json
 from .errors import ConfigError, NonFiniteRowError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
@@ -205,10 +205,9 @@ def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node,
     pairwise_sq_dist accepts, e.g. (N, K, e), giving (B, N, K) tables. d^2 is
     exactly 0, and the likelihood exactly 1, where an embedding coincides
     with a center. A parameter node builds a differentiable graph; plain
-    arrays build constants, which keep no tape.
+    arrays build constants, which keep no tape. `sigma` is a head's
+    `MixtureConfig.sigma`, positive by that config's check.
     """
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
     d2 = ad.pairwise_sq_dist(_wrap(embeddings), _wrap(representatives))
     return d2, ad.exp(ad.scale(d2, -1.0 / (2.0 * float(sigma) ** 2)))
 
@@ -383,8 +382,8 @@ class MixtureHead:
         self,
         embedding_config: EmbeddingConfig,
         mixture_config: MixtureConfig,
-        task_mode: str = "classification",
-        seed: int = 0,
+        task_mode: str = RunConfig.task_mode,
+        seed: int = RunConfig.seed,
     ):
         self._build(embedding_config, mixture_config, task_mode,
                     _seeded_arrays(embedding_config, mixture_config, seed), None)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, DatasetError
 from .head import BLOCK_ROWS
 
@@ -143,7 +144,7 @@ def _places(group, rank) -> np.ndarray:
 
 
 def match_detections(detections: Detections, truth: GroundTruth,
-                     iou_threshold: float = 0.5) -> np.ndarray:
+                     iou_threshold: float = RunConfig.match_iou) -> np.ndarray:
     """Greedy TP/FP labels, one bool per detection in input order.
 
     Matching never crosses an (episode_id, image_id, class_id) group. Within
@@ -211,7 +212,7 @@ def average_precision(detections: Detections, tp, num_gt: int) -> float:
 
 
 def per_class_ap(detections: Detections, truth: GroundTruth,
-                 iou_threshold: float = 0.5) -> dict[str, float]:
+                 iou_threshold: float = RunConfig.match_iou) -> dict[str, float]:
     """AP per class over the pooled detections, for classes with ground truth."""
     flags = match_detections(detections, truth, iou_threshold)
     classes, counts = np.unique(truth.class_id, return_counts=True)
@@ -223,7 +224,7 @@ def per_class_ap(detections: Detections, truth: GroundTruth,
 
 
 def map_over_episodes(detections: Detections, truth: GroundTruth,
-                      iou_threshold: float = 0.5) -> float:
+                      iou_threshold: float = RunConfig.match_iou) -> float:
     aps = per_class_ap(detections, truth, iou_threshold)
     if not aps:
         raise ConfigError("mAP needs at least one ground-truth box")
@@ -231,7 +232,7 @@ def map_over_episodes(detections: Detections, truth: GroundTruth,
 
 
 def recall_at_k(detections: Detections, truth: GroundTruth, k: int,
-                iou_threshold: float = 0.5) -> float:
+                iou_threshold: float = RunConfig.match_iou) -> float:
     """Fraction of ground truth recovered by each image's k best detections.
 
     The top-k cut ranks all classes together within an image; matching then

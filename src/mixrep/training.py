@@ -23,7 +23,8 @@ from .rng import substream
 class SGD:
     """Momentum SGD. Weight decay touches only the 'decay' group."""
 
-    def __init__(self, groups: dict, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
+    def __init__(self, groups: dict, lr: float, momentum: float = RunConfig.momentum,
+                 weight_decay: float = RunConfig.weight_decay):
         self.groups = {name: list(params) for name, params in groups.items()}
         self.lr = float(lr)
         self.momentum = float(momentum)
@@ -46,7 +47,7 @@ class SGD:
 class Adam:
     """Adam with its usual constants: beta1 0.9, beta2 0.999, eps 1e-8."""
 
-    def __init__(self, groups: dict, lr: float, weight_decay: float = 0.0):
+    def __init__(self, groups: dict, lr: float, weight_decay: float = RunConfig.weight_decay):
         self.groups = {name: list(params) for name, params in groups.items()}
         self.lr = float(lr)
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
@@ -118,18 +119,13 @@ def batch_groups(dataset: Dataset, rows, config: RunConfig) -> list[np.ndarray]:
     return list(groups.values())
 
 
-def sample_batch(dataset: Dataset, rows, config: RunConfig, rng,
-                 groups: list[np.ndarray] | None = None) -> np.ndarray:
-    """The rows of one training batch drawn from `rows`, deterministic under
-    the rng state.
+def sample_batch(groups: list[np.ndarray], config: RunConfig, rng) -> np.ndarray:
+    """The rows of one training batch drawn from `groups`, which
+    `batch_groups` built under `config`; deterministic under the rng state.
 
     class_balanced: M distinct classes, D instances each (with replacement
     when a class is short). image_group: every ROI of one sampled image.
-    `groups` is `batch_groups(dataset, rows, config)`, built here when not
-    given.
     """
-    if groups is None:
-        groups = batch_groups(dataset, rows, config)
     if config.batch_strategy == "image_group":
         return groups[int(rng.integers(0, len(groups)))].copy()
 
@@ -203,7 +199,7 @@ def fit(head: MixtureHead, dataset: Dataset, config: RunConfig) -> list[dict]:
     rng = substream(config.seed, "sampler")
     trace = []
     for it in range(config.iterations):
-        batch = sample_batch(dataset, pool, config, rng, groups)
+        batch = sample_batch(groups, config, rng)
         parts = train_step(head, dataset, batch, label_map, optimizer, iteration=it)
         parts["iteration"] = it
         trace.append(parts)

@@ -120,7 +120,7 @@ def _primitive_checks():
                    lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]),
                                                              ad.constant(0.3)))), [su]))
 
-    state = ad.BatchNormState(np.zeros(3), np.ones(3))
+    state = ad.BatchNormState(np.zeros(3), np.ones(3), 0.9, 1e-5)
     bx = ad.parameter(rng.normal(size=(6, 3)))
     bg = ad.parameter(rng.uniform(0.5, 1.5, size=3))
     bb = ad.parameter(rng.normal(size=3))

@@ -379,7 +379,7 @@ class TestGradChecks:
         gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]), c))), [x])
 
     def test_batch_norm_train_mode(self):
-        state = ad.BatchNormState(np.zeros(3), np.ones(3))
+        state = ad.BatchNormState(np.zeros(3), np.ones(3), 0.9, 1e-5)
         x = ad.parameter(self.rng.normal(size=(6, 3)), "x")
         gamma = ad.parameter(self.rng.uniform(0.5, 1.5, size=3), "gamma")
         beta = ad.parameter(self.rng.normal(size=3), "beta")
@@ -392,7 +392,8 @@ class TestGradChecks:
         gradcheck(f, [x, gamma, beta])
 
     def test_batch_norm_eval_mode(self):
-        state = ad.BatchNormState(self.rng.normal(size=3), self.rng.uniform(0.5, 2.0, size=3))
+        state = ad.BatchNormState(self.rng.normal(size=3), self.rng.uniform(0.5, 2.0, size=3),
+                                  0.9, 1e-5)
         x = ad.parameter(self.rng.normal(size=(4, 3)), "x")
         gamma = ad.parameter(self.rng.uniform(0.5, 1.5, size=3), "gamma")
         beta = ad.parameter(self.rng.normal(size=3), "beta")
@@ -426,7 +427,7 @@ class TestGradChecks:
 class TestBatchNormStats:
     def test_train_output_standardized(self):
         rng = np.random.default_rng(3)
-        state = ad.BatchNormState(np.zeros(4), np.ones(4))
+        state = ad.BatchNormState(np.zeros(4), np.ones(4), 0.9, 1e-5)
         x = ad.constant(rng.normal(2.0, 3.0, size=(64, 4)))
         out = ad.batch_norm(x, ad.constant(np.ones(4)), ad.constant(np.zeros(4)), state,
                             train=True).value
@@ -434,7 +435,7 @@ class TestBatchNormStats:
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
 
     def test_running_stats_update_rule(self):
-        state = ad.BatchNormState(np.zeros(2), np.ones(2), momentum=0.9)
+        state = ad.BatchNormState(np.zeros(2), np.ones(2), 0.9, 1e-5)
         x = np.array([[1.0, 10.0], [3.0, 14.0]])
         ad.batch_norm(ad.constant(x), ad.constant(np.ones(2)), ad.constant(np.zeros(2)), state,
                       train=True)
@@ -442,7 +443,7 @@ class TestBatchNormStats:
         np.testing.assert_allclose(state.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0))
 
     def test_eval_is_batch_independent(self):
-        state = ad.BatchNormState(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
+        state = ad.BatchNormState(np.array([1.0, -1.0]), np.array([4.0, 0.25]), 0.9, 1e-5)
         g, b = ad.constant(np.array([2.0, 1.0])), ad.constant(np.array([0.0, 3.0]))
         row = np.array([[3.0, 0.0]])
         alone = ad.batch_norm(ad.constant(row), g, b, state).value
@@ -452,7 +453,7 @@ class TestBatchNormStats:
         np.testing.assert_allclose(alone[0], stacked[0], atol=0)
 
     def test_train_rejects_single_row(self):
-        state = ad.BatchNormState(np.zeros(2), np.ones(2))
+        state = ad.BatchNormState(np.zeros(2), np.ones(2), 0.9, 1e-5)
         with pytest.raises(ShapeError):
             ad.batch_norm(
                 ad.constant(np.ones((1, 2))), ad.constant(np.ones(2)), ad.constant(np.zeros(2)), state,

@@ -533,6 +533,16 @@ class TestEvalEpisodes:
                          "--shots", "1,many", "--out", str(tmp_path / "x")]) == 2
         assert "--shots" in capsys.readouterr().err
 
+    def test_repeated_shot_count_is_refused(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(pipeline["episodes"]),
+                         "--shots", "1,2,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --shots count 1 is repeated in '1,2,1'\n"
+        assert not out.exists()
+
 
 class TestExportEmbeddings:
     def test_one_row_per_record(self, pipeline, tmp_path):

@@ -208,6 +208,24 @@ class TestResolvedLog:
             dataclasses.replace(c, task_mode="nope")
 
 
+class TestFrozen:
+    """Every schema is a value checked once, when built."""
+
+    @pytest.mark.parametrize("config", [
+        EmbeddingConfig(4, (8, 2)), MixtureConfig(3), EpisodeSpec(1, 5), SynthConfig(),
+        RunConfig(synth=SynthConfig())], ids=lambda config: type(config).__name__)
+    def test_no_field_can_be_assigned(self, config):
+        for field in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field.name, getattr(config, field.name))
+
+    def test_a_changed_copy_is_checked_again(self):
+        with pytest.raises(ConfigError, match="sigma must be positive, got -1.0"):
+            dataclasses.replace(RunConfig(), sigma=-1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().sigma = -1.0
+
+
 class TestTypedReader:
     """`from_json` takes a JSON value only where it fits the field's annotation."""
 

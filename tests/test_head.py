@@ -1,5 +1,6 @@
 """Head: posteriors, losses, embedding contracts, checkpoint round trip."""
 
+import dataclasses
 import json
 import math
 import re
@@ -180,9 +181,30 @@ class TestPosteriors:
         assert p.value[0, 0] == pytest.approx(0.018315639, abs=1e-9)  # exp(-4)
         assert p.value[0, 1] == pytest.approx(0.1353352832366127, abs=1e-15)  # exp(-2)
 
-    def test_mode_prob_rejects_bad_sigma(self):
+    def test_a_heads_sigma_stays_positive(self):
+        # mode_probabilities takes σ from the head's MixtureConfig, which
+        # checks it when built and cannot be changed afterwards
+        head = small_head()
         with pytest.raises(ConfigError):
-            mode_probabilities(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+            dataclasses.replace(head.mixture, sigma=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            head.mixture.sigma = 0.0
+        assert head.mixture.sigma == 0.5
+
+    def test_a_heads_posterior_rule_cannot_be_assigned(self):
+        """Embedding is the identity on one feature. Class 0 has one mode on
+        0 and one far away; class 1 has two modes 0.3 from 0. So near 0 the
+        best mode says class 0 and the mode mass says class 1."""
+        head = MixtureHead.from_arrays(
+            EmbeddingConfig(1, (1,), final_l2_normalize=False),
+            MixtureConfig(2, 2, sigma=0.5, posterior_mode="max"), "classification",
+            {"layers.0.weight": [[1.0]], "layers.0.bias": [0.0],
+             "representatives.weight": [[[0.0], [100.0]], [[0.3], [-0.3]]]})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            head.mixture.posterior_mode = "soft"
+        assert head.score_batch([[0.0], [0.05]]).predicted_class.tolist() == [0, 0]
+        head.mixture = dataclasses.replace(head.mixture, posterior_mode="normalized")
+        assert head.score_batch([[0.0], [0.05]]).predicted_class.tolist() == [1, 1]
 
     def test_max_posterior_rows(self):
         out = class_posterior_max(np.array([[0.2, 0.9], [0.5, 0.1]])).value

@@ -4,14 +4,20 @@ autodiff engine calls none of numpy's slow Python-level helpers, only
 `from_json` builds a config object from unpacked JSON, every run-config
 key is read by the code it configures, `config` imports no module of the
 package but `errors`, no import cycle hides behind `TYPE_CHECKING`, only
-`cli.main` loads and logs the run config, and no function takes the
-posterior rule as a parameter."""
+`cli.main` loads and logs the run config, no function takes the
+posterior rule as a parameter, every config schema is frozen, and every
+default a run config shares with a schema or a library function is written
+once."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from mixrep import episodes, head, metrics, training
+from mixrep.config import RunConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mixrep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -322,3 +328,113 @@ def test_the_posterior_rule_is_set_on_the_head_only(module):
     # the rule is `MixtureConfig.posterior_mode`; a per-call override would
     # give every scorer two places to look
     assert functions_taking(module.read_text(encoding="utf-8"), "posterior_mode") == []
+
+
+def unfrozen_dataclasses(source: str) -> list[str]:
+    """Classes in `source` decorated with `dataclass`, called or not, by name
+    or as an attribute, without `frozen=True`, with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            frozen = call is not None and any(
+                keyword.arg == "frozen" and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True for keyword in call.keywords)
+            if name == "dataclass" and not frozen:
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_scan_finds_an_unfrozen_dataclass():
+    source = ("@dataclass\nclass A:\n    x: int\n\n\n"
+              "@dataclass(frozen=True)\nclass B:\n    x: int\n\n\n"
+              "@dataclasses.dataclass(eq=False)\nclass C:\n    x: int\n\n\n"
+              "@dataclasses.dataclass(frozen=False)\nclass D:\n    x: int\n\n\n"
+              "@functools.total_ordering\n@dataclasses.dataclass(order=True, frozen=True)\n"
+              "class E:\n    x: int\n\n\n"
+              "class F:\n    x: int\n")
+    assert unfrozen_dataclasses(source) == ["A (line 2)", "C (line 12)", "D (line 17)"]
+
+
+def test_every_config_schema_is_frozen():
+    # a schema checks its values when built; an assignment afterwards would
+    # skip the check, so every change goes through dataclasses.replace
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert unfrozen_dataclasses(source) == []
+
+
+# the schemas whose defaults a run config's field of the same name takes by
+# name; `seed` is the root of every substream, not an episode setting
+DEFAULT_OWNERS = ("EmbeddingConfig", "MixtureConfig", "EpisodeSpec")
+
+
+def copied_defaults(source: str, owners=DEFAULT_OWNERS, exempt=("seed",)) -> list[str]:
+    """Fields of the `RunConfig` class in `source` whose default is not read
+    as `Owner.field` from a class of `owners` that gives the field of that
+    name a default, with their line numbers. A `None` default, which a run
+    config resolves itself, and the `exempt` names are not counted."""
+    classes = {node.name: node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef)}
+
+    def defaults(name):
+        return {item.target.id: item.value for item in classes[name].body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and item.value is not None}
+
+    owned = {}
+    for owner in owners:
+        for field in defaults(owner):
+            owned.setdefault(field, set()).add(owner)
+    found = []
+    for field, value in defaults("RunConfig").items():
+        if field in exempt or field not in owned or (
+                isinstance(value, ast.Constant) and value.value is None):
+            continue
+        if not (isinstance(value, ast.Attribute) and value.attr == field
+                and isinstance(value.value, ast.Name) and value.value.id in owned[field]):
+            found.append(f"{field} (line {value.lineno})")
+    return found
+
+
+def test_scan_finds_a_copied_default():
+    source = ("class MixtureConfig:\n    num_classes: int\n    sigma: float = 0.5\n"
+              "    margin: float = 0.5\n    modes_per_class: int = 3\n\n\n"
+              "class EpisodeSpec:\n    shots: int\n    seed: int = 0\n    max_shots: int = 10\n\n\n"
+              "class EmbeddingConfig:\n    bn_momentum: float = 0.9\n    bn_epsilon: float = 1e-5\n\n\n"
+              "class RunConfig:\n    seed: int = 0\n    shots: int = 1\n"
+              "    modes_per_class: int | None = None\n    sigma: float = MixtureConfig.sigma\n"
+              "    margin: float = 0.5\n    max_shots: int = MixtureConfig.max_shots\n"
+              "    bn_epsilon: float = EmbeddingConfig.bn_momentum\n    lr: float = 0.01\n")
+    assert copied_defaults(source) == ["margin (line 24)", "max_shots (line 25)",
+                                       "bn_epsilon (line 26)"]
+
+
+def test_run_config_defaults_name_their_schema():
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert copied_defaults(source) == []
+
+
+# library defaults that are run settings: (function, parameter, RunConfig field)
+LIBRARY_DEFAULTS = [
+    *[(getattr(episodes, name), "lr", "finetune_lr")
+      for name in ("finetune_episodes", "episode_finetune", "evaluate_episodes")],
+    (episodes.run_episode, "finetune_lr", "finetune_lr"),
+    *[(getattr(metrics, name), "iou_threshold", "match_iou")
+      for name in ("match_detections", "per_class_ap", "map_over_episodes", "recall_at_k")],
+    (training.SGD, "momentum", "momentum"),
+    (training.SGD, "weight_decay", "weight_decay"),
+    (training.Adam, "weight_decay", "weight_decay"),
+    (head.MixtureHead, "task_mode", "task_mode"),
+    (head.MixtureHead, "seed", "seed"),
+]
+
+
+@pytest.mark.parametrize("function, parameter, field", LIBRARY_DEFAULTS,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_library_default_is_the_run_configs(function, parameter, field):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default is getattr(RunConfig, field)
