@@ -160,10 +160,8 @@ def cmd_gen_episodes(args, config, out):
 
 
 def cmd_eval_episodes(args, config, out):
-    head = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    file_episodes, spec = load_episodes(args.episodes, dataset)
-    if args.shots:
+    shot_counts = []  # none given: the episode file's own count
+    if args.shots:  # checked before any input is read
         try:
             shot_counts = [int(s) for s in args.shots.split(",")]
         except ValueError:
@@ -171,11 +169,12 @@ def cmd_eval_episodes(args, config, out):
         if len(set(shot_counts)) < len(shot_counts):
             raise ConfigError(f"--shots count {max(shot_counts, key=shot_counts.count)} "
                               f"is repeated in {args.shots!r}")
-    else:
-        shot_counts = [spec.shots]
+    head = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.data)
+    file_episodes, spec = load_episodes(args.episodes, dataset)
 
     rows = []
-    for shots in shot_counts:
+    for shots in shot_counts or [spec.shots]:
         # the episode file pins classes and queries for every shot count
         episodes = file_episodes if shots == spec.shots else \
             redraw_support(file_episodes, dataclasses.replace(spec, shots=shots))

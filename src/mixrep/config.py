@@ -194,6 +194,7 @@ class SynthConfig:
 
 CLASSIFICATION_WIDTHS = (2048, 1024)
 DETECTION_WIDTHS = (1024, 1024, 256)
+DETECTION_MODES = 5
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,8 @@ class RunConfig:
     def resolved_modes(self) -> int:
         if self.modes_per_class is not None:
             return self.modes_per_class
-        return 3 if self.task_mode == "classification" else 5
+        return MixtureConfig.modes_per_class if self.task_mode == "classification" \
+            else DETECTION_MODES
 
     def embedding_config(self, input_dim: int) -> EmbeddingConfig:
         return EmbeddingConfig(

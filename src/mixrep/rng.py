@@ -7,12 +7,14 @@ are hashed with SHA-256 so a substream is stable across runs, platforms and
 Python hash randomization.
 """
 
-import hashlib
+from __future__ import annotations
 
 import numpy as np
 
 
 def _path_entropy(path) -> list[int]:
+    import hashlib  # loads OpenSSL, which a command that draws nothing need not pay for
+
     entropy = []
     for part in path:
         if isinstance(part, (int, np.integer)):

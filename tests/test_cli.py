@@ -543,6 +543,20 @@ class TestEvalEpisodes:
         assert capsys.readouterr().err == "error: --shots count 1 is repeated in '1,2,1'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("shots, message", [
+        ("1,1", "--shots count 1 is repeated in '1,1'"), ("1,many", "bad --shots list '1,many'")])
+    def test_shots_are_checked_before_any_input_is_read(self, pipeline, tmp_path, capsys,
+                                                        shots, message):
+        # none of the three input files exists, so reading one would exit 1
+        out = tmp_path / "x"
+        assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
+                         "--data", str(tmp_path / "nowhere.jsonl"),
+                         "--checkpoint", str(tmp_path / "nowhere.json"),
+                         "--episodes", str(tmp_path / "nowhere-episodes.jsonl"),
+                         "--shots", shots, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestExportEmbeddings:
     def test_one_row_per_record(self, pipeline, tmp_path):
@@ -664,6 +678,20 @@ def test_eval_episodes_names_the_record_with_no_finite_embedding(pipeline, tmp_p
         f"error: record {query!r} (row {line - 1} of {len(lines) - 1}) maps to non-finite "
         f"features (largest |input| 1e+308)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
+def test_a_command_that_draws_nothing_loads_no_rng(pipeline, tmp_path, command):
+    # numpy.random and OpenSSL's _hashlib, which only `rng.substream` needs,
+    # add about 6 MB to the peak RSS of these commands
+    argv = [command, "--data", str(pipeline["data"]),
+            "--checkpoint", str(pipeline["checkpoint"]), "--out", str(tmp_path / "out")]
+    script = ("import sys\nfrom mixrep import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, [m for m in ('numpy.random', '_hashlib') if m in sys.modules])\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,10 @@ autodiff engine calls none of numpy's slow Python-level helpers, only
 key is read by the code it configures, `config` imports no module of the
 package but `errors`, no import cycle hides behind `TYPE_CHECKING`, only
 `cli.main` loads and logs the run config, no function takes the
-posterior rule as a parameter, every config schema is frozen, and every
+posterior rule as a parameter, every config schema is frozen, every
 default a run config shares with a schema or a library function is written
-once."""
+once, the run config resolves its task-mode defaults from named owners, and
+the package root imports nothing."""
 
 import ast
 import inspect
@@ -416,6 +417,47 @@ def test_scan_finds_a_copied_default():
 def test_run_config_defaults_name_their_schema():
     source = (PACKAGE / "config.py").read_text(encoding="utf-8")
     assert copied_defaults(source) == []
+
+
+def resolved_literals(source: str) -> list[str]:
+    """Numbers written as literals inside the `resolved_*` methods of the
+    `RunConfig` class in `source`, with their method and line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name.startswith("resolved_"):
+                    found += [f"{value.value} in {method.name} (line {value.lineno})"
+                              for value in ast.walk(method) if isinstance(value, ast.Constant)
+                              and type(value.value) in (int, float)]
+    return found
+
+
+def test_scan_finds_a_literal_in_a_resolved_value():
+    source = ("class RunConfig:\n    def resolved_modes(self):\n"
+              "        return 3 if self.task_mode == 'classification' else DETECTION_MODES\n\n"
+              "    def resolved_widths(self):\n        return self.layer_widths or (64, 1.5)\n\n"
+              "    def resolved_switch(self):\n        return True\n\n"
+              "    def episode_spec(self):\n        return EpisodeSpec(shots=1)\n\n\n"
+              "class MixtureConfig:\n    def resolved_modes(self):\n        return 5\n")
+    assert resolved_literals(source) == [
+        "3 in resolved_modes (line 3)", "64 in resolved_widths (line 6)",
+        "1.5 in resolved_widths (line 6)"]
+
+
+def test_resolved_defaults_are_named():
+    # a task-mode default is owned by a schema field or a named constant
+    # beside DETECTION_WIDTHS, so it is written once
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert resolved_literals(source) == []
+
+
+def test_package_root_imports_nothing():
+    # every name has one import path, its module's, and importing one
+    # module loads only what that module needs
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 # library defaults that are run settings: (function, parameter, RunConfig field)
