@@ -161,7 +161,7 @@ def cmd_gen_episodes(args, config, out):
 
 def cmd_eval_episodes(args, config, out):
     shot_counts = []  # none given: the episode file's own count
-    if args.shots:  # checked before any input is read
+    if args.shots is not None:  # checked before any input is read
         try:
             shot_counts = [int(s) for s in args.shots.split(",")]
         except ValueError:

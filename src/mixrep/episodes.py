@@ -9,11 +9,13 @@ last layer and the representatives. It is built from three arrays (the last
 weight and bias of the trained head and the support embeddings), so no
 initial values are drawn for it.
 
-A pass (`evaluate_episodes`) runs its episodes in blocks of one shape and
-fine-tunes each block as one stack: every step builds a single loss graph
-over all the block's episode heads (`finetune_episodes`), and each episode
-still takes, bit for bit, the steps it would take alone. It returns an
-`EpisodePass`, a table with a row per query that every figure is read from.
+A pass (`evaluate_episodes`) holds at least one episode, all of one dataset
+and one (ways, shots) shape, fine-tuned or not. It runs them in blocks, each
+block's support one stack from the frozen layers to the fine-tune: every
+step builds a single loss graph over all the block's episode heads
+(`finetune_episodes`), and each episode still takes, bit for bit, the steps
+it would take alone. It returns an `EpisodePass`, a table with a row per
+query that every figure is read from.
 `run_episode` and `episode_finetune` are the one-episode forms of the pass.
 
 Episode sampling is arranged so that one seed pins the whole benchmark for
@@ -185,11 +187,12 @@ def redraw_support(episodes, spec: EpisodeSpec) -> list[Episode]:
 
 
 def support_embeddings(head: MixtureHead, support) -> np.ndarray:
-    """The support set's embeddings under `head`: its (ways, shots, width)
-    penultimate features through the last layer, a (ways, shots, dim) array."""
-    ways, shots, width = support.shape
-    E = head.embedding.last_layer(support.reshape(ways * shots, width)).value
-    return E.reshape(ways, shots, -1)
+    """Support embeddings under `head`: penultimate features of any leading
+    shape, such as (ways, shots, width) or a block's (episodes, ways, shots,
+    width), through the last layer, one dim-row each. The layer is
+    row-invariant, so each episode of a stack gets the bits it gets alone."""
+    E = head.embedding.last_layer(support.reshape(-1, support.shape[-1])).value
+    return E.reshape(*support.shape[:-1], -1)
 
 
 def replace_representatives(head: MixtureHead, support) -> MixtureHead:
@@ -316,8 +319,6 @@ def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int
     query without an image is its own image, and one without a box holds the
     unit box. The queries are scored as one batch whose rows do not depend
     on each other, so order never matters."""
-    if not len(queries):
-        return Detections.concat([])
     scores = head.score_batch(features)
     background = scores.is_background
     return Detections(
@@ -333,27 +334,22 @@ def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int
 
 
 def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detections]:
-    """Full pass over `episodes`, drawn from one dataset, on episode heads
-    built from `head`, which stays unchanged: put the support and query rows
-    of every episode through the frozen layers in one call, install each
-    episode's support representatives, optionally fine-tune all the episodes
-    together, score each one's queries. The frozen layers are row-invariant,
-    so each row's features are the bits it would get alone."""
+    """Full pass over `episodes`, of one dataset and one shape, on episode
+    heads built from `head`, which stays unchanged: put every support row,
+    then every query row, through the frozen layers in one call, embed the
+    block's (episodes, ways, shots, width) support in one call, install each
+    episode's representatives, fine-tune the episodes together, score each
+    one's queries. Each row gets the bits it would get alone."""
     dataset = episodes[0].dataset
-    rows = np.concatenate([part for ep in episodes for part in (ep.support.ravel(), ep.queries)])
+    support_rows = np.concatenate([ep.support.ravel() for ep in episodes])
+    rows = np.concatenate([support_rows] + [ep.queries for ep in episodes])
     with naming_records(dataset, rows):
         features = head.embedding.hidden_features(dataset.features[rows])
-    heads, supports, queries = [], [], []
-    start = 0
-    for ep in episodes:
-        ways, shots = ep.support.shape
-        stop = start + ways * shots + len(ep.queries)
-        supports.append(features[start:start + ways * shots].reshape(ways, shots, -1))
-        queries.append(features[start + ways * shots:stop])
-        heads.append(replace_representatives(head, support_embeddings(head, supports[-1])))
-        start = stop
-    if steps:
-        finetune_episodes(heads, np.stack(supports), steps, lr)
+    support = features[:len(support_rows)].reshape(len(episodes), *episodes[0].support.shape, -1)
+    heads = [replace_representatives(head, E) for E in support_embeddings(head, support)]
+    finetune_episodes(heads, support, steps, lr)
+    queries = np.split(features[len(support_rows):],
+                       np.cumsum([len(ep.queries) for ep in episodes[:-1]]))
     return [score_queries(h, ep.dataset[ep.queries], q, ep.episode_id, ep.class_ids)
             for h, ep, q in zip(heads, episodes, queries)]
 
@@ -409,23 +405,26 @@ def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
     """Run every episode (fine-tuning `steps` steps at `lr`) and gather the
     detection and the true label of each of its queries.
 
-    Episodes run in blocks that each fine-tune as one stacked graph per
-    step; a block holds as many episodes as `BLOCK_ENTRIES` allows. All
-    episodes must be drawn from one dataset and, to be fine-tuned, have the
-    same ways and shots."""
+    A pass holds at least one episode, all drawn from one dataset and of
+    one (ways, shots) shape, fine-tuned or not; anything else raises
+    ConfigError. Episodes run in blocks that each fine-tune as one stacked
+    graph per step; a block holds as many episodes as `BLOCK_ENTRIES`
+    allows."""
     episodes = list(episodes)
-    if any(ep.dataset is not episodes[0].dataset for ep in episodes):
+    if not episodes:
+        raise ConfigError("a pass needs at least one episode")
+    first = episodes[0]
+    if any(ep.dataset is not first.dataset for ep in episodes):
         raise ConfigError("episodes of one pass must be drawn from one dataset")
-    shapes = {ep.support.shape for ep in episodes}
-    if steps and len(shapes) > 1:
-        raise ConfigError("episodes fine-tuned in one pass must have the same ways and shots")
-    rows = max((ways * shots for ways, shots in shapes), default=1)
+    if any(ep.support.shape != first.support.shape for ep in episodes):
+        raise ConfigError("episodes of one pass must have the same ways and shots")
+    rows = first.support.size
     width, dim = head.embedding.weights[-1].value.shape
     per_block = max(1, BLOCK_ENTRIES // (rows * rows + (width + 1 + rows) * dim))
     queries = [detections for start in range(0, len(episodes), per_block)
                for detections in _run_block(head, episodes[start:start + per_block], steps, lr)]
-    return EpisodePass(Detections.concat(queries), np.concatenate(
-        [np.empty(0, dtype=object)] + [ep.dataset.label[ep.queries] for ep in episodes]))
+    return EpisodePass(Detections.concat(queries),
+                       first.dataset.label[np.concatenate([ep.queries for ep in episodes])])
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import pytest
 
 from mixrep import autodiff as ad
 from mixrep import cli
-from mixrep.config import RunConfig
-from mixrep.data import SynthConfig, nearest_center_mode, synth_dataset
-from mixrep.episodes import EpisodeSpec, evaluate_episodes, generate_episodes
-from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
+from mixrep.config import EmbeddingConfig, EpisodeSpec, MixtureConfig, RunConfig, SynthConfig
+from mixrep.data import nearest_center_mode, synth_dataset
+from mixrep.episodes import evaluate_episodes, generate_episodes
+from mixrep.head import MixtureHead
 from mixrep.metrics import (
     Detections,
     GroundTruth,

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mixrep import autodiff as ad
+from mixrep.config import EmbeddingConfig, MixtureConfig
 from mixrep.errors import (
     DegenerateVectorError,
     GradientCheckError,
     NonSmoothPointError,
     ShapeError,
 )
-from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead, parameter_layout
+from mixrep.head import MixtureHead, parameter_layout
 
 
 def gradcheck(f, params, tol=1e-6):

@@ -544,7 +544,8 @@ class TestEvalEpisodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("shots, message", [
-        ("1,1", "--shots count 1 is repeated in '1,1'"), ("1,many", "bad --shots list '1,many'")])
+        ("1,1", "--shots count 1 is repeated in '1,1'"), ("1,many", "bad --shots list '1,many'"),
+        ("", "bad --shots list ''")])
     def test_shots_are_checked_before_any_input_is_read(self, pipeline, tmp_path, capsys,
                                                         shots, message):
         # none of the three input files exists, so reading one would exit 1
@@ -882,7 +883,8 @@ class TestBenchmarkTracer:
         assert "episodes.run_episode" not in by_name
         assert "episodes.episode_finetune" not in by_name
         assert len(by_name["episodes.replace_representatives"]) == 6
-        assert len(by_name["episodes.support_embeddings"]) == 6
+        # each block embeds its stacked support in one call: one block a pass
+        assert len(by_name["episodes.support_embeddings"]) == 2
         queries = RUN["ways"] * RUN["queries_per_class"] + RUN["background_queries"]
         assert [s["counts"]["queries"] for s in by_name["episodes.score_queries"]] == [queries] * 6
         assert all(s["counts"]["rows"] >= 1 for s in by_name["head.embed_batch"])

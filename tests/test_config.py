@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from mixrep.config import (
     CLASSIFICATION_WIDTHS,
     DETECTION_WIDTHS,
+    EmbeddingConfig,
+    EpisodeSpec,
+    MixtureConfig,
     RunConfig,
+    SynthConfig,
     from_json,
     load_run_config,
     write_resolved_config,
 )
-from mixrep.data import SynthConfig
-from mixrep.episodes import EpisodeSpec
 from mixrep.errors import ConfigError
-from mixrep.head import (EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint,
-                         save_checkpoint)
+from mixrep.head import MixtureHead, load_checkpoint, save_checkpoint
 
 
 class TestDefaults:

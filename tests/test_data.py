@@ -14,17 +14,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mixrep import cli
+from mixrep.config import EpisodeSpec, SynthConfig
 from mixrep.data import (
     BACKGROUND_LABEL,
     Dataset,
-    SynthConfig,
     load_dataset,
     nearest_center_mode,
     save_dataset,
     synth_dataset,
     true_centers,
 )
-from mixrep.episodes import EpisodeSpec, generate_episodes, save_episodes
+from mixrep.episodes import generate_episodes, save_episodes
 from mixrep.errors import ConfigError, DatasetError
 
 

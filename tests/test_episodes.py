@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from mixrep import autodiff as ad
 from mixrep import episodes as episodes_module
-from mixrep.config import RunConfig
-from mixrep.data import BACKGROUND_LABEL, Dataset, SynthConfig, synth_dataset
+from mixrep.config import EmbeddingConfig, EpisodeSpec, MixtureConfig, RunConfig, SynthConfig
+from mixrep.data import BACKGROUND_LABEL, Dataset, synth_dataset
 from mixrep.errors import ConfigError, DatasetError
 from mixrep.episodes import (
     Episode,
-    EpisodeSpec,
     FinetuneResult,
     episode_finetune,
     evaluate_episodes,
@@ -31,7 +30,7 @@ from mixrep.episodes import (
     score_queries,
     support_embeddings,
 )
-from mixrep.head import EmbeddingConfig, EmbeddingNet, MixtureConfig, MixtureHead
+from mixrep.head import EmbeddingNet, MixtureHead
 from mixrep.metrics import Detections, GroundTruth
 from mixrep.training import SGD, fit
 
@@ -357,6 +356,16 @@ class TestReplaceRepresentatives:
             for s, row in enumerate(rows):
                 assert np.array_equal(support[c, s],
                                       head.embedding.embed_batch(ds.features[[row]])[0])
+
+    def test_a_stack_of_supports_embeds_as_each_alone(self):
+        # a block embeds its (episodes, ways, shots, width) support in one call
+        head = small_head()
+        episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=2, episode_count=4))
+        supports = [support_features(head, ep) for ep in episodes]
+        stacked = support_embeddings(head, np.stack(supports))
+        assert stacked.shape == (4, 3, 2, head.embedding.config.output_dim)
+        for got, support in zip(stacked, supports):
+            assert got.tobytes() == support_embeddings(head, support).tobytes()
 
     def test_query_on_support_point_wins_with_zero_background(self):
         ds = episode_dataset()
@@ -717,13 +726,17 @@ class TestEvaluateEpisodes:
                 assert getattr(got, column).tolist() == getattr(want, column).tolist()
             assert got.scores.tobytes() == want.scores.tobytes()
 
-    def test_fine_tuned_episodes_must_share_a_shape(self):
-        head = small_head()
+    def test_episodes_must_share_a_shape(self):
+        # a pass has one shape whether it is fine-tuned or not
         mixed = (generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=1, episode_count=1))
                  + generate_episodes(PASS_DATA, spec_for(PASS_DATA, shots=2, episode_count=1)))
-        assert len(evaluate_episodes(head, mixed).truth) == 60
-        with pytest.raises(ConfigError):
-            evaluate_episodes(head, mixed, steps=2)
+        for steps in (0, 2):
+            with pytest.raises(ConfigError, match="same ways and shots"):
+                evaluate_episodes(small_head(), mixed, steps=steps)
+
+    def test_a_pass_needs_an_episode(self):
+        with pytest.raises(ConfigError, match="at least one episode"):
+            evaluate_episodes(small_head(), [])
 
     def test_episodes_must_share_a_dataset(self):
         other = episode_dataset(seed=30)

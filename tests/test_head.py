@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mixrep import autodiff as ad
 from mixrep import head as hd
+from mixrep.config import EmbeddingConfig, MixtureConfig
 from mixrep.episodes import replace_representatives
 from mixrep.errors import (
     ConfigError,
@@ -22,9 +23,7 @@ from mixrep.errors import (
 )
 from mixrep.head import (
     BACKGROUND,
-    EmbeddingConfig,
     EmbeddingNet,
-    MixtureConfig,
     MixtureHead,
     background_posterior,
     class_posterior_max,

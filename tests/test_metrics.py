@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixrep import cli
-from mixrep.config import RunConfig
-from mixrep.data import SynthConfig, load_dataset, synth_dataset
+from mixrep.config import EmbeddingConfig, MixtureConfig, RunConfig, SynthConfig
+from mixrep.data import load_dataset, synth_dataset
 from mixrep.episodes import evaluate_episodes, load_episodes
 from mixrep.errors import ConfigError, DatasetError
-from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead, load_checkpoint
+from mixrep.head import MixtureHead, load_checkpoint
 from mixrep.metrics import (
     Detections,
     GroundTruth,

@@ -8,10 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from mixrep import autodiff as ad
 from mixrep import head as hd
+from mixrep.config import EmbeddingConfig, MixtureConfig
 from mixrep.episodes import replace_representatives
 from mixrep.head import (
-    EmbeddingConfig,
-    MixtureConfig,
     MixtureHead,
     background_posterior,
     class_posterior_normalized,

@@ -7,8 +7,9 @@ package but `errors`, no import cycle hides behind `TYPE_CHECKING`, only
 `cli.main` loads and logs the run config, no function takes the
 posterior rule as a parameter, every config schema is frozen, every
 default a run config shares with a schema or a library function is written
-once, the run config resolves its task-mode defaults from named owners, and
-the package root imports nothing."""
+once, the run config resolves its task-mode defaults from named owners, the
+package root imports nothing, and each name is imported from the module
+that binds it."""
 
 import ast
 import inspect
@@ -458,6 +459,65 @@ def test_package_root_imports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert [f"line {node.lineno}" for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def module_bindings(source: str) -> set[str]:
+    """Names a module binds at its top level by a def, a class or an
+    assignment; a name it imports is not among them."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def borrowed_imports(source: str, bindings: dict[str, set[str]]) -> list[str]:
+    """Each `from mixrep.<m> import n` of `source` (a relative import read as
+    one inside the package) whose `n` module `<m>` does not bind itself,
+    `bindings` mapping each module name, "mixrep" for the package, to the
+    names it binds (a submodule counts as bound by the package)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = ".".join(filter(None, ["mixrep", node.module])) if node.level else node.module
+        if module.split(".")[0] != "mixrep":
+            continue
+        found += [f"{alias.name} from {module} (line {node.lineno})" for alias in node.names
+                  if alias.name not in bindings.get(module, ())]
+    return found
+
+
+def test_scan_finds_a_borrowed_import():
+    bindings = {"mixrep": {"config", "head", "__version__"},
+                "mixrep.config": {"RunConfig", "EpisodeSpec"},
+                "mixrep.head": {"MixtureHead", "BLOCK_ROWS"}}
+    assert module_bindings("import numpy as np\nfrom .config import RunConfig\n"
+                           "BLOCK_ROWS, (A, B) = 1, (2, 3)\nLIMIT: int = 4\n"
+                           "def f():\n    inner = 1\n\nclass MixtureHead:\n    x = 1\n") == {
+        "BLOCK_ROWS", "A", "B", "LIMIT", "f", "MixtureHead"}
+    source = ("from mixrep import config, __version__, episodes\n"
+              "from mixrep.head import MixtureHead, RunConfig\n"
+              "from .config import EpisodeSpec\nfrom . import head\nfrom .head import BLOCK_ROWS\n"
+              "from mixrep.config import RunConfig\nfrom numpy import array\n"
+              "from mixrep.nowhere import thing\n")
+    assert borrowed_imports(source, bindings) == [
+        "episodes from mixrep (line 1)", "RunConfig from mixrep.head (line 2)",
+        "thing from mixrep.nowhere (line 8)"]
+
+
+def test_every_name_is_imported_from_its_module():
+    # a name has one import path: the module that defines or assigns it
+    bindings = {f"mixrep.{p.stem}": module_bindings(p.read_text(encoding="utf-8"))
+                for p in MODULES}
+    bindings["mixrep"] = module_bindings((PACKAGE / "__init__.py").read_text(encoding="utf-8")) \
+        | {p.stem for p in MODULES}
+    files = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert [f"{p.name}: {found}" for p in files
+            for found in borrowed_imports(p.read_text(encoding="utf-8"), bindings)] == []
 
 
 # library defaults that are run settings: (function, parameter, RunConfig field)

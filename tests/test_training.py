@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mixrep.autodiff import parameter
-from mixrep.config import RunConfig
-from mixrep.data import Dataset, SynthConfig, synth_dataset
+from mixrep.config import EmbeddingConfig, MixtureConfig, RunConfig, SynthConfig
+from mixrep.data import Dataset, synth_dataset
 from mixrep.errors import ConfigError, DatasetError, TrainingDiverged
-from mixrep.head import EmbeddingConfig, MixtureConfig, MixtureHead
+from mixrep.head import MixtureHead
 from mixrep.rng import substream
 from mixrep.training import (
     Adam,
