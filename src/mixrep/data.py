@@ -201,22 +201,30 @@ class Dataset:
         """Rows tagged as the train split or not tagged with a split."""
         return np.equal(self.split, None) | (self.split == "train")
 
+    def row_lookup(self):
+        """A function from a list of ids to their rows, in order, over one
+        map from id to row that lives as long as the function; KeyError
+        names an unknown id."""
+        row_of = dict(zip(self.id.tolist(), range(len(self))))
+        return lambda ids: np.array([row_of[i] for i in ids], dtype=np.intp)
+
     def rows_of(self, ids) -> np.ndarray:
-        """The row of each of `ids`, in order; KeyError names an unknown id."""
-        if "_row_of" not in self.__dict__:
-            self._row_of = dict(zip(self.id.tolist(), range(len(self))))
-        return np.array([self._row_of[i] for i in ids], dtype=np.intp)
+        """The row of each of `ids`, in order, from a map built for this
+        call; KeyError names an unknown id."""
+        return self.row_lookup()(ids)
 
 
 @contextlib.contextmanager
 def naming_records(dataset: Dataset, rows):
-    """Reword a NonFiniteRowError about row i of the features of
-    `dataset[rows]` to name that record's id and its row in `dataset`."""
+    """Reword a NonFiniteRowError about row i of what the features of
+    `dataset[rows]` map to, in any layer, to name that record's id, its row
+    in `dataset` and its largest |feature|."""
     try:
         yield
     except NonFiniteRowError as e:
         row = int(rows[e.row])
-        raise NonFiniteRowError(row, e.largest, f"record {dataset.id[row]!r} "
+        raise NonFiniteRowError(row, np.abs(dataset.features[row]).max(),
+                                f"record {dataset.id[row]!r} "
                                 f"(row {row} of {len(dataset)})") from None
 
 

@@ -190,8 +190,10 @@ def support_embeddings(head: MixtureHead, support) -> np.ndarray:
     """Support embeddings under `head`: penultimate features of any leading
     shape, such as (ways, shots, width) or a block's (episodes, ways, shots,
     width), through the last layer, one dim-row each. The layer is
-    row-invariant, so each episode of a stack gets the bits it gets alone."""
-    E = head.embedding.last_layer(support.reshape(-1, support.shape[-1])).value
+    row-invariant, so each episode of a stack gets the bits it gets alone.
+    A support row the layer maps to non-finite values raises
+    NonFiniteRowError naming its place in the flattened stack."""
+    E = head.embedding.last_layer_batch(support.reshape(-1, support.shape[-1]))
     return E.reshape(*support.shape[:-1], -1)
 
 
@@ -325,7 +327,7 @@ def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int
         episode_id=np.full(len(queries), episode_id),
         image_id=np.where(np.equal(queries.image_id, None), queries.id, queries.image_id),
         class_id=np.where(background, BACKGROUND_LABEL,
-                          np.asarray(class_ids)[scores.predicted_class]),
+                          np.asarray(class_ids, dtype=object)[scores.predicted_class]),
         boxes=np.where(np.isnan(queries.box), np.array([0.0, 0.0, 1.0, 1.0]), queries.box),
         scores=np.clip(np.where(background, scores.background_posterior,
                                 scores.class_posterior.max(axis=1)), 0.0, 1.0),
@@ -339,19 +341,27 @@ def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detec
     then every query row, through the frozen layers in one call, embed the
     block's (episodes, ways, shots, width) support in one call, install each
     episode's representatives, fine-tune the episodes together, score each
-    one's queries. Each row gets the bits it would get alone."""
+    one's queries. Each row gets the bits it would get alone, and a row
+    that maps to non-finite values, in the frozen layers or the last one,
+    raises NonFiniteRowError naming its record."""
     dataset = episodes[0].dataset
     support_rows = np.concatenate([ep.support.ravel() for ep in episodes])
     rows = np.concatenate([support_rows] + [ep.queries for ep in episodes])
     with naming_records(dataset, rows):
         features = head.embedding.hidden_features(dataset.features[rows])
     support = features[:len(support_rows)].reshape(len(episodes), *episodes[0].support.shape, -1)
-    heads = [replace_representatives(head, E) for E in support_embeddings(head, support)]
+    with naming_records(dataset, support_rows):
+        embedded = support_embeddings(head, support)
+    heads = [replace_representatives(head, E) for E in embedded]
     finetune_episodes(heads, support, steps, lr)
     queries = np.split(features[len(support_rows):],
                        np.cumsum([len(ep.queries) for ep in episodes[:-1]]))
-    return [score_queries(h, ep.dataset[ep.queries], q, ep.episode_id, ep.class_ids)
-            for h, ep, q in zip(heads, episodes, queries)]
+    detections = []
+    for h, ep, q in zip(heads, episodes, queries):
+        with naming_records(dataset, ep.queries):
+            detections.append(score_queries(h, dataset[ep.queries], q, ep.episode_id,
+                                            ep.class_ids))
+    return detections
 
 
 def run_episode(head: MixtureHead, episode: Episode, finetune_steps: int = 0,
@@ -390,7 +400,7 @@ class EpisodePass:
     def accuracy(self) -> float:
         """Share of foreground queries given their true class."""
         foreground = self.label != BACKGROUND_LABEL
-        correct = self.queries.class_id[foreground] == self.label[foreground].astype(str)
+        correct = self.queries.class_id[foreground] == self.label[foreground]
         return int(np.count_nonzero(correct)) / len(correct)
 
     @property
@@ -452,7 +462,9 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
     Every episode must have the spec's shape, `ways` classes of `shots`
     support items each, as the passes over the file fine-tune its episodes
     together, an id of its own, as its detections are matched by it, and a
-    foreground query. A fault raises DatasetError naming its line."""
+    foreground query. A fault raises DatasetError naming its line. The
+    map from id to row lives only while the file is read."""
+    rows_of = dataset.row_lookup()
     spec = None
     episodes, episode_ids = [], set()
     for line_no, obj in read_json_lines(path, "episodes"):
@@ -463,8 +475,8 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
             if spec is None:
                 raise ConfigError("missing header line")
             try:
-                support_rows = dataset.rows_of(obj["support_item_ids"])
-                queries = dataset.rows_of(obj["query_item_ids"])
+                support_rows = rows_of(obj["support_item_ids"])
+                queries = rows_of(obj["query_item_ids"])
                 class_ids = list(obj["class_ids"])
                 support: dict[str, list[int]] = {c: [] for c in class_ids}
                 episode_id = obj["episode_id"]

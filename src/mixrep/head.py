@@ -119,6 +119,11 @@ class EmbeddingNet:
         is bit-identical to computing it alone."""
         return _in_blocks(self._hidden, np.asarray(X, dtype=np.float64))
 
+    def last_layer_batch(self, H) -> np.ndarray:
+        """(B, width) penultimate features -> (B, e) values of `last_layer`,
+        no graph kept, in blocks and checked row by row like `embed_batch`."""
+        return _in_blocks(self.last_layer, np.asarray(H, dtype=np.float64))
+
 
 def _in_blocks(fn, X: np.ndarray) -> np.ndarray:
     """Values of `fn` over X, BLOCK_ROWS rows at a time. A row whose values

@@ -5,6 +5,12 @@ Detections from every episode are pooled into one table and thresholded
 jointly; mAP is the per-class average over that pooled set, never a mean
 of per-episode APs. All functions here are pure and deterministic: score
 ties fall back to record ids, neighbor ties to the lower index.
+
+The string columns (image, class and record ids) are object arrays that
+hold the `str` objects they were given, not copies. Rows are grouped by
+exact equality of their values, through integer codes from one dict pass,
+so ids that differ only in trailing NULs are distinct; a value that is not
+a `str` is refused with DatasetError naming its column.
 """
 
 from dataclasses import dataclass
@@ -44,13 +50,21 @@ class _Table:
         if self.boxes.ndim != 2:
             raise DatasetError(f"{context}: boxes must be an (n, 4) array, got {self.boxes.shape}")
         self.episode_id = self._column(context, episode_id, np.int64)
-        self.image_id = self._column(context, image_id, str)
-        self.class_id = self._column(context, class_id, str)
+        self.image_id = self._strings(context, "image_id", image_id)
+        self.class_id = self._strings(context, "class_id", class_id)
 
     def _column(self, context, values, dtype) -> np.ndarray:
         col = np.asarray(values, dtype=dtype)
         if col.shape != (len(self),):
             raise DatasetError(f"{context}: a column of shape {col.shape} for {len(self)} boxes")
+        return col
+
+    def _strings(self, context, name, values) -> np.ndarray:
+        """`values` as an (n,) object array holding the given `str` objects."""
+        col = self._column(context, values, object)
+        for value in col.tolist():
+            if not isinstance(value, str):
+                raise DatasetError(f"{context}: {name} values must be strings, got {value!r}")
         return col
 
     def __len__(self) -> int:
@@ -88,7 +102,7 @@ class Detections(_Table):
         self.scores = self._column("detections", scores, np.float64)
         if not ((0.0 <= self.scores) & (self.scores <= 1.0)).all():
             raise DatasetError("detection scores must be in [0, 1]")
-        self.record_id = self._column("detections", record_id, str)
+        self.record_id = self._strings("detections", "record_id", record_id)
         self.rank = np.empty(len(self), dtype=np.int64)
         self.rank[np.lexsort((self.record_id, -self.scores))] = np.arange(len(self))
 
@@ -124,13 +138,19 @@ def _check_iou_threshold(t):
     return t
 
 
+def _codes(keys, count: int) -> tuple[np.ndarray, dict]:
+    """An integer code for each of the `count` hashable `keys`, equal for
+    equal keys, numbered in order of first appearance, and the map from
+    each distinct key to its code, in that order."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(key, len(index)) for key in keys),
+                        dtype=np.int64, count=count)
+    return codes, index
+
+
 def _group_ids(*columns) -> np.ndarray:
     """One integer per row, equal for two rows exactly when every column is."""
-    ids = np.zeros(len(columns[0]), dtype=np.int64)
-    for col in columns:
-        values, inverse = np.unique(col, return_inverse=True)
-        ids = np.unique(ids * len(values) + inverse, return_inverse=True)[1]
-    return ids
+    return _codes(zip(*(col.tolist() for col in columns)), len(columns[0]))[0]
 
 
 def _places(group, rank) -> np.ndarray:
@@ -215,11 +235,15 @@ def per_class_ap(detections: Detections, truth: GroundTruth,
                  iou_threshold: float = RunConfig.match_iou) -> dict[str, float]:
     """AP per class over the pooled detections, for classes with ground truth."""
     flags = match_detections(detections, truth, iou_threshold)
-    classes, counts = np.unique(truth.class_id, return_counts=True)
+    n = len(truth)
+    codes, index = _codes(np.concatenate([truth.class_id, detections.class_id]).tolist(),
+                          n + len(detections))
+    counts = np.bincount(codes[:n])
     out = {}
-    for class_id, count in zip(classes.tolist(), counts.tolist()):
-        rows = detections.class_id == class_id
-        out[class_id] = average_precision(detections[rows], flags[rows], count)
+    for class_id in sorted(list(index)[:len(counts)]):  # the truth's, coded first
+        code = index[class_id]
+        rows = codes[n:] == code
+        out[class_id] = average_precision(detections[rows], flags[rows], int(counts[code]))
     return out
 
 

@@ -681,6 +681,33 @@ def test_eval_episodes_names_the_record_with_no_finite_embedding(pipeline, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["support_item_ids", "query_item_ids"])
+def test_eval_episodes_names_the_record_that_overflows_in_the_last_layer(pipeline, tmp_path,
+                                                                       capsys, role):
+    # finite through the frozen layers, so the overflow comes in the last
+    # layer: a support item's in the embeddings that become the
+    # representatives, a query's when the episode head scores it
+    record_id = json.loads(pipeline["episodes"].read_text(encoding="utf-8").splitlines()[1])[
+        role][0]
+    lines = pipeline["data"].read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines) if json.loads(text).get("id") == record_id)
+    record = json.loads(lines[line])
+    record["features"] = [1e300] + [0.0] * (len(record["features"]) - 1)
+    head = load_checkpoint(pipeline["checkpoint"])
+    assert np.isfinite(head.embedding.hidden_features([record["features"]])).all()
+    lines[line] = json.dumps(record)
+    data = tmp_path / "huge.jsonl"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert cli.main(["eval-episodes", "--config", str(pipeline["config"]), "--data", str(data),
+                     "--checkpoint", str(pipeline["checkpoint"]),
+                     "--episodes", str(pipeline["episodes"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: record {record_id!r} (row {line - 1} of {len(lines) - 1}) maps to non-finite "
+        f"features (largest |input| 1e+300)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
 def test_a_command_that_draws_nothing_loads_no_rng(pipeline, tmp_path, command):
     # numpy.random and OpenSSL's _hashlib, which only `rng.substream` needs,

@@ -20,6 +20,7 @@ from mixrep.head import MixtureHead, load_checkpoint
 from mixrep.metrics import (
     Detections,
     GroundTruth,
+    _group_ids,
     attribute_neighborhood_precision,
     average_precision,
     classification_error,
@@ -122,6 +123,23 @@ class TestRecordValidation:
         assert dets(rows).rank.tolist() == [3, 0, 1, 2]
         # a subset keeps the order of its rows
         assert np.argsort(dets(rows)[[0, 3]].rank).tolist() == [1, 0]
+
+    @pytest.mark.parametrize("column", ["image_id", "class_id", "record_id"])
+    def test_a_string_column_refuses_a_value_that_is_not_a_string(self, column):
+        row = det(0.5)._replace(**{column: None})
+        with pytest.raises(DatasetError, match=f"detections: {column} values must be strings, "
+                                               f"got None"):
+            dets([row])
+        if column != "record_id":
+            with pytest.raises(DatasetError, match=f"ground truth: {column} values must be "
+                                                   f"strings, got 3"):
+                gts([gt()._replace(**{column: 3})])
+
+    def test_string_columns_hold_the_given_objects(self):
+        image, cls, rid = "".join(["im", "g"]), "".join(["c", "at"]), "".join(["r", "1"])
+        table = dets([det(0.5, image=image, cls=cls, rid=rid)])
+        assert table.image_id[0] is image and table.class_id[0] is cls
+        assert table.record_id[0] is rid
 
     def test_concat_ranks_the_pooled_rows(self):
         first, second = dets([det(0.5, rid="b")]), dets([det(0.5, rid="a")])
@@ -449,6 +467,11 @@ class TestMapOverEpisodes:
         with pytest.raises(ConfigError):
             map_over_episodes(dets([det(0.9)]), gts([]))
 
+    def test_classes_differing_in_a_trailing_nul_are_two_classes(self):
+        records = [det(0.9, cls="a", rid="x"), det(0.8, cls="a\x00", rid="y")]
+        truth = [gt(cls="a"), gt(cls="a\x00")]
+        assert per_class_ap(dets(records), gts(truth)) == {"a": 1.0, "a\x00": 1.0}
+
 
 class TestRecallAtK:
     def three_image_instance(self):
@@ -497,6 +520,30 @@ class TestRecallAtK:
     def test_k_validated(self):
         with pytest.raises(ConfigError):
             recall_at_k(dets([det(0.9)]), gts([gt()]), k=0)
+
+    def test_images_differing_in_a_trailing_nul_are_two_images(self):
+        records = [det(0.9, image="img", rid="a"), det(0.8, image="img\x00", rid="b")]
+        truth = [gt(image="img"), gt(image="img\x00")]
+        assert recall_at_k(dets(records), gts(truth), k=1) == 1.0
+
+
+def unique_group_ids(*columns) -> np.ndarray:
+    """Group ids by sorting: np.unique over each column, then over the rows
+    of their inverses."""
+    inverses = [np.unique(col, return_inverse=True)[1] for col in columns]
+    return np.unique(np.stack(inverses, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(["img", "img\x00", "", "\x00"]),
+                          st.text(max_size=3)), min_size=1, max_size=30))
+def test_group_ids_partition_rows_as_unique_does(rows):
+    columns = [np.array([row[i] for row in rows], dtype=object) for i in range(3)]
+    for picked in ([0], [1], [2], [0, 1], [0, 1, 2]):
+        ids = _group_ids(*(columns[i] for i in picked))
+        reference = unique_group_ids(*(columns[i] for i in picked))
+        assert np.array_equal(ids[:, None] == ids[None, :],
+                              reference[:, None] == reference[None, :])
 
 
 class TestAttributePrecision:

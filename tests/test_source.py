@@ -8,8 +8,8 @@ package but `errors`, no import cycle hides behind `TYPE_CHECKING`, only
 posterior rule as a parameter, every config schema is frozen, every
 default a run config shares with a schema or a library function is written
 once, the run config resolves its task-mode defaults from named owners, the
-package root imports nothing, and each name is imported from the module
-that binds it."""
+package root imports nothing, each name is imported from the module
+that binds it, and no call passes `str` as a dtype or type argument."""
 
 import ast
 import inspect
@@ -540,3 +540,32 @@ LIBRARY_DEFAULTS = [
 def test_library_default_is_the_run_configs(function, parameter, field):
     default = inspect.signature(function).parameters[parameter].default
     assert default is getattr(RunConfig, field)
+
+
+def str_arguments(source: str) -> list[str]:
+    """Calls in `source` that pass the bare name `str` as an argument,
+    positional or keyword, with their line numbers; `isinstance` is not
+    counted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or (
+                isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        if any(isinstance(arg, ast.Name) and arg.id == "str"
+               for arg in [*node.args, *(keyword.value for keyword in node.keywords)]):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_scan_finds_a_str_argument():
+    source = ("ids = np.asarray(values, dtype=str)\nlabels = column.astype(str)\n"
+              "col = self._column(context, image_id, str)\nok = isinstance(value, str)\n"
+              "name = str(value)\nkind = (str, bytes)\ntext = np.asarray(values, dtype=object)\n")
+    assert str_arguments(source) == ["line 1", "line 2", "line 3"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_string_column_is_copied_to_fixed_width(module):
+    # `dtype=str` copies each value at 4 bytes a character, padded to the
+    # longest, and drops trailing NULs, so "img" and "img\x00" would merge
+    assert str_arguments(module.read_text(encoding="utf-8")) == []
