@@ -8,9 +8,7 @@ Outputs carry no timestamps, so a rerun from the same seed and config is
 byte-identical. MIXREP_OUT_DIR, when set, anchors relative --out paths."""
 
 import argparse
-import csv
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -18,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import finite_difference_check
-from .config import RunConfig, load_run_config, write_resolved_config
-from .data import load_dataset, naming_records, save_dataset, synth_dataset
+from .config import RunConfig, load_run_config, write_json, write_resolved_config
+from .data import load_dataset, naming_records, save_dataset, synth_dataset, write_csv
 from .episodes import (evaluate_episodes, generate_episodes, load_episodes, redraw_support,
                        save_episodes)
 from .errors import ConfigError, MixrepError
@@ -71,12 +69,6 @@ def _out_dir(raw: str | None) -> _OutDir | None:
     if raw is None and not base:
         return None
     return _OutDir(Path(base or "") / (raw or ""))
-
-
-class _Lines(list):
-    """A list that csv.writer writes to: each row becomes one string."""
-
-    write = list.append
 
 
 def _build_head(config: RunConfig, dataset) -> MixtureHead:
@@ -138,14 +130,10 @@ def cmd_eval_classify(args, config, out):
             continue
         with naming_records(dataset, split_rows):
             err = classification_error(head, dataset[split_rows], cmap)
-        rows.append((name, len(split_rows), err))
+        rows.append(((name, len(split_rows)), (err,)))
         print(f"{name}: {err * 100:.2f}% error over {len(split_rows)} records")
     if out is not None:
-        with open(out.file("classification.csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["split", "count", "error"])
-            for name, count, err in rows:
-                writer.writerow([name, count, repr(err)])
+        write_csv(out.file("classification.csv"), ["split", "count", "error"], rows)
     return 0
 
 
@@ -180,33 +168,21 @@ def cmd_eval_episodes(args, config, out):
             redraw_support(file_episodes, dataclasses.replace(spec, shots=shots))
         for steps in dict.fromkeys((0, config.finetune_steps)):
             result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
-            row = {
-                "shots": shots,
-                "finetune_steps": steps,
-                "map": map_over_episodes(result.detections, result.truth, config.match_iou),
-                "accuracy": result.accuracy,
-                "background_false_accept": "" if result.false_accept is None else result.false_accept,
-            }
-            for k in config.recall_ks:
-                row[f"recall_at_{k}"] = recall_at_k(result.detections, result.truth, k,
-                                                    config.match_iou)
-            rows.append(row)
-            recalls = "  ".join(f"R@{k} {row[f'recall_at_{k}']:.3f}" for k in config.recall_ks)
+            mean_ap = map_over_episodes(result.detections, result.truth, config.match_iou)
+            recalls = [recall_at_k(result.detections, result.truth, k, config.match_iou)
+                       for k in config.recall_ks]
+            false_accept = "" if result.false_accept is None else result.false_accept
+            rows.append(((shots, steps), (mean_ap, *recalls, result.accuracy, false_accept)))
+            recall_text = "  ".join(f"R@{k} {r:.3f}" for k, r in zip(config.recall_ks, recalls))
             bg_part = (f"  bg-accept {result.false_accept:.3f}"
                        if result.false_accept is not None else "")
-            print(f"shots={shots} finetune={steps}: mAP {row['map']:.3f}  {recalls}"
-                  f"  acc {row['accuracy']:.3f}{bg_part}")
+            print(f"shots={shots} finetune={steps}: mAP {mean_ap:.3f}  {recall_text}"
+                  f"  acc {result.accuracy:.3f}{bg_part}")
             del result  # free this pass's table before the next pass runs
 
-    columns = ["shots", "finetune_steps", "map"] + \
-              [f"recall_at_{k}" for k in config.recall_ks] + \
-              ["accuracy", "background_false_accept"]
-    with open(out.file("episode_report.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] if isinstance(row[c], (int, str)) else repr(row[c])
-                             for c in columns])
+    write_csv(out.file("episode_report.csv"),
+              ["shots", "finetune_steps", "map", *(f"recall_at_{k}" for k in config.recall_ks),
+               "accuracy", "background_false_accept"], rows)
     print(f"report in {out.dir}")
     return 0
 
@@ -230,9 +206,8 @@ def cmd_grad_check(args, config, out):
     print(f"max relative gradient error: {max_err:.3e} "
           f"({'OK' if passed else 'FAIL'}, tolerance {GRAD_CHECK_TOLERANCE:.0e})")
     if out is not None:
-        body = json.dumps({"max_rel_err": max_err, "tolerance": GRAD_CHECK_TOLERANCE,
-                           "passed": passed}, sort_keys=True, indent=2)
-        out.file("grad_check.json").write_text(body + "\n", encoding="utf-8")
+        write_json(out.file("grad_check.json"),
+                   {"max_rel_err": max_err, "tolerance": GRAD_CHECK_TOLERANCE, "passed": passed})
     return 0 if passed else 1
 
 
@@ -242,15 +217,8 @@ def cmd_export_embeddings(args, config, out):
     dim = head.embedding.config.output_dim
     with naming_records(dataset, range(len(dataset))):
         emb = head.embedding.embed_batch(dataset.features)
-    # the bytes of csv.writer with every float as its repr, written a row
-    # at a time: only id and label go through csv quoting
-    quoted = _Lines()
-    fields = csv.writer(quoted)
-    with open(out.file("embeddings.csv"), "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["id", "label"] + [f"e{i}" for i in range(dim)])
-        for rid, label, row in zip(dataset.id, dataset.label, emb):
-            fields.writerow((rid, label))
-            fh.write(f"{quoted.pop()[:-2]},{','.join(map(repr, row.tolist()))}\r\n")
+    write_csv(out.file("embeddings.csv"), ["id", "label"] + [f"e{i}" for i in range(dim)],
+              zip(zip(dataset.id, dataset.label), map(np.ndarray.tolist, emb)))
     print(f"wrote {len(dataset)} embedding rows to {out.dir / 'embeddings.csv'}")
     return 0
 

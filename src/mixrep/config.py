@@ -1,4 +1,5 @@
-"""Every config schema, and the JSON reader that builds them; no engine code.
+"""Every config schema, the JSON reader that builds them, and the writer of
+sorted, indented JSON files (`write_json`); no engine code.
 `RunConfig` is one declarative run configuration covering head, trainer,
 episodes, and evaluation. Defaults follow the reference setup: sigma 0.5, 3
 modes per class for classification heads and 5 for detection, 12x4
@@ -26,6 +27,13 @@ def read_json(path):
             return json.load(fh)
     except (ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON with sorted keys, indented by two spaces and
+    ending in a newline: a resolved run config or a gradient check."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # the JSON values that fill a field of each annotation, and their name in errors;
@@ -328,7 +336,5 @@ def load_run_config(path) -> RunConfig:
 def write_resolved_config(config: RunConfig, path) -> None:
     """Log the fully resolved run config; feeding the file back reproduces
     the run bit-exactly."""
-    doc = {**dataclasses.asdict(config), "layer_widths": config.resolved_widths(),
-           "modes_per_class": config.resolved_modes()}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, {**dataclasses.asdict(config), "layer_widths": config.resolved_widths(),
+                      "modes_per_class": config.resolved_modes()})

@@ -1,26 +1,30 @@
-"""Feature datasets: wire format, validation, and synthetic generation.
+"""Feature datasets: wire format, validation, writers, synthetic generation.
 
 Datasets are JSON Lines files, one record per line, optionally preceded by a
 header line carrying schema version and generator metadata. Records hold a
 precomputed feature vector plus a class label (or "background"), and may
 carry a bounding box, image id, binary attributes, split and seen/unseen
-group tags.
+group tags. `write_json_lines` writes every JSON Lines file of the package,
+datasets and episode files, and `write_csv` every CSV file.
 
 In memory a dataset is a `Dataset`: a table of column arrays with one row
-per record, in file order, checked once when it is built. Code that works
-on some of the records holds their row positions (an integer array) and
-reads the columns at those rows; `dataset[rows]` is the sub-table. The
-loader decodes each stripped line with one `json.JSONDecoder.raw_decode`
-call; only a line that call refuses, or does not read to its end, goes
-through `json.loads`, which words the error. Each row's features stream into
-one growing (n, d) float64 array.
+per record, in file order, checked once when it is built against what the
+loader accepts, so every table saves to a file that loads back the same.
+Code that works on some of the records holds their row positions (an
+integer array) and reads the columns at those rows; `dataset[rows]` is the
+sub-table. The loader decodes each stripped line with one
+`json.JSONDecoder.raw_decode` call; only a line that call refuses, or does
+not read to its end, goes through `json.loads`, which words the error. Each
+row's features stream into one growing (n, d) float64 array.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,19 +107,17 @@ def _parse_record(obj: dict, line: int, feature_dim: int | None) -> tuple:
     return rid, label, feats, box, image_id, attributes, split, group
 
 
-def _first_bad_row(features: np.ndarray, ids) -> str | None:
-    """The fault of the first row whose features are not all finite or whose
-    id an earlier row holds, the finiteness of a row coming first; None when
-    every row is sound."""
-    finite = np.isfinite(features).all(axis=1)
-    stop = len(ids) if finite.all() else int(np.argmin(finite))
-    if len(set(ids)) < len(ids):
-        seen: set = set()
-        for rid in ids[:stop]:
-            if rid in seen:
-                return f"duplicate record id {rid!r}"
-            seen.add(rid)
-    return _NOT_FINITE if stop < len(ids) else None
+# what each object column of a Dataset may hold, in words and as a test
+_COLUMN_VALUES = (
+    ("id", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    ("label", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    ("image_id", "a string or None", lambda v: v is None or isinstance(v, str)),
+    ("attributes", "an integer array of 0/1 or None", lambda v: v is None or (
+        isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iu"
+        and np.isin(v, (0, 1)).all())),
+    ("split", f"in {_SPLITS} or None", lambda v: v is None or isinstance(v, str) and v in _SPLITS),
+    ("group", f"in {_GROUPS} or None", lambda v: v is None or isinstance(v, str) and v in _GROUPS),
+)
 
 
 def _object_column(values, n: int) -> np.ndarray:
@@ -138,7 +140,8 @@ class Dataset:
       - `attributes`: (n,) object array of int64 0/1 arrays, None where
         absent (their lengths may differ between records).
 
-    Every column is checked once, when the table is built.
+    Every column is checked once, when the table is built, against what
+    `load_dataset` accepts; a fault names its column and first row.
     `dataset[rows]` is the table of the rows an index array, mask or slice
     picks, in that order, with the same `meta`. Class ids derived from a
     dataset are sorted, so a label-to-index map does not depend on record
@@ -168,9 +171,26 @@ class Dataset:
         if set(lengths.values()) != {n}:
             raise DatasetError(f"columns of unequal length {lengths}")
         self.meta = dict(meta) if meta else {}
-        bad = _first_bad_row(self.features, self.id)
-        if bad is not None:
-            raise DatasetError(bad)
+        for name, words, ok in _COLUMN_VALUES:  # one pass per column
+            values = getattr(self, name).tolist()
+            if not all(map(ok, values)):
+                row = next(row for row, value in enumerate(values) if not ok(value))
+                raise DatasetError(f"row {row}: {name} must be {words}, got {values[row]!r}")
+        x1, y1, x2, y2 = self.box.T
+        sound = np.isnan(self.box).all(axis=1) | (
+            np.isfinite(self.box).all(axis=1) & (x2 > x1) & (y2 > y1))
+        if not sound.all():
+            row = int(np.argmin(sound))
+            raise DatasetError(f"row {row}: box must be 4 NaN or finite (x1, y1, x2, y2) with "
+                               f"x2 > x1 and y2 > y1, got {self.box[row].tolist()}")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise DatasetError(f"row {int(np.argmin(finite))}: {_NOT_FINITE}")
+        ids = self.id.tolist()
+        if len(set(ids)) < n:
+            seen: set = set()
+            row = next(row for row, rid in enumerate(ids) if rid in seen or seen.add(rid))
+            raise DatasetError(f"row {row}: duplicate record id {ids[row]!r}")
 
     def __len__(self) -> int:
         return len(self.id)
@@ -207,11 +227,6 @@ class Dataset:
         names an unknown id."""
         row_of = dict(zip(self.id.tolist(), range(len(self))))
         return lambda ids: np.array([row_of[i] for i in ids], dtype=np.intp)
-
-    def rows_of(self, ids) -> np.ndarray:
-        """The row of each of `ids`, in order, from a map built for this
-        call; KeyError names an unknown id."""
-        return self.row_lookup()(ids)
 
 
 @contextlib.contextmanager
@@ -324,24 +339,48 @@ def load_dataset(path) -> Dataset:
                    split=splits, group=groups, meta=meta)
 
 
-def save_dataset(dataset: Dataset, path) -> None:
+def write_json_lines(path, kind: str, objects, **header) -> None:
+    """Write the JSON Lines file `read_json_lines(path, kind)` reads: a header
+    of SCHEMA_VERSION, `kind` and `header`, then one line for each object."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"schema_version": SCHEMA_VERSION, "kind": "dataset", "meta": dataset.meta}
-        fh.write(json.dumps(header) + "\n")
-        has_box = ~np.isnan(dataset.box).any(axis=1)
-        for row in range(len(dataset)):
-            obj: dict = {
-                "id": dataset.id[row],
-                "label": dataset.label[row],
-                "features": dataset.features[row].tolist(),
-            }
-            if has_box[row]:
-                obj["box"] = dataset.box[row].tolist()
-            for key in ("image_id", "attributes", "split", "group"):
-                value = getattr(dataset, key)[row]
-                if value is not None:
-                    obj[key] = value.tolist() if key == "attributes" else value
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
+        for obj in objects:
             fh.write(json.dumps(obj) + "\n")
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a CSV file of `columns` and `rows`, with csv.writer's CRLF line
+    ends. A row is a pair (fields, numbers) of at least one field each, the
+    fields first: csv.writer writes them, quoting text where it must, and
+    each number is written as its `format`, which is a float's repr and
+    keeps an empty string empty."""
+    lines: list[str] = []
+    quote = csv.writer(SimpleNamespace(write=lines.append)).writerow
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        quote(columns)
+        fh.write(lines.pop())
+        for fields, numbers in rows:
+            quote(fields)
+            fh.write(f"{lines.pop()[:-2]},{','.join(map(format, numbers))}\r\n")
+
+
+def _record_objects(dataset: Dataset):
+    """Each record's JSON object, in row order, with only the keys it has."""
+    has_box = ~np.isnan(dataset.box).any(axis=1)
+    for row in range(len(dataset)):
+        obj: dict = {"id": dataset.id[row], "label": dataset.label[row],
+                     "features": dataset.features[row].tolist()}
+        if has_box[row]:
+            obj["box"] = dataset.box[row].tolist()
+        for key in ("image_id", "attributes", "split", "group"):
+            value = getattr(dataset, key)[row]
+            if value is not None:
+                obj[key] = value.tolist() if key == "attributes" else value
+        yield obj
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    write_json_lines(path, "dataset", _record_objects(dataset), meta=dataset.meta)
 
 
 # ---------------------------------------------------------------------------

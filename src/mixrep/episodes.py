@@ -27,7 +27,6 @@ episodes the support that generation would draw at another shot count.
 """
 
 import dataclasses
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,8 +35,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import EpisodeSpec, RunConfig, from_json
-from .data import (BACKGROUND_LABEL, SCHEMA_VERSION, Dataset, group_rows, naming_records,
-                   read_json_lines)
+from .data import (BACKGROUND_LABEL, Dataset, group_rows, naming_records, read_json_lines,
+                   write_json_lines)
 from .errors import ConfigError, DatasetError
 from .head import MixtureHead, parameter_layout
 from .metrics import Detections, GroundTruth
@@ -441,20 +440,12 @@ def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
 # episode files: JSON Lines, one episode per line
 
 def save_episodes(episodes, spec: EpisodeSpec, path) -> None:
-    header = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "episodes",
-        "spec": dataclasses.asdict(spec),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for ep in episodes:
-            fh.write(json.dumps({
-                "episode_id": ep.episode_id,
-                "class_ids": ep.class_ids,
-                "support_item_ids": ep.dataset.id[ep.support.ravel()].tolist(),
-                "query_item_ids": ep.query_ids(),
-            }) + "\n")
+    write_json_lines(path, "episodes", ({
+        "episode_id": ep.episode_id,
+        "class_ids": ep.class_ids,
+        "support_item_ids": ep.dataset.id[ep.support.ravel()].tolist(),
+        "query_item_ids": ep.query_ids(),
+    } for ep in episodes), spec=dataclasses.asdict(spec))
 
 
 def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:

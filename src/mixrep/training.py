@@ -8,13 +8,11 @@ order all flow from named substreams.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .autodiff import backward, zero_grads
 from .config import RunConfig
-from .data import BACKGROUND_LABEL, Dataset, group_rows
+from .data import BACKGROUND_LABEL, Dataset, group_rows, write_csv
 from .errors import ConfigError, DatasetError, TrainingDiverged
 from .head import BACKGROUND, MixtureHead
 from .rng import substream
@@ -207,8 +205,5 @@ def fit(head: MixtureHead, dataset: Dataset, config: RunConfig) -> list[dict]:
 
 
 def write_loss_trace(trace: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "ce", "margin", "total"])
-        for row in trace:
-            writer.writerow([row["iteration"], repr(row["ce"]), repr(row["margin"]), repr(row["total"])])
+    write_csv(path, ["iteration", "ce", "margin", "total"],
+              (((row["iteration"],), (row["ce"], row["margin"], row["total"])) for row in trace))

@@ -419,6 +419,25 @@ class TestEvalEpisodes:
             assert float(r["recall_at_10"]) >= float(r["map"]) - 1e-9
         assert capsys.readouterr().out.count("shots=") == 6
 
+    def test_no_background_query_leaves_the_false_accept_cell_empty(self, pipeline, tmp_path):
+        # no other report writes this cell: it is empty, not 0 and not ""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**RUN, "background_queries": 0}), encoding="utf-8")
+        assert cli.main(["gen-episodes", "--config", str(config), "--data", str(pipeline["data"]),
+                         "--out", str(tmp_path / "eps")]) == 0
+        out = tmp_path / "report"
+        assert cli.main(["eval-episodes", "--config", str(config),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(tmp_path / "eps" / "episodes.jsonl"),
+                         "--out", str(out)]) == 0
+        header, *rows, end = (out / "episode_report.csv").read_bytes().split(b"\r\n")
+        assert header == (b"shots,finetune_steps,map,recall_at_10,recall_at_100,accuracy,"
+                          b"background_false_accept") and end == b""
+        assert [row.split(b",")[:2] for row in rows] == [[b"1", b"0"], [b"1", b"5"]]
+        assert [row.rsplit(b",", 1)[1] for row in rows] == [b"", b""]
+        assert all(b'"' not in row for row in rows)
+
     def test_shot_count_from_file_when_flag_omitted(self, pipeline, tmp_path):
         out = tmp_path / "plain"
         assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
@@ -488,15 +507,16 @@ class TestEvalEpisodes:
         dataset = load_dataset(pipeline["data"])
         lines = pipeline["episodes"].read_text(encoding="utf-8").splitlines()
         episode = json.loads(lines[2])
+        rows_of = dataset.row_lookup()
         if reshape == "drop_a_class":
             dropped = episode["class_ids"].pop()
             episode["support_item_ids"] = [i for i in episode["support_item_ids"]
-                                           if dataset.label[dataset.rows_of([i])[0]] != dropped]
+                                           if dataset.label[rows_of([i])[0]] != dropped]
         elif reshape == "drop_a_support_item":
             episode["support_item_ids"].pop()
         else:
             used = set(episode["support_item_ids"]) | set(episode["query_item_ids"])
-            label = dataset.label[dataset.rows_of(episode["support_item_ids"][:1])[0]]
+            label = dataset.label[rows_of(episode["support_item_ids"][:1])[0]]
             episode["support_item_ids"].append(next(
                 rid for rid in dataset.id[dataset.label == label] if rid not in used))
         lines[2] = json.dumps(episode)

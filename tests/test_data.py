@@ -196,7 +196,7 @@ class TestRoundTrip:
         assert ds.id[ds.label == "a"].tolist() == ["r2", "r3"]
         assert ds.id[(ds.label == "a") & (ds.split == "train")].tolist() == ["r3"]
         np.testing.assert_array_equal(
-            ds.features[ds.rows_of(["r2", "r1"])],
+            ds.features[ds.row_lookup()(["r2", "r1"])],
             np.array([[1.0, 2.0], [1.0, 2.0]]),
         )
 
@@ -227,7 +227,38 @@ class TestTable:
         with pytest.raises(TypeError):
             ds[0]
         with pytest.raises(KeyError):
-            ds.rows_of(["r000000", "nope"])
+            ds.row_lookup()(["r000000", "nope"])
+
+    @pytest.mark.parametrize("columns, message", [
+        ({"id": [1, 2], "label": ["a", 7]}, "row 0: id must be a non-empty string, got 1"),
+        ({"id": ["x", ""]}, "row 1: id must be a non-empty string, got ''"),
+        ({"label": ["a", 7, "b"]}, "row 1: label must be a non-empty string, got 7"),
+        ({"label": ["a", "b", ""]}, "row 2: label must be a non-empty string, got ''"),
+        ({"label": [["a"], "b"]}, "row 0: label must be a non-empty string, got ['a']"),
+        ({"image_id": ["i", 3, None]}, "row 1: image_id must be a string or None, got 3"),
+        ({"split": [None, "train", "dev"]},
+         "row 2: split must be in ('train', 'val', 'test') or None, got 'dev'"),
+        ({"group": ["old", None]}, "row 0: group must be in ('seen', 'unseen') or None, got 'old'"),
+        ({"attributes": [None, np.array([0, 2])]},
+         "row 1: attributes must be an integer array of 0/1 or None, got array([0, 2])"),
+        ({"attributes": [[0, 1], None]},
+         "row 0: attributes must be an integer array of 0/1 or None, got [0, 1]"),
+        ({"box": [[0, 0, 1, 1], [0, 0, 1, np.nan], [np.nan] * 4]},
+         "row 1: box must be 4 NaN or finite (x1, y1, x2, y2) with x2 > x1 and y2 > y1, "
+         "got [0.0, 0.0, 1.0, nan]"),
+        ({"box": [[np.nan] * 4, [2, 0, 1, 1]]},
+         "row 1: box must be 4 NaN or finite (x1, y1, x2, y2) with x2 > x1 and y2 > y1, "
+         "got [2.0, 0.0, 1.0, 1.0]"),
+    ], ids=["id_int", "id_empty", "label_int", "label_empty", "label_unhashable", "image_id_int",
+            "split", "group", "attributes_not_0_1", "attributes_a_list", "box_part_nan",
+            "box_degenerate"])
+    def test_built_tables_refuse_what_the_loader_refuses(self, columns, message):
+        # each of these tables saved to a file that load_dataset refused
+        n = len(next(iter(columns.values())))
+        table = {"id": [f"r{i}" for i in range(n)], "label": ["a"] * n,
+                 "features": np.zeros((n, 3)), **columns}
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            Dataset(**table)
 
     def test_built_tables_are_checked(self):
         with pytest.raises(DatasetError, match="duplicate record id 'x'"):
@@ -522,6 +553,64 @@ def valid_record(draw, dim, index):
         if draw(st.booleans()):
             obj[key] = draw(values)
     return obj
+
+
+@st.composite
+def dataset_columns(draw):
+    """The columns of drawn valid records as Dataset arguments, and whether
+    one value was then set to an odd one, which the table may refuse."""
+    dim = draw(st.integers(1, 4))
+    objs = [draw(valid_record(dim, i)) for i in range(draw(st.integers(1, 6)))]
+    columns = {
+        "id": [f"{obj['id']}.{i}" for i, obj in enumerate(objs)],
+        "label": [obj["label"] for obj in objs],
+        "features": np.array([obj["features"] for obj in objs]),
+        "box": [obj.get("box", [np.nan] * 4) for obj in objs],
+        "image_id": [obj.get("image_id") for obj in objs],
+        "attributes": [None if obj.get("attributes") is None
+                       else np.array(obj["attributes"], dtype=np.int64) for obj in objs],
+        "split": [obj.get("split") for obj in objs],
+        "group": [obj.get("group") for obj in objs],
+    }
+    odd = draw(st.sampled_from([None, "id", "label", "box", "image_id", "attributes", "split",
+                                "group"]))
+    if odd is not None:
+        row = draw(st.integers(0, len(objs) - 1))
+        if odd == "box":
+            value = draw(st.lists(st.one_of(finite, st.sampled_from([np.nan, np.inf])),
+                                  min_size=4, max_size=4))
+        elif odd == "attributes":
+            value = draw(st.one_of(odd_values, st.sampled_from(
+                [np.array([0, 2]), np.array([True]), np.array([0.0, 1.0]), np.array([[0, 1]]),
+                 np.array([1, 0], dtype=np.uint8)])))
+        else:
+            value = draw(odd_values)
+        columns[odd][row] = value
+    return columns, odd is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=dataset_columns())
+def test_every_table_the_constructor_accepts_survives_a_round_trip(drawn):
+    columns, odd = drawn
+    try:
+        ds = Dataset(**columns, meta={"seed": 3})
+    except DatasetError:
+        assert odd
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.jsonl"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+    assert back.meta == ds.meta
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.box.tobytes() == ds.box.tobytes()
+    for name in ("id", "label", "image_id", "split", "group"):
+        assert getattr(back, name).tolist() == getattr(ds, name).tolist(), name
+    for got, want in zip(back.attributes, ds.attributes):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tolist() == want.tolist()
 
 
 @st.composite

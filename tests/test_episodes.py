@@ -224,8 +224,9 @@ class TestEpisodeFiles:
         save_episodes(generate_episodes(ds, spec), spec, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         obj = json.loads(lines[2])
+        rows_of = ds.row_lookup()
         obj["query_item_ids"] = [rid for rid in obj["query_item_ids"]
-                                 if ds.label[ds.rows_of([rid])[0]] == BACKGROUND_LABEL]
+                                 if ds.label[rows_of([rid])[0]] == BACKGROUND_LABEL]
         lines[2] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="^line 3: episode 1 has no foreground query$"):

@@ -4,9 +4,11 @@ compared with the committed manifest `golden_manifest.json`. A change that
 moves one output bit fails here, not only in a hand comparison.
 
 The digests hold for the environment the manifest records: the Python and
-numpy versions and the CPU dispatch targets numpy takes (float64 `exp` and
-`log` may differ in the last bit between them). On any other environment
-the test is skipped, with both environments in the reason.
+numpy versions, the CPU dispatch targets numpy takes (float64 `exp` and
+`log` may differ in the last bit between them), and the kernels numpy's
+bundled OpenBLAS picks for this CPU (`matmul` bits move with them). On any
+other environment the test is skipped, with both environments in the
+reason.
 
 Regenerate the manifest after a deliberate output change with
 
@@ -15,10 +17,13 @@ Regenerate the manifest after a deliberate output change with
 and name in the change log each digest that moved, and why."""
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -83,12 +88,25 @@ def run_workflow(name: str, root: Path) -> dict:
     return digests
 
 
+def blas_core() -> str | None:
+    """The kernel family numpy's bundled OpenBLAS picked when it loaded, like
+    "SkylakeX" (OPENBLAS_CORETYPE overrides it); None when no bundled
+    library names it."""
+    for library in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(library)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def environment() -> dict:
     features = _multiarray_umath.__cpu_features__
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_dispatch": [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)],
+        "blas_core": blas_core(),
     }
 
 
@@ -100,6 +118,20 @@ def test_outputs_match_the_golden_digests(name, tmp_path):
         pytest.skip(f"the golden digests hold for {manifest['environment']}; "
                     f"this environment is {here}")
     assert run_workflow(name, tmp_path) == manifest["workflows"][name]
+
+
+def test_another_blas_kernel_skips_instead_of_failing():
+    # the Haswell kernels give other matmul bits than the manifest's, so the
+    # digests must not be compared even where numpy's dispatch matches
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(MANIFEST.parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+         f"{__file__}::test_outputs_match_the_golden_digests[grad-check]"],
+        capture_output=True, text=True, env=env, cwd=MANIFEST.parents[1])
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 skipped" in run.stdout and "'blas_core': 'Haswell'" in run.stdout, run.stdout
 
 
 def regenerate() -> None:

@@ -9,7 +9,9 @@ posterior rule as a parameter, every config schema is frozen, every
 default a run config shares with a schema or a library function is written
 once, the run config resolves its task-mode defaults from named owners, the
 package root imports nothing, each name is imported from the module
-that binds it, and no call passes `str` as a dtype or type argument."""
+that binds it, no call passes `str` as a dtype or type argument, and only
+the format writers and `save_checkpoint` open a file to write or format
+JSON or CSV text."""
 
 import ast
 import inspect
@@ -569,3 +571,71 @@ def test_no_string_column_is_copied_to_fixed_width(module):
     # `dtype=str` copies each value at 4 bytes a character, padded to the
     # longest, and drops trailing NULs, so "img" and "img\x00" would merge
     assert str_arguments(module.read_text(encoding="utf-8")) == []
+
+
+# the one writer of each output format (JSON Lines, CSV and sorted JSON), and
+# the checkpoint's compact JSON
+WRITERS = ("write_json_lines", "write_csv", "write_json", "save_checkpoint")
+FORMATTERS = {"json.dumps", "json.dump", "csv.writer"}
+
+
+def _opens_to_write(call: ast.Call) -> str | None:
+    """The name of `call` when it opens a file to write: `open` or a path's
+    `open` with a mode that writes, or one that is not a string literal,
+    and `write_text` or `write_bytes`."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return func.attr
+    if isinstance(func, ast.Name) and func.id == "open":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return None
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:position + 1]
+    if not modes or (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)
+                     and not set(modes[0].value) & set("wax+")):
+        return None
+    return "open"
+
+
+def writes_outside(source: str, writers=WRITERS) -> list[str]:
+    """Each call in `source` that opens a file to write, and each reference
+    to one of FORMATTERS, outside the functions named in `writers`, with
+    its line number."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name in writers
+        elif not inside and isinstance(node, ast.Call) and _opens_to_write(node):
+            found.append(f"{_opens_to_write(node)} (line {node.lineno})")
+        elif not inside and isinstance(node, ast.Attribute) and ast.unparse(node) in FORMATTERS:
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scan_finds_a_write_outside_the_writers():
+    source = ("import csv, json\n"
+              "def write_csv(path, rows):\n    with open(path, 'w') as fh:\n"
+              "        csv.writer(fh)\n\n\n"
+              "def report(path, doc):\n    with open(path, 'a') as fh:\n"
+              "        fh.write(json.dumps(doc))\n    path.write_text('x')\n"
+              "    path.open(mode='x')\n    open(path, encoding='utf-8')\n    path.open()\n"
+              "    dump = json.dump\n    open(path, mode)\n    open(path, 'rb')\n\n\n"
+              "def save_checkpoint(head, path):\n    def inner():\n"
+              "        json.dump(head, open(path, 'wb'))\n")
+    assert writes_outside(source) == [
+        "open (line 8)", "json.dumps (line 9)", "write_text (line 10)", "open (line 11)",
+        "json.dump (line 14)", "open (line 15)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_only_the_format_writers_write_files(module):
+    # a new output goes through the writer of its format, so each format's
+    # bytes are decided in one place
+    assert writes_outside(module.read_text(encoding="utf-8")) == []
