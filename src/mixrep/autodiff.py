@@ -31,9 +31,11 @@ from .errors import (
 
 Array = np.ndarray
 
-# differences formed at once inside pairwise_sq_dist on a stack (2**16
-# float64 entries: 512 KiB), so its temporaries do not grow with the stack
-DIFF_CHUNK = 2**16
+# differences formed at once inside pairwise_sq_dist on a stack (2**14
+# float64 entries: 128 KiB), so its temporaries do not grow with the stack;
+# a five-shot episode at README width (25 rows, 25 modes, e = 32) is its
+# own chunk
+DIFF_CHUNK = 2**14
 
 _FLOAT64 = np.dtype(np.float64)
 _creation = itertools.count()  # numbers every node in the order nodes are made
@@ -87,11 +89,15 @@ def constant(value) -> Node:
     return Node(value, requires_grad=False, op="const")
 
 
-def _wrap(x) -> Node:
+def wrap(x) -> Node:
+    """`x` itself when it is a node; otherwise a constant of its values."""
     return x if isinstance(x, Node) else constant(x)
 
 
-def _result(value, op: str, vjps: list, tie: Callable[[], bool] | None = None) -> Node:
+def record(value, op: str, vjps: list, tie: Callable[[], bool] | None = None) -> Node:
+    """The node of an operation's result `value`. It keeps a tape, its
+    (input, vjp) pairs and its `tie` callable, only when an input requires a
+    gradient."""
     node = Node(value, op=op)
     if [p for p, _ in vjps if p.requires_grad]:
         node.requires_grad, node._vjps, node.tie = True, vjps, tie
@@ -112,7 +118,7 @@ def matmul(a, b) -> Node:
     one gemm over the whole batch would let a row's last bits depend on the
     batch size.
     """
-    a, b = _wrap(a), _wrap(b)
+    a, b = wrap(a), wrap(b)
     va, vb = a.value, b.value
     if va.ndim != vb.ndim or va.ndim not in (2, 3) or va.shape[:-2] != vb.shape[:-2]:
         raise ShapeError("matmul", (va.shape, vb.shape),
@@ -120,8 +126,8 @@ def matmul(a, b) -> Node:
     if va.shape[-1] != vb.shape[-2]:
         raise ShapeError("matmul", (va.shape, vb.shape), "inner dimensions differ")
     out = np.matmul(va[..., None, :], vb[..., None, :, :])[..., 0, :]
-    return _result(out, "matmul", [(a, lambda g: g @ vb.swapaxes(-1, -2)),
-                                   (b, lambda g: va.swapaxes(-1, -2) @ g)])
+    return record(out, "matmul", [(a, lambda g: g @ vb.swapaxes(-1, -2)),
+                                  (b, lambda g: va.swapaxes(-1, -2) @ g)])
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:
@@ -137,13 +143,13 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 
 
 def add(a, b) -> Node:
-    a, b = _wrap(a), _wrap(b)
+    a, b = wrap(a), wrap(b)
     va, vb = a.value, b.value
     try:
         out = va + vb
     except ValueError:
         raise ShapeError("add", (va.shape, vb.shape), "shapes do not broadcast") from None
-    return _result(
+    return record(
         out,
         "add",
         [(a, lambda g: _unbroadcast(g, va.shape)), (b, lambda g: _unbroadcast(g, vb.shape))],
@@ -151,71 +157,72 @@ def add(a, b) -> Node:
 
 
 def scale(a, factor: float) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     factor = float(factor)
-    return _result(a.value * factor, "scale", [(a, lambda g: g * factor)])
+    return record(a.value * factor, "scale", [(a, lambda g: g * factor)])
 
 
 def negate(a) -> Node:
-    a = _wrap(a)
-    return _result(-a.value, "negate", [(a, lambda g: -g)])
+    a = wrap(a)
+    return record(-a.value, "negate", [(a, lambda g: -g)])
 
 
 def exp(a) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     out = np.exp(a.value)
-    return _result(out, "exp", [(a, lambda g: g * out)])
+    return record(out, "exp", [(a, lambda g: g * out)])
 
 
 def log(a) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     if (va < 0.0).any():
         raise ShapeError("log", (va.shape,), "negative input")
     with np.errstate(divide="ignore"):
         out = np.log(va)
+    return record(out, "log", [(a, lambda g: log_vjp(g, va))])
 
-    def vjp(g):
-        # Zero upstream gradient contributes zero even where the input is 0
-        # (1/0 = inf there); keeps inactive hinge branches NaN-free at exact
-        # zero distances. A nonzero upstream at 0 is a declared singularity.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(g == 0.0, 0.0, g / va)
 
-    return _result(out, "log", [(a, vjp)])
+def log_vjp(g: Array, x: Array) -> Array:
+    """The vjp of log at x. A zero upstream gradient contributes zero even
+    where x is 0 (1/0 = inf there); this keeps inactive hinge branches
+    NaN-free at exact zero distances. A nonzero upstream at 0 is a declared
+    singularity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g == 0.0, 0.0, g / x)
 
 
 def relu(a) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
-    return _result(np.maximum(va, 0.0), "relu", [(a, lambda g: g * (va > 0.0))])
+    return record(np.maximum(va, 0.0), "relu", [(a, lambda g: g * (va > 0.0))])
 
 
 def square(a) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
-    return _result(va * va, "square", [(a, lambda g: 2.0 * va * g)])
+    return record(va * va, "square", [(a, lambda g: 2.0 * va * g)])
 
 
 def sqrt(a) -> Node:
     """Elementwise square root; exactly 0 at 0."""
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     if (va < 0.0).any():
         raise ShapeError("sqrt", (va.shape,), "negative input")
     out = np.sqrt(va)
+    return record(out, "sqrt", [(a, lambda g: sqrt_vjp(g, out))])
 
-    def vjp(g):
-        # as in log: a zero upstream gradient contributes zero at x = 0,
-        # where the derivative is infinite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(g == 0.0, 0.0, 0.5 * g / out)
 
-    return _result(out, "sqrt", [(a, vjp)])
+def sqrt_vjp(g: Array, out: Array) -> Array:
+    """The vjp of sqrt where it gives `out`. As in log, a zero upstream
+    gradient contributes zero at x = 0, where the derivative is infinite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g == 0.0, 0.0, 0.5 * g / out)
 
 
 def _reduce_extreme(a, axis: int, op_name: str) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     if va.size == 0:
         raise ShapeError(op_name, (va.shape,), "empty input")
@@ -223,21 +230,28 @@ def _reduce_extreme(a, axis: int, op_name: str) -> Node:
         kept, winner = va.max(axis=axis, keepdims=True), va.argmax
     else:
         kept, winner = va.min(axis=axis, keepdims=True), va.argmin
+    return record(kept.squeeze(axis), op_name,
+                  [(a, lambda g: extreme_vjp(g, winner(axis=axis), va.shape, axis))],
+                  lambda: tied(va, kept, axis))
 
-    def vjp(g):
-        # g at the winner, ties going to the lowest index, and 0 elsewhere;
-        # va seen as (outer, n, inner) with the reduced axis in the middle
-        split = axis % va.ndim
-        outer, inner = math.prod(va.shape[:split]), math.prod(va.shape[split + 1:])
-        gi = np.zeros((outer, va.shape[split], inner))
-        gi[np.arange(outer)[:, None], winner(axis=axis).reshape(outer, inner),
-           np.arange(inner)] = g.reshape(outer, inner)
-        return gi.reshape(va.shape)
 
-    def tie() -> bool:
-        return bool(((va == kept).sum(axis=axis) > 1).any())
+def extreme_vjp(g: Array, winners: Array, shape: tuple, axis: int) -> Array:
+    """The vjp of a max or min over `axis` of an array of `shape`: g at the
+    `winners` the reduction picked along the axis, ties having gone to the
+    lowest index, and 0 elsewhere."""
+    # the array seen as (outer, n, inner) with the reduced axis in the middle
+    split = axis % len(shape)
+    outer, inner = math.prod(shape[:split]), math.prod(shape[split + 1:])
+    gi = np.zeros((outer, shape[split], inner))
+    gi[np.arange(outer)[:, None], winners.reshape(outer, inner),
+       np.arange(inner)] = g.reshape(outer, inner)
+    return gi.reshape(shape)
 
-    return _result(kept.squeeze(axis), op_name, [(a, vjp)], tie)
+
+def tied(table: Array, kept: Array, axis: int) -> bool:
+    """Whether `kept`, a max or min of `table` over `axis` kept as a
+    length-1 axis, is held there more than once anywhere."""
+    return bool(((table == kept).sum(axis=axis) > 1).any())
 
 
 def reduce_max(a, axis: int) -> Node:
@@ -255,7 +269,7 @@ def reduce_min(a, axis: int) -> Node:
 
 
 def reduce_sum(a, axis: int | None = None) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     kept = va.sum(axis=axis, keepdims=True)
 
@@ -264,22 +278,22 @@ def reduce_sum(a, axis: int | None = None) -> Node:
         gi[...] = g.reshape(kept.shape)
         return gi
 
-    return _result(kept.squeeze(axis), "sum", [(a, vjp)])
+    return record(kept.squeeze(axis), "sum", [(a, vjp)])
 
 
 def reshape(a, shape) -> Node:
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     try:
         out = va.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", (va.shape, shape), "sizes differ") from None
-    return _result(out, "reshape", [(a, lambda g: g.reshape(va.shape))])
+    return record(out, "reshape", [(a, lambda g: g.reshape(va.shape))])
 
 
 def concat(parts: Sequence, axis: int = -1) -> Node:
     """Join arrays along an existing axis."""
-    nodes = [_wrap(p) for p in parts]
+    nodes = [wrap(p) for p in parts]
     shapes = [n.value.shape for n in nodes]
     try:
         out = np.concatenate([n.value for n in nodes], axis=axis)
@@ -288,8 +302,8 @@ def concat(parts: Sequence, axis: int = -1) -> Node:
     ends = np.cumsum([s[axis] for s in shapes]).tolist()
     pieces = [(slice(None),) * (axis % out.ndim) + (slice(end - s[axis], end),)
               for s, end in zip(shapes, ends)]
-    return _result(out, "concat", [(n, lambda g, piece=piece: g[piece])
-                                   for n, piece in zip(nodes, pieces)])
+    return record(out, "concat", [(n, lambda g, piece=piece: g[piece])
+                                  for n, piece in zip(nodes, pieces)])
 
 
 def take(a, index: tuple) -> Node:
@@ -298,22 +312,29 @@ def take(a, index: tuple) -> Node:
     per row, and `(slice(None), rows, cols)` does so in every matrix of a
     stack. The gradient is scattered back, adding up where an entry is taken
     more than once."""
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     index = tuple(i if isinstance(i, slice) else np.asarray(i, dtype=np.intp) for i in index)
     try:
-        # each entry's flat position in `va`, in C order: after a slice, indexing
-        # may return a transposed layout, which a reduction adds up differently
-        flat = np.ascontiguousarray(np.arange(va.size).reshape(va.shape)[index])
+        flat = flat_positions(va.shape, index)
     except IndexError:
         raise ShapeError("take", (va.shape,), "index out of range") from None
-    out = va.reshape(-1)[flat]
+    return record(va.reshape(-1)[flat], "take",
+                  [(a, lambda g: scatter_add(flat, g, va.shape))])
 
-    def vjp(g):
-        # adds up in index order, as a sequential scatter-add would
-        return np.bincount(flat.reshape(-1), g.reshape(-1), va.size).reshape(va.shape)
 
-    return _result(out, "take", [(a, vjp)])
+def flat_positions(shape: tuple, index: tuple) -> Array:
+    """The flat C-order position, in an array of `shape`, of each entry that
+    `index` picks, laid out in C order: after a slice, indexing may return
+    a transposed layout, which a reduction adds up differently."""
+    return np.ascontiguousarray(np.arange(math.prod(shape)).reshape(shape)[index])
+
+
+def scatter_add(positions: Array, g: Array, shape: tuple) -> Array:
+    """The vjp of gathering `positions` from an array of `shape`: g added
+    up at each position in index order, as a sequential scatter-add would,
+    and 0 elsewhere."""
+    return np.bincount(positions.reshape(-1), g.reshape(-1), math.prod(shape)).reshape(shape)
 
 
 def pairwise_sq_dist(e, r) -> Node:
@@ -329,9 +350,10 @@ def pairwise_sq_dist(e, r) -> Node:
     The (B, M, dim) differences are the largest arrays of a loss graph, so
     none is kept: a stack is worked through in chunks of whole entries of
     at most DIFF_CHUNK differences (one entry when it alone holds more),
-    and each pass forms a chunk's differences afresh, bit for bit the same.
+    and each pass forms a chunk's differences afresh, bit for bit the same,
+    in a buffer of its own (`pairwise_sq_dist_grads` is the backward pass).
     """
-    e, r = _wrap(e), _wrap(r)
+    e, r = wrap(e), wrap(r)
     ve, vr = e.value, r.value
     stack = ve.shape[:-2]
     if (ve.ndim not in (2, 3) or vr.ndim < ve.ndim - 1 or vr.shape[:len(stack)] != stack
@@ -340,54 +362,72 @@ def pairwise_sq_dist(e, r) -> Node:
                          "expected (B, dim) and (..., dim), or (E, B, dim) and (E, ..., dim)")
     lead = stack or (1,)  # a single pair is a stack of one
     batch, dim = ve.shape[-2:]
+    out = np.empty(lead + (batch, vr.reshape(lead + (-1, dim)).shape[-2]))
+    for rows, d in _differences(ve, vr):
+        d *= d
+        d.sum(axis=-1, out=out[rows])
+    out = out.reshape(stack + (batch,) + vr.shape[len(stack):-1])
+    return record(out, "pairwise_sq_dist",
+                  shared_vjps((e, r), lambda g: pairwise_sq_dist_grads(ve, vr, g)))
+
+
+def _differences(ve: Array, vr: Array):
+    """The differences target - query of `pairwise_sq_dist`, as (entries,
+    (n, B, M, dim) differences) for successive chunks of whole stack entries,
+    at most DIFF_CHUNK differences each (one entry when it alone holds
+    more). Every chunk is written into one buffer, which lives only as long
+    as the iteration."""
+    lead = ve.shape[:-2] or (1,)
+    batch, dim = ve.shape[-2:]
     targets = vr.reshape(lead + (1, -1, dim))
     queries = ve.reshape(lead + (batch, 1, dim))
-    count = targets.shape[-2]
-    per = max(1, DIFF_CHUNK // max(batch * count * dim, 1))
-    starts = range(0, lead[0], per)
-    buf = np.empty((min(per, lead[0]), batch, count, dim))
-
-    def differences(i):
+    per = max(1, DIFF_CHUNK // max(batch * targets.shape[-2] * dim, 1))
+    buf = np.empty((min(per, lead[0]), batch, targets.shape[-2], dim))
+    for i in range(0, lead[0], per):
         # targets copied out along the rows, less the queries: the bits of
         # the broadcast subtraction, in half its time
         d = buf[:len(targets[i:i + per])]
         np.copyto(d, targets[i:i + per])
         np.subtract(d, queries[i:i + per], out=d)
-        return d
+        yield slice(i, i + per), d
 
-    out = np.empty(lead + (batch, count))
-    for i in starts:
-        d = differences(i)
-        d *= d
-        d.sum(axis=-1, out=out[i:i + per])
-    out = out.reshape(stack + (batch,) + vr.shape[len(stack):-1])
 
-    # Both gradients are sums of the products 2 * diff * g, up to sign
-    # (scaling by 2 and negation are exact), so both are formed on the
-    # first of the two calls made for one upstream g.
-    grads: dict = {}
+def pairwise_sq_dist_grads(ve: Array, vr: Array, g: Array) -> tuple[Array, Array]:
+    """The vjps of `pairwise_sq_dist(ve, vr)` against both operands for the
+    upstream gradient `g`. Both are sums of the products 2 * diff * g, up to
+    sign (scaling by 2 and negation are exact), so they are formed in one
+    pass over the differences, each chunk formed afresh."""
+    lead = ve.shape[:-2] or (1,)
+    batch, dim = ve.shape[-2:]
+    count = vr.reshape(lead + (-1, dim)).shape[-2]
+    ge, gr = np.empty(lead + (batch, dim)), np.empty(lead + (count, dim))
+    g2 = (2.0 * g).reshape(lead + (batch, count, 1))
+    for rows, d in _differences(ve, vr):
+        d *= g2[rows]
+        np.negative(d.sum(axis=-2), out=ge[rows])
+        d.sum(axis=-3, out=gr[rows])
+    return ge.reshape(ve.shape), gr.reshape(vr.shape)
 
-    def gradients(g):
-        if grads.get("g") is not g:
-            ge, gr = np.empty(lead + (batch, dim)), np.empty(lead + (count, dim))
-            g2 = (2.0 * g).reshape(lead + (batch, count, 1))
-            for i in starts:
-                d = differences(i)
-                d *= g2[i:i + per]
-                np.negative(d.sum(axis=-2), out=ge[i:i + per])
-                d.sum(axis=-3, out=gr[i:i + per])
-            grads.update(g=g, e=ge.reshape(ve.shape), r=gr.reshape(vr.shape))
-        return grads
 
-    return _result(out, "pairwise_sq_dist",
-                   [(e, lambda g: gradients(g)["e"]), (r, lambda g: gradients(g)["r"])])
+def shared_vjps(inputs: Sequence[Node], vjp) -> list:
+    """The (input, vjp) pairs of a node whose vjps against all its `inputs`
+    come from one computation, `vjp(g)` giving one gradient per input: it
+    runs on the first of the calls `backward` makes for one upstream g."""
+    last: list = [None, None]
+
+    def nth(i, g):
+        if last[0] is not g:
+            last[:] = g, vjp(g)
+        return last[1][i]
+
+    return [(x, lambda g, i=i: nth(i, g)) for i, x in enumerate(inputs)]
 
 
 def l2_normalize(a, epsilon: float = 1e-12) -> Node:
     """Scale each row of a matrix, or of a stack of matrices, to unit
     Euclidean norm. A row whose squared norm overflows becomes NaN, not the
     zero vector that dividing by an infinite norm gives."""
-    a = _wrap(a)
+    a = wrap(a)
     va = a.value
     if va.ndim not in (2, 3):
         raise ShapeError("l2_normalize", (va.shape,), "expected 2-d or 3-d input")
@@ -403,7 +443,7 @@ def l2_normalize(a, epsilon: float = 1e-12) -> Node:
         radial = (g * out).sum(axis=-1, keepdims=True)
         return (g - radial * out) / norms
 
-    return _result(out, "l2_normalize", [(a, vjp)])
+    return record(out, "l2_normalize", [(a, vjp)])
 
 
 @dataclass
@@ -423,7 +463,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool = False) -> No
     advances the running estimates. Otherwise uses only the stored
     statistics, so each row is independent of the rest of the batch.
     """
-    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    x, gamma, beta = wrap(x), wrap(gamma), wrap(beta)
     vx, vg, vb = x.value, gamma.value, beta.value
     if vx.ndim != 2:
         raise ShapeError("batch_norm", (vx.shape,), "expected (batch, features)")
@@ -457,7 +497,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool = False) -> No
             return g * vg * inv
 
     out = vg * xhat + vb
-    return _result(
+    return record(
         out,
         "batch_norm",
         [

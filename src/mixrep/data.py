@@ -120,6 +120,18 @@ _COLUMN_VALUES = (
 )
 
 
+def _plain_json(value) -> bool:
+    """Whether `value` saves to JSON and loads back as it is: dicts with
+    string keys, lists, strings, finite numbers, booleans and None, and no
+    tuple, numpy value or other object."""
+    if type(value) is dict:
+        return all(type(key) is str and _plain_json(item) for key, item in value.items())
+    if type(value) is list:
+        return all(map(_plain_json, value))
+    return type(value) in (str, int, bool, type(None)) or (
+        type(value) is float and math.isfinite(value))
+
+
 def _object_column(values, n: int) -> np.ndarray:
     """`values` as an (n,) object array, or n Nones when `values` is None."""
     if values is None:
@@ -170,7 +182,14 @@ class Dataset:
         lengths = {name: len(getattr(self, name)) for name in self._columns}
         if set(lengths.values()) != {n}:
             raise DatasetError(f"columns of unequal length {lengths}")
-        self.meta = dict(meta) if meta else {}
+        meta = {} if meta is None else meta
+        try:
+            plain = type(meta) is dict and _plain_json(meta)
+        except RecursionError:  # nested too deep to save, or holding itself
+            plain = False
+        if not plain:
+            raise DatasetError(f"meta must be a JSON object of plain JSON values, got {meta!r}")
+        self.meta = dict(meta)
         for name, words, ok in _COLUMN_VALUES:  # one pass per column
             values = getattr(self, name).tolist()
             if not all(map(ok, values)):
@@ -365,15 +384,17 @@ def write_csv(path, columns, rows) -> None:
 
 
 def _record_objects(dataset: Dataset):
-    """Each record's JSON object, in row order, with only the keys it has."""
-    has_box = ~np.isnan(dataset.box).any(axis=1)
-    for row in range(len(dataset)):
-        obj: dict = {"id": dataset.id[row], "label": dataset.label[row],
-                     "features": dataset.features[row].tolist()}
-        if has_box[row]:
-            obj["box"] = dataset.box[row].tolist()
-        for key in ("image_id", "attributes", "split", "group"):
-            value = getattr(dataset, key)[row]
+    """Each record's JSON object, in row order, with only the keys it has.
+    Each column is read once, as Python values."""
+    tags = ("image_id", "attributes", "split", "group")
+    rows = zip(dataset.id.tolist(), dataset.label.tolist(), dataset.features.tolist(),
+               dataset.box.tolist(), (~np.isnan(dataset.box).any(axis=1)).tolist(),
+               *(getattr(dataset, key).tolist() for key in tags))
+    for rid, label, features, box, has_box, *values in rows:
+        obj: dict = {"id": rid, "label": label, "features": features}
+        if has_box:
+            obj["box"] = box
+        for key, value in zip(tags, values):
             if value is not None:
                 obj[key] = value.tolist() if key == "attributes" else value
         yield obj

@@ -44,13 +44,14 @@ from .rng import substream
 from .training import SGD
 
 # Entries per fine-tune graph. A pass fine-tunes its episodes in blocks, one
-# graph per step for each block. Per episode, a graph's arrays are about a
-# dozen (rows, modes) tables and a few copies of the episode head's
-# parameters, so a block holds as many episodes as keep one table plus the
-# parameters of each under this bound, and peak memory does not grow with
-# the episode count. At README scale (width 64, e = 32) that is 15 one-shot,
-# 10 five-shot or 5 ten-shot episodes a graph. Episodes are independent, so
-# blocking changes no result bit.
+# graph per step for each block. Per episode, a graph holds the episode
+# head's last layer and its activations, a few copies of its parameters
+# and gradients, and the loss node's few (rows, modes) tables, so a block
+# holds as many episodes as keep one table plus the parameters of each
+# under this bound, and peak memory does not grow with the episode count.
+# At README scale (width 64, e = 32) that is 15 one-shot, 10 five-shot or
+# 5 ten-shot episodes a graph. Episodes are independent, so blocking
+# changes no result bit.
 BLOCK_ENTRIES = 36_000
 
 

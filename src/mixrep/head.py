@@ -13,10 +13,12 @@ representatives' parameter node, scoring passes their values, so a score
 reads bit for bit the probabilities the loss trains on, and scoring keeps no
 autodiff tape.
 
-Everything differentiable is built from autodiff primitives over the whole
-batch: one (B, N, K) squared-distance table per step, per-class minima as
-row-wise minima under additive constant masks, and one label entry picked
-per row. Division is composed as exp(log a - log b).
+The loss is one autodiff node over the whole batch, `mixture_loss`: its
+forward is `mode_probabilities` and the posterior helpers on plain arrays,
+then the cross-entropy and the hinge, and its vjp replays, op for op, the
+vjps of the graph the engine's primitives would build for it, so the loss
+and its gradients are bit for bit that graph's. Division is exp(log a -
+log b), and per-class minima are row-wise minima under additive masks.
 
 A head is its parameter arrays and batch-norm running statistics, nothing
 else: `parameter_layout` names them and gives their shapes, and
@@ -89,12 +91,12 @@ class EmbeddingNet:
         return self.last_layer(self._hidden(X, train))
 
     def _hidden(self, X, train: bool = False) -> Node:
-        h = X if isinstance(X, Node) else ad.constant(np.asarray(X, dtype=np.float64))
+        h = ad.wrap(X)
         if h.value.ndim not in (2, 3) or h.value.shape[-1] != self.config.input_dim:
             raise ShapeError(
                 "embed", (h.value.shape,), f"expected (batch, {self.config.input_dim})"
             )
-        if not np.all(np.isfinite(h.value)):
+        if not np.isfinite(h.value).all():
             raise ValueError("embed: non-finite input")
         for w, gamma, beta, st in zip(self.weights, self.gammas, self.betas, self.bn_states):
             h = ad.relu(ad.batch_norm(ad.matmul(h, w), gamma, beta, st, train))
@@ -191,15 +193,13 @@ def _seeded_arrays(embedding: EmbeddingConfig, mixture: MixtureConfig, seed: int
 
 
 # ---------------------------------------------------------------------------
-# posterior and loss ops (Node in, Node out; plain arrays are wrapped)
+# posteriors (Node in, Node out; plain arrays are wrapped) and the loss node
 
 
-def _wrap(x) -> Node:
-    return x if isinstance(x, Node) else ad.constant(np.asarray(x, dtype=np.float64))
-
-
-def clamp_min(node: Node, floor: float) -> Node:
-    return ad.add(ad.relu(ad.add(node, ad.constant(-float(floor)))), ad.constant(float(floor)))
+def _exponent_scale(sigma: float) -> float:
+    """The factor -1 / (2 sigma^2) that turns squared distances into the
+    exponents of the mode likelihoods."""
+    return -1.0 / (2.0 * float(sigma) ** 2)
 
 
 def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node, Node]:
@@ -213,8 +213,8 @@ def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node,
     arrays build constants, which keep no tape. `sigma` is a head's
     `MixtureConfig.sigma`, positive by that config's check.
     """
-    d2 = ad.pairwise_sq_dist(_wrap(embeddings), _wrap(representatives))
-    return d2, ad.exp(ad.scale(d2, -1.0 / (2.0 * float(sigma) ** 2)))
+    d2 = ad.pairwise_sq_dist(embeddings, representatives)
+    return d2, ad.exp(ad.scale(d2, _exponent_scale(sigma)))
 
 
 # The posteriors below read the last two axes of a probability table as
@@ -223,7 +223,7 @@ def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node,
 
 def class_posterior_max(probs) -> Node:
     """Per-class posterior as the best mode: (..., N, K) -> (..., N)."""
-    p = _wrap(probs)
+    p = ad.wrap(probs)
     if p.value.ndim < 2:
         raise ShapeError("class_posterior_max", (p.value.shape,), "expected (..., N, K)")
     return ad.reduce_max(p, axis=-1)
@@ -236,11 +236,11 @@ def class_posterior_normalized(probs) -> Node:
     Sums to 1 within 1e-9. Division is composed as exp(log a - log b), both
     arguments strictly positive away from total underflow.
     """
-    p = _wrap(probs)
+    p = ad.wrap(probs)
     if p.value.ndim < 2:
         raise ShapeError("class_posterior_normalized", (p.value.shape,), "expected (..., N, K)")
-    underflow = np.all(p.value < 1e-300, axis=(-2, -1))
-    if np.any(underflow):
+    underflow = (p.value < 1e-300).all(axis=(-2, -1))
+    if underflow.any():
         raise PosteriorUnderflowError(
             f"all mode probabilities below 1e-300 for {int(np.sum(underflow))} item(s)"
         )
@@ -253,7 +253,7 @@ def class_posterior_normalized(probs) -> Node:
 def background_posterior(probs) -> Node:
     """Open-set lower bound: 1 minus the single best mode probability,
     (..., N, K) -> (...)."""
-    p = _wrap(probs)
+    p = ad.wrap(probs)
     flat = ad.reshape(p, p.shape[:-2] + (-1,))
     return ad.add(ad.constant(1.0), ad.negate(ad.reduce_max(flat, axis=-1)))
 
@@ -268,61 +268,106 @@ def _check_labels(labels, n: int, background_ok: bool) -> np.ndarray:
     return labels
 
 
-def margin_loss(distances, labels, margin: float) -> Node:
-    """Per-row hinge between the closest correct-class mode and the closest
-    wrong-class mode: relu(min_true - min_wrong + margin), (B,) values.
+def mixture_loss(embeddings: Node, representatives: Node, labels: np.ndarray,
+                 mixture: MixtureConfig, task_mode: str) -> tuple[Node, dict]:
+    """The loss of `MixtureHead.total_loss` as one autodiff node over (B, e)
+    embeddings and (N, K, e) representatives, or an (E, B, e) and
+    (E, N, K, e) stack of them with the same B labels in each entry.
 
-    `distances` is the (B, N, K) table, or an (E, B, N, K) stack of them
-    giving (E, B) values; `labels` holds one 0-based class per row, the same
-    in every table of a stack. Each minimum is one row-min over the
-    flattened N*K modes, with the excluded modes pushed to +inf by a
-    constant additive mask.
+    Per row, it is the cross-entropy of the label's probability, floored at
+    PROB_FLOOR, plus for a foreground row, when N >= 2, the hinge
+    relu(d_true - d_wrong + margin) between its closest correct-class and
+    closest wrong-class mode, distances being square roots of d^2 floored
+    at DIST_SQ_FLOOR. The label's probability is its normalized posterior
+    in classification mode; in detection mode it is its best-mode
+    posterior, or the background posterior for a BACKGROUND row, over
+    their sum. The value is the batch mean of the rows, summed over a
+    stack's entries; `parts` holds the batch means of `ce`, `margin` and
+    their sum `total`, each an (E,) array on a stack.
+
+    The forward is `mode_probabilities` and the posterior helpers on the
+    values, then the numpy operations the engine's primitives would run, in
+    their order; the vjp replays those primitives' vjps op for op, so value,
+    gradients and tie verdict are bit for bit those of the graph composed
+    of the primitives. It keeps only what its vjp and `tie` read, and forms
+    the differences behind the distances a chunk at a time in both passes.
     """
-    d = _wrap(distances)
-    if d.value.ndim not in (3, 4):
-        raise ShapeError("margin_loss", (d.value.shape,), "expected (B, N, K) or (E, B, N, K)")
-    batch, n, k = d.value.shape[-3:]
-    if n < 2:
-        raise ValueError("margin_loss needs a competing class (N >= 2)")
-    labels = _check_labels(labels, n, background_ok=False)
-    if labels.shape[0] != batch:
-        raise ShapeError("margin_loss", (d.value.shape, labels.shape), "one label per row")
-    own = np.repeat(np.arange(n)[None, :] == labels[:, None], k, axis=1)  # (B, N*K)
-    flat = ad.reshape(d, d.shape[:-2] + (n * k,))
-    d_true = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=-1)
-    d_wrong = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=-1)
-    return ad.relu(ad.add(ad.add(d_true, ad.negate(d_wrong)), ad.constant(float(margin))))
+    ve, vr = embeddings.value, representatives.value
+    lead = ve.shape[:-2]  # () or (E,) on a stack
+    batch, (n, k) = len(labels), vr.shape[-3:-1]
+    d2, probs = (node.value for node in mode_probabilities(ve, vr, mixture.sigma))
+    modes = probs.reshape(lead + (batch, n * k))
+    rows = (slice(None),) * len(lead) + (np.arange(batch),)
+    if task_mode == "classification":
+        post = class_posterior_normalized(probs).value
+        at_label = ad.flat_positions(post.shape, rows + (labels,))
+        likelihood = post.reshape(-1)[at_label]
+    else:  # the label's entry of [best mode of each class, background], over its sum
+        best, bg = class_posterior_max(probs).value, background_posterior(probs).value
+        total = best.sum(axis=-1) + bg
+        table = np.concatenate([best, bg[..., None]], axis=-1)
+        table_shape = table.shape
+        at_label = ad.flat_positions(table_shape,
+                                     rows + (np.where(labels == BACKGROUND, n, labels),))
+        picked = table.reshape(-1)[at_label]
+        with np.errstate(divide="ignore"):
+            likelihood = np.exp(np.log(picked) + -np.log(total))
+    shifted = likelihood + -PROB_FLOOR  # clamp_min: relu(x - floor) + floor
+    floored = np.maximum(shifted, 0.0) + PROB_FLOOR
+    ce_total = (-np.log(floored)).sum(axis=-1)
+    summed, margin = ce_total, np.zeros(ce_total.shape)
+    fg = np.flatnonzero(labels != BACKGROUND)
+    hinge = bool(fg.size) and n >= 2
+    if hinge:
+        at_fg = ad.flat_positions(probs.shape, rows[:-1] + (fg,))  # d2's shape
+        shifted_d2 = d2.reshape(-1)[at_fg] + -DIST_SQ_FLOOR
+        dist = np.sqrt(np.maximum(shifted_d2, 0.0) + DIST_SQ_FLOOR)
+        own = np.repeat(np.arange(n)[None, :] == labels[fg][:, None], k, axis=1)  # (F, N*K)
+        flat = dist.reshape(dist.shape[:-2] + (n * k,))
+        to_true, to_wrong = flat + np.where(own, 0.0, np.inf), flat + np.where(own, np.inf, 0.0)
+        gap = to_true.min(axis=-1) + -to_wrong.min(axis=-1) + float(mixture.margin)
+        margin_total = np.maximum(gap, 0.0).sum(axis=-1)
+        summed, margin = ce_total + margin_total, margin_total / batch
+    scale = float(1.0 / batch)
+    loss = summed * scale
+    parts = {"ce": ce_total / batch, "margin": margin, "total": loss}
 
+    def vjps(g):
+        g = np.full(lead, g * scale).reshape(lead + (1,))  # each entry's, for its rows
+        g_likelihood = ad.log_vjp(-g, floored) * (shifted > 0.0)
+        if task_mode == "classification":  # take, then exp(log mass - log total)
+            g_exponent = ad.scatter_add(at_label, g_likelihood, post.shape) * post
+            mass = probs.sum(axis=-1)
+            g_total = ad.log_vjp(-(g_exponent if n == 1 else
+                                   g_exponent.sum(axis=-1, keepdims=True)),
+                                 mass.sum(axis=-1, keepdims=True))
+            g_probs = (ad.log_vjp(g_exponent, mass) + g_total)[..., None]
+        else:  # exp(log picked - log total), take, then 1 - best mode and best modes
+            g_exponent = g_likelihood * likelihood
+            g_total = ad.log_vjp(-g_exponent, total)
+            g_table = ad.scatter_add(at_label, ad.log_vjp(g_exponent, picked), table_shape)
+            g_probs = (ad.extreme_vjp(-(g_table[..., n] + g_total), modes.argmax(axis=-1),
+                                      modes.shape, -1).reshape(probs.shape)
+                       + ad.extreme_vjp(g_table[..., :n] + g_total[..., None],
+                                        probs.argmax(axis=-1), probs.shape, -1))
+        g_d2 = g_probs * probs * _exponent_scale(mixture.sigma)
+        if hinge:  # relu, the two minima, sqrt, the floor's relu, take
+            g_gap = g * (gap > 0.0)
+            g_flat = (ad.extreme_vjp(-g_gap, to_wrong.argmin(axis=-1), to_wrong.shape, -1)
+                      + ad.extreme_vjp(g_gap, to_true.argmin(axis=-1), to_true.shape, -1))
+            g_dist = ad.sqrt_vjp(g_flat.reshape(dist.shape), dist) * (shifted_d2 > 0.0)
+            g_d2 = ad.scatter_add(at_fg, g_dist, probs.shape) + g_d2
+        return ad.pairwise_sq_dist_grads(ve, vr, g_d2)
 
-def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
-    """Per-row negative log probability of the true label, (B,) values.
+    def tie() -> bool:
+        # a min of x is tied where the max of -x is
+        tables = [probs, modes] if task_mode == "detection" else []
+        tables += [-to_true, -to_wrong] if hinge else []
+        return any(ad.tied(t, t.max(axis=-1, keepdims=True), -1) for t in tables)
 
-    `class_posterior` is (B, N), or an (E, B, N) stack giving (E, B)
-    values, with the same labels in every table. With `background_post`
-    None it is taken as already normalized and every label must be a
-    foreground class. Otherwise each row's (N+1)-way distribution is formed
-    by renormalizing [class_posterior, background_post] to sum 1 (argmax
-    preserved), and a label may be BACKGROUND. Probabilities are floored at
-    1e-12 inside the log.
-    """
-    post = _wrap(class_posterior)
-    if post.value.ndim not in (2, 3):
-        raise ShapeError("cross_entropy_loss", (post.value.shape,), "expected (B, N) or (E, B, N)")
-    batch, n = post.value.shape[-2:]
-    labels = _check_labels(labels, n, background_ok=background_post is not None)
-    if labels.shape[0] != batch:
-        raise ShapeError("cross_entropy_loss", (post.value.shape, labels.shape), "one label per row")
-    rows = (slice(None),) * (post.value.ndim - 2) + (np.arange(batch),)
-    if background_post is None:
-        picked = ad.take(post, rows + (labels,))
-        return ad.negate(ad.log(clamp_min(picked, PROB_FLOOR)))
-
-    bg = _wrap(background_post)
-    total = ad.add(ad.reduce_sum(post, axis=-1), bg)
-    table = ad.concat([post, ad.reshape(bg, bg.shape + (1,))], axis=-1)
-    picked = ad.take(table, rows + (np.where(labels == BACKGROUND, n, labels),))
-    ratio = ad.exp(ad.add(ad.log(picked), ad.negate(ad.log(total))))
-    return ad.negate(ad.log(clamp_min(ratio, PROB_FLOOR)))
+    node = ad.record(loss.sum() if lead else loss, "mixture_loss",
+                     ad.shared_vjps((embeddings, representatives), vjps), tie)
+    return node, parts
 
 
 # ---------------------------------------------------------------------------
@@ -461,17 +506,13 @@ class MixtureHead:
     def parameter_groups(self) -> dict[str, list[Node]]:
         """Weight decay applies to affine weights/bias only, never to BN
         affine parameters or the representatives."""
-        decay = [w for w in self.embedding.weights] + [self.embedding.last_bias]
-        no_decay = (
-            list(self.embedding.gammas)
-            + list(self.embedding.betas)
-            + [self.representatives]
-        )
-        return {"decay": decay, "no_decay": no_decay}
+        net = self.embedding
+        return {"decay": [*net.weights, net.last_bias],
+                "no_decay": [*net.gammas, *net.betas, self.representatives]}
 
     def total_loss(self, X, labels, train: bool = False):
-        """Mean over the batch of (cross-entropy + margin hinge), built as
-        one graph over the whole batch. `train` is passed on to
+        """Mean over the batch of (cross-entropy + margin hinge), one
+        `mixture_loss` node over the whole batch. `train` is passed on to
         `EmbeddingNet.forward`.
 
         Background-labeled items (detection mode) contribute cross-entropy
@@ -487,30 +528,12 @@ class MixtureHead:
         labels = np.array([int(l) for l in labels], dtype=np.intp)
         if X.ndim not in (2, 3) or X.shape[-2] != len(labels) or not len(labels):
             raise ShapeError("total_loss", (X.shape,), f"need one row per label ({len(labels)})")
-        if self.task_mode == "classification" and np.any(labels == BACKGROUND):
-            raise ValueError("background labels require detection mode")
-        batch = len(labels)
-        E = self.embedding.forward(X, train)
-        d2, probs = mode_probabilities(E, self.representatives, self.mixture.sigma)
-        if self.task_mode == "classification":
-            ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
-        else:
-            ce = cross_entropy_loss(class_posterior_max(probs), background_posterior(probs), labels)
-        ce_total = ad.reduce_sum(ce, axis=-1)
-        loss, margin = ce_total, np.zeros(ce_total.shape)
-
-        fg = np.flatnonzero(labels != BACKGROUND)
-        if fg.size and self.mixture.num_classes >= 2:
-            rows = (slice(None),) * (X.ndim - 2) + (fg,)
-            dist = ad.sqrt(clamp_min(ad.take(d2, rows), DIST_SQ_FLOOR))
-            margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], self.mixture.margin), axis=-1)
-            loss = ad.add(loss, margin_total)
-            margin = margin_total.value / batch
-
-        loss = ad.scale(loss, 1.0 / batch)
-        parts = {"ce": ce_total.value / batch, "margin": margin, "total": loss.value}
+        labels = _check_labels(labels, self.representatives.value.shape[-3],
+                               background_ok=self.task_mode == "detection")
+        loss, parts = mixture_loss(self.embedding.forward(X, train), self.representatives, labels,
+                                   self.mixture, self.task_mode)
         if X.ndim == 3:
-            return ad.reduce_sum(loss), parts
+            return loss, parts
         return loss, {name: float(value) for name, value in parts.items()}
 
     # -- inference ---------------------------------------------------------

@@ -1,0 +1,112 @@
+"""The mixture head's loss composed from autodiff primitives: the reference
+that `mixrep.head.mixture_loss`, one fused node, is checked against bit for
+bit. Each helper builds its part of the graph from the engine's primitives,
+so the finite-difference checker and `graph_has_tie` see every reduction."""
+
+import numpy as np
+
+from mixrep import autodiff as ad
+from mixrep.autodiff import Node
+from mixrep.head import (
+    BACKGROUND,
+    DIST_SQ_FLOOR,
+    PROB_FLOOR,
+    MixtureHead,
+    _check_labels,
+    background_posterior,
+    class_posterior_max,
+    class_posterior_normalized,
+    mode_probabilities,
+)
+from mixrep.errors import ShapeError
+
+
+def clamp_min(node: Node, floor: float) -> Node:
+    return ad.add(ad.relu(ad.add(node, ad.constant(-float(floor)))), ad.constant(float(floor)))
+
+
+def margin_loss(distances, labels, margin: float) -> Node:
+    """Per-row hinge between the closest correct-class mode and the closest
+    wrong-class mode: relu(min_true - min_wrong + margin), (B,) values.
+
+    `distances` is the (B, N, K) table, or an (E, B, N, K) stack of them
+    giving (E, B) values; `labels` holds one 0-based class per row, the same
+    in every table of a stack. Each minimum is one row-min over the
+    flattened N*K modes, with the excluded modes pushed to +inf by a
+    constant additive mask.
+    """
+    d = ad.wrap(distances)
+    if d.value.ndim not in (3, 4):
+        raise ShapeError("margin_loss", (d.value.shape,), "expected (B, N, K) or (E, B, N, K)")
+    batch, n, k = d.value.shape[-3:]
+    if n < 2:
+        raise ValueError("margin_loss needs a competing class (N >= 2)")
+    labels = _check_labels(labels, n, background_ok=False)
+    if labels.shape[0] != batch:
+        raise ShapeError("margin_loss", (d.value.shape, labels.shape), "one label per row")
+    own = np.repeat(np.arange(n)[None, :] == labels[:, None], k, axis=1)  # (B, N*K)
+    flat = ad.reshape(d, d.shape[:-2] + (n * k,))
+    d_true = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=-1)
+    d_wrong = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=-1)
+    return ad.relu(ad.add(ad.add(d_true, ad.negate(d_wrong)), ad.constant(float(margin))))
+
+
+def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
+    """Per-row negative log probability of the true label, (B,) values.
+
+    `class_posterior` is (B, N), or an (E, B, N) stack giving (E, B)
+    values, with the same labels in every table. With `background_post`
+    None it is taken as already normalized and every label must be a
+    foreground class. Otherwise each row's (N+1)-way distribution is formed
+    by renormalizing [class_posterior, background_post] to sum 1 (argmax
+    preserved), and a label may be BACKGROUND. Probabilities are floored at
+    1e-12 inside the log.
+    """
+    post = ad.wrap(class_posterior)
+    if post.value.ndim not in (2, 3):
+        raise ShapeError("cross_entropy_loss", (post.value.shape,), "expected (B, N) or (E, B, N)")
+    batch, n = post.value.shape[-2:]
+    labels = _check_labels(labels, n, background_ok=background_post is not None)
+    if labels.shape[0] != batch:
+        raise ShapeError("cross_entropy_loss", (post.value.shape, labels.shape), "one label per row")
+    rows = (slice(None),) * (post.value.ndim - 2) + (np.arange(batch),)
+    if background_post is None:
+        picked = ad.take(post, rows + (labels,))
+        return ad.negate(ad.log(clamp_min(picked, PROB_FLOOR)))
+
+    bg = ad.wrap(background_post)
+    total = ad.add(ad.reduce_sum(post, axis=-1), bg)
+    table = ad.concat([post, ad.reshape(bg, bg.shape + (1,))], axis=-1)
+    picked = ad.take(table, rows + (np.where(labels == BACKGROUND, n, labels),))
+    ratio = ad.exp(ad.add(ad.log(picked), ad.negate(ad.log(total))))
+    return ad.negate(ad.log(clamp_min(ratio, PROB_FLOOR)))
+
+
+def composed_total_loss(head: MixtureHead, X, labels, train: bool = False):
+    """`head.total_loss(X, labels, train)` built as one graph of primitives:
+    the same (root, parts) in value, and the same gradients."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.array([int(l) for l in labels], dtype=np.intp)
+    batch = len(labels)
+    E = head.embedding.forward(X, train)
+    d2, probs = mode_probabilities(E, head.representatives, head.mixture.sigma)
+    if head.task_mode == "classification":
+        ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
+    else:
+        ce = cross_entropy_loss(class_posterior_max(probs), background_posterior(probs), labels)
+    ce_total = ad.reduce_sum(ce, axis=-1)
+    loss, margin = ce_total, np.zeros(ce_total.shape)
+
+    fg = np.flatnonzero(labels != BACKGROUND)
+    if fg.size and head.representatives.value.shape[-3] >= 2:
+        rows = (slice(None),) * (X.ndim - 2) + (fg,)
+        dist = ad.sqrt(clamp_min(ad.take(d2, rows), DIST_SQ_FLOOR))
+        margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], head.mixture.margin), axis=-1)
+        loss = ad.add(loss, margin_total)
+        margin = margin_total.value / batch
+
+    loss = ad.scale(loss, 1.0 / batch)
+    parts = {"ce": ce_total.value / batch, "margin": margin, "total": loss.value}
+    if X.ndim == 3:
+        return ad.reduce_sum(loss), parts
+    return loss, {name: float(value) for name, value in parts.items()}

@@ -936,11 +936,12 @@ class TestBenchmarkTracer:
         assert [s["counts"]["queries"] for s in by_name["episodes.score_queries"]] == [queries] * 6
         assert all(s["counts"]["rows"] >= 1 for s in by_name["head.embed_batch"])
         # the fine-tuned pass builds one loss graph per step and one for the
-        # last iterate, each over all 3 episodes: the stacked last layer,
-        # representatives and loss, and the root summing the episodes' losses;
-        # the frozen layers are not in it. Rows count one episode's support.
+        # last iterate, each over all 3 episodes: the stacked support, the
+        # last layer's weight, matmul, bias, add and l2_normalize, the
+        # representatives, and the one mixture_loss node; the frozen layers
+        # are not in it. Rows count one episode's support.
         steps = RUN["finetune_steps"]
-        assert [s["counts"]["nodes"] for s in by_name["head.total_loss"]] == [57] * (steps + 1)
+        assert [s["counts"]["nodes"] for s in by_name["head.total_loss"]] == [8] * (steps + 1)
         assert [s["counts"]["rows"] for s in by_name["head.total_loss"]] == \
             [RUN["ways"] * RUN["shots"]] * (steps + 1)
         assert len(by_name["autodiff.backward"]) == steps

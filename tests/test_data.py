@@ -260,6 +260,21 @@ class TestTable:
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             Dataset(**table)
 
+    circular: dict = {}
+    circular["self"] = circular
+
+    @pytest.mark.parametrize("meta", [
+        {"centers": np.zeros(2)}, {1: (2, 3)}, {"sizes": [1, (2, 3)]}, {"spread": float("nan")},
+        {"seed": np.int64(3)}, [("seed", 3)], circular,
+    ], ids=["array", "int_key_tuple", "nested_tuple", "nan", "numpy_int", "not_a_dict",
+            "circular"])
+    def test_built_tables_refuse_meta_that_is_not_plain_json(self, meta):
+        # a table holding any of these failed only when saved, leaving an
+        # empty file, or loaded back changed ({1: (2, 3)} as {'1': [2, 3]})
+        message = f"meta must be a JSON object of plain JSON values, got {meta!r}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            Dataset(["r1"], ["a"], np.zeros((1, 2)), meta=meta)
+
     def test_built_tables_are_checked(self):
         with pytest.raises(DatasetError, match="duplicate record id 'x'"):
             Dataset(["x", "y", "x"], ["a"] * 3, np.zeros((3, 2)))

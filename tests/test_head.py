@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composed_loss import cross_entropy_loss, margin_loss
 from mixrep import autodiff as ad
 from mixrep import head as hd
 from mixrep.config import EmbeddingConfig, MixtureConfig
@@ -18,6 +19,7 @@ from mixrep.episodes import replace_representatives
 from mixrep.errors import (
     ConfigError,
     DegenerateVectorError,
+    NonSmoothPointError,
     PosteriorUnderflowError,
     ShapeError,
 )
@@ -28,9 +30,7 @@ from mixrep.head import (
     background_posterior,
     class_posterior_max,
     class_posterior_normalized,
-    cross_entropy_loss,
     load_checkpoint,
-    margin_loss,
     mode_probabilities,
     parameter_layout,
     save_checkpoint,
@@ -421,6 +421,23 @@ class TestTotalLoss:
         assert ad.finite_difference_check(f, headm.parameters()) < 1e-4
 
     @pytest.mark.parametrize("task_mode", ["classification", "detection"])
+    def test_gradcheck_at_a_tie_is_refused(self, task_mode):
+        # class 0's two modes at one point: each class-0 row's closest
+        # correct-class mode (and, in detection mode, its best mode) is tied
+        headm = small_head(task_mode=task_mode)
+        headm.representatives.value[0, 1] = headm.representatives.value[0, 0]
+        X = np.random.default_rng(18).normal(size=(8, 6))
+        labels = [0, 1, 2, 3, 0, 1, 2, 3]
+
+        def f(ps):
+            loss, _ = headm.total_loss(X, labels, train=True)
+            return loss
+
+        assert ad.graph_has_tie(f(headm.parameters()))
+        with pytest.raises(NonSmoothPointError):
+            ad.finite_difference_check(f, headm.parameters())
+
+    @pytest.mark.parametrize("task_mode", ["classification", "detection"])
     def test_stacked_gradcheck(self, task_mode):
         # a stack of two one-layer heads, each with a batch of its own; in
         # detection mode two rows are background and skip the margin
@@ -523,13 +540,13 @@ class TestScoring:
     def test_scoring_keeps_no_tape(self, monkeypatch, posterior_mode):
         headm = small_head(task_mode="detection", posterior_mode=posterior_mode)
         E = headm.embedding.embed_batch(np.random.default_rng(27).normal(size=(40, 6)))
-        real, made = ad._result, []
+        real, made = ad.record, []
 
         def recording(*args, **kwargs):
             made.append(real(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(ad, "_result", recording)
+        monkeypatch.setattr(ad, "record", recording)
         headm.score_embeddings(E)
         assert made  # scoring runs the engine's primitives
         for node in made:

@@ -6,15 +6,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from composed_loss import composed_total_loss
 from mixrep import autodiff as ad
 from mixrep import head as hd
 from mixrep.config import EmbeddingConfig, MixtureConfig
 from mixrep.episodes import replace_representatives
 from mixrep.head import (
+    BACKGROUND,
     MixtureHead,
     background_posterior,
     class_posterior_normalized,
     mode_probabilities,
+    parameter_layout,
 )
 from mixrep.metrics import Detections, average_precision, iou, pr_curve
 from mixrep.rng import substream
@@ -135,6 +138,71 @@ def test_scores_read_the_mode_probabilities_the_loss_trains_on(seed, batch, task
     E = head.embedding.embed_batch(rng.normal(size=(batch, 6)))
     want = np.exp(ad.pairwise_sq_dist(E, head.representatives).value * (-1 / (2 * sigma**2)))
     assert np.array_equal(head.score_embeddings(E).mode_probs, want)
+
+
+def loss_and_gradients(head, loss):
+    """The root, parts, every parameter's gradient and the tie verdict of
+    `loss()`, a (root, parts) pair over `head`'s parameters."""
+    params = head.parameters()
+    ad.zero_grads(params)
+    root, parts = loss()
+    ad.backward(root)
+    return root.value, parts, [p.grad for p in params], ad.graph_has_tie(root)
+
+
+def bits(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       task_mode=st.sampled_from(["classification", "detection"]),
+       stack=st.sampled_from([None, 1, 3]), batch=st.integers(1, 9),
+       classes=st.integers(1, 4), modes=st.integers(1, 3),
+       ties=st.sampled_from(["none", "one mode twice", "every mode at one point"]),
+       train=st.booleans())
+def test_the_loss_node_is_the_composed_graph_bit_for_bit(seed, task_mode, stack, batch, classes,
+                                                         modes, ties, train):
+    """`total_loss`, one fused node, gives the value, the ce / margin /
+    total parts, every parameter's gradient and the tie verdict of the loss
+    composed from autodiff primitives, bit for bit: on a 2-d batch and on a
+    stack of heads, with background rows in detection mode, and at exact
+    ties between modes."""
+    rng = np.random.default_rng(seed)
+    embedding = EmbeddingConfig(5, (4,) if stack else (6, 4),
+                                final_l2_normalize=bool(stack) or bool(seed % 2))
+    mixture = MixtureConfig(classes, modes, float(rng.choice([0.3, 0.5, 1.0])), 0.5)
+    if stack:
+        arrays = {name: rng.normal(size=shape)
+                  for name, shape in parameter_layout(embedding, mixture, stack).items()}
+        head = MixtureHead.from_arrays(embedding, mixture, task_mode, arrays, stack=stack)
+        X = rng.normal(size=(stack, batch, 5))
+    else:
+        head = MixtureHead(embedding, mixture, task_mode=task_mode, seed=seed % 1000)
+        X = rng.normal(size=(batch, 5))
+    train = train and not stack and batch >= 2
+    low = BACKGROUND if task_mode == "detection" else 0
+    labels = [int(v) for v in rng.integers(low, classes, size=batch)]
+    reps = head.representatives.value
+    if ties == "one mode twice":
+        reps[..., -1, -1, :] = reps[..., 0, 0, :]
+    elif ties == "every mode at one point":
+        reps[...] = reps[..., :1, :1, :]
+    # the same BN running statistics before each loss, where train moves them
+    state = [(bn.running_mean, bn.running_var) for bn in head.embedding.bn_states]
+    fused = loss_and_gradients(head, lambda: head.total_loss(X, labels, train))
+    for bn, (mean, var) in zip(head.embedding.bn_states, state):
+        bn.running_mean, bn.running_var = mean, var
+    composed = loss_and_gradients(head, lambda: composed_total_loss(head, X, labels, train))
+
+    assert np.array_equal(bits(fused[0]), bits(composed[0]))
+    for name in ("ce", "margin", "total"):
+        assert np.array_equal(bits(fused[1][name]), bits(composed[1][name])), name
+    for param, got, want in zip(head.parameters(), fused[2], composed[2]):
+        assert np.array_equal(bits(got), bits(want)), param.name
+    assert fused[3] == composed[3]
+    if ties == "every mode at one point" and task_mode == "detection" and classes * modes > 1:
+        assert fused[3]
 
 
 labeled_runs = st.lists(
