@@ -71,6 +71,21 @@ def _out_dir(raw: str | None) -> _OutDir | None:
     return _OutDir(Path(base or "") / (raw or ""))
 
 
+def _head_and_data(args, config: RunConfig):
+    """The head in --checkpoint, or for `train` one built from the config,
+    and the dataset in --data, refused unless as wide as the head's input."""
+    if "checkpoint" in args.inputs:
+        head, source = load_checkpoint(args.checkpoint), f"checkpoint {args.checkpoint}"
+        dataset = load_dataset(args.data)
+    else:
+        dataset = load_dataset(args.data)
+        head, source = _build_head(config, dataset), "the config's input_dim"
+    if dataset.feature_dim != head.embedding.config.input_dim:
+        raise ConfigError(f"dataset {args.data} has {dataset.feature_dim} features per record, "
+                          f"but {source} takes {head.embedding.config.input_dim}")
+    return head, dataset
+
+
 def _build_head(config: RunConfig, dataset) -> MixtureHead:
     input_dim = config.input_dim or dataset.feature_dim
     num_classes = len(class_index_map(dataset))
@@ -100,8 +115,7 @@ def cmd_synth_data(args, config, out):
 
 
 def cmd_train(args, config, out):
-    dataset = load_dataset(args.data)
-    head = _build_head(config, dataset)
+    head, dataset = _head_and_data(args, config)
     trace = fit(head, dataset, config)
     save_checkpoint(head, out.file("checkpoint.json"))
     write_loss_trace(trace, out.file("loss_trace.csv"))
@@ -112,8 +126,7 @@ def cmd_train(args, config, out):
 
 
 def cmd_eval_classify(args, config, out):
-    head = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    head, dataset = _head_and_data(args, config)
     cmap = class_index_map(dataset)
     if len(cmap) != head.mixture.num_classes:
         raise ConfigError(
@@ -157,8 +170,7 @@ def cmd_eval_episodes(args, config, out):
         if len(set(shot_counts)) < len(shot_counts):
             raise ConfigError(f"--shots count {max(shot_counts, key=shot_counts.count)} "
                               f"is repeated in {args.shots!r}")
-    head = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    head, dataset = _head_and_data(args, config)
     file_episodes, spec = load_episodes(args.episodes, dataset)
 
     rows = []
@@ -212,8 +224,7 @@ def cmd_grad_check(args, config, out):
 
 
 def cmd_export_embeddings(args, config, out):
-    head = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
+    head, dataset = _head_and_data(args, config)
     dim = head.embedding.config.output_dim
     with naming_records(dataset, range(len(dataset))):
         emb = head.embedding.embed_batch(dataset.features)

@@ -200,6 +200,12 @@ class SynthConfig:
             raise ConfigError("rois_per_image must be at least 2")
 
 
+def check_task_mode(task_mode) -> None:
+    """The one task-mode check, of run configs and of heads."""
+    if task_mode not in ("classification", "detection"):
+        raise ConfigError(f"task_mode must be 'classification' or 'detection', got {task_mode!r}")
+
+
 CLASSIFICATION_WIDTHS = (2048, 1024)
 DETECTION_WIDTHS = (1024, 1024, 256)
 DETECTION_MODES = 5
@@ -250,10 +256,7 @@ class RunConfig:
     synth: SynthConfig | None = None
 
     def __post_init__(self):
-        if self.task_mode not in ("classification", "detection"):
-            raise ConfigError(
-                f"task_mode must be 'classification' or 'detection', got {self.task_mode!r}"
-            )
+        check_task_mode(self.task_mode)
         if self.layer_widths is not None:
             object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
         object.__setattr__(self, "recall_ks", tuple(self.recall_ks))

@@ -7,15 +7,18 @@ carry a bounding box, image id, binary attributes, split and seen/unseen
 group tags. `write_json_lines` writes every JSON Lines file of the package,
 datasets and episode files, and `write_csv` every CSV file.
 
+Each rule a record meets is written once, and files and tables are checked
+by it in the same words, so every table saves to a file that loads back the
+same: `_VALUE_RULES` for the id, label and tags, read by the loader per line
+and by `Dataset` per column, and `box_fault`, which metric tables share.
+
 In memory a dataset is a `Dataset`: a table of column arrays with one row
-per record, in file order, checked once when it is built against what the
-loader accepts, so every table saves to a file that loads back the same.
-Code that works on some of the records holds their row positions (an
-integer array) and reads the columns at those rows; `dataset[rows]` is the
-sub-table. The loader decodes each stripped line with one
-`json.JSONDecoder.raw_decode` call; only a line that call refuses, or does
-not read to its end, goes through `json.loads`, which words the error. Each
-row's features stream into one growing (n, d) float64 array.
+per record, in file order. Code that works on some of the records holds
+their row positions (an integer array) and reads the columns at those rows;
+`dataset[rows]` is the sub-table. The loader decodes each stripped line with
+one call of the decoder's scanner (`json.JSONDecoder.scan_once`, what
+`raw_decode` calls); only a line that call refuses, or does not read to its
+end, goes through `json.loads`, which words the error.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import contextlib
 import csv
 import json
 import math
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,44 +39,82 @@ from .rng import substream
 BACKGROUND_LABEL = "background"
 SCHEMA_VERSION = 1  # of every JSON Lines file: datasets and episodes
 
-_ALLOWED_KEYS = {"id", "label", "features", "box", "image_id", "attributes", "split", "group"}
-_SPLITS = ("train", "val", "test")
-_GROUPS = ("seen", "unseen")
 _NOT_FINITE = "features must be a flat array of finite numbers"
 _NUMBER_TYPES = frozenset((int, float))  # of JSON numbers; type() rules out bool, an int subclass
+_NO_BOX = [math.nan] * 4  # the box row of a record without a box
 
 
-def _validate_box(box, line: int) -> tuple:
+def box_fault(boxes: np.ndarray, shown=None) -> tuple[int, str] | None:
+    """The package's box rule: the first of the (x1, y1, x2, y2) rows of the
+    float64 (..., 4) `boxes` that is not finite with x2 > x1 and y2 > y1, as
+    its row and the words of its fault, which show `shown` or else the box;
+    None when every box is sound."""
+    boxes = boxes.reshape(-1, 4)
+    finite = np.isfinite(boxes).all(axis=1)
+    sound = finite & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+    if sound.all():
+        return None
+    i = int(np.argmin(sound))
+    shown = boxes[i].tolist() if shown is None else shown
+    if not finite[i]:
+        return i, f"box coordinates must be finite, got {shown!r}"
+    return i, f"degenerate box {shown!r} (need x2 > x1 and y2 > y1)"
+
+
+def _validate_box(box, line: int) -> list[float]:
     if not isinstance(box, (list, tuple)) or len(box) != 4:
         raise DatasetError(f"box must have 4 coordinates, got {box!r}", line)
     if not _NUMBER_TYPES.issuperset(map(type, box)):
         raise DatasetError(f"box coordinates must be numbers, got {box!r}", line)
     try:
-        x1, y1, x2, y2 = (float(v) for v in box)
+        coords = np.array(box, dtype=np.float64)
     except OverflowError:  # an int too large for a float
         raise DatasetError(f"box coordinates must be numbers, got {box!r}", line) from None
-    if not np.isfinite([x1, y1, x2, y2]).all():
-        raise DatasetError(f"box coordinates must be finite, got {box!r}", line)
-    if not (x2 > x1 and y2 > y1):
-        raise DatasetError(f"degenerate box {box!r} (need x2 > x1 and y2 > y1)", line)
-    return (x1, y1, x2, y2)
+    fault = box_fault(coords, box)
+    if fault is not None:
+        raise DatasetError(fault[1], line)
+    return coords.tolist()
+
+
+def _flags(value) -> bool:
+    """Whether `value` is 0/1 flags: a list of the integers 0 and 1, as a
+    file holds them, or a 1-d integer array of them."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist() if value.ndim == 1 and value.dtype.kind in "iu" else None
+    return type(value) is list and all(type(a) is int and a in (0, 1) for a in value)
+
+
+# The rule for each record value but the features and the box, in the order
+# the loader checks them: (key, test, the words of a fault with {!r} for the
+# value). The loader reads it per line, `Dataset` per column. Every tag rule
+# takes None, an absent tag.
+_VALUE_RULES = (
+    *((key, lambda v: isinstance(v, str) and v != "",
+       f"{key} must be a non-empty string, got {{!r}}") for key in ("id", "label")),
+    ("attributes", lambda v: v is None or _flags(v), "attributes must be an array of 0/1"),
+    *((key, lambda v, allowed=allowed: v is None or isinstance(v, str) and v in allowed,
+       f"{key} must be one of {allowed}, got {{!r}}")
+      for key, allowed in (("split", ("train", "val", "test")), ("group", ("seen", "unseen")))),
+    ("image_id", lambda v: v is None or isinstance(v, str), "image_id must be a string, got {!r}"),
+)
+_TEXT_RULES, _TAG_RULES = _VALUE_RULES[:2], _VALUE_RULES[2:]  # id and label; the tags
+_ALLOWED_KEYS = {"features", "box", *(key for key, _, _ in _VALUE_RULES)}
 
 
 def _parse_record(obj: dict, line: int, feature_dim: int | None) -> tuple:
     """The fields of one record line: (id, label, features, box, image_id,
-    attributes, split, group), features a list of d finite numbers and the
-    box a tuple or None. The checks run in a fixed order, so a line's first
-    fault is the one reported."""
+    attributes, split, group), features a list of d finite numbers, the box
+    a list of 4 floats or None and attributes a list or None. The checks run
+    in a fixed order, so a line's first fault is the one reported."""
     if not _ALLOWED_KEYS.issuperset(obj):
         raise DatasetError(f"unknown record keys {sorted(set(obj) - _ALLOWED_KEYS)}", line)
     for key in ("id", "label", "features"):
         if key not in obj:
             raise DatasetError(f"record missing required key '{key}'", line)
-    rid, label, feats = obj["id"], obj["label"], obj["features"]
-    if not isinstance(rid, str) or not rid:
-        raise DatasetError(f"id must be a non-empty string, got {rid!r}", line)
-    if not isinstance(label, str) or not label:
-        raise DatasetError(f"label must be a non-empty string, got {label!r}", line)
+    for key, ok, words in _TEXT_RULES:
+        if not ok(obj[key]):
+            raise DatasetError(words.format(obj[key]), line)
+    feats = obj["features"]
     if not isinstance(feats, list) or not feats:
         raise DatasetError("features must be a non-empty array", line)
     if not _NUMBER_TYPES.issuperset(map(type, feats)):
@@ -89,35 +131,12 @@ def _parse_record(obj: dict, line: int, feature_dim: int | None) -> tuple:
             line,
         )
     box = _validate_box(obj["box"], line) if obj.get("box") is not None else None
-    attributes = obj.get("attributes")
-    if attributes is not None:
-        if not isinstance(attributes, list) or any(type(a) is not int or a not in (0, 1)
-                                                   for a in attributes):
-            raise DatasetError("attributes must be an array of 0/1", line)
-        attributes = np.asarray(attributes, dtype=np.int64)
-    split = obj.get("split")
-    if split is not None and split not in _SPLITS:
-        raise DatasetError(f"split must be one of {_SPLITS}, got {split!r}", line)
-    group = obj.get("group")
-    if group is not None and group not in _GROUPS:
-        raise DatasetError(f"group must be one of {_GROUPS}, got {group!r}", line)
-    image_id = obj.get("image_id")
-    if image_id is not None and not isinstance(image_id, str):
-        raise DatasetError(f"image_id must be a string, got {image_id!r}", line)
-    return rid, label, feats, box, image_id, attributes, split, group
-
-
-# what each object column of a Dataset may hold, in words and as a test
-_COLUMN_VALUES = (
-    ("id", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
-    ("label", "a non-empty string", lambda v: isinstance(v, str) and v != ""),
-    ("image_id", "a string or None", lambda v: v is None or isinstance(v, str)),
-    ("attributes", "an integer array of 0/1 or None", lambda v: v is None or (
-        isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iu"
-        and np.isin(v, (0, 1)).all())),
-    ("split", f"in {_SPLITS} or None", lambda v: v is None or isinstance(v, str) and v in _SPLITS),
-    ("group", f"in {_GROUPS} or None", lambda v: v is None or isinstance(v, str) and v in _GROUPS),
-)
+    for key, ok, words in _TAG_RULES:
+        value = obj.get(key)
+        if value is not None and not ok(value):
+            raise DatasetError(words.format(value), line)
+    return (obj["id"], obj["label"], feats, box, obj.get("image_id"), obj.get("attributes"),
+            obj.get("split"), obj.get("group"))
 
 
 def _plain_json(value) -> bool:
@@ -152,8 +171,9 @@ class Dataset:
       - `attributes`: (n,) object array of int64 0/1 arrays, None where
         absent (their lengths may differ between records).
 
-    Every column is checked once, when the table is built, against what
-    `load_dataset` accepts; a fault names its column and first row.
+    Every column is checked once, when the table is built, by the loader's
+    rules in its words, prefixed by the first faulty row. Attributes may be
+    given as lists or integer arrays of 0/1.
     `dataset[rows]` is the table of the rows an index array, mask or slice
     picks, in that order, with the same `meta`. Class ids derived from a
     dataset are sorted, so a label-to-index map does not depend on record
@@ -190,18 +210,21 @@ class Dataset:
         if not plain:
             raise DatasetError(f"meta must be a JSON object of plain JSON values, got {meta!r}")
         self.meta = dict(meta)
-        for name, words, ok in _COLUMN_VALUES:  # one pass per column
+        for name, ok, words in _VALUE_RULES:  # one pass per column
             values = getattr(self, name).tolist()
-            if not all(map(ok, values)):
+            try:  # equal values meet a rule alike, so each distinct one is tested once
+                distinct = set(values)
+            except TypeError:  # unhashable values, such as attribute lists
+                distinct = values
+            if not all(map(ok, distinct)):
                 row = next(row for row, value in enumerate(values) if not ok(value))
-                raise DatasetError(f"row {row}: {name} must be {words}, got {values[row]!r}")
-        x1, y1, x2, y2 = self.box.T
-        sound = np.isnan(self.box).all(axis=1) | (
-            np.isfinite(self.box).all(axis=1) & (x2 > x1) & (y2 > y1))
-        if not sound.all():
-            row = int(np.argmin(sound))
-            raise DatasetError(f"row {row}: box must be 4 NaN or finite (x1, y1, x2, y2) with "
-                               f"x2 > x1 and y2 > y1, got {self.box[row].tolist()}")
+                raise DatasetError(f"row {row}: {words.format(values[row])}")
+        self.attributes = _object_column(  # held as int64 arrays
+            [None if a is None else np.array(a, dtype=np.int64) for a in self.attributes], n)
+        drawn = np.flatnonzero(~np.isnan(self.box).all(axis=1))  # the rows that hold a box
+        fault = box_fault(self.box[drawn])
+        if fault is not None:
+            raise DatasetError(f"row {drawn[fault[0]]}: {fault[1]}")
         finite = np.isfinite(self.features).all(axis=1)
         if not finite.all():
             raise DatasetError(f"row {int(np.argmin(finite))}: {_NOT_FINITE}")
@@ -248,6 +271,16 @@ class Dataset:
         return lambda ids: np.array([row_of[i] for i in ids], dtype=np.intp)
 
 
+def class_indices(dataset: Dataset, label_to_index: dict[str, int]) -> list[int]:
+    """The index `label_to_index` gives each record's label, in row order;
+    the first record whose label it lacks raises DatasetError."""
+    labels = dataset.label.tolist()
+    for row, label in enumerate(labels):
+        if label not in label_to_index:
+            raise DatasetError(f"record {dataset.id[row]} has label {label!r} outside the class map")
+    return [label_to_index[label] for label in labels]
+
+
 @contextlib.contextmanager
 def naming_records(dataset: Dataset, rows):
     """Reword a NonFiniteRowError about row i of what the features of
@@ -271,7 +304,7 @@ def group_rows(rows, keys) -> dict:
     return dict(zip(names.tolist(), np.split(np.asarray(rows)[order], ends)))
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def read_json_lines(path, kind: str):
@@ -287,8 +320,8 @@ def read_json_lines(path, kind: str):
                 if not raw:
                     continue
                 try:
-                    obj, end = _raw_decode(raw)
-                except (ValueError, RecursionError):
+                    obj, end = _scan_once(raw, 0)
+                except (StopIteration, ValueError, RecursionError):
                     end = None
                 if end != len(raw):  # refused or not read to the end: json.loads words why
                     try:
@@ -316,11 +349,12 @@ def read_json_lines(path, kind: str):
 
 def load_dataset(path) -> Dataset:
     """The dataset in a JSON Lines file. Lines are parsed one at a time, each
-    checked in full before the next is read, and each record's features go
-    straight into one growing float64 array. A fault raises DatasetError
-    with the line it is on."""
+    checked in full before the next is read, and each record's features and
+    box (four NaN without one) are appended to one growing buffer of
+    doubles each, which the table's arrays then view. A fault raises
+    DatasetError with the line it is on."""
     meta: dict = {}
-    features, boxes = np.empty((0, 0)), np.empty((0, 4))  # grown by doubling
+    features, boxes = array("d"), array("d")
     ids, labels, image_ids, attributes, splits, groups = [], [], [], [], [], []
     tags: dict = {}
     seen: set = set()
@@ -331,18 +365,12 @@ def load_dataset(path) -> Dataset:
                 raise DatasetError(f"header meta must be an object, got {meta!r}", line_no)
             continue
         rid, label, feats, box, image_id, attrs, split, group = _parse_record(
-            obj, line_no, features.shape[1] if ids else None)
+            obj, line_no, len(features) // len(ids) if ids else None)
         if rid in seen:
             raise DatasetError(f"duplicate record id {rid!r}", line_no)
         seen.add(rid)
-        n = len(ids)
-        if n == len(features):
-            features.resize((max(2 * n, 256), len(feats)), refcheck=False)
-            boxes.resize((len(features), 4), refcheck=False)
-            boxes[n:] = np.nan
-        features[n] = feats
-        if box is not None:
-            boxes[n] = box
+        features.fromlist(feats)
+        boxes.fromlist(_NO_BOX if box is None else box)
         ids.append(rid)
         # one str object for each distinct tag, not one per record
         labels.append(tags.setdefault(label, label))
@@ -352,10 +380,9 @@ def load_dataset(path) -> Dataset:
         groups.append(tags.setdefault(group, group))
     if not ids:
         raise DatasetError(f"no records in {path}")
-    features.resize((len(ids), features.shape[1]), refcheck=False)
-    boxes.resize((len(ids), 4), refcheck=False)
-    return Dataset(ids, labels, features, box=boxes, image_id=image_ids, attributes=attributes,
-                   split=splits, group=groups, meta=meta)
+    return Dataset(ids, labels, np.frombuffer(features).reshape(len(ids), -1),
+                   box=np.frombuffer(boxes).reshape(-1, 4), image_id=image_ids,
+                   attributes=attributes, split=splits, group=groups, meta=meta)
 
 
 def write_json_lines(path, kind: str, objects, **header) -> None:

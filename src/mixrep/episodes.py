@@ -87,7 +87,7 @@ class Episode:
         if (counts > 1).any():
             raise ConfigError(f"items listed more than once among the support and queries: "
                               f"{self.dataset.id[rows[counts > 1][:5]].tolist()}")
-        if self.dataset.is_background[self.queries].all():
+        if (self.dataset.label[self.queries] == BACKGROUND_LABEL).all():
             raise ConfigError(f"episode {self.episode_id} has no foreground query")
 
     def query_ids(self) -> list[str]:
@@ -337,27 +337,26 @@ def score_queries(head: MixtureHead, queries: Dataset, features, episode_id: int
 
 def _run_block(head: MixtureHead, episodes, steps: int, lr: float) -> list[Detections]:
     """Full pass over `episodes`, of one dataset and one shape, on episode
-    heads built from `head`, which stays unchanged: put every support row,
-    then every query row, through the frozen layers in one call, embed the
-    block's (episodes, ways, shots, width) support in one call, install each
-    episode's representatives, fine-tune the episodes together, score each
-    one's queries. Each row gets the bits it would get alone, and a row
-    that maps to non-finite values, in the frozen layers or the last one,
-    raises NonFiniteRowError naming its record."""
+    heads built from `head`, which stays unchanged: put each episode's
+    support, then its queries, through the frozen layers in one call, embed
+    the block's (episodes, ways, shots, width) support in one call, install
+    each episode's representatives, fine-tune the episodes together, score
+    each one's queries. Each row gets the bits it would get alone, and the
+    first row in that order that maps to non-finite values, in the frozen
+    layers or the last one, raises NonFiniteRowError naming its record."""
     dataset = episodes[0].dataset
-    support_rows = np.concatenate([ep.support.ravel() for ep in episodes])
-    rows = np.concatenate([support_rows] + [ep.queries for ep in episodes])
+    parts = [part for ep in episodes for part in (ep.support.ravel(), ep.queries)]
+    rows = np.concatenate(parts)
     with naming_records(dataset, rows):
-        features = head.embedding.hidden_features(dataset.features[rows])
-    support = features[:len(support_rows)].reshape(len(episodes), *episodes[0].support.shape, -1)
-    with naming_records(dataset, support_rows):
+        features = np.split(head.embedding.hidden_features(dataset.features[rows]),
+                            np.cumsum([len(part) for part in parts[:-1]]))
+    support = np.stack(features[0::2]).reshape(len(episodes), *episodes[0].support.shape, -1)
+    with naming_records(dataset, np.concatenate(parts[0::2])):
         embedded = support_embeddings(head, support)
     heads = [replace_representatives(head, E) for E in embedded]
     finetune_episodes(heads, support, steps, lr)
-    queries = np.split(features[len(support_rows):],
-                       np.cumsum([len(ep.queries) for ep in episodes[:-1]]))
     detections = []
-    for h, ep, q in zip(heads, episodes, queries):
+    for h, ep, q in zip(heads, episodes, features[1::2]):
         with naming_records(dataset, ep.queries):
             detections.append(score_queries(h, dataset[ep.queries], q, ep.episode_id,
                                             ep.class_ids))

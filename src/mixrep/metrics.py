@@ -10,7 +10,9 @@ The string columns (image, class and record ids) are object arrays that
 hold the `str` objects they were given, not copies. Rows are grouped by
 exact equality of their values, through integer codes from one dict pass,
 so ids that differ only in trailing NULs are distinct; a value that is not
-a `str` is refused with DatasetError naming its column.
+a `str` is refused with DatasetError naming its column. Boxes and class maps
+are checked by the dataset's own rules (`data.box_fault`,
+`data.class_indices`), in the words a dataset file gets.
 """
 
 from dataclasses import dataclass
@@ -18,24 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
+from .data import box_fault, class_indices
 from .errors import ConfigError, DatasetError
 from .head import BLOCK_ROWS
 
 
 def _check_boxes(boxes, context: str) -> np.ndarray:
-    """`boxes` as a float64 (..., 4) array of finite boxes (x1, y1, x2, y2)
-    with positive area."""
+    """`boxes` as a float64 (..., 4) array of (x1, y1, x2, y2) boxes that
+    pass the dataset's box rule (`data.box_fault`), in its words."""
     try:
         b = np.asarray(boxes, dtype=np.float64)
     except (TypeError, ValueError):
         raise DatasetError(f"{context}: boxes must be numbers, got {boxes!r}") from None
     if b.shape[-1:] != (4,):
         raise DatasetError(f"{context}: a box must be 4 numbers, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise DatasetError(f"{context}: box coordinates must be finite")
-    flat = (b[..., 2] <= b[..., 0]) | (b[..., 3] <= b[..., 1])
-    if flat.any():
-        raise DatasetError(f"{context}: box must have positive area, got {b[flat][0].tolist()}")
+    fault = box_fault(b)
+    if fault is not None:
+        raise DatasetError(f"{context}: {fault[1]}")
     return b
 
 
@@ -316,13 +317,7 @@ def classification_error(head, records, label_to_index: dict[str, int]) -> float
     """
     if not len(records):
         raise DatasetError("classification error over an empty set")
-    targets = np.empty(len(records), dtype=np.int64)
-    for row, label in enumerate(records.label):
-        try:
-            targets[row] = label_to_index[label]
-        except KeyError:
-            raise DatasetError(f"record {records.id[row]} has label {label!r} "
-                               f"outside the class map") from None
+    targets = class_indices(records, label_to_index)
     E = head.embedding.embed_batch(records.features)
     predicted = np.concatenate([
         head.score_embeddings(E[i:i + BLOCK_ROWS]).predicted_class

@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import backward, zero_grads
 from .config import RunConfig
-from .data import BACKGROUND_LABEL, Dataset, group_rows, write_csv
+from .data import BACKGROUND_LABEL, Dataset, class_indices, group_rows, write_csv
 from .errors import ConfigError, DatasetError, TrainingDiverged
 from .head import BACKGROUND, MixtureHead
 from .rng import substream
@@ -140,17 +140,8 @@ def sample_batch(groups: list[np.ndarray], config: RunConfig, rng) -> np.ndarray
 def batch_arrays(dataset: Dataset, rows, label_to_index: dict[str, int]):
     """The features of `rows` and their class indices (BACKGROUND for a
     background record)."""
-    labels = []
-    for row, label in zip(rows, dataset.label[rows]):
-        if label == BACKGROUND_LABEL:
-            labels.append(BACKGROUND)
-        else:
-            try:
-                labels.append(label_to_index[label])
-            except KeyError:
-                raise DatasetError(f"record {dataset.id[row]} has label {label!r} "
-                                   f"outside the class map") from None
-    return dataset.features[rows], labels
+    batch = dataset[rows]
+    return batch.features, class_indices(batch, {**label_to_index, BACKGROUND_LABEL: BACKGROUND})
 
 
 # ---------------------------------------------------------------------------

@@ -659,6 +659,33 @@ def test_export_bytes_match_the_per_float_writer(pipeline, inputs):
     assert got == reference_embeddings_csv(ids, labels, head.embedding.embed_batch(features))
 
 
+@pytest.mark.parametrize("command", ["train", "eval-classify", "export-embeddings",
+                                     "eval-episodes"])
+def test_a_dataset_of_another_width_than_the_head_is_refused(pipeline, tmp_path, capsys,
+                                                             command):
+    # each command reported a shape error from inside the network, sized by
+    # its block of rows, such as (32, 13) against (batch, 12)
+    ds = load_dataset(pipeline["data"])
+    wide = tmp_path / "wide.jsonl"
+    save_dataset(Dataset(ds.id, ds.label, np.hstack([ds.features, ds.features[:, :1]]),
+                         box=ds.box, image_id=ds.image_id, split=ds.split, group=ds.group,
+                         meta=ds.meta), wide)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RUN, "input_dim": 12}), encoding="utf-8")
+    out = tmp_path / "out"
+    args = [command, "--config", str(config), "--data", str(wide), "--out", str(out)]
+    source = "the config's input_dim"
+    if command != "train":
+        args += ["--checkpoint", str(pipeline["checkpoint"])]
+        source = f"checkpoint {pipeline['checkpoint']}"
+    if command == "eval-episodes":
+        args += ["--episodes", str(pipeline["episodes"])]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == \
+        f"error: dataset {wide} has 13 features per record, but {source} takes 12\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
 def test_input_with_no_finite_embedding_is_a_dataset_error(pipeline, tmp_path, capsys, command):
     # 1e308 passes the loader's finiteness check but overflows the network,

@@ -26,6 +26,7 @@ from mixrep.data import (
 )
 from mixrep.episodes import generate_episodes, save_episodes
 from mixrep.errors import ConfigError, DatasetError
+from mixrep.metrics import Detections, GroundTruth, iou
 
 
 def write_lines(tmp_path, lines, name="data.jsonl"):
@@ -235,22 +236,18 @@ class TestTable:
         ({"label": ["a", 7, "b"]}, "row 1: label must be a non-empty string, got 7"),
         ({"label": ["a", "b", ""]}, "row 2: label must be a non-empty string, got ''"),
         ({"label": [["a"], "b"]}, "row 0: label must be a non-empty string, got ['a']"),
-        ({"image_id": ["i", 3, None]}, "row 1: image_id must be a string or None, got 3"),
+        ({"image_id": ["i", 3, None]}, "row 1: image_id must be a string, got 3"),
         ({"split": [None, "train", "dev"]},
-         "row 2: split must be in ('train', 'val', 'test') or None, got 'dev'"),
-        ({"group": ["old", None]}, "row 0: group must be in ('seen', 'unseen') or None, got 'old'"),
-        ({"attributes": [None, np.array([0, 2])]},
-         "row 1: attributes must be an integer array of 0/1 or None, got array([0, 2])"),
-        ({"attributes": [[0, 1], None]},
-         "row 0: attributes must be an integer array of 0/1 or None, got [0, 1]"),
+         "row 2: split must be one of ('train', 'val', 'test'), got 'dev'"),
+        ({"group": ["old", None]}, "row 0: group must be one of ('seen', 'unseen'), got 'old'"),
+        ({"attributes": [None, np.array([0, 2])]}, "row 1: attributes must be an array of 0/1"),
+        ({"attributes": [np.array([[0, 1]]), None]}, "row 0: attributes must be an array of 0/1"),
         ({"box": [[0, 0, 1, 1], [0, 0, 1, np.nan], [np.nan] * 4]},
-         "row 1: box must be 4 NaN or finite (x1, y1, x2, y2) with x2 > x1 and y2 > y1, "
-         "got [0.0, 0.0, 1.0, nan]"),
+         "row 1: box coordinates must be finite, got [0.0, 0.0, 1.0, nan]"),
         ({"box": [[np.nan] * 4, [2, 0, 1, 1]]},
-         "row 1: box must be 4 NaN or finite (x1, y1, x2, y2) with x2 > x1 and y2 > y1, "
-         "got [2.0, 0.0, 1.0, 1.0]"),
+         "row 1: degenerate box [2.0, 0.0, 1.0, 1.0] (need x2 > x1 and y2 > y1)"),
     ], ids=["id_int", "id_empty", "label_int", "label_empty", "label_unhashable", "image_id_int",
-            "split", "group", "attributes_not_0_1", "attributes_a_list", "box_part_nan",
+            "split", "group", "attributes_not_0_1", "attributes_two_dims", "box_part_nan",
             "box_degenerate"])
     def test_built_tables_refuse_what_the_loader_refuses(self, columns, message):
         # each of these tables saved to a file that load_dataset refused
@@ -259,6 +256,17 @@ class TestTable:
                  "features": np.zeros((n, 3)), **columns}
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             Dataset(**table)
+
+    def test_built_tables_take_attributes_as_the_loader_does(self, tmp_path):
+        # a list of 0/1 integers, as a file line holds them, or an integer
+        # array of them; either is held as an int64 array
+        built = Dataset(["r1", "r2", "r3"], ["a"] * 3, np.zeros((3, 2)),
+                        attributes=[[0, 1], None, np.array([1], dtype=np.uint8)])
+        path = write_lines(tmp_path, [rec_line("r1", attributes=[0, 1]), rec_line("r2"),
+                                      rec_line("r3", attributes=[1])])
+        for ds in (built, load_dataset(path)):
+            assert [None if a is None else (a.dtype, a.tolist()) for a in ds.attributes] == \
+                [(np.int64, [0, 1]), None, (np.int64, [1])]
 
     circular: dict = {}
     circular["self"] = circular
@@ -284,6 +292,31 @@ class TestTable:
             Dataset([], [], np.zeros((0, 2)))
         with pytest.raises(DatasetError, match="unequal"):
             Dataset(["x", "y"], ["a"], np.zeros((2, 2)))
+
+
+BAD_VALUES = [("box", [2.0, 0.0, 1.0, 1.0]), ("box", [0.0, 0.0, 1.0, float("nan")]),
+              ("split", "dev"), ("group", "old"), ("image_id", 3), ("label", "")]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES,
+                         ids=["box_degenerate", "box_nan", "split", "group", "image_id", "label"])
+def test_files_and_tables_refuse_a_value_in_the_same_words(tmp_path, key, value):
+    path = write_lines(tmp_path, [rec_line("r0"), rec_line("r1", **{key: value})])
+    with pytest.raises(DatasetError) as from_file:
+        load_dataset(path)
+    words = str(from_file.value).removeprefix("line 2: ")
+    first = {"box": [np.nan] * 4, "label": "a"}.get(key)  # row 0 holds a sound value
+    columns = {"id": ["r0", "r1"], "label": ["a", "a"], "features": np.zeros((2, 2)),
+               key: [first, value]}
+    with pytest.raises(DatasetError, match=f"^row 1: {re.escape(words)}$"):
+        Dataset(**columns)
+    if key == "box":  # and metric tables word the rule as the loader does
+        for context, build in (
+                ("ground truth", lambda: GroundTruth([0], ["i"], ["c"], [value])),
+                ("detections", lambda: Detections([0], ["i"], ["c"], [value], [0.5], ["d"])),
+                ("iou", lambda: iou(value, (0, 0, 1, 1)))):
+            with pytest.raises(DatasetError, match=f"^{context}: {re.escape(words)}$"):
+                build()
 
 
 class TestSynth:

@@ -14,7 +14,7 @@ from mixrep import autodiff as ad
 from mixrep import episodes as episodes_module
 from mixrep.config import EmbeddingConfig, EpisodeSpec, MixtureConfig, RunConfig, SynthConfig
 from mixrep.data import BACKGROUND_LABEL, Dataset, synth_dataset
-from mixrep.errors import ConfigError, DatasetError
+from mixrep.errors import ConfigError, DatasetError, NonFiniteRowError
 from mixrep.episodes import (
     Episode,
     FinetuneResult,
@@ -726,6 +726,21 @@ class TestEvaluateEpisodes:
             for column in ("class_id", "record_id", "image_id"):
                 assert getattr(got, column).tolist() == getattr(want, column).tolist()
             assert got.scores.tobytes() == want.scores.tobytes()
+
+    def test_the_first_bad_record_in_episode_order_is_named(self):
+        # each episode's support goes through the frozen layers before its
+        # queries, and episode 0 before episode 1, so a bad query of episode
+        # 0 is named before a bad support item of episode 1
+        episodes = generate_episodes(PASS_DATA, spec_for(PASS_DATA, episode_count=2))
+        query, support = episodes[0].queries[0], episodes[1].support[0, 0]
+        features = PASS_DATA.features.copy()
+        features[[query, support]] = 1.7e308 * (-1.0) ** np.arange(features.shape[1])
+        bad = Dataset(PASS_DATA.id, PASS_DATA.label, features, box=PASS_DATA.box,
+                      image_id=PASS_DATA.image_id, split=PASS_DATA.split, group=PASS_DATA.group)
+        episodes = [Episode(ep.episode_id, ep.class_ids, ep.support, ep.queries, bad)
+                    for ep in episodes]
+        with pytest.raises(NonFiniteRowError, match="^record 'r000268' "):
+            evaluate_episodes(PASS_HEAD, episodes)
 
     def test_episodes_must_share_a_shape(self):
         # a pass has one shape whether it is fine-tuned or not

@@ -10,8 +10,10 @@ frozen, every default a run config shares with a schema or a library
 function is written once, the run config resolves its task-mode defaults
 from named owners, the package root imports nothing, each name is
 imported from the module that binds it, no call passes `str` as a dtype
-or type argument, and only the format writers and `save_checkpoint` open
-a file to write or format JSON or CSV text."""
+or type argument, only the format writers and `save_checkpoint` open a
+file to write or format JSON or CSV text, and the words of each input rule
+(record values, boxes, class maps, task modes) are held by one string
+literal of the package."""
 
 import ast
 import inspect
@@ -641,3 +643,53 @@ def test_only_the_format_writers_write_files(module):
     # a new output goes through the writer of its format, so each format's
     # bytes are decided in one place
     assert writes_outside(module.read_text(encoding="utf-8")) == []
+
+
+# the words of each input rule; the one literal that holds them is the rule's
+# one owner, which every place that checks the rule calls
+RULE_PHRASES = ("must be a non-empty string", "must be one of", "box coordinates must be finite",
+                "degenerate box", "outside the class map", "task_mode must be")
+
+
+def literals_holding(source: str, phrase: str) -> list[int]:
+    """The line of each string literal in `source` that holds `phrase`, an
+    f-string counting as one literal with `{}` for each field; docstrings
+    do not count."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.body and isinstance(node.body[0], ast.Expr):
+            skipped.add(id(node.body[0].value))  # a docstring, if it is a string
+        elif isinstance(node, ast.JoinedStr):
+            skipped.update(map(id, node.values))  # the f-string's parts
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        elif isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        else:
+            continue
+        if phrase in text:
+            found.append(node.lineno)
+    return found
+
+
+def test_scan_finds_each_literal_holding_a_phrase():
+    source = ('"""Split must be one of these."""\n'
+              'a = "x must be one of"\n'
+              'b = f"{k} must be " f"one of {v}"\n'
+              'c = f"{k} must" + " be one of"\n'
+              'def f():\n    """must be one of"""\n    return "must be one of"\n')
+    assert literals_holding(source, "must be one of") == [2, 3, 7]
+
+
+@pytest.mark.parametrize("phrase", RULE_PHRASES)
+def test_each_input_rule_is_worded_once(phrase):
+    # a rule worded in two places can change in one and not the other
+    found = [f"{module.name} (line {line})" for module in MODULES
+             for line in literals_holding(module.read_text(encoding="utf-8"), phrase)]
+    assert len(found) == 1, found

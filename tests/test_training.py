@@ -10,6 +10,7 @@ from mixrep.config import EmbeddingConfig, MixtureConfig, RunConfig, SynthConfig
 from mixrep.data import Dataset, synth_dataset
 from mixrep.errors import ConfigError, DatasetError, TrainingDiverged
 from mixrep.head import MixtureHead
+from mixrep.metrics import classification_error
 from mixrep.rng import substream
 from mixrep.training import (
     Adam,
@@ -177,6 +178,18 @@ class TestBatchArrays:
         recs = hand_records({"a": 1})
         with pytest.raises(DatasetError):
             batch_arrays(recs, every_row(recs), {"b": 0})
+
+    def test_fit_and_classification_error_refuse_a_label_in_the_same_words(self):
+        # "c" is both a held-out class and the label of a training record, so
+        # the class map leaves it out while the training pool keeps it
+        ds = Dataset([f"h{i}" for i in range(6)], ["a", "a", "b", "b", "c", "c"],
+                     np.arange(24.0).reshape(6, 4), group=[None] * 4 + ["unseen", None])
+        head = toy_head()
+        message = "^record h5 has label 'c' outside the class map$"
+        with pytest.raises(DatasetError, match=message):
+            fit(head, ds, run_config(classes=3, instances=2, iterations=1))
+        with pytest.raises(DatasetError, match=message):
+            classification_error(head, ds[np.array([5])], class_index_map(ds))
 
 
 class TestTrainingPool:
