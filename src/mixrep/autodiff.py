@@ -198,41 +198,11 @@ def relu(a) -> Node:
     return record(np.maximum(va, 0.0), "relu", [(a, lambda g: g * (va > 0.0))])
 
 
-def square(a) -> Node:
-    a = wrap(a)
-    va = a.value
-    return record(va * va, "square", [(a, lambda g: 2.0 * va * g)])
-
-
-def sqrt(a) -> Node:
-    """Elementwise square root; exactly 0 at 0."""
-    a = wrap(a)
-    va = a.value
-    if (va < 0.0).any():
-        raise ShapeError("sqrt", (va.shape,), "negative input")
-    out = np.sqrt(va)
-    return record(out, "sqrt", [(a, lambda g: sqrt_vjp(g, out))])
-
-
 def sqrt_vjp(g: Array, out: Array) -> Array:
     """The vjp of sqrt where it gives `out`. As in log, a zero upstream
     gradient contributes zero at x = 0, where the derivative is infinite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(g == 0.0, 0.0, 0.5 * g / out)
-
-
-def _reduce_extreme(a, axis: int, op_name: str) -> Node:
-    a = wrap(a)
-    va = a.value
-    if va.size == 0:
-        raise ShapeError(op_name, (va.shape,), "empty input")
-    if op_name == "reduce_max":
-        kept, winner = va.max(axis=axis, keepdims=True), va.argmax
-    else:
-        kept, winner = va.min(axis=axis, keepdims=True), va.argmin
-    return record(kept.squeeze(axis), op_name,
-                  [(a, lambda g: extreme_vjp(g, winner(axis=axis), va.shape, axis))],
-                  lambda: tied(va, kept, axis))
 
 
 def extreme_vjp(g: Array, winners: Array, shape: tuple, axis: int) -> Array:
@@ -261,11 +231,14 @@ def reduce_max(a, axis: int) -> Node:
     lowest index. Whether the maximum sat on a tie is checked only on
     demand, by `graph_has_tie`.
     """
-    return _reduce_extreme(a, axis, "reduce_max")
-
-
-def reduce_min(a, axis: int) -> Node:
-    return _reduce_extreme(a, axis, "reduce_min")
+    a = wrap(a)
+    va = a.value
+    if va.size == 0:
+        raise ShapeError("reduce_max", (va.shape,), "empty input")
+    kept = va.max(axis=axis, keepdims=True)
+    return record(kept.squeeze(axis), "reduce_max",
+                  [(a, lambda g: extreme_vjp(g, va.argmax(axis=axis), va.shape, axis))],
+                  lambda: tied(va, kept, axis))
 
 
 def reduce_sum(a, axis: int | None = None) -> Node:
@@ -289,38 +262,6 @@ def reshape(a, shape) -> Node:
     except ValueError:
         raise ShapeError("reshape", (va.shape, shape), "sizes differ") from None
     return record(out, "reshape", [(a, lambda g: g.reshape(va.shape))])
-
-
-def concat(parts: Sequence, axis: int = -1) -> Node:
-    """Join arrays along an existing axis."""
-    nodes = [wrap(p) for p in parts]
-    shapes = [n.value.shape for n in nodes]
-    try:
-        out = np.concatenate([n.value for n in nodes], axis=axis)
-    except ValueError:
-        raise ShapeError("concat", shapes, "shapes do not line up") from None
-    ends = np.cumsum([s[axis] for s in shapes]).tolist()
-    pieces = [(slice(None),) * (axis % out.ndim) + (slice(end - s[axis], end),)
-              for s, end in zip(shapes, ends)]
-    return record(out, "concat", [(n, lambda g, piece=piece: g[piece])
-                                  for n, piece in zip(nodes, pieces)])
-
-
-def take(a, index: tuple) -> Node:
-    """Entries `a[index]` for a tuple of integer index arrays, after any
-    whole-axis slices: `(rows,)` gathers rows, `(rows, cols)` picks one entry
-    per row, and `(slice(None), rows, cols)` does so in every matrix of a
-    stack. The gradient is scattered back, adding up where an entry is taken
-    more than once."""
-    a = wrap(a)
-    va = a.value
-    index = tuple(i if isinstance(i, slice) else np.asarray(i, dtype=np.intp) for i in index)
-    try:
-        flat = flat_positions(va.shape, index)
-    except IndexError:
-        raise ShapeError("take", (va.shape,), "index out of range") from None
-    return record(va.reshape(-1)[flat], "take",
-                  [(a, lambda g: scatter_add(flat, g, va.shape))])
 
 
 def flat_positions(shape: tuple, index: tuple) -> Array:

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import finite_difference_check
-from .config import RunConfig, load_run_config, write_json, write_resolved_config
+from .config import (RunConfig, check_at_least, check_distinct, load_run_config, write_json,
+                     write_resolved_config)
 from .data import load_dataset, naming_records, save_dataset, synth_dataset, write_csv
 from .episodes import (evaluate_episodes, generate_episodes, load_episodes, redraw_support,
                        save_episodes)
@@ -24,7 +25,7 @@ from .errors import ConfigError, MixrepError
 from .head import MixtureHead, load_checkpoint, save_checkpoint
 from .metrics import classification_error, map_over_episodes, recall_at_k
 from .rng import substream
-from .training import class_index_map, fit, write_loss_trace
+from .training import class_index_map, fit, head_class_map, write_loss_trace
 
 GRAD_CHECK_TOLERANCE = 1e-4
 
@@ -72,27 +73,25 @@ def _out_dir(raw: str | None) -> _OutDir | None:
 
 
 def _head_and_data(args, config: RunConfig):
-    """The head in --checkpoint, or for `train` one built from the config,
-    and the dataset in --data, refused unless as wide as the head's input."""
-    if "checkpoint" in args.inputs:
-        head, source = load_checkpoint(args.checkpoint), f"checkpoint {args.checkpoint}"
+    """The head and the dataset in --data: the head in --checkpoint, refused
+    unless as wide as the dataset, or for `train` one the config builds for it."""
+    if "checkpoint" not in args.inputs:
         dataset = load_dataset(args.data)
-    else:
-        dataset = load_dataset(args.data)
-        head, source = _build_head(config, dataset), "the config's input_dim"
-    if dataset.feature_dim != head.embedding.config.input_dim:
+        return _build_head(config, dataset), dataset
+    head, dataset = load_checkpoint(args.checkpoint), load_dataset(args.data)
+    width = head.embedding.config.input_dim
+    if dataset.feature_dim != width:
         raise ConfigError(f"dataset {args.data} has {dataset.feature_dim} features per record, "
-                          f"but {source} takes {head.embedding.config.input_dim}")
+                          f"but checkpoint {args.checkpoint} takes {width}")
     return head, dataset
 
 
 def _build_head(config: RunConfig, dataset) -> MixtureHead:
-    input_dim = config.input_dim or dataset.feature_dim
     num_classes = len(class_index_map(dataset))
     if num_classes < 1:
         raise ConfigError("dataset has no trainable classes")
     return MixtureHead(
-        config.embedding_config(input_dim),
+        config.embedding_config(dataset.feature_dim),
         config.mixture_config(num_classes),
         task_mode=config.task_mode,
         seed=config.seed,
@@ -127,11 +126,7 @@ def cmd_train(args, config, out):
 
 def cmd_eval_classify(args, config, out):
     head, dataset = _head_and_data(args, config)
-    cmap = class_index_map(dataset)
-    if len(cmap) != head.mixture.num_classes:
-        raise ConfigError(
-            f"checkpoint expects {head.mixture.num_classes} classes, dataset has {len(cmap)}"
-        )
+    cmap = head_class_map(head, dataset)
     seen = np.isin(dataset.label, list(cmap))
     splits = [("train", np.flatnonzero(seen & dataset.train_split)),
               ("test", np.flatnonzero(seen & (dataset.split == "test")))]
@@ -167,17 +162,19 @@ def cmd_eval_episodes(args, config, out):
             shot_counts = [int(s) for s in args.shots.split(",")]
         except ValueError:
             raise ConfigError(f"bad --shots list {args.shots!r}") from None
-        if len(set(shot_counts)) < len(shot_counts):
-            raise ConfigError(f"--shots count {max(shot_counts, key=shot_counts.count)} "
-                              f"is repeated in {args.shots!r}")
+        for shots in shot_counts:
+            check_at_least("--shots count", shots, 1)
+        check_distinct("--shots count", shot_counts, args.shots)
     head, dataset = _head_and_data(args, config)
     file_episodes, spec = load_episodes(args.episodes, dataset)
+    # each pass's spec, which refuses a count above the file's max_shots
+    specs = [dataclasses.replace(spec, shots=shots) for shots in shot_counts] or [spec]
 
     rows = []
-    for shots in shot_counts or [spec.shots]:
+    for pass_spec in specs:
+        shots = pass_spec.shots
         # the episode file pins classes and queries for every shot count
-        episodes = file_episodes if shots == spec.shots else \
-            redraw_support(file_episodes, dataclasses.replace(spec, shots=shots))
+        episodes = file_episodes if pass_spec == spec else redraw_support(file_episodes, pass_spec)
         for steps in dict.fromkeys((0, config.finetune_steps)):
             result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
             mean_ap = map_over_episodes(result.detections, result.truth, config.match_iou)

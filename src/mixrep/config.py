@@ -74,6 +74,24 @@ def from_json(cls, doc, what: str):
     return cls(**values)
 
 
+def check_at_least(name: str, value, low: int) -> None:
+    """The one wording of an integer lower bound, of configs and of arguments."""
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def check_unit_interval(name: str, value) -> None:
+    """The one wording of the (0, 1] rule of IoU thresholds."""
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{name} must be in (0, 1], got {value}")
+
+
+def check_distinct(what: str, values, shown) -> None:
+    """Refuse a value repeated in `values`, a list `shown` as written."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{what} {max(values, key=values.count)} is repeated in {shown!r}")
+
+
 @dataclass(frozen=True)
 class EmbeddingConfig:
     """Widths and switches of the embedding stack.
@@ -92,8 +110,7 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
+        check_at_least("input_dim", self.input_dim, 1)
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
         if not 0 < self.bn_epsilon < math.inf:
@@ -115,10 +132,8 @@ class MixtureConfig:
     posterior_mode: str = "normalized"  # "max" | "normalized"
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.modes_per_class < 1:
-            raise ConfigError(f"modes_per_class must be >= 1, got {self.modes_per_class}")
+        check_at_least("num_classes", self.num_classes, 1)
+        check_at_least("modes_per_class", self.modes_per_class, 1)
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if not self.margin > 0:
@@ -142,22 +157,16 @@ class EpisodeSpec:
     max_shots: int = 10
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {self.shots}")
-        if self.ways < 1:
-            raise ConfigError(f"ways must be >= 1, got {self.ways}")
+        check_at_least("shots", self.shots, 1)
+        check_at_least("ways", self.ways, 1)
         if self.shots > self.max_shots:
             raise ConfigError(f"shots {self.shots} exceeds max_shots {self.max_shots}")
-        if self.queries_per_class < 1:
-            raise ConfigError("queries_per_class must be >= 1")
-        if self.episode_count < 1:
-            raise ConfigError("episode_count must be >= 1")
+        check_at_least("queries_per_class", self.queries_per_class, 1)
+        check_at_least("episode_count", self.episode_count, 1)
         if self.class_pool not in ("seen", "unseen"):
             raise ConfigError(f"class_pool must be 'seen' or 'unseen', got {self.class_pool!r}")
-        if self.background_queries < 0:
-            raise ConfigError("background_queries must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_at_least("background_queries", self.background_queries, 0)
+        check_at_least("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -184,20 +193,18 @@ class SynthConfig:
     rois_per_image: int = 8
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.modes_per_class < 1 or self.samples_per_mode < 1:
-            raise ConfigError("synth counts must be positive")
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be positive")
+        for name in ("num_classes", "modes_per_class", "samples_per_mode", "input_dim"):
+            check_at_least(name, getattr(self, name), 1)
         if self.spread < 0:
             raise ConfigError("spread must be nonnegative")
         if not 0 <= self.background_fraction <= 1:
             raise ConfigError("background_fraction must lie in [0, 1]")
-        if not 0 <= self.unseen_classes <= self.num_classes:
+        check_at_least("unseen_classes", self.unseen_classes, 0)
+        if self.unseen_classes > self.num_classes:
             raise ConfigError("unseen_classes must not exceed num_classes")
         if not 0 <= self.test_fraction < 1:
             raise ConfigError("test_fraction must lie in [0, 1)")
-        if self.rois_per_image < 2:
-            raise ConfigError("rois_per_image must be at least 2")
+        check_at_least("rois_per_image", self.rois_per_image, 2)
 
 
 def check_task_mode(task_mode) -> None:
@@ -217,7 +224,6 @@ class RunConfig:
     seed: int = 0
 
     # head; widths and modes fall back to the task-mode defaults above, the rest to the schemas'
-    input_dim: int | None = None
     layer_widths: tuple | None = None
     modes_per_class: int | None = None
     sigma: float = MixtureConfig.sigma
@@ -260,14 +266,12 @@ class RunConfig:
         if self.layer_widths is not None:
             object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
         object.__setattr__(self, "recall_ks", tuple(self.recall_ks))
-        if any(k < 1 for k in self.recall_ks):
-            raise ConfigError(f"recall_ks must be >= 1, got {self.recall_ks}")
-        if not 0.0 < self.match_iou <= 1.0:
-            raise ConfigError(f"match_iou must be in (0, 1], got {self.match_iou}")
-        if self.finetune_steps < 0:
-            raise ConfigError("finetune_steps must be >= 0")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        for k in self.recall_ks:
+            check_at_least("recall_ks entry", k, 1)
+        check_distinct("recall_ks entry", self.recall_ks, self.recall_ks)
+        check_unit_interval("match_iou", self.match_iou)
+        check_at_least("finetune_steps", self.finetune_steps, 0)
+        check_at_least("iterations", self.iterations, 1)
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.finetune_lr > 0:
@@ -276,15 +280,13 @@ class RunConfig:
             raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be nonnegative")
-        if self.classes_per_batch < 2:
-            raise ConfigError(f"classes_per_batch must be >= 2, got {self.classes_per_batch}")
-        if self.instances_per_class < 1:
-            raise ConfigError(f"instances_per_class must be >= 1, got {self.instances_per_class}")
+        check_at_least("classes_per_batch", self.classes_per_batch, 2)
+        check_at_least("instances_per_class", self.instances_per_class, 1)
         if self.batch_strategy not in ("class_balanced", "image_group"):
             raise ConfigError(f"unknown batch strategy {self.batch_strategy!r}")
         # head and episode values, the seed among them, are checked by the
         # configs they build
-        self.embedding_config(1 if self.input_dim is None else self.input_dim)
+        self.embedding_config(1)
         self.mixture_config(1)
         self.episode_spec()
 

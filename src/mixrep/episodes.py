@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .config import EpisodeSpec, RunConfig, from_json
+from .config import EpisodeSpec, RunConfig, check_at_least, from_json
 from .data import (BACKGROUND_LABEL, Dataset, group_rows, naming_records, read_json_lines,
                    write_json_lines)
 from .errors import ConfigError, DatasetError
@@ -258,8 +258,7 @@ def finetune_episodes(heads, support, steps: int,
     steps it would take alone. Each episode keeps its best-loss iterate, so
     its final support loss never exceeds its initial one.
     """
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
+    check_at_least("steps", steps, 0)
     if steps == 0:
         return [FinetuneResult([], 0) for _ in heads]
     count, ways, shots, width = support.shape

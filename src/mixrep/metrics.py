@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, check_at_least, check_unit_interval
 from .data import box_fault, class_indices
 from .errors import ConfigError, DatasetError
 from .head import BLOCK_ROWS
@@ -132,13 +132,6 @@ def iou(box_a, box_b):
     return float(v) if v.ndim == 0 else v
 
 
-def _check_iou_threshold(t):
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ConfigError(f"iou_threshold must be in (0, 1], got {t}")
-    return t
-
-
 def _codes(keys, count: int) -> tuple[np.ndarray, dict]:
     """An integer code for each of the `count` hashable `keys`, equal for
     equal keys, numbered in order of first appearance, and the map from
@@ -173,7 +166,8 @@ def match_detections(detections: Detections, truth: GroundTruth,
     unmatched box at or above the threshold; of equal overlaps, the box
     that comes first in `truth` wins.
     """
-    iou_threshold = _check_iou_threshold(iou_threshold)
+    iou_threshold = float(iou_threshold)
+    check_unit_interval("iou_threshold", iou_threshold)
     n = len(detections)
     group = _group_ids(*(np.concatenate([getattr(detections, name), getattr(truth, name)])
                          for name in ("episode_id", "image_id", "class_id")))
@@ -209,8 +203,7 @@ def match_detections(detections: Detections, truth: GroundTruth,
 def pr_curve(detections: Detections, tp, num_gt: int) -> PRCurve:
     """Precision and recall walked down the ranking of `detections`; `tp`
     holds each row's TP flag and num_gt the positives in the ground truth."""
-    if num_gt < 1:
-        raise ConfigError(f"num_gt must be >= 1, got {num_gt}")
+    check_at_least("num_gt", num_gt, 1)
     if not len(detections):
         return PRCurve(np.array([]), np.array([]), np.array([]), 0.0)
     order = np.argsort(detections.rank)
@@ -263,8 +256,7 @@ def recall_at_k(detections: Detections, truth: GroundTruth, k: int,
     The top-k cut ranks all classes together within an image; matching then
     runs per class as usual.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_at_least("k", k, 1)
     if not len(truth):
         raise ConfigError("recall needs at least one ground-truth box")
     image = _group_ids(detections.episode_id, detections.image_id)

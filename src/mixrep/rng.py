@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import check_at_least
+
 
 def _path_entropy(path) -> list[int]:
     import hashlib  # loads OpenSSL, which a command that draws nothing need not pay for
@@ -27,7 +29,6 @@ def _path_entropy(path) -> list[int]:
 
 def substream(seed: int, *path) -> np.random.Generator:
     """A generator for `path` under `seed`, independent of all other paths."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_at_least("seed", seed, 0)
     entropy = [int(seed)] + _path_entropy(path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -172,17 +172,22 @@ def class_index_map(dataset: Dataset) -> dict[str, int]:
     return {label: i for i, label in enumerate(sorted(foreground - unseen))}
 
 
+def head_class_map(head: MixtureHead, dataset: Dataset) -> dict[str, int]:
+    """`class_index_map(dataset)`, refused unless it holds one label per
+    class of `head`."""
+    label_map, classes = class_index_map(dataset), head.mixture.num_classes
+    if len(label_map) != classes:
+        raise ConfigError(f"head has {classes} classes, dataset has {len(label_map)}")
+    return label_map
+
+
 def fit(head: MixtureHead, dataset: Dataset, config: RunConfig) -> list[dict]:
     """Train `head` in place for `config.iterations` steps and return the
     loss trace, one dict of loss components per step; reproducible
     bit-for-bit from the seed."""
     include_bg = head.task_mode == "detection"
     pool = training_pool(dataset, include_background=include_bg)
-    label_map = class_index_map(dataset)
-    if len(label_map) != head.mixture.num_classes:
-        raise ConfigError(
-            f"head expects {head.mixture.num_classes} classes, dataset provides {len(label_map)}"
-        )
+    label_map = head_class_map(head, dataset)
     optimizer = make_optimizer(head, config)
     groups = batch_groups(dataset, pool, config)
     rng = substream(config.seed, "sampler")

@@ -1,7 +1,11 @@
 """The mixture head's loss composed from autodiff primitives: the reference
 that `mixrep.head.mixture_loss`, one fused node, is checked against bit for
 bit. Each helper builds its part of the graph from the engine's primitives,
-so the finite-difference checker and `graph_has_tie` see every reduction."""
+so the finite-difference checker and `graph_has_tie` see every reduction.
+
+`square`, `sqrt`, `reduce_min`, `concat` and `take` are primitives only this
+reference and the gradient checks use. They live here, built on the engine's
+`record` and its vjp helpers, which the fused loss node shares."""
 
 import numpy as np
 
@@ -19,6 +23,66 @@ from mixrep.head import (
     mode_probabilities,
 )
 from mixrep.errors import ShapeError
+
+
+def square(a) -> Node:
+    a = ad.wrap(a)
+    va = a.value
+    return ad.record(va * va, "square", [(a, lambda g: 2.0 * va * g)])
+
+
+def sqrt(a) -> Node:
+    """Elementwise square root; exactly 0 at 0."""
+    a = ad.wrap(a)
+    va = a.value
+    if (va < 0.0).any():
+        raise ShapeError("sqrt", (va.shape,), "negative input")
+    out = np.sqrt(va)
+    return ad.record(out, "sqrt", [(a, lambda g: ad.sqrt_vjp(g, out))])
+
+
+def reduce_min(a, axis: int) -> Node:
+    """Minimum along one axis, the mirror of `ad.reduce_max`."""
+    a = ad.wrap(a)
+    va = a.value
+    if va.size == 0:
+        raise ShapeError("reduce_min", (va.shape,), "empty input")
+    kept = va.min(axis=axis, keepdims=True)
+    return ad.record(kept.squeeze(axis), "reduce_min",
+                     [(a, lambda g: ad.extreme_vjp(g, va.argmin(axis=axis), va.shape, axis))],
+                     lambda: ad.tied(va, kept, axis))
+
+
+def concat(parts, axis: int = -1) -> Node:
+    """Join arrays along an existing axis."""
+    nodes = [ad.wrap(p) for p in parts]
+    shapes = [n.value.shape for n in nodes]
+    try:
+        out = np.concatenate([n.value for n in nodes], axis=axis)
+    except ValueError:
+        raise ShapeError("concat", shapes, "shapes do not line up") from None
+    ends = np.cumsum([s[axis] for s in shapes]).tolist()
+    pieces = [(slice(None),) * (axis % out.ndim) + (slice(end - s[axis], end),)
+              for s, end in zip(shapes, ends)]
+    return ad.record(out, "concat", [(n, lambda g, piece=piece: g[piece])
+                                     for n, piece in zip(nodes, pieces)])
+
+
+def take(a, index: tuple) -> Node:
+    """Entries `a[index]` for a tuple of integer index arrays, after any
+    whole-axis slices: `(rows,)` gathers rows, `(rows, cols)` picks one entry
+    per row, and `(slice(None), rows, cols)` does so in every matrix of a
+    stack. The gradient is scattered back, adding up where an entry is taken
+    more than once."""
+    a = ad.wrap(a)
+    va = a.value
+    index = tuple(i if isinstance(i, slice) else np.asarray(i, dtype=np.intp) for i in index)
+    try:
+        flat = ad.flat_positions(va.shape, index)
+    except IndexError:
+        raise ShapeError("take", (va.shape,), "index out of range") from None
+    return ad.record(va.reshape(-1)[flat], "take",
+                     [(a, lambda g: ad.scatter_add(flat, g, va.shape))])
 
 
 def clamp_min(node: Node, floor: float) -> Node:
@@ -46,8 +110,8 @@ def margin_loss(distances, labels, margin: float) -> Node:
         raise ShapeError("margin_loss", (d.value.shape, labels.shape), "one label per row")
     own = np.repeat(np.arange(n)[None, :] == labels[:, None], k, axis=1)  # (B, N*K)
     flat = ad.reshape(d, d.shape[:-2] + (n * k,))
-    d_true = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=-1)
-    d_wrong = ad.reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=-1)
+    d_true = reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=-1)
+    d_wrong = reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=-1)
     return ad.relu(ad.add(ad.add(d_true, ad.negate(d_wrong)), ad.constant(float(margin))))
 
 
@@ -71,13 +135,13 @@ def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
         raise ShapeError("cross_entropy_loss", (post.value.shape, labels.shape), "one label per row")
     rows = (slice(None),) * (post.value.ndim - 2) + (np.arange(batch),)
     if background_post is None:
-        picked = ad.take(post, rows + (labels,))
+        picked = take(post, rows + (labels,))
         return ad.negate(ad.log(clamp_min(picked, PROB_FLOOR)))
 
     bg = ad.wrap(background_post)
     total = ad.add(ad.reduce_sum(post, axis=-1), bg)
-    table = ad.concat([post, ad.reshape(bg, bg.shape + (1,))], axis=-1)
-    picked = ad.take(table, rows + (np.where(labels == BACKGROUND, n, labels),))
+    table = concat([post, ad.reshape(bg, bg.shape + (1,))], axis=-1)
+    picked = take(table, rows + (np.where(labels == BACKGROUND, n, labels),))
     ratio = ad.exp(ad.add(ad.log(picked), ad.negate(ad.log(total))))
     return ad.negate(ad.log(clamp_min(ratio, PROB_FLOOR)))
 
@@ -100,7 +164,7 @@ def composed_total_loss(head: MixtureHead, X, labels, train: bool = False):
     fg = np.flatnonzero(labels != BACKGROUND)
     if fg.size and head.representatives.value.shape[-3] >= 2:
         rows = (slice(None),) * (X.ndim - 2) + (fg,)
-        dist = ad.sqrt(clamp_min(ad.take(d2, rows), DIST_SQ_FLOOR))
+        dist = sqrt(clamp_min(take(d2, rows), DIST_SQ_FLOOR))
         margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], head.mixture.margin), axis=-1)
         loss = ad.add(loss, margin_total)
         margin = margin_total.value / batch

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from composed_loss import concat, reduce_min, sqrt, square, take
 from mixrep import autodiff as ad
 from mixrep.config import EmbeddingConfig, MixtureConfig
 from mixrep.errors import (
@@ -42,26 +43,26 @@ class TestFrozenValues:
         assert out.value[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_sqrt_exact_zero_and_values(self):
-        out = ad.sqrt(ad.constant([0.0, 4.0, 2.0]))
+        out = sqrt(ad.constant([0.0, 4.0, 2.0]))
         assert out.value[0] == 0.0 and out.value[1] == 2.0
         assert out.value[2] == np.sqrt(2.0)
 
     def test_square_grad_at_3(self):
         x = ad.parameter(3.0)
-        ad.backward(ad.square(x))
+        ad.backward(square(x))
         assert float(x.grad) == pytest.approx(6.0, abs=1e-12)
 
     def test_gaussian_of_distance_grad(self):
         # y = exp(-2 d^2), dy/dd at d=1 is -4 e^-2
         d = ad.parameter(1.0)
-        ad.backward(ad.exp(ad.scale(ad.square(d), -2.0)))
+        ad.backward(ad.exp(ad.scale(square(d), -2.0)))
         assert float(d.grad) == pytest.approx(-0.5413411329464508, abs=1e-15)
 
     def test_unit_vector_radial_gradient_vanishes(self):
         # on the unit sphere the normalize vjp kills the radial component
         v = ad.parameter([[0.6, 0.8]])
         out = ad.l2_normalize(v)
-        ad.backward(ad.reduce_sum(ad.square(out)))  # == 1 identically
+        ad.backward(ad.reduce_sum(square(out)))  # == 1 identically
         np.testing.assert_allclose(v.grad, [[0.0, 0.0]], atol=1e-15)
 
 
@@ -156,14 +157,14 @@ class TestForwardShapes:
         a = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(ad.reshape(a, (3, 2)).value, a.reshape(3, 2))
         np.testing.assert_array_equal(
-            ad.concat([a, np.ones((2, 1))], axis=1).value, np.hstack([a, np.ones((2, 1))])
+            concat([a, np.ones((2, 1))], axis=1).value, np.hstack([a, np.ones((2, 1))])
         )
-        np.testing.assert_array_equal(ad.take(a, ([1, 0],)).value, a[[1, 0]])
-        np.testing.assert_array_equal(ad.take(a, ([0, 1, 1], [2, 0, 2])).value, [2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(take(a, ([1, 0],)).value, a[[1, 0]])
+        np.testing.assert_array_equal(take(a, ([0, 1, 1], [2, 0, 2])).value, [2.0, 3.0, 5.0])
         with pytest.raises(ShapeError):
-            ad.concat([a, np.ones((3, 1))], axis=1)
+            concat([a, np.ones((3, 1))], axis=1)
         with pytest.raises(ShapeError):
-            ad.take(a, ([2],))
+            take(a, ([2],))
 
     def test_l2_normalize_rows(self):
         out = ad.l2_normalize(ad.constant([[3.0, 4.0], [0.0, 2.0]]))
@@ -191,11 +192,11 @@ class TestBackwardSemantics:
     def test_scalar_root_required(self):
         x = ad.parameter([1.0, 2.0])
         with pytest.raises(ValueError):
-            ad.backward(ad.square(x))
+            ad.backward(square(x))
 
     def test_repeated_backward_accumulates(self):
         x = ad.parameter(2.0)
-        y = ad.square(x)
+        y = square(x)
         ad.backward(y)
         ad.backward(y)
         assert float(x.grad) == pytest.approx(8.0)
@@ -203,14 +204,14 @@ class TestBackwardSemantics:
     def test_shared_node_fanout(self):
         # z = x^2 + x^2 must give dz/dx = 4x through the shared subgraph
         x = ad.parameter(3.0)
-        s = ad.square(x)
+        s = square(x)
         ad.backward(ad.add(s, s))
         assert float(x.grad) == pytest.approx(12.0)
 
     def test_constant_gets_no_grad(self):
         c = ad.constant(1.0)
         x = ad.parameter(1.0)
-        ad.backward(ad.add(ad.square(x), c))
+        ad.backward(ad.add(square(x), c))
         assert c.grad is None
 
     def test_max_routes_to_single_winner(self):
@@ -220,7 +221,7 @@ class TestBackwardSemantics:
 
     def test_min_tie_breaks_to_lowest_index(self):
         v = ad.parameter([[2.0, 1.0, 1.0]])
-        node = ad.reduce_min(v, axis=1)
+        node = reduce_min(v, axis=1)
         assert ad.graph_has_tie(node)
         ad.backward(ad.reduce_sum(node))
         np.testing.assert_array_equal(v.grad, [[0, 1, 0]])
@@ -234,7 +235,7 @@ class TestBackwardSemantics:
     def test_log_zero_upstream_guard(self):
         # relu gates the branch off; d=0 inside log must not poison the grads
         x = ad.parameter(0.0)
-        sq = ad.square(x)
+        sq = square(x)
         d = ad.exp(ad.scale(ad.log(sq), 0.5))  # sqrt via exp/log, -inf at 0
         loss = ad.relu(ad.add(d, ad.constant(-1.0)))  # hinge inactive at d=0
         assert float(loss.value) == 0.0
@@ -243,7 +244,7 @@ class TestBackwardSemantics:
 
     def test_sqrt_zero_upstream_guard(self):
         x = ad.parameter(0.0)
-        d = ad.sqrt(ad.square(x))  # infinite derivative at 0
+        d = sqrt(square(x))  # infinite derivative at 0
         loss = ad.relu(ad.add(d, ad.constant(-1.0)))
         assert float(d.value) == 0.0 and float(loss.value) == 0.0
         ad.backward(loss)
@@ -251,14 +252,14 @@ class TestBackwardSemantics:
 
     def test_only_parameters_keep_gradients(self):
         x = ad.parameter([1.0, 2.0])
-        hidden = ad.square(x)
+        hidden = square(x)
         ad.backward(ad.reduce_sum(hidden))
         assert hidden.grad is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_take_scatters_repeated_entries(self):
         a = ad.parameter(np.zeros((2, 3)))
-        ad.backward(ad.reduce_sum(ad.take(a, ([0, 0, 1], [1, 1, 2]))))
+        ad.backward(ad.reduce_sum(take(a, ([0, 0, 1], [1, 1, 2]))))
         np.testing.assert_array_equal(a.grad, [[0, 2, 0], [0, 0, 1]])
 
 
@@ -275,7 +276,7 @@ class TestGradChecks:
             b = ad.parameter(r.normal(size=sb), "b")
 
             def f(ps):
-                return ad.reduce_sum(ad.square(ad.matmul(ps[0], ps[1])))
+                return ad.reduce_sum(square(ad.matmul(ps[0], ps[1])))
 
             gradcheck(f, [a, b])
 
@@ -285,7 +286,7 @@ class TestGradChecks:
         def f(ps):
             y = ad.exp(ad.negate(ad.scale(ps[0], 0.3)))
             y = ad.add(y, ad.log(ps[0]))
-            return ad.reduce_sum(ad.square(y))
+            return ad.reduce_sum(square(y))
 
         gradcheck(f, [x])
 
@@ -293,22 +294,22 @@ class TestGradChecks:
         vals = self.rng.normal(size=9)
         vals[np.abs(vals) < 0.1] = 0.5  # keep clear of the kink
         x = ad.parameter(vals, "x")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.relu(ps[0]))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.relu(ps[0]))), [x])
 
     def test_reductions_with_axis(self):
         x = ad.parameter(self.rng.normal(size=(4, 5)), "x")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.reduce_max(ps[0], axis=1))), [x])
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.reduce_min(ps[0], axis=0))), [x])
-        gradcheck(lambda ps: ad.square(ad.reduce_sum(ps[0])), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.reduce_max(ps[0], axis=1))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(reduce_min(ps[0], axis=0))), [x])
+        gradcheck(lambda ps: square(ad.reduce_sum(ps[0])), [x])
 
     def test_pairwise_sq_dist_tensor_targets(self):
         e = ad.parameter(self.rng.normal(size=(4, 5)), "e")
         reps = ad.parameter(self.rng.normal(size=(3, 2, 5)), "reps")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.pairwise_sq_dist(ps[0], ps[1]))), [e, reps])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.pairwise_sq_dist(ps[0], ps[1]))), [e, reps])
 
     def test_sqrt(self):
         x = ad.parameter(self.rng.uniform(0.3, 3.0, size=(3, 4)), "x")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ad.sqrt(ps[0]), ad.constant(0.7)))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.add(sqrt(ps[0]), ad.constant(0.7)))), [x])
 
     def test_shape_ops(self):
         x = ad.parameter(self.rng.normal(size=(4, 3)), "x")
@@ -316,10 +317,10 @@ class TestGradChecks:
         w = ad.constant(self.rng.normal(size=(5, 4)))
 
         def f(ps):
-            joined = ad.concat([ps[0], ps[1]], axis=1)  # (4, 5)
+            joined = concat([ps[0], ps[1]], axis=1)  # (4, 5)
             flat = ad.reshape(ad.matmul(w, joined), (25,))
-            picked = ad.take(ad.reshape(flat, (5, 5)), ([0, 3, 3, 4], [1, 2, 2, 0]))
-            return ad.reduce_sum(ad.square(picked))
+            picked = take(ad.reshape(flat, (5, 5)), ([0, 3, 3, 4], [1, 2, 2, 0]))
+            return ad.reduce_sum(square(picked))
 
         gradcheck(f, [x, y])
 
@@ -329,7 +330,7 @@ class TestGradChecks:
 
         def f(ps):
             y = ad.l2_normalize(ps[0])
-            return ad.reduce_sum(ad.square(ad.add(y, c)))
+            return ad.reduce_sum(square(ad.add(y, c)))
 
         gradcheck(f, [x])
 
@@ -338,17 +339,17 @@ class TestGradChecks:
     def test_matmul_stacked(self):
         a = ad.parameter(self.rng.normal(size=(3, 4, 5)), "a")
         b = ad.parameter(self.rng.normal(size=(3, 5, 2)), "b")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.matmul(ps[0], ps[1]))), [a, b])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.matmul(ps[0], ps[1]))), [a, b])
 
     def test_add_stacked_bias(self):
         x = ad.parameter(self.rng.normal(size=(3, 4, 2)), "x")
         bias = ad.parameter(self.rng.normal(size=(3, 1, 2)), "bias")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ps[0], ps[1]))), [x, bias])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.add(ps[0], ps[1]))), [x, bias])
 
     def test_reductions_stacked(self):
         x = ad.parameter(self.rng.normal(size=(3, 4, 5)), "x")
-        for reduce in (ad.reduce_max, ad.reduce_min, ad.reduce_sum):
-            gradcheck(lambda ps: ad.reduce_sum(ad.square(reduce(ps[0], axis=-1))), [x])
+        for reduce in (ad.reduce_max, reduce_min, ad.reduce_sum):
+            gradcheck(lambda ps: ad.reduce_sum(square(reduce(ps[0], axis=-1))), [x])
 
     @pytest.mark.parametrize("chunk", [1, 2**16], ids=["entry_chunks", "one_chunk"])
     def test_pairwise_sq_dist_stacked(self, monkeypatch, chunk):
@@ -357,7 +358,7 @@ class TestGradChecks:
         reps = ad.parameter(self.rng.normal(size=(3, 2, 2, 5)), "reps")
 
         def f(ps):
-            return ad.reduce_sum(ad.square(ad.pairwise_sq_dist(ps[0], ps[1])))
+            return ad.reduce_sum(square(ad.pairwise_sq_dist(ps[0], ps[1])))
 
         gradcheck(f, [e, reps])
         # either side alone: the other gradient is formed but not asked for
@@ -366,18 +367,18 @@ class TestGradChecks:
 
     def test_sqrt_stacked(self):
         x = ad.parameter(self.rng.uniform(0.3, 3.0, size=(2, 3, 4)), "x")
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.sqrt(ps[0]))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(sqrt(ps[0]))), [x])
 
     def test_take_stacked(self):
         x = ad.parameter(self.rng.normal(size=(2, 4, 3)), "x")
         index = (slice(None), np.array([0, 3, 3, 1]), np.array([2, 0, 0, 1]))
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.take(ps[0], index))), [x])
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.take(ps[0], index[:2]))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(take(ps[0], index))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(take(ps[0], index[:2]))), [x])
 
     def test_l2_normalize_stacked(self):
         x = ad.parameter(self.rng.normal(size=(2, 4, 6)) + 0.5, "x")
         c = ad.constant(self.rng.normal(size=(2, 4, 6)))
-        gradcheck(lambda ps: ad.reduce_sum(ad.square(ad.add(ad.l2_normalize(ps[0]), c))), [x])
+        gradcheck(lambda ps: ad.reduce_sum(square(ad.add(ad.l2_normalize(ps[0]), c))), [x])
 
     def test_batch_norm_train_mode(self):
         state = ad.BatchNormState(np.zeros(3), np.ones(3), 0.9, 1e-5)
@@ -388,7 +389,7 @@ class TestGradChecks:
 
         def f(ps):
             y = ad.batch_norm(ps[0], ps[1], ps[2], state, train=True)
-            return ad.reduce_sum(ad.square(ad.add(y, c)))
+            return ad.reduce_sum(square(ad.add(y, c)))
 
         gradcheck(f, [x, gamma, beta])
 
@@ -401,7 +402,7 @@ class TestGradChecks:
 
         def f(ps):
             y = ad.batch_norm(ps[0], ps[1], ps[2], state)
-            return ad.reduce_sum(ad.square(y))
+            return ad.reduce_sum(square(y))
 
         gradcheck(f, [x, gamma, beta])
 
@@ -467,7 +468,7 @@ class TestFiniteDifferenceChecker:
         # deliberately corrupt a vjp through a wrapper node
         def f(ps):
             (x,) = ps
-            y = ad.square(x)
+            y = square(x)
             bad = ad.Node(y.value, requires_grad=True, op="bad")
             bad._vjps = ((x, lambda g: 3.0 * g),)  # claims d/dx = 3, truth is 2x
             return bad
@@ -488,7 +489,7 @@ class TestFiniteDifferenceChecker:
 
         def f(ps):
             tied = ad.reduce_max(ad.constant([[1.0, 1.0]]), axis=1)
-            return ad.add(ad.reduce_sum(ad.square(ps[0])), ad.reduce_sum(tied))
+            return ad.add(ad.reduce_sum(square(ps[0])), ad.reduce_sum(tied))
 
         assert ad.finite_difference_check(f, [x]) < 1e-8
 
@@ -496,7 +497,7 @@ class TestFiniteDifferenceChecker:
         x = ad.parameter([0.0], "x")
 
         def f(ps):
-            y = ad.reduce_sum(ad.log(ad.square(ps[0])))  # -inf at the nominal point
+            y = ad.reduce_sum(ad.log(square(ps[0])))  # -inf at the nominal point
             return ad.add(y, ad.negate(y))  # inf - inf
 
         with np.errstate(invalid="ignore"):
@@ -506,7 +507,7 @@ class TestFiniteDifferenceChecker:
     def test_returns_small_error_for_correct_graph(self):
         x = ad.parameter([1.5, 2.5], "x")
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce_sum(ad.square(ad.log(ps[0]))), [x]
+            lambda ps: ad.reduce_sum(square(ad.log(ps[0]))), [x]
         )
         assert err < 1e-8
 
@@ -610,15 +611,15 @@ SMOOTH = {
     "scale": (1, lambda a: ad.scale(a, 0.7)),
     "negate": (1, ad.negate),
     "exp": (1, lambda a: ad.exp(ad.scale(a, -0.3))),
-    "soft": (1, lambda a: ad.sqrt(ad.add(ad.square(a), ad.constant(1.0)))),
+    "soft": (1, lambda a: sqrt(ad.add(square(a), ad.constant(1.0)))),
     "mix": (1, lambda a: ad.matmul(a, ad.constant(MIX))),
-    "pick": (2, lambda a, b: ad.take(ad.concat([a, b], axis=1), PICKED)),
+    "pick": (2, lambda a, b: take(concat([a, b], axis=1), PICKED)),
     "rowsum": (2, lambda a, b: ad.add(a, ad.reshape(ad.reduce_sum(b, axis=1), (3, 1)))),
 }
 KINKED = {
     "relu": (1, ad.relu),
     "rowmax": (2, lambda a, b: ad.add(a, ad.reshape(ad.reduce_max(b, axis=1), (3, 1)))),
-    "colmin": (2, lambda a, b: ad.add(a, ad.reduce_min(b, axis=0))),
+    "colmin": (2, lambda a, b: ad.add(a, reduce_min(b, axis=0))),
     "norm": (1, ad.l2_normalize),
 }
 
@@ -706,7 +707,7 @@ def test_take_scatter_matches_add_at(data, stacked, rows, cols, count):
     index = tuple(picks[:data.draw(st.integers(1, 2))])
     if stacked:
         index = (slice(None),) + index
-    node = ad.take(ad.parameter(np.zeros(shape)), index)
+    node = take(ad.parameter(np.zeros(shape)), index)
     g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
     expected = np.zeros(shape)
     np.add.at(expected, index, g)
@@ -725,7 +726,7 @@ def test_reduction_and_concat_vjps_match_the_numpy_helpers(data, shape):
     value = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 2.0])))
     a = ad.parameter(value)
 
-    for reduce, winner in ((ad.reduce_max, np.argmax), (ad.reduce_min, np.argmin)):
+    for reduce, winner in ((ad.reduce_max, np.argmax), (reduce_min, np.argmin)):
         node = reduce(a, axis)
         g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
         expected = np.zeros(shape)
@@ -741,7 +742,7 @@ def test_reduction_and_concat_vjps_match_the_numpy_helpers(data, shape):
         assert node._vjps[0][1](g).tobytes() == expected.tobytes()
 
     other = ad.parameter(np.ones(shape[:axis % len(shape)] + (2,) + shape[axis % len(shape) + 1:]))
-    node = ad.concat([a, other, a], axis=axis)
+    node = concat([a, other, a], axis=axis)
     g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
     bounds = np.cumsum([shape[axis], 2])
     for (_, vjp), part in zip(node._vjps, np.split(g, bounds, axis=axis)):

@@ -20,10 +20,10 @@ from mixrep import cli
 from mixrep.config import EmbeddingConfig, MixtureConfig, RunConfig, load_run_config
 from mixrep.data import Dataset, load_dataset, save_dataset
 from mixrep.episodes import evaluate_episodes, load_episodes
-from mixrep.errors import DatasetError
+from mixrep.errors import ConfigError, DatasetError
 from mixrep.head import MixtureHead, load_checkpoint, save_checkpoint
 from mixrep.metrics import classification_error
-from mixrep.training import class_index_map
+from mixrep.training import class_index_map, fit
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -177,12 +177,6 @@ class TestTrain:
         doc = json.loads((out / "resolved-config.json").read_text(encoding="utf-8"))
         assert doc["seed"] == 99
 
-    def test_config_input_dim_wins_over_the_datasets(self):
-        data = Dataset(["r0", "r1"], ["a", "b"], np.zeros((2, 4)))
-        for input_dim, want in ((6, 6), (None, 4)):
-            head = cli._build_head(RunConfig(input_dim=input_dim, layer_widths=(3,)), data)
-            assert head.embedding.config.input_dim == want
-
     def test_layer_widths_as_text_is_refused(self, pipeline, tmp_path, capsys):
         # "64" trained a (6, 4) network
         config = tmp_path / "run.json"
@@ -198,9 +192,7 @@ class TestTrain:
     @pytest.mark.parametrize("change, message", [
         ({"layer_widths": [2**62, 4]},
          "cannot allocate parameter layers.0.weight of shape (12, 4611686018427387904): "),
-        ({"input_dim": 10**20},
-         "cannot allocate parameter layers.0.weight of shape (100000000000000000000, 32): "),
-    ], ids=["width_too_big_for_an_array", "input_dim_beyond_numpy"])
+    ], ids=["width_too_big_for_an_array"])
     def test_head_numpy_cannot_allocate_is_refused(self, pipeline, tmp_path, capsys, change,
                                                    message):
         config = tmp_path / "run.json"
@@ -565,7 +557,7 @@ class TestEvalEpisodes:
 
     @pytest.mark.parametrize("shots, message", [
         ("1,1", "--shots count 1 is repeated in '1,1'"), ("1,many", "bad --shots list '1,many'"),
-        ("", "bad --shots list ''")])
+        ("", "bad --shots list ''"), ("1,5,0", "--shots count must be >= 1, got 0")])
     def test_shots_are_checked_before_any_input_is_read(self, pipeline, tmp_path, capsys,
                                                         shots, message):
         # none of the three input files exists, so reading one would exit 1
@@ -576,6 +568,22 @@ class TestEvalEpisodes:
                          "--episodes", str(tmp_path / "nowhere-episodes.jsonl"),
                          "--shots", shots, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots, message", [
+        ("1,2,0", "--shots count must be >= 1, got 0"),
+        ("1,2,11", "shots 11 exceeds max_shots 10")])
+    def test_no_pass_runs_before_a_bad_shot_count_is_refused(self, pipeline, tmp_path, capsys,
+                                                            shots, message):
+        # both lists ran their first passes, printing a line each, before
+        # the bad count was refused
+        out = tmp_path / "x"
+        assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(pipeline["episodes"]),
+                         "--shots", shots, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
 
@@ -659,8 +667,7 @@ def test_export_bytes_match_the_per_float_writer(pipeline, inputs):
     assert got == reference_embeddings_csv(ids, labels, head.embedding.embed_batch(features))
 
 
-@pytest.mark.parametrize("command", ["train", "eval-classify", "export-embeddings",
-                                     "eval-episodes"])
+@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings", "eval-episodes"])
 def test_a_dataset_of_another_width_than_the_head_is_refused(pipeline, tmp_path, capsys,
                                                              command):
     # each command reported a shape error from inside the network, sized by
@@ -670,19 +677,43 @@ def test_a_dataset_of_another_width_than_the_head_is_refused(pipeline, tmp_path,
     save_dataset(Dataset(ds.id, ds.label, np.hstack([ds.features, ds.features[:, :1]]),
                          box=ds.box, image_id=ds.image_id, split=ds.split, group=ds.group,
                          meta=ds.meta), wide)
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({**RUN, "input_dim": 12}), encoding="utf-8")
     out = tmp_path / "out"
-    args = [command, "--config", str(config), "--data", str(wide), "--out", str(out)]
-    source = "the config's input_dim"
-    if command != "train":
-        args += ["--checkpoint", str(pipeline["checkpoint"])]
-        source = f"checkpoint {pipeline['checkpoint']}"
+    args = [command, "--config", str(pipeline["config"]), "--data", str(wide), "--out", str(out),
+            "--checkpoint", str(pipeline["checkpoint"])]
     if command == "eval-episodes":
         args += ["--episodes", str(pipeline["episodes"])]
     assert cli.main(args) == 2
-    assert capsys.readouterr().err == \
-        f"error: dataset {wide} has 13 features per record, but {source} takes 12\n"
+    assert capsys.readouterr().err == (f"error: dataset {wide} has 13 features per record, "
+                                       f"but checkpoint {pipeline['checkpoint']} takes 12\n")
+    assert not out.exists()
+
+
+def test_fit_and_eval_classify_refuse_a_class_count_in_the_same_words(pipeline, tmp_path,
+                                                                      capsys):
+    # the checkpoint holds the 5 seen classes; without the group column all
+    # 10 classes of the dataset are seen
+    ds = load_dataset(pipeline["data"])
+    ungrouped = tmp_path / "ungrouped.jsonl"
+    save_dataset(Dataset(ds.id, ds.label, ds.features, box=ds.box, image_id=ds.image_id,
+                         split=ds.split, meta=ds.meta), ungrouped)
+    message = "head has 5 classes, dataset has 10"
+    with pytest.raises(ConfigError) as exc:
+        fit(load_checkpoint(pipeline["checkpoint"]), load_dataset(ungrouped), RunConfig())
+    assert str(exc.value) == message
+    assert cli.main(["eval-classify", "--data", str(ungrouped),
+                     "--checkpoint", str(pipeline["checkpoint"])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_config_with_input_dim_is_refused(pipeline, tmp_path, capsys):
+    # the head's input width is the dataset's; a config or resolved-config.json
+    # that still carries the key is refused, whatever width it names
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RUN, "input_dim": 12}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--data", str(pipeline["data"]),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: unknown config keys: ['input_dim']\n")
     assert not out.exists()
 
 

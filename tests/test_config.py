@@ -21,8 +21,11 @@ from mixrep.config import (
     load_run_config,
     write_resolved_config,
 )
+from mixrep.episodes import finetune_episodes
 from mixrep.errors import ConfigError
 from mixrep.head import MixtureHead, load_checkpoint, save_checkpoint
+from mixrep.metrics import match_detections, pr_curve, recall_at_k
+from mixrep.rng import substream
 
 
 class TestDefaults:
@@ -65,6 +68,13 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             RunConfig(recall_ks=(0,))
 
+    def test_repeated_recall_k_is_refused(self):
+        # it wrote a report with two recall_at_10 columns, of which
+        # csv.DictReader kept one
+        with pytest.raises(ConfigError) as exc:
+            config_from({"recall_ks": [10, 100, 10]})
+        assert str(exc.value) == "recall_ks entry 10 is repeated in (10, 100, 10)"
+
     def test_negative_finetune(self):
         with pytest.raises(ConfigError):
             RunConfig(finetune_steps=-1)
@@ -99,6 +109,33 @@ class TestTrainerChecks:
                       optimizer="adam", iterations=1, lr=1e-9, finetune_lr=1e-9)
         assert (c.classes_per_batch, c.batch_strategy, c.optimizer, c.lr) == (
             2, "image_group", "adam", 1e-9)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SynthConfig(num_classes=0), "num_classes must be >= 1, got 0"),
+    (lambda: SynthConfig(samples_per_mode=0), "samples_per_mode must be >= 1, got 0"),
+    (lambda: SynthConfig(input_dim=0), "input_dim must be >= 1, got 0"),
+    (lambda: SynthConfig(unseen_classes=-1), "unseen_classes must be >= 0, got -1"),
+    (lambda: SynthConfig(rois_per_image=1), "rois_per_image must be >= 2, got 1"),
+    (lambda: EmbeddingConfig(input_dim=0, layer_widths=(4,)), "input_dim must be >= 1, got 0"),
+    (lambda: MixtureConfig(num_classes=2, modes_per_class=0), "modes_per_class must be >= 1, got 0"),
+    (lambda: EpisodeSpec(shots=1, ways=2, episode_count=0), "episode_count must be >= 1, got 0"),
+    (lambda: EpisodeSpec(shots=1, ways=2, background_queries=-1),
+     "background_queries must be >= 0, got -1"),
+    (lambda: RunConfig(finetune_steps=-1), "finetune_steps must be >= 0, got -1"),
+    (lambda: RunConfig(recall_ks=(10, 0)), "recall_ks entry must be >= 1, got 0"),
+    (lambda: substream(-1, "x"), "seed must be >= 0, got -1"),
+    (lambda: finetune_episodes([], None, -1), "steps must be >= 0, got -1"),
+    (lambda: recall_at_k(None, None, 0), "k must be >= 1, got 0"),
+    (lambda: pr_curve(None, None, 0), "num_gt must be >= 1, got 0"),
+    (lambda: RunConfig(match_iou=1.5), "match_iou must be in (0, 1], got 1.5"),
+    (lambda: match_detections(None, None, 0), "iou_threshold must be in (0, 1], got 0.0"),
+])
+def test_each_bound_is_worded_alike_by_every_owner(build, message):
+    # configs and library arguments share one wording per rule
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 class TestFactories:
@@ -270,10 +307,8 @@ class TestTypedReader:
             load_checkpoint(p)
 
     def test_numbers_and_nulls_fit_where_annotated(self):
-        c = config_from({"sigma": 1, "lr": 0.5, "input_dim": None, "layer_widths": None,
-                         "synth": {"spread": 0}})
-        assert (c.sigma, c.lr, c.input_dim, c.layer_widths, c.synth.spread) == (1, 0.5, None,
-                                                                                 None, 0)
+        c = config_from({"sigma": 1, "lr": 0.5, "layer_widths": None, "synth": {"spread": 0}})
+        assert (c.sigma, c.lr, c.layer_widths, c.synth.spread) == (1, 0.5, None, 0)
 
     def test_missing_and_unknown_keys_are_named(self):
         with pytest.raises(ConfigError, match="episode spec is missing key 'ways'"):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed_loss import cross_entropy_loss, margin_loss
+from composed_loss import cross_entropy_loss, margin_loss, sqrt
 from mixrep import autodiff as ad
 from mixrep import head as hd
 from mixrep.config import EmbeddingConfig, MixtureConfig
@@ -330,7 +330,7 @@ class TestMarginLoss:
         d2 = ad.parameter(rng.uniform(0.3, 3.0, size=(2, 3, 2)), "d2")
 
         def f(ps):
-            return ad.reduce_sum(margin_loss(ad.sqrt(ps[0]), [1, 0], 0.5))
+            return ad.reduce_sum(margin_loss(sqrt(ps[0]), [1, 0], 0.5))
 
         assert ad.finite_difference_check(f, [d2]) < 1e-6
 

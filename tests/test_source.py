@@ -11,9 +11,10 @@ function is written once, the run config resolves its task-mode defaults
 from named owners, the package root imports nothing, each name is
 imported from the module that binds it, no call passes `str` as a dtype
 or type argument, only the format writers and `save_checkpoint` open a
-file to write or format JSON or CSV text, and the words of each input rule
-(record values, boxes, class maps, task modes) are held by one string
-literal of the package."""
+file to write or format JSON or CSV text, the words of each input rule
+(record values, boxes, class maps, task modes, integer bounds, the (0, 1]
+rule of IoU thresholds, class counts) are held by one string literal of
+the package, and every function of the autodiff engine is called in it."""
 
 import ast
 import inspect
@@ -648,7 +649,8 @@ def test_only_the_format_writers_write_files(module):
 # the words of each input rule; the one literal that holds them is the rule's
 # one owner, which every place that checks the rule calls
 RULE_PHRASES = ("must be a non-empty string", "must be one of", "box coordinates must be finite",
-                "degenerate box", "outside the class map", "task_mode must be")
+                "degenerate box", "outside the class map", "task_mode must be", "must be >=",
+                "must be in (0, 1]", "classes, dataset has")
 
 
 def literals_holding(source: str, phrase: str) -> list[int]:
@@ -693,3 +695,48 @@ def test_each_input_rule_is_worded_once(phrase):
     found = [f"{module.name} (line {line})" for module in MODULES
              for line in literals_holding(module.read_text(encoding="utf-8"), phrase)]
     assert len(found) == 1, found
+
+
+def uncalled_engine_functions(sources: dict[str, str], engine: str = "autodiff") -> list[str]:
+    """Top-level functions of the `engine` module in `sources` (module name
+    -> text) that no call in them reaches: by bare name inside the engine,
+    and elsewhere through a name imported from it or an attribute of the
+    module imported as a whole."""
+    defined = [node.name for node in ast.parse(sources[engine]).body
+               if isinstance(node, ast.FunctionDef)]
+    called = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names, aliases = set(defined) if module == engine else set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == engine:
+                names.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == engine)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                called.add(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id in aliases:
+                called.add(func.attr)
+    return [name for name in defined if name not in called]
+
+
+def test_scan_finds_an_uncalled_engine_function():
+    engine = ("import numpy as np\n\n\ndef wrap(x):\n    return x\n\n\n"
+              "def sqrt(a):\n    return np.sqrt(wrap(a))\n\n\n"
+              "def square(a):\n    return a\n\n\ndef take(a):\n    return a\n\n\n"
+              "def concat(a):\n    return a\n")
+    user = ("from . import autodiff as ad\nfrom .autodiff import take\n\n"
+            "ad.square(take(1))\nconcat = ad.concat\n")
+    assert uncalled_engine_functions({"autodiff": engine, "head": user}) == ["sqrt", "concat"]
+
+
+def test_every_engine_function_is_called_in_the_package():
+    # a primitive only tests call belongs beside them, in tests/composed_loss.py
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert uncalled_engine_functions(sources) == []
