@@ -4,9 +4,16 @@ Graphs are define-by-run: each operation returns a `Node` holding the forward
 value and, when a parameter feeds it, vector-Jacobian products against its
 inputs. Nodes are numbered as they are made, after their inputs, and
 `backward` visits the nodes a scalar root's gradient reaches in decreasing
-creation order, each once. Operations on constants only keep no tape, so
-inference over fixed arrays leaves no graph behind. Graphs are rebuilt on
-every forward pass; parameters are the only state carried across passes.
+creation order, each once. Operations on constants only keep no tape. Graphs
+are rebuilt on every forward pass; parameters are the only state carried
+across passes.
+
+The engine holds the five primitives the model differentiates, those of the
+embedding net: `matmul`, `add`, `relu`, `batch_norm` and `l2_normalize`. The
+fused loss node (`mixrep.head.mixture_loss`) shares the rest: the pairwise
+distances and their gradients, the vjps of log, sqrt, max and min, gather
+and scatter. The primitives only its composed reference and the gradient
+checks use are in `tests/composed_loss.py`.
 
 A central-difference checker (`finite_difference_check`) serves as the
 independent oracle for every gradient in the package.
@@ -31,10 +38,10 @@ from .errors import (
 
 Array = np.ndarray
 
-# differences formed at once inside pairwise_sq_dist on a stack (2**14
-# float64 entries: 128 KiB), so its temporaries do not grow with the stack;
-# a five-shot episode at README width (25 rows, 25 modes, e = 32) is its
-# own chunk
+# differences formed at once inside pairwise_sq_dist_values on a stack
+# (2**14 float64 entries: 128 KiB), so its temporaries do not grow with the
+# stack; a five-shot episode at README width (25 rows, 25 modes, e = 32) is
+# its own chunk
 DIFF_CHUNK = 2**14
 
 _FLOAT64 = np.dtype(np.float64)
@@ -56,8 +63,9 @@ class Node:
     Forward values never depend on whether gradients were requested.
 
     Only a node that requires a gradient keeps a tape: its (input, vjp)
-    pairs and, for a max/min reduction, `tie`, a callable telling whether it
-    sat on a tie. `_seq` numbers nodes in creation order.
+    pairs and, for an operation that takes a max or min, `tie`, a callable
+    telling whether one sat on a tie. `_seq` numbers nodes in creation
+    order.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "op", "name", "_vjps", "tie", "_seq")
@@ -156,212 +164,10 @@ def add(a, b) -> Node:
     )
 
 
-def scale(a, factor: float) -> Node:
-    a = wrap(a)
-    factor = float(factor)
-    return record(a.value * factor, "scale", [(a, lambda g: g * factor)])
-
-
-def negate(a) -> Node:
-    a = wrap(a)
-    return record(-a.value, "negate", [(a, lambda g: -g)])
-
-
-def exp(a) -> Node:
-    a = wrap(a)
-    out = np.exp(a.value)
-    return record(out, "exp", [(a, lambda g: g * out)])
-
-
-def log(a) -> Node:
-    a = wrap(a)
-    va = a.value
-    if (va < 0.0).any():
-        raise ShapeError("log", (va.shape,), "negative input")
-    with np.errstate(divide="ignore"):
-        out = np.log(va)
-    return record(out, "log", [(a, lambda g: log_vjp(g, va))])
-
-
-def log_vjp(g: Array, x: Array) -> Array:
-    """The vjp of log at x. A zero upstream gradient contributes zero even
-    where x is 0 (1/0 = inf there); this keeps inactive hinge branches
-    NaN-free at exact zero distances. A nonzero upstream at 0 is a declared
-    singularity."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(g == 0.0, 0.0, g / x)
-
-
 def relu(a) -> Node:
     a = wrap(a)
     va = a.value
     return record(np.maximum(va, 0.0), "relu", [(a, lambda g: g * (va > 0.0))])
-
-
-def sqrt_vjp(g: Array, out: Array) -> Array:
-    """The vjp of sqrt where it gives `out`. As in log, a zero upstream
-    gradient contributes zero at x = 0, where the derivative is infinite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(g == 0.0, 0.0, 0.5 * g / out)
-
-
-def extreme_vjp(g: Array, winners: Array, shape: tuple, axis: int) -> Array:
-    """The vjp of a max or min over `axis` of an array of `shape`: g at the
-    `winners` the reduction picked along the axis, ties having gone to the
-    lowest index, and 0 elsewhere."""
-    # the array seen as (outer, n, inner) with the reduced axis in the middle
-    split = axis % len(shape)
-    outer, inner = math.prod(shape[:split]), math.prod(shape[split + 1:])
-    gi = np.zeros((outer, shape[split], inner))
-    gi[np.arange(outer)[:, None], winners.reshape(outer, inner),
-       np.arange(inner)] = g.reshape(outer, inner)
-    return gi.reshape(shape)
-
-
-def tied(table: Array, kept: Array, axis: int) -> bool:
-    """Whether `kept`, a max or min of `table` over `axis` kept as a
-    length-1 axis, is held there more than once anywhere."""
-    return bool(((table == kept).sum(axis=axis) > 1).any())
-
-
-def reduce_max(a, axis: int) -> Node:
-    """Maximum along one axis.
-
-    The gradient is routed only to the winner, with ties broken to the
-    lowest index. Whether the maximum sat on a tie is checked only on
-    demand, by `graph_has_tie`.
-    """
-    a = wrap(a)
-    va = a.value
-    if va.size == 0:
-        raise ShapeError("reduce_max", (va.shape,), "empty input")
-    kept = va.max(axis=axis, keepdims=True)
-    return record(kept.squeeze(axis), "reduce_max",
-                  [(a, lambda g: extreme_vjp(g, va.argmax(axis=axis), va.shape, axis))],
-                  lambda: tied(va, kept, axis))
-
-
-def reduce_sum(a, axis: int | None = None) -> Node:
-    a = wrap(a)
-    va = a.value
-    kept = va.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        gi = np.empty(va.shape)
-        gi[...] = g.reshape(kept.shape)
-        return gi
-
-    return record(kept.squeeze(axis), "sum", [(a, vjp)])
-
-
-def reshape(a, shape) -> Node:
-    a = wrap(a)
-    va = a.value
-    try:
-        out = va.reshape(shape)
-    except ValueError:
-        raise ShapeError("reshape", (va.shape, shape), "sizes differ") from None
-    return record(out, "reshape", [(a, lambda g: g.reshape(va.shape))])
-
-
-def flat_positions(shape: tuple, index: tuple) -> Array:
-    """The flat C-order position, in an array of `shape`, of each entry that
-    `index` picks, laid out in C order: after a slice, indexing may return
-    a transposed layout, which a reduction adds up differently."""
-    return np.ascontiguousarray(np.arange(math.prod(shape)).reshape(shape)[index])
-
-
-def scatter_add(positions: Array, g: Array, shape: tuple) -> Array:
-    """The vjp of gathering `positions` from an array of `shape`: g added
-    up at each position in index order, as a sequential scatter-add would,
-    and 0 elsewhere."""
-    return np.bincount(positions.reshape(-1), g.reshape(-1), math.prod(shape)).reshape(shape)
-
-
-def pairwise_sq_dist(e, r) -> Node:
-    """Squared Euclidean distances from each query row to every target.
-
-    `e` is a (B, dim) batch of queries; `r` holds targets along its last
-    axis, (..., dim), e.g. an (N, K, dim) bank of mode centers. The result
-    is (B, ...). A stack of such pairs, (E, B, dim) queries and
-    (E, ..., dim) targets, gives (E, B, ...): queries meet only the targets
-    of their own stack entry. Differences are taken before squaring, so a
-    query that coincides with a target is at distance exactly 0.
-
-    The (B, M, dim) differences are the largest arrays of a loss graph, so
-    none is kept: a stack is worked through in chunks of whole entries of
-    at most DIFF_CHUNK differences (one entry when it alone holds more),
-    and each pass forms a chunk's differences afresh, bit for bit the same,
-    in a buffer of its own (`pairwise_sq_dist_grads` is the backward pass).
-    """
-    e, r = wrap(e), wrap(r)
-    ve, vr = e.value, r.value
-    stack = ve.shape[:-2]
-    if (ve.ndim not in (2, 3) or vr.ndim < ve.ndim - 1 or vr.shape[:len(stack)] != stack
-            or vr.shape[-1] != ve.shape[-1]):
-        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape),
-                         "expected (B, dim) and (..., dim), or (E, B, dim) and (E, ..., dim)")
-    lead = stack or (1,)  # a single pair is a stack of one
-    batch, dim = ve.shape[-2:]
-    out = np.empty(lead + (batch, vr.reshape(lead + (-1, dim)).shape[-2]))
-    for rows, d in _differences(ve, vr):
-        d *= d
-        d.sum(axis=-1, out=out[rows])
-    out = out.reshape(stack + (batch,) + vr.shape[len(stack):-1])
-    return record(out, "pairwise_sq_dist",
-                  shared_vjps((e, r), lambda g: pairwise_sq_dist_grads(ve, vr, g)))
-
-
-def _differences(ve: Array, vr: Array):
-    """The differences target - query of `pairwise_sq_dist`, as (entries,
-    (n, B, M, dim) differences) for successive chunks of whole stack entries,
-    at most DIFF_CHUNK differences each (one entry when it alone holds
-    more). Every chunk is written into one buffer, which lives only as long
-    as the iteration."""
-    lead = ve.shape[:-2] or (1,)
-    batch, dim = ve.shape[-2:]
-    targets = vr.reshape(lead + (1, -1, dim))
-    queries = ve.reshape(lead + (batch, 1, dim))
-    per = max(1, DIFF_CHUNK // max(batch * targets.shape[-2] * dim, 1))
-    buf = np.empty((min(per, lead[0]), batch, targets.shape[-2], dim))
-    for i in range(0, lead[0], per):
-        # targets copied out along the rows, less the queries: the bits of
-        # the broadcast subtraction, in half its time
-        d = buf[:len(targets[i:i + per])]
-        np.copyto(d, targets[i:i + per])
-        np.subtract(d, queries[i:i + per], out=d)
-        yield slice(i, i + per), d
-
-
-def pairwise_sq_dist_grads(ve: Array, vr: Array, g: Array) -> tuple[Array, Array]:
-    """The vjps of `pairwise_sq_dist(ve, vr)` against both operands for the
-    upstream gradient `g`. Both are sums of the products 2 * diff * g, up to
-    sign (scaling by 2 and negation are exact), so they are formed in one
-    pass over the differences, each chunk formed afresh."""
-    lead = ve.shape[:-2] or (1,)
-    batch, dim = ve.shape[-2:]
-    count = vr.reshape(lead + (-1, dim)).shape[-2]
-    ge, gr = np.empty(lead + (batch, dim)), np.empty(lead + (count, dim))
-    g2 = (2.0 * g).reshape(lead + (batch, count, 1))
-    for rows, d in _differences(ve, vr):
-        d *= g2[rows]
-        np.negative(d.sum(axis=-2), out=ge[rows])
-        d.sum(axis=-3, out=gr[rows])
-    return ge.reshape(ve.shape), gr.reshape(vr.shape)
-
-
-def shared_vjps(inputs: Sequence[Node], vjp) -> list:
-    """The (input, vjp) pairs of a node whose vjps against all its `inputs`
-    come from one computation, `vjp(g)` giving one gradient per input: it
-    runs on the first of the calls `backward` makes for one upstream g."""
-    last: list = [None, None]
-
-    def nth(i, g):
-        if last[0] is not g:
-            last[:] = g, vjp(g)
-        return last[1][i]
-
-    return [(x, lambda g, i=i: nth(i, g)) for i, x in enumerate(inputs)]
 
 
 def l2_normalize(a, epsilon: float = 1e-12) -> Node:
@@ -450,6 +256,141 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool = False) -> No
 
 
 # ---------------------------------------------------------------------------
+# array forms and vjps of the fused loss node
+
+
+def pairwise_sq_dist_values(ve: Array, vr: Array) -> Array:
+    """Squared Euclidean distances from each query row to every target.
+
+    `ve` is a (B, dim) batch of queries; `vr` holds targets along its last
+    axis, (..., dim), e.g. an (N, K, dim) bank of mode centers. The result
+    is (B, ...). A stack of such pairs, (E, B, dim) queries and
+    (E, ..., dim) targets, gives (E, B, ...): queries meet only the targets
+    of their own stack entry. Differences are taken before squaring, so a
+    query that coincides with a target is at distance exactly 0.
+
+    The (B, M, dim) differences are the largest arrays of a loss, so none
+    is kept: a stack is worked through in chunks of whole entries of at
+    most DIFF_CHUNK differences (one entry when it alone holds more), and
+    each pass forms a chunk's differences afresh, bit for bit the same, in
+    a buffer of its own (`pairwise_sq_dist_grads` is the backward pass).
+    """
+    stack = ve.shape[:-2]
+    if (ve.ndim not in (2, 3) or vr.ndim < ve.ndim - 1 or vr.shape[:len(stack)] != stack
+            or vr.shape[-1] != ve.shape[-1]):
+        raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape),
+                         "expected (B, dim) and (..., dim), or (E, B, dim) and (E, ..., dim)")
+    lead = stack or (1,)  # a single pair is a stack of one
+    batch, dim = ve.shape[-2:]
+    out = np.empty(lead + (batch, vr.reshape(lead + (-1, dim)).shape[-2]))
+    for rows, d in _differences(ve, vr):
+        d *= d
+        d.sum(axis=-1, out=out[rows])
+    return out.reshape(stack + (batch,) + vr.shape[len(stack):-1])
+
+
+def _differences(ve: Array, vr: Array):
+    """The differences target - query of `pairwise_sq_dist_values`, as
+    (entries, (n, B, M, dim) differences) for successive chunks of whole
+    stack entries, at most DIFF_CHUNK differences each (one entry when it
+    alone holds more). Every chunk is written into one buffer, which lives
+    only as long as the iteration."""
+    lead = ve.shape[:-2] or (1,)
+    batch, dim = ve.shape[-2:]
+    targets = vr.reshape(lead + (1, -1, dim))
+    queries = ve.reshape(lead + (batch, 1, dim))
+    per = max(1, DIFF_CHUNK // max(batch * targets.shape[-2] * dim, 1))
+    buf = np.empty((min(per, lead[0]), batch, targets.shape[-2], dim))
+    for i in range(0, lead[0], per):
+        # targets copied out along the rows, less the queries: the bits of
+        # the broadcast subtraction, in half its time
+        d = buf[:len(targets[i:i + per])]
+        np.copyto(d, targets[i:i + per])
+        np.subtract(d, queries[i:i + per], out=d)
+        yield slice(i, i + per), d
+
+
+def pairwise_sq_dist_grads(ve: Array, vr: Array, g: Array) -> tuple[Array, Array]:
+    """The vjps of `pairwise_sq_dist_values(ve, vr)` against both operands
+    for the upstream gradient `g`. Both are sums of the products
+    2 * diff * g, up to sign (scaling by 2 and negation are exact), so they
+    are formed in one pass over the differences, each chunk formed afresh."""
+    lead = ve.shape[:-2] or (1,)
+    batch, dim = ve.shape[-2:]
+    count = vr.reshape(lead + (-1, dim)).shape[-2]
+    ge, gr = np.empty(lead + (batch, dim)), np.empty(lead + (count, dim))
+    g2 = (2.0 * g).reshape(lead + (batch, count, 1))
+    for rows, d in _differences(ve, vr):
+        d *= g2[rows]
+        np.negative(d.sum(axis=-2), out=ge[rows])
+        d.sum(axis=-3, out=gr[rows])
+    return ge.reshape(ve.shape), gr.reshape(vr.shape)
+
+
+def log_vjp(g: Array, x: Array) -> Array:
+    """The vjp of log at x. A zero upstream gradient contributes zero even
+    where x is 0 (1/0 = inf there); this keeps inactive hinge branches
+    NaN-free at exact zero distances. A nonzero upstream at 0 is a declared
+    singularity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g == 0.0, 0.0, g / x)
+
+
+def sqrt_vjp(g: Array, out: Array) -> Array:
+    """The vjp of sqrt where it gives `out`. As in log, a zero upstream
+    gradient contributes zero at x = 0, where the derivative is infinite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(g == 0.0, 0.0, 0.5 * g / out)
+
+
+def extreme_vjp(g: Array, winners: Array, shape: tuple, axis: int) -> Array:
+    """The vjp of a max or min over `axis` of an array of `shape`: g at the
+    `winners` the reduction picked along the axis, ties having gone to the
+    lowest index, and 0 elsewhere."""
+    # the array seen as (outer, n, inner) with the reduced axis in the middle
+    split = axis % len(shape)
+    outer, inner = math.prod(shape[:split]), math.prod(shape[split + 1:])
+    gi = np.zeros((outer, shape[split], inner))
+    gi[np.arange(outer)[:, None], winners.reshape(outer, inner),
+       np.arange(inner)] = g.reshape(outer, inner)
+    return gi.reshape(shape)
+
+
+def tied(table: Array, kept: Array, axis: int) -> bool:
+    """Whether `kept`, a max or min of `table` over `axis` kept as a
+    length-1 axis, is held there more than once anywhere."""
+    return bool(((table == kept).sum(axis=axis) > 1).any())
+
+
+def flat_positions(shape: tuple, index: tuple) -> Array:
+    """The flat C-order position, in an array of `shape`, of each entry that
+    `index` picks, laid out in C order: after a slice, indexing may return
+    a transposed layout, which a reduction adds up differently."""
+    return np.ascontiguousarray(np.arange(math.prod(shape)).reshape(shape)[index])
+
+
+def scatter_add(positions: Array, g: Array, shape: tuple) -> Array:
+    """The vjp of gathering `positions` from an array of `shape`: g added
+    up at each position in index order, as a sequential scatter-add would,
+    and 0 elsewhere."""
+    return np.bincount(positions.reshape(-1), g.reshape(-1), math.prod(shape)).reshape(shape)
+
+
+def shared_vjps(inputs: Sequence[Node], vjp) -> list:
+    """The (input, vjp) pairs of a node whose vjps against all its `inputs`
+    come from one computation, `vjp(g)` giving one gradient per input: it
+    runs on the first of the calls `backward` makes for one upstream g."""
+    last: list = [None, None]
+
+    def nth(i, g):
+        if last[0] is not g:
+            last[:] = g, vjp(g)
+        return last[1][i]
+
+    return [(x, lambda g, i=i: nth(i, g)) for i, x in enumerate(inputs)]
+
+
+# ---------------------------------------------------------------------------
 # backward pass
 
 
@@ -490,8 +431,8 @@ def zero_grads(params) -> None:
 
 
 def graph_has_tie(root: Node) -> bool:
-    """True when any max/min reduction that the gradient of `root` flows
-    through sat exactly on a tie. A tie among constants cannot make the
+    """True when any max or min that the gradient of `root` flows through
+    sat exactly on a tie. A tie among constants cannot make the
     objective non-smooth, and constant nodes keep no tape."""
     stack, seen = [root], set()
     while stack:

@@ -111,8 +111,10 @@ class EmbeddingConfig:
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
         check_at_least("input_dim", self.input_dim, 1)
-        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-            raise ConfigError(f"layer_widths must be positive, got {self.layer_widths}")
+        if not self.layer_widths:
+            raise ConfigError("layer_widths must not be empty")
+        for w in self.layer_widths:
+            check_at_least("layer_widths entry", w, 1)
         if not 0 < self.bn_epsilon < math.inf:
             raise ConfigError(f"bn_epsilon must be a finite number > 0, got {self.bn_epsilon!r}")
         if not 0 <= self.bn_momentum <= 1:
@@ -204,6 +206,9 @@ class SynthConfig:
             raise ConfigError("unseen_classes must not exceed num_classes")
         if not 0 <= self.test_fraction < 1:
             raise ConfigError("test_fraction must lie in [0, 1)")
+        if not 0 <= self.min_separation < math.inf:
+            raise ConfigError(
+                f"min_separation must be a finite number >= 0, got {self.min_separation!r}")
         check_at_least("rois_per_image", self.rois_per_image, 2)
 
 
@@ -274,6 +279,8 @@ class RunConfig:
         check_at_least("iterations", self.iterations, 1)
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
         if not self.finetune_lr > 0:
             raise ConfigError(f"finetune_lr must be positive, got {self.finetune_lr}")
         if self.optimizer not in ("sgd", "adam"):

@@ -8,17 +8,17 @@ hinge that enforces a margin between the closest correct-class mode and the
 closest wrong-class mode.
 
 `mode_probabilities` is the one forward from embeddings to mode
-probabilities, shared by the loss and the scores: the loss passes the
-representatives' parameter node, scoring passes their values, so a score
-reads bit for bit the probabilities the loss trains on, and scoring keeps no
-autodiff tape.
+probabilities, shared by the loss and the scores; it and the posterior
+helpers take and return plain arrays, so a score reads bit for bit the
+probabilities the loss trains on, and scoring makes no autodiff node.
 
 The loss is one autodiff node over the whole batch, `mixture_loss`: its
-forward is `mode_probabilities` and the posterior helpers on plain arrays,
+forward is `mode_probabilities` and the posterior helpers on the values,
 then the cross-entropy and the hinge, and its vjp replays, op for op, the
-vjps of the graph the engine's primitives would build for it, so the loss
-and its gradients are bit for bit that graph's. Division is exp(log a -
-log b), and per-class minima are row-wise minima under additive masks.
+vjps of the graph of primitives that `tests/composed_loss.py` composes for
+it, so the loss and its gradients are bit for bit that graph's. Division is
+exp(log a - log b), and per-class minima are row-wise minima under additive
+masks.
 
 A head is its parameter arrays and batch-norm running statistics, nothing
 else: `parameter_layout` names them and gives their shapes, and
@@ -54,7 +54,7 @@ from .rng import substream
 BACKGROUND = -1  # label sentinel for clutter items (detection mode only)
 
 # rows per block of batched inference: bounds every temporary of embedding
-# and scoring, such as the (rows, N*K, e) difference inside pairwise_sq_dist,
+# and scoring, such as the (rows, N*K, e) differences behind the distances,
 # so peak memory does not grow with the batch (rows are independent outside
 # training, so blocking changes no result bit)
 BLOCK_ROWS = 32
@@ -193,7 +193,7 @@ def _seeded_arrays(embedding: EmbeddingConfig, mixture: MixtureConfig, seed: int
 
 
 # ---------------------------------------------------------------------------
-# posteriors (Node in, Node out; plain arrays are wrapped) and the loss node
+# mode probabilities and posteriors on plain arrays, and the loss node
 
 
 def _exponent_scale(sigma: float) -> float:
@@ -202,60 +202,57 @@ def _exponent_scale(sigma: float) -> float:
     return -1.0 / (2.0 * float(sigma) ** 2)
 
 
-def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node, Node]:
+def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances d^2 from each embedded row to every mode center, and
     the isotropic-Gaussian mode likelihoods exp(-d^2 / (2 sigma^2)) in (0, 1].
 
     `embeddings` is (B, e); `representatives` is any target array
-    pairwise_sq_dist accepts, e.g. (N, K, e), giving (B, N, K) tables. d^2 is
-    exactly 0, and the likelihood exactly 1, where an embedding coincides
-    with a center. A parameter node builds a differentiable graph; plain
-    arrays build constants, which keep no tape. `sigma` is a head's
+    `pairwise_sq_dist_values` accepts, e.g. (N, K, e), giving (B, N, K)
+    tables. d^2 is exactly 0, and the likelihood exactly 1, where an
+    embedding coincides with a center. `sigma` is a head's
     `MixtureConfig.sigma`, positive by that config's check.
     """
-    d2 = ad.pairwise_sq_dist(embeddings, representatives)
-    return d2, ad.exp(ad.scale(d2, _exponent_scale(sigma)))
+    d2 = ad.pairwise_sq_dist_values(ad.as_array(embeddings), ad.as_array(representatives))
+    return d2, np.exp(d2 * _exponent_scale(sigma))
 
 
 # The posteriors below read the last two axes of a probability table as
 # (N classes, K modes); any leading axes (one per batch row) are kept.
 
 
-def class_posterior_max(probs) -> Node:
+def class_posterior_max(probs) -> np.ndarray:
     """Per-class posterior as the best mode: (..., N, K) -> (..., N)."""
-    p = ad.wrap(probs)
-    if p.value.ndim < 2:
-        raise ShapeError("class_posterior_max", (p.value.shape,), "expected (..., N, K)")
-    return ad.reduce_max(p, axis=-1)
+    p = ad.as_array(probs)
+    if p.ndim < 2:
+        raise ShapeError("class_posterior_max", (p.shape,), "expected (..., N, K)")
+    return p.max(axis=-1)
 
 
-def class_posterior_normalized(probs) -> Node:
+def class_posterior_normalized(probs) -> np.ndarray:
     """Softer posterior: per-class probability mass over total mass,
     (..., N, K) -> (..., N).
 
-    Sums to 1 within 1e-9. Division is composed as exp(log a - log b), both
-    arguments strictly positive away from total underflow.
+    Sums to 1 within 1e-9. Division is exp(log a - log b), both arguments
+    strictly positive away from total underflow.
     """
-    p = ad.wrap(probs)
-    if p.value.ndim < 2:
-        raise ShapeError("class_posterior_normalized", (p.value.shape,), "expected (..., N, K)")
-    underflow = (p.value < 1e-300).all(axis=(-2, -1))
+    p = ad.as_array(probs)
+    if p.ndim < 2:
+        raise ShapeError("class_posterior_normalized", (p.shape,), "expected (..., N, K)")
+    underflow = (p < 1e-300).all(axis=(-2, -1))
     if underflow.any():
         raise PosteriorUnderflowError(
             f"all mode probabilities below 1e-300 for {int(np.sum(underflow))} item(s)"
         )
-    mass = ad.reduce_sum(p, axis=-1)
-    total = ad.reduce_sum(mass, axis=-1)
-    total = ad.reshape(total, total.shape + (1,))
-    return ad.exp(ad.add(ad.log(mass), ad.negate(ad.log(total))))
+    mass = p.sum(axis=-1)
+    with np.errstate(divide="ignore"):  # a class whose mass underflows has posterior 0
+        return np.exp(np.log(mass) + -np.log(mass.sum(axis=-1))[..., None])
 
 
-def background_posterior(probs) -> Node:
+def background_posterior(probs) -> np.ndarray:
     """Open-set lower bound: 1 minus the single best mode probability,
     (..., N, K) -> (...)."""
-    p = ad.wrap(probs)
-    flat = ad.reshape(p, p.shape[:-2] + (-1,))
-    return ad.add(ad.constant(1.0), ad.negate(ad.reduce_max(flat, axis=-1)))
+    p = ad.as_array(probs)
+    return 1.0 + -p.reshape(p.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def _check_labels(labels, n: int, background_ok: bool) -> np.ndarray:
@@ -286,24 +283,25 @@ def mixture_loss(embeddings: Node, representatives: Node, labels: np.ndarray,
     their sum `total`, each an (E,) array on a stack.
 
     The forward is `mode_probabilities` and the posterior helpers on the
-    values, then the numpy operations the engine's primitives would run, in
-    their order; the vjp replays those primitives' vjps op for op, so value,
-    gradients and tie verdict are bit for bit those of the graph composed
-    of the primitives. It keeps only what its vjp and `tie` read, and forms
-    the differences behind the distances a chunk at a time in both passes.
+    values, then the numpy operations the primitives of the composed
+    reference (`tests/composed_loss.py`) run, in their order; the vjp
+    replays those primitives' vjps op for op, so value, gradients and tie
+    verdict are bit for bit those of the composed graph. It keeps only what
+    its vjp and `tie` read, and forms the differences behind the distances
+    a chunk at a time in both passes.
     """
     ve, vr = embeddings.value, representatives.value
     lead = ve.shape[:-2]  # () or (E,) on a stack
     batch, (n, k) = len(labels), vr.shape[-3:-1]
-    d2, probs = (node.value for node in mode_probabilities(ve, vr, mixture.sigma))
+    d2, probs = mode_probabilities(ve, vr, mixture.sigma)
     modes = probs.reshape(lead + (batch, n * k))
     rows = (slice(None),) * len(lead) + (np.arange(batch),)
     if task_mode == "classification":
-        post = class_posterior_normalized(probs).value
+        post = class_posterior_normalized(probs)
         at_label = ad.flat_positions(post.shape, rows + (labels,))
         likelihood = post.reshape(-1)[at_label]
     else:  # the label's entry of [best mode of each class, background], over its sum
-        best, bg = class_posterior_max(probs).value, background_posterior(probs).value
+        best, bg = class_posterior_max(probs), background_posterior(probs)
         total = best.sum(axis=-1) + bg
         table = np.concatenate([best, bg[..., None]], axis=-1)
         table_shape = table.shape
@@ -558,16 +556,16 @@ class MixtureHead:
 
     def _score_block(self, E: np.ndarray) -> Scores:
         _, probs = mode_probabilities(E, self.representatives.value, self.mixture.sigma)
-        best = class_posterior_max(probs).value
-        bg = background_posterior(probs).value
+        best = class_posterior_max(probs)
+        bg = background_posterior(probs)
         if self.mixture.posterior_mode == "max":
             post = rank = best
         else:
-            post = class_posterior_normalized(probs).value
-            rank = probs.value.sum(axis=-1)
+            post = class_posterior_normalized(probs)
+            rank = probs.sum(axis=-1)
         return Scores(
             embeddings=E,
-            mode_probs=probs.value,
+            mode_probs=probs,
             class_posterior=post,
             background_posterior=bg,
             predicted_class=np.argmax(rank, axis=1),

@@ -1,11 +1,16 @@
 """The mixture head's loss composed from autodiff primitives: the reference
 that `mixrep.head.mixture_loss`, one fused node, is checked against bit for
-bit. Each helper builds its part of the graph from the engine's primitives,
-so the finite-difference checker and `graph_has_tie` see every reduction.
+bit. Each helper builds its part of the graph from primitives, so the
+finite-difference checker and `graph_has_tie` see every reduction, and the
+mode probabilities and posteriors are coded here a second time, as nodes,
+apart from the plain-array functions of `mixrep.head` that the fused node
+and scoring run.
 
-`square`, `sqrt`, `reduce_min`, `concat` and `take` are primitives only this
-reference and the gradient checks use. They live here, built on the engine's
-`record` and its vjp helpers, which the fused loss node shares."""
+`scale`, `negate`, `square`, `exp`, `log`, `sqrt`, `reduce_sum`,
+`reduce_max`, `reduce_min`, `reshape`, `concat`, `take` and
+`pairwise_sq_dist` are primitives only this reference and the gradient
+checks use. They live here, built on the engine's `record` and its array
+forms and vjp helpers, which the fused loss node shares."""
 
 import numpy as np
 
@@ -17,18 +22,42 @@ from mixrep.head import (
     PROB_FLOOR,
     MixtureHead,
     _check_labels,
-    background_posterior,
-    class_posterior_max,
-    class_posterior_normalized,
-    mode_probabilities,
+    _exponent_scale,
 )
 from mixrep.errors import ShapeError
+
+
+def scale(a, factor: float) -> Node:
+    a = ad.wrap(a)
+    factor = float(factor)
+    return ad.record(a.value * factor, "scale", [(a, lambda g: g * factor)])
+
+
+def negate(a) -> Node:
+    a = ad.wrap(a)
+    return ad.record(-a.value, "negate", [(a, lambda g: -g)])
 
 
 def square(a) -> Node:
     a = ad.wrap(a)
     va = a.value
     return ad.record(va * va, "square", [(a, lambda g: 2.0 * va * g)])
+
+
+def exp(a) -> Node:
+    a = ad.wrap(a)
+    out = np.exp(a.value)
+    return ad.record(out, "exp", [(a, lambda g: g * out)])
+
+
+def log(a) -> Node:
+    a = ad.wrap(a)
+    va = a.value
+    if (va < 0.0).any():
+        raise ShapeError("log", (va.shape,), "negative input")
+    with np.errstate(divide="ignore"):
+        out = np.log(va)
+    return ad.record(out, "log", [(a, lambda g: ad.log_vjp(g, va))])
 
 
 def sqrt(a) -> Node:
@@ -41,8 +70,38 @@ def sqrt(a) -> Node:
     return ad.record(out, "sqrt", [(a, lambda g: ad.sqrt_vjp(g, out))])
 
 
+def reduce_sum(a, axis: int | None = None) -> Node:
+    a = ad.wrap(a)
+    va = a.value
+    kept = va.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        gi = np.empty(va.shape)
+        gi[...] = g.reshape(kept.shape)
+        return gi
+
+    return ad.record(kept.squeeze(axis), "sum", [(a, vjp)])
+
+
+def reduce_max(a, axis: int) -> Node:
+    """Maximum along one axis.
+
+    The gradient is routed only to the winner, with ties broken to the
+    lowest index. Whether the maximum sat on a tie is checked only on
+    demand, by `graph_has_tie`.
+    """
+    a = ad.wrap(a)
+    va = a.value
+    if va.size == 0:
+        raise ShapeError("reduce_max", (va.shape,), "empty input")
+    kept = va.max(axis=axis, keepdims=True)
+    return ad.record(kept.squeeze(axis), "reduce_max",
+                     [(a, lambda g: ad.extreme_vjp(g, va.argmax(axis=axis), va.shape, axis))],
+                     lambda: ad.tied(va, kept, axis))
+
+
 def reduce_min(a, axis: int) -> Node:
-    """Minimum along one axis, the mirror of `ad.reduce_max`."""
+    """Minimum along one axis, the mirror of `reduce_max`."""
     a = ad.wrap(a)
     va = a.value
     if va.size == 0:
@@ -51,6 +110,16 @@ def reduce_min(a, axis: int) -> Node:
     return ad.record(kept.squeeze(axis), "reduce_min",
                      [(a, lambda g: ad.extreme_vjp(g, va.argmin(axis=axis), va.shape, axis))],
                      lambda: ad.tied(va, kept, axis))
+
+
+def reshape(a, shape) -> Node:
+    a = ad.wrap(a)
+    va = a.value
+    try:
+        out = va.reshape(shape)
+    except ValueError:
+        raise ShapeError("reshape", (va.shape, shape), "sizes differ") from None
+    return ad.record(out, "reshape", [(a, lambda g: g.reshape(va.shape))])
 
 
 def concat(parts, axis: int = -1) -> Node:
@@ -85,6 +154,45 @@ def take(a, index: tuple) -> Node:
                      [(a, lambda g: ad.scatter_add(flat, g, va.shape))])
 
 
+def pairwise_sq_dist(e, r) -> Node:
+    """The node of `ad.pairwise_sq_dist_values`: squared distances from each
+    query row of `e` to every target of `r`, with both operands' vjps from
+    one pass of `ad.pairwise_sq_dist_grads`."""
+    e, r = ad.wrap(e), ad.wrap(r)
+    ve, vr = e.value, r.value
+    return ad.record(ad.pairwise_sq_dist_values(ve, vr), "pairwise_sq_dist",
+                     ad.shared_vjps((e, r), lambda g: ad.pairwise_sq_dist_grads(ve, vr, g)))
+
+
+def mode_probabilities(embeddings, representatives, sigma: float) -> tuple[Node, Node]:
+    """The nodes of `mixrep.head.mode_probabilities`: d^2 and
+    exp(-d^2 / (2 sigma^2))."""
+    d2 = pairwise_sq_dist(embeddings, representatives)
+    return d2, exp(scale(d2, _exponent_scale(sigma)))
+
+
+def class_posterior_max(probs) -> Node:
+    """The node of `mixrep.head.class_posterior_max`: (..., N, K) -> (..., N)."""
+    return reduce_max(probs, axis=-1)
+
+
+def class_posterior_normalized(probs) -> Node:
+    """The node of `mixrep.head.class_posterior_normalized`, (..., N, K) ->
+    (..., N): exp(log mass - log total)."""
+    mass = reduce_sum(probs, axis=-1)
+    total = reduce_sum(mass, axis=-1)
+    total = reshape(total, total.shape + (1,))
+    return exp(ad.add(log(mass), negate(log(total))))
+
+
+def background_posterior(probs) -> Node:
+    """The node of `mixrep.head.background_posterior`, (..., N, K) -> (...):
+    1 minus the best mode."""
+    p = ad.wrap(probs)
+    flat = reshape(p, p.shape[:-2] + (-1,))
+    return ad.add(ad.constant(1.0), negate(reduce_max(flat, axis=-1)))
+
+
 def clamp_min(node: Node, floor: float) -> Node:
     return ad.add(ad.relu(ad.add(node, ad.constant(-float(floor)))), ad.constant(float(floor)))
 
@@ -109,10 +217,10 @@ def margin_loss(distances, labels, margin: float) -> Node:
     if labels.shape[0] != batch:
         raise ShapeError("margin_loss", (d.value.shape, labels.shape), "one label per row")
     own = np.repeat(np.arange(n)[None, :] == labels[:, None], k, axis=1)  # (B, N*K)
-    flat = ad.reshape(d, d.shape[:-2] + (n * k,))
+    flat = reshape(d, d.shape[:-2] + (n * k,))
     d_true = reduce_min(ad.add(flat, ad.constant(np.where(own, 0.0, np.inf))), axis=-1)
     d_wrong = reduce_min(ad.add(flat, ad.constant(np.where(own, np.inf, 0.0))), axis=-1)
-    return ad.relu(ad.add(ad.add(d_true, ad.negate(d_wrong)), ad.constant(float(margin))))
+    return ad.relu(ad.add(ad.add(d_true, negate(d_wrong)), ad.constant(float(margin))))
 
 
 def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
@@ -136,14 +244,14 @@ def cross_entropy_loss(class_posterior, background_post, labels) -> Node:
     rows = (slice(None),) * (post.value.ndim - 2) + (np.arange(batch),)
     if background_post is None:
         picked = take(post, rows + (labels,))
-        return ad.negate(ad.log(clamp_min(picked, PROB_FLOOR)))
+        return negate(log(clamp_min(picked, PROB_FLOOR)))
 
     bg = ad.wrap(background_post)
-    total = ad.add(ad.reduce_sum(post, axis=-1), bg)
-    table = concat([post, ad.reshape(bg, bg.shape + (1,))], axis=-1)
+    total = ad.add(reduce_sum(post, axis=-1), bg)
+    table = concat([post, reshape(bg, bg.shape + (1,))], axis=-1)
     picked = take(table, rows + (np.where(labels == BACKGROUND, n, labels),))
-    ratio = ad.exp(ad.add(ad.log(picked), ad.negate(ad.log(total))))
-    return ad.negate(ad.log(clamp_min(ratio, PROB_FLOOR)))
+    ratio = exp(ad.add(log(picked), negate(log(total))))
+    return negate(log(clamp_min(ratio, PROB_FLOOR)))
 
 
 def composed_total_loss(head: MixtureHead, X, labels, train: bool = False):
@@ -158,19 +266,19 @@ def composed_total_loss(head: MixtureHead, X, labels, train: bool = False):
         ce = cross_entropy_loss(class_posterior_normalized(probs), None, labels)
     else:
         ce = cross_entropy_loss(class_posterior_max(probs), background_posterior(probs), labels)
-    ce_total = ad.reduce_sum(ce, axis=-1)
+    ce_total = reduce_sum(ce, axis=-1)
     loss, margin = ce_total, np.zeros(ce_total.shape)
 
     fg = np.flatnonzero(labels != BACKGROUND)
     if fg.size and head.representatives.value.shape[-3] >= 2:
         rows = (slice(None),) * (X.ndim - 2) + (fg,)
         dist = sqrt(clamp_min(take(d2, rows), DIST_SQ_FLOOR))
-        margin_total = ad.reduce_sum(margin_loss(dist, labels[fg], head.mixture.margin), axis=-1)
+        margin_total = reduce_sum(margin_loss(dist, labels[fg], head.mixture.margin), axis=-1)
         loss = ad.add(loss, margin_total)
         margin = margin_total.value / batch
 
-    loss = ad.scale(loss, 1.0 / batch)
+    loss = scale(loss, 1.0 / batch)
     parts = {"ce": ce_total.value / batch, "margin": margin, "total": loss.value}
     if X.ndim == 3:
-        return ad.reduce_sum(loss), parts
+        return reduce_sum(loss), parts
     return loss, {name: float(value) for name, value in parts.items()}

@@ -10,7 +10,21 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from composed_loss import concat, reduce_min, sqrt, square, take
+from composed_loss import (
+    concat,
+    exp,
+    log,
+    negate,
+    pairwise_sq_dist,
+    reduce_max,
+    reduce_min,
+    reduce_sum,
+    reshape,
+    scale,
+    sqrt,
+    square,
+    take,
+)
 from mixrep import autodiff as ad
 from mixrep import cli
 from mixrep.config import EmbeddingConfig, EpisodeSpec, MixtureConfig, RunConfig, SynthConfig
@@ -52,73 +66,73 @@ def _primitive_checks():
 
     a = ad.parameter(rng.normal(size=(3, 4)))
     b = ad.parameter(rng.normal(size=(4, 2)))
-    checks.append(("matmul", lambda ps: ad.reduce_sum(square(ad.matmul(ps[0], ps[1]))), [a, b]))
+    checks.append(("matmul", lambda ps: reduce_sum(square(ad.matmul(ps[0], ps[1]))), [a, b]))
 
     x = ad.parameter(rng.normal(size=(3, 4)))
     y = ad.parameter(rng.normal(size=4))
-    checks.append(("add", lambda ps: ad.reduce_sum(square(ad.add(ps[0], ps[1]))), [x, y]))
+    checks.append(("add", lambda ps: reduce_sum(square(ad.add(ps[0], ps[1]))), [x, y]))
 
     z = ad.parameter(rng.normal(size=(2, 5)))
-    checks.append(("scale", lambda ps: ad.reduce_sum(square(ad.scale(ps[0], 1.7))), [z]))
-    checks.append(("negate", lambda ps: ad.reduce_sum(square(ad.negate(ps[0]))), [z]))
-    checks.append(("square", lambda ps: ad.reduce_sum(square(ps[0])), [z]))
-    checks.append(("exp", lambda ps: ad.reduce_sum(ad.exp(ps[0])), [z]))
+    checks.append(("scale", lambda ps: reduce_sum(square(scale(ps[0], 1.7))), [z]))
+    checks.append(("negate", lambda ps: reduce_sum(square(negate(ps[0]))), [z]))
+    checks.append(("square", lambda ps: reduce_sum(square(ps[0])), [z]))
+    checks.append(("exp", lambda ps: reduce_sum(exp(ps[0])), [z]))
 
     p = ad.parameter(rng.uniform(0.5, 2.0, size=(2, 5)))
-    checks.append(("log", lambda ps: ad.reduce_sum(square(ad.log(ps[0]))), [p]))
+    checks.append(("log", lambda ps: reduce_sum(square(log(ps[0]))), [p]))
 
     # keep relu inputs away from the kink
     r = ad.parameter(np.where(np.abs(v := rng.normal(size=(3, 4))) < 0.2, v + 0.5, v))
-    checks.append(("relu", lambda ps: ad.reduce_sum(square(ad.relu(ps[0]))), [r]))
+    checks.append(("relu", lambda ps: reduce_sum(square(ad.relu(ps[0]))), [r]))
 
     m = ad.parameter(rng.normal(size=(3, 5)))
-    checks.append(("reduce_sum", lambda ps: ad.reduce_sum(square(ad.reduce_sum(ps[0], axis=1))), [m]))
-    checks.append(("reduce_max", lambda ps: ad.reduce_sum(square(ad.reduce_max(ps[0], axis=1))), [m]))
-    checks.append(("reduce_min", lambda ps: ad.reduce_sum(square(reduce_min(ps[0], axis=0))), [m]))
+    checks.append(("reduce_sum", lambda ps: reduce_sum(square(reduce_sum(ps[0], axis=1))), [m]))
+    checks.append(("reduce_max", lambda ps: reduce_sum(square(reduce_max(ps[0], axis=1))), [m]))
+    checks.append(("reduce_min", lambda ps: reduce_sum(square(reduce_min(ps[0], axis=0))), [m]))
 
     e = ad.parameter(rng.normal(size=(3, 6)))
     t = ad.parameter(rng.normal(size=(4, 2, 6)))
     checks.append(("pairwise_sq_dist",
-                   lambda ps: ad.reduce_sum(square(ad.pairwise_sq_dist(ps[0], ps[1]))), [e, t]))
+                   lambda ps: reduce_sum(square(pairwise_sq_dist(ps[0], ps[1]))), [e, t]))
 
     q = ad.parameter(rng.uniform(0.5, 2.0, size=(2, 5)))
-    checks.append(("sqrt", lambda ps: ad.reduce_sum(square(sqrt(ps[0]))), [q]))
+    checks.append(("sqrt", lambda ps: reduce_sum(square(sqrt(ps[0]))), [q]))
     # reshape, concat and take only move entries; a row max or a square
     # downstream makes a misplaced gradient entry show
-    checks.append(("reshape", lambda ps: ad.reduce_sum(square(ad.reduce_max(
-        ad.reshape(ps[0], (5, 2)), axis=1))), [q]))
-    checks.append(("concat", lambda ps: ad.reduce_sum(square(ad.reduce_max(
+    checks.append(("reshape", lambda ps: reduce_sum(square(reduce_max(
+        reshape(ps[0], (5, 2)), axis=1))), [q]))
+    checks.append(("concat", lambda ps: reduce_sum(square(reduce_max(
         concat([ps[0], ps[1]], axis=0), axis=1))), [m, q]))
     rows, cols = np.array([0, 2, 2, 1]), np.array([4, 0, 0, 3])
-    checks.append(("take", lambda ps: ad.reduce_sum(square(take(ps[0], (rows, cols)))), [m]))
+    checks.append(("take", lambda ps: reduce_sum(square(take(ps[0], (rows, cols)))), [m]))
 
     u = ad.parameter(rng.normal(size=(4, 3)) + np.array([2.0, -2.0, 3.0]))
     checks.append(("l2_normalize",
-                   lambda ps: ad.reduce_sum(square(ad.add(ad.l2_normalize(ps[0]),
+                   lambda ps: reduce_sum(square(ad.add(ad.l2_normalize(ps[0]),
                                                              ad.constant(0.3)))), [u]))
 
     # the primitives of a stacked fine-tune graph, with a leading stack axis
     sa, sb = ad.parameter(rng.normal(size=(2, 3, 4))), ad.parameter(rng.normal(size=(2, 4, 2)))
     checks.append(("matmul (stacked)",
-                   lambda ps: ad.reduce_sum(square(ad.matmul(ps[0], ps[1]))), [sa, sb]))
+                   lambda ps: reduce_sum(square(ad.matmul(ps[0], ps[1]))), [sa, sb]))
     sx, sy = ad.parameter(rng.normal(size=(2, 3, 4))), ad.parameter(rng.normal(size=(2, 1, 4)))
     checks.append(("add (stacked)",
-                   lambda ps: ad.reduce_sum(square(ad.add(ps[0], ps[1]))), [sx, sy]))
-    for name, reduce in (("reduce_sum", ad.reduce_sum), ("reduce_max", ad.reduce_max),
+                   lambda ps: reduce_sum(square(ad.add(ps[0], ps[1]))), [sx, sy]))
+    for name, reduce in (("reduce_sum", reduce_sum), ("reduce_max", reduce_max),
                          ("reduce_min", reduce_min)):
-        checks.append((f"{name} (stacked)", lambda ps, reduce=reduce: ad.reduce_sum(
+        checks.append((f"{name} (stacked)", lambda ps, reduce=reduce: reduce_sum(
             square(reduce(ps[0], axis=-1))), [sx]))
     se, st = ad.parameter(rng.normal(size=(2, 3, 6))), ad.parameter(rng.normal(size=(2, 4, 2, 6)))
     checks.append(("pairwise_sq_dist (stacked)",
-                   lambda ps: ad.reduce_sum(square(ad.pairwise_sq_dist(ps[0], ps[1]))), [se, st]))
+                   lambda ps: reduce_sum(square(pairwise_sq_dist(ps[0], ps[1]))), [se, st]))
     sq = ad.parameter(rng.uniform(0.5, 2.0, size=(2, 2, 5)))
-    checks.append(("sqrt (stacked)", lambda ps: ad.reduce_sum(square(sqrt(ps[0]))), [sq]))
+    checks.append(("sqrt (stacked)", lambda ps: reduce_sum(square(sqrt(ps[0]))), [sq]))
     stacked_index = (slice(None), rows, np.array([3, 0, 0, 2]))
     checks.append(("take (stacked)",
-                   lambda ps: ad.reduce_sum(square(take(ps[0], stacked_index))), [sx]))
+                   lambda ps: reduce_sum(square(take(ps[0], stacked_index))), [sx]))
     su = ad.parameter(rng.normal(size=(2, 4, 3)) + np.array([2.0, -2.0, 3.0]))
     checks.append(("l2_normalize (stacked)",
-                   lambda ps: ad.reduce_sum(square(ad.add(ad.l2_normalize(ps[0]),
+                   lambda ps: reduce_sum(square(ad.add(ad.l2_normalize(ps[0]),
                                                              ad.constant(0.3)))), [su]))
 
     state = ad.BatchNormState(np.zeros(3), np.ones(3), 0.9, 1e-5)
@@ -127,7 +141,7 @@ def _primitive_checks():
     bb = ad.parameter(rng.normal(size=3))
     shift = ad.constant(rng.normal(size=(6, 3)))
     checks.append(("batch_norm",
-                   lambda ps: ad.reduce_sum(square(ad.add(
+                   lambda ps: reduce_sum(square(ad.add(
                        ad.batch_norm(ps[0], ps[1], ps[2], state, train=True), shift))),
                    [bx, bg, bb]))
     return checks

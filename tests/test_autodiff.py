@@ -10,7 +10,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from composed_loss import concat, reduce_min, sqrt, square, take
+from composed_loss import (
+    concat,
+    exp,
+    log,
+    negate,
+    pairwise_sq_dist,
+    reduce_max,
+    reduce_min,
+    reduce_sum,
+    reshape,
+    scale,
+    sqrt,
+    square,
+    take,
+)
 from mixrep import autodiff as ad
 from mixrep.config import EmbeddingConfig, MixtureConfig
 from mixrep.errors import (
@@ -38,7 +52,7 @@ class TestFrozenValues:
         np.testing.assert_array_equal(out.value, [0.0, 0.0, 2.0])
 
     def test_unit_basis_sq_dist(self):
-        out = ad.pairwise_sq_dist(ad.constant([[1.0, 0.0]]), ad.constant([0.0, 1.0]))
+        out = pairwise_sq_dist(ad.constant([[1.0, 0.0]]), ad.constant([0.0, 1.0]))
         assert out.value.shape == (1,)
         assert out.value[0] == pytest.approx(2.0, abs=1e-15)
 
@@ -55,14 +69,14 @@ class TestFrozenValues:
     def test_gaussian_of_distance_grad(self):
         # y = exp(-2 d^2), dy/dd at d=1 is -4 e^-2
         d = ad.parameter(1.0)
-        ad.backward(ad.exp(ad.scale(square(d), -2.0)))
+        ad.backward(exp(scale(square(d), -2.0)))
         assert float(d.grad) == pytest.approx(-0.5413411329464508, abs=1e-15)
 
     def test_unit_vector_radial_gradient_vanishes(self):
         # on the unit sphere the normalize vjp kills the radial component
         v = ad.parameter([[0.6, 0.8]])
         out = ad.l2_normalize(v)
-        ad.backward(ad.reduce_sum(square(out)))  # == 1 identically
+        ad.backward(reduce_sum(square(out)))  # == 1 identically
         np.testing.assert_allclose(v.grad, [[0.0, 0.0]], atol=1e-15)
 
 
@@ -97,25 +111,25 @@ class TestForwardShapes:
 
     def test_pairwise_sq_dist_forms(self):
         e = ad.constant(np.zeros((7, 4)))
-        assert ad.pairwise_sq_dist(e, ad.constant(np.ones(4))).shape == (7,)
-        assert ad.pairwise_sq_dist(e, ad.constant(np.ones((5, 4)))).shape == (7, 5)
-        out = ad.pairwise_sq_dist(e, ad.constant(np.ones((3, 2, 4))))
+        assert pairwise_sq_dist(e, ad.constant(np.ones(4))).shape == (7,)
+        assert pairwise_sq_dist(e, ad.constant(np.ones((5, 4)))).shape == (7, 5)
+        out = pairwise_sq_dist(e, ad.constant(np.ones((3, 2, 4))))
         assert out.shape == (7, 3, 2)
         np.testing.assert_array_equal(out.value, 4.0)
 
     def test_pairwise_sq_dist_rows_match_single_queries(self):
         rng = np.random.default_rng(4)
         E, R = rng.normal(size=(6, 5)), rng.normal(size=(3, 2, 5))
-        batched = ad.pairwise_sq_dist(ad.constant(E), ad.constant(R)).value
+        batched = pairwise_sq_dist(ad.constant(E), ad.constant(R)).value
         for i in range(6):
-            alone = ad.pairwise_sq_dist(ad.constant(E[i:i + 1]), ad.constant(R)).value
+            alone = pairwise_sq_dist(ad.constant(E[i:i + 1]), ad.constant(R)).value
             np.testing.assert_array_equal(batched[i], alone[0])
 
     def test_pairwise_sq_dist_rejects_1d_query(self):
         with pytest.raises(ShapeError):
-            ad.pairwise_sq_dist(ad.constant(np.ones(4)), ad.constant(np.ones((2, 4))))
+            pairwise_sq_dist(ad.constant(np.ones(4)), ad.constant(np.ones((2, 4))))
         with pytest.raises(ShapeError):
-            ad.pairwise_sq_dist(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))))
+            pairwise_sq_dist(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))))
 
     @pytest.mark.parametrize("chunk", [1, 500, 2**16], ids=["entry_chunks", "small_chunks",
                                                            "one_chunk"])
@@ -131,10 +145,10 @@ class TestForwardShapes:
         def graph(x, w, bias, reps):
             params = [ad.parameter(v) for v in (w, bias, reps)]
             e = ad.l2_normalize(ad.add(ad.matmul(ad.constant(x), params[0]), params[1]))
-            d2 = ad.pairwise_sq_dist(e, params[2])
-            p = ad.exp(ad.scale(d2, -0.7))
-            rows = ad.reduce_sum(ad.reshape(p, p.shape[:-2] + (-1,)), axis=-1)
-            ad.backward(ad.reduce_sum(ad.reduce_max(rows, axis=-1)))
+            d2 = pairwise_sq_dist(e, params[2])
+            p = exp(scale(d2, -0.7))
+            rows = reduce_sum(reshape(p, p.shape[:-2] + (-1,)), axis=-1)
+            ad.backward(reduce_sum(reduce_max(rows, axis=-1)))
             return [d2.value] + [p.grad for p in params]
 
         stacked = graph(X, W, b, R)
@@ -149,13 +163,13 @@ class TestForwardShapes:
         with pytest.raises(ShapeError):
             ad.matmul(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((4, 5))))
         with pytest.raises(ShapeError):
-            ad.pairwise_sq_dist(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 5, 4))))
+            pairwise_sq_dist(ad.constant(np.ones((2, 3, 4))), ad.constant(np.ones((3, 5, 4))))
         with pytest.raises(ShapeError):
             ad.l2_normalize(ad.constant(np.ones((2, 2, 3, 4))))
 
     def test_shape_ops_forward(self):
         a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(ad.reshape(a, (3, 2)).value, a.reshape(3, 2))
+        np.testing.assert_array_equal(reshape(a, (3, 2)).value, a.reshape(3, 2))
         np.testing.assert_array_equal(
             concat([a, np.ones((2, 1))], axis=1).value, np.hstack([a, np.ones((2, 1))])
         )
@@ -185,7 +199,7 @@ class TestForwardShapes:
 
     def test_log_rejects_negative(self):
         with pytest.raises(ShapeError):
-            ad.log(ad.constant([-1.0]))
+            log(ad.constant([-1.0]))
 
 
 class TestBackwardSemantics:
@@ -216,27 +230,27 @@ class TestBackwardSemantics:
 
     def test_max_routes_to_single_winner(self):
         m = ad.parameter(np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]]))
-        ad.backward(ad.reduce_sum(ad.reduce_max(m, axis=1)))
+        ad.backward(reduce_sum(reduce_max(m, axis=1)))
         np.testing.assert_array_equal(m.grad, [[0, 1, 0], [1, 0, 0]])
 
     def test_min_tie_breaks_to_lowest_index(self):
         v = ad.parameter([[2.0, 1.0, 1.0]])
         node = reduce_min(v, axis=1)
         assert ad.graph_has_tie(node)
-        ad.backward(ad.reduce_sum(node))
+        ad.backward(reduce_sum(node))
         np.testing.assert_array_equal(v.grad, [[0, 1, 0]])
 
     def test_add_broadcast_backward_sums(self):
         b = ad.parameter(np.zeros(3))
         x = ad.constant(np.ones((4, 3)))
-        ad.backward(ad.reduce_sum(ad.add(x, b)))
+        ad.backward(reduce_sum(ad.add(x, b)))
         np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
 
     def test_log_zero_upstream_guard(self):
         # relu gates the branch off; d=0 inside log must not poison the grads
         x = ad.parameter(0.0)
         sq = square(x)
-        d = ad.exp(ad.scale(ad.log(sq), 0.5))  # sqrt via exp/log, -inf at 0
+        d = exp(scale(log(sq), 0.5))  # sqrt via exp/log, -inf at 0
         loss = ad.relu(ad.add(d, ad.constant(-1.0)))  # hinge inactive at d=0
         assert float(loss.value) == 0.0
         ad.backward(loss)
@@ -253,13 +267,13 @@ class TestBackwardSemantics:
     def test_only_parameters_keep_gradients(self):
         x = ad.parameter([1.0, 2.0])
         hidden = square(x)
-        ad.backward(ad.reduce_sum(hidden))
+        ad.backward(reduce_sum(hidden))
         assert hidden.grad is None
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_take_scatters_repeated_entries(self):
         a = ad.parameter(np.zeros((2, 3)))
-        ad.backward(ad.reduce_sum(take(a, ([0, 0, 1], [1, 1, 2]))))
+        ad.backward(reduce_sum(take(a, ([0, 0, 1], [1, 1, 2]))))
         np.testing.assert_array_equal(a.grad, [[0, 2, 0], [0, 0, 1]])
 
 
@@ -276,7 +290,7 @@ class TestGradChecks:
             b = ad.parameter(r.normal(size=sb), "b")
 
             def f(ps):
-                return ad.reduce_sum(square(ad.matmul(ps[0], ps[1])))
+                return reduce_sum(square(ad.matmul(ps[0], ps[1])))
 
             gradcheck(f, [a, b])
 
@@ -284,9 +298,9 @@ class TestGradChecks:
         x = ad.parameter(self.rng.uniform(0.5, 2.0, size=7), "x")
 
         def f(ps):
-            y = ad.exp(ad.negate(ad.scale(ps[0], 0.3)))
-            y = ad.add(y, ad.log(ps[0]))
-            return ad.reduce_sum(square(y))
+            y = exp(negate(scale(ps[0], 0.3)))
+            y = ad.add(y, log(ps[0]))
+            return reduce_sum(square(y))
 
         gradcheck(f, [x])
 
@@ -294,22 +308,22 @@ class TestGradChecks:
         vals = self.rng.normal(size=9)
         vals[np.abs(vals) < 0.1] = 0.5  # keep clear of the kink
         x = ad.parameter(vals, "x")
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.relu(ps[0]))), [x])
+        gradcheck(lambda ps: reduce_sum(square(ad.relu(ps[0]))), [x])
 
     def test_reductions_with_axis(self):
         x = ad.parameter(self.rng.normal(size=(4, 5)), "x")
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.reduce_max(ps[0], axis=1))), [x])
-        gradcheck(lambda ps: ad.reduce_sum(square(reduce_min(ps[0], axis=0))), [x])
-        gradcheck(lambda ps: square(ad.reduce_sum(ps[0])), [x])
+        gradcheck(lambda ps: reduce_sum(square(reduce_max(ps[0], axis=1))), [x])
+        gradcheck(lambda ps: reduce_sum(square(reduce_min(ps[0], axis=0))), [x])
+        gradcheck(lambda ps: square(reduce_sum(ps[0])), [x])
 
     def test_pairwise_sq_dist_tensor_targets(self):
         e = ad.parameter(self.rng.normal(size=(4, 5)), "e")
         reps = ad.parameter(self.rng.normal(size=(3, 2, 5)), "reps")
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.pairwise_sq_dist(ps[0], ps[1]))), [e, reps])
+        gradcheck(lambda ps: reduce_sum(square(pairwise_sq_dist(ps[0], ps[1]))), [e, reps])
 
     def test_sqrt(self):
         x = ad.parameter(self.rng.uniform(0.3, 3.0, size=(3, 4)), "x")
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.add(sqrt(ps[0]), ad.constant(0.7)))), [x])
+        gradcheck(lambda ps: reduce_sum(square(ad.add(sqrt(ps[0]), ad.constant(0.7)))), [x])
 
     def test_shape_ops(self):
         x = ad.parameter(self.rng.normal(size=(4, 3)), "x")
@@ -318,9 +332,9 @@ class TestGradChecks:
 
         def f(ps):
             joined = concat([ps[0], ps[1]], axis=1)  # (4, 5)
-            flat = ad.reshape(ad.matmul(w, joined), (25,))
-            picked = take(ad.reshape(flat, (5, 5)), ([0, 3, 3, 4], [1, 2, 2, 0]))
-            return ad.reduce_sum(square(picked))
+            flat = reshape(ad.matmul(w, joined), (25,))
+            picked = take(reshape(flat, (5, 5)), ([0, 3, 3, 4], [1, 2, 2, 0]))
+            return reduce_sum(square(picked))
 
         gradcheck(f, [x, y])
 
@@ -330,7 +344,7 @@ class TestGradChecks:
 
         def f(ps):
             y = ad.l2_normalize(ps[0])
-            return ad.reduce_sum(square(ad.add(y, c)))
+            return reduce_sum(square(ad.add(y, c)))
 
         gradcheck(f, [x])
 
@@ -339,17 +353,17 @@ class TestGradChecks:
     def test_matmul_stacked(self):
         a = ad.parameter(self.rng.normal(size=(3, 4, 5)), "a")
         b = ad.parameter(self.rng.normal(size=(3, 5, 2)), "b")
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.matmul(ps[0], ps[1]))), [a, b])
+        gradcheck(lambda ps: reduce_sum(square(ad.matmul(ps[0], ps[1]))), [a, b])
 
     def test_add_stacked_bias(self):
         x = ad.parameter(self.rng.normal(size=(3, 4, 2)), "x")
         bias = ad.parameter(self.rng.normal(size=(3, 1, 2)), "bias")
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.add(ps[0], ps[1]))), [x, bias])
+        gradcheck(lambda ps: reduce_sum(square(ad.add(ps[0], ps[1]))), [x, bias])
 
     def test_reductions_stacked(self):
         x = ad.parameter(self.rng.normal(size=(3, 4, 5)), "x")
-        for reduce in (ad.reduce_max, reduce_min, ad.reduce_sum):
-            gradcheck(lambda ps: ad.reduce_sum(square(reduce(ps[0], axis=-1))), [x])
+        for reduce in (reduce_max, reduce_min, reduce_sum):
+            gradcheck(lambda ps: reduce_sum(square(reduce(ps[0], axis=-1))), [x])
 
     @pytest.mark.parametrize("chunk", [1, 2**16], ids=["entry_chunks", "one_chunk"])
     def test_pairwise_sq_dist_stacked(self, monkeypatch, chunk):
@@ -358,7 +372,7 @@ class TestGradChecks:
         reps = ad.parameter(self.rng.normal(size=(3, 2, 2, 5)), "reps")
 
         def f(ps):
-            return ad.reduce_sum(square(ad.pairwise_sq_dist(ps[0], ps[1])))
+            return reduce_sum(square(pairwise_sq_dist(ps[0], ps[1])))
 
         gradcheck(f, [e, reps])
         # either side alone: the other gradient is formed but not asked for
@@ -367,18 +381,18 @@ class TestGradChecks:
 
     def test_sqrt_stacked(self):
         x = ad.parameter(self.rng.uniform(0.3, 3.0, size=(2, 3, 4)), "x")
-        gradcheck(lambda ps: ad.reduce_sum(square(sqrt(ps[0]))), [x])
+        gradcheck(lambda ps: reduce_sum(square(sqrt(ps[0]))), [x])
 
     def test_take_stacked(self):
         x = ad.parameter(self.rng.normal(size=(2, 4, 3)), "x")
         index = (slice(None), np.array([0, 3, 3, 1]), np.array([2, 0, 0, 1]))
-        gradcheck(lambda ps: ad.reduce_sum(square(take(ps[0], index))), [x])
-        gradcheck(lambda ps: ad.reduce_sum(square(take(ps[0], index[:2]))), [x])
+        gradcheck(lambda ps: reduce_sum(square(take(ps[0], index))), [x])
+        gradcheck(lambda ps: reduce_sum(square(take(ps[0], index[:2]))), [x])
 
     def test_l2_normalize_stacked(self):
         x = ad.parameter(self.rng.normal(size=(2, 4, 6)) + 0.5, "x")
         c = ad.constant(self.rng.normal(size=(2, 4, 6)))
-        gradcheck(lambda ps: ad.reduce_sum(square(ad.add(ad.l2_normalize(ps[0]), c))), [x])
+        gradcheck(lambda ps: reduce_sum(square(ad.add(ad.l2_normalize(ps[0]), c))), [x])
 
     def test_batch_norm_train_mode(self):
         state = ad.BatchNormState(np.zeros(3), np.ones(3), 0.9, 1e-5)
@@ -389,7 +403,7 @@ class TestGradChecks:
 
         def f(ps):
             y = ad.batch_norm(ps[0], ps[1], ps[2], state, train=True)
-            return ad.reduce_sum(square(ad.add(y, c)))
+            return reduce_sum(square(ad.add(y, c)))
 
         gradcheck(f, [x, gamma, beta])
 
@@ -402,7 +416,7 @@ class TestGradChecks:
 
         def f(ps):
             y = ad.batch_norm(ps[0], ps[1], ps[2], state)
-            return ad.reduce_sum(square(y))
+            return reduce_sum(square(y))
 
         gradcheck(f, [x, gamma, beta])
 
@@ -418,10 +432,10 @@ class TestGradChecks:
             h = ad.relu(ad.matmul(x, w))
             h = ad.add(h, ad.constant(np.full(5, 0.05)))  # keep norms positive
             n = ad.l2_normalize(h)
-            d2 = ad.pairwise_sq_dist(n, reps)
-            p = ad.exp(ad.scale(d2, -2.0))
-            best = ad.reduce_max(ad.reshape(p, (1, -1)), axis=1)
-            return ad.reduce_sum(ad.negate(ad.log(best)))
+            d2 = pairwise_sq_dist(n, reps)
+            p = exp(scale(d2, -2.0))
+            best = reduce_max(reshape(p, (1, -1)), axis=1)
+            return reduce_sum(negate(log(best)))
 
         gradcheck(f, [w, x, reps])
 
@@ -480,7 +494,7 @@ class TestFiniteDifferenceChecker:
     def test_tie_raises_non_smooth(self):
         x = ad.parameter([[1.0, 1.0]], "x")
         with pytest.raises(NonSmoothPointError):
-            ad.finite_difference_check(lambda ps: ad.reduce_sum(ad.reduce_max(ps[0], axis=1)), [x])
+            ad.finite_difference_check(lambda ps: reduce_sum(reduce_max(ps[0], axis=1)), [x])
 
     def test_tie_among_constants_is_smooth(self):
         # no gradient flows through a reduction of constants, so its tie
@@ -488,8 +502,8 @@ class TestFiniteDifferenceChecker:
         x = ad.parameter([1.5, 2.5], "x")
 
         def f(ps):
-            tied = ad.reduce_max(ad.constant([[1.0, 1.0]]), axis=1)
-            return ad.add(ad.reduce_sum(square(ps[0])), ad.reduce_sum(tied))
+            tied = reduce_max(ad.constant([[1.0, 1.0]]), axis=1)
+            return ad.add(reduce_sum(square(ps[0])), reduce_sum(tied))
 
         assert ad.finite_difference_check(f, [x]) < 1e-8
 
@@ -497,8 +511,8 @@ class TestFiniteDifferenceChecker:
         x = ad.parameter([0.0], "x")
 
         def f(ps):
-            y = ad.reduce_sum(ad.log(square(ps[0])))  # -inf at the nominal point
-            return ad.add(y, ad.negate(y))  # inf - inf
+            y = reduce_sum(log(square(ps[0])))  # -inf at the nominal point
+            return ad.add(y, negate(y))  # inf - inf
 
         with np.errstate(invalid="ignore"):
             with pytest.raises(GradientCheckError):
@@ -507,7 +521,7 @@ class TestFiniteDifferenceChecker:
     def test_returns_small_error_for_correct_graph(self):
         x = ad.parameter([1.5, 2.5], "x")
         err = ad.finite_difference_check(
-            lambda ps: ad.reduce_sum(square(ad.log(ps[0]))), [x]
+            lambda ps: reduce_sum(square(log(ps[0]))), [x]
         )
         assert err < 1e-8
 
@@ -608,17 +622,17 @@ PICKED = (np.arange(3)[:, None], np.array([[0, 5, 5, 2]]))  # a repeated entry
 MIX = np.linspace(-0.5, 0.5, 16).reshape(4, 4)
 SMOOTH = {
     "add": (2, lambda a, b: ad.add(a, b)),
-    "scale": (1, lambda a: ad.scale(a, 0.7)),
-    "negate": (1, ad.negate),
-    "exp": (1, lambda a: ad.exp(ad.scale(a, -0.3))),
+    "scale": (1, lambda a: scale(a, 0.7)),
+    "negate": (1, negate),
+    "exp": (1, lambda a: exp(scale(a, -0.3))),
     "soft": (1, lambda a: sqrt(ad.add(square(a), ad.constant(1.0)))),
     "mix": (1, lambda a: ad.matmul(a, ad.constant(MIX))),
     "pick": (2, lambda a, b: take(concat([a, b], axis=1), PICKED)),
-    "rowsum": (2, lambda a, b: ad.add(a, ad.reshape(ad.reduce_sum(b, axis=1), (3, 1)))),
+    "rowsum": (2, lambda a, b: ad.add(a, reshape(reduce_sum(b, axis=1), (3, 1)))),
 }
 KINKED = {
     "relu": (1, ad.relu),
-    "rowmax": (2, lambda a, b: ad.add(a, ad.reshape(ad.reduce_max(b, axis=1), (3, 1)))),
+    "rowmax": (2, lambda a, b: ad.add(a, reshape(reduce_max(b, axis=1), (3, 1)))),
     "colmin": (2, lambda a, b: ad.add(a, reduce_min(b, axis=0))),
     "norm": (1, ad.l2_normalize),
 }
@@ -650,7 +664,7 @@ def build(plan, ops, params):
     for name, inputs in plan:
         nodes.append(ops[name][1](*(nodes[i] for i in inputs)))
     consumed = {i for _, inputs in plan for i in inputs}
-    sinks = [ad.reduce_sum(n) for i, n in enumerate(nodes) if i not in consumed]
+    sinks = [reduce_sum(n) for i, n in enumerate(nodes) if i not in consumed]
     root = sinks[0]
     for sink in sinks[1:]:
         root = ad.add(root, sink)
@@ -726,7 +740,7 @@ def test_reduction_and_concat_vjps_match_the_numpy_helpers(data, shape):
     value = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 2.0])))
     a = ad.parameter(value)
 
-    for reduce, winner in ((ad.reduce_max, np.argmax), (reduce_min, np.argmin)):
+    for reduce, winner in ((reduce_max, np.argmax), (reduce_min, np.argmin)):
         node = reduce(a, axis)
         g = data.draw(arrays(np.float64, node.shape, elements=signed_values))
         expected = np.zeros(shape)
@@ -735,7 +749,7 @@ def test_reduction_and_concat_vjps_match_the_numpy_helpers(data, shape):
         assert node._vjps[0][1](g).tobytes() == expected.tobytes()
 
     for sum_axis in (axis, None):
-        node = ad.reduce_sum(a, sum_axis)
+        node = reduce_sum(a, sum_axis)
         g = np.asarray(data.draw(arrays(np.float64, node.shape, elements=signed_values)))
         expected = (np.full(shape, g) if sum_axis is None
                     else np.broadcast_to(np.expand_dims(g, sum_axis), shape).copy())

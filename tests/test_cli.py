@@ -894,6 +894,17 @@ class TestGradCheck:
         assert err.startswith("error:") and key in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("widths, message", [
+        ([0, 4], "layer_widths entry must be >= 1, got 0"),
+        ([], "layer_widths must not be empty")], ids=["zero_width", "no_layer"])
+    def test_bad_layer_widths_are_a_config_error(self, tmp_path, capsys, widths, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"layer_widths": widths}), encoding="utf-8")
+        out = tmp_path / "gc"
+        assert cli.main(["grad-check", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, source):
         config = tmp_path / "run.json"

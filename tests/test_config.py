@@ -94,9 +94,13 @@ class TestTrainerChecks:
         ("weight_decay", -0.1, "weight_decay must be nonnegative"),
         ("finetune_lr", 0.0, "finetune_lr must be positive, got 0.0"),
         ("finetune_lr", -1.0, "finetune_lr must be positive, got -1.0"),
+        ("momentum", -3.0, "momentum must be a number in [0, 1), got -3.0"),
+        ("momentum", 1.0, "momentum must be a number in [0, 1), got 1.0"),
+        ("momentum", 7.5, "momentum must be a number in [0, 1), got 7.5"),
     ], ids=["one_class_per_batch", "no_instances_per_class", "unknown_batch_strategy",
             "zero_lr", "zero_iterations", "unknown_optimizer", "negative_weight_decay",
-            "zero_finetune_lr", "negative_finetune_lr"])
+            "zero_finetune_lr", "negative_finetune_lr", "negative_momentum", "unit_momentum",
+            "large_momentum"])
     def test_bad_trainer_value_is_refused(self, key, value, message):
         for build in (lambda: RunConfig(**{key: value}), lambda: config_from({key: value}),
                       lambda: dataclasses.replace(RunConfig(), **{key: value})):
@@ -106,9 +110,9 @@ class TestTrainerChecks:
 
     def test_trainer_values_in_range_are_kept(self):
         c = RunConfig(classes_per_batch=2, instances_per_class=1, batch_strategy="image_group",
-                      optimizer="adam", iterations=1, lr=1e-9, finetune_lr=1e-9)
-        assert (c.classes_per_batch, c.batch_strategy, c.optimizer, c.lr) == (
-            2, "image_group", "adam", 1e-9)
+                      optimizer="adam", iterations=1, lr=1e-9, finetune_lr=1e-9, momentum=0.0)
+        assert (c.classes_per_batch, c.batch_strategy, c.optimizer, c.lr, c.momentum) == (
+            2, "image_group", "adam", 1e-9, 0.0)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -124,6 +128,9 @@ class TestTrainerChecks:
      "background_queries must be >= 0, got -1"),
     (lambda: RunConfig(finetune_steps=-1), "finetune_steps must be >= 0, got -1"),
     (lambda: RunConfig(recall_ks=(10, 0)), "recall_ks entry must be >= 1, got 0"),
+    (lambda: RunConfig(layer_widths=(0, 4)), "layer_widths entry must be >= 1, got 0"),
+    (lambda: EmbeddingConfig(input_dim=4, layer_widths=(8, -2)),
+     "layer_widths entry must be >= 1, got -2"),
     (lambda: substream(-1, "x"), "seed must be >= 0, got -1"),
     (lambda: finetune_episodes([], None, -1), "steps must be >= 0, got -1"),
     (lambda: recall_at_k(None, None, 0), "k must be >= 1, got 0"),
@@ -136,6 +143,22 @@ def test_each_bound_is_worded_alike_by_every_owner(build, message):
     with pytest.raises(ConfigError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_empty_layer_widths_have_a_message_of_their_own():
+    for build in (lambda: RunConfig(layer_widths=()), lambda: config_from({"layer_widths": []})):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == "layer_widths must not be empty"
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_min_separation_must_be_a_finite_number_at_least_zero(value):
+    # -1.0 built a dataset; NaN failed late, placing the centers
+    with pytest.raises(ConfigError) as exc:
+        SynthConfig(min_separation=value)
+    assert str(exc.value) == f"min_separation must be a finite number >= 0, got {value!r}"
+    assert SynthConfig(min_separation=0.0).min_separation == 0.0
 
 
 class TestFactories:

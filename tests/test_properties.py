@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from composed_loss import composed_total_loss
+from composed_loss import composed_total_loss, pairwise_sq_dist
 from mixrep import autodiff as ad
 from mixrep import head as hd
 from mixrep.config import EmbeddingConfig, MixtureConfig
@@ -58,7 +58,7 @@ def probabilities_at(d):
 @given(d=distance_tables)
 def test_normalized_posterior_sums_to_one(d):
     probs = probabilities_at(d)
-    post = class_posterior_normalized(probs).value
+    post = class_posterior_normalized(probs)
     assert abs(post.sum() - 1.0) <= 1e-9
     assert (post >= 0.0).all()
 
@@ -67,7 +67,7 @@ def test_normalized_posterior_sums_to_one(d):
 @given(d=distance_tables)
 def test_background_is_exact_complement_of_best_mode(d):
     probs = probabilities_at(d)
-    assert background_posterior(probs).value == 1.0 - probs.value.max()
+    assert background_posterior(probs) == 1.0 - probs.max()
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,7 +136,7 @@ def test_scores_read_the_mode_probabilities_the_loss_trains_on(seed, batch, task
                        MixtureConfig(4, 2, sigma, 0.5, posterior_mode=posterior_mode),
                        task_mode=task_mode, seed=seed % 1000)
     E = head.embedding.embed_batch(rng.normal(size=(batch, 6)))
-    want = np.exp(ad.pairwise_sq_dist(E, head.representatives).value * (-1 / (2 * sigma**2)))
+    want = np.exp(pairwise_sq_dist(E, head.representatives).value * (-1 / (2 * sigma**2)))
     assert np.array_equal(head.score_embeddings(E).mode_probs, want)
 
 

@@ -14,7 +14,9 @@ or type argument, only the format writers and `save_checkpoint` open a
 file to write or format JSON or CSV text, the words of each input rule
 (record values, boxes, class maps, task modes, integer bounds, the (0, 1]
 rule of IoU thresholds, class counts) are held by one string literal of
-the package, and every function of the autodiff engine is called in it."""
+the package, every function of the autodiff engine is called in it, and
+every primitive, in the engine or beside the composed loss in the tests,
+has its central-difference check."""
 
 import ast
 import inspect
@@ -25,6 +27,7 @@ import pytest
 
 from mixrep import episodes, head, metrics, training
 from mixrep.config import RunConfig
+from test_acceptance import _primitive_checks
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mixrep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -740,3 +743,37 @@ def test_every_engine_function_is_called_in_the_package():
     # a primitive only tests call belongs beside them, in tests/composed_loss.py
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert uncalled_engine_functions(sources) == []
+
+
+def primitives_defined(source: str) -> list[str]:
+    """Top-level functions of `source` that return a node made by `record`,
+    called by bare name or as an attribute of a module."""
+    def makes_a_node(function):
+        return any(isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+                   and getattr(node.value.func, "id", getattr(node.value.func, "attr", None))
+                   == "record" for node in ast.walk(function))
+
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and makes_a_node(node)]
+
+
+def test_scan_finds_each_function_returning_a_record():
+    source = ("from . import autodiff as ad\n\n\n"
+              "def record(value):\n    return value\n\n\n"
+              "def square(a):\n    return ad.record(a * a, 'square', [])\n\n\n"
+              "def relu(a):\n    def vjp(g):\n        return g\n\n"
+              "    return record(a, 'relu', [(a, vjp)])\n\n\n"
+              "def helper(a):\n    return square(a)\n")
+    assert primitives_defined(source) == ["square", "relu"]
+
+
+def test_every_primitive_is_gradient_checked():
+    # moving a primitive between the engine and the tests cannot drop its
+    # check in acceptance criterion 1
+    tests = Path(__file__).resolve().parent
+    engine = primitives_defined((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
+    reference = primitives_defined((tests / "composed_loss.py").read_text(encoding="utf-8"))
+    checked = {name.removesuffix(" (stacked)") for name, _, _ in _primitive_checks()}
+    assert sorted(engine + reference) == sorted(checked)
+    # the engine keeps only the primitives the embedding net differentiates
+    assert sorted(engine) == ["add", "batch_norm", "l2_normalize", "matmul", "relu"]
