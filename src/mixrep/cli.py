@@ -19,8 +19,7 @@ from .autodiff import finite_difference_check
 from .config import (RunConfig, check_at_least, check_distinct, load_run_config, write_json,
                      write_resolved_config)
 from .data import load_dataset, naming_records, save_dataset, synth_dataset, write_csv
-from .episodes import (evaluate_episodes, generate_episodes, load_episodes, redraw_support,
-                       save_episodes)
+from .episodes import evaluate_episodes, generate_passes, load_episodes, save_episodes
 from .errors import ConfigError, MixrepError
 from .head import MixtureHead, load_checkpoint, save_checkpoint
 from .metrics import classification_error, map_over_episodes, recall_at_k
@@ -148,9 +147,10 @@ def cmd_eval_classify(args, config, out):
 def cmd_gen_episodes(args, config, out):
     dataset = load_dataset(args.data)
     spec = config.episode_spec()
-    episodes = generate_episodes(dataset, spec)
-    save_episodes(episodes, spec, out.file("episodes.jsonl"))
-    print(f"wrote {len(episodes)} episodes ({spec.ways}-way {spec.shots}-shot, "
+    # the support of every count, so that evaluation draws nothing
+    passes = generate_passes(dataset, spec, range(1, spec.max_shots + 1))
+    save_episodes(passes, spec, out.file("episodes.jsonl"))
+    print(f"wrote {len(passes[spec.shots])} episodes ({spec.ways}-way {spec.shots}-shot, "
           f"{spec.queries_per_class} queries/class) to {out.dir}")
     return 0
 
@@ -166,15 +166,11 @@ def cmd_eval_episodes(args, config, out):
             check_at_least("--shots count", shots, 1)
         check_distinct("--shots count", shot_counts, args.shots)
     head, dataset = _head_and_data(args, config)
-    file_episodes, spec = load_episodes(args.episodes, dataset)
-    # each pass's spec, which refuses a count above the file's max_shots
-    specs = [dataclasses.replace(spec, shots=shots) for shots in shot_counts] or [spec]
+    # each count's support as the episode file stores it
+    passes, _ = load_episodes(args.episodes, dataset, shot_counts or None)
 
     rows = []
-    for pass_spec in specs:
-        shots = pass_spec.shots
-        # the episode file pins classes and queries for every shot count
-        episodes = file_episodes if pass_spec == spec else redraw_support(file_episodes, pass_spec)
+    for shots, episodes in passes.items():
         for steps in dict.fromkeys((0, config.finetune_steps)):
             result = evaluate_episodes(head, episodes, steps, config.finetune_lr)
             mean_ap = map_over_episodes(result.detections, result.truth, config.match_iou)

@@ -146,8 +146,9 @@ class MixtureConfig:
 
 @dataclass(frozen=True)
 class EpisodeSpec:
-    """Benchmark shape. max_shots bounds the shot counts the episode file
-    must stay valid for; classes need queries_per_class + max_shots items."""
+    """Benchmark shape. An episode file stores each episode's support at
+    every shot count from 1 to max_shots, so classes need queries_per_class
+    + max_shots items, and a run may ask for any of those counts."""
 
     shots: int
     ways: int

@@ -37,7 +37,11 @@ from .errors import ConfigError, DatasetError, NonFiniteRowError
 from .rng import substream
 
 BACKGROUND_LABEL = "background"
-SCHEMA_VERSION = 1  # of every JSON Lines file: datasets and episodes
+# The schema version of each kind of JSON Lines file, and the remedy for a
+# file of another version. Episode files went to 2 when they began to store
+# the support of every shot count up to max_shots.
+SCHEMA_VERSIONS = {"dataset": 1, "episodes": 2}
+_REGENERATE = {"episodes": "; regenerate the episode file with gen-episodes"}
 
 _NOT_FINITE = "features must be a flat array of finite numbers"
 _NUMBER_TYPES = frozenset((int, float))  # of JSON numbers; type() rules out bool, an int subclass
@@ -310,9 +314,9 @@ _scan_once = json.JSONDecoder().scan_once
 def read_json_lines(path, kind: str):
     """Yield (line number, object) for every non-blank line of a JSON Lines
     file. A line with a "kind" key is the header: it must be line 1 and name
-    `kind` and SCHEMA_VERSION. Text that is not UTF-8, a line that is not
-    valid JSON, a line that is not a JSON object and a bad header raise
-    DatasetError."""
+    `kind` and its version in SCHEMA_VERSIONS. Text that is not UTF-8, a
+    line that is not valid JSON, a line that is not a JSON object and a bad
+    header raise DatasetError."""
     with open(path, encoding="utf-8") as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
@@ -338,10 +342,10 @@ def read_json_lines(path, kind: str):
                         raise DatasetError("header line must come first", line_no)
                     if obj["kind"] != kind:
                         raise DatasetError(f"expected kind {kind!r}, got {obj['kind']!r}", line_no)
-                    if obj.get("schema_version") != SCHEMA_VERSION:
+                    if obj.get("schema_version") != SCHEMA_VERSIONS[kind]:
                         raise DatasetError(
-                            f"unsupported schema_version {obj.get('schema_version')!r}", line_no
-                        )
+                            f"unsupported schema_version {obj.get('schema_version')!r}"
+                            + _REGENERATE.get(kind, ""), line_no)
                 yield line_no, obj
         except UnicodeDecodeError as e:
             raise DatasetError(f"{path}: not UTF-8 text ({e.reason})") from None
@@ -387,9 +391,11 @@ def load_dataset(path) -> Dataset:
 
 def write_json_lines(path, kind: str, objects, **header) -> None:
     """Write the JSON Lines file `read_json_lines(path, kind)` reads: a header
-    of SCHEMA_VERSION, `kind` and `header`, then one line for each object."""
+    of the version of `kind`, `kind` and `header`, then one line for each
+    object."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **header}) + "\n")
+        version = SCHEMA_VERSIONS[kind]
+        fh.write(json.dumps({"schema_version": version, "kind": kind, **header}) + "\n")
         for obj in objects:
             fh.write(json.dumps(obj) + "\n")
 

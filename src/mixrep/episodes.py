@@ -22,8 +22,10 @@ Episode sampling is arranged so that one seed pins the whole benchmark for
 every shot count at once: class choice, query choice, and distractor choice
 never look at the number of shots, and the support draw gets its own
 substream keyed by it. Running 1-, 5-, and 10-shot against the same seed
-therefore scores identical query sets, and `redraw_support` gives a file's
-episodes the support that generation would draw at another shot count.
+therefore scores identical query sets. An episode file stores each
+episode's support at every count from 1 to max_shots (`generate_passes`,
+`save_episodes`), so evaluation reads the support of any count from the
+file (`load_episodes`) and draws nothing.
 """
 
 import dataclasses
@@ -103,11 +105,20 @@ def _pool_classes(dataset: Dataset, class_pool: str) -> dict[str, np.ndarray]:
 
 
 def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
-    """Sample spec.episode_count episodes from the chosen class pool.
+    """The episodes of `spec` at spec.shots: `generate_passes`' pass at that
+    count."""
+    return generate_passes(dataset, spec, [spec.shots])[spec.shots]
+
+
+def generate_passes(dataset: Dataset, spec: EpisodeSpec, shot_counts) -> dict[int, list[Episode]]:
+    """Sample spec.episode_count episodes from the chosen class pool, each
+    with its support at every count of `shot_counts`: one pass per count,
+    in that order, the passes sharing each episode's classes and queries.
 
     Classes too small for queries_per_class + max_shots items are skipped
     with a warning; running out of classes is an error. Pure function of
-    (dataset, spec): the rng substreams are derived from spec.seed alone.
+    (dataset, spec): the rng substreams are derived from spec.seed alone,
+    so each count's pass is the same whatever counts are drawn with it.
     """
     by_class = _pool_classes(dataset, spec.class_pool)
     need = spec.queries_per_class + spec.max_shots
@@ -127,7 +138,7 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
             f"dataset has {len(bg_pool)}"
         )
 
-    episodes = []
+    passes = {shots: [] for shots in shot_counts}
     for i in range(spec.episode_count):
         rng = substream(spec.seed, "episode", i, "classes")
         picked = rng.choice(len(eligible), size=spec.ways, replace=False)
@@ -143,43 +154,34 @@ def generate_episodes(dataset: Dataset, spec: EpisodeSpec) -> list[Episode]:
             queries.append(bg_pool[rng.choice(len(bg_pool), size=spec.background_queries,
                                               replace=False)])
         queries = np.concatenate(queries)
-        support = _draw_support(dataset, by_class, classes, queries, spec, i)
-        episodes.append(Episode(i, classes, support, queries, dataset))
-    return episodes
+        supports = _draw_supports(dataset, by_class, classes, queries, spec, i, passes)
+        for shots, support in supports.items():
+            passes[shots].append(Episode(i, classes, support, queries, dataset))
+    return passes
 
 
-def _draw_support(dataset: Dataset, by_class: dict, class_ids, queries, spec: EpisodeSpec,
-                  episode_id: int) -> np.ndarray:
-    """The (ways, shots) support rows of an episode over `dataset`: spec.shots
-    rows of each class's pool rows (`by_class`, from `_pool_classes`) that are
-    not among its `queries`, drawn on the episode's support substream."""
-    rng = substream(spec.seed, "episode", episode_id, "support", spec.shots)
+def _draw_supports(dataset: Dataset, by_class: dict, class_ids, queries, spec: EpisodeSpec,
+                   episode_id: int, shot_counts) -> dict[int, np.ndarray]:
+    """The (ways, shots) support rows of an episode over `dataset` at each
+    of `shot_counts`: `shots` rows of each class's pool rows (`by_class`,
+    from `_pool_classes`) that are not among its `queries`, drawn on the
+    episode's support substream of that count. Those free rows are found
+    once for every count."""
     free = np.ones(len(dataset), dtype=bool)
     free[queries] = False
-    support = []
-    for label in class_ids:
-        rows = by_class.get(label, np.empty(0, dtype=np.intp))
-        rows = rows[free[rows]]
-        if len(rows) < spec.shots:
+    pools = [by_class[label][free[by_class[label]]] for label in class_ids]
+    most = max(shot_counts)
+    for label, rows in zip(class_ids, pools):
+        if len(rows) < most:
             raise DatasetError(f"episode {episode_id}: class {label!r} has {len(rows)} "
                                f"{spec.class_pool}-pool items besides its queries, too few "
-                               f"for {spec.shots} shots")
-        support.append(rows[rng.choice(len(rows), size=spec.shots, replace=False)])
-    return np.stack(support)
-
-
-def redraw_support(episodes, spec: EpisodeSpec) -> list[Episode]:
-    """`episodes` with the support of each drawn anew for spec.shots from
-    its classes' pool rows outside its queries, as `generate_episodes` draws
-    it: classes and queries stay as they are, so a file of episodes serves
-    every shot count."""
-    by_class = _pool_classes(episodes[0].dataset, spec.class_pool) if episodes else {}
-    redrawn = []
-    for ep in episodes:
-        support = _draw_support(ep.dataset, by_class, ep.class_ids, ep.queries, spec,
-                                ep.episode_id)
-        redrawn.append(Episode(ep.episode_id, ep.class_ids, support, ep.queries, ep.dataset))
-    return redrawn
+                               f"for {most} shots")
+    supports = {}
+    for shots in shot_counts:
+        rng = substream(spec.seed, "episode", episode_id, "support", shots)
+        supports[shots] = np.stack([rows[rng.choice(len(rows), size=shots, replace=False)]
+                                    for rows in pools])
+    return supports
 
 
 # ---------------------------------------------------------------------------
@@ -438,37 +440,62 @@ def evaluate_episodes(head: MixtureHead, episodes, steps: int = 0,
 # ---------------------------------------------------------------------------
 # episode files: JSON Lines, one episode per line
 
-def save_episodes(episodes, spec: EpisodeSpec, path) -> None:
-    write_json_lines(path, "episodes", ({
-        "episode_id": ep.episode_id,
-        "class_ids": ep.class_ids,
-        "support_item_ids": ep.dataset.id[ep.support.ravel()].tolist(),
-        "query_item_ids": ep.query_ids(),
-    } for ep in episodes), spec=dataclasses.asdict(spec))
+def save_episodes(passes: dict[int, list[Episode]], spec: EpisodeSpec, path) -> None:
+    """Write an episode file of `passes`, the same episodes at each shot
+    count, as `generate_passes` draws them; gen-episodes draws every count
+    from 1 to spec.max_shots. Each line holds an episode's id, classes and
+    queries once, and in `support_item_ids` an object from each count, as
+    text, to that count's ways x shots support ids, class by class."""
+    def lines():
+        for same in zip(*passes.values(), strict=True):
+            ep = same[0]
+            yield {
+                "episode_id": ep.episode_id,
+                "class_ids": ep.class_ids,
+                "support_item_ids": {str(shots): ep.dataset.id[at.support.ravel()].tolist()
+                                     for shots, at in zip(passes, same)},
+                "query_item_ids": ep.query_ids(),
+            }
+
+    write_json_lines(path, "episodes", lines(), spec=dataclasses.asdict(spec))
 
 
-def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
-    """Rebuild episodes from ids against the dataset they were drawn from.
-    Every episode must have the spec's shape, `ways` classes of `shots`
-    support items each, as the passes over the file fine-tune its episodes
-    together, an id of its own, as its detections are matched by it, and a
-    foreground query. A fault raises DatasetError naming its line. The
-    map from id to row lives only while the file is read."""
+def load_episodes(path, dataset: Dataset,
+                  shot_counts=None) -> tuple[dict[int, list[Episode]], EpisodeSpec]:
+    """Rebuild the passes of an episode file against the dataset it was
+    drawn from: its episodes at each of `shot_counts`, by default the spec's
+    own count, one pass per count in that order. Only those counts'
+    supports are read, each as the file stores it; a count above the spec's
+    max_shots raises ConfigError.
+
+    At each count, every episode must have the spec's ways and that many
+    support items per class, as a pass fine-tunes its episodes together, an
+    id of its own, as its detections are matched by it, and a foreground
+    query. A fault raises DatasetError naming its line. The map from id to
+    row lives only while the file is read."""
     rows_of = dataset.row_lookup()
     spec = None
-    episodes, episode_ids = [], set()
+    passes: dict[int, list[Episode]] = {}
+    episode_ids = set()
     for line_no, obj in read_json_lines(path, "episodes"):
-        try:
-            if "kind" in obj:
+        if "kind" in obj:
+            try:
                 spec = from_json(EpisodeSpec, obj.get("spec"), "episode spec")
-                continue
+            except ConfigError as e:
+                raise DatasetError(str(e), line_no) from None
+            # each count's spec refuses a count above max_shots
+            passes = {dataclasses.replace(spec, shots=shots).shots: []
+                      for shots in shot_counts or [spec.shots]}
+            continue
+        try:
             if spec is None:
                 raise ConfigError("missing header line")
             try:
-                support_rows = rows_of(obj["support_item_ids"])
+                supports = obj["support_item_ids"]
+                support_rows = {shots: rows_of(supports[str(shots)]) for shots in passes}
                 queries = rows_of(obj["query_item_ids"])
                 class_ids = list(obj["class_ids"])
-                support: dict[str, list[int]] = {c: [] for c in class_ids}
+                place = {c: i for i, c in enumerate(class_ids)}
                 episode_id = obj["episode_id"]
             except KeyError as e:
                 raise ConfigError(f"unknown id or missing key {e.args[0]!r}") from None
@@ -479,20 +506,21 @@ def load_episodes(path, dataset: Dataset) -> tuple[list[Episode], EpisodeSpec]:
             if episode_id in episode_ids:
                 raise ConfigError(f"episode_id {episode_id} is taken by an earlier episode")
             episode_ids.add(episode_id)
-            for row, label in zip(support_rows, dataset.label[support_rows]):
-                if label not in support:
+            for shots, rows in support_rows.items():
+                support: list[list[int]] = [[] for _ in class_ids]
+                for row, label in zip(rows, dataset.label[rows]):
+                    if label not in place:
+                        raise ConfigError(f"support item {dataset.id[row]} has label {label!r} "
+                                          f"outside the episode")
+                    support[place[label]].append(row)
+                counts = sorted({len(items) for items in support})
+                if len(class_ids) != spec.ways or counts != [shots]:
                     raise ConfigError(
-                        f"support item {dataset.id[row]} has label {label!r} outside the episode")
-                support[label].append(row)
-            shots = sorted({len(rows) for rows in support.values()})
-            if len(class_ids) != spec.ways or shots != [spec.shots]:
-                raise ConfigError(
-                    f"episode {episode_id} has {len(class_ids)} classes with {shots} support "
-                    f"items each, the spec says {spec.ways}-way {spec.shots}-shot")
-            episodes.append(Episode(episode_id, class_ids, [support[c] for c in class_ids],
-                                    queries, dataset))
+                        f"episode {episode_id} has {len(class_ids)} classes with {counts} support "
+                        f"items each, the spec says {spec.ways}-way {shots}-shot")
+                passes[shots].append(Episode(episode_id, class_ids, support, queries, dataset))
         except ConfigError as e:
             raise DatasetError(str(e), line_no) from None
-    if not episodes:
+    if not episode_ids:
         raise DatasetError(f"no episodes in {path}")
-    return episodes, spec
+    return passes, spec

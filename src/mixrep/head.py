@@ -228,9 +228,10 @@ def class_posterior_max(probs) -> np.ndarray:
     return p.max(axis=-1)
 
 
-def class_posterior_normalized(probs) -> np.ndarray:
+def class_posterior_normalized(probs) -> tuple[np.ndarray, np.ndarray]:
     """Softer posterior: per-class probability mass over total mass,
-    (..., N, K) -> (..., N).
+    (..., N, K) -> (..., N), returned after the mass, (..., N), which a
+    caller ranks classes by or differentiates through.
 
     Sums to 1 within 1e-9. Division is exp(log a - log b), both arguments
     strictly positive away from total underflow.
@@ -245,7 +246,7 @@ def class_posterior_normalized(probs) -> np.ndarray:
         )
     mass = p.sum(axis=-1)
     with np.errstate(divide="ignore"):  # a class whose mass underflows has posterior 0
-        return np.exp(np.log(mass) + -np.log(mass.sum(axis=-1))[..., None])
+        return mass, np.exp(np.log(mass) + -np.log(mass.sum(axis=-1))[..., None])
 
 
 def background_posterior(probs) -> np.ndarray:
@@ -297,7 +298,7 @@ def mixture_loss(embeddings: Node, representatives: Node, labels: np.ndarray,
     modes = probs.reshape(lead + (batch, n * k))
     rows = (slice(None),) * len(lead) + (np.arange(batch),)
     if task_mode == "classification":
-        post = class_posterior_normalized(probs)
+        mass, post = class_posterior_normalized(probs)
         at_label = ad.flat_positions(post.shape, rows + (labels,))
         likelihood = post.reshape(-1)[at_label]
     else:  # the label's entry of [best mode of each class, background], over its sum
@@ -335,7 +336,6 @@ def mixture_loss(embeddings: Node, representatives: Node, labels: np.ndarray,
         g_likelihood = ad.log_vjp(-g, floored) * (shifted > 0.0)
         if task_mode == "classification":  # take, then exp(log mass - log total)
             g_exponent = ad.scatter_add(at_label, g_likelihood, post.shape) * post
-            mass = probs.sum(axis=-1)
             g_total = ad.log_vjp(-(g_exponent if n == 1 else
                                    g_exponent.sum(axis=-1, keepdims=True)),
                                  mass.sum(axis=-1, keepdims=True))
@@ -561,8 +561,7 @@ class MixtureHead:
         if self.mixture.posterior_mode == "max":
             post = rank = best
         else:
-            post = class_posterior_normalized(probs)
-            rank = probs.sum(axis=-1)
+            rank, post = class_posterior_normalized(probs)
         return Scores(
             embeddings=E,
             mode_probs=probs,

@@ -246,6 +246,35 @@ class TestGenEpisodes:
         lines = pipeline["episodes"].read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + RUN["episode_count"]
 
+    def test_file_stores_the_support_of_every_count(self, pipeline):
+        header, *episodes = map(json.loads, pipeline["episodes"].read_text(
+            encoding="utf-8").splitlines())
+        assert header["schema_version"] == 2
+        max_shots = header["spec"]["max_shots"]
+        for episode in episodes:
+            supports = episode["support_item_ids"]
+            assert list(supports) == [str(shots) for shots in range(1, max_shots + 1)]
+            assert all(len(ids) == RUN["ways"] * int(shots) for shots, ids in supports.items())
+
+    def test_version_1_file_is_refused_in_one_line(self, pipeline, tmp_path, capsys):
+        # the file as version 1 wrote it, with the support of its own count only
+        header, *lines = map(json.loads, pipeline["episodes"].read_text(
+            encoding="utf-8").splitlines())
+        header["schema_version"] = 1
+        for obj in lines:
+            obj["support_item_ids"] = obj["support_item_ids"][str(header["spec"]["shots"])]
+        episodes = tmp_path / "episodes.jsonl"
+        episodes.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *lines]),
+                            encoding="utf-8")
+        out = tmp_path / "report"
+        assert cli.main(["eval-episodes", "--config", str(pipeline["config"]),
+                         "--data", str(pipeline["data"]),
+                         "--checkpoint", str(pipeline["checkpoint"]),
+                         "--episodes", str(episodes), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: unsupported schema_version 1; "
+                                           "regenerate the episode file with gen-episodes\n")
+        assert not out.exists()
+
     def test_cleanup_after_late_failure(self, pipeline, tmp_path, monkeypatch, capsys):
         def boom(episodes, spec, path):
             path.write_text("partial", encoding="utf-8")
@@ -443,7 +472,7 @@ class TestEvalEpisodes:
 
     def test_every_shot_count_reads_the_episode_file(self, pipeline, tmp_path, monkeypatch):
         # the file cut to its first two episodes, the first with two queries
-        # dropped by hand; the 2-shot passes scored regenerated episodes
+        # dropped by hand; every pass reads its support from the file
         lines = pipeline["episodes"].read_text(encoding="utf-8").splitlines()[:3]
         first = json.loads(lines[1])
         first["query_item_ids"] = first["query_item_ids"][2:]
@@ -471,7 +500,8 @@ class TestEvalEpisodes:
     @pytest.mark.parametrize("target, damage", [
         ("episodes", _edit_first_episode(lambda obj: [1, 2])),
         ("episodes", _edit_first_episode(lambda obj: {**obj, "episode_id": "abc"})),
-        ("episodes", _edit_first_episode(lambda obj: {**obj, "support_item_ids": 5})),
+        ("episodes", _edit_first_episode(
+            lambda obj: {**obj, "support_item_ids": {**obj["support_item_ids"], "1": 5}})),
         ("episodes", _not_utf8),
         ("data", _not_utf8),
         ("data", _header_meta_not_an_object),
@@ -499,17 +529,17 @@ class TestEvalEpisodes:
         dataset = load_dataset(pipeline["data"])
         lines = pipeline["episodes"].read_text(encoding="utf-8").splitlines()
         episode = json.loads(lines[2])
+        support = episode["support_item_ids"]  # the run's count is the file's, 1
         rows_of = dataset.row_lookup()
         if reshape == "drop_a_class":
             dropped = episode["class_ids"].pop()
-            episode["support_item_ids"] = [i for i in episode["support_item_ids"]
-                                           if dataset.label[rows_of([i])[0]] != dropped]
+            support["1"] = [i for i in support["1"] if dataset.label[rows_of([i])[0]] != dropped]
         elif reshape == "drop_a_support_item":
-            episode["support_item_ids"].pop()
+            support["1"].pop()
         else:
-            used = set(episode["support_item_ids"]) | set(episode["query_item_ids"])
-            label = dataset.label[rows_of(episode["support_item_ids"][:1])[0]]
-            episode["support_item_ids"].append(next(
+            used = set(support["1"]) | set(episode["query_item_ids"])
+            label = dataset.label[rows_of(support["1"][:1])[0]]
+            support["1"].append(next(
                 rid for rid in dataset.id[dataset.label == label] if rid not in used))
         lines[2] = json.dumps(episode)
         episodes = tmp_path / "episodes.jsonl"
@@ -765,8 +795,10 @@ def test_eval_episodes_names_the_record_that_overflows_in_the_last_layer(pipelin
     # finite through the frozen layers, so the overflow comes in the last
     # layer: a support item's in the embeddings that become the
     # representatives, a query's when the episode head scores it
-    record_id = json.loads(pipeline["episodes"].read_text(encoding="utf-8").splitlines()[1])[
-        role][0]
+    episode = json.loads(pipeline["episodes"].read_text(encoding="utf-8").splitlines()[1])
+    # the support of the run's count, the file's own
+    ids = episode[role][str(RUN["shots"])] if role == "support_item_ids" else episode[role]
+    record_id = ids[0]
     lines = pipeline["data"].read_text(encoding="utf-8").splitlines()
     line = next(i for i, text in enumerate(lines) if json.loads(text).get("id") == record_id)
     record = json.loads(lines[line])
@@ -786,12 +818,17 @@ def test_eval_episodes_names_the_record_that_overflows_in_the_last_layer(pipelin
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings"])
+@pytest.mark.parametrize("command", ["eval-classify", "export-embeddings", "eval-episodes"])
 def test_a_command_that_draws_nothing_loads_no_rng(pipeline, tmp_path, command):
     # numpy.random and OpenSSL's _hashlib, which only `rng.substream` needs,
-    # add about 6 MB to the peak RSS of these commands
+    # add about 6 MB to the peak RSS of these commands. eval-episodes reads
+    # every count's support from the episode file, so its 5-shot pass on a
+    # 1-shot file draws nothing.
     argv = [command, "--data", str(pipeline["data"]),
             "--checkpoint", str(pipeline["checkpoint"]), "--out", str(tmp_path / "out")]
+    if command == "eval-episodes":
+        argv += ["--config", str(pipeline["config"]), "--episodes", str(pipeline["episodes"]),
+                 "--shots", "1,5"]
     script = ("import sys\nfrom mixrep import cli\n"
               f"code = cli.main({argv!r})\n"
               "print(code, [m for m in ('numpy.random', '_hashlib') if m in sys.modules])\n")
@@ -1017,7 +1054,8 @@ class TestBenchmarkTracer:
         # map_over_episodes counts the non-background detections of its pass
         config = load_run_config(pipeline["config"])
         head = load_checkpoint(pipeline["checkpoint"])
-        episodes, _ = load_episodes(pipeline["episodes"], load_dataset(pipeline["data"]))
+        passes, _ = load_episodes(pipeline["episodes"], load_dataset(pipeline["data"]))
+        episodes = passes[RUN["shots"]]
         pooled = [len(evaluate_episodes(head, episodes, steps, config.finetune_lr).detections)
                   for steps in (0, RUN["finetune_steps"])]
         # some queries are called background, so this is not the query count

@@ -24,7 +24,7 @@ from mixrep.data import (
     synth_dataset,
     true_centers,
 )
-from mixrep.episodes import generate_episodes, save_episodes
+from mixrep.episodes import generate_passes, save_episodes
 from mixrep.errors import ConfigError, DatasetError
 from mixrep.metrics import Detections, GroundTruth, iou
 
@@ -813,12 +813,13 @@ EPISODE_DATA = synth_dataset(SynthConfig(num_classes=6, modes_per_class=1, sampl
 
 
 def valid_episode_lines() -> list[dict]:
-    """The header and episodes of a 2-way 2-shot file over EPISODE_DATA."""
+    """The header and episodes of a 2-way 2-shot file over EPISODE_DATA,
+    with the support of 1 and 2 shots."""
     spec = EpisodeSpec(shots=2, ways=2, queries_per_class=2, episode_count=3, seed=5,
                        background_queries=2, max_shots=2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "episodes.jsonl"
-        save_episodes(generate_episodes(EPISODE_DATA, spec), spec, path)
+        save_episodes(generate_passes(EPISODE_DATA, spec, [1, 2]), spec, path)
         return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
@@ -858,6 +859,10 @@ def episode_text(draw):
                 obj[key] = other.get(key)
             elif isinstance(obj.get(key), list):
                 obj[key] = obj[key] + obj[key][:draw(st.integers(1, 2))]
+            elif isinstance(obj.get(key), dict) and obj[key]:  # one count's support ids
+                count = draw(st.sampled_from(sorted(obj[key])))
+                ids = obj[key][count]
+                obj[key] = {**obj[key], count: ids + ids[:draw(st.integers(1, 2))]}
     data = episode_file(objs)
     if mutation == "truncate":
         data = data[:draw(st.integers(0, len(data) - 1))]
@@ -885,6 +890,9 @@ def episode_inputs(tmp_path_factory):
 
 
 _first = EPISODE_LINES[1]
+_support = _first["support_item_ids"]
+_free_background = [rid for rid in EPISODE_DATA.id[EPISODE_DATA.is_background]
+                    if rid not in _first["query_item_ids"]]
 
 
 @settings(max_examples=150, deadline=None,
@@ -896,12 +904,11 @@ _first = EPISODE_LINES[1]
                                                  for obj in EPISODE_LINES[1:]]))
 @example(data=with_first_episode(
     class_ids=[*_first["class_ids"][:-1], BACKGROUND_LABEL],
-    support_item_ids=[*_first["support_item_ids"][:-2], *[
-        rid for rid in EPISODE_DATA.id[EPISODE_DATA.is_background]
-        if rid not in _first["query_item_ids"]][:2]]))
+    support_item_ids={count: [*ids[:-int(count)], *_free_background[:int(count)]]
+                      for count, ids in _support.items()}))
 @example(data=with_first_episode(query_item_ids=_first["query_item_ids"] * 2))
-@example(data=with_first_episode(support_item_ids=[*_first["support_item_ids"][:1] * 2,
-                                                   *_first["support_item_ids"][2:]]))
+@example(data=with_first_episode(support_item_ids={
+    **_support, "2": [*_support["2"][:1] * 2, *_support["2"][2:]]}))
 # an episode id numpy cannot hold raised OverflowError
 @example(data=with_first_episode(episode_id=10**300))
 @example(data=with_first_episode(episode_id=2**63))

@@ -22,8 +22,8 @@ from mixrep.episodes import (
     evaluate_episodes,
     finetune_episodes,
     generate_episodes,
+    generate_passes,
     load_episodes,
-    redraw_support,
     replace_representatives,
     run_episode,
     save_episodes,
@@ -55,6 +55,27 @@ def spec_for(ds, **kw):
                 class_pool="unseen", background_queries=5, max_shots=10)
     base.update(kw)
     return EpisodeSpec(**base)
+
+
+def save_file(ds, spec, path):
+    """An episode file of `spec` over `ds`, as gen-episodes writes it: the
+    support of every count from 1 to max_shots."""
+    save_episodes(generate_passes(ds, spec, range(1, spec.max_shots + 1)), spec, path)
+
+
+def with_support(obj, edit, shots=1):
+    """An episode line with `edit` applied to its support ids at `shots`."""
+    return {**obj, "support_item_ids": {**obj["support_item_ids"],
+                                        str(shots): edit(obj["support_item_ids"][str(shots)])}}
+
+
+def redraw_support(ds, ep, spec):
+    """`ep` with its support drawn anew at spec.shots as generation draws
+    it, from its classes' pool rows outside its queries."""
+    support = episodes_module._draw_supports(
+        ds, episodes_module._pool_classes(ds, spec.class_pool), ep.class_ids, ep.queries, spec,
+        ep.episode_id, [spec.shots])[spec.shots]
+    return Episode(ep.episode_id, ep.class_ids, support, ep.queries, ds)
 
 
 class TestEpisodeSpec:
@@ -140,15 +161,37 @@ class TestGenerateEpisodes:
             generate_episodes(ds, spec_for(ds, background_queries=5))
 
     @pytest.mark.parametrize("shots", [1, 5, 10])
-    def test_redrawn_support_is_the_generated_support(self, shots):
+    def test_redrawn_support_is_the_generated_support(self, shots, tmp_path):
+        # the support a file generated at 2 shots stores for `shots`
         ds = episode_dataset()
         generated = generate_episodes(ds, spec_for(ds, shots=shots))
-        redrawn = redraw_support(generate_episodes(ds, spec_for(ds, shots=2)),
-                                 spec_for(ds, shots=shots))
-        for a, b in zip(generated, redrawn, strict=True):
+        path = tmp_path / "episodes.jsonl"
+        save_file(ds, spec_for(ds, shots=2), path)
+        passes, _ = load_episodes(path, ds, [shots])
+        for a, b in zip(generated, passes[shots], strict=True):
             assert (a.episode_id, a.class_ids) == (b.episode_id, b.class_ids)
             np.testing.assert_array_equal(a.queries, b.queries)
             np.testing.assert_array_equal(a.support, b.support)
+
+    def test_every_stored_support_is_the_generated_support(self, tmp_path):
+        # the file holds, for every count up to max_shots, the support that
+        # generation at that count draws, bit for bit
+        ds = episode_dataset()
+        spec = spec_for(ds, shots=3)
+        path = tmp_path / "episodes.jsonl"
+        save_file(ds, spec, path)
+        counts = list(range(1, spec.max_shots + 1))
+        passes, loaded_spec = load_episodes(path, ds, counts)
+        assert loaded_spec == spec and list(passes) == counts
+        stored = [json.loads(line)["support_item_ids"]
+                  for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        for shots in counts:
+            generated = generate_episodes(ds, dataclasses.replace(spec, shots=shots))
+            for a, b, ids in zip(generated, passes[shots], stored, strict=True):
+                np.testing.assert_array_equal(a.support, b.support)
+                np.testing.assert_array_equal(a.queries, b.queries)
+                assert ids[str(shots)] == ds.id[a.support.ravel()].tolist()
+        assert all(list(ids) == [str(s) for s in counts] for ids in stored)
 
     def test_redraw_keeps_the_episode_queries(self):
         # a query list edited by hand: one query swapped for an item that
@@ -159,7 +202,7 @@ class TestGenerateEpisodes:
         queries = ep.queries.copy()
         queries[0] = five.support[0, 0]
         edited = Episode(ep.episode_id, ep.class_ids, ep.support, queries, ds)
-        (redrawn,) = redraw_support([edited], spec_for(ds, shots=5))
+        redrawn = redraw_support(ds, edited, spec_for(ds, shots=5))
         np.testing.assert_array_equal(redrawn.queries, queries)
         assert not np.isin(redrawn.support, queries).any()
         for label, rows in zip(redrawn.class_ids, redrawn.support):
@@ -174,7 +217,7 @@ class TestGenerateEpisodes:
         edited = Episode(ep.episode_id, ep.class_ids, ep.support, queries, ds)
         with pytest.raises(DatasetError, match=f"class '{label}' has 2 unseen-pool items "
                                                f"besides its queries, too few for 5 shots"):
-            redraw_support([edited], spec_for(ds, shots=5))
+            redraw_support(ds, edited, spec_for(ds, shots=5))
 
     def test_episode_invariants_enforced(self):
         ds = Dataset(["x0", "x1"], ["a", "a"], np.zeros((2, 3)))
@@ -192,10 +235,10 @@ class TestEpisodeFiles:
         spec = spec_for(ds)
         eps = generate_episodes(ds, spec)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(eps, spec, path)
-        loaded, spec2 = load_episodes(path, ds)
-        assert spec2 == spec
-        for ea, eb in zip(eps, loaded):
+        save_file(ds, spec, path)
+        passes, spec2 = load_episodes(path, ds)
+        assert spec2 == spec and list(passes) == [spec.shots]
+        for ea, eb in zip(eps, passes[spec.shots], strict=True):
             assert ea.episode_id == eb.episode_id
             assert ea.class_ids == eb.class_ids
             assert ea.query_ids() == eb.query_ids()
@@ -204,7 +247,7 @@ class TestEpisodeFiles:
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "episodes.jsonl"
-        path.write_text('{"episode_id": 0, "class_ids": [], "support_item_ids": [], '
+        path.write_text('{"episode_id": 0, "class_ids": [], "support_item_ids": {}, '
                         '"query_item_ids": []}\n')
         with pytest.raises(DatasetError):
             load_episodes(path, episode_dataset())
@@ -213,7 +256,7 @@ class TestEpisodeFiles:
         # failed with "mAP needs at least one ground-truth box"
         ds = episode_dataset()
         path = tmp_path / "episodes.jsonl"
-        save_episodes([], spec_for(ds), path)
+        save_episodes({}, spec_for(ds), path)
         with pytest.raises(DatasetError, match=f"^no episodes in {path}$"):
             load_episodes(path, ds)
 
@@ -221,7 +264,7 @@ class TestEpisodeFiles:
         ds = episode_dataset()
         spec = spec_for(ds, episode_count=2)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(generate_episodes(ds, spec), spec, path)
+        save_file(ds, spec, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         obj = json.loads(lines[2])
         rows_of = ds.row_lookup()
@@ -244,7 +287,7 @@ class TestEpisodeFiles:
         ds = episode_dataset()
         spec = spec_for(ds, episode_count=1)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(generate_episodes(ds, spec), spec, path)
+        save_file(ds, spec, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         header["spec"][field] = value
@@ -258,18 +301,21 @@ class TestEpisodeFiles:
         lambda obj: [1, 2],
         lambda obj: {**obj, "episode_id": "abc"},
         lambda obj: {**obj, "episode_id": 1.5},
-        lambda obj: {**obj, "support_item_ids": 5},
+        lambda obj: with_support(obj, lambda ids: 5),
         lambda obj: {**obj, "class_ids": [["c000"]]},
-        lambda obj: {**obj, "class_ids": obj["class_ids"][:-1],
-                     "support_item_ids": obj["support_item_ids"][:-1]},
-        lambda obj: {**obj, "support_item_ids": obj["support_item_ids"][:-1]},
+        lambda obj: with_support({**obj, "class_ids": obj["class_ids"][:-1]},
+                                 lambda ids: ids[:-1]),
+        lambda obj: with_support(obj, lambda ids: ids[:-1]),
+        lambda obj: {**obj, "support_item_ids": 5},
+        lambda obj: {**obj, "support_item_ids": {"2": obj["support_item_ids"]["2"]}},
     ], ids=["not_an_object", "episode_id_text", "episode_id_fraction", "support_ids_not_a_list",
-            "class_id_not_hashable", "fewer_ways_than_the_spec", "fewer_shots_than_the_spec"])
+            "class_id_not_hashable", "fewer_ways_than_the_spec", "fewer_shots_than_the_spec",
+            "supports_not_an_object", "support_count_missing"])
     def test_malformed_episode_line_reports_line(self, tmp_path, edit):
         ds = episode_dataset()
         spec = spec_for(ds, episode_count=2)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(generate_episodes(ds, spec), spec, path)
+        save_file(ds, spec, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = json.dumps(edit(json.loads(lines[2])))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -286,7 +332,7 @@ class TestEpisodeFiles:
         ds = episode_dataset()
         spec = spec_for(ds, shots=2, episode_count=2)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(generate_episodes(ds, spec), spec, path)
+        save_file(ds, spec, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         obj = json.loads(lines[2])
         if edit == "episode_id_taken":
@@ -294,24 +340,40 @@ class TestEpisodeFiles:
         elif edit == "background_class":
             # the last class's two support items are background ones
             obj["class_ids"][-1] = BACKGROUND_LABEL
-            obj["support_item_ids"][-2:] = [rid for rid in ds.id[ds.is_background]
-                                            if rid not in obj["query_item_ids"]][:2]
+            obj["support_item_ids"]["2"][-2:] = [rid for rid in ds.id[ds.is_background]
+                                                 if rid not in obj["query_item_ids"]][:2]
         elif edit == "query_twice":
             obj["query_item_ids"].append(obj["query_item_ids"][0])
         else:
-            obj["support_item_ids"][1] = obj["support_item_ids"][0]
+            obj["support_item_ids"]["2"][1] = obj["support_item_ids"]["2"][0]
         lines[2] = json.dumps(obj)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError) as exc:
             load_episodes(path, ds)
         assert exc.value.line == 3
 
+    def test_only_the_counts_asked_for_are_read(self, tmp_path):
+        # a fault in the stored 5-shot support is not seen at 1 and 2 shots
+        ds = episode_dataset()
+        spec = spec_for(ds, episode_count=2)
+        path = tmp_path / "episodes.jsonl"
+        save_file(ds, spec, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(with_support(json.loads(lines[2]), lambda ids: ids[:-1], shots=5))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        passes, _ = load_episodes(path, ds, [2, 1])
+        assert list(passes) == [2, 1] and [len(p) for p in passes.values()] == [2, 2]
+        with pytest.raises(DatasetError) as exc:
+            load_episodes(path, ds, [1, 5])
+        assert str(exc.value) == ("line 3: episode 1 has 3 classes with [4, 5] support items "
+                                  "each, the spec says 3-way 5-shot")
+
     def test_unknown_item_id_rejected(self, tmp_path):
         ds = episode_dataset()
         spec = spec_for(ds, episode_count=1)
         eps = generate_episodes(ds, spec)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(eps, spec, path)
+        save_file(ds, spec, path)
         text = path.read_text().replace(eps[0].query_ids()[0], "r999999")
         path.write_text(text)
         with pytest.raises(DatasetError):

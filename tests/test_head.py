@@ -230,23 +230,26 @@ class TestPosteriors:
         assert g[0] == 0.0 and g[2] == 0.0 and g[1] != 0.0
 
     def test_normalized_frozen_example(self):
-        out = class_posterior_normalized(np.array([[0.2, 0.6], [0.1, 0.1]]))
+        probs = np.array([[0.2, 0.6], [0.1, 0.1]])
+        mass, out = class_posterior_normalized(probs)
         np.testing.assert_allclose(out, [0.8, 0.2], atol=1e-12)
+        # the mass it normalizes is the one a caller ranks by, bit for bit
+        np.testing.assert_array_equal(mass, probs.sum(axis=-1))
 
     def test_normalized_single_class(self):
         np.testing.assert_allclose(
-            class_posterior_normalized(np.array([[0.37, 0.01]])), [1.0], atol=1e-12
+            class_posterior_normalized(np.array([[0.37, 0.01]]))[1], [1.0], atol=1e-12
         )
 
     def test_normalized_symmetry(self):
-        out = class_posterior_normalized(np.array([[0.5], [0.5]]))
+        _, out = class_posterior_normalized(np.array([[0.5], [0.5]]))
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_normalized_sums_to_one(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             p = rng.uniform(1e-6, 1.0, size=(rng.integers(1, 7), rng.integers(1, 5)))
-            assert abs(class_posterior_normalized(p).sum() - 1.0) < 1e-9
+            assert abs(class_posterior_normalized(p)[1].sum() - 1.0) < 1e-9
 
     def test_normalized_underflow_error(self):
         with pytest.raises(PosteriorUnderflowError):
@@ -273,8 +276,8 @@ class TestPosteriors:
             class_posterior_max(p), class_posterior_max(shuffled)
         )
         np.testing.assert_allclose(
-            class_posterior_normalized(p),
-            class_posterior_normalized(shuffled),
+            class_posterior_normalized(p)[1],
+            class_posterior_normalized(shuffled)[1],
             atol=1e-15,
         )
 

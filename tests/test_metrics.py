@@ -675,8 +675,8 @@ def test_diagnostic_pipeline_is_not_saturated(tmp_path):
 
     # the matcher labels this run's real detections as the reference does
     dataset = load_dataset(data / "dataset.jsonl")
-    episodes, _ = load_episodes(eps / "episodes.jsonl", dataset)
-    result = evaluate_episodes(load_checkpoint(model / "checkpoint.json"), episodes)
+    passes, spec = load_episodes(eps / "episodes.jsonl", dataset)
+    result = evaluate_episodes(load_checkpoint(model / "checkpoint.json"), passes[spec.shots])
     detections, truth = result.detections, result.truth
     truth_rows = [Gt(*row) for row in zip(truth.episode_id.tolist(), truth.image_id.tolist(),
                                            truth.class_id.tolist(),

@@ -58,7 +58,7 @@ def probabilities_at(d):
 @given(d=distance_tables)
 def test_normalized_posterior_sums_to_one(d):
     probs = probabilities_at(d)
-    post = class_posterior_normalized(probs)
+    _, post = class_posterior_normalized(probs)
     assert abs(post.sum() - 1.0) <= 1e-9
     assert (post >= 0.0).all()
 
