@@ -1,5 +1,6 @@
-"""Every config schema, the JSON reader that builds them, and the writer of
-sorted, indented JSON files (`write_json`); no engine code.
+"""Every config schema, the one check of their values (`check_fields`, of the
+rule each field declares and the type its annotation names), the JSON reader
+that builds them, and the writer of sorted, indented JSON files; no engine code.
 `RunConfig` is one declarative run configuration covering head, trainer,
 episodes, and evaluation. Defaults follow the reference setup: sigma 0.5, 3
 modes per class for classification heads and 5 for detection, 12x4
@@ -9,8 +10,10 @@ dataset is already a labelled ROI, so the reference setup's IoU-0.7
 selection of support ROIs around ground-truth boxes has no counterpart here."""
 
 import dataclasses
+import functools
 import json
-import math
+import numbers
+import operator
 import reprlib
 import sys
 import typing
@@ -36,60 +39,123 @@ def write_json(path, doc) -> None:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-# the JSON values that fill a field of each annotation, and their name in errors;
-# NaN and Infinity, which Python's json reads but JSON does not allow, fit no float
-_JSON_TYPES = {
-    bool: ("true or false", lambda v: type(v) is bool),
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a finite number", lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max),
-    str: ("a string", lambda v: type(v) is str),
-    tuple: ("an array of integers", lambda v: type(v) is list and all(type(w) is int for w in v)),
+# the values of each field annotation, and the words of a fault; NaN and
+# Infinity, which Python's json reads but JSON does not allow, fit no float
+_KINDS = {
+    bool: ("must be true or false", lambda v: type(v) is bool),
+    int: ("must be an integer", lambda v: type(v) is int),
+    float: ("must be a finite number",
+            lambda v: type(v) in (float, int) and abs(v) <= sys.float_info.max),
+    str: ("must be a string", lambda v: type(v) is str),
+    tuple: ("must be an array of integers",
+            lambda v: type(v) in (list, tuple) and all(type(w) is int for w in v)),
 }
 
 
-def from_json(cls, doc, what: str):
+def rule(default=dataclasses.MISSING, *, low=None, within=None, one_of=None):
+    """A schema field with its value rule: an integer lower bound `low` (of
+    each entry, for an array), a number range `within` written as its
+    message shows it, such as "(0, 1]" or "[0, inf)", or the choices `one_of`."""
+    if within is not None:
+        low_end, high_end = map(float, within[1:-1].split(", "))
+        above = operator.le if within[0] == "[" else operator.lt
+        below = operator.le if within[-1] == "]" else operator.lt
+        within = within, lambda v: above(low_end, v) and below(v, high_end)
+    return dataclasses.field(default=default, metadata={"rule": (low, within, one_of)})
+
+
+@functools.cache
+def _rules(schema) -> dict:
+    """Each field of the dataclass `schema` by name: (its kind, whether None
+    fits, the test and words of its type, and its `rule`: low, within, one_of)."""
+    rules = {}
+    for f in dataclasses.fields(schema):
+        kind, *none = typing.get_args(f.type) or (f.type,)  # X | None: (X, NoneType)
+        words, fits = _KINDS.get(kind) or (f"must be a {kind.__name__}",
+                                           lambda v, kind=kind: type(v) is kind)
+        rules[f.name] = (kind, bool(none), fits, words + " or null" * bool(none),
+                         *f.metadata.get("rule", (None, None, None)))
+    return rules
+
+
+def check_fields(config) -> None:
+    """The one check of a schema's values, which every schema's
+    `__post_init__` runs first: `check_value` of each field, in order. An
+    array is stored as a tuple, every other value as given."""
+    for name in _rules(type(config)):
+        value = getattr(config, name)
+        check_value(name, value, type(config))
+        if type(value) is list:
+            object.__setattr__(config, name, tuple(value))
+
+
+def check_value(name: str, value, schema, field: str | None = None) -> None:
+    """Refuse `value` for the field `field` (by default `name`) of the
+    dataclass `schema` unless it meets the type rule of the field's annotation
+    (`_KINDS`; None only where annotated) and its `rule`; the ConfigError
+    names `name`."""
+    kind, none, fits, words, low, within, one_of = _rules(schema)[field or name]
+    if value is None and none:
+        return
+    if not fits(value):
+        raise ConfigError(f"{name} {words}, got {reprlib.repr(value)}")
+    if low is not None:
+        for v in value if kind is tuple else (value,):
+            check_at_least(f"{name} entry" if kind is tuple else name, v, low)
+    if within and not within[1](value):
+        raise ConfigError(f"{name} must be within {within[0]}, got {value!r}")
+    if one_of and value not in one_of:
+        raise ConfigError(choice_words(name, one_of).format(value))
+
+
+def choice_words(name: str, choices) -> str:
+    """The one wording of a choice, of configs and records; `{!r}` is the value."""
+    return f"{name} must be one of {choices}, got {{!r}}"
+
+
+def from_json(cls, doc, what: str, section: str = ""):
     """The dataclass `cls` made from `doc`, a decoded JSON object that `what`
     names in errors: the one place a config object is made from JSON. An
-    unknown or missing key, or a value unlike its field's type (`_JSON_TYPES`;
-    null only where None is annotated), raises ConfigError naming the key."""
+    unknown or missing key, or a nested object that is not one, raises
+    ConfigError; `cls` checks the values. `section`, the path of a nested
+    object (such as "synth."), leads the words of its faults."""
     if type(doc) is not dict:
         raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(doc)}")
-    hints, values = typing.get_type_hints(cls), {}
-    if set(doc) - set(hints):
-        raise ConfigError(f"unknown {what} keys: {sorted(set(doc) - set(hints))}")
+    rules, values = _rules(cls), dict(doc)
+    if set(doc) - set(rules):
+        raise ConfigError(f"unknown {what} keys: {sorted(set(doc) - set(rules))}")
     for f in dataclasses.fields(cls):
         if f.name not in doc and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{what} is missing key {f.name!r}")
     for key, value in doc.items():
-        kind, *none = typing.get_args(hints[key]) or (hints[key],)  # X | None: (X, NoneType)
-        if value is None and none:
-            values[key] = None
-        elif dataclasses.is_dataclass(kind):
-            values[key] = from_json(kind, value, key)
-        elif _JSON_TYPES[kind][1](value):
-            values[key] = tuple(value) if kind is tuple else value
-        else:
-            raise ConfigError(f"{what} key {key!r} must be {_JSON_TYPES[kind][0]}"
-                              f"{' or null' if none else ''}, got {reprlib.repr(value)}")
-    return cls(**values)
+        if dataclasses.is_dataclass(rules[key][0]) and value is not None:
+            values[key] = from_json(rules[key][0], value, key, f"{section}{key}.")
+    try:
+        return cls(**values)
+    except ConfigError as e:
+        raise ConfigError(f"{section}{e}") from None
 
 
 def check_at_least(name: str, value, low: int) -> None:
-    """The one wording of an integer lower bound, of configs and of arguments."""
+    """The one integer rule, of config fields and of arguments, which may be numpy's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} {_KINDS[int][0]}, got {reprlib.repr(value)}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-def check_unit_interval(name: str, value) -> None:
-    """The one wording of the (0, 1] rule of IoU thresholds."""
-    if not 0.0 < value <= 1.0:
-        raise ConfigError(f"{name} must be in (0, 1], got {value}")
-
-
 def check_distinct(what: str, values, shown) -> None:
     """Refuse a value repeated in `values`, a list `shown` as written."""
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{what} {max(values, key=values.count)} is repeated in {shown!r}")
+    seen: set = set()
+    repeats = [value for value in values if value in seen or seen.add(value)]
+    if repeats:
+        raise ConfigError(f"{what} {repeats[0]} is repeated in {shown!r}")
+
+
+GROUPS = ("seen", "unseen")  # of records, and of the classes an episode draws
+CLASSIFICATION_WIDTHS = (2048, 1024)
+DETECTION_WIDTHS = (1024, 1024, 256)
+DETECTION_MODES = 5
 
 
 @dataclass(frozen=True)
@@ -102,23 +168,16 @@ class EmbeddingConfig:
     embedding dimension.
     """
 
-    input_dim: int
-    layer_widths: tuple
+    input_dim: int = rule(low=1)
+    layer_widths: tuple = rule(low=1)
     final_l2_normalize: bool = True
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-5
+    bn_momentum: float = rule(0.9, within="[0, 1]")
+    bn_epsilon: float = rule(1e-5, within="(0, inf)")
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
-        check_at_least("input_dim", self.input_dim, 1)
+        check_fields(self)
         if not self.layer_widths:
             raise ConfigError("layer_widths must not be empty")
-        for w in self.layer_widths:
-            check_at_least("layer_widths entry", w, 1)
-        if not 0 < self.bn_epsilon < math.inf:
-            raise ConfigError(f"bn_epsilon must be a finite number > 0, got {self.bn_epsilon!r}")
-        if not 0 <= self.bn_momentum <= 1:
-            raise ConfigError(f"bn_momentum must be a number in [0, 1], got {self.bn_momentum!r}")
 
     @property
     def output_dim(self) -> int:
@@ -127,21 +186,14 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class MixtureConfig:
-    num_classes: int
-    modes_per_class: int = 3
-    sigma: float = 0.5
-    margin: float = 0.5
-    posterior_mode: str = "normalized"  # "max" | "normalized"
+    num_classes: int = rule(low=1)
+    modes_per_class: int = rule(3, low=1)
+    sigma: float = rule(0.5, within="(0, inf)")
+    margin: float = rule(0.5, within="(0, inf)")
+    posterior_mode: str = rule("normalized", one_of=("max", "normalized"))
 
     def __post_init__(self):
-        check_at_least("num_classes", self.num_classes, 1)
-        check_at_least("modes_per_class", self.modes_per_class, 1)
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.posterior_mode not in ("max", "normalized"):
-            raise ConfigError(f"posterior_mode must be 'max' or 'normalized', got {self.posterior_mode!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -150,26 +202,19 @@ class EpisodeSpec:
     every shot count from 1 to max_shots, so classes need queries_per_class
     + max_shots items, and a run may ask for any of those counts."""
 
-    shots: int
-    ways: int
-    queries_per_class: int = 10
-    episode_count: int = 500
-    seed: int = 0
-    class_pool: str = "unseen"  # "seen" | "unseen"
-    background_queries: int = 0
-    max_shots: int = 10
+    shots: int = rule(low=1)
+    ways: int = rule(low=1)
+    queries_per_class: int = rule(10, low=1)
+    episode_count: int = rule(500, low=1)
+    seed: int = rule(0, low=0)
+    class_pool: str = rule("unseen", one_of=GROUPS)
+    background_queries: int = rule(0, low=0)
+    max_shots: int = rule(10, low=1)
 
     def __post_init__(self):
-        check_at_least("shots", self.shots, 1)
-        check_at_least("ways", self.ways, 1)
+        check_fields(self)
         if self.shots > self.max_shots:
             raise ConfigError(f"shots {self.shots} exceeds max_shots {self.max_shots}")
-        check_at_least("queries_per_class", self.queries_per_class, 1)
-        check_at_least("episode_count", self.episode_count, 1)
-        if self.class_pool not in ("seen", "unseen"):
-            raise ConfigError(f"class_pool must be 'seen' or 'unseen', got {self.class_pool!r}")
-        check_at_least("background_queries", self.background_queries, 0)
-        check_at_least("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -183,50 +228,27 @@ class SynthConfig:
     center. The true centers go into the dataset header for oracle checks.
     """
 
-    num_classes: int = 5
-    modes_per_class: int = 3
-    input_dim: int = 20
-    samples_per_mode: int = 40
-    spread: float = 0.05
-    background_fraction: float = 0.0
-    unseen_classes: int = 0
-    test_fraction: float = 0.2
-    min_separation: float = 1.0
+    num_classes: int = rule(5, low=1)
+    modes_per_class: int = rule(3, low=1)
+    input_dim: int = rule(20, low=1)
+    samples_per_mode: int = rule(40, low=1)
+    spread: float = rule(0.05, within="[0, inf)")
+    background_fraction: float = rule(0.0, within="[0, 1]")
+    unseen_classes: int = rule(0, low=0)
+    test_fraction: float = rule(0.2, within="[0, 1)")
+    min_separation: float = rule(1.0, within="[0, inf)")
     with_boxes: bool = False
-    rois_per_image: int = 8
+    rois_per_image: int = rule(8, low=2)
 
     def __post_init__(self):
-        for name in ("num_classes", "modes_per_class", "samples_per_mode", "input_dim"):
-            check_at_least(name, getattr(self, name), 1)
-        if self.spread < 0:
-            raise ConfigError("spread must be nonnegative")
-        if not 0 <= self.background_fraction <= 1:
-            raise ConfigError("background_fraction must lie in [0, 1]")
-        check_at_least("unseen_classes", self.unseen_classes, 0)
+        check_fields(self)
         if self.unseen_classes > self.num_classes:
             raise ConfigError("unseen_classes must not exceed num_classes")
-        if not 0 <= self.test_fraction < 1:
-            raise ConfigError("test_fraction must lie in [0, 1)")
-        if not 0 <= self.min_separation < math.inf:
-            raise ConfigError(
-                f"min_separation must be a finite number >= 0, got {self.min_separation!r}")
-        check_at_least("rois_per_image", self.rois_per_image, 2)
-
-
-def check_task_mode(task_mode) -> None:
-    """The one task-mode check, of run configs and of heads."""
-    if task_mode not in ("classification", "detection"):
-        raise ConfigError(f"task_mode must be 'classification' or 'detection', got {task_mode!r}")
-
-
-CLASSIFICATION_WIDTHS = (2048, 1024)
-DETECTION_WIDTHS = (1024, 1024, 256)
-DETECTION_MODES = 5
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    task_mode: str = "classification"
+    task_mode: str = rule("classification", one_of=("classification", "detection"))
     seed: int = 0
 
     # head; widths and modes fall back to the task-mode defaults above, the rest to the schemas'
@@ -240,14 +262,14 @@ class RunConfig:
     bn_epsilon: float = EmbeddingConfig.bn_epsilon
 
     # trainer
-    iterations: int = 500
-    optimizer: str = "sgd"
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    classes_per_batch: int = 12
-    instances_per_class: int = 4
-    batch_strategy: str = "class_balanced"
+    iterations: int = rule(500, low=1)
+    optimizer: str = rule("sgd", one_of=("sgd", "adam"))
+    lr: float = rule(0.01, within="(0, inf)")
+    momentum: float = rule(0.9, within="[0, 1)")
+    weight_decay: float = rule(0.0, within="[0, inf)")
+    classes_per_batch: int = rule(12, low=2)
+    instances_per_class: int = rule(4, low=1)
+    batch_strategy: str = rule("class_balanced", one_of=("class_balanced", "image_group"))
 
     # episodes; `seed` above is the root of every substream, not EpisodeSpec's
     shots: int = 1
@@ -257,43 +279,19 @@ class RunConfig:
     class_pool: str = EpisodeSpec.class_pool
     background_queries: int = EpisodeSpec.background_queries
     max_shots: int = EpisodeSpec.max_shots
-    finetune_steps: int = 50
-    finetune_lr: float = 0.01
+    finetune_steps: int = rule(50, low=0)
+    finetune_lr: float = rule(0.01, within="(0, inf)")
 
     # evaluation
-    match_iou: float = 0.5
-    recall_ks: tuple = (10, 100)
+    match_iou: float = rule(0.5, within="(0, 1]")
+    recall_ks: tuple = rule((10, 100), low=1)
 
     # synthetic data generation (synth-data command)
     synth: SynthConfig | None = None
 
     def __post_init__(self):
-        check_task_mode(self.task_mode)
-        if self.layer_widths is not None:
-            object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
-        object.__setattr__(self, "recall_ks", tuple(self.recall_ks))
-        for k in self.recall_ks:
-            check_at_least("recall_ks entry", k, 1)
+        check_fields(self)  # a field a schema shares meets that schema's rule below
         check_distinct("recall_ks entry", self.recall_ks, self.recall_ks)
-        check_unit_interval("match_iou", self.match_iou)
-        check_at_least("finetune_steps", self.finetune_steps, 0)
-        check_at_least("iterations", self.iterations, 1)
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError(f"momentum must be a number in [0, 1), got {self.momentum!r}")
-        if not self.finetune_lr > 0:
-            raise ConfigError(f"finetune_lr must be positive, got {self.finetune_lr}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
-        check_at_least("classes_per_batch", self.classes_per_batch, 2)
-        check_at_least("instances_per_class", self.instances_per_class, 1)
-        if self.batch_strategy not in ("class_balanced", "image_group"):
-            raise ConfigError(f"unknown batch strategy {self.batch_strategy!r}")
-        # head and episode values, the seed among them, are checked by the
-        # configs they build
         self.embedding_config(1)
         self.mixture_config(1)
         self.episode_spec()

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import SynthConfig
+from .config import GROUPS, SynthConfig, choice_words
 from .errors import ConfigError, DatasetError, NonFiniteRowError
 from .rng import substream
 
@@ -97,8 +97,8 @@ _VALUE_RULES = (
        f"{key} must be a non-empty string, got {{!r}}") for key in ("id", "label")),
     ("attributes", lambda v: v is None or _flags(v), "attributes must be an array of 0/1"),
     *((key, lambda v, allowed=allowed: v is None or isinstance(v, str) and v in allowed,
-       f"{key} must be one of {allowed}, got {{!r}}")
-      for key, allowed in (("split", ("train", "val", "test")), ("group", ("seen", "unseen")))),
+       choice_words(key, allowed))
+      for key, allowed in (("split", ("train", "val", "test")), ("group", GROUPS))),
     ("image_id", lambda v: v is None or isinstance(v, str), "image_id must be a string, got {!r}"),
 )
 _TEXT_RULES, _TAG_RULES = _VALUE_RULES[:2], _VALUE_RULES[2:]  # id and label; the tags

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Node
-from .config import EmbeddingConfig, MixtureConfig, RunConfig, check_task_mode, from_json, read_json
+from .config import EmbeddingConfig, MixtureConfig, RunConfig, check_value, from_json, read_json
 from .errors import ConfigError, NonFiniteRowError, PosteriorUnderflowError, ShapeError
 from .rng import substream
 
@@ -457,7 +457,7 @@ class MixtureHead:
 
     def _build(self, embedding: EmbeddingConfig, mixture: MixtureConfig, task_mode: str,
                arrays: dict, bn_running, stack: int | None = None) -> None:
-        check_task_mode(task_mode)
+        check_value("task_mode", task_mode, RunConfig)
         if stack is not None and len(embedding.layer_widths) != 1:
             raise ConfigError("a stack of heads must have one layer (batch norm does not stack)")
         layout = parameter_layout(embedding, mixture, stack)

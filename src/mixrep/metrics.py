@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, check_at_least, check_unit_interval
+from .config import RunConfig, check_at_least, check_value
 from .data import box_fault, class_indices
 from .errors import ConfigError, DatasetError
 from .head import BLOCK_ROWS
@@ -167,7 +167,7 @@ def match_detections(detections: Detections, truth: GroundTruth,
     that comes first in `truth` wins.
     """
     iou_threshold = float(iou_threshold)
-    check_unit_interval("iou_threshold", iou_threshold)
+    check_value("iou_threshold", iou_threshold, RunConfig, "match_iou")
     n = len(detections)
     group = _group_ids(*(np.concatenate([getattr(detections, name), getattr(truth, name)])
                          for name in ("episode_id", "image_id", "class_id")))
@@ -278,10 +278,11 @@ def attribute_neighborhood_precision(embeddings, attributes, sizes) -> dict[int,
     if not np.isin(A, (0, 1)).all():
         raise DatasetError("attributes must be 0/1")
     n = E.shape[0]
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
     for s in sizes:
-        if s < 1 or s >= n:
-            raise ConfigError(f"neighborhood size {s} out of range for {n} items")
+        check_at_least("neighborhood size", s, 1)
+        if s >= n:
+            raise ConfigError(f"neighborhood size must be < {n}, the number of items, got {s}")
     sq = np.sum(E * E, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (E @ E.T)
     np.fill_diagonal(d2, np.inf)

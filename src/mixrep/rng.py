@@ -30,5 +30,5 @@ def _path_entropy(path) -> list[int]:
 def substream(seed: int, *path) -> np.random.Generator:
     """A generator for `path` under `seed`, independent of all other paths."""
     check_at_least("seed", seed, 0)
-    entropy = [int(seed)] + _path_entropy(path)
+    entropy = [seed] + _path_entropy(path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -185,8 +185,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config), "--data", str(pipeline["data"]),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: config key 'layer_widths' must be an array of integers or null, "
-                       "got '64'\n")
+        assert err == "error: layer_widths must be an array of integers or null, got '64'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("change, message", [
@@ -213,7 +212,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(config), "--data", str(pipeline["data"]),
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            "error: config key 'sigma' must be a finite number, got inf\n"
+            "error: sigma must be a finite number, got inf\n"
         assert not out.exists()
 
     # the input files each command reads besides its config
@@ -564,7 +563,7 @@ class TestEvalEpisodes:
                          "--data", str(pipeline["data"]),
                          "--checkpoint", str(pipeline["checkpoint"]),
                          "--episodes", str(pipeline["episodes"]), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: finetune_lr must be positive, got {lr}\n"
+        assert capsys.readouterr().err == f"error: finetune_lr must be within (0, inf), got {lr}\n"
         assert not out.exists()
 
     def test_bad_shots_list(self, pipeline, tmp_path, capsys):

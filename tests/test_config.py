@@ -2,9 +2,13 @@ import contextlib
 import copy
 import dataclasses
 import json
+import re
 import tempfile
+import time
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +28,7 @@ from mixrep.config import (
 from mixrep.episodes import finetune_episodes
 from mixrep.errors import ConfigError
 from mixrep.head import MixtureHead, load_checkpoint, save_checkpoint
-from mixrep.metrics import match_detections, pr_curve, recall_at_k
+from mixrep.metrics import attribute_neighborhood_precision, match_detections, pr_curve, recall_at_k
 from mixrep.rng import substream
 
 
@@ -87,16 +91,17 @@ class TestTrainerChecks:
     @pytest.mark.parametrize("key, value, message", [
         ("classes_per_batch", 1, "classes_per_batch must be >= 2, got 1"),
         ("instances_per_class", 0, "instances_per_class must be >= 1, got 0"),
-        ("batch_strategy", "round_robin", "unknown batch strategy 'round_robin'"),
-        ("lr", 0.0, "lr must be positive, got 0.0"),
+        ("batch_strategy", "round_robin",
+         "batch_strategy must be one of ('class_balanced', 'image_group'), got 'round_robin'"),
+        ("lr", 0.0, "lr must be within (0, inf), got 0.0"),
         ("iterations", 0, "iterations must be >= 1, got 0"),
-        ("optimizer", "lbfgs", "optimizer must be 'sgd' or 'adam', got 'lbfgs'"),
-        ("weight_decay", -0.1, "weight_decay must be nonnegative"),
-        ("finetune_lr", 0.0, "finetune_lr must be positive, got 0.0"),
-        ("finetune_lr", -1.0, "finetune_lr must be positive, got -1.0"),
-        ("momentum", -3.0, "momentum must be a number in [0, 1), got -3.0"),
-        ("momentum", 1.0, "momentum must be a number in [0, 1), got 1.0"),
-        ("momentum", 7.5, "momentum must be a number in [0, 1), got 7.5"),
+        ("optimizer", "lbfgs", "optimizer must be one of ('sgd', 'adam'), got 'lbfgs'"),
+        ("weight_decay", -0.1, "weight_decay must be within [0, inf), got -0.1"),
+        ("finetune_lr", 0.0, "finetune_lr must be within (0, inf), got 0.0"),
+        ("finetune_lr", -1.0, "finetune_lr must be within (0, inf), got -1.0"),
+        ("momentum", -3.0, "momentum must be within [0, 1), got -3.0"),
+        ("momentum", 1.0, "momentum must be within [0, 1), got 1.0"),
+        ("momentum", 7.5, "momentum must be within [0, 1), got 7.5"),
     ], ids=["one_class_per_batch", "no_instances_per_class", "unknown_batch_strategy",
             "zero_lr", "zero_iterations", "unknown_optimizer", "negative_weight_decay",
             "zero_finetune_lr", "negative_finetune_lr", "negative_momentum", "unit_momentum",
@@ -113,6 +118,10 @@ class TestTrainerChecks:
                       optimizer="adam", iterations=1, lr=1e-9, finetune_lr=1e-9, momentum=0.0)
         assert (c.classes_per_batch, c.batch_strategy, c.optimizer, c.lr, c.momentum) == (
             2, "image_group", "adam", 1e-9, 0.0)
+
+
+def neighborhood(*sizes):
+    return attribute_neighborhood_precision(np.eye(4), np.ones((4, 1), dtype=int), sizes)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -135,14 +144,47 @@ class TestTrainerChecks:
     (lambda: finetune_episodes([], None, -1), "steps must be >= 0, got -1"),
     (lambda: recall_at_k(None, None, 0), "k must be >= 1, got 0"),
     (lambda: pr_curve(None, None, 0), "num_gt must be >= 1, got 0"),
-    (lambda: RunConfig(match_iou=1.5), "match_iou must be in (0, 1], got 1.5"),
-    (lambda: match_detections(None, None, 0), "iou_threshold must be in (0, 1], got 0.0"),
+    (lambda: RunConfig(match_iou=1.5), "match_iou must be within (0, 1], got 1.5"),
+    (lambda: match_detections(None, None, 0), "iou_threshold must be within (0, 1], got 0.0"),
+    # an integer argument is an integer: substream(1.5) drew seed 1's
+    # stream, recall_at_k(k=1.5) kept 2 per image, a neighborhood of 2.7 was 2
+    (lambda: substream(1.5, "x"), "seed must be an integer, got 1.5"),
+    (lambda: substream(True, "x"), "seed must be an integer, got True"),
+    (lambda: recall_at_k(None, None, 1.5), "k must be an integer, got 1.5"),
+    (lambda: finetune_episodes([], None, 2.0), "steps must be an integer, got 2.0"),
+    (lambda: pr_curve(None, None, "3"), "num_gt must be an integer, got '3'"),
+    (lambda: neighborhood(2.7), "neighborhood size must be an integer, got 2.7"),
+    (lambda: neighborhood("3"), "neighborhood size must be an integer, got '3'"),
+    (lambda: neighborhood(0), "neighborhood size must be >= 1, got 0"),
+    (lambda: neighborhood(1, 4), "neighborhood size must be < 4, the number of items, got 4"),
 ])
 def test_each_bound_is_worded_alike_by_every_owner(build, message):
     # configs and library arguments share one wording per rule
     with pytest.raises(ConfigError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_a_numpy_integer_argument_is_an_integer():
+    # a count taken from an array stays usable; a config field still wants an int
+    assert substream(np.int64(3), "x").integers(1 << 30) == substream(3, "x").integers(1 << 30)
+    assert neighborhood(np.int64(1)) == neighborhood(1)
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(seed=np.int64(3))
+    assert str(exc.value) == "seed must be an integer, got np.int64(3)"
+
+
+def test_a_long_list_with_one_repeat_is_checked_in_one_pass():
+    # counting each value was quadratic: 16,000 entries took 3.5 s
+    values = (*range(1, 40_000), 7)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(recall_ks=values)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == f"recall_ks entry 7 is repeated in {values!r}"
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(recall_ks=(5, 9, 9, 5, 5))
+    assert str(exc.value) == "recall_ks entry 9 is repeated in (5, 9, 9, 5, 5)"
 
 
 def test_empty_layer_widths_have_a_message_of_their_own():
@@ -152,12 +194,16 @@ def test_empty_layer_widths_have_a_message_of_their_own():
         assert str(exc.value) == "layer_widths must not be empty"
 
 
-@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
-def test_min_separation_must_be_a_finite_number_at_least_zero(value):
+@pytest.mark.parametrize("value, message", [
+    (-1.0, "min_separation must be within [0, inf), got -1.0"),
+    (float("nan"), "min_separation must be a finite number, got nan"),
+    (float("inf"), "min_separation must be a finite number, got inf")],
+    ids=["-1.0", "nan", "inf"])
+def test_min_separation_must_be_a_finite_number_at_least_zero(value, message):
     # -1.0 built a dataset; NaN failed late, placing the centers
     with pytest.raises(ConfigError) as exc:
         SynthConfig(min_separation=value)
-    assert str(exc.value) == f"min_separation must be a finite number >= 0, got {value!r}"
+    assert str(exc.value) == message
     assert SynthConfig(min_separation=0.0).min_separation == 0.0
 
 
@@ -281,7 +327,7 @@ class TestFrozen:
                 setattr(config, field.name, getattr(config, field.name))
 
     def test_a_changed_copy_is_checked_again(self):
-        with pytest.raises(ConfigError, match="sigma must be positive, got -1.0"):
+        with pytest.raises(ConfigError, match=r"^sigma must be within \(0, inf\), got -1.0$"):
             dataclasses.replace(RunConfig(), sigma=-1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig().sigma = -1.0
@@ -310,15 +356,18 @@ class TestTypedReader:
           for value in (float("nan"), float("inf"), -float("inf"))],
     ])
     def test_value_of_another_type_is_refused_naming_its_key(self, doc, key):
-        with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        # a field of the nested synth object is named by its path
+        name = f"synth.{key}" if "synth" in doc else key
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "):
             config_from(doc)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_in_a_file_is_refused(self, tmp_path, token):
         p = tmp_path / "run.json"
         p.write_text('{"sigma": %s}' % token, encoding="utf-8")
-        with pytest.raises(ConfigError, match="config key 'sigma' must be a finite number"):
+        with pytest.raises(ConfigError) as exc:
             load_run_config(p)
+        assert str(exc.value) == f"sigma must be a finite number, got {float(token)!r}"
 
     def test_checkpoint_with_an_infinite_sigma_is_refused(self, tmp_path):
         doc = saved_checkpoint()
@@ -326,8 +375,9 @@ class TestTypedReader:
         p = tmp_path / "checkpoint.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
         assert '"sigma": Infinity' in p.read_text(encoding="utf-8")
-        with pytest.raises(ConfigError, match="mixture key 'sigma' must be a finite number"):
+        with pytest.raises(ConfigError) as exc:
             load_checkpoint(p)
+        assert str(exc.value) == f"{p}: sigma must be a finite number, got inf"
 
     def test_numbers_and_nulls_fit_where_annotated(self):
         c = config_from({"sigma": 1, "lr": 0.5, "layer_widths": None, "synth": {"spread": 0}})
@@ -466,11 +516,147 @@ def test_mutated_checkpoint_loads_or_is_refused(data):
     loads_or_refuses(load_checkpoint, data)
 
 
-@pytest.mark.parametrize("section", [{"input_dim": "20"}, {"final_l2_normalize": "no"},
-                                     {"layer_widths": [8.0, 4]}, {"bn_momentum": True}])
-def test_checkpoint_section_of_another_type_is_refused(tmp_path, section):
+@pytest.mark.parametrize("section, message", [
+    ({"input_dim": "20"}, "input_dim must be an integer, got '20'"),
+    ({"final_l2_normalize": "no"}, "final_l2_normalize must be true or false, got 'no'"),
+    ({"layer_widths": [8.0, 4]}, "layer_widths must be an array of integers, got [8.0, 4]"),
+    ({"bn_momentum": True}, "bn_momentum must be a finite number, got True")],
+    ids=[f"section{i}" for i in range(4)])
+def test_checkpoint_section_of_another_type_is_refused(tmp_path, section, message):
     # the first two loaded, as input_dim 20 and final_l2_normalize on
     path = tmp_path / "checkpoint.json"
     path.write_bytes(with_values(CHECKPOINT, embedding=section))
-    with pytest.raises(ConfigError, match=f"embedding key '{next(iter(section))}' must be"):
+    with pytest.raises(ConfigError) as exc:
         load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# every field of every schema, built three ways: a value of the wrong kind
+# raises one ConfigError naming the field, never a TypeError
+
+SCHEMAS = {EmbeddingConfig: EmbeddingConfig(4, (8, 2)), MixtureConfig: MixtureConfig(3),
+           EpisodeSpec: EpisodeSpec(1, 5), SynthConfig: SynthConfig(), RunConfig: RunConfig()}
+# text or None for a number, 1.5 or True for an integer, NaN and ±inf for a
+# float, a number for a choice or a flag; None drops out where it fits
+WRONG_KINDS = {
+    float: ["0.1", None, True, float("nan"), float("inf"), -float("inf"), 10**400],
+    int: ["3", None, 1.5, True, 2.0],
+    str: [5, None, 1.5, ["max"]],
+    bool: [1, 0.0, None, "yes"],
+    tuple: [5, "64", None, [1.5], [True], [[8]]],
+    SynthConfig: [5, "x", [1], {}],  # {} is an object, so JSON reads it as the defaults
+}
+
+
+def wrong_values():
+    for schema in SCHEMAS:
+        for f in dataclasses.fields(schema):
+            kind, *none = typing.get_args(f.type) or (f.type,)
+            for value in WRONG_KINDS[kind]:
+                if not (value is None and none):
+                    yield pytest.param(schema, f.name, value,
+                                       id=f"{schema.__name__}.{f.name}={value!r}")
+
+
+def three_builds(schema, name, value):
+    base = SCHEMAS[schema]
+    doc = json.loads(json.dumps(dataclasses.asdict(base)))
+    yield "constructor", lambda: schema(**{**vars(base), name: value})
+    yield "replace", lambda: dataclasses.replace(base, **{name: value})
+    if value != {}:
+        yield "from_json", lambda: from_json(schema, {**doc, name: value}, "config")
+
+
+@pytest.mark.parametrize("schema, name, value", wrong_values())
+def test_a_value_of_the_wrong_kind_is_refused_naming_its_field(schema, name, value):
+    for way, build in three_builds(schema, name, value):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value).startswith(f"{name} must be "), (way, str(exc.value))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RunConfig(sigma=float("inf")), "sigma must be a finite number, got inf"),
+    (lambda: RunConfig(margin=float("inf")), "margin must be a finite number, got inf"),
+    (lambda: RunConfig(lr=float("inf")), "lr must be a finite number, got inf"),
+    (lambda: RunConfig(finetune_lr=float("inf")), "finetune_lr must be a finite number, got inf"),
+    (lambda: RunConfig(weight_decay=float("nan")), "weight_decay must be a finite number, got nan"),
+    (lambda: RunConfig(final_l2_normalize=1), "final_l2_normalize must be true or false, got 1"),
+    (lambda: RunConfig(synth={}), "synth must be a SynthConfig or null, got {}"),
+    (lambda: RunConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: RunConfig(iterations=2.5), "iterations must be an integer, got 2.5"),
+    (lambda: RunConfig(finetune_steps=1.5), "finetune_steps must be an integer, got 1.5"),
+    (lambda: RunConfig(shots=True), "shots must be an integer, got True"),
+    (lambda: SynthConfig(spread=float("nan")), "spread must be a finite number, got nan"),
+    (lambda: dataclasses.replace(MixtureConfig(3), sigma=float("inf")),
+     "sigma must be a finite number, got inf"),
+    (lambda: RunConfig(lr="0.1"), "lr must be a finite number, got '0.1'"),
+    (lambda: RunConfig(sigma=None), "sigma must be a finite number, got None"),
+    (lambda: RunConfig(weight_decay=None), "weight_decay must be a finite number, got None"),
+    (lambda: RunConfig(layer_widths=5), "layer_widths must be an array of integers or null, got 5"),
+    (lambda: RunConfig(max_shots="10"), "max_shots must be an integer, got '10'"),
+    (lambda: SynthConfig(spread="x"), "spread must be a finite number, got 'x'"),
+    (lambda: RunConfig(max_shots=0), "max_shots must be >= 1, got 0"),
+])
+def test_a_config_built_in_python_is_checked_as_one_read_from_json(build, message):
+    # each of these was accepted, or raised a TypeError
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"synth": {"modes_per_class": 0}}, "synth.modes_per_class must be >= 1, got 0"),
+    ({"synth": {"num_classes": 2, "unseen_classes": 3}},
+     "synth.unseen_classes must not exceed num_classes"),
+    ({"modes_per_class": 0}, "modes_per_class must be >= 1, got 0")])
+def test_a_fault_in_the_nested_synth_object_names_its_section(doc, message):
+    # modes_per_class and num_classes are keys of both the run config and synth
+    with pytest.raises(ConfigError) as exc:
+        config_from(doc)
+    assert str(exc.value) == message
+
+
+def test_of_two_faults_the_first_field_is_named():
+    with pytest.raises(ConfigError) as exc:
+        config_from({"lr": 0.0, "task_mode": "x"})
+    assert str(exc.value).startswith("task_mode must be one of ")
+
+
+def test_values_are_stored_as_given_but_arrays_as_tuples():
+    c = RunConfig(sigma=1, layer_widths=[8, 4], recall_ks=[5])
+    assert (type(c.sigma), c.layer_widths, c.recall_ks) == (int, (8, 4), (5,))
+
+
+def readme_run_config() -> dict:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"cat > run.json <<'EOF'\n(.*?)\nEOF", text, re.S).group(1))
+
+
+def loaded_documents():
+    from test_cli import RUN
+    from test_golden import CLASSIFICATION
+    from test_metrics import DIAGNOSTIC
+
+    runs = {"readme": readme_run_config(), "readme_test": README_RUN, "resolved": RESOLVED_RUN,
+            "cli": RUN, "golden_classification": CLASSIFICATION, "diagnostic": DIAGNOSTIC}
+    for name, doc in runs.items():
+        yield pytest.param(RunConfig, doc, id=f"run:{name}")
+        yield pytest.param(EpisodeSpec, dataclasses.asdict(config_from(doc).episode_spec()),
+                           id=f"episode_header:{name}")
+    for section, schema in (("embedding", EmbeddingConfig), ("mixture", MixtureConfig)):
+        yield pytest.param(schema, CHECKPOINT[section], id=f"checkpoint:{section}")
+
+
+def cut_to(value: dict, doc: dict) -> dict:
+    """`value` keeping, at every level, only the keys of `doc`."""
+    return {key: cut_to(value[key], inner) if isinstance(inner, dict) else value[key]
+            for key, inner in doc.items()}
+
+
+@pytest.mark.parametrize("schema, doc", loaded_documents())
+def test_every_document_the_tests_load_still_loads_as_written(schema, doc):
+    config = from_json(schema, doc, "document")
+    doc = json.loads(json.dumps(doc))
+    assert cut_to(json.loads(json.dumps(dataclasses.asdict(config))), doc) == doc

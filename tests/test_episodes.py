@@ -276,11 +276,11 @@ class TestEpisodeFiles:
             load_episodes(path, ds)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("ways", True, "episode spec key 'ways' must be an integer, got True"),
-        ("shots", 1.0, "episode spec key 'shots' must be an integer, got 1.0"),
-        ("class_pool", None, "episode spec key 'class_pool' must be a string, got None"),
+        ("ways", True, "ways must be an integer, got True"),
+        ("shots", 1.0, "shots must be an integer, got 1.0"),
+        ("class_pool", None, "class_pool must be a string, got None"),
         ("seed", -1, "seed must be >= 0, got -1"),
-        ("max_shots", None, "episode spec key 'max_shots' must be an integer, got None"),
+        ("max_shots", None, "max_shots must be an integer, got None"),
     ], ids=["ways_true", "shots_float", "class_pool_null", "seed_negative", "max_shots_null"])
     def test_header_spec_of_another_type_is_refused(self, tmp_path, field, value, message):
         # "ways": true loaded as a 1-way spec

@@ -6,14 +6,15 @@ every run-config key is read by the code it configures, `config` imports
 no module of the package but `errors`, no import cycle hides behind
 `TYPE_CHECKING`, only `cli.main` loads and logs the run config, no
 function takes the posterior rule as a parameter, every config schema is
-frozen, every default a run config shares with a schema or a library
-function is written once, the run config resolves its task-mode defaults
-from named owners, the package root imports nothing, each name is
-imported from the module that binds it, no call passes `str` as a dtype
-or type argument, only the format writers and `save_checkpoint` open a
+frozen, every schema's `__post_init__` runs the one field check and raises
+only for the relations between fields, every default a run config shares
+with a schema or a library function is written once, the run config
+resolves its task-mode defaults from named owners, the package root
+imports nothing, each name is imported from the module that binds it, no
+call passes `str` as a dtype or type argument, only the format writers and `save_checkpoint` open a
 file to write or format JSON or CSV text, the words of each input rule
-(record values, boxes, class maps, task modes, integer bounds, the (0, 1]
-rule of IoU thresholds, class counts) are held by one string literal of
+(record values, boxes, class maps, choices, kinds of value, integer bounds,
+number ranges, class counts) are held by one string literal of
 the package, every function of the autodiff engine is called in it, and
 every primitive, in the engine or beside the composed loss in the tests,
 has its central-difference check."""
@@ -136,8 +137,9 @@ def test_autodiff_avoids_slow_numpy_helpers():
         assert dotted_references(source, SLOW_NUMPY) == [], module
 
 
-# the dataclasses read from JSON files; `config.from_json` checks each value
-# against its field's type, so a `**`-unpacked build elsewhere would skip that
+# the dataclasses read from JSON files; `config.from_json` refuses unknown and
+# missing keys and builds the nested sections, so a `**`-unpacked build
+# elsewhere would skip that
 JSON_CONFIGS = {"RunConfig", "SynthConfig", "EpisodeSpec", "EmbeddingConfig", "MixtureConfig"}
 
 
@@ -379,6 +381,53 @@ def test_every_config_schema_is_frozen():
     assert unfrozen_dataclasses(source) == []
 
 
+def post_init_checks(source: str) -> list[str]:
+    """"Class: check" for each raise, shown by the first argument of what it
+    raises, and each call of a bare `check_*` name in the `__post_init__`
+    of each class in `source`, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for method in node.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name == "__post_init__"):
+                continue
+            for inner in ast.walk(method):
+                if isinstance(inner, ast.Raise):
+                    found.append((inner.lineno, f"{node.name}: raise "
+                                  f"{ast.unparse(getattr(inner.exc, 'args', [inner.exc])[0])}"))
+                elif isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) \
+                        and inner.func.id.startswith("check_"):
+                    found.append((inner.lineno, f"{node.name}: {inner.func.id}"))
+    return [check for _, check in sorted(found)]
+
+
+def test_scan_finds_each_post_init_check():
+    source = ("class A:\n    def __post_init__(self):\n        check_fields(self)\n"
+              "        if self.x > self.y:\n            raise ConfigError(f'x {self.x} > y')\n"
+              "        self.build()\n\n    def build(self):\n"
+              "        raise ConfigError('late')\n\n\n"
+              "class B:\n    def __post_init__(self):\n        if self.z < 0:\n"
+              "            raise ValueError\n        check_at_least('z', self.z, 0)\n")
+    assert post_init_checks(source) == [
+        "A: check_fields", "A: raise f'x {self.x} > y'", "B: raise ValueError",
+        "B: check_at_least"]
+
+
+def test_schemas_raise_only_for_relations_between_fields():
+    # every value rule is declared at its field and checked by check_fields;
+    # a __post_init__ adds only what relates two fields or a field's entries
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert post_init_checks(source) == [
+        "EmbeddingConfig: check_fields", "EmbeddingConfig: raise 'layer_widths must not be empty'",
+        "MixtureConfig: check_fields",
+        "EpisodeSpec: check_fields",
+        "EpisodeSpec: raise f'shots {self.shots} exceeds max_shots {self.max_shots}'",
+        "SynthConfig: check_fields",
+        "SynthConfig: raise 'unseen_classes must not exceed num_classes'",
+        "RunConfig: check_fields", "RunConfig: check_distinct"]
+
+
 # the schemas whose defaults a run config's field of the same name takes by
 # name; `seed` is the root of every substream, not an episode setting
 DEFAULT_OWNERS = ("EmbeddingConfig", "MixtureConfig", "EpisodeSpec")
@@ -387,15 +436,22 @@ DEFAULT_OWNERS = ("EmbeddingConfig", "MixtureConfig", "EpisodeSpec")
 def copied_defaults(source: str, owners=DEFAULT_OWNERS, exempt=("seed",)) -> list[str]:
     """Fields of the `RunConfig` class in `source` whose default is not read
     as `Owner.field` from a class of `owners` that gives the field of that
-    name a default, with their line numbers. A `None` default, which a run
-    config resolves itself, and the `exempt` names are not counted."""
+    name a default, with their line numbers. A default may be written
+    through `rule(default, ...)`, and `rule(...)` alone gives none. A `None`
+    default, which a run config resolves itself, and the `exempt` names are
+    not counted."""
     classes = {node.name: node for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.ClassDef)}
 
+    def default(value):
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "rule":
+            return value.args[0] if value.args else None
+        return value
+
     def defaults(name):
-        return {item.target.id: item.value for item in classes[name].body
+        return {item.target.id: default(item.value) for item in classes[name].body
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                and item.value is not None}
+                and default(item.value) is not None}
 
     owned = {}
     for owner in owners:
@@ -413,16 +469,19 @@ def copied_defaults(source: str, owners=DEFAULT_OWNERS, exempt=("seed",)) -> lis
 
 
 def test_scan_finds_a_copied_default():
-    source = ("class MixtureConfig:\n    num_classes: int\n    sigma: float = 0.5\n"
+    source = ("class MixtureConfig:\n    num_classes: int = rule(low=1)\n"
+              "    sigma: float = rule(0.5, within='(0, inf)')\n"
               "    margin: float = 0.5\n    modes_per_class: int = 3\n\n\n"
-              "class EpisodeSpec:\n    shots: int\n    seed: int = 0\n    max_shots: int = 10\n\n\n"
+              "class EpisodeSpec:\n    shots: int = rule(low=1)\n    seed: int = 0\n"
+              "    max_shots: int = 10\n    ways: int = rule(5, low=1)\n\n\n"
               "class EmbeddingConfig:\n    bn_momentum: float = 0.9\n    bn_epsilon: float = 1e-5\n\n\n"
               "class RunConfig:\n    seed: int = 0\n    shots: int = 1\n"
               "    modes_per_class: int | None = None\n    sigma: float = MixtureConfig.sigma\n"
               "    margin: float = 0.5\n    max_shots: int = MixtureConfig.max_shots\n"
-              "    bn_epsilon: float = EmbeddingConfig.bn_momentum\n    lr: float = 0.01\n")
-    assert copied_defaults(source) == ["margin (line 24)", "max_shots (line 25)",
-                                       "bn_epsilon (line 26)"]
+              "    bn_epsilon: float = EmbeddingConfig.bn_momentum\n    lr: float = 0.01\n"
+              "    ways: int = rule(5, low=1)\n    num_classes: int = rule(2, low=1)\n")
+    assert copied_defaults(source) == ["margin (line 25)", "max_shots (line 26)",
+                                       "bn_epsilon (line 27)", "ways (line 29)"]
 
 
 def test_run_config_defaults_name_their_schema():
@@ -652,8 +711,9 @@ def test_only_the_format_writers_write_files(module):
 # the words of each input rule; the one literal that holds them is the rule's
 # one owner, which every place that checks the rule calls
 RULE_PHRASES = ("must be a non-empty string", "must be one of", "box coordinates must be finite",
-                "degenerate box", "outside the class map", "task_mode must be", "must be >=",
-                "must be in (0, 1]", "classes, dataset has")
+                "degenerate box", "outside the class map", "must be >=", "must be within",
+                "must be an integer", "must be a finite number", "true or false",
+                "classes, dataset has")
 
 
 def literals_holding(source: str, phrase: str) -> list[int]:
