@@ -13,7 +13,9 @@ embedding net: `matmul`, `add`, `relu`, `batch_norm` and `l2_normalize`. The
 fused loss node (`mixrep.head.mixture_loss`) shares the rest: the pairwise
 distances and their gradients, the vjps of log, sqrt, max and min, gather
 and scatter. The primitives only its composed reference and the gradient
-checks use are in `tests/composed_loss.py`.
+checks use are in `tests/composed_loss.py`. Distances are in Gram form,
+every product through one `np.einsum` pairing: a coincident pair is at
+distance exactly 0, and a row's bits do not depend on its batch.
 
 A central-difference checker (`finite_difference_check`) serves as the
 independent oracle for every gradient in the package.
@@ -37,12 +39,6 @@ from .errors import (
 )
 
 Array = np.ndarray
-
-# differences formed at once inside pairwise_sq_dist_values on a stack
-# (2**14 float64 entries: 128 KiB), so its temporaries do not grow with the
-# stack; a five-shot episode at README width (25 rows, 25 modes, e = 32) is
-# its own chunk
-DIFF_CHUNK = 2**14
 
 _FLOAT64 = np.dtype(np.float64)
 _creation = itertools.count()  # numbers every node in the order nodes are made
@@ -266,65 +262,45 @@ def pairwise_sq_dist_values(ve: Array, vr: Array) -> Array:
     axis, (..., dim), e.g. an (N, K, dim) bank of mode centers. The result
     is (B, ...). A stack of such pairs, (E, B, dim) queries and
     (E, ..., dim) targets, gives (E, B, ...): queries meet only the targets
-    of their own stack entry. Differences are taken before squaring, so a
-    query that coincides with a target is at distance exactly 0.
+    of their own stack entry.
 
-    The (B, M, dim) differences are the largest arrays of a loss, so none
-    is kept: a stack is worked through in chunks of whole entries of at
-    most DIFF_CHUNK differences (one entry when it alone holds more), and
-    each pass forms a chunk's differences afresh, bit for bit the same, in
-    a buffer of its own (`pairwise_sq_dist_grads` is the backward pass).
+    Distances are in Gram form, |q|^2 + |r|^2 - 2 q.r clamped at 0, with
+    the norms and the cross term all from one `np.einsum` pairing: each dot
+    product sums its dim products in one order, so a query that coincides
+    with a target is at distance exactly 0, and a row's distances are
+    bit-identical whatever other rows or stack entries share the call.
+    einsum, not BLAS: a gemm's row bits depend on the batch.
     """
     stack = ve.shape[:-2]
     if (ve.ndim not in (2, 3) or vr.ndim < ve.ndim - 1 or vr.shape[:len(stack)] != stack
             or vr.shape[-1] != ve.shape[-1]):
         raise ShapeError("pairwise_sq_dist", (ve.shape, vr.shape),
                          "expected (B, dim) and (..., dim), or (E, B, dim) and (E, ..., dim)")
-    lead = stack or (1,)  # a single pair is a stack of one
-    batch, dim = ve.shape[-2:]
-    out = np.empty(lead + (batch, vr.reshape(lead + (-1, dim)).shape[-2]))
-    for rows, d in _differences(ve, vr):
-        d *= d
-        d.sum(axis=-1, out=out[rows])
-    return out.reshape(stack + (batch,) + vr.shape[len(stack):-1])
+    q, r = _as_stack(ve, vr)
+    out = (np.einsum("...bi,...bi->...b", q, q)[..., None]
+           + np.einsum("...mi,...mi->...m", r, r)[..., None, :]
+           - 2.0 * np.einsum("...bi,...mi->...bm", q, r))
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(stack + ve.shape[-2:-1] + vr.shape[len(stack):-1])
 
 
-def _differences(ve: Array, vr: Array):
-    """The differences target - query of `pairwise_sq_dist_values`, as
-    (entries, (n, B, M, dim) differences) for successive chunks of whole
-    stack entries, at most DIFF_CHUNK differences each (one entry when it
-    alone holds more). Every chunk is written into one buffer, which lives
-    only as long as the iteration."""
+def _as_stack(ve: Array, vr: Array) -> tuple[Array, Array]:
+    """The queries and targets of `pairwise_sq_dist_values` as a stack,
+    (E, B, dim) and (E, M, dim); a single pair is a stack of one."""
     lead = ve.shape[:-2] or (1,)
-    batch, dim = ve.shape[-2:]
-    targets = vr.reshape(lead + (1, -1, dim))
-    queries = ve.reshape(lead + (batch, 1, dim))
-    per = max(1, DIFF_CHUNK // max(batch * targets.shape[-2] * dim, 1))
-    buf = np.empty((min(per, lead[0]), batch, targets.shape[-2], dim))
-    for i in range(0, lead[0], per):
-        # targets copied out along the rows, less the queries: the bits of
-        # the broadcast subtraction, in half its time
-        d = buf[:len(targets[i:i + per])]
-        np.copyto(d, targets[i:i + per])
-        np.subtract(d, queries[i:i + per], out=d)
-        yield slice(i, i + per), d
+    return ve.reshape(lead + ve.shape[-2:]), vr.reshape(lead + (-1, ve.shape[-1]))
 
 
 def pairwise_sq_dist_grads(ve: Array, vr: Array, g: Array) -> tuple[Array, Array]:
     """The vjps of `pairwise_sq_dist_values(ve, vr)` against both operands
-    for the upstream gradient `g`. Both are sums of the products
-    2 * diff * g, up to sign (scaling by 2 and negation are exact), so they
-    are formed in one pass over the differences, each chunk formed afresh."""
-    lead = ve.shape[:-2] or (1,)
-    batch, dim = ve.shape[-2:]
-    count = vr.reshape(lead + (-1, dim)).shape[-2]
-    ge, gr = np.empty(lead + (batch, dim)), np.empty(lead + (count, dim))
-    g2 = (2.0 * g).reshape(lead + (batch, count, 1))
-    for rows, d in _differences(ve, vr):
-        d *= g2[rows]
-        np.negative(d.sum(axis=-2), out=ge[rows])
-        d.sum(axis=-3, out=gr[rows])
-    return ge.reshape(ve.shape), gr.reshape(vr.shape)
+    for the upstream gradient `g`: 2 (q sum_m g - g r) against the queries
+    and 2 (r sum_b g - g^T q) against the targets, the products through
+    `np.einsum`, so a query row's gradient reads only its own row of g."""
+    q, r = _as_stack(ve, vr)
+    g = g.reshape(q.shape[:-1] + r.shape[-2:-1])
+    ge = q * g.sum(axis=-1)[..., None] - np.einsum("...bm,...mi->...bi", g, r)
+    gr = r * g.sum(axis=-2)[..., None] - np.einsum("...bm,...bi->...mi", g, q)
+    return (2.0 * ge).reshape(ve.shape), (2.0 * gr).reshape(vr.shape)
 
 
 def log_vjp(g: Array, x: Array) -> Array:

@@ -30,8 +30,9 @@ statistics (`train=True`); every other forward reads the running ones.
 Inference is batched too: `MixtureHead.score_embeddings` turns (B, e)
 embeddings into a `Scores` table (embeddings, mode probabilities, class and
 background posteriors, prediction, background flag per row) with the same
-mode-probability and posterior functions, and `score_batch` embeds raw
-inputs first.
+mode-probability and posterior functions, the whole batch in one pass,
+as no temporary of scoring is larger than its (B, N, K) distance table;
+`score_batch` embeds raw inputs first.
 Every step works on each row by itself, so a row's scores are bit-identical
 whatever else shares its batch, on any head; `score` is a one-row view of
 `score_batch`.
@@ -53,9 +54,8 @@ from .rng import substream
 
 BACKGROUND = -1  # label sentinel for clutter items (detection mode only)
 
-# rows per block of batched inference: bounds every temporary of embedding
-# and scoring, such as the (rows, N*K, e) differences behind the distances,
-# so peak memory does not grow with the batch (rows are independent outside
+# rows per block of batched embedding: bounds the hidden activations, so
+# peak memory does not grow with the batch (rows are independent outside
 # training, so blocking changes no result bit)
 BLOCK_ROWS = 32
 
@@ -288,8 +288,9 @@ def mixture_loss(embeddings: Node, representatives: Node, labels: np.ndarray,
     reference (`tests/composed_loss.py`) run, in their order; the vjp
     replays those primitives' vjps op for op, so value, gradients and tie
     verdict are bit for bit those of the composed graph. It keeps only what
-    its vjp and `tie` read, and forms the differences behind the distances
-    a chunk at a time in both passes.
+    its vjp and `tie` read, tables of the distances' (B, N, K) size: the
+    distances are in Gram form, so neither pass forms an array of
+    (B, N*K, e) differences.
     """
     ve, vr = embeddings.value, representatives.value
     lead = ve.shape[:-2]  # () or (E,) on a stack
@@ -550,11 +551,6 @@ class MixtureHead:
         dim = self.embedding.config.output_dim
         if E.ndim != 2 or not len(E) or E.shape[1] != dim:
             raise ShapeError("score", (E.shape,), f"expected (B >= 1, {dim})")
-        blocks = [vars(self._score_block(E[i:i + BLOCK_ROWS]))
-                  for i in range(0, len(E), BLOCK_ROWS)]
-        return Scores(**{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]})
-
-    def _score_block(self, E: np.ndarray) -> Scores:
         _, probs = mode_probabilities(E, self.representatives.value, self.mixture.sigma)
         best = class_posterior_max(probs)
         bg = background_posterior(probs)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import pairwise_sq_dist_values
 from .config import RunConfig, check_at_least, check_value
 from .data import box_fault, class_indices
 from .errors import ConfigError, DatasetError
@@ -283,8 +284,7 @@ def attribute_neighborhood_precision(embeddings, attributes, sizes) -> dict[int,
         check_at_least("neighborhood size", s, 1)
         if s >= n:
             raise ConfigError(f"neighborhood size must be < {n}, the number of items, got {s}")
-    sq = np.sum(E * E, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (E @ E.T)
+    d2 = pairwise_sq_dist_values(E, E)
     np.fill_diagonal(d2, np.inf)
     order = np.argsort(d2, axis=1, kind="stable")
 

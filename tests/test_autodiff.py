@@ -131,13 +131,9 @@ class TestForwardShapes:
         with pytest.raises(ShapeError):
             pairwise_sq_dist(ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 5))))
 
-    @pytest.mark.parametrize("chunk", [1, 500, 2**16], ids=["entry_chunks", "small_chunks",
-                                                           "one_chunk"])
-    def test_stacked_primitives_match_each_entry(self, monkeypatch, chunk):
+    def test_stacked_primitives_match_each_entry(self):
         # a stack of E problems gives, bit for bit, the values and gradients
-        # of the E problems run one at a time, however pairwise_sq_dist
-        # splits the stack into chunks
-        monkeypatch.setattr(ad, "DIFF_CHUNK", chunk)
+        # of the E problems run one at a time
         rng = np.random.default_rng(8)
         X, W = rng.normal(size=(5, 7, 6)), rng.normal(size=(5, 6, 4))
         b, R = rng.normal(size=(5, 1, 4)), rng.normal(size=(5, 3, 2, 4))
@@ -365,9 +361,7 @@ class TestGradChecks:
         for reduce in (reduce_max, reduce_min, reduce_sum):
             gradcheck(lambda ps: reduce_sum(square(reduce(ps[0], axis=-1))), [x])
 
-    @pytest.mark.parametrize("chunk", [1, 2**16], ids=["entry_chunks", "one_chunk"])
-    def test_pairwise_sq_dist_stacked(self, monkeypatch, chunk):
-        monkeypatch.setattr(ad, "DIFF_CHUNK", chunk)
+    def test_pairwise_sq_dist_stacked(self):
         e = ad.parameter(self.rng.normal(size=(3, 4, 5)), "e")
         reps = ad.parameter(self.rng.normal(size=(3, 2, 2, 5)), "reps")
 

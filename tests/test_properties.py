@@ -140,6 +140,98 @@ def test_scores_read_the_mode_probabilities_the_loss_trains_on(seed, batch, task
     assert np.array_equal(head.score_embeddings(E).mode_probs, want)
 
 
+# the distance kernel: |q|^2 + |r|^2 - 2 q.r, each term from one einsum pairing
+
+dims = st.one_of(st.integers(2, 70), st.sampled_from([127, 128, 129, 255, 256, 511, 512, 1023,
+                                                      1024]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=dims, batch=st.integers(1, 8),
+       targets=st.integers(1, 8), stack=st.sampled_from([None, 1, 3]),
+       scale=st.sampled_from([1e-3, 1.0, 40.0]))
+def test_a_query_at_a_target_is_at_distance_exactly_zero(seed, dim, batch, targets, stack,
+                                                          scale):
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    Q = rng.normal(0.0, scale, size=lead + (batch, dim))
+    picked = rng.integers(0, batch, size=targets)
+    R = np.concatenate([Q[..., picked, :], rng.normal(size=lead + (2, dim))], axis=-2)
+    d2 = ad.pairwise_sq_dist_values(Q, R)
+    at = d2[..., picked, np.arange(targets)]
+    assert (at == 0.0).all(), at[at != 0.0]
+    assert (d2 >= 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=dims, batch=st.integers(1, 40),
+       offset=st.integers(0, 20), data=st.data())
+def test_a_rows_distances_and_gradient_do_not_depend_on_its_batch(seed, dim, batch, offset, data):
+    """The distances and the query gradient of a row are bit-identical
+    alone, in any batch of 1 to 40 rows, permuted, and in a slice of a larger
+    array that starts at an odd row."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(2 * offset + 1 + batch, dim))
+    R = rng.normal(size=(3, 2, dim))
+    G = rng.normal(size=(len(rows), 3, 2))
+    start = 2 * offset + 1
+    Q, g = rows[start:].copy(), G[start:]
+    whole = ad.pairwise_sq_dist_values(Q, R), ad.pairwise_sq_dist_grads(Q, R, g)[0]
+    sliced = ad.pairwise_sq_dist_values(rows[start:], R), \
+        ad.pairwise_sq_dist_grads(rows[start:], R, g)[0]
+    perm = rng.permutation(batch)
+    permuted = ad.pairwise_sq_dist_values(Q[perm], R), \
+        ad.pairwise_sq_dist_grads(Q[perm], R, g[perm])[0]
+    for got, want in zip(sliced, whole):
+        assert np.array_equal(got, want)
+    for got, want in zip(permuted, whole):
+        assert np.array_equal(got, want[perm])
+    for i in data.draw(st.lists(st.integers(0, batch - 1), min_size=1, max_size=4)):
+        alone = ad.pairwise_sq_dist_values(Q[i:i + 1], R), \
+            ad.pairwise_sq_dist_grads(Q[i:i + 1], R, g[i:i + 1])[0]
+        for got, want in zip(alone, whole):
+            assert np.array_equal(got[0], want[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 70), stack=st.integers(1, 5),
+       batch=st.integers(1, 30), targets=st.integers(1, 12))
+def test_each_stack_entry_is_the_entry_run_alone(seed, dim, stack, batch, targets):
+    rng = np.random.default_rng(seed)
+    Q, R = rng.normal(size=(stack, batch, dim)), rng.normal(size=(stack, targets, 2, dim))
+    g = rng.normal(size=(stack, batch, targets, 2))
+    together = (ad.pairwise_sq_dist_values(Q, R), *ad.pairwise_sq_dist_grads(Q, R, g))
+    for i in range(stack):
+        alone = (ad.pairwise_sq_dist_values(Q[i], R[i]), *ad.pairwise_sq_dist_grads(Q[i], R[i], g[i]))
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[i], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1),
+       task_mode=st.sampled_from(["classification", "detection"]),
+       stack=st.sampled_from([None, 2]), batch=st.integers(1, 6), classes=st.integers(2, 4),
+       modes=st.integers(1, 3), own=st.booleans())
+def test_the_loss_gradient_is_finite_where_an_embedding_is_a_representative(
+        seed, task_mode, stack, batch, classes, modes, own):
+    """d^2 is exactly 0 at a coincident pair, where the hinge's sqrt has an
+    infinite derivative: DIST_SQ_FLOOR and `sqrt_vjp`'s zero guard keep every
+    gradient finite, whether the representative is of the row's class or
+    another."""
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    E = ad.parameter(rng.normal(size=lead + (batch, 4)))
+    R = ad.parameter(rng.normal(size=lead + (classes, modes, 4)))
+    labels = rng.integers(0, classes, size=batch)
+    at = int(labels[0]) if own else (int(labels[0]) + 1) % classes
+    R.value[..., at, modes - 1, :] = E.value[..., 0, :]
+    assert (ad.pairwise_sq_dist_values(E.value, R.value)[..., 0, at, modes - 1] == 0.0).all()
+    loss, _ = hd.mixture_loss(E, R, labels, MixtureConfig(classes, modes, 1.0, 5.0), task_mode)
+    ad.backward(loss)
+    assert np.isfinite(loss.value)
+    assert np.isfinite(E.grad).all() and np.isfinite(R.grad).all()
+
+
 def loss_and_gradients(head, loss):
     """The root, parts, every parameter's gradient and the tie verdict of
     `loss()`, a (root, parts) pair over `head`'s parameters."""

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in it, every private
 function or method is called from somewhere in the package, the autodiff
 engine and the head's loss node call none of numpy's slow Python-level
-helpers, only `from_json` builds a config object from unpacked JSON,
+helpers, only the distance kernel of `autodiff` calls `np.einsum`, only
+`from_json` builds a config object from unpacked JSON,
 every run-config key is read by the code it configures, `config` imports
 no module of the package but `errors`, no import cycle hides behind
 `TYPE_CHECKING`, only `cli.main` loads and logs the run config, no
@@ -135,6 +136,14 @@ def test_autodiff_avoids_slow_numpy_helpers():
     for module in ("autodiff.py", "head.py"):
         source = (PACKAGE / module).read_text(encoding="utf-8")
         assert dotted_references(source, SLOW_NUMPY) == [], module
+
+
+def test_only_the_distance_kernel_calls_einsum():
+    # one fixed-order product for every distance: a second one could sum in
+    # another order, and a coincident pair would no longer be exactly 0
+    for module in MODULES:
+        found = dotted_references(module.read_text(encoding="utf-8"), {"np.einsum"})
+        assert bool(found) == (module.name == "autodiff.py"), (module.name, found)
 
 
 # the dataclasses read from JSON files; `config.from_json` refuses unknown and
