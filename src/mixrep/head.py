@@ -288,9 +288,7 @@ def mixture_loss(embeddings: Node, representatives: Node, labels: np.ndarray,
     reference (`tests/composed_loss.py`) run, in their order; the vjp
     replays those primitives' vjps op for op, so value, gradients and tie
     verdict are bit for bit those of the composed graph. It keeps only what
-    its vjp and `tie` read, tables of the distances' (B, N, K) size: the
-    distances are in Gram form, so neither pass forms an array of
-    (B, N*K, e) differences.
+    its vjp and `tie` read, tables of the distances' (B, N, K) size.
     """
     ve, vr = embeddings.value, representatives.value
     lead = ve.shape[:-2]  # () or (E,) on a stack
